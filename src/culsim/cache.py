@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .protocol import (
     CoherentKind,
@@ -153,6 +153,11 @@ class CacheModel:
         self.isets: List[List[CacheLine]] = [
             [CacheLine() for _ in range(ways)] for _ in range(self.n_sets)
         ]
+        # line address -> (way, line) last filled with it, per array. Only
+        # _install writes these; a reader must check the line's state, since
+        # invalidations leave the entry in place.
+        self.index: Dict[int, Tuple[int, CacheLine]] = {}
+        self.iindex: Dict[int, Tuple[int, CacheLine]] = {}
         self.rr: List[int] = [0] * self.n_sets
         self.irr: List[int] = [0] * self.n_sets
         self.miss: Optional[MissStatus] = None
@@ -175,11 +180,9 @@ class CacheModel:
         """Find the valid way holding `address`, or None on miss."""
         if address < 0 or address >= (1 << PHYS_ADDR_BITS):
             raise ConfigError(f"address {address:#x} outside the physical address range")
-        set_idx, tag = self._index_tag(address)
-        ways = (self.isets if icache else self.sets)[set_idx]
-        for way, line in enumerate(ways):
-            if line.state.is_valid and line.tag == tag:
-                return way, line
+        hit = (self.iindex if icache else self.index).get(address - address % self.line_size)
+        if hit is not None and hit[1].state.is_valid:
+            return hit
         return None
 
     # -- core side ---------------------------------------------------------
@@ -334,17 +337,21 @@ class CacheModel:
         set_idx, tag = self._index_tag(address)
         ways = (self.isets if icache else self.sets)[set_idx]
         rr = self.irr if icache else self.rr
-        victim = None
-        for line in ways:
-            if not line.state.is_valid:
-                victim = line
-                break
+        index = self.iindex if icache else self.index
+        way = next((w for w, line in enumerate(ways) if not line.state.is_valid), None)
         writeback = evicted = None
-        if victim is None:
-            victim = ways[rr[set_idx]]
-            evicted = self._addr_of(set_idx, victim.tag)
-            if not icache and victim.state.is_dirty:
-                writeback = (evicted, victim.data)
+        if way is None:
+            way = rr[set_idx]
+            evicted = self._addr_of(set_idx, ways[way].tag)
+            if not icache and ways[way].state.is_dirty:
+                writeback = (evicted, ways[way].data)
+        victim = ways[way]
+        # an Invalid way may keep the tag of a line since refilled elsewhere
+        # in the set; that newer entry must survive
+        old = self._addr_of(set_idx, victim.tag)
+        if old in index and index[old][0] == way:
+            del index[old]
+        index[self._addr_of(set_idx, tag)] = (way, victim)
         victim.tag = tag
         victim.state = state
         victim.data = bytes(data) if data is not None else bytes(self.line_size)
@@ -365,28 +372,10 @@ class CacheModel:
         if hit is not None and not hit[1].state.is_dirty:
             hit[1].state = LineState.OWNED
 
-    def evict(self, set_idx: int, icache: bool = False) -> Optional[Tuple[int, bytes]]:
-        """Force an eviction in a full set; dirty victims yield a write-back.
-
-        No-op (returns None) when the set still has an invalid way.
-        """
-        ways = (self.isets if icache else self.sets)[set_idx]
-        if any(not line.state.is_valid for line in ways):
-            return None
-        rr = self.irr if icache else self.rr
-        victim = ways[rr[set_idx]]
-        writeback = None
-        if not icache and victim.state.is_dirty:
-            writeback = (self._addr_of(set_idx, victim.tag), victim.data)
-        victim.state = LineState.INVALID
-        return writeback
-
     # -- inspection ----------------------------------------------------------
 
     def valid_lines(self, icache: bool = False):
-        """Yield (line_address, line) for every valid entry."""
-        arrays = self.isets if icache else self.sets
-        for set_idx, ways in enumerate(arrays):
-            for line in ways:
-                if line.state.is_valid:
-                    yield self._addr_of(set_idx, line.tag), line
+        """Yield (line_address, line) for every valid entry, in fill order."""
+        for addr, (_, line) in (self.iindex if icache else self.index).items():
+            if line.state.is_valid:
+                yield addr, line

@@ -40,11 +40,16 @@ class LineState(Enum):
 
     @property
     def is_dirty(self) -> bool:
-        return self in (LineState.MODIFIED, LineState.OWNED)
+        return self in DIRTY_STATES
 
     @property
     def is_unique(self) -> bool:
-        return self in (LineState.MODIFIED, LineState.EXCLUSIVE)
+        return self in UNIQUE_STATES
+
+
+# States carrying dirty responsibility / excluding every other copy.
+DIRTY_STATES = frozenset({LineState.MODIFIED, LineState.OWNED})
+UNIQUE_STATES = frozenset({LineState.MODIFIED, LineState.EXCLUSIVE})
 
 
 _ACE_ALIAS = {

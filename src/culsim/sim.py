@@ -518,6 +518,26 @@ class Simulation:
                     view.setdefault(addr, ([], None))[0].append(
                         verify.CopyView(core, line.state, line.data, True)
                     )
+        # Dirty data in flight answers for its line like an Owned copy:
+        # CD beats queued with pass_dirty (the k-th CR from a core belongs
+        # to the k-th transaction on that core's order FIFO), and a
+        # transaction's buffered data once a snoopee handed dirty
+        # responsibility over. Without them a line whose dirty holder was
+        # already snooped looks clean-everywhere but newer than memory.
+        ccu = self.ccu
+        crs_seen = [0] * self.config.n_cores
+        for _due, core, resp, beats in ccu.cr_inbox:
+            txn_id = ccu.cr_fifo.queues[core][crs_seen[core]]
+            crs_seen[core] += 1
+            if resp.pass_dirty and beats is not None:
+                view.setdefault(ccu.txns[txn_id].address, ([], None))[0].append(
+                    verify.CopyView(core, LineState.OWNED, beats.to_line(), False)
+                )
+        for txn in ccu.txns.values():
+            if txn.any_pass_dirty and txn.data is not None:
+                view.setdefault(txn.address, ([], None))[0].append(
+                    verify.CopyView(txn.initiator, LineState.OWNED, txn.data, False)
+                )
         pending_wb = dict(self.ccu.wb_fifo)  # youngest same-line entry wins
         return {
             addr: (copies, pending_wb.get(addr, self.mem.peek(addr)))

@@ -27,10 +27,12 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, T
 from .ccu import decode_and_snoop
 from .protocol import (
     CoherentKind,
+    DIRTY_STATES,
     Hit,
     LineState,
     OpKind,
     UNIQUE_KINDS,
+    UNIQUE_STATES,
     completion_state,
     initiator_action,
     snoopee_transition,
@@ -44,48 +46,50 @@ class CopyView(NamedTuple):
     icache: bool = False
 
 
+def _by_address(problems: List[Tuple[int, str]]) -> List[str]:
+    """Messages in line-address order; a line's own messages keep theirs."""
+    problems.sort(key=lambda p: p[0])
+    return [msg for _, msg in problems]
+
+
 def check_swmr(view: Dict[int, Tuple[List[CopyView], object]]) -> List[str]:
     """Single-writer/multiple-reader check over a snapshot view.
 
     A Unique copy (Modified or Exclusive) must be the only valid copy of
     its line, and at most one copy may carry dirty responsibility
-    (Modified or Owned).
+    (Modified or Owned). Problems come back ordered by line address.
     """
     problems = []
-    for addr, (copies, _mem) in sorted(view.items()):
-        if not copies:
+    for addr, (copies, _mem) in view.items():
+        if len(copies) < 2:
             continue
-        unique = [c for c in copies if c.state.is_unique]
-        dirty = [c for c in copies if c.state.is_dirty]
-        if unique and len(copies) >= 2:
-            problems.append(
-                f"line {addr:#x}: unique copy on core {unique[0].core} "
-                f"coexists with {len(copies) - 1} other cop(y/ies)"
-            )
-        if len(dirty) >= 2:
-            problems.append(
-                f"line {addr:#x}: {len(dirty)} dirty-responsible copies"
-            )
-    return problems
+        unique = next((c for c in copies if c.state in UNIQUE_STATES), None)
+        if unique is not None:
+            problems.append((addr, f"line {addr:#x}: unique copy on core {unique.core} "
+                                   f"coexists with {len(copies) - 1} other cop(y/ies)"))
+        n_dirty = sum(c.state in DIRTY_STATES for c in copies)
+        if n_dirty >= 2:
+            problems.append((addr, f"line {addr:#x}: {n_dirty} dirty-responsible copies"))
+    return _by_address(problems)
 
 
 def check_value(view: Dict[int, Tuple[List[CopyView], object]]) -> List[str]:
     """Data-value check over a snapshot view: all valid copies of a line
-    agree, and if every copy is clean they agree with memory too."""
+    agree, and if every copy is clean they agree with memory too.
+    Problems come back ordered by line address."""
     problems = []
-    for addr, (copies, mem) in sorted(view.items()):
+    for addr, (copies, mem) in view.items():
         if not copies:
             continue
         values = {bytes(c.data) if isinstance(c.data, (bytes, bytearray)) else c.data
                   for c in copies}
         if len(values) > 1:
-            problems.append(f"line {addr:#x}: valid copies disagree")
-            continue
-        if all(not c.state.is_dirty for c in copies):
+            problems.append((addr, f"line {addr:#x}: valid copies disagree"))
+        elif not any(c.state in DIRTY_STATES for c in copies):
             memval = bytes(mem) if isinstance(mem, (bytes, bytearray)) else mem
             if values != {memval}:
-                problems.append(f"line {addr:#x}: clean copies differ from memory")
-    return problems
+                problems.append((addr, f"line {addr:#x}: clean copies differ from memory"))
+    return _by_address(problems)
 
 
 # --------------------------------------------------------------------------

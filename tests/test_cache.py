@@ -251,34 +251,56 @@ def set_addresses(cache, set_idx):
     return [set_idx * cache.line_size + k * stride for k in range(cache.ways + 1)]
 
 
-def test_evict_skips_sets_with_free_ways():
+def load_miss(cache, address, state=E, byte=0x11):
+    """Miss on a load of `address` and complete it: the eviction path."""
+    assert isinstance(cache.core_access(CoreOp(OpKind.LOAD, address)), NeedsMiss)
+    return cache.miss_complete(state, bytes([byte]) * cache.line_size)
+
+
+def test_miss_into_set_with_free_way_evicts_nothing():
     cache = make_cache()
-    fill(cache, 0x40, S)
-    set_idx, _ = cache._index_tag(0x40)
-    assert cache.evict(set_idx) is None  # invalid way still available
+    addrs = set_addresses(cache, 0)
+    fill(cache, addrs[0], S)
+    result = load_miss(cache, addrs[1])
+    assert result.evicted is None and result.writeback is None  # invalid way used
+    assert sorted(a for a, _ in cache.valid_lines()) == addrs[:2]
 
 
-def test_evict_clean_victim_produces_no_writeback():
+def test_clean_victim_eviction_produces_no_writeback():
     cache = make_cache()
     addrs = set_addresses(cache, 0)
     for a in addrs[: cache.ways]:
         fill(cache, a, S)
-    assert cache.evict(0) is None  # clean victim: nothing to write back
-    valid = [a for a, _ in cache.valid_lines()]
-    assert len(valid) == cache.ways - 1  # but the victim is gone
+    result = load_miss(cache, addrs[cache.ways])
+    assert result.writeback is None  # clean victim: nothing to write back
+    assert result.evicted == addrs[0]  # but the victim is gone
+    valid = sorted(a for a, _ in cache.valid_lines())
+    assert valid == addrs[1:]
+    assert cache.lookup(addrs[0]) is None
 
 
-def test_evict_dirty_victim_emits_writeback():
+def test_dirty_victim_eviction_emits_writeback():
     cache = make_cache()
     addrs = set_addresses(cache, 1)
     victims = []
     for a in addrs[: cache.ways]:
         victims.append(fill(cache, a, O))
-    wb = cache.evict(1)
-    assert wb is not None
-    addr, data = wb
-    assert addr in addrs
-    assert data == victims[0]
+    result = load_miss(cache, addrs[cache.ways])
+    assert result.writeback == (addrs[0], victims[0])
+    assert result.evicted == addrs[0]
+
+
+def test_refill_over_stale_way_keeps_newer_copy_indexed():
+    cache = make_cache(cache_size=64, ways=2)
+    b, a, c = set_addresses(cache, 0)
+    fill(cache, b, S)  # way 0
+    fill(cache, a, S)  # way 1
+    for addr in (a, b):
+        cache.handle_snoop(SnoopRequest(CoherentKind.READ_UNIQUE, addr))
+    load_miss(cache, a)  # refilled into way 0; way 1 keeps a's stale tag
+    load_miss(cache, c)  # overwrites the stale way 1
+    assert cache.lookup(a)[0] == 0
+    assert sorted(addr for addr, _ in cache.valid_lines()) == [a, c]
 
 
 def test_install_into_full_set_evicts_round_robin():

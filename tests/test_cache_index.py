@@ -1,0 +1,80 @@
+"""Cross-check of CacheModel's address index against a full scan of the
+way arrays, step by step, on tiny configurations of both models."""
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from culsim.baseline import DirectorySimulation
+from culsim.protocol import CoreOp, OpKind
+from culsim.sim import SimConfig, build
+
+LINE = 16
+LINES = [0x1000 + i * LINE for i in range(10)]
+
+
+def scan(cache, icache):
+    """Every valid way, found by walking all sets: the reference."""
+    arrays = cache.isets if icache else cache.sets
+    return [
+        (cache._addr_of(set_idx, line.tag), way, line)
+        for set_idx, ways in enumerate(arrays)
+        for way, line in enumerate(ways)
+        if line.state.is_valid
+    ]
+
+
+def assert_index_matches_scan(cache):
+    for icache in (False, True):
+        expected = scan(cache, icache)
+        assert sorted((a, id(line)) for a, line in cache.valid_lines(icache)) == sorted(
+            (a, id(line)) for a, _, line in expected
+        )
+        by_addr = {a: (way, line) for a, way, line in expected}
+        for addr in LINES:
+            hit = cache.lookup(addr + 4, icache=icache)
+            want = by_addr.get(addr)
+            if want is None:
+                assert hit is None
+            else:
+                assert hit is not None and hit[0] == want[0] and hit[1] is want[1]
+
+
+ops = st.one_of(
+    st.builds(lambda a: CoreOp(OpKind.LOAD, a), st.sampled_from(LINES)),
+    st.builds(lambda a, v: CoreOp(OpKind.STORE, a, value=v),
+              st.sampled_from(LINES), st.integers(1, 255)),
+    st.builds(lambda a: CoreOp(OpKind.IFETCH, a), st.sampled_from(LINES)),
+)
+
+
+@st.composite
+def runs(draw):
+    ways = draw(st.sampled_from([1, 2]))
+    cfg = SimConfig(
+        n_cores=draw(st.integers(2, 4)),
+        line_size=LINE,
+        cache_size=draw(st.sampled_from([32, 64, 128])),
+        ways=ways,
+        coherent_ifetch=draw(st.booleans()),
+    )
+    streams = [draw(st.lists(ops, max_size=12)) for _ in range(cfg.n_cores)]
+    return cfg, streams
+
+
+def checked_every_step(sim):
+    step = sim.step
+
+    def step_and_check():
+        step()
+        for cache in sim.caches:
+            assert_index_matches_scan(cache)
+
+    sim.step = step_and_check
+    return sim
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(runs())
+def test_index_agrees_with_full_scan_every_step(run):
+    cfg, streams = run
+    for sim in (build(cfg, monitor=True), DirectorySimulation(cfg, monitor=True)):
+        checked_every_step(sim).run([list(s) for s in streams])

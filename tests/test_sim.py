@@ -1,6 +1,7 @@
 import pytest
 
 from culsim.cache import ConfigError
+from culsim.cli import WorkloadSpec, gen_workload
 from culsim.protocol import (
     CoherentKind,
     CoreOp,
@@ -157,6 +158,27 @@ def test_racing_upgrades_stay_coherent_under_monitoring():
     view = sim.snapshot_invariants()
     assert not verify.check_swmr(view)
     assert not verify.check_value(view)
+
+
+@pytest.mark.parametrize(
+    "kind, working_set, cores, ifetch, ops, seed",
+    [
+        ("false_sharing", 8, 4, False, 40, 0),
+        ("false_sharing", 8, 4, False, 40, 1),
+        ("false_sharing", 8, 4, False, 40, 2),
+        ("uniform_random", 64, 3, True, 250, 0),
+    ],
+)
+def test_monitor_counts_dirty_data_in_flight(kind, working_set, cores, ifetch, ops, seed):
+    # A ReadUnique that has already taken dirty data from the Owned holder
+    # while a Shared sharer is not yet snooped leaves the line clean in
+    # every cache but newer than memory; the CD beats or the transaction
+    # buffer carry dirty responsibility meanwhile.
+    cfg = SimConfig(n_cores=cores, coherent_ifetch=ifetch, seed=seed)
+    spec = WorkloadSpec(kind=kind, ops_per_core=ops, working_set=working_set, seed=seed)
+    sim = build(cfg, monitor=True)
+    stats = sim.run(gen_workload(spec, cores, cfg.line_size))
+    assert sum(c.ops for c in stats.cores) == cores * ops
 
 
 def test_writeback_on_dirty_eviction():

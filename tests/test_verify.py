@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from culsim.protocol import LineState
 from culsim.verify import (
@@ -62,6 +64,77 @@ def test_value_disagreeing_copies_is_violation():
 def test_value_clean_copy_must_match_memory():
     assert check_value(view((0, E, 5), mem=0))
     assert check_value(view((0, E, 5), mem=5)) == []
+
+
+# Sort-first implementations the single-pass checks must reproduce exactly.
+
+def reference_check_swmr(view):
+    problems = []
+    for addr, (copies, _mem) in sorted(view.items()):
+        if not copies:
+            continue
+        unique = [c for c in copies if c.state.is_unique]
+        dirty = [c for c in copies if c.state.is_dirty]
+        if unique and len(copies) >= 2:
+            problems.append(
+                f"line {addr:#x}: unique copy on core {unique[0].core} "
+                f"coexists with {len(copies) - 1} other cop(y/ies)"
+            )
+        if len(dirty) >= 2:
+            problems.append(f"line {addr:#x}: {len(dirty)} dirty-responsible copies")
+    return problems
+
+
+def reference_check_value(view):
+    problems = []
+    for addr, (copies, mem) in sorted(view.items()):
+        if not copies:
+            continue
+        values = {bytes(c.data) if isinstance(c.data, (bytes, bytearray)) else c.data
+                  for c in copies}
+        if len(values) > 1:
+            problems.append(f"line {addr:#x}: valid copies disagree")
+            continue
+        if all(not c.state.is_dirty for c in copies):
+            memval = bytes(mem) if isinstance(mem, (bytes, bytearray)) else mem
+            if values != {memval}:
+                problems.append(f"line {addr:#x}: clean copies differ from memory")
+    return problems
+
+
+def test_checks_match_sort_first_reference_on_unsorted_view():
+    # several violating lines inserted out of address order, 1-copy lines,
+    # a line with two problems, bytes and bytearray data next to the
+    # explorer's plain ints
+    unsorted = {
+        0x130: ([CopyView(0, M, b"\x01"), CopyView(1, O, bytearray(b"\x02"))], b"\x00"),
+        0x100: ([CopyView(2, E, 7)], 3),
+        0x120: ([CopyView(0, S, bytearray(b"\x05")), CopyView(1, S, b"\x05")], b"\x05"),
+        0x110: ([CopyView(1, S, 1), CopyView(0, E, 1), CopyView(2, S, 1)], 0),
+        0x140: ([], 0),
+        0x0F0: ([CopyView(3, O, 4), CopyView(1, M, 4)], 4),
+    }
+    assert check_swmr(unsorted) == reference_check_swmr(unsorted)
+    assert check_value(unsorted) == reference_check_value(unsorted)
+    assert len(check_swmr(unsorted)) == 5 and len(check_value(unsorted)) == 3
+
+
+_bits = st.sampled_from([b"\x00", b"\x01"])
+_data = st.one_of(st.integers(0, 2), _bits, _bits.map(bytearray))
+_copy = st.builds(CopyView, st.integers(0, 3), st.sampled_from([M, O, E, S]), _data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, 15).map(lambda i: 0x100 + 0x10 * i),
+              st.lists(_copy, max_size=4),
+              _data),
+    max_size=8, unique_by=lambda line: line[0],
+))
+def test_checks_match_sort_first_reference(lines):
+    view = {addr: (copies, mem) for addr, copies, mem in lines}
+    assert check_swmr(view) == reference_check_swmr(view)
+    assert check_value(view) == reference_check_value(view)
 
 
 # -- explorer basics ---------------------------------------------------------------
