@@ -272,7 +272,21 @@ def run_verify(args) -> int:
     report: Dict[str, object] = {}
     exit_code = EXIT_OK
 
-    oracle = verify.oracle_tables(mutations=mutations, workers=args.workers)
+    configs = [
+        verify.ExploreConfig(
+            n_cores=args.cores,
+            coherent_ifetch=ifetch,
+            mutations=mutations,
+            state_budget=args.budget,
+        )
+        for ifetch in (False, True)
+    ]
+    litmus_tests = list(verify.COHERENCE_LITMUS)
+    if args.litmus:
+        litmus_tests += verify.parse_litmus(Path(args.litmus).read_text())
+
+    oracle = verify.oracle_tables(mutations=mutations, workers=args.workers,
+                                  state_budget=args.budget)
     report["oracle"] = {
         "ok": oracle.ok,
         "reachable_states": oracle.reachable_states,
@@ -284,24 +298,14 @@ def run_verify(args) -> int:
     elif not oracle.ok:
         exit_code = EXIT_VIOLATION
 
-    cores = args.cores or 2
-    litmus_tests = list(verify.COHERENCE_LITMUS)
-    if args.litmus:
-        litmus_tests += verify.parse_litmus(Path(args.litmus).read_text())
     litmus_report = []
-    for ifetch in (False, True):
-        cfg = verify.ExploreConfig(
-            n_cores=cores,
-            coherent_ifetch=ifetch,
-            mutations=mutations,
-            state_budget=args.budget,
-        )
+    for cfg in configs:
         for test in litmus_tests:
             res = verify.run_litmus(test, cfg)
             litmus_report.append(
                 {
                     "name": test.name,
-                    "coherent_ifetch": ifetch,
+                    "coherent_ifetch": cfg.coherent_ifetch,
                     "forbidden_seen": res["forbidden_seen"],
                     "reachable_states": res["reachable_states"],
                     "violations": [v.to_dict() for v in res["violations"]],
@@ -365,7 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--mutate", action="append",
                        help=f"inject a table mutation; one of {', '.join(verify.SHIPPED_MUTATIONS)}")
     ver_p.add_argument("--litmus", help="extra litmus definition file")
-    ver_p.add_argument("--workers", type=int, default=1)
+    ver_p.add_argument("--workers", type=int, default=1,
+                       help="split the search into N partitions, searched one after "
+                            "another in this process; results do not depend on N")
     ver_p.add_argument("--budget", type=int, default=2_000_000)
     ver_p.add_argument("--report", help="write the JSON report here instead of stdout")
     ver_p.set_defaults(func=run_verify)

@@ -97,8 +97,6 @@ def check_value(view: Dict[int, Tuple[List[CopyView], object]]) -> List[str]:
 # as negative controls. Every shipped mutation must be caught by explore().
 # --------------------------------------------------------------------------
 
-_KIND_BY_NAME = {k.value: k for k in CoherentKind}
-_STATE_BY_NAME = {s.value: s for s in LineState}
 
 # id -> (snoopee override) rows: (state, kind) -> (next, data, pass_dirty, is_shared)
 _SNOOPEE_MUTATIONS = {
@@ -138,65 +136,11 @@ class ExploreConfig:
     state_budget: int = 2_000_000
 
     def __post_init__(self):
-        if self.n_cores > 4:
-            raise ValueError("explorer bound: at most 4 cores")
+        if not 2 <= self.n_cores <= 4:
+            raise ValueError(f"explorer bound: 2 to 4 cores, got {self.n_cores}")
         unknown = set(self.mutations) - set(SHIPPED_MUTATIONS)
         if unknown:
             raise ValueError(f"unknown mutation(s): {sorted(unknown)}")
-
-
-class _MissRec(NamedTuple):
-    kind: CoherentKind
-    addr: int
-    for_icache: bool
-    accepted: bool
-    targets: tuple  # remaining (core, probe_d, probe_i)
-    any_shared: int
-    any_dirty: int
-    data: object  # buffered CD value, None until a responder transfers
-    data_from: object  # first responding core, else None
-    read_seen: bool
-    invalidated: bool
-
-
-class _AState(NamedTuple):
-    pcs: tuple
-    regs: tuple
-    dcaches: tuple  # per core: tuple of (addr, LineState, value), sorted by addr
-    icaches: tuple
-    mem: tuple  # sorted (addr, value)
-    miss: tuple  # per core: _MissRec | None
-    collision: tuple  # sorted addrs in flight
-    wb: tuple  # write-back FIFO, oldest first: (addr, value)
-    ghost: tuple  # sorted (addr, value): last value written, in coherence order
-
-
-def _lines_get(lines: tuple, addr: int):
-    for a, st, val in lines:
-        if a == addr:
-            return st, val
-    return None
-
-
-def _lines_set(lines: tuple, addr: int, state: LineState, value) -> tuple:
-    rest = tuple(e for e in lines if e[0] != addr)
-    return tuple(sorted(rest + ((addr, state, value),)))
-
-
-def _lines_del(lines: tuple, addr: int) -> tuple:
-    return tuple(e for e in lines if e[0] != addr)
-
-
-def _map_get(pairs: tuple, addr: int):
-    for a, v in pairs:
-        if a == addr:
-            return v
-    return 0
-
-
-def _map_set(pairs: tuple, addr: int, value) -> tuple:
-    rest = tuple(e for e in pairs if e[0] != addr)
-    return tuple(sorted(rest + ((addr, value),)))
 
 
 @dataclass
@@ -223,6 +167,54 @@ class ExploreResult:
         return not self.violations and self.exhausted
 
 
+# --------------------------------------------------------------------------
+# Packed abstract state. A state is one flat tuple. Lines are numbered by
+# their position in the machine's sorted address list, and line states,
+# transaction kinds and core ops are small int codes (positions below).
+#
+#   per core c, at c * _CORE_SLOTS:
+#     pc, register tuple, and the miss record: kind code (0: no miss),
+#     flag bits, line, bitmask of the snoop targets still to probe (bit j
+#     is entry j of the fan-out), buffered CD value and the core it came
+#     from (both None until a responder transfers)
+#   per line l, at machine.line_at[l]:
+#     memory value, ghost value (last write in coherence order), then per
+#     core: dcache state and value, icache state and value (absent lines
+#     hold _I and None)
+#   then: bitmask of the lines in flight, and the write-back FIFO, oldest
+#     first, as (line, value) pairs
+# --------------------------------------------------------------------------
+
+_STATES = (LineState.INVALID, LineState.MODIFIED, LineState.OWNED,
+           LineState.EXCLUSIVE, LineState.SHARED)
+_I, _M, _O, _E, _S = range(5)
+_IS_DIRTY = tuple(s in DIRTY_STATES for s in _STATES)
+
+_KINDS = (None, CoherentKind.READ_SHARED, CoherentKind.READ_UNIQUE,
+          CoherentKind.CLEAN_UNIQUE, CoherentKind.READ_ONCE)
+_RU, _CU, _RO = 2, 3, 4
+_IS_UNIQUE = tuple(k in UNIQUE_KINDS for k in _KINDS)
+_IS_READ = tuple(k in (CoherentKind.READ_SHARED, CoherentKind.READ_ONCE) for k in _KINDS)
+
+_OPS = (OpKind.LOAD, OpKind.STORE, OpKind.IFETCH)
+_LOAD, _STORE, _IFETCH = range(3)
+_OP_OF_VERB = {"R": _LOAD, "W": _STORE, "IF": _IFETCH}
+
+# per-core slots
+_PC, _REGS, _MK, _MF, _ML, _MM, _MD, _MFROM = range(8)
+_CORE_SLOTS = 8
+# miss flag bits
+_ACCEPTED, _READ_SEEN, _INVALIDATED, _ANY_SHARED, _ANY_DIRTY = 1, 2, 4, 8, 16
+# per-line slots; each core's four cache slots follow at 2 + 4 * core
+_MEM, _GHOST = 0, 1
+
+_POPCOUNT = (0, 1, 1, 2)  # lines in flight, at most two lines
+
+# successor labels: (_ISSUE, core, pc), (_ACCEPT | _COMPLETE | _RETRY, core,
+# kind, line), (_SNOOP, core, kind, line, target), (_DRAIN, line)
+_ISSUE, _ACCEPT, _SNOOP, _RETRY, _COMPLETE, _DRAIN = range(6)
+
+
 class _Machine:
     """Untimed abstraction of one bounded protocol instance."""
 
@@ -241,420 +233,415 @@ class _Machine:
             raise ValueError("explorer bound: at most 2 line addresses")
         self.addrs = tuple(sorted(addrs))
         self.init_mem = dict(init_mem or {})
-        self.init_cov: Set[tuple] = set()
-        self.snoop_cov: Set[tuple] = set()
-        muts = config.mutations
-        self.snoopee_overrides = {
+        self.init_cov: Set[Tuple[int, int]] = set()  # (state code, op code)
+        self.snoop_cov: Set[Tuple[int, int]] = set()  # (state code, kind code)
+        line_no = {a: i for i, a in enumerate(self.addrs)}
+        self.ops = [
+            tuple((_OP_OF_VERB[op[0]], line_no[op[1]], op[2] if op[0] == "W" else None)
+                  for op in prog)
+            for prog in self.programs
+        ]
+        self.retry_enabled = "retry:disabled" not in config.mutations
+        self._build_tables()
+
+        n, width = config.n_cores, 2 + 4 * config.n_cores
+        self.line_at = tuple(n * _CORE_SLOTS + l * width for l in range(len(self.addrs)))
+        self.line_spans = tuple((at, at + width) for at in self.line_at)
+        self.dpos = tuple(tuple(at + 2 + 4 * c for at in self.line_at) for c in range(n))
+        self.ipos = tuple(tuple(p + 2 for p in row) for row in self.dpos)
+        self.coll_at = n * _CORE_SLOTS + len(self.addrs) * width
+        self.wb_at = self.coll_at + 1
+        self._line_checks: Dict[tuple, Tuple[tuple, tuple, tuple]] = {}
+
+    def _build_tables(self) -> None:
+        """Int-coded copies of the protocol tables with the configured
+        mutations applied on top; derived from `protocol` and `ccu`."""
+        muts = self.cfg.mutations
+        snoopee_overrides = {
             _SNOOPEE_MUTATIONS[m][0]: _SNOOPEE_MUTATIONS[m][1]
             for m in muts if m in _SNOOPEE_MUTATIONS
         }
-        self.silent_upgrade = "initiator:Store:Shared:silent_upgrade" in muts
-        self.ignore_shared = "completion:ReadShared:ignore_shared" in muts
-        self.retry_enabled = "retry:disabled" not in muts
+        silent_upgrade = "initiator:Store:Shared:silent_upgrade" in muts
+        ignore_shared = "completion:ReadShared:ignore_shared" in muts
+        code_of_state = {s: i for i, s in enumerate(_STATES)}
+        code_of_kind = {k: i for i, k in enumerate(_KINDS)}
 
-    def initial(self) -> _AState:
-        n = self.cfg.n_cores
-        mem = tuple(sorted((a, self.init_mem.get(a, 0)) for a in self.addrs))
-        return _AState(
-            pcs=(0,) * n,
-            regs=((),) * n,
-            dcaches=((),) * n,
-            icaches=((),) * n,
-            mem=mem,
-            miss=(None,) * n,
-            collision=(),
-            wb=(),
-            ghost=mem,
+        # initiator[state][op] -> (True, next state) for a hit, else (False, kind)
+        initiator = []
+        for state in _STATES:
+            row = []
+            for op in _OPS:
+                if silent_upgrade and op is OpKind.STORE and state is LineState.SHARED:
+                    action = Hit(LineState.MODIFIED)
+                else:
+                    action = initiator_action(state, op)
+                if isinstance(action, Hit):
+                    row.append((True, code_of_state[action.next]))
+                else:
+                    row.append((False, code_of_kind[action.kind]))
+            initiator.append(tuple(row))
+        self.initiator = tuple(initiator)
+
+        # snoopee[state][kind] -> (next state, data_transfer, pass_dirty, is_shared)
+        snoopee = []
+        for state in _STATES:
+            row = [None]
+            for kind in _KINDS[1:]:
+                lookup = CoherentKind.READ_SHARED if kind is CoherentKind.READ_ONCE else kind
+                if (state, lookup) in snoopee_overrides:
+                    nxt, data, dirty, shared = snoopee_overrides[(state, lookup)]
+                else:
+                    nxt, resp = snoopee_transition(state, kind)
+                    data, dirty, shared = resp.data_transfer, resp.pass_dirty, resp.is_shared
+                row.append((code_of_state[nxt], data, dirty, shared))
+            snoopee.append(tuple(row))
+        self.snoopee = tuple(snoopee)
+
+        # completion[kind, any_shared, any_dirty, store_follows] -> install state
+        self.completion = {
+            (code_of_kind[kind], shared, dirty, store): code_of_state[completion_state(
+                kind,
+                0 if ignore_shared and kind is CoherentKind.READ_SHARED else shared,
+                dirty, store,
+            )]
+            for kind in _KINDS[1:] for shared in (0, 1) for dirty in (0, 1) for store in (0, 1)
+        }
+
+        # fanout[core][kind] -> ((target, probe_d, probe_i), ...) in probe
+        # order; an ifetch miss (ReadOnce) comes from the icache. The fan-out
+        # does not depend on the line address.
+        self.fanout = tuple(
+            (None,) + tuple(
+                tuple((t, pd, pi) for t, _req, pd, pi in decode_and_snoop(
+                    core, kind, 0, self.cfg.n_cores, self.cfg.coherent_ifetch,
+                    kind is CoherentKind.READ_ONCE,
+                ))
+                for kind in _KINDS[1:]
+            )
+            for core in range(self.cfg.n_cores)
         )
 
-    # -- table access with mutation hooks ------------------------------------
+    def initial(self) -> tuple:
+        n = self.cfg.n_cores
+        state = [0, (), 0, 0, 0, 0, None, None] * n
+        for addr in self.addrs:
+            value = self.init_mem.get(addr, 0)
+            state += [value, value] + [_I, None, _I, None] * n
+        return tuple(state + [0, ()])
 
-    def _snoopee(self, state: LineState, kind: CoherentKind):
-        lookup = CoherentKind.READ_SHARED if kind is CoherentKind.READ_ONCE else kind
-        if (state, lookup) in self.snoopee_overrides:
-            nxt, data, dirty, shared = self.snoopee_overrides[(state, lookup)]
-            return nxt, data, dirty, shared
-        nxt, resp = snoopee_transition(state, kind)
-        return nxt, resp.data_transfer, resp.pass_dirty, resp.is_shared
-
-    def _initiator(self, state: LineState, op: OpKind):
-        if (
-            self.silent_upgrade
-            and op is OpKind.STORE
-            and state is LineState.SHARED
-        ):
-            return Hit(LineState.MODIFIED)
-        return initiator_action(state, op)
-
-    def _completion(self, kind, any_shared, any_dirty, store_follows):
-        if self.ignore_shared and kind is CoherentKind.READ_SHARED:
-            any_shared = 0
-        return completion_state(kind, any_shared, any_dirty, store_follows)
+    def coverage(self) -> Tuple[Set[tuple], Set[tuple]]:
+        """Initiator (LineState, OpKind) and snoopee (LineState,
+        CoherentKind) pairs the successor steps have looked up."""
+        return (
+            {(_STATES[s], _OPS[op]) for s, op in self.init_cov},
+            {(_STATES[s], _KINDS[k]) for s, k in self.snoop_cov},
+        )
 
     # -- invariant checks ---------------------------------------------------------
 
-    def state_violations(self, state: _AState) -> List[str]:
-        view: Dict[int, Tuple[List[CopyView], object]] = {}
+    def state_violations(self, state: tuple) -> List[str]:
+        """SWMR messages of every line by address, then stale-copy
+        messages, then lost-write messages. Lines are checked one at a
+        time, memoized on the line and its slots of the state."""
+        # the collision mask is exactly the lines with an accepted miss:
+        # accept sets a line's bit, completion and retry clear it, and a
+        # line in the mask admits no second accept
+        in_flight = state[self.coll_at]
+        in_wb = 0
+        for line, _value in state[self.wb_at]:
+            in_wb |= 1 << line
+        memo = self._line_checks
+        parts = []
+        for line, (lo, hi) in enumerate(self.line_spans):
+            # the messages name the line's address, so the line is in the key
+            key = (line, state[lo:hi], in_flight >> line & 1, in_wb >> line & 1)
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = self._line_violations(*key)
+            if found[0] or found[1] or found[2]:
+                parts.append(found)
+        return [msg for i in (0, 1, 2) for found in parts for msg in found[i]]
+
+    def _line_violations(self, line: int, slots: tuple, in_flight: int,
+                         in_wb: int) -> Tuple[tuple, tuple, tuple]:
+        addr = self.addrs[line]
+        mem, ghost = slots[_MEM], slots[_GHOST]
+        copies = []
+        dirty = False
         for core in range(self.cfg.n_cores):
-            for addr, st, val in state.dcaches[core]:
-                view.setdefault(addr, ([], None))[0].append(CopyView(core, st, val))
-            if self.cfg.coherent_ifetch:
-                for addr, st, val in state.icaches[core]:
-                    view.setdefault(addr, ([], None))[0].append(
-                        CopyView(core, st, val, True)
-                    )
-        view = {a: (copies, _map_get(state.mem, a)) for a, (copies, _) in view.items()}
-        problems = check_swmr(view)
-        ghost = dict(state.ghost)
-        for addr, (copies, _mem) in sorted(view.items()):
-            for c in copies:
-                if c.data != ghost[addr]:
-                    problems.append(
-                        f"line {addr:#x}: core {c.core} holds stale value "
-                        f"{c.data} (authoritative {ghost[addr]})"
-                    )
+            dstate, dval, istate, ival = slots[2 + 4 * core:6 + 4 * core]
+            if dstate:
+                copies.append(CopyView(core, _STATES[dstate], dval))
+                dirty = dirty or _IS_DIRTY[dstate]
+            if istate and self.cfg.coherent_ifetch:
+                copies.append(CopyView(core, _STATES[istate], ival, True))
+        swmr = tuple(check_swmr({addr: (copies, mem)}))
+        stale = tuple(
+            f"line {addr:#x}: core {c.core} holds stale value {c.data} "
+            f"(authoritative {ghost})"
+            for c in copies if c.data != ghost
+        )
         # memory must be authoritative once a line is quiescent and clean
-        inflight = {rec.addr for rec in state.miss if rec is not None and rec.accepted}
-        wb_addrs = {a for a, _ in state.wb}
-        for addr in self.addrs:
-            if addr in inflight or addr in wb_addrs:
-                continue
-            if any(
-                st.is_dirty
-                for lines in state.dcaches
-                for a, st, _ in lines
-                if a == addr
-            ):
-                continue
-            if _map_get(state.mem, addr) != ghost[addr]:
-                problems.append(
-                    f"line {addr:#x}: memory {_map_get(state.mem, addr)} lost the "
-                    f"last write (authoritative {ghost[addr]})"
-                )
-        return problems
+        lost = ()
+        if not (in_flight or in_wb or dirty) and mem != ghost:
+            lost = (f"line {addr:#x}: memory {mem} lost the last write "
+                    f"(authoritative {ghost})",)
+        return swmr, stale, lost
 
     # -- atomic steps ----------------------------------------------------------------
 
-    def successors(self, state: _AState) -> List[Tuple[str, _AState, Optional[str]]]:
+    def successors(self, state: tuple) -> List[Tuple[tuple, tuple, Optional[str]]]:
+        """(label, next state, stale-data note or None) per enabled step:
+        cores in order, a core's snoop targets in fan-out order, the
+        write-back drain last."""
         out = []
         for core in range(self.cfg.n_cores):
-            rec = state.miss[core]
-            if rec is None and state.pcs[core] < len(self.programs[core]):
-                out.append(self._issue(state, core))
-            elif rec is not None and not rec.accepted:
+            at = core * _CORE_SLOTS
+            kind = state[at + _MK]
+            if not kind:
+                if state[at + _PC] < len(self.ops[core]):
+                    out.append(self._issue(state, core))
+            elif not state[at + _MF] & _ACCEPTED:
+                in_flight = state[self.coll_at]
                 if (
-                    rec.addr not in state.collision
-                    and len(state.collision) < self.cfg.collision_capacity
+                    not in_flight >> state[at + _ML] & 1
+                    and _POPCOUNT[in_flight] < self.cfg.collision_capacity
                 ):
                     out.append(self._accept(state, core))
-            elif rec is not None:
-                if rec.targets:
-                    for idx in range(len(rec.targets)):
-                        out.append(self._snoop(state, core, idx))
-                else:
-                    step = self._complete(state, core)
-                    if step is not None:
-                        out.append(step)
-        if state.wb:
+            elif state[at + _MM]:
+                mask = state[at + _MM]
+                for j in range(len(self.fanout[core][kind])):
+                    if mask >> j & 1:
+                        out.append(self._snoop(state, core, j))
+            else:
+                step = self._complete(state, core)
+                if step is not None:
+                    out.append(step)
+        if state[self.wb_at]:
             out.append(self._drain(state))
         return out
 
-    def _issue(self, state: _AState, core: int):
-        op = self.programs[core][state.pcs[core]]
-        verb, addr = op[0], op[1]
-        label = f"core {core}: issue {verb} {addr:#x}"
-        if verb == "IF":
-            return self._issue_ifetch(state, core, addr, label)
-        kind = OpKind.LOAD if verb == "R" else OpKind.STORE
-        entry = _lines_get(state.dcaches[core], addr)
-        cstate = entry[0] if entry else LineState.INVALID
-        self.init_cov.add((cstate, kind))
-        action = self._initiator(cstate, kind)
-        if isinstance(action, Hit):
-            lines = state.dcaches[core]
-            if kind is OpKind.LOAD:
-                regs = _tuple_put(state.regs, core, state.regs[core] + (entry[1],))
-                lines = _lines_set(lines, addr, action.next, entry[1])
-                new = state._replace(
-                    pcs=_tuple_put(state.pcs, core, state.pcs[core] + 1),
-                    regs=regs,
-                    dcaches=_tuple_put(state.dcaches, core, lines),
-                )
-                return label, new, None
-            value = op[2]
-            lines = _lines_set(lines, addr, action.next, value)
-            new = state._replace(
-                pcs=_tuple_put(state.pcs, core, state.pcs[core] + 1),
-                dcaches=_tuple_put(state.dcaches, core, lines),
-                ghost=_map_set(state.ghost, addr, value),
-            )
-            return label, new, None
-        rec = _MissRec(
-            kind=action.kind, addr=addr, for_icache=False, accepted=False,
-            targets=(), any_shared=0, any_dirty=0, data=None, data_from=None,
-            read_seen=False, invalidated=False,
-        )
-        return label, state._replace(miss=_tuple_put(state.miss, core, rec)), None
-
-    def _issue_ifetch(self, state: _AState, core: int, addr: int, label: str):
-        entry = _lines_get(state.icaches[core], addr)
-        istate = entry[0] if entry else LineState.INVALID
-        self.init_cov.add((istate, OpKind.IFETCH))
-        if entry is not None:
-            regs = _tuple_put(state.regs, core, state.regs[core] + (entry[1],))
-            new = state._replace(
-                pcs=_tuple_put(state.pcs, core, state.pcs[core] + 1), regs=regs
-            )
-            return label, new, None
-        if not self.cfg.coherent_ifetch:
+    def _issue(self, state: tuple, core: int):
+        at = core * _CORE_SLOTS
+        pc = state[at + _PC]
+        op, line, value = self.ops[core][pc]
+        label = (_ISSUE, core, pc)
+        new = list(state)
+        pos = (self.ipos if op == _IFETCH else self.dpos)[core][line]
+        cstate = state[pos]
+        self.init_cov.add((cstate, op))
+        hit, code = self.initiator[cstate][op]
+        if hit:
+            new[pos] = code
+            if op == _STORE:
+                new[pos + 1] = new[self.line_at[line] + _GHOST] = value
+            else:
+                new[at + _REGS] += (state[pos + 1],)
+        elif op == _IFETCH and not self.cfg.coherent_ifetch:
             # non-coherent fill straight from memory; staleness permitted
-            value = _map_get(state.mem, addr)
-            lines = _lines_set(state.icaches[core], addr, LineState.SHARED, value)
-            regs = _tuple_put(state.regs, core, state.regs[core] + (value,))
-            new = state._replace(
-                pcs=_tuple_put(state.pcs, core, state.pcs[core] + 1),
-                regs=regs,
-                icaches=_tuple_put(state.icaches, core, lines),
-            )
-            return label, new, None
-        rec = _MissRec(
-            kind=CoherentKind.READ_ONCE, addr=addr, for_icache=True, accepted=False,
-            targets=(), any_shared=0, any_dirty=0, data=None, data_from=None,
-            read_seen=False, invalidated=False,
-        )
-        return label, state._replace(miss=_tuple_put(state.miss, core, rec)), None
+            value = state[self.line_at[line] + _MEM]
+            new[pos], new[pos + 1] = _S, value
+            new[at + _REGS] += (value,)
+        else:
+            new[at + _MK], new[at + _ML] = code, line
+            return label, tuple(new), None
+        new[at + _PC] = pc + 1
+        return label, tuple(new), None
 
-    def _accept(self, state: _AState, core: int):
-        rec = state.miss[core]
-        kind = rec.kind
-        invalidated = rec.invalidated
+    def _accept(self, state: tuple, core: int):
+        at = core * _CORE_SLOTS
+        kind, flags, line = state[at + _MK], state[at + _MF], state[at + _ML]
         # a pending CleanUnique whose copy was snooped away is re-encoded
         # as ReadUnique before it enters the coherent pipeline
-        if self.retry_enabled and kind is CoherentKind.CLEAN_UNIQUE and invalidated:
-            kind = CoherentKind.READ_UNIQUE
-            invalidated = False
-        fanout = decode_and_snoop(
-            core, kind, rec.addr, self.cfg.n_cores,
-            self.cfg.coherent_ifetch, rec.for_icache,
-        )
-        targets = tuple((t, pd, pi) for t, _req, pd, pi in fanout)
-        new_rec = rec._replace(
-            kind=kind, accepted=True, targets=targets, invalidated=invalidated
-        )
-        new = state._replace(
-            miss=_tuple_put(state.miss, core, new_rec),
-            collision=tuple(sorted(state.collision + (rec.addr,))),
-        )
-        return f"core {core}: accept {kind.value} {rec.addr:#x}", new, None
+        if self.retry_enabled and kind == _CU and flags & _INVALIDATED:
+            kind, flags = _RU, flags & ~_INVALIDATED
+        new = list(state)
+        new[at + _MK] = kind
+        new[at + _MF] = flags | _ACCEPTED
+        new[at + _MM] = (1 << len(self.fanout[core][kind])) - 1
+        new[self.coll_at] |= 1 << line
+        return (_ACCEPT, core, kind, line), tuple(new), None
 
-    def _snoop(self, state: _AState, core: int, target_idx: int):
-        rec = state.miss[core]
-        target, probe_d, probe_i = rec.targets[target_idx]
-        addr, kind = rec.addr, rec.kind
-        label = f"core {core}: snoop core {target} ({kind.value} {addr:#x})"
-        data_transfer = 0
-        pass_dirty = 0
-        is_shared = 0
+    def _snoop(self, state: tuple, core: int, j: int):
+        at = core * _CORE_SLOTS
+        kind, line = state[at + _MK], state[at + _ML]
+        target, probe_d, probe_i = self.fanout[core][kind][j]
+        data_transfer = pass_dirty = is_shared = 0
         data_val = None
         invalidated_valid = False
-        dcaches, icaches = state.dcaches, state.icaches
+        new = list(state)
 
         if probe_d:
-            entry = _lines_get(dcaches[target], addr)
-            dstate = entry[0] if entry else LineState.INVALID
+            pos = self.dpos[target][line]
+            dstate = state[pos]
             self.snoop_cov.add((dstate, kind))
-            nxt, dt, pd, sh = self._snoopee(dstate, kind)
-            if entry is not None:
+            nxt, dt, pd, sh = self.snoopee[dstate][kind]
+            if dstate:
                 if dt:
-                    data_val = entry[1]
-                if nxt is LineState.INVALID:
+                    data_val = state[pos + 1]
+                if nxt == _I:
                     invalidated_valid = True
-                    dcaches = _tuple_put(dcaches, target, _lines_del(dcaches[target], addr))
+                    new[pos], new[pos + 1] = _I, None
                 else:
-                    dcaches = _tuple_put(
-                        dcaches, target, _lines_set(dcaches[target], addr, nxt, entry[1])
-                    )
+                    new[pos] = nxt
                 data_transfer |= dt
                 pass_dirty |= pd
                 is_shared |= sh
         if probe_i and self.cfg.coherent_ifetch:
-            entry = _lines_get(icaches[target], addr)
-            istate = entry[0] if entry else LineState.INVALID
+            pos = self.ipos[target][line]
+            istate = state[pos]
             self.snoop_cov.add((istate, kind))
-            nxt, dt, _pd, sh = self._snoopee(istate, kind)
-            if entry is not None:
+            nxt, dt, _pd, sh = self.snoopee[istate][kind]
+            if istate:
                 if dt and data_val is None:
-                    data_val = entry[1]
-                if nxt is LineState.INVALID:
-                    icaches = _tuple_put(icaches, target, _lines_del(icaches[target], addr))
+                    data_val = state[pos + 1]
+                if nxt == _I:
+                    new[pos], new[pos + 1] = _I, None
                 data_transfer |= dt
                 is_shared |= sh
 
-        # side signals into the target's own pending miss
-        miss = state.miss
-        trec = miss[target]
-        if trec is not None and trec.addr == addr:
-            read_class = kind in (CoherentKind.READ_SHARED, CoherentKind.READ_ONCE)
-            read_seen = trec.read_seen or (read_class and trec.kind in UNIQUE_KINDS)
-            invalidated = trec.invalidated or invalidated_valid
-            miss = _tuple_put(miss, target, trec._replace(
-                read_seen=read_seen, invalidated=invalidated))
-            trec = miss[target]
+        # side signals into the target's own pending miss (maybe this one)
+        tat = target * _CORE_SLOTS
+        if new[tat + _MK] and new[tat + _ML] == line:
+            if _IS_READ[kind] and _IS_UNIQUE[new[tat + _MK]]:
+                new[tat + _MF] |= _READ_SEEN
+            if invalidated_valid:
+                new[tat + _MF] |= _INVALIDATED
 
-        rec = miss[core]
-        new_data, new_from = rec.data, rec.data_from
-        if data_transfer and new_from is None and new_data is None:
-            new_data, new_from = data_val, target
+        if data_transfer and new[at + _MFROM] is None and new[at + _MD] is None:
+            new[at + _MD], new[at + _MFROM] = data_val, target
         if pass_dirty and not data_transfer:
             # data-less handoff: the initiator's own copy takes Owned now
-            entry = _lines_get(dcaches[core], addr)
-            if entry is not None and not entry[0].is_dirty:
-                dcaches = _tuple_put(
-                    dcaches, core,
-                    _lines_set(dcaches[core], addr, LineState.OWNED, entry[1]),
-                )
-        new_rec = rec._replace(
-            targets=rec.targets[:target_idx] + rec.targets[target_idx + 1:],
-            any_shared=rec.any_shared | is_shared,
-            any_dirty=rec.any_dirty | pass_dirty,
-            data=new_data,
-            data_from=new_from,
-        )
-        new = state._replace(
-            dcaches=dcaches, icaches=icaches,
-            miss=_tuple_put(miss, core, new_rec),
-        )
-        return label, new, None
+            pos = self.dpos[core][line]
+            if new[pos] and not _IS_DIRTY[new[pos]]:
+                new[pos] = _O
+        new[at + _MM] &= ~(1 << j)
+        if is_shared:
+            new[at + _MF] |= _ANY_SHARED
+        if pass_dirty:
+            new[at + _MF] |= _ANY_DIRTY
+        return (_SNOOP, core, kind, line, target), tuple(new), None
 
-    def _complete(self, state: _AState, core: int):
-        rec = state.miss[core]
-        addr, kind = rec.addr, rec.kind
-        ghost = dict(state.ghost)
-        note = None
+    def _complete(self, state: tuple, core: int):
+        at = core * _CORE_SLOTS
+        kind, flags, line = state[at + _MK], state[at + _MF], state[at + _ML]
+        addr = self.addrs[line]
+        dpos = self.dpos[core][line]
+        wb = state[self.wb_at]
+        new = list(state)
 
-        if self.retry_enabled and kind in UNIQUE_KINDS and (rec.read_seen or rec.invalidated):
+        if self.retry_enabled and _IS_UNIQUE[kind] and flags & (_READ_SEEN | _INVALIDATED):
             # dirty responsibility collected by the discarded attempt must
             # survive it: transferred data drains to memory through the
             # write-back FIFO; a data-less handoff (CleanUnique probing a
             # dirty holder) lands on the initiator's own copy as Owned
-            wb = state.wb
-            dcaches = state.dcaches
-            if rec.any_dirty:
-                if rec.data is not None:
+            if flags & _ANY_DIRTY:
+                if state[at + _MD] is not None:
                     if len(wb) >= self.cfg.wb_depth:
                         return None
-                    wb = wb + ((addr, rec.data),)
-                else:
-                    entry = _lines_get(dcaches[core], addr)
-                    if entry is not None and not entry[0].is_dirty:
-                        dcaches = _tuple_put(
-                            dcaches, core,
-                            _lines_set(dcaches[core], addr, LineState.OWNED, entry[1]),
-                        )
-            new_kind = kind
-            if kind is CoherentKind.CLEAN_UNIQUE and rec.invalidated:
-                new_kind = CoherentKind.READ_UNIQUE
-            new_rec = rec._replace(
-                kind=new_kind, accepted=False, targets=(), any_shared=0,
-                any_dirty=0, data=None, data_from=None,
-                read_seen=False, invalidated=False,
-            )
-            new = state._replace(
-                dcaches=dcaches,
-                miss=_tuple_put(state.miss, core, new_rec),
-                collision=tuple(a for a in state.collision if a != addr),
-                wb=wb,
-            )
-            return f"core {core}: retry as {new_kind.value} {addr:#x}", new, None
+                    new[self.wb_at] = wb + ((line, state[at + _MD]),)
+                elif state[dpos] and not _IS_DIRTY[state[dpos]]:
+                    new[dpos] = _O
+            if kind == _CU and flags & _INVALIDATED:
+                kind = _RU
+            new[at + _MK] = kind
+            new[at + _MF] = new[at + _MM] = 0
+            new[at + _MD] = new[at + _MFROM] = None
+            new[self.coll_at] &= ~(1 << line)
+            return (_RETRY, core, kind, line), tuple(new), None
 
         # pick the data the install will use
-        if kind is CoherentKind.CLEAN_UNIQUE:
-            entry = _lines_get(state.dcaches[core], addr)
-            if entry is None:
+        note = None
+        ghost = state[self.line_at[line] + _GHOST]
+        if kind == _CU:
+            if state[dpos]:
+                base = state[dpos + 1]
+            else:
                 base = 0
                 note = f"line {addr:#x}: CleanUnique completed without a local copy"
-            else:
-                base = entry[1]
-        elif rec.data_from is not None:
-            base = rec.data
+        elif state[at + _MFROM] is not None:
+            base = state[at + _MD]
         else:
-            if any(a == addr for a, _ in state.wb):
+            if any(l == line for l, _ in wb):
                 return None  # memory read must wait for the same-line write-back
-            base = _map_get(state.mem, addr)
-        if note is None and base != ghost[addr]:
-            note = (
-                f"line {addr:#x}: completion used stale value {base} "
-                f"(authoritative {ghost[addr]})"
-            )
+            base = state[self.line_at[line] + _MEM]
+        if note is None and base != ghost:
+            note = f"line {addr:#x}: completion used stale value {base} (authoritative {ghost})"
 
-        op = self.programs[core][state.pcs[core]]
-        store_follows = int(op[0] == "W")
-        final = self._completion(kind, rec.any_shared, rec.any_dirty, store_follows)
+        op, _line, value = self.ops[core][state[at + _PC]]
+        store_follows = int(op == _STORE)
+        final = self.completion[
+            kind, bool(flags & _ANY_SHARED), bool(flags & _ANY_DIRTY), store_follows
+        ]
 
-        dcaches, icaches, wb = state.dcaches, state.icaches, state.wb
-        regs = state.regs
-        new_ghost = state.ghost
-        if kind is CoherentKind.READ_ONCE:
-            icaches = _tuple_put(
-                icaches, core, _lines_set(icaches[core], addr, final, base)
-            )
-            regs = _tuple_put(regs, core, regs[core] + (base,))
+        if kind == _RO:
+            pos = self.ipos[core][line]
+            new[pos], new[pos + 1] = final, base
+            new[at + _REGS] += (base,)
         else:
-            lines = dcaches[core]
             if store_follows:
-                value = op[2]
-                new_ghost = _map_set(new_ghost, addr, value)
+                new[self.line_at[line] + _GHOST] = value
             else:
                 value = base
-                regs = _tuple_put(regs, core, regs[core] + (base,))
-            if kind is not CoherentKind.CLEAN_UNIQUE and _lines_get(lines, addr) is None:
-                cap = self.cfg.dcache_capacity
-                if cap is not None and len(lines) >= cap:
-                    victim_addr, victim_state, victim_val = lines[0]
-                    if victim_state.is_dirty:
+                new[at + _REGS] += (base,)
+            cap = self.cfg.dcache_capacity
+            if kind != _CU and not state[dpos] and cap is not None:
+                resident = [l for l, pos in enumerate(self.dpos[core]) if state[pos]]
+                if len(resident) >= cap:
+                    victim = resident[0]  # the lowest-address resident line
+                    pos = self.dpos[core][victim]
+                    if _IS_DIRTY[state[pos]]:
                         if len(wb) >= self.cfg.wb_depth:
                             return None  # write-back FIFO full: install stalls
-                        wb = wb + ((victim_addr, victim_val),)
-                    lines = _lines_del(lines, victim_addr)
-            if store_follows and final not in (LineState.MODIFIED, LineState.EXCLUSIVE):
-                note = note or f"line {addr:#x}: store completion installed {final.value}"
-            lines = _lines_set(
-                lines, addr, LineState.MODIFIED if store_follows else final, value
-            )
-            dcaches = _tuple_put(dcaches, core, lines)
+                        new[self.wb_at] = wb + ((victim, state[pos + 1]),)
+                    new[pos], new[pos + 1] = _I, None
+            if store_follows and final not in (_M, _E):
+                note = note or f"line {addr:#x}: store completion installed {_STATES[final].value}"
+            new[dpos] = _M if store_follows else final
+            new[dpos + 1] = value
 
-        new = state._replace(
-            pcs=_tuple_put(state.pcs, core, state.pcs[core] + 1),
-            regs=regs,
-            dcaches=dcaches,
-            icaches=icaches,
-            miss=_tuple_put(state.miss, core, None),
-            collision=tuple(a for a in state.collision if a != addr),
-            wb=wb,
-            ghost=new_ghost,
+        new[at + _PC] += 1
+        new[at + _MK] = new[at + _MF] = new[at + _ML] = new[at + _MM] = 0
+        new[at + _MD] = new[at + _MFROM] = None
+        new[self.coll_at] &= ~(1 << line)
+        return (_COMPLETE, core, kind, line), tuple(new), note
+
+    def _drain(self, state: tuple):
+        wb = state[self.wb_at]
+        line, value = wb[0]
+        new = list(state)
+        new[self.wb_at] = wb[1:]
+        new[self.line_at[line] + _MEM] = value
+        return (_DRAIN, line), tuple(new), None
+
+    # -- terminal observations and labels -------------------------------------------
+
+    def all_done(self, state: tuple) -> bool:
+        return not state[self.wb_at] and all(
+            not state[c * _CORE_SLOTS + _MK] and state[c * _CORE_SLOTS + _PC] >= len(ops)
+            for c, ops in enumerate(self.ops)
         )
-        return f"core {core}: complete {kind.value} {addr:#x}", new, note
 
-    def _drain(self, state: _AState):
-        (addr, val), rest = state.wb[0], state.wb[1:]
-        new = state._replace(wb=rest, mem=_map_set(state.mem, addr, val))
-        return f"memory: drain write-back {addr:#x}", new, None
-
-    # -- terminal observations ----------------------------------------------------
-
-    def all_done(self, state: _AState) -> bool:
+    def observation(self, state: tuple) -> tuple:
+        """(per-core register tuples, sorted (addr, last written value))."""
         return (
-            all(state.pcs[c] >= len(self.programs[c]) for c in range(self.cfg.n_cores))
-            and all(rec is None for rec in state.miss)
-            and not state.wb
+            tuple(state[c * _CORE_SLOTS + _REGS] for c in range(self.cfg.n_cores)),
+            tuple((a, state[at + _GHOST]) for a, at in zip(self.addrs, self.line_at)),
         )
 
-    def observation(self, state: _AState) -> tuple:
-        return (state.regs, state.ghost)
-
-
-def _tuple_put(tup: tuple, idx: int, value) -> tuple:
-    return tup[:idx] + (value,) + tup[idx + 1:]
+    def label_text(self, label: tuple) -> str:
+        what = label[0]
+        if what == _DRAIN:
+            return f"memory: drain write-back {self.addrs[label[1]]:#x}"
+        core = label[1]
+        if what == _ISSUE:
+            op = self.programs[core][label[2]]
+            return f"core {core}: issue {op[0]} {op[1]:#x}"
+        kind, addr = _KINDS[label[2]].value, self.addrs[label[3]]
+        if what == _SNOOP:
+            return f"core {core}: snoop core {label[4]} ({kind} {addr:#x})"
+        verb = {_ACCEPT: "accept", _RETRY: "retry as", _COMPLETE: "complete"}[what]
+        return f"core {core}: {verb} {kind} {addr:#x}"
 
 
 def explore(
@@ -665,81 +652,78 @@ def explore(
 ) -> ExploreResult:
     """Enumerate all interleavings of the abstract machine.
 
-    Work is split by partitioning the root branching; partitions share
-    the deduplication set, so the reachable-state count and the violation
-    set are independent of the worker count. Counterexample traces are
-    reconstructed afterwards by a deterministic breadth-first pass.
+    The root successors are split into `workers` partitions, searched one
+    after another in this process over one shared deduplication set; no
+    worker processes are started, and the results do not depend on
+    `workers`. Counterexample traces are reconstructed afterwards by a
+    deterministic breadth-first pass.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     machine = _Machine(programs, config, init_mem)
+    successors, state_violations = machine.successors, machine.state_violations
     root = machine.initial()
     seen = {root}
     descriptors: Set[Tuple[str, str]] = set()
     outcomes: Set[tuple] = set()
     exhausted = True
 
-    for problem in machine.state_violations(root):
+    for problem in state_violations(root):
         descriptors.add(("invariant", problem))
-    root_succ = machine.successors(root)
+    root_succ = successors(root)
     if not root_succ:
         outcomes.add(machine.observation(root))
         if not machine.all_done(root):
             descriptors.add(("deadlock", "no step possible from the initial state"))
 
-    partitions = [root_succ[i::workers] for i in range(max(1, workers))]
-    for part in partitions:
-        stack = []
-        for _label, succ, note in part:
-            if note:
-                descriptors.add(("stale-data", note))
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-                for problem in machine.state_violations(succ):
-                    descriptors.add(("invariant", problem))
-        while stack:
+    for part in (root_succ[i::workers] for i in range(workers)):
+        stack, succs = [], part
+        while True:
+            for _label, succ, note in succs:
+                if note:
+                    descriptors.add(("stale-data", note))
+                n_seen = len(seen)
+                seen.add(succ)  # one hash per probe: a new state grows the set
+                if len(seen) > n_seen:
+                    stack.append(succ)
+                    for problem in state_violations(succ):
+                        descriptors.add(("invariant", problem))
+            if not stack:
+                break
             if len(seen) > config.state_budget:
                 exhausted = False
                 break
             current = stack.pop()
-            succs = machine.successors(current)
+            succs = successors(current)
             if not succs:
                 outcomes.add(machine.observation(current))
                 if not machine.all_done(current):
                     descriptors.add(("deadlock", "pending work but no enabled step"))
-                continue
-            for _label, succ, note in succs:
-                if note:
-                    descriptors.add(("stale-data", note))
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append(succ)
-                    for problem in machine.state_violations(succ):
-                        descriptors.add(("invariant", problem))
         if not exhausted:
             break
 
     violations = [Violation(kind, detail) for kind, detail in sorted(descriptors)]
     if violations and exhausted:
         _attach_traces(machine, root, violations)
+    initiator_pairs, snoopee_pairs = machine.coverage()
     return ExploreResult(
         reachable_states=len(seen),
         violations=violations,
         outcomes=outcomes,
         exhausted=exhausted,
-        initiator_pairs=set(machine.init_cov),
-        snoopee_pairs=set(machine.snoop_cov),
+        initiator_pairs=initiator_pairs,
+        snoopee_pairs=snoopee_pairs,
     )
 
 
-def _attach_traces(machine: _Machine, root: _AState, violations: List[Violation]) -> None:
+def _attach_traces(machine: _Machine, root: tuple, violations: List[Violation]) -> None:
     """Breadth-first replay assigning each violation its shortest,
     deterministically-first counterexample trace."""
     wanted = {(v.kind, v.detail): v for v in violations}
-    path0 = []
     for problem in machine.state_violations(root):
         key = ("invariant", problem)
         if key in wanted and wanted[key].trace is None:
-            wanted[key].trace = list(path0)
+            wanted[key].trace = []
     queue = deque([(root, ())])
     seen = {root}
     while queue and any(v.trace is None for v in violations):
@@ -749,20 +733,20 @@ def _attach_traces(machine: _Machine, root: _AState, violations: List[Violation]
             if note:
                 key = ("stale-data", note)
                 if key in wanted and wanted[key].trace is None:
-                    wanted[key].trace = _number(new_path)
+                    wanted[key].trace = _number(machine, new_path)
             if succ in seen:
                 continue
             seen.add(succ)
             for problem in machine.state_violations(succ):
                 key = ("invariant", problem)
                 if key in wanted and wanted[key].trace is None:
-                    wanted[key].trace = _number(new_path)
+                    wanted[key].trace = _number(machine, new_path)
             if not machine.all_done(succ):
                 queue.append((succ, new_path))
 
 
-def _number(path: Tuple[str, ...]) -> List[str]:
-    return [f"{i}. {label}" for i, label in enumerate(path, start=1)]
+def _number(machine: _Machine, path: Tuple[tuple, ...]) -> List[str]:
+    return [f"{i}. {machine.label_text(label)}" for i, label in enumerate(path, start=1)]
 
 
 # --------------------------------------------------------------------------
@@ -812,6 +796,10 @@ COHERENCE_LITMUS = (
 def run_litmus(test: LitmusTest, config: ExploreConfig = ExploreConfig()) -> dict:
     """Enumerate all interleavings of a litmus test and report every final
     observation plus whether any forbidden one was reached."""
+    outside = sorted(c for c in test.programs if not 0 <= c < config.n_cores)
+    if outside:
+        raise ValueError(f"litmus test {test.name}: core(s) {outside} outside "
+                         f"the {config.n_cores} configured cores")
     programs = [tuple(test.programs.get(core, ())) for core in range(config.n_cores)]
     result = explore(programs, config, init_mem=test.init or None)
     forbidden_seen = False
@@ -1025,9 +1013,12 @@ class OracleReport:
         return lines
 
 
-def oracle_tables(mutations: FrozenSet[str] = frozenset(), workers: int = 1) -> OracleReport:
+def oracle_tables(mutations: FrozenSet[str] = frozenset(), workers: int = 1,
+                  state_budget: int = ExploreConfig.state_budget) -> OracleReport:
     """Certify the protocol tables by exhaustive exploration of a program
-    battery covering every reachable (state, op) and (state, snoop) pair."""
+    battery covering every reachable (state, op) and (state, snoop) pair.
+    `state_budget` bounds each battery program; a program that exceeds
+    it adds a "budget" violation."""
     init_cov: Set[tuple] = set()
     snoop_cov: Set[tuple] = set()
     violations: List[Violation] = []
@@ -1038,6 +1029,7 @@ def oracle_tables(mutations: FrozenSet[str] = frozenset(), workers: int = 1) -> 
             coherent_ifetch=ifetch,
             dcache_capacity=capacity,
             mutations=mutations,
+            state_budget=state_budget,
         )
         result = explore(programs, cfg, workers=workers)
         init_cov |= result.initiator_pairs

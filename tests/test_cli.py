@@ -4,6 +4,7 @@ import pytest
 
 from culsim.cli import (
     EXIT_BAD_INPUT,
+    EXIT_BUDGET,
     EXIT_OK,
     EXIT_VIOLATION,
     TraceError,
@@ -230,3 +231,22 @@ def test_verify_external_litmus_file(tmp_path):
     assert code == EXIT_OK
     data = json.loads(report.read_text())
     assert any(e["name"] == "extra-corw" for e in data["litmus"])
+
+
+@pytest.mark.parametrize("cores", ["1", "5"])
+def test_verify_rejects_core_count_outside_bounds(tmp_path, capsys, cores):
+    report = tmp_path / "v.json"
+    code = run_cli("verify", "--cores", cores, "--report", str(report))
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("culsim: ") and err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_verify_budget_bounds_the_oracle_battery(tmp_path):
+    report = tmp_path / "v.json"
+    code = run_cli("verify", "--budget", "100", "--report", str(report))
+    assert code == EXIT_BUDGET
+    data = json.loads(report.read_text())
+    assert data["oracle"]["ok"] is False
+    assert any(v["kind"] == "budget" for v in data["oracle"]["violations"])

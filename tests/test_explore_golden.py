@@ -1,0 +1,155 @@
+"""Golden explorer results: state counts, coverage and digests of the
+outcomes and violations (with traces) for a fixed set of cases.
+
+Any change to the explorer's internals must keep every case identical.
+After an intended change to the explored model, rewrite the data file
+with `PYTHONPATH=src python tests/test_explore_golden.py --regen`.
+"""
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from culsim.verify import (
+    COHERENCE_LITMUS,
+    SHIPPED_MUTATIONS,
+    ExploreConfig,
+    explore,
+    oracle_tables,
+)
+
+DATA = Path(__file__).with_name("data") / "explore_golden.json"
+
+X, Y = 0x100, 0x110
+
+# the two racing shapes the benchmark relabels per seed
+RACING_SHAPES = (
+    ((("R", X), ("W", X, 2), ("R", Y)),
+     (("R", Y), ("W", X, 5), ("R", X)),
+     (("W", Y, 7), ("R", X), ("R", Y))),
+    ((("R", Y), ("R", X), ("R", X)),
+     (("W", X, 4), ("R", Y), ("R", Y)),
+     (("W", X, 7), ("W", X, 8), ("R", X))),
+)
+
+# two lines whose slots are identical in many states (same ops, same
+# values): a per-line cache of checks must still report each line's address
+TWIN_SHAPES = (
+    ((("R", X), ("R", Y)), (("R", X), ("R", Y))),
+    ((("W", X, 3), ("W", Y, 3)), (("R", Y), ("R", X))),
+)
+
+N_RANDOM = 30
+
+
+def _digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, default=str)
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
+def _violations(violations):
+    return [[v.kind, v.detail, v.trace] for v in violations]
+
+
+def _pairs(pairs):
+    return sorted([s.value, k.value] for s, k in pairs)
+
+
+def _explore_summary(programs, cfg, init_mem=None):
+    result = explore(programs, cfg, init_mem=init_mem)
+    return {
+        "states": result.reachable_states,
+        "exhausted": result.exhausted,
+        "initiator_pairs": _pairs(result.initiator_pairs),
+        "snoopee_pairs": _pairs(result.snoopee_pairs),
+        "digest": _digest({"outcomes": sorted(result.outcomes),
+                           "violations": _violations(result.violations)}),
+    }
+
+
+def _oracle_summary(mutations):
+    report = oracle_tables(mutations=frozenset(mutations))
+    return {
+        "states": report.reachable_states,
+        "ok": report.ok,
+        "digest": _digest({"tables": report.table_lines(),
+                           "violations": _violations(report.violations)}),
+    }
+
+
+def _random_case(seed):
+    """A small random program and config; drawn from `seed` alone."""
+    rng = random.Random(seed)
+    n_cores = rng.choice((2, 3))
+    lines = (X, Y)[:rng.choice((1, 2))]
+    value = iter(range(1, 100))
+    programs = []
+    for _ in range(n_cores):
+        ops = []
+        for _ in range(rng.randint(0, 3)):
+            verb, addr = rng.choice(("R", "W", "IF")), rng.choice(lines)
+            ops.append(("W", addr, next(value)) if verb == "W" else (verb, addr))
+        programs.append(ops)
+    cfg = ExploreConfig(
+        n_cores=n_cores,
+        coherent_ifetch=rng.random() < 0.5,
+        dcache_capacity=rng.choice((1, None)),
+        wb_depth=rng.choice((1, 1, 2)),
+        collision_capacity=rng.choice((1, 8, 8)),
+        mutations=frozenset(rng.sample(SHIPPED_MUTATIONS, 1) if rng.random() < 0.3 else ()),
+    )
+    init_mem = {X: 9} if rng.random() < 0.2 else None
+    return programs, cfg, init_mem
+
+
+def cases():
+    out = {"oracle/clean": lambda: _oracle_summary(())}
+    for m in SHIPPED_MUTATIONS:
+        out[f"oracle/{m}"] = lambda m=m: _oracle_summary((m,))
+    for test in COHERENCE_LITMUS:
+        for n in (2, 3, 4):
+            for ifetch in (False, True):
+                programs = [test.programs.get(c, ()) for c in range(n)]
+                cfg = ExploreConfig(n_cores=n, coherent_ifetch=ifetch)
+                out[f"litmus/{test.name}/{n}/{int(ifetch)}"] = (
+                    lambda p=programs, c=cfg, t=test: _explore_summary(p, c, t.init or None)
+                )
+    for i, shape in enumerate(RACING_SHAPES):
+        out[f"racing/{i}"] = lambda s=shape: _explore_summary(s, ExploreConfig(n_cores=3))
+    for i, shape in enumerate(TWIN_SHAPES):
+        for m in ("clean",) + SHIPPED_MUTATIONS:
+            cfg = ExploreConfig(mutations=frozenset(() if m == "clean" else (m,)))
+            out[f"twin/{i}/{m}"] = lambda s=shape, c=cfg: _explore_summary(s, c)
+    # a budget cut keeps the states and coverage of the search order
+    out["racing/0/budget"] = lambda: _explore_summary(
+        RACING_SHAPES[0], ExploreConfig(n_cores=3, state_budget=5000))
+    for seed in range(N_RANDOM):
+        out[f"random/{seed}"] = lambda seed=seed: _explore_summary(*_random_case(seed))
+    return out
+
+
+CASES = cases()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(DATA.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_explorer_matches_golden(case, golden):
+    assert CASES[case]() == golden[case]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--regen"]:
+    DATA.parent.mkdir(exist_ok=True)
+    rows = (f"{json.dumps(k)}: {json.dumps(run(), sort_keys=True)}"
+            for k, run in sorted(CASES.items()))
+    DATA.write_text("{\n" + ",\n".join(rows) + "\n}\n")

@@ -155,6 +155,36 @@ def test_explorer_bounds_enforced():
         explore([[("R", X)] * 7, []], ExploreConfig(n_cores=2))
 
 
+@pytest.mark.parametrize("n_cores", [0, 1, 5])
+def test_explore_config_rejects_cores_outside_two_to_four(n_cores):
+    with pytest.raises(ValueError, match="2 to 4 cores"):
+        ExploreConfig(n_cores=n_cores)
+
+
+def test_explore_rejects_fewer_than_one_worker():
+    with pytest.raises(ValueError, match="workers"):
+        explore([[("R", X)], []], ExploreConfig(n_cores=2), workers=0)
+
+
+def test_litmus_core_outside_config_is_rejected():
+    (three_core,) = parse_litmus("test t\ncore 0: W x=1\ncore 2: R x\n")
+    with pytest.raises(ValueError, match=r"core\(s\) \[2\] outside the 2 configured"):
+        run_litmus(three_core, ExploreConfig(n_cores=2))
+    assert run_litmus(three_core, ExploreConfig(n_cores=3))["exhausted"]
+
+
+def test_violations_name_each_line_with_identical_contents():
+    # both lines reach the same copies, memory and ghost values; each one's
+    # SWMR break must be reported under its own address
+    prog = [[("R", X), ("R", Y)], [("R", X), ("R", Y)]]
+    cfg = ExploreConfig(mutations=frozenset({"snoopee:E:ReadShared:keep"}))
+    details = {v.detail for v in explore(prog, cfg).violations}
+    assert details == {
+        f"line {addr:#x}: unique copy on core 0 coexists with 1 other cop(y/ies)"
+        for addr in (X, Y)
+    }
+
+
 def test_explorer_determinism_across_runs_and_workers():
     prog = [[("R", X), ("W", X, 1)], [("R", X), ("W", X, 2)]]
     results = [
