@@ -1,0 +1,80 @@
+"""Golden `culsim run --model both` reports: exit code and a digest of the
+JSON report (without its `config` section) for a fixed matrix of
+workloads, working sets, monitors and configurations.
+
+Any change to either model's internals must keep every case identical.
+After an intended change to simulated behaviour, rewrite the data file
+with `PYTHONPATH=src python tests/test_report_golden.py --regen`.
+"""
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from culsim.cli import WORKLOAD_KINDS, main
+
+DATA = Path(__file__).with_name("data") / "report_golden.json"
+
+TINY_CONFIG = """\
+cache_size = 64
+ways = 2
+fifo_depths.writeback = 1
+fifo_depths.handshake = 1
+fifo_depths.collision_capacity = 1
+latencies.mem_read = 1
+"""
+
+
+def cases():
+    out = {}
+    for kind in WORKLOAD_KINDS:
+        for ws in (8, 2000):
+            out[f"{kind}/{ws}"] = ["--workload", kind, "--working-set", str(ws)]
+        out[f"{kind}/8/check"] = ["--workload", kind, "--working-set", "8", "--check"]
+    checked = ["--workload", "uniform_random", "--working-set", "16", "--check"]
+    out["uniform_random/16/check/ifetch3"] = checked + ["--cores", "3", "--coherent-ifetch"]
+    out["uniform_random/16/check/cores4"] = checked + ["--cores", "4"]
+    out["uniform_random/16/check/serialize"] = checked + ["--serialize"]
+    out["uniform_random/16/check/tiny"] = checked + ["--config", "TINY"]
+    return out
+
+
+CASES = cases()
+
+
+def run_case(args) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "tiny.cfg"
+        config.write_text(TINY_CONFIG)
+        report = Path(tmp) / "report.json"
+        argv = ["run", "--model", "both", "--ops", "200", "--report", str(report)]
+        argv += [str(config) if a == "TINY" else a for a in args]
+        code = main(argv)
+        body = json.loads(report.read_text())
+    del body["config"]
+    text = json.dumps(body, sort_keys=True)
+    return {"exit": code, "report": "sha256:" + hashlib.sha256(text.encode()).hexdigest()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(DATA.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, golden):
+    assert run_case(CASES[case]) == golden[case]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--regen"]:
+    DATA.parent.mkdir(exist_ok=True)
+    rows = (f"{json.dumps(k)}: {json.dumps(run_case(args), sort_keys=True)}"
+            for k, args in sorted(CASES.items()))
+    DATA.write_text("{\n" + ",\n".join(rows) + "\n}\n")
