@@ -9,8 +9,10 @@ per-line serialization, so measured differences come from protocol
 structure rather than tuned constants.
 
 Instruction fetches are folded into the load path (no separate icache
-here); the cores and memory model are shared with the snoop simulator so
-SimStats fields mean the same thing in both reports.
+here); the cores, memory port, op accounting and run loop come from
+`sim.Kernel`, shared with the snoop simulator, so SimStats fields mean
+the same thing in both reports. The downgrade write-back of a forwarded read goes straight to
+memory, past the memory port.
 """
 from __future__ import annotations
 
@@ -18,12 +20,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from .cache import CacheModel, Served, word_at
-from .ccu import mux_grant
-from .memsys import MemoryModel
+from .ccu import ProtocolFault, mux_grant
+from .memsys import MemoryPort
 from .protocol import CoherentKind, CoreOp, LineState, OpKind
-from .sim import CoherenceViolation, CoreStats, DeadlockError, SimConfig, SimStats
-from . import verify
+from .sim import Kernel, SimConfig
 
 
 @dataclass
@@ -40,142 +40,46 @@ class DirectoryEntry:
         return "SharedBy" if self.sharers else "Uncached"
 
 
-def dir_access(entry: DirectoryEntry, op: OpKind, requester: int) -> List[str]:
-    """Hop sequence a request takes through the directory.
-
-    Loads on an owned line make three hops (requester, directory, owner);
-    stores against sharers pay one invalidation round-trip per sharer;
-    everything else is served by the home node's memory.
-    """
-    hops = ["to-directory"]
-    if op is OpKind.STORE:
-        if entry.state == "OwnedBy" and entry.owner != requester:
-            hops += ["forward-to-owner", "owner-to-requester"]
-        else:
-            for sharer in sorted(entry.sharers - {requester}):
-                hops += [f"invalidate-{sharer}", f"ack-{sharer}"]
-            if requester in entry.sharers:
-                hops += ["upgrade-grant"]
-            else:
-                hops += ["memory-read", "data-return"]
-    else:
-        if entry.state == "OwnedBy" and entry.owner != requester:
-            hops += ["forward-to-owner", "owner-to-requester"]
-        else:
-            hops += ["memory-read", "data-return"]
-    return hops
-
-
 @dataclass
 class _DirTxn:
     core: int
     op: OpKind
     addr: int
-    start: int
     plan: Deque[tuple] = field(default_factory=deque)
     wait_until: int = 0
-    planned: bool = False
     mem_wait: bool = False
     data: Optional[bytes] = None
     from_owner: bool = False
     install_state: Optional[LineState] = None
 
 
-class _MemPort:
-    """Single serialized memory port, one operation per cycle; reads never
-    bypass a same-line write-back still queued in the FIFO."""
-
-    def __init__(self, depth: int):
-        self.pending: Deque[Tuple[_DirTxn, int]] = deque()
-        self.wb: Deque[Tuple[int, bytes]] = deque()
-        self.depth = depth
-
-    def push_wb(self, addr: int, data: bytes) -> bool:
-        if len(self.wb) >= self.depth:
-            return False
-        self.wb.append((addr, data))
-        return True
-
-    def step(self, now: int, mem: MemoryModel) -> bool:
-        if self.pending:
-            txn, addr = self.pending[0]
-            if all(a != addr for a, _ in self.wb):
-                self.pending.popleft()
-                mem.read(addr, now, ("dir", id(txn), txn))
-                return True
-        if self.wb:
-            addr, data = self.wb.popleft()
-            mem.write(addr, data, now)
-            return True
-        return False
-
-
-class DirectorySimulation:
+class DirectorySimulation(Kernel):
     def __init__(self, config: SimConfig, monitor: bool = False):
-        config.validate()
-        self.config = config
-        self.monitor = monitor
-        self.caches = [
-            CacheModel(
-                core_id=i,
-                line_size=config.line_size,
-                cache_size=config.cache_size,
-                ways=config.ways,
-                coherent_ifetch=False,
-            )
-            for i in range(config.n_cores)
-        ]
-        self.mem = MemoryModel(
-            config.line_size, config.latencies.mem_read, config.latencies.mem_write
-        )
+        super().__init__(config, monitor, coherent_ifetch=False)
+        self.mem_port = MemoryPort(config.fifo_depths.writeback)
         self.directory: Dict[int, DirectoryEntry] = {}
-        self.port = _MemPort(config.fifo_depths.writeback)
-        self.streams: List[Deque[CoreOp]] = [deque() for _ in range(config.n_cores)]
-        self.current: List[Optional[CoreOp]] = [None] * config.n_cores
-        self.waiting: List[bool] = [False] * config.n_cores
-        self.ready_at: List[int] = [0] * config.n_cores
-        self.miss_start: List[int] = [0] * config.n_cores
-        self.observations: List[List[int]] = [[] for _ in range(config.n_cores)]
         self.pending: Dict[int, Tuple[int, int]] = {}  # core -> (arrival, addr)
         self.last_granted = config.n_cores - 1
         self.collision: Set[int] = set()
         self.txns: List[_DirTxn] = []
-        self.cycle = 0
-        self.stats = SimStats(cores=[CoreStats() for _ in range(config.n_cores)])
-        self._progress = True
-        self._last_progress = 0
 
     def _entry(self, addr: int) -> DirectoryEntry:
         return self.directory.setdefault(addr, DirectoryEntry())
 
     # -- cycle ---------------------------------------------------------------
 
-    def step(self) -> None:
-        now = self.cycle
-        self._progress = False
+    def _phases(self, now: int) -> None:
         for txn in list(self.txns):
             self._advance(txn, now)
         self._accept(now)
         for core in range(self.config.n_cores):
             self._core_op(core, now)
-        if self.port.step(now, self.mem):
+        if self.mem_port.step(now, self.mem):
             self._progress = True
-        for tag, _addr, data in self.mem.take_completions(now):
-            tag[2].data = data
-            tag[2].mem_wait = False
+        for txn, _addr, data in self.mem.take_completions(now):
+            txn.data = data
+            txn.mem_wait = False
             self._progress = True
-        self._issue(now)
-        for core in range(self.config.n_cores):
-            if self.current[core] is not None:
-                self.stats.cores[core].stall_cycles += 1
-        if self.monitor:
-            self._run_monitors()
-        if self._progress:
-            self._last_progress = now
-        self.cycle = now + 1
-        self.stats.cycles = self.cycle
-        self.stats.mem_reads = self.mem.reads
-        self.stats.mem_writes = self.mem.writes
 
     def _accept(self, now: int) -> None:
         ready = {c: a for c, (a, _) in self.pending.items() if a <= now}
@@ -191,8 +95,7 @@ class DirectorySimulation:
         self.last_granted = core
         del self.pending[core]
         self.collision.add(addr)
-        op = self.current[core]
-        txn = _DirTxn(core=core, op=op.kind, addr=addr, start=now)
+        txn = _DirTxn(core=core, op=self.ports[core].current.kind, addr=addr)
         txn.plan.append(("delay", self.config.latencies.snoop_hop))  # requester -> home
         txn.plan.append(("delay", self.config.latencies.ccu_stage))  # directory lookup
         txn.plan.append(("decide",))
@@ -201,7 +104,6 @@ class DirectorySimulation:
         self._progress = True
 
     def _advance(self, txn: _DirTxn, now: int) -> None:
-        hop = self.config.latencies.snoop_hop
         while txn.plan and not txn.mem_wait and txn.wait_until <= now:
             action = txn.plan.popleft()
             kind = action[0]
@@ -212,7 +114,7 @@ class DirectorySimulation:
                 self._plan(txn)
             elif kind == "memread":
                 txn.mem_wait = True
-                self.port.pending.append((txn, txn.addr))
+                self.mem_port.read_queue.append((now, txn.addr, txn))
             elif kind == "inv":
                 self._apply_invalidate(txn, action[1])
             elif kind == "probe":
@@ -300,42 +202,28 @@ class DirectorySimulation:
     def _apply_install(self, txn: _DirTxn, now: int) -> bool:
         core = txn.core
         cache = self.caches[core]
-        op = self.current[core]
         entry = self._entry(txn.addr)
         victim = cache.needs_eviction()
-        if victim is not None and victim.state.is_dirty and len(self.port.wb) >= self.port.depth:
+        if victim is not None and victim.state.is_dirty and self.mem_port.wb_full():
             return False
         result = cache.miss_complete(txn.install_state, txn.data)
         if result.writeback is not None:
-            ok = self.port.push_wb(*result.writeback)
-            assert ok
+            if not self.mem_port.push_wb(*result.writeback):
+                raise ProtocolFault("write-back refused after feasibility check")
             self.stats.cores[core].writebacks += 1
         if result.evicted is not None:
             self._drop_from_directory(result.evicted, core)
-        if txn.op is OpKind.STORE:
-            cache.write_word(op.address, op.value)
+        if txn.op is OpKind.STORE or txn.install_state is LineState.EXCLUSIVE:
             entry.owner = core
             entry.sharers.clear()
         else:
-            if txn.install_state is LineState.EXCLUSIVE:
-                entry.owner = core
-                entry.sharers.clear()
-            else:
-                entry.owner = None
-                entry.sharers.add(core)
-            hit = cache.lookup(op.address)
-            self.observations[core].append(
-                word_at(hit[1].data, op.address % self.config.line_size)
-            )
+            entry.owner = None
+            entry.sharers.add(core)
         if txn.from_owner:
             self.stats.cores[core].snoop_served_misses += 1
             self.stats.cache_to_cache_transfers += 1
-        self.stats.miss_latency_total += now - self.miss_start[core]
-        self.stats.miss_count += 1
         self.collision.discard(txn.addr)
-        self.current[core] = None
-        self.waiting[core] = False
-        self.ready_at[core] = now
+        self._retire_miss(core, now)
         return True
 
     def _drop_from_directory(self, addr: int, core: int) -> None:
@@ -348,104 +236,23 @@ class DirectorySimulation:
         entry.sharers.discard(core)
 
     def _core_op(self, core: int, now: int) -> None:
-        op = self.current[core]
-        if op is None or self.waiting[core]:
+        port = self.ports[core]
+        op = port.current
+        if op is None or port.waiting_miss:
             return
         if op.kind is OpKind.IFETCH:
             op = CoreOp(OpKind.LOAD, op.address)  # no separate icache here
-        cache = self.caches[core]
-        stats = self.stats.cores[core]
-        result = cache.core_access(op, now)
         self._progress = True
-        if isinstance(result, Served):
-            stats.hits += 1
-            if result.value is not None:
-                self.observations[core].append(result.value)
-            self.current[core] = None
-            self.ready_at[core] = now + self.config.latencies.l1_hit
-        else:
-            stats.misses += 1
-            self.waiting[core] = True
-            self.miss_start[core] = now
-            self.pending[core] = (now, cache.miss.address)
+        if self._access(core, op, now) is not None:
+            self.pending[core] = (now, self.caches[core].miss.address)
 
-    def _issue(self, now: int) -> None:
-        for core in range(self.config.n_cores):
-            if (
-                self.current[core] is None
-                and self.streams[core]
-                and now >= self.ready_at[core]
-            ):
-                op = self.streams[core].popleft()
-                self.current[core] = op
-                stats = self.stats.cores[core]
-                stats.ops += 1
-                if op.kind is OpKind.LOAD:
-                    stats.loads += 1
-                elif op.kind is OpKind.STORE:
-                    stats.stores += 1
-                else:
-                    stats.ifetches += 1
-                self._progress = True
+    def _busy(self) -> bool:
+        return bool(self.txns or self.pending) or self.mem_port.busy()
 
-    # -- monitors / results -------------------------------------------------------
-
-    def snapshot_invariants(self) -> dict:
-        view: Dict[int, Tuple[list, bytes]] = {}
-        for core, cache in enumerate(self.caches):
-            for addr, line in cache.valid_lines():
-                view.setdefault(addr, ([], None))[0].append(
-                    verify.CopyView(core, line.state, line.data, False)
-                )
-        return {
-            addr: (copies, self.mem.peek(addr)) for addr, (copies, _) in sorted(view.items())
-        }
-
-    def _run_monitors(self) -> None:
-        view = self.snapshot_invariants()
-        problems = verify.check_swmr(view) + verify.check_value(view)
-        if problems:
-            raise CoherenceViolation(f"cycle {self.cycle}: " + "; ".join(problems))
-
-    def _work_remaining(self) -> bool:
-        return bool(
-            any(self.streams)
-            or any(op is not None for op in self.current)
-            or self.txns
-            or self.pending
-            or self.port.pending
-            or self.port.wb
-            or self.mem.busy()
-        )
-
-    def run(self, streams: List[List[CoreOp]], watchdog: int = 10000) -> SimStats:
-        if len(streams) != self.config.n_cores:
-            raise ValueError(
-                f"got {len(streams)} streams for {self.config.n_cores} cores"
-            )
-        for q, ops in zip(self.streams, streams):
-            q.extend(ops)
-        self._last_progress = self.cycle
-        while self._work_remaining():
-            self.step()
-            if self.cycle - self._last_progress > watchdog:
-                raise DeadlockError(f"directory model: no progress for {watchdog} cycles")
-        return self.stats
-
-    def coherent_image(self) -> Dict[int, bytes]:
-        image = dict(self.mem.contents)
-        for cache in self.caches:
-            for addr, line in cache.valid_lines():
-                if line.state.is_dirty:
-                    image[addr] = line.data
-        return image
-
-
-def run_baseline(
-    config: SimConfig, streams: List[List[CoreOp]], monitor: bool = False,
-    watchdog: int = 10000,
-) -> Tuple[SimStats, DirectorySimulation]:
-    """Run the directory model on the same streams a snoop run takes."""
-    sim = DirectorySimulation(config, monitor=monitor)
-    stats = sim.run(streams, watchdog=watchdog)
-    return stats, sim
+    def _dump_lines(self) -> List[str]:
+        txns = [(t.core, t.op.value, hex(t.addr), t.plan[0][0] if t.plan else None)
+                for t in self.txns]
+        return [
+            f"  directory: pending={self.pending} txns={txns} "
+            f"collision={sorted(self.collision)}"
+        ]

@@ -5,7 +5,7 @@ coherent ones through a round-robin mux and a decoder guarded by a
 collision table (per-line mutual exclusion, pipelined across distinct
 lines), fans out snoops, aggregates CR responses in per-core FIFO order,
 buffers first-responder CD data, and drains write-backs to memory
-through a bounded FIFO inside the memory unit.
+through the bounded FIFO of its memory port.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Deque, Dict, List, Optional, Tuple
 
+from .memsys import MemoryPort
 from .protocol import (
     CoherentKind,
     DATA_KINDS,
@@ -150,16 +151,6 @@ def decode_and_snoop(
     return fanout
 
 
-@dataclass
-class MemOp:
-    kind: str  # "read" | "write"
-    address: int
-    ready_at: int
-    txn_id: Optional[int] = None
-    core: Optional[int] = None
-    data: Optional[bytes] = None
-
-
 class Ccu:
     def __init__(
         self,
@@ -169,7 +160,6 @@ class Ccu:
         ccu_stage: int = 1,
         snoop_hop: int = 1,
         wb_depth: int = 4,
-        handshake_depth: int = 2,
         collision_capacity: int = 8,
         serialize: bool = False,
     ):
@@ -178,7 +168,6 @@ class Ccu:
         self.coherent_ifetch = coherent_ifetch
         self.ccu_stage = ccu_stage
         self.snoop_hop = snoop_hop
-        self.handshake_depth = handshake_depth
         self.serialize = serialize
 
         self.pending: Dict[int, Tuple[int, CoherentKind, int, bool]] = {}
@@ -192,36 +181,25 @@ class Ccu:
         self.ac_outbox: List[Deque[tuple]] = [deque() for _ in range(n_cores)]
         self.cr_inbox: Deque[tuple] = deque()  # (due, from_core, resp, data)
         self.r_outbox: List[Deque[Tuple[int, int]]] = [deque() for _ in range(n_cores)]
-        self.wb_fifo: Deque[Tuple[int, bytes]] = deque()
-        self.wb_depth = wb_depth
-        self.pending_ops: Deque[MemOp] = deque()
+        self.mem_port = MemoryPort(wb_depth)
         self.collision_stalls = 0
         self.c2c_transfers = 0
 
     # -- request intake ------------------------------------------------------
 
     def submit(self, core: int, kind: CoherentKind, address: int, now: int,
-               data: Optional[bytes] = None, from_icache: bool = False) -> bool:
-        """Accept one request from a core's miss handler. Returns False when
-        the request could not be accepted this cycle (full write-back FIFO)."""
+               from_icache: bool = False) -> None:
+        """Accept one request from a core's miss handler: a coherent one
+        waits for the decoder, a non-coherent ifetch fill goes straight to
+        the memory port. Write-backs bypass this path (mem_port.push_wb)."""
         if route(kind) is Path.COHERENT:
             if core in self.pending:
                 raise ProtocolFault(f"core {core}: coherent request while one is pending")
             self.pending[core] = (now, kind, address, from_icache)
-            return True
-        if kind is CoherentKind.WRITE_BACK:
-            return self.push_writeback(address, data)
-        op = "read" if kind is CoherentKind.READ_NO_SNOOP else "write"
-        self.pending_ops.append(
-            MemOp(op, address, ready_at=now + self.ccu_stage, core=core, data=data)
-        )
-        return True
-
-    def push_writeback(self, address: int, data: bytes) -> bool:
-        if len(self.wb_fifo) >= self.wb_depth:
-            return False
-        self.wb_fifo.append((address, bytes(data)))
-        return True
+        elif kind is CoherentKind.READ_NO_SNOOP:
+            self.mem_port.read_queue.append((now + self.ccu_stage, address, ("nc", core)))
+        else:
+            raise ProtocolFault(f"core {core}: unexpected {kind.value} request")
 
     def upgrade_pending(self, core: int, kind: CoherentKind) -> bool:
         """Re-encode a core's coherent request while it still sits before
@@ -311,9 +289,7 @@ class Ccu:
                 if not txn.mem_requested:
                     txn.mem_requested = True
                     txn.advance(Phase.MEM_ACCESS)
-                    self.pending_ops.append(
-                        MemOp("read", txn.address, ready_at=now, txn_id=txn.id)
-                    )
+                    self.mem_port.read_queue.append((now, txn.address, ("txn", txn.id)))
                 continue
             if txn.data_source is not None:
                 self.c2c_transfers += 1
@@ -321,25 +297,8 @@ class Ccu:
             self.r_outbox[txn.initiator].append((now + self.ccu_stage, txn.id))
 
     def memory_unit_step(self, now: int, mem) -> bool:
-        """Issue at most one operation on the serialized memory port.
-        A queued request never bypasses a same-line write-back still
-        sitting in the FIFO; the FIFO drains when the port would
-        otherwise idle."""
-        if self.pending_ops and self.pending_ops[0].ready_at <= now:
-            op = self.pending_ops[0]
-            if all(addr != op.address for addr, _ in self.wb_fifo):
-                self.pending_ops.popleft()
-                if op.kind == "read":
-                    tag = ("txn", op.txn_id) if op.txn_id is not None else ("nc", op.core)
-                    mem.read(op.address, now, tag)
-                else:
-                    mem.write(op.address, op.data, now)
-                return True
-        if self.wb_fifo:
-            address, data = self.wb_fifo.popleft()
-            mem.write(address, data, now)
-            return True
-        return False
+        """Issue at most one operation on the serialized memory port."""
+        return self.mem_port.step(now, mem)
 
     def memory_data(self, txn_id: int, data: bytes) -> None:
         txn = self.txns[txn_id]
@@ -370,8 +329,7 @@ class Ccu:
             self.txns
             or self.pending
             or self.hold
-            or self.pending_ops
-            or self.wb_fifo
+            or self.mem_port.busy()
             or self.cr_inbox
             or any(self.ac_outbox)
             or any(self.r_outbox)

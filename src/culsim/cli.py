@@ -66,6 +66,10 @@ class WorkloadSpec:
             raise ValueError(f"unknown workload kind '{self.kind}'")
         if not 0.0 <= self.sharing_fraction <= 1.0:
             raise ValueError("sharing_fraction must be within [0, 1]")
+        if self.working_set < 1:
+            raise ValueError(f"working_set: {self.working_set} must be >= 1")
+        if self.ops_per_core < 0:
+            raise ValueError(f"ops_per_core: {self.ops_per_core} must be >= 0")
 
 
 def _value_of(addr: int) -> int:

@@ -1,13 +1,15 @@
 """Flat backing store behind the coherency unit.
 
 Stands in for the shared last-level cache plus main memory: a sparse
-line-addressed store with one fixed latency per operation type. Writes
-take effect in issue order (so same-line ordering is trivial); only the
-responses are delayed by the configured latency.
+line-addressed store with a fixed read latency. Writes take effect at
+issue (so same-line ordering is trivial); read responses are delayed by
+the configured latency. MemoryPort is the single serialized port both
+timed models put in front of it.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Tuple
 
 
 class MemoryFault(ValueError):
@@ -15,10 +17,9 @@ class MemoryFault(ValueError):
 
 
 class MemoryModel:
-    def __init__(self, line_size: int, read_latency: int = 20, write_latency: int = 20):
+    def __init__(self, line_size: int, read_latency: int = 20):
         self.line_size = line_size
         self.read_latency = read_latency
-        self.write_latency = write_latency
         self.contents: Dict[int, bytes] = {}
         # (due_cycle, tag, addr, data) for reads awaiting their response
         self.inflight: List[Tuple[int, object, int, bytes]] = []
@@ -51,14 +52,13 @@ class MemoryModel:
         self.reads_by_line[address] = self.reads_by_line.get(address, 0) + 1
         return due
 
-    def write(self, address: int, data: bytes, now: int) -> int:
-        """Issue a line write; contents update immediately, response at +latency."""
+    def write(self, address: int, data: bytes, now: int) -> None:
+        """Issue a line write; contents update immediately."""
         self._check_aligned(address)
         if len(data) != self.line_size:
             raise MemoryFault(f"write of {len(data)} bytes to {self.line_size}-byte line")
         self.contents[address] = bytes(data)
         self.writes += 1
-        return now + self.write_latency
 
     def take_completions(self, now: int) -> List[Tuple[object, int, bytes]]:
         """Pop all read responses due at or before `now`, in issue order."""
@@ -88,3 +88,44 @@ class MemoryModel:
                     f"memory image line {lineno}: {len(data)} bytes, expected {self.line_size}"
                 )
             self.contents[addr] = data
+
+
+class MemoryPort:
+    """Single serialized memory port, at most one operation per cycle.
+
+    Line reads queue in order as (ready_at, addr, tag); write-backs wait
+    in a bounded FIFO. A read never passes a write-back to the same line
+    still queued in the FIFO, and the FIFO drains when no read can issue.
+    """
+
+    def __init__(self, wb_depth: int):
+        self.read_queue: Deque[Tuple[int, int, object]] = deque()
+        self.wb: Deque[Tuple[int, bytes]] = deque()
+        self.wb_depth = wb_depth
+
+    def wb_full(self) -> bool:
+        return len(self.wb) >= self.wb_depth
+
+    def push_wb(self, address: int, data: bytes) -> bool:
+        """Queue a write-back; False when the FIFO is full (caller stalls)."""
+        if self.wb_full():
+            return False
+        self.wb.append((address, bytes(data)))
+        return True
+
+    def step(self, now: int, mem: MemoryModel) -> bool:
+        """Issue at most one operation; True when one was issued."""
+        if self.read_queue and self.read_queue[0][0] <= now:
+            _, address, tag = self.read_queue[0]
+            if all(a != address for a, _ in self.wb):
+                self.read_queue.popleft()
+                mem.read(address, now, tag)
+                return True
+        if self.wb:
+            address, data = self.wb.popleft()
+            mem.write(address, data, now)
+            return True
+        return False
+
+    def busy(self) -> bool:
+        return bool(self.read_queue or self.wb)

@@ -3,6 +3,8 @@
 Instantiates N cores' caches, the coherency unit and the backing store
 from a SimConfig, advances everything one cycle at a time and collects
 SimStats. Runs are bit-for-bit deterministic for equal (config, streams).
+`Kernel` is the part the directory baseline shares: op issue and
+accounting, the run loop and watchdog, monitors and the final image.
 
 Component evaluation order within a cycle: snoop deliveries, cache
 controllers (in arbiter priority), CCU stages (decoder, snoop unit,
@@ -27,7 +29,7 @@ from .cache import (
     word_at,
 )
 from .ccu import Ccu, ProtocolFault
-from .memsys import MemoryModel
+from .memsys import MemoryModel, MemoryPort
 from .protocol import (
     CoherentKind,
     CoreOp,
@@ -52,7 +54,6 @@ class Latencies:
     snoop_hop: int = 1
     ccu_stage: int = 1
     mem_read: int = 20
-    mem_write: int = 20
 
 
 @dataclass
@@ -84,7 +85,7 @@ class SimConfig:
             raise ConfigError(
                 f"cache_size: {self.cache_size} not divisible by ways*line_size"
             )
-        for name in ("l1_hit", "snoop_hop", "ccu_stage", "mem_read", "mem_write"):
+        for name in ("l1_hit", "snoop_hop", "ccu_stage", "mem_read"):
             if getattr(self.latencies, name) < 1:
                 raise ConfigError(f"latencies.{name}: must be >= 1")
         for name in ("writeback", "handshake", "collision_capacity"):
@@ -227,27 +228,216 @@ class _Port:
     observations: List[int] = field(default_factory=list)
 
 
-def build(config: SimConfig, serialize: bool = False, monitor: bool = False) -> "Simulation":
-    """Instantiate a simulation: caches empty, cycle 0."""
-    config.validate()
-    return Simulation(config, serialize=serialize, monitor=monitor)
+class Kernel:
+    """The part of a timed model that the snoop cluster and the directory
+    baseline share: cores and their L1s, memory, op issue and accounting,
+    per-cycle bookkeeping, the run loop with its watchdog, and the
+    invariant monitors. A model supplies its coherence fabric as
+    `_phases` (everything of a cycle before stream issue), its pending
+    work (memory port included) as `_busy`, dirty data outside the
+    caches as `_in_flight_copies` and its own state as `_dump_lines`;
+    it sets `mem_port` to the MemoryPort in front of `mem`."""
 
+    mem_port: MemoryPort
 
-class Simulation:
-    def __init__(self, config: SimConfig, serialize: bool = False, monitor: bool = False):
+    def __init__(self, config: SimConfig, monitor: bool, coherent_ifetch: bool):
+        config.validate()
         self.config = config
         self.monitor = monitor
-        lat = config.latencies
         self.caches = [
             CacheModel(
                 core_id=i,
                 line_size=config.line_size,
                 cache_size=config.cache_size,
                 ways=config.ways,
-                coherent_ifetch=config.coherent_ifetch,
+                coherent_ifetch=coherent_ifetch,
             )
             for i in range(config.n_cores)
         ]
+        self.mem = MemoryModel(config.line_size, config.latencies.mem_read)
+        self.ports = [_Port() for _ in range(config.n_cores)]
+        self.cycle = 0
+        self.stats = SimStats(cores=[CoreStats() for _ in range(config.n_cores)])
+        self._progress = True
+        self._last_progress = 0
+
+    def _in_flight_copies(self, view: dict) -> None:
+        """Add copies of lines held outside the caches to the view."""
+
+    # -- per cycle -------------------------------------------------------------
+
+    def step(self) -> None:
+        now = self.cycle
+        self._progress = False
+        self._phases(now)
+        self._issue(now)
+        if self.monitor:
+            self._run_monitors()
+        if self._progress:
+            self._last_progress = now
+        self.cycle = now + 1
+        self.stats.cycles = self.cycle
+        self.stats.mem_reads = self.mem.reads
+        self.stats.mem_writes = self.mem.writes
+
+    def _issue(self, now: int) -> None:
+        """Hand each free port its next op; a port that ends the cycle
+        holding an op counts a stall cycle."""
+        for core, port in enumerate(self.ports):
+            if port.current is None:
+                if not port.stream or now < port.ready_at:
+                    continue
+                op = port.current = port.stream.popleft()
+                stats = self.stats.cores[core]
+                stats.ops += 1
+                if op.kind is OpKind.LOAD:
+                    stats.loads += 1
+                elif op.kind is OpKind.STORE:
+                    stats.stores += 1
+                else:
+                    stats.ifetches += 1
+                self._progress = True
+            self.stats.cores[core].stall_cycles += 1
+
+    def _access(self, core: int, op: CoreOp, now: int):
+        """Run op against the core's cache. A hit retires the op and
+        returns None; a miss parks the port and returns the cache's
+        miss result."""
+        port = self.ports[core]
+        stats = self.stats.cores[core]
+        result = self.caches[core].core_access(op, now)
+        if isinstance(result, Served):
+            stats.hits += 1
+            if result.value is not None:
+                port.observations.append(result.value)
+            port.current = None
+            port.ready_at = now + self.config.latencies.l1_hit
+            return None
+        stats.misses += 1
+        port.waiting_miss = True
+        port.miss_start = now
+        return result
+
+    def _retire_miss(self, core: int, now: int, icache: bool = False) -> None:
+        """The core's miss has filled: a store writes its word into the
+        new line, a load or ifetch observes one, and the port may issue
+        again this cycle."""
+        port = self.ports[core]
+        cache = self.caches[core]
+        op = port.current
+        if op.kind is OpKind.STORE:
+            cache.write_word(op.address, op.value)
+        else:
+            hit = cache.lookup(op.address, icache=icache)
+            port.observations.append(word_at(hit[1].data, op.address % self.config.line_size))
+        self.stats.miss_latency_total += now - port.miss_start
+        self.stats.miss_count += 1
+        port.current = None
+        port.waiting_miss = False
+        port.ready_at = now
+
+    # -- monitors / inspection ------------------------------------------------
+
+    def _run_monitors(self) -> None:
+        view = self.snapshot_invariants()
+        problems = verify.check_swmr(view) + verify.check_value(view)
+        if problems:
+            raise CoherenceViolation(f"cycle {self.cycle}: " + "; ".join(problems))
+
+    def snapshot_invariants(self) -> dict:
+        """Global coherence view: per line, all valid copies plus the
+        memory-side value — the input format of verify.check_swmr and
+        check_value. Write-backs still queued at the memory port are
+        committed writes, so they shadow the memory array. Non-coherent
+        instruction caches are outside the coherency domain and are not
+        part of the view."""
+        view: Dict[int, Tuple[list, bytes]] = {}
+        for core, cache in enumerate(self.caches):
+            for addr, line in cache.valid_lines():
+                view.setdefault(addr, ([], None))[0].append(
+                    verify.CopyView(core, line.state, line.data, False)
+                )
+            if cache.coherent_ifetch:
+                for addr, line in cache.valid_lines(icache=True):
+                    view.setdefault(addr, ([], None))[0].append(
+                        verify.CopyView(core, line.state, line.data, True)
+                    )
+        self._in_flight_copies(view)
+        pending_wb = dict(self.mem_port.wb)  # youngest same-line entry wins
+        return {
+            addr: (copies, pending_wb.get(addr, self.mem.peek(addr)))
+            for addr, (copies, _) in sorted(view.items())
+        }
+
+    def _dump_state(self) -> str:
+        lines = [f"cycle {self.cycle}"]
+        for core, port in enumerate(self.ports):
+            lines.append(
+                f"  core {core}: current={port.current} waiting={port.waiting_miss} "
+                f"miss={self.caches[core].miss} stream_left={len(port.stream)}"
+            )
+        lines += self._dump_lines()
+        lines.append(
+            f"  mem: reads_queued={len(self.mem_port.read_queue)} "
+            f"wb={len(self.mem_port.wb)} inflight={len(self.mem.inflight)}"
+        )
+        return "\n".join(lines)
+
+    # -- driving ---------------------------------------------------------------
+
+    def _work_remaining(self) -> bool:
+        return (
+            self._busy()
+            or self.mem.busy()
+            or any(p.stream or p.current is not None for p in self.ports)
+        )
+
+    def run(self, streams: List[List[CoreOp]], watchdog: int = 10000) -> SimStats:
+        """Feed per-core op streams and advance until everything drains."""
+        if watchdog < 1:
+            raise ConfigError(f"watchdog: {watchdog} must be >= 1")
+        if len(streams) != self.config.n_cores:
+            raise ConfigError(
+                f"streams: got {len(streams)} streams for {self.config.n_cores} cores"
+            )
+        for port, ops in zip(self.ports, streams):
+            port.stream.extend(ops)
+        self._last_progress = self.cycle
+        while self._work_remaining():
+            self.step()
+            if self.cycle - self._last_progress > watchdog:
+                raise DeadlockError(
+                    f"no forward progress for {watchdog} cycles\n" + self._dump_state()
+                )
+        for core, cs in enumerate(self.stats.cores):
+            expected = cs.loads + cs.stores + cs.ifetches
+            if cs.hits + cs.misses != expected:
+                raise AssertionError(
+                    f"core {core}: hits+misses != ops ({cs.hits}+{cs.misses} != {expected})"
+                )
+        return self.stats
+
+    def coherent_image(self) -> Dict[int, bytes]:
+        """Final memory image with dirty owners overriding memory."""
+        image = dict(self.mem.contents)
+        for cache in self.caches:
+            for addr, line in cache.valid_lines():
+                if line.state.is_dirty:
+                    image[addr] = line.data
+        return image
+
+
+def build(config: SimConfig, serialize: bool = False, monitor: bool = False) -> "Simulation":
+    """Instantiate a simulation: caches empty, cycle 0."""
+    return Simulation(config, serialize=serialize, monitor=monitor)
+
+
+class Simulation(Kernel):
+    """The snoop cluster: per-core snoop inboxes and the coherency unit."""
+
+    def __init__(self, config: SimConfig, serialize: bool = False, monitor: bool = False):
+        super().__init__(config, monitor, coherent_ifetch=config.coherent_ifetch)
+        lat = config.latencies
         self.ccu = Ccu(
             n_cores=config.n_cores,
             line_size=config.line_size,
@@ -255,23 +445,15 @@ class Simulation:
             ccu_stage=lat.ccu_stage,
             snoop_hop=lat.snoop_hop,
             wb_depth=config.fifo_depths.writeback,
-            handshake_depth=config.fifo_depths.handshake,
             collision_capacity=config.fifo_depths.collision_capacity,
             serialize=serialize,
         )
-        self.mem = MemoryModel(config.line_size, lat.mem_read, lat.mem_write)
-        self.ports = [_Port() for _ in range(config.n_cores)]
+        self.mem_port = self.ccu.mem_port
         self.ac_in: List[Deque[tuple]] = [deque() for _ in range(config.n_cores)]
-        self.cycle = 0
-        self.stats = SimStats(cores=[CoreStats() for _ in range(config.n_cores)])
-        self._progress = True
-        self._last_progress = 0
 
     # -- per-cycle phases ------------------------------------------------------
 
-    def step(self) -> None:
-        now = self.cycle
-        self._progress = False
+    def _phases(self, now: int) -> None:
         self._deliver_snoops(now)
         for core in range(self.config.n_cores):
             self._cache_controllers(core, now)
@@ -282,18 +464,6 @@ class Simulation:
         if self.ccu.memory_unit_step(now, self.mem):
             self._progress = True
         self._memory_phase(now)
-        self._stream_issue(now)
-        for core, port in enumerate(self.ports):
-            if port.current is not None:
-                self.stats.cores[core].stall_cycles += 1
-        if self.monitor:
-            self._run_monitors()
-        if self._progress:
-            self._last_progress = now
-        self.cycle = now + 1
-        self.stats.cycles = self.cycle
-        self.stats.mem_reads = self.mem.reads
-        self.stats.mem_writes = self.mem.writes
         self.stats.ccu_collision_stalls = self.ccu.collision_stalls
         self.stats.cache_to_cache_transfers = self.ccu.c2c_transfers
 
@@ -352,34 +522,18 @@ class Simulation:
             # a retry discards the attempt, but dirty data it collected
             # must first fit into the write-back FIFO
             if txn.any_pass_dirty and txn.data is not None:
-                return len(self.ccu.wb_fifo) < self.ccu.wb_depth
+                return not self.mem_port.wb_full()
             return True
         victim = cache.needs_eviction()
         if victim is not None and victim.state.is_dirty:
-            return len(self.ccu.wb_fifo) < self.ccu.wb_depth
+            return not self.mem_port.wb_full()
         return True
 
     def _execute_op(self, core: int, op: CoreOp, now: int) -> None:
-        cache = self.caches[core]
-        port = self.ports[core]
-        stats = self.stats.cores[core]
-        result = cache.core_access(op, now)
-        if isinstance(result, Served):
-            stats.hits += 1
-            if result.value is not None:
-                port.observations.append(result.value)
-            port.current = None
-            port.ready_at = now + self.config.latencies.l1_hit
-        else:
-            stats.misses += 1
-            port.waiting_miss = True
-            port.miss_start = now
-            ms = cache.miss
-            accepted = self.ccu.submit(
-                core, result.kind, ms.address, now, from_icache=ms.for_icache
-            )
-            if not accepted:
-                raise ProtocolFault("miss request refused by the CCU")
+        result = self._access(core, op, now)
+        if result is not None:
+            ms = self.caches[core].miss
+            self.ccu.submit(core, result.kind, ms.address, now, from_icache=ms.for_icache)
 
     def _process_snoop(self, core: int, now: int) -> None:
         txn_id, req, probe_d, probe_i = self.ac_in[core].popleft()
@@ -406,10 +560,9 @@ class Simulation:
 
     def _apply_completion(self, core: int, txn, now: int) -> None:
         cache = self.caches[core]
-        port = self.ports[core]
+        op = self.ports[core].current
         stats = self.stats.cores[core]
-        op = port.current
-        store_follows = int(op is not None and op.kind is OpKind.STORE)
+        store_follows = int(op.kind is OpKind.STORE)
         resp_state = completion_state(
             txn.kind, txn.any_is_shared, txn.any_pass_dirty, store_follows
         )
@@ -422,7 +575,7 @@ class Simulation:
                 # survives it: data drains to memory, a data-less handoff
                 # re-dirties the initiator's own copy
                 if txn.data is not None:
-                    if not self.ccu.push_writeback(txn.address, txn.data):
+                    if not self.mem_port.push_wb(txn.address, txn.data):
                         raise ProtocolFault("write-back refused after feasibility check")
                 else:
                     cache.take_dirty_responsibility(txn.address)
@@ -430,38 +583,17 @@ class Simulation:
                             from_icache=cache.miss.for_icache)
             return
         if result.writeback is not None:
-            if not self.ccu.push_writeback(*result.writeback):
+            if not self.mem_port.push_wb(*result.writeback):
                 raise ProtocolFault("write-back refused after feasibility check")
             stats.writebacks += 1
-        if store_follows:
-            cache.write_word(op.address, op.value)
-        elif op is not None:
-            hit = cache.lookup(op.address, icache=(op.kind is OpKind.IFETCH))
-            port.observations.append(
-                word_at(hit[1].data, op.address % self.config.line_size)
-            )
         if txn.data_source is not None:
             stats.snoop_served_misses += 1
-        self.stats.miss_latency_total += now - port.miss_start
-        self.stats.miss_count += 1
-        port.current = None
-        port.waiting_miss = False
-        port.ready_at = now
+        self._retire_miss(core, now, icache=op.kind is OpKind.IFETCH)
 
     def _apply_nc_fill(self, core: int, fill: Tuple[int, bytes], now: int) -> None:
-        cache = self.caches[core]
-        port = self.ports[core]
-        _, data = fill
-        cache.miss_complete(LineState.SHARED, data)
-        op = port.current
-        hit = cache.lookup(op.address, icache=True)
-        port.observations.append(word_at(hit[1].data, op.address % self.config.line_size))
-        self.stats.miss_latency_total += now - port.miss_start
-        self.stats.miss_count += 1
-        port.nc_fill = None
-        port.current = None
-        port.waiting_miss = False
-        port.ready_at = now
+        self.caches[core].miss_complete(LineState.SHARED, fill[1])
+        self.ports[core].nc_fill = None
+        self._retire_miss(core, now, icache=True)
 
     def _memory_phase(self, now: int) -> None:
         for tag, addr, data in self.mem.take_completions(now):
@@ -472,20 +604,8 @@ class Simulation:
                 self.ports[ident].nc_fill = (addr, data)
             self._progress = True
 
-    def _stream_issue(self, now: int) -> None:
-        for core, port in enumerate(self.ports):
-            if port.current is None and port.stream and now >= port.ready_at:
-                op = port.stream.popleft()
-                port.current = op
-                stats = self.stats.cores[core]
-                stats.ops += 1
-                if op.kind is OpKind.LOAD:
-                    stats.loads += 1
-                elif op.kind is OpKind.STORE:
-                    stats.stores += 1
-                else:
-                    stats.ifetches += 1
-                self._progress = True
+    def _busy(self) -> bool:
+        return self.ccu.busy()
 
     # -- monitors / inspection ------------------------------------------------
 
@@ -495,29 +615,9 @@ class Simulation:
             raise CoherenceViolation(
                 f"cycle {self.cycle}: two in-flight transactions share a line"
             )
-        view = self.snapshot_invariants()
-        problems = verify.check_swmr(view) + verify.check_value(view)
-        if problems:
-            raise CoherenceViolation(f"cycle {self.cycle}: " + "; ".join(problems))
+        super()._run_monitors()
 
-    def snapshot_invariants(self) -> dict:
-        """Global coherence view: per line, all valid copies plus the
-        memory-side value — the input format of verify.check_swmr and
-        check_value. Write-backs still queued in the memory unit are
-        committed writes, so they shadow the memory array. Non-coherent
-        instruction caches are outside the coherency domain and are not
-        part of the view."""
-        view: Dict[int, Tuple[list, bytes]] = {}
-        for core, cache in enumerate(self.caches):
-            for addr, line in cache.valid_lines():
-                view.setdefault(addr, ([], None))[0].append(
-                    verify.CopyView(core, line.state, line.data, False)
-                )
-            if self.config.coherent_ifetch:
-                for addr, line in cache.valid_lines(icache=True):
-                    view.setdefault(addr, ([], None))[0].append(
-                        verify.CopyView(core, line.state, line.data, True)
-                    )
+    def _in_flight_copies(self, view: dict) -> None:
         # Dirty data in flight answers for its line like an Owned copy:
         # CD beats queued with pass_dirty (the k-th CR from a core belongs
         # to the k-th transaction on that core's order FIFO), and a
@@ -538,65 +638,12 @@ class Simulation:
                 view.setdefault(txn.address, ([], None))[0].append(
                     verify.CopyView(txn.initiator, LineState.OWNED, txn.data, False)
                 )
-        pending_wb = dict(self.ccu.wb_fifo)  # youngest same-line entry wins
-        return {
-            addr: (copies, pending_wb.get(addr, self.mem.peek(addr)))
-            for addr, (copies, _) in sorted(view.items())
-        }
 
-    def _dump_state(self) -> str:
-        lines = [f"cycle {self.cycle}"]
-        for core, port in enumerate(self.ports):
-            cache = self.caches[core]
-            lines.append(
-                f"  core {core}: current={port.current} waiting={port.waiting_miss} "
-                f"miss={cache.miss} ac_in={len(self.ac_in[core])} "
-                f"stream_left={len(port.stream)}"
-            )
-        lines.append(
-            f"  ccu: pending={self.ccu.pending} hold={self.ccu.hold} "
-            f"txns={[(t.id, t.kind.value, hex(t.address), t.phase.name) for t in self.ccu.txns.values()]} "
-            f"collision={sorted(self.ccu.collision.entries)} wb={len(self.ccu.wb_fifo)} "
-            f"mem_ops={len(self.ccu.pending_ops)}"
-        )
-        lines.append(f"  mem: inflight={len(self.mem.inflight)}")
-        return "\n".join(lines)
-
-    # -- driving ---------------------------------------------------------------
-
-    def _work_remaining(self) -> bool:
-        if any(p.stream or p.current is not None or p.nc_fill is not None for p in self.ports):
-            return True
-        return self.ccu.busy() or self.mem.busy()
-
-    def run(self, streams: List[List[CoreOp]], watchdog: int = 10000) -> SimStats:
-        """Feed per-core op streams and advance until everything drains."""
-        if len(streams) != self.config.n_cores:
-            raise ConfigError(
-                f"streams: got {len(streams)} streams for {self.config.n_cores} cores"
-            )
-        for port, ops in zip(self.ports, streams):
-            port.stream.extend(ops)
-        self._last_progress = self.cycle
-        while self._work_remaining():
-            self.step()
-            if self.cycle - self._last_progress > watchdog:
-                raise DeadlockError(
-                    f"no forward progress for {watchdog} cycles\n" + self._dump_state()
-                )
-        for core, cs in enumerate(self.stats.cores):
-            expected = cs.loads + cs.stores + cs.ifetches
-            if cs.hits + cs.misses != expected:
-                raise AssertionError(
-                    f"core {core}: hits+misses != ops ({cs.hits}+{cs.misses} != {expected})"
-                )
-        return self.stats
-
-    def coherent_image(self) -> Dict[int, bytes]:
-        """Final memory image with dirty owners overriding memory."""
-        image = dict(self.mem.contents)
-        for cache in self.caches:
-            for addr, line in cache.valid_lines():
-                if line.state.is_dirty:
-                    image[addr] = line.data
-        return image
+    def _dump_lines(self) -> List[str]:
+        ccu = self.ccu
+        txns = [(t.id, t.kind.value, hex(t.address), t.phase.name) for t in ccu.txns.values()]
+        return [
+            f"  ccu: pending={ccu.pending} hold={ccu.hold} txns={txns} "
+            f"collision={sorted(ccu.collision.entries)} "
+            f"ac_in={[len(q) for q in self.ac_in]}"
+        ]

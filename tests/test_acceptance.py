@@ -158,9 +158,8 @@ def test_directional_speedup_over_directory(kind):
     streams = gen_workload(spec, cfg.n_cores, cfg.line_size)
     snoop = build(SimConfig())
     snoop_stats = snoop.run([list(s) for s in streams], watchdog=100_000)
-    dir_stats, dir_sim = baseline.run_baseline(
-        SimConfig(), [list(s) for s in streams], watchdog=100_000
-    )
+    dir_sim = baseline.DirectorySimulation(SimConfig())
+    dir_stats = dir_sim.run([list(s) for s in streams], watchdog=100_000)
     assert snoop_stats.cycles < dir_stats.cycles, (
         kind, snoop_stats.cycles, dir_stats.cycles,
     )

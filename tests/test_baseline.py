@@ -1,7 +1,10 @@
-from culsim.baseline import DirectoryEntry, dir_access, run_baseline
+import pytest
+
+from culsim.baseline import DirectorySimulation
+from culsim.cache import ConfigError
 from culsim.cli import WorkloadSpec, gen_workload
 from culsim.protocol import CoreOp, LineState, OpKind
-from culsim.sim import SimConfig, build
+from culsim.sim import DeadlockError, SimConfig, build
 from culsim import verify
 
 
@@ -15,29 +18,49 @@ def stores(addr, values):
 
 # -- hop accounting ---------------------------------------------------------------
 
-def test_uncached_load_is_two_hops_via_memory():
-    hops = dir_access(DirectoryEntry(), OpKind.LOAD, requester=0)
-    assert hops == ["to-directory", "memory-read", "data-return"]
+def phased(cfg, *phases):
+    """Run the phases one after another on one directory model; per phase
+    return the memory reads and the miss latency it added."""
+    sim = DirectorySimulation(cfg, monitor=True)
+    deltas = []
+    for streams in phases:
+        reads, latency = sim.stats.mem_reads, sim.stats.miss_latency_total
+        sim.run(streams)
+        deltas.append((sim.stats.mem_reads - reads, sim.stats.miss_latency_total - latency))
+    return sim, deltas
 
 
-def test_owned_load_is_three_hops():
-    hops = dir_access(DirectoryEntry(owner=1), OpKind.LOAD, requester=0)
-    assert hops == ["to-directory", "forward-to-owner", "owner-to-requester"]
+def test_uncached_load_does_one_memory_read():
+    sim, [(reads, _)] = phased(SimConfig(), [loads(0x100), []])
+    assert reads == 1
+    assert sim.stats.cores[0].misses == 1
 
 
-def test_store_against_sharers_pays_per_sharer_round_trips():
-    hops = dir_access(DirectoryEntry(sharers={1, 2}), OpKind.STORE, requester=0)
-    assert hops == [
-        "to-directory",
-        "invalidate-1", "ack-1",
-        "invalidate-2", "ack-2",
-        "memory-read", "data-return",
-    ]
+def test_load_of_an_owned_line_is_served_by_the_owner():
+    sim, [_, (reads, _)] = phased(SimConfig(), [stores(0x100, [7]), []], [[], loads(0x100)])
+    assert reads == 0  # the owner supplies the fill, not memory
+    assert sim.stats.cache_to_cache_transfers == 1
+    assert sim.stats.cores[1].snoop_served_misses == 1
 
 
-def test_upgrade_skips_the_data_fetch():
-    hops = dir_access(DirectoryEntry(sharers={0, 1}), OpKind.STORE, requester=0)
-    assert hops == ["to-directory", "invalidate-1", "ack-1", "upgrade-grant"]
+def test_store_pays_one_invalidation_round_trip_per_sharer():
+    cfg = SimConfig(n_cores=4)
+    cfg.latencies.snoop_hop = 3
+    latency = {}
+    for k in (2, 3):
+        # cores 1..k share the line, then core 0 stores to it
+        share = [[]] + [loads(0x100) if c <= k else [] for c in range(1, 4)]
+        _, [_, (_, latency[k])] = phased(cfg, share, [stores(0x100, [5]), [], [], []])
+    assert latency[3] - latency[2] == 2 * cfg.latencies.snoop_hop
+
+
+def test_upgrade_from_shared_skips_the_memory_read():
+    sim, [_, (reads, _)] = phased(
+        SimConfig(), [loads(0x100), loads(0x100)], [stores(0x100, [3]), []]
+    )
+    assert reads == 0
+    assert sim.caches[0].lookup(0x100)[1].state is LineState.MODIFIED
+    assert sim.caches[1].lookup(0x100) is None
 
 
 # -- functional behavior ------------------------------------------------------------
@@ -47,7 +70,8 @@ def test_deterministic_runs():
     streams = gen_workload(spec, 2, 16)
 
     def once():
-        stats, sim = run_baseline(SimConfig(), [list(s) for s in streams])
+        sim = DirectorySimulation(SimConfig())
+        stats = sim.run([list(s) for s in streams])
         return stats.to_dict(), sim.coherent_image()
 
     assert once() == once()
@@ -57,7 +81,8 @@ def test_directory_runs_stay_coherent_under_monitoring():
     spec = WorkloadSpec("uniform_random", ops_per_core=300, working_set=4, seed=3)
     streams = gen_workload(spec, 3, 16)
     cfg = SimConfig(n_cores=3)
-    stats, sim = run_baseline(cfg, streams, monitor=True)
+    sim = DirectorySimulation(cfg, monitor=True)
+    stats = sim.run(streams)
     view = sim.snapshot_invariants()
     assert not verify.check_swmr(view)
     assert not verify.check_value(view)
@@ -66,9 +91,8 @@ def test_directory_runs_stay_coherent_under_monitoring():
 
 
 def test_owner_forwarding_counts_as_cache_to_cache():
-    stats, sim = run_baseline(
-        SimConfig(), [stores(0x100, [7]), loads(0x100)], monitor=True
-    )
+    sim = DirectorySimulation(SimConfig(), monitor=True)
+    stats = sim.run([stores(0x100, [7]), loads(0x100)])
     assert stats.cache_to_cache_transfers == 1
     assert stats.cores[1].snoop_served_misses == 1
     # MESI: the downgraded owner wrote its dirty line back
@@ -80,7 +104,7 @@ def test_private_workload_matches_snoop_memory_traffic():
     streams = gen_workload(spec, 2, 16)
     snoop = build(SimConfig())
     s_stats = snoop.run([list(s) for s in streams])
-    d_stats, _ = run_baseline(SimConfig(), [list(s) for s in streams])
+    d_stats = DirectorySimulation(SimConfig()).run([list(s) for s in streams])
     assert s_stats.mem_reads == d_stats.mem_reads
 
 
@@ -90,7 +114,8 @@ def test_final_images_match_snoop_model():
         streams = gen_workload(spec, 2, 16)
         snoop = build(SimConfig())
         snoop.run([list(s) for s in streams])
-        _, dsim = run_baseline(SimConfig(), [list(s) for s in streams])
+        dsim = DirectorySimulation(SimConfig())
+        dsim.run([list(s) for s in streams])
         assert snoop.coherent_image() == dsim.coherent_image(), kind
 
 
@@ -99,14 +124,13 @@ def test_sharing_workloads_have_higher_directory_miss_latency():
     streams = gen_workload(spec, 2, 16)
     snoop = build(SimConfig())
     s_stats = snoop.run([list(s) for s in streams])
-    d_stats, _ = run_baseline(SimConfig(), [list(s) for s in streams])
+    d_stats = DirectorySimulation(SimConfig()).run([list(s) for s in streams])
     assert d_stats.avg_miss_latency > s_stats.avg_miss_latency
 
 
 def test_ifetch_ops_fold_into_the_load_path():
-    stats, sim = run_baseline(
-        SimConfig(), [[CoreOp(OpKind.IFETCH, 0x100)], []], monitor=True
-    )
+    sim = DirectorySimulation(SimConfig(), monitor=True)
+    stats = sim.run([[CoreOp(OpKind.IFETCH, 0x100)], []])
     assert stats.cores[0].ifetches == 1
     assert stats.cores[0].misses == 1
     assert sim.caches[0].lookup(0x100)[1].state is LineState.EXCLUSIVE
@@ -116,8 +140,25 @@ def test_dirty_eviction_updates_directory_and_memory():
     cfg = SimConfig(cache_size=64, ways=1, line_size=16)
     stride = 4 * 16
     ops = stores(0x100, [1]) + stores(0x100 + stride, [2]) + loads(0x100)
-    stats, sim = run_baseline(cfg, [ops, []], monitor=True)
+    sim = DirectorySimulation(cfg, monitor=True)
+    stats = sim.run([ops, []])
     assert stats.cores[0].writebacks >= 1
     entry = sim.directory[0x100]
     # after the re-load the core owns or shares the line again
     assert entry.owner == 0 or 0 in entry.sharers
+
+
+# -- kernel shared with the snoop model ------------------------------------------------
+
+def test_watchdog_dumps_the_directory_state():
+    cfg = SimConfig()
+    cfg.latencies.mem_read = 20
+    with pytest.raises(DeadlockError, match="no forward progress for 1 cycles") as exc:
+        DirectorySimulation(cfg).run([loads(0x100), []], watchdog=1)
+    assert "core 0: current=" in str(exc.value)
+    assert "core 1: current=None" in str(exc.value)
+
+
+def test_run_requires_one_stream_per_core():
+    with pytest.raises(ConfigError, match="streams"):
+        DirectorySimulation(SimConfig()).run([[]])

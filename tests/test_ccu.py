@@ -227,10 +227,10 @@ def test_unmatched_cr_is_protocol_fault():
 
 def test_writeback_fifo_drains_in_order():
     ccu = make_ccu()
-    mem = MemoryModel(16, 1, 1)
+    mem = MemoryModel(16, 1)
     a, b = bytes([3]) * 16, bytes([4]) * 16
-    assert ccu.push_writeback(0x40, a)
-    assert ccu.push_writeback(0x80, b)
+    assert ccu.mem_port.push_wb(0x40, a)
+    assert ccu.mem_port.push_wb(0x80, b)
     ccu.memory_unit_step(0, mem)
     assert mem.contents.get(0x40) == a and 0x80 not in mem.contents
     ccu.memory_unit_step(1, mem)
@@ -239,14 +239,14 @@ def test_writeback_fifo_drains_in_order():
 
 def test_writeback_fifo_backpressures_when_full():
     ccu = make_ccu(wb_depth=1)
-    assert ccu.push_writeback(0x40, bytes(16))
-    assert not ccu.push_writeback(0x80, bytes(16))  # caller must stall
+    assert ccu.mem_port.push_wb(0x40, bytes(16))
+    assert not ccu.mem_port.push_wb(0x80, bytes(16))  # caller must stall
 
 
 def test_memory_reads_wait_for_same_line_writeback():
     ccu = make_ccu()
-    mem = MemoryModel(16, 1, 1)
-    ccu.push_writeback(0x40, bytes([9]) * 16)
+    mem = MemoryModel(16, 1)
+    ccu.mem_port.push_wb(0x40, bytes([9]) * 16)
     ccu.submit(0, CoherentKind.READ_NO_SNOOP, 0x40, now=0)
     ccu.memory_unit_step(5, mem)
     assert mem.reads == 0 and mem.writes == 1  # drain first
@@ -254,6 +254,15 @@ def test_memory_reads_wait_for_same_line_writeback():
     assert mem.reads == 1
     _, _, data = mem.take_completions(10)[0]
     assert data == bytes([9]) * 16
+
+
+@pytest.mark.parametrize("kind", [CoherentKind.WRITE_BACK, CoherentKind.WRITE_NO_SNOOP])
+def test_submit_refuses_kinds_no_cache_sends(kind):
+    # write-backs go through mem_port.push_wb, never through submit
+    ccu = make_ccu()
+    with pytest.raises(ProtocolFault, match=kind.value):
+        ccu.submit(0, kind, 0x40, now=0)
+    assert not ccu.busy()
 
 
 def test_upgrade_pending_rewrites_before_acceptance_only():

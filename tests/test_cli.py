@@ -172,6 +172,21 @@ def test_bad_trace_exits_5(tmp_path, capsys):
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--watchdog", "0"), "watchdog"),
+    (("--watchdog", "-5"), "watchdog"),
+    (("--working-set", "0"), "working_set"),
+    (("--ops", "-3"), "ops_per_core"),
+])
+def test_out_of_range_run_inputs_exit_5(tmp_path, capsys, flags, message):
+    report = tmp_path / "r.json"
+    code = run_cli("run", "--model", "both", *flags, "--report", str(report))
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("culsim: ") and message in err
+    assert not report.exists()
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--model", "nonsense")

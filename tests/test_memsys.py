@@ -1,10 +1,10 @@
 import pytest
 
-from culsim.memsys import MemoryFault, MemoryModel
+from culsim.memsys import MemoryFault, MemoryModel, MemoryPort
 
 
 def test_unwritten_lines_read_as_zero():
-    mem = MemoryModel(16, read_latency=20, write_latency=20)
+    mem = MemoryModel(16, read_latency=20)
     mem.read(0x40, now=0, tag="t")
     ((tag, addr, data),) = mem.take_completions(20)
     assert data == bytes(16)
@@ -12,7 +12,7 @@ def test_unwritten_lines_read_as_zero():
 
 
 def test_read_latency_timing():
-    mem = MemoryModel(16, read_latency=20, write_latency=20)
+    mem = MemoryModel(16, read_latency=20)
     due = mem.read(0x40, now=10, tag=None)
     assert due == 30
     assert mem.take_completions(29) == []
@@ -78,3 +78,18 @@ def test_image_preload_errors_carry_line_numbers():
         mem.load_image("40 01 02 03 04\n44 zz\n")
     with pytest.raises(MemoryFault, match="line 1"):
         mem.load_image("40 01 02\n")
+
+
+def test_port_reads_wait_only_for_same_line_writebacks():
+    mem = MemoryModel(16, read_latency=1)
+    port = MemoryPort(wb_depth=1)
+    assert port.push_wb(0x40, bytes([1]) * 16)
+    assert not port.push_wb(0x80, bytes(16))  # full: the caller stalls
+    port.read_queue.append((0, 0x80, "other"))
+    port.read_queue.append((0, 0x40, "same"))
+    assert port.step(0, mem) and (mem.reads, mem.writes) == (1, 0)  # passes the 0x40 write-back
+    assert port.step(1, mem) and (mem.reads, mem.writes) == (1, 1)  # 0x40 waits for it
+    assert port.step(2, mem) and (mem.reads, mem.writes) == (2, 1)
+    assert not port.step(3, mem) and not port.busy()
+    assert [(tag, data[0]) for tag, _, data in mem.take_completions(9)] == [
+        ("other", 0), ("same", 1)]

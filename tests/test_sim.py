@@ -75,6 +75,8 @@ def test_parse_config_rejects_unknown_keys():
         parse_config("cache_sz = 1024\n")
     with pytest.raises(ConfigError, match="latencies.bogus"):
         parse_config("latencies.bogus = 1\n")
+    with pytest.raises(ConfigError, match="unknown key 'latencies.mem_write'"):
+        parse_config("latencies.mem_write = 20\n")  # removed: it never changed a cycle
 
 
 # -- basic runs -----------------------------------------------------------------
