@@ -11,8 +11,8 @@ structure rather than tuned constants.
 Instruction fetches are folded into the load path (no separate icache
 here); the cores, memory port, op accounting and run loop come from
 `sim.Kernel`, shared with the snoop simulator, so SimStats fields mean
-the same thing in both reports. The downgrade write-back of a forwarded read goes straight to
-memory, past the memory port.
+the same thing in both reports. Every memory write, the downgrade of a
+forwarded read included, queues in the write-back FIFO of the memory port.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from .ccu import ProtocolFault, mux_grant
 from .memsys import MemoryPort
-from .protocol import CoherentKind, CoreOp, LineState, OpKind
+from .protocol import CoherentKind, CoreOp, LineState, OpKind, reissue_kind
 from .sim import Kernel, SimConfig
 
 
@@ -118,7 +118,9 @@ class DirectorySimulation(Kernel):
             elif kind == "inv":
                 self._apply_invalidate(txn, action[1])
             elif kind == "probe":
-                self._apply_probe(txn, action[1], now)
+                if not self._apply_probe(txn, action[1]):
+                    txn.plan.appendleft(action)  # write-back FIFO full: retry
+                    return
             elif kind == "install":
                 if not self._apply_install(txn, now):
                     txn.plan.appendleft(action)  # write-back FIFO full: retry
@@ -133,8 +135,7 @@ class DirectorySimulation(Kernel):
         hop = self.config.latencies.snoop_hop
         ms = cache.miss
         # an upgrade whose copy was invalidated in the meantime needs data
-        if ms.kind is CoherentKind.CLEAN_UNIQUE and cache.lookup(txn.addr) is None:
-            ms.kind = CoherentKind.READ_UNIQUE
+        ms.kind = reissue_kind(ms.kind, lost_copy=cache.lookup(txn.addr) is None)
         upgrade = ms.kind is CoherentKind.CLEAN_UNIQUE and txn.core in entry.sharers
         if txn.op is OpKind.STORE:
             if entry.state == "OwnedBy" and entry.owner != txn.core:
@@ -162,18 +163,13 @@ class DirectorySimulation(Kernel):
         hit = self.caches[target].lookup(txn.addr)
         if hit is not None:
             hit[1].state = LineState.INVALID
-            ms = self.caches[target].miss
-            if ms is not None and ms.address == txn.addr and (
-                ms.kind is CoherentKind.CLEAN_UNIQUE
-            ):
-                ms.kind = CoherentKind.READ_UNIQUE
         self._entry(txn.addr).sharers.discard(target)
 
-    def _apply_probe(self, txn: _DirTxn, owner: int, now: int) -> None:
+    def _apply_probe(self, txn: _DirTxn, owner: int) -> bool:
         """Forward the request to the recorded owner. A read downgrades the
-        owner to Shared (its dirty data goes back to memory); a write
-        transfers the line and invalidates. A stale entry (the owner
-        evicted meanwhile) falls back to memory."""
+        owner to Shared (its dirty data queues for memory; False while the
+        write-back FIFO is full); a write transfers the line and invalidates.
+        A stale entry (the owner evicted meanwhile) falls back to memory."""
         hit = self.caches[owner].lookup(txn.addr)
         entry = self._entry(txn.addr)
         hop = self.config.latencies.snoop_hop
@@ -182,7 +178,7 @@ class DirectorySimulation(Kernel):
             txn.plan.extend([("memread",), ("delay", hop), ("install",)])
             if txn.op is not OpKind.STORE:
                 txn.install_state = LineState.SHARED
-            return
+            return True
         line = hit[1]
         txn.data = line.data
         txn.from_owner = True
@@ -193,18 +189,19 @@ class DirectorySimulation(Kernel):
         else:
             if line.state is LineState.MODIFIED:
                 # MESI has no dirty-shared state: the downgrade writes back
-                self.mem.write(txn.addr, line.data, now)
+                if not self.mem_port.push_wb(txn.addr, line.data):
+                    return False
                 self.stats.cores[owner].writebacks += 1
             line.state = LineState.SHARED
             entry.owner = None
             entry.sharers.add(owner)
+        return True
 
     def _apply_install(self, txn: _DirTxn, now: int) -> bool:
         core = txn.core
         cache = self.caches[core]
         entry = self._entry(txn.addr)
-        victim = cache.needs_eviction()
-        if victim is not None and victim.state.is_dirty and self.mem_port.wb_full():
+        if not self._victim_fits(cache):
             return False
         result = cache.miss_complete(txn.install_state, txn.data)
         if result.writeback is not None:

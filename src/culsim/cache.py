@@ -24,12 +24,15 @@ from .protocol import (
     LineState,
     OpKind,
     Port,
-    SnoopData,
+    READ_KINDS,
     SnoopRequest,
     SnoopResponse,
     UNIQUE_KINDS,
     initiator_action,
+    must_retry,
+    reissue_kind,
     snoopee_transition,
+    take_ownership,
 )
 
 WORD_BYTES = 4
@@ -100,8 +103,6 @@ class MissStatus:
 
     address: int
     kind: CoherentKind
-    unique_sought: bool
-    waiting_since: int
     for_icache: bool = False
     snoop_read_seen: bool = False
     invalidated_by_snoop: bool = False
@@ -187,11 +188,11 @@ class CacheModel:
 
     # -- core side ---------------------------------------------------------
 
-    def core_access(self, op: CoreOp, now: int = 0) -> Union[Served, NeedsMiss]:
+    def core_access(self, op: CoreOp) -> Union[Served, NeedsMiss]:
         """Serve a load/store against the data cache or hand it to the miss
         handler. IFetch ops go through ifetch() instead."""
         if op.kind is OpKind.IFETCH:
-            return self.ifetch(op.address, now)
+            return self.ifetch(op.address)
         if self.miss is not None:
             raise RuntimeError(f"core {self.core_id}: second outstanding miss")
         hit = self.lookup(op.address)
@@ -204,10 +205,10 @@ class CacheModel:
                 line.data = set_word(line.data, op.address % self.line_size, op.value)
                 return Served()
             return Served(word_at(line.data, op.address % self.line_size))
-        self._start_miss(action.kind, self.line_addr(op.address), now, for_icache=False)
+        self.miss = MissStatus(self.line_addr(op.address), action.kind)
         return NeedsMiss(action.kind)
 
-    def ifetch(self, address: int, now: int = 0) -> Union[Served, NeedsMiss]:
+    def ifetch(self, address: int) -> Union[Served, NeedsMiss]:
         """Instruction fetch. Coherent icaches miss with ReadOnce and get
         snooped; non-coherent ones miss with ReadNoSnoop and stay out of
         the coherency domain."""
@@ -217,32 +218,22 @@ class CacheModel:
         if self.miss is not None:
             raise RuntimeError(f"core {self.core_id}: second outstanding miss")
         kind = CoherentKind.READ_ONCE if self.coherent_ifetch else CoherentKind.READ_NO_SNOOP
-        self._start_miss(kind, self.line_addr(address), now, for_icache=True)
+        self.miss = MissStatus(self.line_addr(address), kind, for_icache=True)
         return NeedsMiss(kind)
-
-    def _start_miss(self, kind: CoherentKind, address: int, now: int, for_icache: bool) -> None:
-        self.miss = MissStatus(
-            address=address,
-            kind=kind,
-            unique_sought=kind in UNIQUE_KINDS,
-            waiting_since=now,
-            for_icache=for_icache,
-        )
 
     # -- snoop side --------------------------------------------------------
 
     def handle_snoop(
         self, req: SnoopRequest, probe_dcache: bool = True, probe_icache: bool = False
-    ) -> Tuple[SnoopResponse, Optional[SnoopData]]:
+    ) -> Tuple[SnoopResponse, Optional[bytes]]:
         """Apply one AC probe to this core's cache subsystem; data leaves
-        on the CD channel as word beats.
+        on the CD channel as the line's bytes.
 
         Both structures may be probed (the snoop controller merges them
         into a single CR): pass_dirty can only come from the data cache,
         is_shared/data from either. Raises the side signals into the
         pending miss when the addresses match.
         """
-        read_class = req.kind in (CoherentKind.READ_SHARED, CoherentKind.READ_ONCE)
         resp = SnoopResponse()
         data: Optional[bytes] = None
         invalidated = False
@@ -275,11 +266,11 @@ class CacheModel:
 
         ms = self.miss
         if ms is not None and ms.address == req.address:
-            if read_class and ms.unique_sought:
+            if req.kind in READ_KINDS and ms.kind in UNIQUE_KINDS:
                 ms.snoop_read_seen = True
             if invalidated:
                 ms.invalidated_by_snoop = True
-        return resp, SnoopData.from_line(data) if data is not None else None
+        return resp, data
 
     # -- miss completion ----------------------------------------------------
 
@@ -299,25 +290,15 @@ class CacheModel:
         return self.sets[set_idx][self.rr[set_idx]]
 
     def miss_complete(self, resp_state: LineState, data: Optional[bytes]) -> Union[Install, Retry]:
-        """Resolve the outstanding miss with the transaction's result.
-
-        A unique-access miss that saw a concurrent snoop read or lost its
-        copy to a snoop invalidation must not install with stale
-        uniqueness: it is retried (a CleanUnique whose copy was
-        invalidated needs the data now, so it comes back as ReadUnique).
-        """
+        """Resolve the outstanding miss with the transaction's result, or
+        retry it under `protocol.must_retry` as `protocol.reissue_kind`."""
         ms = self.miss
         if ms is None:
             raise RuntimeError(f"core {self.core_id}: miss_complete with no outstanding miss")
-        if ms.unique_sought and (ms.snoop_read_seen or ms.invalidated_by_snoop):
-            kind = ms.kind
-            if kind is CoherentKind.CLEAN_UNIQUE and ms.invalidated_by_snoop:
-                kind = CoherentKind.READ_UNIQUE
-            ms.kind = kind
-            ms.unique_sought = True
-            ms.snoop_read_seen = False
-            ms.invalidated_by_snoop = False
-            return Retry(kind)
+        if must_retry(ms.kind, ms.snoop_read_seen, ms.invalidated_by_snoop):
+            ms.kind = reissue_kind(ms.kind, ms.invalidated_by_snoop)
+            ms.snoop_read_seen = ms.invalidated_by_snoop = False
+            return Retry(ms.kind)
 
         writeback = evicted = None
         if ms.kind is CoherentKind.CLEAN_UNIQUE:
@@ -366,11 +347,11 @@ class CacheModel:
         hit[1].data = set_word(hit[1].data, address % self.line_size, value)
 
     def take_dirty_responsibility(self, address: int) -> None:
-        """Promote a clean local copy to Owned: a retried upgrade collected
-        pass_dirty without data, so this cache now answers for the line."""
+        """Apply `protocol.take_ownership` to the local copy: pass_dirty
+        arrived without data, so this cache now answers for the line."""
         hit = self.lookup(address)
-        if hit is not None and not hit[1].state.is_dirty:
-            hit[1].state = LineState.OWNED
+        if hit is not None:
+            hit[1].state = take_ownership(hit[1].state)
 
     # -- inspection ----------------------------------------------------------
 

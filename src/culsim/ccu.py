@@ -67,14 +67,12 @@ class CcuTransaction:
     initiator: int
     kind: CoherentKind
     address: int
-    from_icache: bool = False
     phase: Phase = Phase.DECODED
     cr_pending: int = 0
     any_is_shared: int = 0
     any_pass_dirty: int = 0
     data: Optional[bytes] = None
     data_source: Optional[int] = None  # first responding core, None = memory/no data
-    mem_requested: bool = False
     r_scheduled: bool = False
 
     def advance(self, phase: Phase) -> None:
@@ -164,7 +162,6 @@ class Ccu:
         serialize: bool = False,
     ):
         self.n_cores = n_cores
-        self.line_size = line_size
         self.coherent_ifetch = coherent_ifetch
         self.ccu_stage = ccu_stage
         self.snoop_hop = snoop_hop
@@ -238,10 +235,7 @@ class Ccu:
             self.collision_stalls += 1
             return None
         self.hold = None
-        txn = CcuTransaction(
-            id=self.next_id, initiator=core, kind=kind, address=address,
-            from_icache=from_icache,
-        )
+        txn = CcuTransaction(id=self.next_id, initiator=core, kind=kind, address=address)
         self.next_id += 1
         self.txns[txn.id] = txn
         fanout = decode_and_snoop(
@@ -274,8 +268,8 @@ class Ccu:
 
     def snoop_unit_step(self, now: int) -> None:
         while self.cr_inbox and self.cr_inbox[0][0] <= now:
-            _, from_core, resp, beats = self.cr_inbox.popleft()
-            self.collect_cr(from_core, resp, beats.to_line() if beats else None)
+            _, from_core, resp, data = self.cr_inbox.popleft()
+            self.collect_cr(from_core, resp, data)
 
     def completion_step(self, now: int) -> None:
         """Move fully-responded transactions toward the R channel: snoop
@@ -286,8 +280,7 @@ class Ccu:
                 continue
             needs_data = txn.kind in DATA_KINDS
             if needs_data and txn.data is None:
-                if not txn.mem_requested:
-                    txn.mem_requested = True
+                if txn.phase is not Phase.MEM_ACCESS:
                     txn.advance(Phase.MEM_ACCESS)
                     self.mem_port.read_queue.append((now, txn.address, ("txn", txn.id)))
                 continue

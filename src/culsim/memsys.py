@@ -90,6 +90,11 @@ class MemoryModel:
             self.contents[addr] = data
 
 
+def read_waits(address, writebacks) -> bool:
+    """A line read never passes a queued (address, data) write-back to it."""
+    return any(a == address for a, _ in writebacks)
+
+
 class MemoryPort:
     """Single serialized memory port, at most one operation per cycle.
 
@@ -117,7 +122,7 @@ class MemoryPort:
         """Issue at most one operation; True when one was issued."""
         if self.read_queue and self.read_queue[0][0] <= now:
             _, address, tag = self.read_queue[0]
-            if all(a != address for a, _ in self.wb):
+            if not read_waits(address, self.wb):
                 self.read_queue.popleft()
                 mem.read(address, now, tag)
                 return True

@@ -120,6 +120,10 @@ SNOOPING_KINDS = frozenset(
 # must be re-checked against concurrent snoop reads / invalidations.
 UNIQUE_KINDS = frozenset({CoherentKind.READ_UNIQUE, CoherentKind.CLEAN_UNIQUE})
 
+# Snoops that read without invalidating: one reaching a miss of a
+# UNIQUE_KINDS transaction means another cache now holds a copy.
+READ_KINDS = frozenset({CoherentKind.READ_SHARED, CoherentKind.READ_ONCE})
+
 # Transactions whose completion carries a data line back to the initiator.
 DATA_KINDS = frozenset(
     {CoherentKind.READ_SHARED, CoherentKind.READ_UNIQUE, CoherentKind.READ_ONCE}
@@ -185,33 +189,11 @@ class SnoopRequest:
 
 @dataclass(frozen=True)
 class SnoopResponse:
-    """Snoop response (CR) bits. data_transfer=0 means no CD beats follow."""
+    """Snoop response (CR) bits. data_transfer=0 means no CD data follows."""
 
     data_transfer: int = 0
     pass_dirty: int = 0
     is_shared: int = 0
-    error: int = 0
-
-
-@dataclass(frozen=True)
-class SnoopData:
-    """Snoop data (CD) beats: the words of one full cache line."""
-
-    beats: tuple
-
-    WORD_BYTES = 4
-
-    @classmethod
-    def from_line(cls, data: bytes) -> "SnoopData":
-        w = cls.WORD_BYTES
-        return cls(
-            beats=tuple(
-                int.from_bytes(data[i : i + w], "little") for i in range(0, len(data), w)
-            )
-        )
-
-    def to_line(self) -> bytes:
-        return b"".join(beat.to_bytes(self.WORD_BYTES, "little") for beat in self.beats)
 
 
 @dataclass(frozen=True)
@@ -312,3 +294,25 @@ def completion_state(
     if kind is CoherentKind.READ_ONCE:
         return LineState.SHARED
     raise ValueError(f"{kind.value} has no coherent completion")
+
+
+def must_retry(kind: CoherentKind, snoop_read_seen: bool, lost_copy: bool) -> bool:
+    """A unique-access miss that saw a snoop read or lost its copy to a
+    snoop invalidation must not install with stale uniqueness: it retries."""
+    return kind in UNIQUE_KINDS and bool(snoop_read_seen or lost_copy)
+
+
+def reissue_kind(kind: CoherentKind, lost_copy: bool) -> CoherentKind:
+    """Kind a miss is (re)issued as: a CleanUnique whose copy was
+    invalidated needs the data now, so it becomes ReadUnique."""
+    if kind is CoherentKind.CLEAN_UNIQUE and lost_copy:
+        return CoherentKind.READ_UNIQUE
+    return kind
+
+
+def take_ownership(state: LineState) -> LineState:
+    """A local copy after a data-less dirty handoff: a clean copy takes
+    Owned and answers for the line; dirty and Invalid ones stay as they are."""
+    if state.is_valid and not state.is_dirty:
+        return LineState.OWNED
+    return state

@@ -31,11 +31,12 @@ from .cache import (
 from .ccu import Ccu, ProtocolFault
 from .memsys import MemoryModel, MemoryPort
 from .protocol import (
-    CoherentKind,
     CoreOp,
     LineState,
     OpKind,
     completion_state,
+    must_retry,
+    reissue_kind,
 )
 from . import verify
 
@@ -305,7 +306,7 @@ class Kernel:
         miss result."""
         port = self.ports[core]
         stats = self.stats.cores[core]
-        result = self.caches[core].core_access(op, now)
+        result = self.caches[core].core_access(op)
         if isinstance(result, Served):
             stats.hits += 1
             if result.value is not None:
@@ -317,6 +318,11 @@ class Kernel:
         port.waiting_miss = True
         port.miss_start = now
         return result
+
+    def _victim_fits(self, cache: CacheModel) -> bool:
+        """A dirty victim may evict only while the write-back FIFO has room."""
+        victim = cache.needs_eviction()
+        return victim is None or not victim.state.is_dirty or not self.mem_port.wb_full()
 
     def _retire_miss(self, core: int, now: int, icache: bool = False) -> None:
         """The core's miss has filled: a store writes its word into the
@@ -518,16 +524,13 @@ class Simulation(Kernel):
         ms = cache.miss
         if ms is None:
             return True
-        if ms.unique_sought and (ms.snoop_read_seen or ms.invalidated_by_snoop):
+        if must_retry(ms.kind, ms.snoop_read_seen, ms.invalidated_by_snoop):
             # a retry discards the attempt, but dirty data it collected
             # must first fit into the write-back FIFO
             if txn.any_pass_dirty and txn.data is not None:
                 return not self.mem_port.wb_full()
             return True
-        victim = cache.needs_eviction()
-        if victim is not None and victim.state.is_dirty:
-            return not self.mem_port.wb_full()
-        return True
+        return self._victim_fits(cache)
 
     def _execute_op(self, core: int, op: CoreOp, now: int) -> None:
         result = self._access(core, op, now)
@@ -546,17 +549,14 @@ class Simulation(Kernel):
             # so no cycle ever shows the line clean-everywhere but stale
             initiator = self.ccu.txns[txn_id].initiator
             self.caches[initiator].take_dirty_responsibility(req.address)
-        # a pending CleanUnique that just lost its copy needs the data:
-        # re-encode it as ReadUnique while it still sits before the decoder
+        # a pending miss that just lost its copy is re-encoded while it
+        # still sits before the decoder
         ms = cache.miss
-        if (
-            ms is not None
-            and ms.kind is CoherentKind.CLEAN_UNIQUE
-            and ms.invalidated_by_snoop
-            and self.ccu.upgrade_pending(core, CoherentKind.READ_UNIQUE)
-        ):
-            ms.kind = CoherentKind.READ_UNIQUE
-            ms.invalidated_by_snoop = False
+        if ms is not None and ms.invalidated_by_snoop:
+            kind = reissue_kind(ms.kind, lost_copy=True)
+            if kind is not ms.kind and self.ccu.upgrade_pending(core, kind):
+                ms.kind = kind
+                ms.invalidated_by_snoop = False
 
     def _apply_completion(self, core: int, txn, now: int) -> None:
         cache = self.caches[core]
@@ -619,19 +619,19 @@ class Simulation(Kernel):
 
     def _in_flight_copies(self, view: dict) -> None:
         # Dirty data in flight answers for its line like an Owned copy:
-        # CD beats queued with pass_dirty (the k-th CR from a core belongs
+        # CD data queued with pass_dirty (the k-th CR from a core belongs
         # to the k-th transaction on that core's order FIFO), and a
         # transaction's buffered data once a snoopee handed dirty
         # responsibility over. Without them a line whose dirty holder was
         # already snooped looks clean-everywhere but newer than memory.
         ccu = self.ccu
         crs_seen = [0] * self.config.n_cores
-        for _due, core, resp, beats in ccu.cr_inbox:
+        for _due, core, resp, data in ccu.cr_inbox:
             txn_id = ccu.cr_fifo.queues[core][crs_seen[core]]
             crs_seen[core] += 1
-            if resp.pass_dirty and beats is not None:
+            if resp.pass_dirty and data is not None:
                 view.setdefault(ccu.txns[txn_id].address, ([], None))[0].append(
-                    verify.CopyView(core, LineState.OWNED, beats.to_line(), False)
+                    verify.CopyView(core, LineState.OWNED, data, False)
                 )
         for txn in ccu.txns.values():
             if txn.any_pass_dirty and txn.data is not None:

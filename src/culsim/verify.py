@@ -7,8 +7,9 @@ Three layers:
 * explore() enumerates every interleaving of an untimed abstraction of
   the protocol over tiny programs, deduplicated by canonical state, and
   checks the single-writer and data-value invariants in every reachable
-  state. It is the oracle certifying the transition tables in
-  `protocol` and the miss retry/upgrade rules in `cache`.
+  state. It is the oracle certifying the rules in `protocol` that the
+  cycle simulator, the directory baseline and the explorer share: the
+  transition tables, `must_retry`, `reissue_kind` and `take_ownership`.
 * run_litmus / oracle_tables package the explorer into the coherence
   litmus suite and the exhaustive table-certification battery.
 
@@ -25,17 +26,22 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .ccu import decode_and_snoop
+from .memsys import read_waits
 from .protocol import (
     CoherentKind,
     DIRTY_STATES,
     Hit,
     LineState,
     OpKind,
+    READ_KINDS,
     UNIQUE_KINDS,
     UNIQUE_STATES,
     completion_state,
     initiator_action,
+    must_retry,
+    reissue_kind,
     snoopee_transition,
+    take_ownership,
 )
 
 
@@ -192,9 +198,7 @@ _IS_DIRTY = tuple(s in DIRTY_STATES for s in _STATES)
 
 _KINDS = (None, CoherentKind.READ_SHARED, CoherentKind.READ_UNIQUE,
           CoherentKind.CLEAN_UNIQUE, CoherentKind.READ_ONCE)
-_RU, _CU, _RO = 2, 3, 4
-_IS_UNIQUE = tuple(k in UNIQUE_KINDS for k in _KINDS)
-_IS_READ = tuple(k in (CoherentKind.READ_SHARED, CoherentKind.READ_ONCE) for k in _KINDS)
+_CU, _RO = 3, 4
 
 _OPS = (OpKind.LOAD, OpKind.STORE, OpKind.IFETCH)
 _LOAD, _STORE, _IFETCH = range(3)
@@ -241,7 +245,6 @@ class _Machine:
                   for op in prog)
             for prog in self.programs
         ]
-        self.retry_enabled = "retry:disabled" not in config.mutations
         self._build_tables()
 
         n, width = config.n_cores, 2 + 4 * config.n_cores
@@ -263,6 +266,7 @@ class _Machine:
         }
         silent_upgrade = "initiator:Store:Shared:silent_upgrade" in muts
         ignore_shared = "completion:ReadShared:ignore_shared" in muts
+        no_retry = "retry:disabled" in muts
         code_of_state = {s: i for i, s in enumerate(_STATES)}
         code_of_kind = {k: i for i, k in enumerate(_KINDS)}
 
@@ -306,6 +310,21 @@ class _Machine:
             )]
             for kind in _KINDS[1:] for shared in (0, 1) for dirty in (0, 1) for store in (0, 1)
         }
+
+        # retry[kind][read_seen + 2 * lost_copy] -> kind to retry as, 0 to install
+        self.retry = tuple(
+            tuple(code_of_kind[reissue_kind(kind, lost)]
+                  if kind and not no_retry and must_retry(kind, seen, lost) else 0
+                  for lost in (0, 1) for seen in (0, 1))
+            for kind in _KINDS
+        )
+        # read_seen[snoop kind][miss kind] -> flag a snoop raises in a miss
+        self.read_seen = tuple(
+            tuple(_READ_SEEN if s in READ_KINDS and m in UNIQUE_KINDS else 0 for m in _KINDS)
+            for s in _KINDS
+        )
+        # take_owned[state] -> a local copy after a data-less dirty handoff
+        self.take_owned = tuple(code_of_state[take_ownership(s)] for s in _STATES)
 
         # fanout[core][kind] -> ((target, probe_d, probe_i), ...) in probe
         # order; an ifetch miss (ReadOnce) comes from the icache. The fan-out
@@ -451,10 +470,12 @@ class _Machine:
     def _accept(self, state: tuple, core: int):
         at = core * _CORE_SLOTS
         kind, flags, line = state[at + _MK], state[at + _MF], state[at + _ML]
-        # a pending CleanUnique whose copy was snooped away is re-encoded
-        # as ReadUnique before it enters the coherent pipeline
-        if self.retry_enabled and kind == _CU and flags & _INVALIDATED:
-            kind, flags = _RU, flags & ~_INVALIDATED
+        # a pending miss whose copy was snooped away is re-encoded before
+        # it enters the coherent pipeline (CleanUnique becomes ReadUnique)
+        if flags & _INVALIDATED:
+            again = self.retry[kind][(flags >> 1) & 3]
+            if again and again != kind:
+                kind, flags = again, flags & ~_INVALIDATED
         new = list(state)
         new[at + _MK] = kind
         new[at + _MF] = flags | _ACCEPTED
@@ -503,8 +524,7 @@ class _Machine:
         # side signals into the target's own pending miss (maybe this one)
         tat = target * _CORE_SLOTS
         if new[tat + _MK] and new[tat + _ML] == line:
-            if _IS_READ[kind] and _IS_UNIQUE[new[tat + _MK]]:
-                new[tat + _MF] |= _READ_SEEN
+            new[tat + _MF] |= self.read_seen[kind][new[tat + _MK]]
             if invalidated_valid:
                 new[tat + _MF] |= _INVALIDATED
 
@@ -513,8 +533,7 @@ class _Machine:
         if pass_dirty and not data_transfer:
             # data-less handoff: the initiator's own copy takes Owned now
             pos = self.dpos[core][line]
-            if new[pos] and not _IS_DIRTY[new[pos]]:
-                new[pos] = _O
+            new[pos] = self.take_owned[new[pos]]
         new[at + _MM] &= ~(1 << j)
         if is_shared:
             new[at + _MF] |= _ANY_SHARED
@@ -530,7 +549,8 @@ class _Machine:
         wb = state[self.wb_at]
         new = list(state)
 
-        if self.retry_enabled and _IS_UNIQUE[kind] and flags & (_READ_SEEN | _INVALIDATED):
+        again = self.retry[kind][(flags >> 1) & 3]  # read_seen + 2 * lost_copy
+        if again:
             # dirty responsibility collected by the discarded attempt must
             # survive it: transferred data drains to memory through the
             # write-back FIFO; a data-less handoff (CleanUnique probing a
@@ -540,11 +560,9 @@ class _Machine:
                     if len(wb) >= self.cfg.wb_depth:
                         return None
                     new[self.wb_at] = wb + ((line, state[at + _MD]),)
-                elif state[dpos] and not _IS_DIRTY[state[dpos]]:
-                    new[dpos] = _O
-            if kind == _CU and flags & _INVALIDATED:
-                kind = _RU
-            new[at + _MK] = kind
+                else:
+                    new[dpos] = self.take_owned[state[dpos]]
+            kind = new[at + _MK] = again
             new[at + _MF] = new[at + _MM] = 0
             new[at + _MD] = new[at + _MFROM] = None
             new[self.coll_at] &= ~(1 << line)
@@ -562,7 +580,7 @@ class _Machine:
         elif state[at + _MFROM] is not None:
             base = state[at + _MD]
         else:
-            if any(l == line for l, _ in wb):
+            if read_waits(line, wb):
                 return None  # memory read must wait for the same-line write-back
             base = state[self.line_at[line] + _MEM]
         if note is None and base != ghost:

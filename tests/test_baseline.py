@@ -148,6 +148,53 @@ def test_dirty_eviction_updates_directory_and_memory():
     assert entry.owner == 0 or 0 in entry.sharers
 
 
+def step_until_probe_is_due(sim):
+    """Step until a forwarded request will probe its owner next cycle."""
+    for _ in range(100):
+        txn = next((t for t in sim.txns if t.plan and t.plan[0][0] == "probe"), None)
+        if txn is not None and txn.wait_until <= sim.cycle:
+            return txn
+        sim.step()
+    raise AssertionError("no probe became due")
+
+
+def test_downgrade_write_back_goes_through_the_memory_port():
+    sim = DirectorySimulation(SimConfig(), monitor=True)
+    sim.run([stores(0x100, [7]), []])
+    dirty = sim.caches[0].lookup(0x100)[1].data
+    drained = []
+    port_step = sim.mem_port.step
+
+    def recording_step(now, mem):
+        drained.append((list(sim.mem_port.wb), mem.peek(0x100)))
+        return port_step(now, mem)
+
+    sim.mem_port.step = recording_step
+    sim.run([[], loads(0x100)])
+    queued = [(wb, mem) for wb, mem in drained if wb]
+    # the downgraded line waits in the FIFO, memory still stale, until the port drains it
+    assert queued == [([(0x100, dirty)], bytes(16))]
+    assert sim.mem.peek(0x100) == dirty
+    assert sim.stats.cores[0].writebacks == 1
+
+
+def test_downgrade_waits_for_room_in_a_full_write_back_fifo():
+    sim = DirectorySimulation(SimConfig(), monitor=True)
+    sim.run([stores(0x100, [7]), []])
+    sim.ports[1].stream.extend(loads(0x100))
+    txn = step_until_probe_is_due(sim)
+    for i in range(sim.config.fifo_depths.writeback):
+        assert sim.mem_port.push_wb(0x1000 + 16 * i, bytes(16))
+    sim.step()
+    assert txn.plan[0][0] == "probe"  # retried next cycle
+    assert sim.caches[0].lookup(0x100)[1].state is LineState.MODIFIED
+    assert all(addr != 0x100 for addr, _ in sim.mem_port.wb)
+    sim.run([[], []])
+    assert sim.caches[0].lookup(0x100)[1].state is LineState.SHARED
+    assert sim.ports[1].observations == [7]
+    assert sim.mem.peek(0x100) == sim.caches[0].lookup(0x100)[1].data
+
+
 # -- kernel shared with the snoop model ------------------------------------------------
 
 def test_watchdog_dumps_the_directory_state():

@@ -20,6 +20,7 @@ from culsim.protocol import (
     LineState,
     OpKind,
     SnoopRequest,
+    UNIQUE_KINDS,
     flags_of_state,
 )
 
@@ -109,11 +110,10 @@ def test_store_hit_on_exclusive_turns_modified():
 
 def test_load_miss_issues_read_shared():
     cache = make_cache()
-    result = cache.core_access(CoreOp(OpKind.LOAD, 0x40), now=3)
+    result = cache.core_access(CoreOp(OpKind.LOAD, 0x40))
     assert result == NeedsMiss(CoherentKind.READ_SHARED)
     assert cache.miss.address == 0x40
-    assert cache.miss.waiting_since == 3
-    assert not cache.miss.unique_sought
+    assert cache.miss.kind not in UNIQUE_KINDS
 
 
 def test_store_hit_on_shared_needs_clean_unique():
@@ -121,7 +121,7 @@ def test_store_hit_on_shared_needs_clean_unique():
     fill(cache, 0x40, S)
     result = cache.core_access(CoreOp(OpKind.STORE, 0x40, value=1))
     assert result == NeedsMiss(CoherentKind.CLEAN_UNIQUE)
-    assert cache.miss.unique_sought
+    assert cache.miss.kind in UNIQUE_KINDS
 
 
 def test_load_hit_returns_word():
@@ -152,8 +152,7 @@ def test_snoop_read_unique_invalidates_and_hands_dirty_off():
     filled = fill(cache, 0x40, M)
     resp, data = cache.handle_snoop(SnoopRequest(CoherentKind.READ_UNIQUE, 0x40))
     assert (resp.data_transfer, resp.pass_dirty) == (1, 1)
-    assert data.to_line() == filled
-    assert len(data.beats) == cache.line_size // 4
+    assert data == filled
     assert cache.lookup(0x40) is None
 
 

@@ -9,13 +9,18 @@ from culsim.protocol import (
     LineState,
     OpKind,
     Port,
+    READ_KINDS,
     SnoopRequest,
     SnoopResponse,
+    UNIQUE_KINDS,
     completion_state,
     flags_of_state,
     initiator_action,
+    must_retry,
+    reissue_kind,
     snoopee_transition,
     state_of_flags,
+    take_ownership,
 )
 
 M, O, E, S, I = (
@@ -177,6 +182,65 @@ def test_non_coherent_kinds_have_no_completion():
         completion_state(CoherentKind.WRITE_BACK, 0, 0, 0)
 
 
+# -- racing-miss rules --------------------------------------------------------
+
+WB, RNS, WNS = (
+    CoherentKind.WRITE_BACK,
+    CoherentKind.READ_NO_SNOOP,
+    CoherentKind.WRITE_NO_SNOOP,
+)
+
+# kind -> must_retry at (snoop_read_seen, lost_copy) = (0,0), (1,0), (0,1), (1,1)
+MUST_RETRY_ROWS = [
+    (RS, (False, False, False, False)),
+    (RU, (False, True, True, True)),
+    (CU, (False, True, True, True)),
+    (RO, (False, False, False, False)),
+    (WB, (False, False, False, False)),
+    (RNS, (False, False, False, False)),
+    (WNS, (False, False, False, False)),
+]
+
+
+@pytest.mark.parametrize("kind,row", MUST_RETRY_ROWS)
+def test_must_retry_table(kind, row):
+    got = tuple(
+        must_retry(kind, seen, lost) for lost in (False, True) for seen in (False, True)
+    )
+    assert got == row
+
+
+def test_must_retry_rows_cover_every_kind():
+    assert [kind for kind, _ in MUST_RETRY_ROWS] == list(CoherentKind)
+
+
+# kind -> (reissued kind with the copy kept, with the copy lost)
+REISSUE_ROWS = [
+    (RS, (RS, RS)),
+    (RU, (RU, RU)),
+    (CU, (CU, RU)),
+    (RO, (RO, RO)),
+    (WB, (WB, WB)),
+    (RNS, (RNS, RNS)),
+    (WNS, (WNS, WNS)),
+]
+
+
+@pytest.mark.parametrize("kind,row", REISSUE_ROWS)
+def test_reissue_kind_table(kind, row):
+    assert (reissue_kind(kind, False), reissue_kind(kind, True)) == row
+
+
+def test_take_ownership_table():
+    got = {state: take_ownership(state) for state in LineState}
+    assert got == {M: M, O: O, E: O, S: O, I: I}
+
+
+def test_read_kinds_are_the_non_invalidating_snoops():
+    assert READ_KINDS == {RS, RO}
+    assert not READ_KINDS & UNIQUE_KINDS
+
+
 # -- message types ------------------------------------------------------------
 
 def test_core_op_validation():
@@ -199,12 +263,3 @@ def test_snoop_request_rejects_non_snooping_kinds():
     SnoopRequest(RS, 0x40)
     with pytest.raises(ValueError):
         SnoopRequest(CoherentKind.WRITE_BACK, 0x40)
-
-
-def test_snoop_data_beats_round_trip():
-    from culsim.protocol import SnoopData
-
-    line = bytes(range(16))
-    beats = SnoopData.from_line(line)
-    assert len(beats.beats) == 4
-    assert beats.to_line() == line

@@ -2,8 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from culsim.protocol import LineState
+from culsim.protocol import LineState, must_retry, reissue_kind, take_ownership
 from culsim.verify import (
+    _KINDS,
+    _STATES,
+    _Machine,
     COHERENCE_LITMUS,
     CopyView,
     EXPECTED_INITIATOR_PAIRS,
@@ -207,6 +210,20 @@ def test_retry_rule_negative_control():
     )
     assert result.violations
     assert any(v.trace for v in result.violations)
+
+
+def test_machine_retry_tables_are_derived_from_protocol():
+    prog = [[("W", X, 1)], [("W", X, 2)]]
+    clean = _Machine(prog, ExploreConfig(n_cores=2))
+    for code, kind in enumerate(_KINDS):
+        for lost in (0, 1):
+            for seen in (0, 1):
+                retried = kind is not None and must_retry(kind, seen, lost)
+                want = _KINDS.index(reissue_kind(kind, lost)) if retried else 0
+                assert clean.retry[code][seen + 2 * lost] == want
+    assert [_STATES[c] for c in clean.take_owned] == [take_ownership(s) for s in _STATES]
+    disabled = _Machine(prog, ExploreConfig(n_cores=2, mutations=frozenset({"retry:disabled"})))
+    assert all(code == 0 for row in disabled.retry for code in row)
 
 
 def test_budget_exhaustion_is_flagged():
