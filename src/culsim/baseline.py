@@ -4,9 +4,10 @@ A deliberately simple MESI directory co-located with memory: requests
 indirect through the home node (three hops when an owner must forward),
 invalidations are sequential round-trips, and an owner downgraded by a
 read miss writes its dirty line back to memory. Per-hop latency equals
-the snoop model's snoop_hop and the directory pipeline reuses the same
-per-line serialization, so measured differences come from protocol
-structure rather than tuned constants.
+the snoop model's snoop_hop, and requests enter through the snoop
+model's `ccu.Decoder` (same mux, same per-line serialization, same
+stall count), so measured differences come from protocol structure
+rather than tuned constants.
 
 Instruction fetches are folded into the load path (no separate icache
 here); the cores, memory port, op accounting and run loop come from
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set
 
-from .ccu import ProtocolFault, mux_grant
+from .ccu import Decoder, ProtocolFault
 from .memsys import MemoryPort
 from .protocol import CoherentKind, CoreOp, LineState, OpKind, reissue_kind
 from .sim import Kernel, SimConfig
@@ -58,9 +59,7 @@ class DirectorySimulation(Kernel):
         super().__init__(config, monitor, coherent_ifetch=False)
         self.mem_port = MemoryPort(config.fifo_depths.writeback)
         self.directory: Dict[int, DirectoryEntry] = {}
-        self.pending: Dict[int, Tuple[int, int]] = {}  # core -> (arrival, addr)
-        self.last_granted = config.n_cores - 1
-        self.collision: Set[int] = set()
+        self.decoder = Decoder(config.n_cores, config.fifo_depths.collision_capacity)
         self.txns: List[_DirTxn] = []
 
     def _entry(self, addr: int) -> DirectoryEntry:
@@ -82,19 +81,11 @@ class DirectorySimulation(Kernel):
             self._progress = True
 
     def _accept(self, now: int) -> None:
-        ready = {c: a for c, (a, _) in self.pending.items() if a <= now}
-        if not ready:
+        granted = self.decoder.grant()
+        self.stats.ccu_collision_stalls = self.decoder.stalls
+        if granted is None:
             return
-        core = mux_grant(ready, self.last_granted, self.config.n_cores)
-        _, addr = self.pending[core]
-        if addr in self.collision or len(self.collision) >= (
-            self.config.fifo_depths.collision_capacity
-        ):
-            self.stats.ccu_collision_stalls += 1
-            return  # head-of-line: wait for the older transaction
-        self.last_granted = core
-        del self.pending[core]
-        self.collision.add(addr)
+        core, _, addr, _ = granted
         txn = _DirTxn(core=core, op=self.ports[core].current.kind, addr=addr)
         txn.plan.append(("delay", self.config.latencies.snoop_hop))  # requester -> home
         txn.plan.append(("delay", self.config.latencies.ccu_stage))  # directory lookup
@@ -219,7 +210,7 @@ class DirectorySimulation(Kernel):
         if txn.from_owner:
             self.stats.cores[core].snoop_served_misses += 1
             self.stats.cache_to_cache_transfers += 1
-        self.collision.discard(txn.addr)
+        self.decoder.release(txn.addr)
         self._retire_miss(core, now)
         return True
 
@@ -240,16 +231,16 @@ class DirectorySimulation(Kernel):
         if op.kind is OpKind.IFETCH:
             op = CoreOp(OpKind.LOAD, op.address)  # no separate icache here
         self._progress = True
-        if self._access(core, op, now) is not None:
-            self.pending[core] = (now, self.caches[core].miss.address)
+        result = self._access(core, op, now)
+        if result is not None:
+            self.decoder.submit(core, result.kind, self.caches[core].miss.address, now)
 
     def _busy(self) -> bool:
-        return bool(self.txns or self.pending) or self.mem_port.busy()
+        return bool(self.txns) or self.decoder.busy() or self.mem_port.busy()
 
     def _dump_lines(self) -> List[str]:
         txns = [(t.core, t.op.value, hex(t.addr), t.plan[0][0] if t.plan else None)
                 for t in self.txns]
-        return [
-            f"  directory: pending={self.pending} txns={txns} "
-            f"collision={sorted(self.collision)}"
-        ]
+        d = self.decoder
+        return [f"  directory: pending={d.pending} hold={d.hold} txns={txns} "
+                f"in_flight={sorted(d.in_flight)}"]

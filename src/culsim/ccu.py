@@ -1,11 +1,11 @@
 """Cache coherency unit.
 
 Routes non-coherent requests straight at the memory port, serializes
-coherent ones through a round-robin mux and a decoder guarded by a
-collision table (per-line mutual exclusion, pipelined across distinct
-lines), fans out snoops, aggregates CR responses in per-core FIFO order,
-buffers first-responder CD data, and drains write-backs to memory
-through the bounded FIFO of its memory port.
+coherent ones through the `Decoder` (round-robin mux and per-line mutual
+exclusion, pipelined across distinct lines; the directory shares it),
+fans out snoops, aggregates CR responses in per-core FIFO order, buffers
+first-responder CD data, and drains write-backs to memory through the
+bounded FIFO of its memory port.
 """
 from __future__ import annotations
 
@@ -81,29 +81,69 @@ class CcuTransaction:
         self.phase = phase
 
 
-class CollisionTable:
-    """Associative table of in-flight line addresses. A lookup hit (or a
-    full table) stalls the decoder until the older transaction is done.
-    Requests anywhere within an in-flight line collide with it."""
+def admits(line_in_flight: bool, n_in_flight: int, capacity: int) -> bool:
+    """The collision rule: a request enters only while no transaction on
+    its line is in flight and the table of in-flight lines has room."""
+    return not line_in_flight and n_in_flight < capacity
 
-    def __init__(self, capacity: int = 8, line_size: int = 1):
+
+class Decoder:
+    """Coherent request intake: at most one waiting request per core,
+    granted by `mux_grant`; a granted request is held until `admits`
+    lets it in, and every cycle it waits counts a stall."""
+
+    def __init__(self, n_cores: int, capacity: int):
+        self.n_cores = n_cores
         self.capacity = capacity
-        self.line_size = line_size
-        self.entries: set = set()
+        self.pending: Dict[int, tuple] = {}  # core -> (arrival, kind, line, from_icache)
+        self.hold: Optional[tuple] = None  # (core, kind, line, from_icache)
+        self.last_granted = n_cores - 1
+        self.in_flight: set = set()
+        self.stalls = 0
 
-    def _align(self, address: int) -> int:
-        return address - (address % self.line_size)
+    def submit(self, core: int, kind: CoherentKind, line: int, now: int,
+               from_icache: bool = False) -> None:
+        if core in self.pending:
+            raise ProtocolFault(f"core {core}: coherent request while one is pending")
+        self.pending[core] = (now, kind, line, from_icache)
 
-    def check(self, address: int) -> bool:
-        """True = proceed (address inserted), False = stall."""
-        line = self._align(address)
-        if line in self.entries or len(self.entries) >= self.capacity:
-            return False
-        self.entries.add(line)
-        return True
+    def reencode(self, core: int, kind: CoherentKind) -> bool:
+        """Change the kind of a core's request that has not entered yet
+        (a pending CleanUnique that lost its copy becomes ReadUnique).
+        False once the request has entered."""
+        if core in self.pending:
+            arrival, _, line, from_icache = self.pending[core]
+            self.pending[core] = (arrival, kind, line, from_icache)
+            return True
+        if self.hold is not None and self.hold[0] == core:
+            self.hold = (core, kind) + self.hold[2:]
+            return True
+        return False
 
-    def release(self, address: int) -> None:
-        self.entries.discard(self._align(address))
+    def grant(self) -> Optional[tuple]:
+        """The (core, kind, line, from_icache) request that enters now, or
+        None when none waits or the held one stalls; every waiting request
+        was submitted by now, so all of them compete."""
+        if self.hold is None:
+            if not self.pending:
+                return None
+            arrivals = {c: r[0] for c, r in self.pending.items()}
+            core = mux_grant(arrivals, self.last_granted, self.n_cores)
+            self.last_granted = core
+            self.hold = (core,) + self.pending.pop(core)[1:]
+        line = self.hold[2]
+        if not admits(line in self.in_flight, len(self.in_flight), self.capacity):
+            self.stalls += 1
+            return None
+        self.in_flight.add(line)
+        granted, self.hold = self.hold, None
+        return granted
+
+    def release(self, line: int) -> None:
+        self.in_flight.discard(line)
+
+    def busy(self) -> bool:
+        return bool(self.pending) or self.hold is not None
 
 
 class CrOrderFifo:
@@ -153,7 +193,6 @@ class Ccu:
     def __init__(
         self,
         n_cores: int,
-        line_size: int,
         coherent_ifetch: bool,
         ccu_stage: int = 1,
         snoop_hop: int = 1,
@@ -167,10 +206,7 @@ class Ccu:
         self.snoop_hop = snoop_hop
         self.serialize = serialize
 
-        self.pending: Dict[int, Tuple[int, CoherentKind, int, bool]] = {}
-        self.last_granted = n_cores - 1
-        self.hold: Optional[Tuple[int, CoherentKind, int, bool]] = None
-        self.collision = CollisionTable(collision_capacity, line_size)
+        self.decoder = Decoder(n_cores, collision_capacity)
         self.txns: Dict[int, CcuTransaction] = {}
         self.next_id = 0
         self.cr_fifo = CrOrderFifo(n_cores)
@@ -179,7 +215,6 @@ class Ccu:
         self.cr_inbox: Deque[tuple] = deque()  # (due, from_core, resp, data)
         self.r_outbox: List[Deque[Tuple[int, int]]] = [deque() for _ in range(n_cores)]
         self.mem_port = MemoryPort(wb_depth)
-        self.collision_stalls = 0
         self.c2c_transfers = 0
 
     # -- request intake ------------------------------------------------------
@@ -190,51 +225,24 @@ class Ccu:
         waits for the decoder, a non-coherent ifetch fill goes straight to
         the memory port. Write-backs bypass this path (mem_port.push_wb)."""
         if route(kind) is Path.COHERENT:
-            if core in self.pending:
-                raise ProtocolFault(f"core {core}: coherent request while one is pending")
-            self.pending[core] = (now, kind, address, from_icache)
+            self.decoder.submit(core, kind, address, now, from_icache)
         elif kind is CoherentKind.READ_NO_SNOOP:
             self.mem_port.read_queue.append((now + self.ccu_stage, address, ("nc", core)))
         else:
             raise ProtocolFault(f"core {core}: unexpected {kind.value} request")
 
-    def upgrade_pending(self, core: int, kind: CoherentKind) -> bool:
-        """Re-encode a core's coherent request while it still sits before
-        the decoder (used when a snoop invalidation hits a pending
-        CleanUnique, which then needs the data and becomes ReadUnique).
-        Returns False once the request has already been accepted."""
-        if core in self.pending:
-            arrival, _, address, from_icache = self.pending[core]
-            self.pending[core] = (arrival, kind, address, from_icache)
-            return True
-        if self.hold is not None and self.hold[0] == core:
-            _, _, address, from_icache = self.hold
-            self.hold = (core, kind, address, from_icache)
-            return True
-        return False
-
     # -- pipeline stages -------------------------------------------------------
 
     def decoder_step(self, now: int) -> Optional[CcuTransaction]:
-        """Grant at most one coherent request and run it through the
-        collision checker; a collision (or full table) holds the decoder."""
-        if self.hold is None:
-            if not self.pending:
-                return None
-            if self.serialize and self.txns:
-                return None
-            arrivals = {c: a for c, (a, _, _, _) in self.pending.items()}
-            ready = {c: a for c, a in arrivals.items() if a <= now}
-            if not ready:
-                return None
-            core = mux_grant(ready, self.last_granted, self.n_cores)
-            self.last_granted = core
-            self.hold = (core,) + self.pending.pop(core)[1:]
-        core, kind, address, from_icache = self.hold
-        if not self.collision.check(address):
-            self.collision_stalls += 1
+        """Let at most one coherent request through the Decoder and fan
+        out its snoops."""
+        decoder = self.decoder
+        if decoder.hold is None and (not decoder.pending or self.serialize and self.txns):
             return None
-        self.hold = None
+        granted = decoder.grant()
+        if granted is None:
+            return None
+        core, kind, address, from_icache = granted
         txn = CcuTransaction(id=self.next_id, initiator=core, kind=kind, address=address)
         self.next_id += 1
         self.txns[txn.id] = txn
@@ -306,13 +314,13 @@ class Ccu:
 
     def finish(self, txn_id: int) -> None:
         """Retire a transaction: the initiator consumed the R burst and
-        applied (or retried) the miss; the collision entry is released."""
+        applied (or retried) the miss; its line leaves the Decoder."""
         txn = self.txns.pop(txn_id)
         txn.advance(Phase.DONE)
         box = self.r_outbox[txn.initiator]
         if box and box[0][1] == txn_id:
             box.popleft()
-        self.collision.release(txn.address)
+        self.decoder.release(txn.address)
 
     def active_addresses(self) -> List[int]:
         return [t.address for t in self.txns.values()]
@@ -320,8 +328,7 @@ class Ccu:
     def busy(self) -> bool:
         return bool(
             self.txns
-            or self.pending
-            or self.hold
+            or self.decoder.busy()
             or self.mem_port.busy()
             or self.cr_inbox
             or any(self.ac_outbox)

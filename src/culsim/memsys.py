@@ -52,7 +52,7 @@ class MemoryModel:
         self.reads_by_line[address] = self.reads_by_line.get(address, 0) + 1
         return due
 
-    def write(self, address: int, data: bytes, now: int) -> None:
+    def write(self, address: int, data: bytes) -> None:
         """Issue a line write; contents update immediately."""
         self._check_aligned(address)
         if len(data) != self.line_size:
@@ -90,6 +90,11 @@ class MemoryModel:
             self.contents[addr] = data
 
 
+def fifo_full(queue, depth: int) -> bool:
+    """A bounded FIFO takes no entry once it holds `depth` of them."""
+    return len(queue) >= depth
+
+
 def read_waits(address, writebacks) -> bool:
     """A line read never passes a queued (address, data) write-back to it."""
     return any(a == address for a, _ in writebacks)
@@ -109,7 +114,7 @@ class MemoryPort:
         self.wb_depth = wb_depth
 
     def wb_full(self) -> bool:
-        return len(self.wb) >= self.wb_depth
+        return fifo_full(self.wb, self.wb_depth)
 
     def push_wb(self, address: int, data: bytes) -> bool:
         """Queue a write-back; False when the FIFO is full (caller stalls)."""
@@ -128,7 +133,7 @@ class MemoryPort:
                 return True
         if self.wb:
             address, data = self.wb.popleft()
-            mem.write(address, data, now)
+            mem.write(address, data)
             return True
         return False
 

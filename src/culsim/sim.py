@@ -6,10 +6,10 @@ SimStats. Runs are bit-for-bit deterministic for equal (config, streams).
 `Kernel` is the part the directory baseline shares: op issue and
 accounting, the run loop and watchdog, monitors and the final image.
 
-Component evaluation order within a cycle: snoop deliveries, cache
-controllers (in arbiter priority), CCU stages (decoder, snoop unit,
-memory unit), memory, stream issue — so coherency updates always land
-before the core requests of the same cycle.
+Component evaluation order within a cycle: cache controllers (in
+arbiter priority, snoops due at the head of the CCU's AC queues), CCU
+stages (decoder, snoop unit, memory unit), memory, stream issue — so
+coherency updates always land before the core requests of the same cycle.
 """
 from __future__ import annotations
 
@@ -60,7 +60,6 @@ class Latencies:
 @dataclass
 class FifoDepths:
     writeback: int = 4
-    handshake: int = 2
     collision_capacity: int = 8
 
 
@@ -89,7 +88,7 @@ class SimConfig:
         for name in ("l1_hit", "snoop_hop", "ccu_stage", "mem_read"):
             if getattr(self.latencies, name) < 1:
                 raise ConfigError(f"latencies.{name}: must be >= 1")
-        for name in ("writeback", "handshake", "collision_capacity"):
+        for name in ("writeback", "collision_capacity"):
             if getattr(self.fifo_depths, name) < 1:
                 raise ConfigError(f"fifo_depths.{name}: must be >= 1")
         if not 0 <= self.seed < 1 << 64:
@@ -439,14 +438,13 @@ def build(config: SimConfig, serialize: bool = False, monitor: bool = False) -> 
 
 
 class Simulation(Kernel):
-    """The snoop cluster: per-core snoop inboxes and the coherency unit."""
+    """The snoop cluster: the cores' cache controllers and the coherency unit."""
 
     def __init__(self, config: SimConfig, serialize: bool = False, monitor: bool = False):
         super().__init__(config, monitor, coherent_ifetch=config.coherent_ifetch)
         lat = config.latencies
         self.ccu = Ccu(
             n_cores=config.n_cores,
-            line_size=config.line_size,
             coherent_ifetch=config.coherent_ifetch,
             ccu_stage=lat.ccu_stage,
             snoop_hop=lat.snoop_hop,
@@ -455,12 +453,10 @@ class Simulation(Kernel):
             serialize=serialize,
         )
         self.mem_port = self.ccu.mem_port
-        self.ac_in: List[Deque[tuple]] = [deque() for _ in range(config.n_cores)]
 
     # -- per-cycle phases ------------------------------------------------------
 
     def _phases(self, now: int) -> None:
-        self._deliver_snoops(now)
         for core in range(self.config.n_cores):
             self._cache_controllers(core, now)
         if self.ccu.decoder_step(now) is not None:
@@ -470,16 +466,8 @@ class Simulation(Kernel):
         if self.ccu.memory_unit_step(now, self.mem):
             self._progress = True
         self._memory_phase(now)
-        self.stats.ccu_collision_stalls = self.ccu.collision_stalls
+        self.stats.ccu_collision_stalls = self.ccu.decoder.stalls
         self.stats.cache_to_cache_transfers = self.ccu.c2c_transfers
-
-    def _deliver_snoops(self, now: int) -> None:
-        depth = self.config.fifo_depths.handshake
-        for core in range(self.config.n_cores):
-            box = self.ccu.ac_outbox[core]
-            while box and box[0][0] <= now and len(self.ac_in[core]) < depth:
-                self.ac_in[core].append(box.popleft()[1:])
-                self._progress = True
 
     def _cache_controllers(self, core: int, now: int) -> None:
         cache = self.caches[core]
@@ -491,7 +479,8 @@ class Simulation(Kernel):
             candidates[RequesterId.MISS_HANDLER] = ("r", txn)
         elif port.nc_fill is not None:
             candidates[RequesterId.MISS_HANDLER] = ("nc", port.nc_fill)
-        if self.ac_in[core]:
+        acs = self.ccu.ac_outbox[core]
+        if acs and acs[0][0] <= now:
             candidates[RequesterId.SNOOP_CTRL] = ("snoop", None)
         op = port.current
         dcache_op = (
@@ -539,7 +528,7 @@ class Simulation(Kernel):
             self.ccu.submit(core, result.kind, ms.address, now, from_icache=ms.for_icache)
 
     def _process_snoop(self, core: int, now: int) -> None:
-        txn_id, req, probe_d, probe_i = self.ac_in[core].popleft()
+        _due, txn_id, req, probe_d, probe_i = self.ccu.ac_outbox[core].popleft()
         cache = self.caches[core]
         resp, data = cache.handle_snoop(req, probe_dcache=probe_d, probe_icache=probe_i)
         self.ccu.cr_inbox.append((now + self.config.latencies.snoop_hop, core, resp, data))
@@ -554,7 +543,7 @@ class Simulation(Kernel):
         ms = cache.miss
         if ms is not None and ms.invalidated_by_snoop:
             kind = reissue_kind(ms.kind, lost_copy=True)
-            if kind is not ms.kind and self.ccu.upgrade_pending(core, kind):
+            if kind is not ms.kind and self.ccu.decoder.reencode(core, kind):
                 ms.kind = kind
                 ms.invalidated_by_snoop = False
 
@@ -642,8 +631,8 @@ class Simulation(Kernel):
     def _dump_lines(self) -> List[str]:
         ccu = self.ccu
         txns = [(t.id, t.kind.value, hex(t.address), t.phase.name) for t in ccu.txns.values()]
+        d = ccu.decoder
         return [
-            f"  ccu: pending={ccu.pending} hold={ccu.hold} txns={txns} "
-            f"collision={sorted(ccu.collision.entries)} "
-            f"ac_in={[len(q) for q in self.ac_in]}"
+            f"  ccu: pending={d.pending} hold={d.hold} txns={txns} "
+            f"in_flight={sorted(d.in_flight)} ac_out={[len(q) for q in ccu.ac_outbox]}"
         ]

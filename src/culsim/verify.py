@@ -9,7 +9,8 @@ Three layers:
   checks the single-writer and data-value invariants in every reachable
   state. It is the oracle certifying the rules in `protocol` that the
   cycle simulator, the directory baseline and the explorer share: the
-  transition tables, `must_retry`, `reissue_kind` and `take_ownership`.
+  transition tables, `must_retry`, `reissue_kind` and `take_ownership`,
+  plus the Decoder's admission rule `ccu.admits`.
 * run_litmus / oracle_tables package the explorer into the coherence
   litmus suite and the exhaustive table-certification battery.
 
@@ -25,8 +26,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .ccu import decode_and_snoop
-from .memsys import read_waits
+from .ccu import admits, decode_and_snoop
+from .memsys import fifo_full, read_waits
 from .protocol import (
     CoherentKind,
     DIRTY_STATES,
@@ -325,6 +326,12 @@ class _Machine:
         )
         # take_owned[state] -> a local copy after a data-less dirty handoff
         self.take_owned = tuple(code_of_state[take_ownership(s)] for s in _STATES)
+        # admit[mask of lines in flight][line] -> the Decoder lets the miss in
+        self.admit = tuple(
+            tuple(admits(mask >> line & 1, _POPCOUNT[mask], self.cfg.collision_capacity)
+                  for line in (0, 1))
+            for mask in range(4)
+        )
 
         # fanout[core][kind] -> ((target, probe_d, probe_i), ...) in probe
         # order; an ifetch miss (ReadOnce) comes from the icache. The fan-out
@@ -421,11 +428,7 @@ class _Machine:
                 if state[at + _PC] < len(self.ops[core]):
                     out.append(self._issue(state, core))
             elif not state[at + _MF] & _ACCEPTED:
-                in_flight = state[self.coll_at]
-                if (
-                    not in_flight >> state[at + _ML] & 1
-                    and _POPCOUNT[in_flight] < self.cfg.collision_capacity
-                ):
+                if self.admit[state[self.coll_at]][state[at + _ML]]:
                     out.append(self._accept(state, core))
             elif state[at + _MM]:
                 mask = state[at + _MM]
@@ -557,7 +560,7 @@ class _Machine:
             # dirty holder) lands on the initiator's own copy as Owned
             if flags & _ANY_DIRTY:
                 if state[at + _MD] is not None:
-                    if len(wb) >= self.cfg.wb_depth:
+                    if fifo_full(wb, self.cfg.wb_depth):
                         return None
                     new[self.wb_at] = wb + ((line, state[at + _MD]),)
                 else:
@@ -609,7 +612,7 @@ class _Machine:
                     victim = resident[0]  # the lowest-address resident line
                     pos = self.dpos[core][victim]
                     if _IS_DIRTY[state[pos]]:
-                        if len(wb) >= self.cfg.wb_depth:
+                        if fifo_full(wb, self.cfg.wb_depth):
                             return None  # write-back FIFO full: install stalls
                         new[self.wb_at] = wb + ((victim, state[pos + 1]),)
                     new[pos], new[pos + 1] = _I, None

@@ -1,11 +1,12 @@
 """Cross-check of CacheModel's address index against a full scan of the
-way arrays, step by step, on tiny configurations of both models."""
+way arrays, step by step, on tiny configurations of both models with
+drawn latencies, write-back FIFO depth and collision capacity."""
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from culsim.baseline import DirectorySimulation
 from culsim.protocol import CoreOp, OpKind
-from culsim.sim import SimConfig, build
+from culsim.sim import FifoDepths, Latencies, SimConfig, build
 
 LINE = 16
 LINES = [0x1000 + i * LINE for i in range(10)]
@@ -55,6 +56,17 @@ def runs(draw):
         cache_size=draw(st.sampled_from([32, 64, 128])),
         ways=ways,
         coherent_ifetch=draw(st.booleans()),
+        latencies=Latencies(
+            l1_hit=draw(st.integers(1, 3)),
+            snoop_hop=draw(st.integers(1, 3)),
+            ccu_stage=draw(st.integers(1, 3)),
+            mem_read=draw(st.integers(1, 20)),
+        ),
+        # capacity 1 makes both models stall in the shared Decoder
+        fifo_depths=FifoDepths(
+            writeback=draw(st.integers(1, 2)),
+            collision_capacity=draw(st.sampled_from([1, 2, 8])),
+        ),
     )
     streams = [draw(st.lists(ops, max_size=12)) for _ in range(cfg.n_cores)]
     return cfg, streams

@@ -2,10 +2,11 @@ import pytest
 
 from culsim.ccu import (
     Ccu,
-    CollisionTable,
     CrOrderFifo,
+    Decoder,
     Path,
     ProtocolFault,
+    admits,
     decode_and_snoop,
     mux_grant,
     route,
@@ -78,33 +79,56 @@ def test_round_robin_fairness_equal_arrivals():
     assert max(counts) - min(counts) <= 1
 
 
-# -- collision table ----------------------------------------------------------------
+# -- decoder and collision rule --------------------------------------------------------
+
+def test_admits_only_a_free_line_while_the_table_has_room():
+    assert admits(False, 0, 1)
+    assert not admits(True, 1, 8)  # same line in flight
+    assert not admits(False, 2, 2)  # table full
+
 
 def test_collision_empty_proceeds_and_inserts():
-    table = CollisionTable()
-    assert table.check(0x40)
-    assert 0x40 in table.entries
+    decoder = Decoder(n_cores=2, capacity=8)
+    decoder.submit(0, RS, 0x40, now=0)
+    assert decoder.grant() == (0, RS, 0x40, False)
+    assert 0x40 in decoder.in_flight
+    assert not decoder.busy()
 
 
 def test_collision_same_line_stalls():
-    table = CollisionTable(line_size=16)
-    table.check(0x40)
-    assert not table.check(0x40)
-    assert not table.check(0x44)  # same 16-byte line
+    decoder = Decoder(n_cores=2, capacity=8)
+    decoder.submit(0, RS, 0x40, now=0)
+    decoder.grant()
+    decoder.submit(1, RU, 0x40, now=1)
+    assert decoder.grant() is None
+    assert decoder.hold == (1, RU, 0x40, False) and decoder.stalls == 1
+    decoder.release(0x40)
+    assert decoder.grant() == (1, RU, 0x40, False)
 
 
 def test_collision_distinct_lines_proceed():
-    table = CollisionTable(line_size=16)
-    table.check(0x40)
-    assert table.check(0x50)
+    decoder = Decoder(n_cores=2, capacity=8)
+    decoder.submit(0, RS, 0x40, now=0)
+    decoder.submit(1, RS, 0x50, now=0)
+    assert decoder.grant() is not None
+    assert decoder.grant() is not None
 
 
 def test_collision_full_table_stalls():
-    table = CollisionTable(capacity=2)
-    assert table.check(0x00) and table.check(0x10)
-    assert not table.check(0x20)
-    table.release(0x00)
-    assert table.check(0x20)
+    decoder = Decoder(n_cores=3, capacity=2)
+    for core, line in enumerate((0x00, 0x10, 0x20)):
+        decoder.submit(core, RS, line, now=0)
+    assert decoder.grant() and decoder.grant()
+    assert decoder.grant() is None
+    decoder.release(0x00)
+    assert decoder.grant() == (2, RS, 0x20, False)
+
+
+def test_decoder_refuses_a_second_request_from_one_core():
+    decoder = Decoder(n_cores=2, capacity=8)
+    decoder.submit(0, RS, 0x40, now=0)
+    with pytest.raises(ProtocolFault, match="pending"):
+        decoder.submit(0, RS, 0x80, now=1)
 
 
 # -- CR order fifo --------------------------------------------------------------------
@@ -150,7 +174,6 @@ def test_read_once_probes_own_dcache():
 
 def make_ccu(**kw):
     kw.setdefault("n_cores", 2)
-    kw.setdefault("line_size", 16)
     kw.setdefault("coherent_ifetch", False)
     return Ccu(**kw)
 
@@ -172,7 +195,7 @@ def test_decoder_serializes_same_line():
     first = ccu.decoder_step(0)
     assert first is not None
     assert ccu.decoder_step(1) is None  # collision holds the second
-    assert ccu.collision_stalls >= 1
+    assert ccu.decoder.stalls >= 1
     ccu.finish(first.id)
     assert ccu.decoder_step(2) is not None
 
@@ -265,11 +288,21 @@ def test_submit_refuses_kinds_no_cache_sends(kind):
     assert not ccu.busy()
 
 
-def test_upgrade_pending_rewrites_before_acceptance_only():
+def test_reencode_rewrites_before_acceptance_only():
     ccu = make_ccu()
     ccu.submit(0, CU, 0x40, now=0)
-    assert ccu.upgrade_pending(0, RU)
-    assert ccu.pending[0][1] is RU
+    assert ccu.decoder.reencode(0, RU)
+    assert ccu.decoder.pending[0][1] is RU
     txn = ccu.decoder_step(0)
     assert txn.kind is RU
-    assert not ccu.upgrade_pending(0, CU)  # already accepted
+    assert not ccu.decoder.reencode(0, CU)  # already accepted
+
+
+def test_reencode_rewrites_a_held_request():
+    ccu = make_ccu()
+    ccu.submit(0, RS, 0x40, now=0)
+    ccu.decoder_step(0)
+    ccu.submit(1, CU, 0x40, now=0)
+    assert ccu.decoder_step(1) is None  # held behind core 0's transaction
+    assert ccu.decoder.reencode(1, RU)
+    assert ccu.decoder.hold == (1, RU, 0x40, False)

@@ -22,7 +22,7 @@ def test_read_latency_timing():
 def test_write_then_read_same_line_observes_the_write():
     mem = MemoryModel(16)
     payload = bytes(range(16))
-    mem.write(0x40, payload, now=0)
+    mem.write(0x40, payload)
     mem.read(0x40, now=0, tag=None)
     ((_, _, data),) = mem.take_completions(100)
     assert data == payload
@@ -30,15 +30,15 @@ def test_write_then_read_same_line_observes_the_write():
 
 def test_two_writes_last_one_wins():
     mem = MemoryModel(16)
-    mem.write(0x40, bytes([1]) * 16, now=0)
-    mem.write(0x40, bytes([2]) * 16, now=1)
+    mem.write(0x40, bytes([1]) * 16)
+    mem.write(0x40, bytes([2]) * 16)
     assert mem.peek(0x40) == bytes([2]) * 16
 
 
 def test_independent_lines_do_not_interfere():
     mem = MemoryModel(16)
-    mem.write(0x40, bytes([1]) * 16, now=0)
-    mem.write(0x80, bytes([2]) * 16, now=0)
+    mem.write(0x40, bytes([1]) * 16)
+    mem.write(0x80, bytes([2]) * 16)
     assert mem.peek(0x40) != mem.peek(0x80)
 
 
@@ -47,13 +47,13 @@ def test_misaligned_access_faults():
     with pytest.raises(MemoryFault):
         mem.read(0x41, 0, None)
     with pytest.raises(MemoryFault):
-        mem.write(0x44, bytes(16), 0)
+        mem.write(0x44, bytes(16))
 
 
 def test_wrong_sized_write_faults():
     mem = MemoryModel(16)
     with pytest.raises(MemoryFault):
-        mem.write(0x40, bytes(8), 0)
+        mem.write(0x40, bytes(8))
 
 
 def test_read_counters_track_lines():

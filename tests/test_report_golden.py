@@ -22,7 +22,6 @@ TINY_CONFIG = """\
 cache_size = 64
 ways = 2
 fifo_depths.writeback = 1
-fifo_depths.handshake = 1
 fifo_depths.collision_capacity = 1
 latencies.mem_read = 1
 """

@@ -77,6 +77,8 @@ def test_parse_config_rejects_unknown_keys():
         parse_config("latencies.bogus = 1\n")
     with pytest.raises(ConfigError, match="unknown key 'latencies.mem_write'"):
         parse_config("latencies.mem_write = 20\n")  # removed: it never changed a cycle
+    with pytest.raises(ConfigError, match="unknown key 'fifo_depths.handshake'"):
+        parse_config("fifo_depths.handshake = 2\n")  # removed: it never changed a cycle
 
 
 # -- basic runs -----------------------------------------------------------------
@@ -289,8 +291,8 @@ def test_monitors_catch_a_corrupted_snoopee_table(monkeypatch):
 
 def test_watchdog_detects_wedged_pipeline():
     sim = build(SimConfig())
-    # poison the collision table so the decoder can never accept the request
-    sim.ccu.collision.entries.add(0x100)
+    # poison the decoder so it can never admit the request
+    sim.ccu.decoder.in_flight.add(0x100)
     with pytest.raises(DeadlockError, match="no forward progress"):
         sim.run([loads(0x100), []], watchdog=50)
 

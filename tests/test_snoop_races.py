@@ -1,0 +1,51 @@
+"""Which snoop races the snoop model can reach, over the stress configs
+of `test_cache_index.runs`.
+
+The Decoder admits one transaction per line, so once a core's miss has
+entered, the only snoop that reaches it for that line is its own
+sibling probe: every race with another core's transaction happens while
+the miss still waits before the Decoder. There a CleanUnique that lost
+its copy is always re-encoded. This is the evidence behind the open
+question whether the completion-time retry is needed for coherence.
+"""
+from hypothesis import HealthCheck, given, settings
+
+from culsim.sim import build
+from test_cache_index import runs
+
+
+def watched(sim):
+    """Check every snoop as it is taken; record every re-encode answer."""
+    ccu = sim.ccu
+    process_snoop = sim._process_snoop
+    reencode = ccu.decoder.reencode
+    answers = []
+
+    def checked_snoop(core, now):
+        _due, txn_id, req, _probe_d, _probe_i = ccu.ac_outbox[core][0]
+        for txn in ccu.txns.values():
+            if txn.initiator == core and txn.address == req.address:
+                assert txn.id == txn_id, (
+                    f"cycle {now}: txn {txn_id} snoops core {core} on {req.address:#x} "
+                    f"while the core's own txn {txn.id} is in flight"
+                )
+        process_snoop(core, now)
+
+    def recorded_reencode(core, kind):
+        answers.append(reencode(core, kind))
+        return answers[-1]
+
+    sim._process_snoop = checked_snoop
+    ccu.decoder.reencode = recorded_reencode
+    return answers
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(runs())
+def test_no_foreign_snoop_reaches_an_entered_miss(run):
+    cfg, streams = run
+    for serialize in (False, True):
+        sim = build(cfg, serialize=serialize)
+        answers = watched(sim)
+        sim.run([list(s) for s in streams])
+        assert all(answers), "a re-encode came after the request had entered"
