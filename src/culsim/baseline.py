@@ -238,6 +238,15 @@ class DirectorySimulation(Kernel):
     def _busy(self) -> bool:
         return bool(self.txns) or self.decoder.busy() or self.mem_port.busy()
 
+    def _next_event(self, now: int, limit: int) -> int:
+        if self.decoder.can_grant():
+            return now
+        t = limit
+        for txn in self.txns:
+            if not txn.mem_wait and txn.wait_until < t:
+                t = txn.wait_until
+        return super()._next_event(now, t)
+
     def _dump_lines(self) -> List[str]:
         txns = [(t.core, t.op.value, hex(t.addr), t.plan[0][0] if t.plan else None)
                 for t in self.txns]

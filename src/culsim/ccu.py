@@ -73,7 +73,6 @@ class CcuTransaction:
     any_pass_dirty: int = 0
     data: Optional[bytes] = None
     data_source: Optional[int] = None  # first responding core, None = memory/no data
-    r_scheduled: bool = False
 
     def advance(self, phase: Phase) -> None:
         if phase.value < self.phase.value:
@@ -138,6 +137,13 @@ class Decoder:
         self.in_flight.add(line)
         granted, self.hold = self.hold, None
         return granted
+
+    def can_grant(self) -> bool:
+        """True when `grant` would do more than count a stall: a request
+        waits for the mux, or the held one may enter."""
+        if self.hold is None:
+            return bool(self.pending)
+        return admits(self.hold[2] in self.in_flight, len(self.in_flight), self.capacity)
 
     def release(self, line: int) -> None:
         self.in_flight.discard(line)
@@ -213,6 +219,9 @@ class Ccu:
         # (due, txn_id, request, probe_d, probe_i) awaiting delivery per core
         self.ac_outbox: List[Deque[tuple]] = [deque() for _ in range(n_cores)]
         self.cr_inbox: Deque[tuple] = deque()  # (due, from_core, resp, data)
+        # transactions that completion_step moves on next: all CRs in, or
+        # their memory data arrived
+        self.ready: List[CcuTransaction] = []
         self.r_outbox: List[Deque[Tuple[int, int]]] = [deque() for _ in range(n_cores)]
         self.mem_port = MemoryPort(wb_depth)
         self.c2c_transfers = 0
@@ -237,7 +246,7 @@ class Ccu:
         """Let at most one coherent request through the Decoder and fan
         out its snoops."""
         decoder = self.decoder
-        if decoder.hold is None and (not decoder.pending or self.serialize and self.txns):
+        if decoder.hold is None and not self.can_grant():
             return None
         granted = decoder.grant()
         if granted is None:
@@ -257,6 +266,14 @@ class Ccu:
         txn.advance(Phase.SNOOPING)
         return txn
 
+    def can_grant(self) -> bool:
+        """True when decoder_step would do more than count a stall; in
+        serialized mode no new request is muxed while a transaction is in
+        flight."""
+        if self.decoder.hold is None and self.serialize and self.txns:
+            return False
+        return self.decoder.can_grant()
+
     def collect_cr(self, from_core: int, resp: SnoopResponse,
                    data: Optional[bytes]) -> CcuTransaction:
         """Attribute one CR (+CD) to the transaction at the head of that
@@ -272,6 +289,7 @@ class Ccu:
             txn.data_source = from_core
         if txn.cr_pending == 0:
             txn.advance(Phase.RESPONDING)
+            self.ready.append(txn)
         return txn
 
     def snoop_unit_step(self, now: int) -> None:
@@ -280,21 +298,22 @@ class Ccu:
             self.collect_cr(from_core, resp, data)
 
     def completion_step(self, now: int) -> None:
-        """Move fully-responded transactions toward the R channel: snoop
-        data is forwarded directly (no memory read); transactions with no
-        responder data fetch the line from memory first."""
-        for txn in list(self.txns.values()):
-            if txn.r_scheduled or txn.cr_pending > 0 or txn.phase is Phase.SNOOPING:
-                continue
-            needs_data = txn.kind in DATA_KINDS
-            if needs_data and txn.data is None:
-                if txn.phase is not Phase.MEM_ACCESS:
-                    txn.advance(Phase.MEM_ACCESS)
-                    self.mem_port.read_queue.append((now, txn.address, ("txn", txn.id)))
+        """Move ready transactions toward the R channel, in id order:
+        snoop data is forwarded directly (no memory read); transactions
+        with no responder data fetch the line from memory first."""
+        ready = self.ready
+        if not ready:
+            return
+        self.ready = []
+        if len(ready) > 1:
+            ready.sort(key=lambda t: t.id)
+        for txn in ready:
+            if txn.kind in DATA_KINDS and txn.data is None:
+                txn.advance(Phase.MEM_ACCESS)
+                self.mem_port.read_queue.append((now, txn.address, ("txn", txn.id)))
                 continue
             if txn.data_source is not None:
                 self.c2c_transfers += 1
-            txn.r_scheduled = True
             self.r_outbox[txn.initiator].append((now + self.ccu_stage, txn.id))
 
     def memory_unit_step(self, now: int, mem) -> bool:
@@ -304,6 +323,7 @@ class Ccu:
     def memory_data(self, txn_id: int, data: bytes) -> None:
         txn = self.txns[txn_id]
         txn.data = bytes(data)
+        self.ready.append(txn)
 
     def take_r(self, core: int, now: int) -> Optional[CcuTransaction]:
         """Transaction whose R burst is at the initiator this cycle, if any."""

@@ -240,11 +240,14 @@ def run_experiment(args) -> int:
                 "snoop": snoop_stats.to_dict(),
                 "directory": dir_stats.to_dict(),
             }
-            ratio = Fraction(dir_stats.cycles, snoop_stats.cycles)
+            ratio = (
+                _format_fraction(Fraction(dir_stats.cycles, snoop_stats.cycles))
+                if snoop_stats.cycles else None  # no ops: nothing to compare
+            )
             report["comparison"] = {
                 "snoop_cycles": snoop_stats.cycles,
                 "directory_cycles": dir_stats.cycles,
-                "directory_over_snoop_cycles": _format_fraction(ratio),
+                "directory_over_snoop_cycles": ratio,
                 "final_images_equal": snoop_image == dir_image,
             }
             report["final_memory"] = _image_hex(snoop_image)

@@ -21,8 +21,9 @@ class MemoryModel:
         self.line_size = line_size
         self.read_latency = read_latency
         self.contents: Dict[int, bytes] = {}
-        # (due_cycle, tag, addr, data) for reads awaiting their response
-        self.inflight: List[Tuple[int, object, int, bytes]] = []
+        # (due_cycle, tag, addr, data) for reads awaiting their response;
+        # the latency is fixed, so issue order is due order
+        self.inflight: Deque[Tuple[int, object, int, bytes]] = deque()
         self.reads = 0
         self.writes = 0
         self.reads_by_line: Dict[int, int] = {}
@@ -62,9 +63,11 @@ class MemoryModel:
 
     def take_completions(self, now: int) -> List[Tuple[object, int, bytes]]:
         """Pop all read responses due at or before `now`, in issue order."""
-        done = [(tag, addr, data) for (due, tag, addr, data) in self.inflight if due <= now]
-        if done:
-            self.inflight = [e for e in self.inflight if e[0] > now]
+        inflight = self.inflight
+        done = []
+        while inflight and inflight[0][0] <= now:
+            _due, tag, addr, data = inflight.popleft()
+            done.append((tag, addr, data))
         return done
 
     def busy(self) -> bool:

@@ -1,10 +1,16 @@
 """Cycle-driven simulation kernel.
 
 Instantiates N cores' caches, the coherency unit and the backing store
-from a SimConfig, advances everything one cycle at a time and collects
+from a SimConfig, advances everything cycle by cycle and collects
 SimStats. Runs are bit-for-bit deterministic for equal (config, streams).
 `Kernel` is the part the directory baseline shares: op issue and
 accounting, the run loop and watchdog, monitors and the final image.
+
+`step()` advances exactly one cycle. `run()` also skips the cycles in
+which no phase can act: after a step that made no progress it jumps
+`cycle` to the earliest due time of any queue (or the watchdog
+deadline) and adds the skipped span to the stall counters in bulk, so
+every count and the trip cycle of a deadlock match a cycle-by-cycle run.
 
 Component evaluation order within a cycle: cache controllers (in
 arbiter priority, snoops due at the head of the CCU's AC queues), CCU
@@ -28,7 +34,7 @@ from .cache import (
     requester_for_port,
     word_at,
 )
-from .ccu import Ccu, ProtocolFault
+from .ccu import Ccu, Decoder, ProtocolFault
 from .memsys import MemoryModel, MemoryPort
 from .protocol import (
     CoreOp,
@@ -234,11 +240,14 @@ class Kernel:
     per-cycle bookkeeping, the run loop with its watchdog, and the
     invariant monitors. A model supplies its coherence fabric as
     `_phases` (everything of a cycle before stream issue), its pending
-    work (memory port included) as `_busy`, dirty data outside the
-    caches as `_in_flight_copies` and its own state as `_dump_lines`;
-    it sets `mem_port` to the MemoryPort in front of `mem`."""
+    work (memory port included) as `_busy`, the due times of its queues
+    as `_next_event`, dirty data outside the caches as
+    `_in_flight_copies` and its own state as `_dump_lines`; it sets
+    `mem_port` to the MemoryPort in front of `mem` and `decoder` to its
+    request Decoder."""
 
     mem_port: MemoryPort
+    decoder: Decoder
 
     def __init__(self, config: SimConfig, monitor: bool, coherent_ifetch: bool):
         config.validate()
@@ -388,6 +397,46 @@ class Kernel:
         )
         return "\n".join(lines)
 
+    # -- time advance ------------------------------------------------------------
+
+    def _next_event(self, now: int, limit: int) -> int:
+        """Earliest cycle in [now, limit] in which a phase can act, given
+        the state at the start of cycle `now` (any state, not only one
+        left by an idle step); a model adds its fabric's queues and
+        passes its bound on here."""
+        if self.mem_port.wb:
+            return now
+        t = limit
+        reads = self.mem_port.read_queue
+        if reads and reads[0][0] < t:
+            t = reads[0][0]
+        inflight = self.mem.inflight
+        if inflight and inflight[0][0] < t:
+            t = inflight[0][0]
+        for port in self.ports:
+            if port.current is None:
+                if port.stream and port.ready_at < t:
+                    t = port.ready_at
+            elif not port.waiting_miss:
+                return now
+        return t if t > now else now
+
+    def _skip_idle(self, limit: int) -> None:
+        """Jump to the next cycle in which something can act, at most to
+        `limit`, counting the skipped cycles' stalls as steps would."""
+        now = self.cycle
+        t = self._next_event(now, limit)
+        if t <= now or t == limit and not self._work_remaining():
+            return  # something acts now, or the run has drained
+        span = t - now
+        for core, port in enumerate(self.ports):
+            if port.current is not None:
+                self.stats.cores[core].stall_cycles += span
+        if self.decoder.hold is not None:  # it cannot enter before t
+            self.decoder.stalls += span
+            self.stats.ccu_collision_stalls = self.decoder.stalls
+        self.cycle = self.stats.cycles = t
+
     # -- driving ---------------------------------------------------------------
 
     def _work_remaining(self) -> bool:
@@ -398,7 +447,8 @@ class Kernel:
         )
 
     def run(self, streams: List[List[CoreOp]], watchdog: int = 10000) -> SimStats:
-        """Feed per-core op streams and advance until everything drains."""
+        """Feed per-core op streams and advance until everything drains,
+        skipping cycles in which nothing can act."""
         if watchdog < 1:
             raise ConfigError(f"watchdog: {watchdog} must be >= 1")
         if len(streams) != self.config.n_cores:
@@ -410,6 +460,8 @@ class Kernel:
         self._last_progress = self.cycle
         while self._work_remaining():
             self.step()
+            if not self._progress:
+                self._skip_idle(self._last_progress + watchdog + 1)
             if self.cycle - self._last_progress > watchdog:
                 raise DeadlockError(
                     f"no forward progress for {watchdog} cycles\n" + self._dump_state()
@@ -453,6 +505,7 @@ class Simulation(Kernel):
             serialize=serialize,
         )
         self.mem_port = self.ccu.mem_port
+        self.decoder = self.ccu.decoder
 
     # -- per-cycle phases ------------------------------------------------------
 
@@ -470,8 +523,17 @@ class Simulation(Kernel):
         self.stats.cache_to_cache_transfers = self.ccu.c2c_transfers
 
     def _cache_controllers(self, core: int, now: int) -> None:
-        cache = self.caches[core]
         port = self.ports[core]
+        rs = self.ccu.r_outbox[core]
+        acs = self.ccu.ac_outbox[core]
+        if (
+            (port.current is None or port.waiting_miss)
+            and port.nc_fill is None
+            and not (rs and rs[0][0] <= now)
+            and not (acs and acs[0][0] <= now)
+        ):
+            return
+        cache = self.caches[core]
         candidates = {}
 
         txn = self.ccu.take_r(core, now)
@@ -479,7 +541,6 @@ class Simulation(Kernel):
             candidates[RequesterId.MISS_HANDLER] = ("r", txn)
         elif port.nc_fill is not None:
             candidates[RequesterId.MISS_HANDLER] = ("nc", port.nc_fill)
-        acs = self.ccu.ac_outbox[core]
         if acs and acs[0][0] <= now:
             candidates[RequesterId.SNOOP_CTRL] = ("snoop", None)
         op = port.current
@@ -595,6 +656,23 @@ class Simulation(Kernel):
 
     def _busy(self) -> bool:
         return self.ccu.busy()
+
+    def _next_event(self, now: int, limit: int) -> int:
+        ccu = self.ccu
+        if ccu.ready:
+            return now
+        if ccu.can_grant():
+            return now
+        t = limit
+        for core, port in enumerate(self.ports):
+            if port.nc_fill is not None:
+                return now
+            for box in (ccu.r_outbox[core], ccu.ac_outbox[core]):
+                if box and box[0][0] < t:
+                    t = box[0][0]
+        if ccu.cr_inbox and ccu.cr_inbox[0][0] < t:
+            t = ccu.cr_inbox[0][0]
+        return super()._next_event(now, t)
 
     # -- monitors / inspection ------------------------------------------------
 

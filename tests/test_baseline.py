@@ -202,6 +202,8 @@ def test_watchdog_dumps_the_directory_state():
     cfg.latencies.mem_read = 20
     with pytest.raises(DeadlockError, match="no forward progress for 1 cycles") as exc:
         DirectorySimulation(cfg).run([loads(0x100), []], watchdog=1)
+    # last progress at cycle 5 (the memory read issued); trip at 5 + 1 + 1
+    assert str(exc.value).splitlines()[1] == "cycle 7"
     assert "core 0: current=" in str(exc.value)
     assert "core 1: current=None" in str(exc.value)
 

@@ -242,6 +242,24 @@ def test_collect_cr_all_deny_leaves_no_source():
     assert txn.data_source is None and txn.data is None
 
 
+def test_transactions_ready_in_one_cycle_move_on_in_id_order():
+    ccu = make_ccu()
+    ccu.submit(0, RS, 0x40, now=0)
+    ccu.submit(1, RS, 0x80, now=0)
+    first, second = ccu.decoder_step(0), ccu.decoder_step(1)
+    assert (first.id, second.id) == (0, 1)
+    ccu.collect_cr(0, SnoopResponse(), None)  # core 0 answers the second one first
+    ccu.collect_cr(1, SnoopResponse(), None)
+    ccu.completion_step(5)
+    assert [tag for _, _, tag in ccu.mem_port.read_queue] == [("txn", 0), ("txn", 1)]
+    ccu.memory_data(1, bytes([1]) * 16)  # and the data arrive in reverse too
+    ccu.memory_data(0, bytes([2]) * 16)
+    ccu.completion_step(30)
+    assert [list(box) for box in ccu.r_outbox] == [[(31, 0)], [(31, 1)]]
+    assert ccu.take_r(0, 31) is first and ccu.take_r(1, 31) is second
+    assert first.data == bytes([2]) * 16
+
+
 def test_unmatched_cr_is_protocol_fault():
     ccu = make_ccu()
     with pytest.raises(ProtocolFault):

@@ -141,6 +141,23 @@ def test_both_model_report_contains_comparison(tmp_path):
     assert float(comp["directory_over_snoop_cycles"]) > 1.0
 
 
+@pytest.mark.parametrize("source", ["ops", "trace"])
+def test_both_models_with_no_ops_report_no_ratio(tmp_path, source):
+    if source == "ops":
+        flags = ("--ops", "0")
+    else:
+        trace = tmp_path / "empty.txt"
+        trace.write_text("")
+        flags = ("--trace", str(trace))
+    report = tmp_path / "r.json"
+    code = run_cli("run", "--model", "both", *flags, "--report", str(report))
+    assert code == EXIT_OK
+    comp = json.loads(report.read_text())["comparison"]
+    assert comp["snoop_cycles"] == comp["directory_cycles"] == 0
+    assert comp["directory_over_snoop_cycles"] is None
+    assert comp["final_images_equal"] is True
+
+
 def test_config_file_and_env_seed(tmp_path, monkeypatch):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("n_cores = 3\nlatencies.mem_read = 5\n")

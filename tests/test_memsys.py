@@ -19,6 +19,18 @@ def test_read_latency_timing():
     assert len(mem.take_completions(30)) == 1
 
 
+def test_take_completions_returns_due_reads_in_issue_order():
+    mem = MemoryModel(16, read_latency=5)
+    mem.read(0x40, now=0, tag="a")
+    mem.read(0x80, now=1, tag="b")
+    mem.read(0xC0, now=3, tag="c")
+    assert [tag for tag, _, _ in mem.take_completions(6)] == ["a", "b"]
+    assert [tag for _, tag, _, _ in mem.inflight] == ["c"]  # not yet due: stays
+    assert mem.take_completions(7) == []
+    assert [tag for tag, _, _ in mem.take_completions(8)] == ["c"]
+    assert not mem.busy()
+
+
 def test_write_then_read_same_line_observes_the_write():
     mem = MemoryModel(16)
     payload = bytes(range(16))

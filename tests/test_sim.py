@@ -293,8 +293,13 @@ def test_watchdog_detects_wedged_pipeline():
     sim = build(SimConfig())
     # poison the decoder so it can never admit the request
     sim.ccu.decoder.in_flight.add(0x100)
-    with pytest.raises(DeadlockError, match="no forward progress"):
+    with pytest.raises(DeadlockError, match="no forward progress") as exc:
         sim.run([loads(0x100), []], watchdog=50)
+    # the last progress was the miss's submit at cycle 1: the trip comes
+    # at 1 + 50 + 1, whether or not the idle cycles were stepped
+    assert str(exc.value).splitlines()[1] == "cycle 52"
+    assert sim.stats.ccu_collision_stalls == 51
+    assert sim.stats.cores[0].stall_cycles == 52
 
 
 def test_run_requires_one_stream_per_core():
