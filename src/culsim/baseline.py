@@ -23,7 +23,7 @@ from typing import Deque, Dict, List, Optional, Set
 
 from .ccu import Decoder, ProtocolFault
 from .memsys import MemoryPort
-from .protocol import CoherentKind, CoreOp, LineState, OpKind, reissue_kind
+from .protocol import CoherentKind, CoreOp, LineState, OpKind
 from .sim import Kernel, SimConfig
 
 
@@ -126,7 +126,7 @@ class DirectorySimulation(Kernel):
         hop = self.config.latencies.snoop_hop
         ms = cache.miss
         # an upgrade whose copy was invalidated in the meantime needs data
-        ms.kind = reissue_kind(ms.kind, lost_copy=cache.lookup(txn.addr) is None)
+        ms.kind = cache.tables.retry[ms.kind, False, cache.lookup(txn.addr) is None] or ms.kind
         upgrade = ms.kind is CoherentKind.CLEAN_UNIQUE and txn.core in entry.sharers
         if txn.op is OpKind.STORE:
             if entry.state == "OwnedBy" and entry.owner != txn.core:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple, Union
 
+from . import protocol
 from .protocol import (
     CoherentKind,
     CoreOp,
@@ -28,11 +29,6 @@ from .protocol import (
     SnoopRequest,
     SnoopResponse,
     UNIQUE_KINDS,
-    initiator_action,
-    must_retry,
-    reissue_kind,
-    snoopee_transition,
-    take_ownership,
 )
 
 WORD_BYTES = 4
@@ -131,7 +127,8 @@ class Retry:
 
 
 class CacheModel:
-    """One core's cache subsystem (data cache + optional coherent icache)."""
+    """One core's cache subsystem (data cache + optional coherent icache).
+    It indexes the `protocol.TABLES` in place when it was built."""
 
     def __init__(
         self,
@@ -162,6 +159,7 @@ class CacheModel:
         self.rr: List[int] = [0] * self.n_sets
         self.irr: List[int] = [0] * self.n_sets
         self.miss: Optional[MissStatus] = None
+        self.tables = protocol.TABLES
 
     # -- address helpers ------------------------------------------------
 
@@ -197,7 +195,7 @@ class CacheModel:
             raise RuntimeError(f"core {self.core_id}: second outstanding miss")
         hit = self.lookup(op.address)
         state = hit[1].state if hit else LineState.INVALID
-        action = initiator_action(state, op.kind)
+        action = self.tables.initiator[state, op.kind]
         if isinstance(action, Hit):
             line = hit[1]
             line.state = action.next
@@ -241,7 +239,7 @@ class CacheModel:
         if probe_dcache:
             hit = self.lookup(req.address)
             state = hit[1].state if hit else LineState.INVALID
-            nxt, resp = snoopee_transition(state, req.kind)
+            nxt, resp = self.tables.snoopee[state, req.kind]
             if hit:
                 line = hit[1]
                 if resp.data_transfer:
@@ -253,7 +251,7 @@ class CacheModel:
         if probe_icache and self.coherent_ifetch:
             ihit = self.lookup(req.address, icache=True)
             istate = ihit[1].state if ihit else LineState.INVALID
-            inxt, iresp = snoopee_transition(istate, req.kind)
+            inxt, iresp = self.tables.snoopee[istate, req.kind]
             if ihit:
                 if iresp.data_transfer and data is None:
                     data = ihit[1].data
@@ -291,12 +289,13 @@ class CacheModel:
 
     def miss_complete(self, resp_state: LineState, data: Optional[bytes]) -> Union[Install, Retry]:
         """Resolve the outstanding miss with the transaction's result, or
-        retry it under `protocol.must_retry` as `protocol.reissue_kind`."""
+        retry it as the kind its retry row gives."""
         ms = self.miss
         if ms is None:
             raise RuntimeError(f"core {self.core_id}: miss_complete with no outstanding miss")
-        if must_retry(ms.kind, ms.snoop_read_seen, ms.invalidated_by_snoop):
-            ms.kind = reissue_kind(ms.kind, ms.invalidated_by_snoop)
+        again = self.tables.retry[ms.kind, ms.snoop_read_seen, ms.invalidated_by_snoop]
+        if again is not None:
+            ms.kind = again
             ms.snoop_read_seen = ms.invalidated_by_snoop = False
             return Retry(ms.kind)
 
@@ -347,11 +346,11 @@ class CacheModel:
         hit[1].data = set_word(hit[1].data, address % self.line_size, value)
 
     def take_dirty_responsibility(self, address: int) -> None:
-        """Apply `protocol.take_ownership` to the local copy: pass_dirty
-        arrived without data, so this cache now answers for the line."""
+        """Apply the take_owned row to the local copy: pass_dirty arrived
+        without data, so this cache now answers for the line."""
         hit = self.lookup(address)
         if hit is not None:
-            hit[1].state = take_ownership(hit[1].state)
+            hit[1].state = self.tables.take_owned[hit[1].state]
 
     # -- inspection ----------------------------------------------------------
 

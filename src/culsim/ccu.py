@@ -28,18 +28,6 @@ class ProtocolFault(RuntimeError):
     """Internal protocol violation (e.g. a CR with no matching AC)."""
 
 
-class Path(Enum):
-    COHERENT = "coherent"
-    MEMORY = "memory"
-
-
-def route(kind: CoherentKind) -> Path:
-    """ACE demux: snooping transactions go to the coherent pipeline,
-    everything else (including the initiator's own write-backs) goes
-    straight to the memory interface."""
-    return Path.COHERENT if kind in SNOOPING_KINDS else Path.MEMORY
-
-
 def mux_grant(pending: Dict[int, int], last_granted: int, n_cores: int) -> int:
     """Pick the next coherent request: earliest arrival cycle wins,
     same-cycle ties rotate round-robin starting after last_granted."""
@@ -230,10 +218,11 @@ class Ccu:
 
     def submit(self, core: int, kind: CoherentKind, address: int, now: int,
                from_icache: bool = False) -> None:
-        """Accept one request from a core's miss handler: a coherent one
-        waits for the decoder, a non-coherent ifetch fill goes straight to
-        the memory port. Write-backs bypass this path (mem_port.push_wb)."""
-        if route(kind) is Path.COHERENT:
+        """Accept one request from a core's miss handler (the ACE demux):
+        a snooping one waits for the decoder, a non-coherent ifetch fill
+        goes straight to the memory port. Write-backs bypass this path
+        (mem_port.push_wb)."""
+        if kind in SNOOPING_KINDS:
             self.decoder.submit(core, kind, address, now, from_icache)
         elif kind is CoherentKind.READ_NO_SNOOP:
             self.mem_port.read_queue.append((now + self.ccu_stage, address, ("nc", core)))

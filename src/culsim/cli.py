@@ -292,8 +292,7 @@ def run_verify(args) -> int:
     if args.litmus:
         litmus_tests += verify.parse_litmus(Path(args.litmus).read_text())
 
-    oracle = verify.oracle_tables(mutations=mutations, workers=args.workers,
-                                  state_budget=args.budget)
+    oracle = verify.oracle_tables(mutations=mutations, state_budget=args.budget)
     report["oracle"] = {
         "ok": oracle.ok,
         "reachable_states": oracle.reachable_states,
@@ -376,9 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--mutate", action="append",
                        help=f"inject a table mutation; one of {', '.join(verify.SHIPPED_MUTATIONS)}")
     ver_p.add_argument("--litmus", help="extra litmus definition file")
-    ver_p.add_argument("--workers", type=int, default=1,
-                       help="split the search into N partitions, searched one after "
-                            "another in this process; results do not depend on N")
     ver_p.add_argument("--budget", type=int, default=2_000_000)
     ver_p.add_argument("--report", help="write the JSON report here instead of stdout")
     ver_p.set_defaults(func=run_verify)

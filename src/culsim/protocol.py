@@ -1,8 +1,11 @@
 """MOESI/ACE coherence protocol tables.
 
-Pure functions only. The cycle simulator, the coherency unit and the
-bounded model checker all consume these tables, so every row here is
-certified by the checker's exhaustive runs (verify.oracle_tables).
+The rules are pure functions, and `TABLES` holds them as rows built
+once over their full domains. Both timed models read `TABLES` when they
+are built and the bounded model checker int-codes the same rows, so
+every row that runs is certified by the checker's exhaustive runs
+(verify.oracle_tables). `MUTATIONS` are deliberate row patches on it,
+applied by `Tables.mutated`.
 
 Line status is encoded with three flags stored alongside tag and data:
 
@@ -18,9 +21,10 @@ normalized to zero here so states hash deterministically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 
 class LineState(Enum):
@@ -206,10 +210,7 @@ class Issue:
     kind: CoherentKind
 
 
-Action = Union[Hit, Issue]
-
-
-def initiator_action(state: LineState, op: OpKind) -> Action:
+def initiator_action(state: LineState, op: OpKind) -> Union[Hit, Issue]:
     """What a cache controller does with a core op against a line state.
 
     Loads and ifetches hit on any valid state without a state change.
@@ -316,3 +317,80 @@ def take_ownership(state: LineState) -> LineState:
     if state.is_valid and not state.is_dirty:
         return LineState.OWNED
     return state
+
+
+@dataclass(frozen=True)
+class Tables:
+    """The rules above as read-only rows:
+
+        initiator[state, op]                        -> Hit | Issue
+        snoopee[state, snooping kind]               -> (next state, SnoopResponse)
+        completion[kind, shared, pass_dirty, store] -> install state
+        retry[kind, read_seen, lost_copy]           -> kind to reissue as, None to install
+        take_owned[state]                           -> state after a data-less dirty handoff
+    """
+
+    initiator: Mapping
+    snoopee: Mapping
+    completion: Mapping
+    retry: Mapping
+    take_owned: Mapping
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, MappingProxyType(dict(getattr(self, f.name))))
+
+    def mutated(self, ids: Iterable[str]) -> Tables:
+        """A copy with the row patches of each `MUTATIONS` id applied."""
+        ids = sorted(set(ids))
+        unknown = [m for m in ids if m not in MUTATIONS]
+        if unknown:
+            raise ValueError(f"unknown mutation(s): {unknown}")
+        rows = {f.name: dict(getattr(self, f.name)) for f in fields(self)}
+        for m in ids:
+            for table, key, row in MUTATIONS[m]:
+                rows[table][key] = row
+        return Tables(**rows)
+
+
+_BITS = (0, 1)
+_SNOOPING = tuple(k for k in CoherentKind if k in SNOOPING_KINDS)
+
+TABLES = Tables(
+    initiator={(s, op): initiator_action(s, op) for s in LineState for op in OpKind},
+    snoopee={(s, k): snoopee_transition(s, k) for s in LineState for k in _SNOOPING},
+    completion={(k, sh, pd, st): completion_state(k, sh, pd, st)
+                for k in _SNOOPING for sh in _BITS for pd in _BITS for st in _BITS},
+    retry={(k, seen, lost): reissue_kind(k, lost) if must_retry(k, seen, lost) else None
+           for k in CoherentKind for seen in _BITS for lost in _BITS},
+    take_owned={s: take_ownership(s) for s in LineState},
+)
+
+
+def _snoopee_patch(state: LineState, kind: CoherentKind, nxt: LineState,
+                   data: int, pass_dirty: int, shared: int) -> tuple:
+    # a snoopee answers ReadOnce as ReadShared, so both rows take the patch
+    row = (nxt, SnoopResponse(data, pass_dirty, shared))
+    kinds = (kind, CoherentKind.READ_ONCE) if kind is CoherentKind.READ_SHARED else (kind,)
+    return tuple(("snoopee", (state, k), row) for k in kinds)
+
+
+# Deliberate corruptions, the negative controls of the checker: id ->
+# (table, key, row) patches. Every one must be caught by explore().
+MUTATIONS = {
+    "snoopee:M:ReadUnique:keep": _snoopee_patch(
+        _S.MODIFIED, CoherentKind.READ_UNIQUE, _S.MODIFIED, 1, 0, 1),
+    "snoopee:M:ReadShared:drop_dirty": _snoopee_patch(
+        _S.MODIFIED, CoherentKind.READ_SHARED, _S.SHARED, 1, 0, 1),
+    "snoopee:S:CleanUnique:keep": _snoopee_patch(
+        _S.SHARED, CoherentKind.CLEAN_UNIQUE, _S.SHARED, 0, 0, 1),
+    "snoopee:E:ReadShared:keep": _snoopee_patch(
+        _S.EXCLUSIVE, CoherentKind.READ_SHARED, _S.EXCLUSIVE, 1, 0, 0),
+    "initiator:Store:Shared:silent_upgrade": (
+        ("initiator", (_S.SHARED, OpKind.STORE), Hit(_S.MODIFIED)),),
+    "completion:ReadShared:ignore_shared": tuple(
+        ("completion", (CoherentKind.READ_SHARED, 1, pd, st),
+         completion_state(CoherentKind.READ_SHARED, 0, pd, st))
+        for pd in _BITS for st in _BITS),
+    "retry:disabled": tuple(("retry", key, None) for key in TABLES.retry),
+}

@@ -36,14 +36,7 @@ from .cache import (
 )
 from .ccu import Ccu, Decoder, ProtocolFault
 from .memsys import MemoryModel, MemoryPort
-from .protocol import (
-    CoreOp,
-    LineState,
-    OpKind,
-    completion_state,
-    must_retry,
-    reissue_kind,
-)
+from .protocol import CoreOp, LineState, OpKind
 from . import verify
 
 
@@ -166,9 +159,10 @@ class CoreStats:
         return vars(self).copy()
 
 
-def _format_fraction(value: Optional[Fraction]) -> str:
+def _format_fraction(value: Optional[Fraction]) -> Optional[str]:
+    """Two decimals, exactly rounded; None (JSON null) stays None."""
     if value is None:
-        return "0.00"
+        return None
     cents = round(value * 100)
     return f"{cents // 100}.{cents % 100:02d}"
 
@@ -574,7 +568,7 @@ class Simulation(Kernel):
         ms = cache.miss
         if ms is None:
             return True
-        if must_retry(ms.kind, ms.snoop_read_seen, ms.invalidated_by_snoop):
+        if cache.tables.retry[ms.kind, ms.snoop_read_seen, ms.invalidated_by_snoop]:
             # a retry discards the attempt, but dirty data it collected
             # must first fit into the write-back FIFO
             if txn.any_pass_dirty and txn.data is not None:
@@ -603,8 +597,8 @@ class Simulation(Kernel):
         # still sits before the decoder
         ms = cache.miss
         if ms is not None and ms.invalidated_by_snoop:
-            kind = reissue_kind(ms.kind, lost_copy=True)
-            if kind is not ms.kind and self.ccu.decoder.reencode(core, kind):
+            kind = cache.tables.retry[ms.kind, ms.snoop_read_seen, True]
+            if kind and kind is not ms.kind and self.ccu.decoder.reencode(core, kind):
                 ms.kind = kind
                 ms.invalidated_by_snoop = False
 
@@ -613,9 +607,9 @@ class Simulation(Kernel):
         op = self.ports[core].current
         stats = self.stats.cores[core]
         store_follows = int(op.kind is OpKind.STORE)
-        resp_state = completion_state(
+        resp_state = cache.tables.completion[
             txn.kind, txn.any_is_shared, txn.any_pass_dirty, store_follows
-        )
+        ]
         result = cache.miss_complete(resp_state, txn.data)
         self.ccu.finish(txn.id)
         if isinstance(result, Retry):

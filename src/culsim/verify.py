@@ -7,10 +7,11 @@ Three layers:
 * explore() enumerates every interleaving of an untimed abstraction of
   the protocol over tiny programs, deduplicated by canonical state, and
   checks the single-writer and data-value invariants in every reachable
-  state. It is the oracle certifying the rules in `protocol` that the
-  cycle simulator, the directory baseline and the explorer share: the
-  transition tables, `must_retry`, `reissue_kind` and `take_ownership`,
-  plus the Decoder's admission rule `ccu.admits`.
+  state. It is the oracle certifying `protocol.TABLES`, the one table
+  set the cycle simulator, the directory baseline and the explorer
+  index, plus the Decoder's admission rule `ccu.admits`. A mutation
+  (`SHIPPED_MUTATIONS`, the ids of `protocol.MUTATIONS`) is run as
+  `TABLES.mutated(ids)`, here or in a timed model.
 * run_litmus / oracle_tables package the explorer into the coherence
   litmus suite and the exhaustive table-certification battery.
 
@@ -33,16 +34,12 @@ from .protocol import (
     DIRTY_STATES,
     Hit,
     LineState,
+    MUTATIONS,
     OpKind,
     READ_KINDS,
+    TABLES,
     UNIQUE_KINDS,
     UNIQUE_STATES,
-    completion_state,
-    initiator_action,
-    must_retry,
-    reissue_kind,
-    snoopee_transition,
-    take_ownership,
 )
 
 
@@ -99,37 +96,9 @@ def check_value(view: Dict[int, Tuple[List[CopyView], object]]) -> List[str]:
     return _by_address(problems)
 
 
-# --------------------------------------------------------------------------
-# Mutations: deliberate single-row corruptions of the protocol tables used
-# as negative controls. Every shipped mutation must be caught by explore().
-# --------------------------------------------------------------------------
-
-
-# id -> (snoopee override) rows: (state, kind) -> (next, data, pass_dirty, is_shared)
-_SNOOPEE_MUTATIONS = {
-    "snoopee:M:ReadUnique:keep": (
-        (LineState.MODIFIED, CoherentKind.READ_UNIQUE),
-        (LineState.MODIFIED, 1, 0, 1),
-    ),
-    "snoopee:M:ReadShared:drop_dirty": (
-        (LineState.MODIFIED, CoherentKind.READ_SHARED),
-        (LineState.SHARED, 1, 0, 1),
-    ),
-    "snoopee:S:CleanUnique:keep": (
-        (LineState.SHARED, CoherentKind.CLEAN_UNIQUE),
-        (LineState.SHARED, 0, 0, 1),
-    ),
-    "snoopee:E:ReadShared:keep": (
-        (LineState.EXCLUSIVE, CoherentKind.READ_SHARED),
-        (LineState.EXCLUSIVE, 1, 0, 0),
-    ),
-}
-
-SHIPPED_MUTATIONS = tuple(_SNOOPEE_MUTATIONS) + (
-    "initiator:Store:Shared:silent_upgrade",
-    "completion:ReadShared:ignore_shared",
-    "retry:disabled",
-)
+# Deliberate row patches on `protocol.TABLES`; every shipped one must be
+# caught by explore().
+SHIPPED_MUTATIONS = tuple(MUTATIONS)
 
 
 @dataclass(frozen=True)
@@ -258,64 +227,32 @@ class _Machine:
         self._line_checks: Dict[tuple, Tuple[tuple, tuple, tuple]] = {}
 
     def _build_tables(self) -> None:
-        """Int-coded copies of the protocol tables with the configured
-        mutations applied on top; derived from `protocol` and `ccu`."""
-        muts = self.cfg.mutations
-        snoopee_overrides = {
-            _SNOOPEE_MUTATIONS[m][0]: _SNOOPEE_MUTATIONS[m][1]
-            for m in muts if m in _SNOOPEE_MUTATIONS
-        }
-        silent_upgrade = "initiator:Store:Shared:silent_upgrade" in muts
-        ignore_shared = "completion:ReadShared:ignore_shared" in muts
-        no_retry = "retry:disabled" in muts
-        code_of_state = {s: i for i, s in enumerate(_STATES)}
-        code_of_kind = {k: i for i, k in enumerate(_KINDS)}
+        """Int-coded copies of `protocol.TABLES` with the configured
+        mutations applied, and of the Decoder's rules in `ccu`."""
+        tables = TABLES.mutated(self.cfg.mutations)
+        state_code = {s: i for i, s in enumerate(_STATES)}
+        kind_code = {k: i for i, k in enumerate(_KINDS)}  # None -> 0
 
         # initiator[state][op] -> (True, next state) for a hit, else (False, kind)
-        initiator = []
-        for state in _STATES:
-            row = []
-            for op in _OPS:
-                if silent_upgrade and op is OpKind.STORE and state is LineState.SHARED:
-                    action = Hit(LineState.MODIFIED)
-                else:
-                    action = initiator_action(state, op)
-                if isinstance(action, Hit):
-                    row.append((True, code_of_state[action.next]))
-                else:
-                    row.append((False, code_of_kind[action.kind]))
-            initiator.append(tuple(row))
-        self.initiator = tuple(initiator)
-
+        self.initiator = tuple(
+            tuple((True, state_code[a.next]) if isinstance(a, Hit) else (False, kind_code[a.kind])
+                  for a in (tables.initiator[state, op] for op in _OPS))
+            for state in _STATES
+        )
         # snoopee[state][kind] -> (next state, data_transfer, pass_dirty, is_shared)
-        snoopee = []
-        for state in _STATES:
-            row = [None]
-            for kind in _KINDS[1:]:
-                lookup = CoherentKind.READ_SHARED if kind is CoherentKind.READ_ONCE else kind
-                if (state, lookup) in snoopee_overrides:
-                    nxt, data, dirty, shared = snoopee_overrides[(state, lookup)]
-                else:
-                    nxt, resp = snoopee_transition(state, kind)
-                    data, dirty, shared = resp.data_transfer, resp.pass_dirty, resp.is_shared
-                row.append((code_of_state[nxt], data, dirty, shared))
-            snoopee.append(tuple(row))
-        self.snoopee = tuple(snoopee)
-
+        self.snoopee = tuple(
+            (None,) + tuple((state_code[nxt], r.data_transfer, r.pass_dirty, r.is_shared)
+                            for nxt, r in (tables.snoopee[state, kind] for kind in _KINDS[1:]))
+            for state in _STATES
+        )
         # completion[kind, any_shared, any_dirty, store_follows] -> install state
         self.completion = {
-            (code_of_kind[kind], shared, dirty, store): code_of_state[completion_state(
-                kind,
-                0 if ignore_shared and kind is CoherentKind.READ_SHARED else shared,
-                dirty, store,
-            )]
-            for kind in _KINDS[1:] for shared in (0, 1) for dirty in (0, 1) for store in (0, 1)
+            (kind_code[kind], shared, dirty, store): state_code[final]
+            for (kind, shared, dirty, store), final in tables.completion.items()
         }
-
         # retry[kind][read_seen + 2 * lost_copy] -> kind to retry as, 0 to install
         self.retry = tuple(
-            tuple(code_of_kind[reissue_kind(kind, lost)]
-                  if kind and not no_retry and must_retry(kind, seen, lost) else 0
+            tuple(kind_code[tables.retry.get((kind, seen, lost))]
                   for lost in (0, 1) for seen in (0, 1))
             for kind in _KINDS
         )
@@ -325,7 +262,7 @@ class _Machine:
             for s in _KINDS
         )
         # take_owned[state] -> a local copy after a data-less dirty handoff
-        self.take_owned = tuple(code_of_state[take_ownership(s)] for s in _STATES)
+        self.take_owned = tuple(state_code[tables.take_owned[s]] for s in _STATES)
         # admit[mask of lines in flight][line] -> the Decoder lets the miss in
         self.admit = tuple(
             tuple(admits(mask >> line & 1, _POPCOUNT[mask], self.cfg.collision_capacity)
@@ -1034,7 +971,7 @@ class OracleReport:
         return lines
 
 
-def oracle_tables(mutations: FrozenSet[str] = frozenset(), workers: int = 1,
+def oracle_tables(mutations: FrozenSet[str] = frozenset(),
                   state_budget: int = ExploreConfig.state_budget) -> OracleReport:
     """Certify the protocol tables by exhaustive exploration of a program
     battery covering every reachable (state, op) and (state, snoop) pair.
@@ -1052,7 +989,7 @@ def oracle_tables(mutations: FrozenSet[str] = frozenset(), workers: int = 1,
             mutations=mutations,
             state_budget=state_budget,
         )
-        result = explore(programs, cfg, workers=workers)
+        result = explore(programs, cfg)
         init_cov |= result.initiator_pairs
         snoop_cov |= result.snoopee_pairs
         violations.extend(result.violations)

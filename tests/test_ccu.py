@@ -4,12 +4,10 @@ from culsim.ccu import (
     Ccu,
     CrOrderFifo,
     Decoder,
-    Path,
     ProtocolFault,
     admits,
     decode_and_snoop,
     mux_grant,
-    route,
 )
 from culsim.memsys import MemoryModel
 from culsim.protocol import CoherentKind, SnoopResponse
@@ -20,19 +18,6 @@ RS, RU, CU, RO = (
     CoherentKind.CLEAN_UNIQUE,
     CoherentKind.READ_ONCE,
 )
-
-
-# -- routing -------------------------------------------------------------------
-
-def test_route_noncoherent_to_memory():
-    assert route(CoherentKind.WRITE_NO_SNOOP) is Path.MEMORY
-    assert route(CoherentKind.READ_NO_SNOOP) is Path.MEMORY
-    assert route(CoherentKind.WRITE_BACK) is Path.MEMORY  # own eviction, never snooped
-
-
-def test_route_coherent_kinds():
-    for kind in (RS, RU, CU, RO):
-        assert route(kind) is Path.COHERENT
 
 
 # -- mux ------------------------------------------------------------------------
@@ -295,6 +280,21 @@ def test_memory_reads_wait_for_same_line_writeback():
     assert mem.reads == 1
     _, _, data = mem.take_completions(10)[0]
     assert data == bytes([9]) * 16
+
+
+def test_submit_sends_snooping_kinds_to_the_decoder():
+    for kind in (RS, RU, CU, RO):
+        ccu = make_ccu()
+        ccu.submit(1, kind, 0x40, now=3)
+        assert ccu.decoder.pending == {1: (3, kind, 0x40, False)}
+        assert not ccu.mem_port.read_queue
+
+
+def test_submit_sends_a_non_coherent_read_to_the_memory_port():
+    ccu = make_ccu()
+    ccu.submit(1, CoherentKind.READ_NO_SNOOP, 0x40, now=3)
+    assert not ccu.decoder.pending
+    assert list(ccu.mem_port.read_queue) == [(3 + ccu.ccu_stage, 0x40, ("nc", 1))]
 
 
 @pytest.mark.parametrize("kind", [CoherentKind.WRITE_BACK, CoherentKind.WRITE_NO_SNOOP])

@@ -152,10 +152,14 @@ def test_both_models_with_no_ops_report_no_ratio(tmp_path, source):
     report = tmp_path / "r.json"
     code = run_cli("run", "--model", "both", *flags, "--report", str(report))
     assert code == EXIT_OK
-    comp = json.loads(report.read_text())["comparison"]
+    doc = json.loads(report.read_text())
+    comp = doc["comparison"]
     assert comp["snoop_cycles"] == comp["directory_cycles"] == 0
     assert comp["directory_over_snoop_cycles"] is None
     assert comp["final_images_equal"] is True
+    # no misses: no average, rather than a zero-cycle one
+    assert doc["stats"]["snoop"]["avg_miss_latency"] is None
+    assert doc["stats"]["directory"]["avg_miss_latency"] is None
 
 
 def test_config_file_and_env_seed(tmp_path, monkeypatch):

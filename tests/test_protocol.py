@@ -7,11 +7,14 @@ from culsim.protocol import (
     Issue,
     LineFlags,
     LineState,
+    MUTATIONS,
     OpKind,
     Port,
     READ_KINDS,
+    SNOOPING_KINDS,
     SnoopRequest,
     SnoopResponse,
+    TABLES,
     UNIQUE_KINDS,
     completion_state,
     flags_of_state,
@@ -239,6 +242,47 @@ def test_take_ownership_table():
 def test_read_kinds_are_the_non_invalidating_snoops():
     assert READ_KINDS == {RS, RO}
     assert not READ_KINDS & UNIQUE_KINDS
+
+
+# -- the table set ------------------------------------------------------------
+
+def test_table_rows_equal_their_functions_over_the_full_domain():
+    bits = (0, 1)
+    assert dict(TABLES.initiator) == {
+        (s, op): initiator_action(s, op) for s in LineState for op in OpKind
+    }
+    assert dict(TABLES.snoopee) == {
+        (s, k): snoopee_transition(s, k) for s in LineState for k in SNOOPING_KINDS
+    }
+    assert dict(TABLES.completion) == {
+        (k, sh, pd, st): completion_state(k, sh, pd, st)
+        for k in SNOOPING_KINDS for sh in bits for pd in bits for st in bits
+    }
+    assert dict(TABLES.retry) == {
+        (k, seen, lost): reissue_kind(k, lost) if must_retry(k, seen, lost) else None
+        for k in CoherentKind for seen in bits for lost in bits
+    }
+    assert dict(TABLES.take_owned) == {s: take_ownership(s) for s in LineState}
+
+
+def test_tables_are_read_only():
+    with pytest.raises(TypeError):
+        TABLES.snoopee[M, RU] = (M, SnoopResponse(1, 0, 1))
+
+
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+def test_each_mutation_patches_a_copy(mutation):
+    patches = MUTATIONS[mutation]
+    mutated = TABLES.mutated({mutation})
+    assert all(getattr(mutated, table)[key] == row for table, key, row in patches)
+    assert any(getattr(TABLES, table)[key] != row for table, key, row in patches)
+    # snoopees answer ReadOnce as ReadShared, mutated or not
+    for state in LineState:
+        assert mutated.snoopee[state, RO] == mutated.snoopee[state, RS]
+
+
+def test_mutated_with_no_ids_equals_the_clean_tables():
+    assert TABLES.mutated(()) == TABLES
 
 
 # -- message types ------------------------------------------------------------

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from culsim.protocol import LineState, must_retry, reissue_kind, take_ownership
+from culsim.protocol import TABLES, Hit, Issue, LineState, SnoopResponse
 from culsim.verify import (
     _KINDS,
+    _OPS,
     _STATES,
     _Machine,
     COHERENCE_LITMUS,
@@ -213,17 +214,34 @@ def test_retry_rule_negative_control():
 
 
 def test_machine_retry_tables_are_derived_from_protocol():
+    # every int table of the explorer decodes back to the rows of
+    # protocol.TABLES, clean and under each shipped mutation
     prog = [[("W", X, 1)], [("W", X, 2)]]
-    clean = _Machine(prog, ExploreConfig(n_cores=2))
-    for code, kind in enumerate(_KINDS):
-        for lost in (0, 1):
-            for seen in (0, 1):
-                retried = kind is not None and must_retry(kind, seen, lost)
-                want = _KINDS.index(reissue_kind(kind, lost)) if retried else 0
-                assert clean.retry[code][seen + 2 * lost] == want
-    assert [_STATES[c] for c in clean.take_owned] == [take_ownership(s) for s in _STATES]
-    disabled = _Machine(prog, ExploreConfig(n_cores=2, mutations=frozenset({"retry:disabled"})))
-    assert all(code == 0 for row in disabled.retry for code in row)
+    for ids in [frozenset()] + [frozenset({m}) for m in SHIPPED_MUTATIONS]:
+        tables = TABLES.mutated(ids)
+        machine = _Machine(prog, ExploreConfig(n_cores=2, mutations=ids))
+        for s, state in enumerate(_STATES):
+            for o, op in enumerate(_OPS):
+                hit, code = machine.initiator[s][o]
+                action = Hit(_STATES[code]) if hit else Issue(_KINDS[code])
+                assert action == tables.initiator[state, op]
+            for k, kind in enumerate(_KINDS[1:], start=1):
+                nxt, data, dirty, shared = machine.snoopee[s][k]
+                row = (_STATES[nxt], SnoopResponse(data, dirty, shared))
+                assert row == tables.snoopee[state, kind]
+            assert _STATES[machine.take_owned[s]] is tables.take_owned[state]
+        assert {
+            (_KINDS[k], shared, dirty, store): _STATES[final]
+            for (k, shared, dirty, store), final in machine.completion.items()
+        } == dict(tables.completion)
+        assert machine.retry[0] == (0, 0, 0, 0)  # no miss
+        for k, kind in enumerate(_KINDS[1:], start=1):
+            for lost in (0, 1):
+                for seen in (0, 1):
+                    again = machine.retry[k][seen + 2 * lost]
+                    assert (_KINDS[again] if again else None) == tables.retry[kind, seen, lost]
+    with pytest.raises(ValueError, match="unknown mutation"):
+        TABLES.mutated({"retry:sometimes"})
 
 
 def test_budget_exhaustion_is_flagged():
