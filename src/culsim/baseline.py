@@ -58,6 +58,7 @@ class DirectorySimulation(Kernel):
     def __init__(self, config: SimConfig, monitor: bool = False):
         super().__init__(config, monitor, coherent_ifetch=False)
         self.mem_port = MemoryPort(config.fifo_depths.writeback)
+        self.mem_port.touched = self.touched
         self.directory: Dict[int, DirectoryEntry] = {}
         self.decoder = Decoder(config.n_cores, config.fifo_depths.collision_capacity)
         self.txns: List[_DirTxn] = []
@@ -153,6 +154,8 @@ class DirectorySimulation(Kernel):
     def _apply_invalidate(self, txn: _DirTxn, target: int) -> None:
         hit = self.caches[target].lookup(txn.addr)
         if hit is not None:
+            if self.touched is not None:
+                self.touched.add(txn.addr)
             hit[1].state = LineState.INVALID
         self._entry(txn.addr).sharers.discard(target)
 
@@ -171,6 +174,8 @@ class DirectorySimulation(Kernel):
                 txn.install_state = LineState.SHARED
             return True
         line = hit[1]
+        if self.touched is not None:
+            self.touched.add(txn.addr)
         txn.data = line.data
         txn.from_owner = True
         if txn.op is OpKind.STORE:

@@ -39,6 +39,15 @@ class ConfigError(ValueError):
     """Bad geometry or out-of-range configuration value."""
 
 
+class LostCopy(RuntimeError):
+    """A CleanUnique completed after its local copy was invalidated: the
+    upgrade has nothing to install into."""
+
+    def __init__(self, address: int):
+        super().__init__("CleanUnique completion without a local copy")
+        self.address = address
+
+
 class RequesterId(Enum):
     """SRAM-port requesters in priority order (lower value wins)."""
 
@@ -128,7 +137,13 @@ class Retry:
 
 class CacheModel:
     """One core's cache subsystem (data cache + optional coherent icache).
-    It indexes the `protocol.TABLES` in place when it was built."""
+    It indexes the `protocol.TABLES` in place when it was built.
+
+    `touched`, when a set, collects the address of every line whose state
+    or data this cache changes, for the invariant monitors; the kernel
+    sets it only when monitors are on."""
+
+    touched: Optional[set] = None
 
     def __init__(
         self,
@@ -198,6 +213,10 @@ class CacheModel:
         action = self.tables.initiator[state, op.kind]
         if isinstance(action, Hit):
             line = hit[1]
+            if self.touched is not None and (
+                op.kind is OpKind.STORE or action.next is not state
+            ):
+                self.touched.add(self.line_addr(op.address))
             line.state = action.next
             if op.kind is OpKind.STORE:
                 line.data = set_word(line.data, op.address % self.line_size, op.value)
@@ -235,6 +254,8 @@ class CacheModel:
         resp = SnoopResponse()
         data: Optional[bytes] = None
         invalidated = False
+        if self.touched is not None:
+            self.touched.add(req.address)
 
         if probe_dcache:
             hit = self.lookup(req.address)
@@ -303,7 +324,9 @@ class CacheModel:
         if ms.kind is CoherentKind.CLEAN_UNIQUE:
             hit = self.lookup(ms.address)
             if hit is None:
-                raise RuntimeError("CleanUnique completion without a local copy")
+                raise LostCopy(ms.address)
+            if self.touched is not None:
+                self.touched.add(ms.address)
             hit[1].state = resp_state
         else:
             icache = ms.for_icache
@@ -331,7 +354,12 @@ class CacheModel:
         old = self._addr_of(set_idx, victim.tag)
         if old in index and index[old][0] == way:
             del index[old]
-        index[self._addr_of(set_idx, tag)] = (way, victim)
+        new = self._addr_of(set_idx, tag)
+        index[new] = (way, victim)
+        if self.touched is not None:
+            self.touched.add(new)
+            if evicted is not None:
+                self.touched.add(evicted)
         victim.tag = tag
         victim.state = state
         victim.data = bytes(data) if data is not None else bytes(self.line_size)
@@ -343,6 +371,8 @@ class CacheModel:
         hit = self.lookup(address)
         if hit is None:
             raise RuntimeError("store completion against a missing line")
+        if self.touched is not None:
+            self.touched.add(self.line_addr(address))
         hit[1].data = set_word(hit[1].data, address % self.line_size, value)
 
     def take_dirty_responsibility(self, address: int) -> None:
@@ -350,6 +380,8 @@ class CacheModel:
         without data, so this cache now answers for the line."""
         hit = self.lookup(address)
         if hit is not None:
+            if self.touched is not None:
+                self.touched.add(address)
             hit[1].state = self.tables.take_owned[hit[1].state]
 
     # -- inspection ----------------------------------------------------------

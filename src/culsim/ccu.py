@@ -184,6 +184,10 @@ def decode_and_snoop(
 
 
 class Ccu:
+    # when a set, collects the line of every transaction whose data in
+    # flight changes or leaves with it, for the invariant monitors
+    touched: Optional[set] = None
+
     def __init__(
         self,
         n_cores: int,
@@ -270,6 +274,8 @@ class Ccu:
         responder that transfers data supplies the line."""
         txn_id = self.cr_fifo.pop(from_core)
         txn = self.txns[txn_id]
+        if self.touched is not None:
+            self.touched.add(txn.address)
         txn.cr_pending -= 1
         txn.any_is_shared |= resp.is_shared
         txn.any_pass_dirty |= resp.pass_dirty
@@ -311,6 +317,8 @@ class Ccu:
 
     def memory_data(self, txn_id: int, data: bytes) -> None:
         txn = self.txns[txn_id]
+        if self.touched is not None:
+            self.touched.add(txn.address)
         txn.data = bytes(data)
         self.ready.append(txn)
 
@@ -325,6 +333,8 @@ class Ccu:
         """Retire a transaction: the initiator consumed the R burst and
         applied (or retried) the miss; its line leaves the Decoder."""
         txn = self.txns.pop(txn_id)
+        if self.touched is not None:
+            self.touched.add(txn.address)
         txn.advance(Phase.DONE)
         box = self.r_outbox[txn.initiator]
         if box and box[0][1] == txn_id:

@@ -9,7 +9,7 @@ timed models put in front of it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 
 class MemoryFault(ValueError):
@@ -109,7 +109,12 @@ class MemoryPort:
     Line reads queue in order as (ready_at, addr, tag); write-backs wait
     in a bounded FIFO. A read never passes a write-back to the same line
     still queued in the FIFO, and the FIFO drains when no read can issue.
+    `touched`, when a set, collects the address of every write-back
+    queued, for the invariant monitors; a drain changes no line's view,
+    since the queued value already shadowed memory.
     """
+
+    touched: Optional[set] = None
 
     def __init__(self, wb_depth: int):
         self.read_queue: Deque[Tuple[int, int, object]] = deque()
@@ -123,6 +128,8 @@ class MemoryPort:
         """Queue a write-back; False when the FIFO is full (caller stalls)."""
         if self.wb_full():
             return False
+        if self.touched is not None:
+            self.touched.add(address)
         self.wb.append((address, bytes(data)))
         return True
 

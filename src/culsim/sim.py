@@ -27,6 +27,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 from .cache import (
     CacheModel,
     ConfigError,
+    LostCopy,
     RequesterId,
     Retry,
     Served,
@@ -238,7 +239,9 @@ class Kernel:
     as `_next_event`, dirty data outside the caches as
     `_in_flight_copies` and its own state as `_dump_lines`; it sets
     `mem_port` to the MemoryPort in front of `mem` and `decoder` to its
-    request Decoder."""
+    request Decoder. With monitors on, its components share the kernel's
+    `touched` set, and the model marks there every line whose view it
+    changes without a component's help."""
 
     mem_port: MemoryPort
     decoder: Decoder
@@ -246,7 +249,6 @@ class Kernel:
     def __init__(self, config: SimConfig, monitor: bool, coherent_ifetch: bool):
         config.validate()
         self.config = config
-        self.monitor = monitor
         self.caches = [
             CacheModel(
                 core_id=i,
@@ -263,18 +265,30 @@ class Kernel:
         self.stats = SimStats(cores=[CoreStats() for _ in range(config.n_cores)])
         self._progress = True
         self._last_progress = 0
+        # with monitors on, the addresses of the lines whose coherence
+        # view changed since the last check: each component that changes
+        # a view marks its line here
+        self.touched: Optional[set] = set() if monitor else None
+        for cache in self.caches:
+            cache.touched = self.touched
 
-    def _in_flight_copies(self, view: dict) -> None:
-        """Add copies of lines held outside the caches to the view."""
+    def _in_flight_copies(self) -> Dict[int, List[verify.CopyView]]:
+        """Copies of lines held outside the caches, by line address."""
+        return {}
 
     # -- per cycle -------------------------------------------------------------
 
     def step(self) -> None:
         now = self.cycle
         self._progress = False
-        self._phases(now)
+        try:
+            self._phases(now)
+        except LostCopy as exc:
+            raise CoherenceViolation(
+                f"cycle {now}: line {exc.address:#x}: {exc}\n" + self._dump_state()
+            ) from exc
         self._issue(now)
-        if self.monitor:
+        if self.touched is not None:
             self._run_monitors()
         if self._progress:
             self._last_progress = now
@@ -347,35 +361,51 @@ class Kernel:
     # -- monitors / inspection ------------------------------------------------
 
     def _run_monitors(self) -> None:
-        view = self.snapshot_invariants()
+        """Check the lines whose view changed this step. A line's check
+        reads only its own view, so the others, clean when last checked,
+        are still clean."""
+        touched = self.touched
+        if not touched:
+            return
+        view = self.snapshot_invariants(touched)
+        touched.clear()
         problems = verify.check_swmr(view) + verify.check_value(view)
         if problems:
             raise CoherenceViolation(f"cycle {self.cycle}: " + "; ".join(problems))
 
-    def snapshot_invariants(self) -> dict:
-        """Global coherence view: per line, all valid copies plus the
-        memory-side value — the input format of verify.check_swmr and
-        check_value. Write-backs still queued at the memory port are
-        committed writes, so they shadow the memory array. Non-coherent
-        instruction caches are outside the coherency domain and are not
-        part of the view."""
-        view: Dict[int, Tuple[list, bytes]] = {}
-        for core, cache in enumerate(self.caches):
-            for addr, line in cache.valid_lines():
-                view.setdefault(addr, ([], None))[0].append(
-                    verify.CopyView(core, line.state, line.data, False)
-                )
-            if cache.coherent_ifetch:
-                for addr, line in cache.valid_lines(icache=True):
-                    view.setdefault(addr, ([], None))[0].append(
-                        verify.CopyView(core, line.state, line.data, True)
-                    )
-        self._in_flight_copies(view)
+    def snapshot_invariants(self, lines=None) -> dict:
+        """Coherence view of the line addresses `lines` (by default every
+        line with a copy in a cache or in flight, in address order): per
+        line, all valid copies plus the memory-side value — the input
+        format of verify.check_swmr and check_value. A line's copies come
+        per core, data cache first, then those in flight. Write-backs
+        still queued at the memory port are committed writes, so they
+        shadow the memory array. Non-coherent instruction caches are
+        outside the coherency domain and are not part of the view."""
+        in_flight = self._in_flight_copies()
+        if lines is None:
+            lines = set(in_flight)
+            for cache in self.caches:
+                lines.update(addr for addr, _ in cache.valid_lines())
+                if cache.coherent_ifetch:
+                    lines.update(addr for addr, _ in cache.valid_lines(icache=True))
+            lines = sorted(lines)
         pending_wb = dict(self.mem_port.wb)  # youngest same-line entry wins
-        return {
-            addr: (copies, pending_wb.get(addr, self.mem.peek(addr)))
-            for addr, (copies, _) in sorted(view.items())
-        }
+        view: Dict[int, Tuple[list, bytes]] = {}
+        for addr in lines:
+            copies = []
+            for core, cache in enumerate(self.caches):
+                hit = cache.lookup(addr)
+                if hit is not None:
+                    copies.append(verify.CopyView(core, hit[1].state, hit[1].data, False))
+                if cache.coherent_ifetch:
+                    hit = cache.lookup(addr, icache=True)
+                    if hit is not None:
+                        copies.append(verify.CopyView(core, hit[1].state, hit[1].data, True))
+            if addr in in_flight:
+                copies += in_flight[addr]
+            view[addr] = (copies, pending_wb[addr] if addr in pending_wb else self.mem.peek(addr))
+        return view
 
     def _dump_state(self) -> str:
         lines = [f"cycle {self.cycle}"]
@@ -500,6 +530,7 @@ class Simulation(Kernel):
         )
         self.mem_port = self.ccu.mem_port
         self.decoder = self.ccu.decoder
+        self.ccu.touched = self.mem_port.touched = self.touched
 
     # -- per-cycle phases ------------------------------------------------------
 
@@ -678,7 +709,7 @@ class Simulation(Kernel):
             )
         super()._run_monitors()
 
-    def _in_flight_copies(self, view: dict) -> None:
+    def _in_flight_copies(self) -> Dict[int, List[verify.CopyView]]:
         # Dirty data in flight answers for its line like an Owned copy:
         # CD data queued with pass_dirty (the k-th CR from a core belongs
         # to the k-th transaction on that core's order FIFO), and a
@@ -686,19 +717,21 @@ class Simulation(Kernel):
         # responsibility over. Without them a line whose dirty holder was
         # already snooped looks clean-everywhere but newer than memory.
         ccu = self.ccu
+        copies: Dict[int, List[verify.CopyView]] = {}
         crs_seen = [0] * self.config.n_cores
         for _due, core, resp, data in ccu.cr_inbox:
             txn_id = ccu.cr_fifo.queues[core][crs_seen[core]]
             crs_seen[core] += 1
             if resp.pass_dirty and data is not None:
-                view.setdefault(ccu.txns[txn_id].address, ([], None))[0].append(
+                copies.setdefault(ccu.txns[txn_id].address, []).append(
                     verify.CopyView(core, LineState.OWNED, data, False)
                 )
         for txn in ccu.txns.values():
             if txn.any_pass_dirty and txn.data is not None:
-                view.setdefault(txn.address, ([], None))[0].append(
+                copies.setdefault(txn.address, []).append(
                     verify.CopyView(txn.initiator, LineState.OWNED, txn.data, False)
                 )
+        return copies
 
     def _dump_lines(self) -> List[str]:
         ccu = self.ccu

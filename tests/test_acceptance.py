@@ -156,9 +156,9 @@ def test_directional_speedup_over_directory(kind):
     cfg = SimConfig()  # default latencies
     spec = WorkloadSpec(kind, ops_per_core=10_000, working_set=8, seed=2024)
     streams = gen_workload(spec, cfg.n_cores, cfg.line_size)
-    snoop = build(SimConfig())
+    snoop = build(SimConfig(), monitor=True)
     snoop_stats = snoop.run([list(s) for s in streams], watchdog=100_000)
-    dir_sim = baseline.DirectorySimulation(SimConfig())
+    dir_sim = baseline.DirectorySimulation(SimConfig(), monitor=True)
     dir_stats = dir_sim.run([list(s) for s in streams], watchdog=100_000)
     assert snoop_stats.cycles < dir_stats.cycles, (
         kind, snoop_stats.cycles, dir_stats.cycles,

@@ -1,0 +1,76 @@
+"""The per-cycle monitors check only the lines whose coherence view
+changed in the step. These tests hold that incremental check against a
+check of every resident and in-flight line: step by step on tiny drawn
+configurations, and end to end on every shipped mutation."""
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from culsim import protocol, verify
+from culsim.baseline import DirectorySimulation
+from culsim.cli import WorkloadSpec, gen_workload
+from culsim.sim import SimConfig, Simulation, build
+
+from test_cache_index import runs
+
+
+def problems(view):
+    return verify.check_swmr(view) + verify.check_value(view)
+
+
+def cross_checked(sim):
+    """Before each step's monitors run, compare the full view with the
+    one of the step before: every line that changed must be marked, and
+    the marked lines must give exactly the problems of the full view."""
+    run_monitors = sim._run_monitors
+    before = {}
+
+    def monitors():
+        nonlocal before
+        full = sim.snapshot_invariants()
+        for addr in (full.keys() | before.keys()) - sim.touched:
+            assert full.get(addr) == before.get(addr), (sim.cycle, hex(addr))
+        assert problems(sim.snapshot_invariants(sim.touched)) == problems(full)
+        before = full
+        run_monitors()
+
+    sim._run_monitors = monitors
+    return sim
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(runs())
+def test_incremental_view_agrees_with_full_scan_every_step(run):
+    cfg, streams = run
+    for sim in (
+        build(cfg, monitor=True),
+        build(cfg, serialize=True, monitor=True),
+        DirectorySimulation(cfg, monitor=True),
+    ):
+        cross_checked(sim).run([list(s) for s in streams])
+
+
+class FullScanSimulation(Simulation):
+    """Checks every line with a copy in a cache or in flight each step."""
+
+    def _run_monitors(self):
+        self.touched.update(self.snapshot_invariants())
+        super()._run_monitors()
+
+
+def outcome(sim, streams):
+    try:
+        return "completed", sim.run([list(s) for s in streams]).to_dict()
+    except RuntimeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("mutation", verify.SHIPPED_MUTATIONS)
+@pytest.mark.parametrize("n_cores", [3, 4])
+def test_incremental_and_full_scan_monitors_end_alike(monkeypatch, mutation, n_cores):
+    monkeypatch.setattr(protocol, "TABLES", protocol.TABLES.mutated({mutation}))
+    cfg = SimConfig(n_cores=n_cores)
+    for seed in range(4):
+        spec = WorkloadSpec(kind="false_sharing", ops_per_core=500, seed=seed)
+        streams = gen_workload(spec, n_cores, cfg.line_size)
+        full = outcome(FullScanSimulation(cfg, monitor=True), streams)
+        assert outcome(build(cfg, monitor=True), streams) == full, seed

@@ -32,7 +32,7 @@ def cases():
     for kind in WORKLOAD_KINDS:
         for ws in (8, 2000):
             out[f"{kind}/{ws}"] = ["--workload", kind, "--working-set", str(ws)]
-        out[f"{kind}/8/check"] = ["--workload", kind, "--working-set", "8", "--check"]
+            out[f"{kind}/{ws}/check"] = out[f"{kind}/{ws}"] + ["--check"]
     checked = ["--workload", "uniform_random", "--working-set", "16", "--check"]
     out["uniform_random/16/check/ifetch3"] = checked + ["--cores", "3", "--coherent-ifetch"]
     out["uniform_random/16/check/cores4"] = checked + ["--cores", "4"]

@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from culsim.cache import ConfigError
-from culsim.cli import WorkloadSpec, gen_workload
+from culsim.cli import WorkloadSpec, gen_workload, main
 from culsim.protocol import CoreOp, LineState, OpKind, Port
 from culsim.sim import (
     CoherenceViolation,
@@ -269,8 +271,9 @@ MASKED_MUTATIONS = {
     "retry:disabled": (
         "the retry row gone, a pending CleanUnique that loses its copy is "
         "neither re-encoded before the Decoder nor retried; on this run none "
-        "loses it. Other seeds of the same workload end in RuntimeError "
-        "'CleanUnique completion without a local copy'"
+        "loses it. Seeds 1 and 2 of the same workload do, and end in a "
+        "CoherenceViolation 'CleanUnique completion without a local copy' "
+        "(test_lost_copy_ends_the_run_as_a_violation)"
     ),
 }
 
@@ -288,6 +291,27 @@ def test_monitors_catch_each_shipped_mutation(monkeypatch, mutation):
     else:
         with pytest.raises(CoherenceViolation):
             sim.run(streams)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lost_copy_ends_the_run_as_a_violation(monkeypatch, tmp_path, seed):
+    # without the retry row a CleanUnique whose copy a racing snoop took
+    # completes with nothing to upgrade
+    monkeypatch.setattr(protocol, "TABLES", protocol.TABLES.mutated({"retry:disabled"}))
+    cfg = SimConfig(n_cores=3)
+    spec = WorkloadSpec(kind="false_sharing", ops_per_core=500, seed=seed)
+    sim = build(cfg, monitor=True)
+    with pytest.raises(CoherenceViolation) as exc:
+        sim.run(gen_workload(spec, 3, cfg.line_size))
+    head, _, dump = str(exc.value).partition("\n")
+    assert head == f"cycle {sim.cycle}: line 0x1000: CleanUnique completion without a local copy"
+    assert dump == sim._dump_state()
+
+    report = tmp_path / "report.json"
+    code = main(["run", "--model", "snoop", "--workload", "false_sharing", "--cores", "3",
+                 "--ops", "500", "--seed", str(seed), "--report", str(report)])
+    assert code == 1
+    assert json.loads(report.read_text())["violations"] == [str(exc.value)]
 
 
 # -- failure handling -----------------------------------------------------------------
