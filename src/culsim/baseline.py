@@ -64,16 +64,24 @@ class DirectorySimulation(Kernel):
         self.txns: List[_DirTxn] = []
 
     def _entry(self, addr: int) -> DirectoryEntry:
-        return self.directory.setdefault(addr, DirectoryEntry())
+        entry = self.directory.get(addr)
+        if entry is None:  # setdefault would build an entry on every call
+            entry = self.directory[addr] = DirectoryEntry()
+        return entry
 
     # -- cycle ---------------------------------------------------------------
 
     def _phases(self, now: int) -> None:
-        for txn in list(self.txns):
+        # only what is due acts: a transaction not waiting on memory whose
+        # delay has run out, the Decoder while a request waits (its stall
+        # count moves only in grant), a port holding an op not yet missed
+        for txn in [t for t in self.txns if not t.mem_wait and t.wait_until <= now]:
             self._advance(txn, now)
-        self._accept(now)
-        for core in range(self.config.n_cores):
-            self._core_op(core, now)
+        if self.decoder.pending or self.decoder.hold is not None:
+            self._accept(now)
+        for core, port in enumerate(self.ports):
+            if port.current is not None and not port.waiting_miss:
+                self._core_op(core, now)
         if self.mem_port.step(now, self.mem):
             self._progress = True
         for txn, _addr, data in self.mem.take_completions(now):
@@ -229,10 +237,7 @@ class DirectorySimulation(Kernel):
         entry.sharers.discard(core)
 
     def _core_op(self, core: int, now: int) -> None:
-        port = self.ports[core]
-        op = port.current
-        if op is None or port.waiting_miss:
-            return
+        op = self.ports[core].current
         if op.kind is OpKind.IFETCH:
             op = CoreOp(OpKind.LOAD, op.address)  # no separate icache here
         self._progress = True

@@ -24,7 +24,6 @@ from .protocol import (
     Hit,
     LineState,
     OpKind,
-    Port,
     READ_KINDS,
     SnoopRequest,
     SnoopResponse,
@@ -49,7 +48,8 @@ class LostCopy(RuntimeError):
 
 
 class RequesterId(Enum):
-    """SRAM-port requesters in priority order (lower value wins)."""
+    """SRAM-port requesters in priority order (lower value wins); the
+    snoop model's cache controllers serve the port in this order."""
 
     MISS_HANDLER = 0
     SNOOP_CTRL = 1
@@ -57,19 +57,6 @@ class RequesterId(Enum):
     LOAD_UNIT = 3
     ACCELERATOR = 4
     STORE_UNIT = 5
-
-
-_PORT_REQUESTER = {
-    Port.PTW: RequesterId.PTW,
-    Port.LOAD_UNIT: RequesterId.LOAD_UNIT,
-    Port.ACCELERATOR: RequesterId.ACCELERATOR,
-    Port.STORE_UNIT: RequesterId.STORE_UNIT,
-}
-
-
-def requester_for_port(port: Port) -> RequesterId:
-    """Arbiter requester for a core-op port (the icache has its own port)."""
-    return _PORT_REQUESTER[port]
 
 
 def arbitrate(requests) -> RequesterId:
@@ -88,6 +75,10 @@ def set_word(data: bytes, offset: int, value: int) -> bytes:
     off = offset & ~(WORD_BYTES - 1)
     word = (value & 0xFFFFFFFF).to_bytes(WORD_BYTES, "little")
     return data[:off] + word + data[off + WORD_BYTES :]
+
+
+# the CR of a snoop that finds no copy, shared by every such snoop
+_NO_RESPONSE = SnoopResponse()
 
 
 @dataclass
@@ -195,7 +186,7 @@ class CacheModel:
         if address < 0 or address >= (1 << PHYS_ADDR_BITS):
             raise ConfigError(f"address {address:#x} outside the physical address range")
         hit = (self.iindex if icache else self.index).get(address - address % self.line_size)
-        if hit is not None and hit[1].state.is_valid:
+        if hit is not None and hit[1].state is not LineState.INVALID:
             return hit
         return None
 
@@ -251,7 +242,7 @@ class CacheModel:
         is_shared/data from either. Raises the side signals into the
         pending miss when the addresses match.
         """
-        resp = SnoopResponse()
+        resp = _NO_RESPONSE
         data: Optional[bytes] = None
         invalidated = False
         if self.touched is not None:
@@ -304,7 +295,7 @@ class CacheModel:
             return None
         set_idx, _ = self._index_tag(ms.address)
         for line in self.sets[set_idx]:
-            if not line.state.is_valid:
+            if line.state is LineState.INVALID:
                 return None
         return self.sets[set_idx][self.rr[set_idx]]
 
@@ -341,7 +332,7 @@ class CacheModel:
         ways = (self.isets if icache else self.sets)[set_idx]
         rr = self.irr if icache else self.rr
         index = self.iindex if icache else self.index
-        way = next((w for w, line in enumerate(ways) if not line.state.is_valid), None)
+        way = next((w for w, line in enumerate(ways) if line.state is LineState.INVALID), None)
         writeback = evicted = None
         if way is None:
             way = rr[set_idx]

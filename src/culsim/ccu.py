@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from typing import Deque, Dict, List, Optional, Tuple
 
 from .memsys import MemoryPort
@@ -41,7 +41,7 @@ def mux_grant(pending: Dict[int, int], last_granted: int, n_cores: int) -> int:
     raise AssertionError("unreachable")
 
 
-class Phase(Enum):
+class Phase(IntEnum):
     DECODED = 0
     SNOOPING = 1
     RESPONDING = 2
@@ -63,8 +63,9 @@ class CcuTransaction:
     data_source: Optional[int] = None  # first responding core, None = memory/no data
 
     def advance(self, phase: Phase) -> None:
-        if phase.value < self.phase.value:
-            raise ProtocolFault(f"txn {self.id}: phase moved backwards {self.phase} -> {phase}")
+        if phase < self.phase:
+            raise ProtocolFault(
+                f"txn {self.id}: phase moved backwards {self.phase.name} -> {phase.name}")
         self.phase = phase
 
 
@@ -114,8 +115,11 @@ class Decoder:
         if self.hold is None:
             if not self.pending:
                 return None
-            arrivals = {c: r[0] for c, r in self.pending.items()}
-            core = mux_grant(arrivals, self.last_granted, self.n_cores)
+            if len(self.pending) == 1:
+                core = next(iter(self.pending))
+            else:
+                arrivals = {c: r[0] for c, r in self.pending.items()}
+                core = mux_grant(arrivals, self.last_granted, self.n_cores)
             self.last_granted = core
             self.hold = (core,) + self.pending.pop(core)[1:]
         line = self.hold[2]

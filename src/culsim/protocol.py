@@ -34,6 +34,10 @@ class LineState(Enum):
     SHARED = "S"
     INVALID = "I"
 
+    # members are singletons compared by identity, so the C-level
+    # identity hash serves the hot table lookups (Enum's hashes the name)
+    __hash__ = object.__hash__
+
     @property
     def ace_alias(self) -> str:
         return _ACE_ALIAS[self]
@@ -108,6 +112,8 @@ class CoherentKind(Enum):
     READ_NO_SNOOP = "ReadNoSnoop"
     WRITE_NO_SNOOP = "WriteNoSnoop"
 
+    __hash__ = object.__hash__
+
 
 # Transactions that fan out snoops to the other caches. WriteBack and the
 # NoSnoop pair go straight to the memory interface.
@@ -138,6 +144,8 @@ class OpKind(Enum):
     LOAD = "Load"
     STORE = "Store"
     IFETCH = "IFetch"
+
+    __hash__ = object.__hash__
 
 
 class Port(Enum):

@@ -28,11 +28,8 @@ from .cache import (
     CacheModel,
     ConfigError,
     LostCopy,
-    RequesterId,
     Retry,
     Served,
-    arbitrate,
-    requester_for_port,
     word_at,
 )
 from .ccu import Ccu, Decoder, ProtocolFault
@@ -300,12 +297,11 @@ class Kernel:
     def _issue(self, now: int) -> None:
         """Hand each free port its next op; a port that ends the cycle
         holding an op counts a stall cycle."""
-        for core, port in enumerate(self.ports):
+        for port, stats in zip(self.ports, self.stats.cores):
             if port.current is None:
                 if not port.stream or now < port.ready_at:
                     continue
                 op = port.current = port.stream.popleft()
-                stats = self.stats.cores[core]
                 stats.ops += 1
                 if op.kind is OpKind.LOAD:
                     stats.loads += 1
@@ -314,7 +310,7 @@ class Kernel:
                 else:
                     stats.ifetches += 1
                 self._progress = True
-            self.stats.cores[core].stall_cycles += 1
+            stats.stall_cycles += 1
 
     def _access(self, core: int, op: CoreOp, now: int):
         """Run op against the core's cache. A hit retires the op and
@@ -558,42 +554,29 @@ class Simulation(Kernel):
             and not (acs and acs[0][0] <= now)
         ):
             return
-        cache = self.caches[core]
-        candidates = {}
-
+        # the SRAM port serves one requester, in RequesterId order; a core
+        # has at most one op pending, so its PTW/load/accelerator/store
+        # requesters never compete with each other. A pending ifetch
+        # leaves the port idle and runs below.
         txn = self.ccu.take_r(core, now)
-        if txn is not None and self._install_feasible(cache, txn):
-            candidates[RequesterId.MISS_HANDLER] = ("r", txn)
-        elif port.nc_fill is not None:
-            candidates[RequesterId.MISS_HANDLER] = ("nc", port.nc_fill)
-        if acs and acs[0][0] <= now:
-            candidates[RequesterId.SNOOP_CTRL] = ("snoop", None)
         op = port.current
-        dcache_op = (
-            op is not None and not port.waiting_miss and op.kind is not OpKind.IFETCH
-        )
-        if dcache_op:
-            candidates[requester_for_port(op.port)] = ("op", op)
-
-        if candidates:
-            winner = arbitrate(candidates)
-            kind, payload = candidates[winner]
-            if kind == "r":
-                self._apply_completion(core, payload, now)
-            elif kind == "nc":
-                self._apply_nc_fill(core, payload, now)
-            elif kind == "snoop":
-                self._process_snoop(core, now)
-            else:
-                self._execute_op(core, payload, now)
-            self._progress = True
+        if txn is not None and self._install_feasible(self.caches[core], txn):
+            self._apply_completion(core, txn, now)
+        elif port.nc_fill is not None:
+            self._apply_nc_fill(core, port.nc_fill, now)
+        elif acs and acs[0][0] <= now:
+            self._process_snoop(core, now)
+        elif op is None or port.waiting_miss:
+            return
+        elif op.kind is not OpKind.IFETCH:
+            self._execute_op(core, op, now)
+        self._progress = True
 
         # The icache has its own port: ifetches run regardless of the
         # data-cache arbitration outcome.
         op = port.current
         if op is not None and not port.waiting_miss and op.kind is OpKind.IFETCH:
             self._execute_op(core, op, now)
-            self._progress = True
 
     def _install_feasible(self, cache: CacheModel, txn) -> bool:
         ms = cache.miss

@@ -4,8 +4,8 @@ from culsim.baseline import DirectorySimulation
 from culsim.cache import ConfigError
 from culsim.cli import WorkloadSpec, gen_workload
 from culsim.protocol import CoreOp, LineState, OpKind
-from culsim.sim import DeadlockError, SimConfig, build
-from culsim import verify
+from culsim.sim import CoherenceViolation, DeadlockError, SimConfig, build
+from culsim import protocol, verify
 
 
 def loads(addr, n=1):
@@ -88,6 +88,34 @@ def test_directory_runs_stay_coherent_under_monitoring():
     assert not verify.check_value(view)
     for cs in stats.cores:
         assert cs.hits + cs.misses == cs.loads + cs.stores + cs.ifetches
+
+
+def _run_false_sharing_3_cores():
+    cfg = SimConfig(n_cores=3)
+    streams = gen_workload(WorkloadSpec(kind="false_sharing", ops_per_core=500), 3,
+                           cfg.line_size)
+    return DirectorySimulation(cfg, monitor=True).run(streams).to_dict()
+
+
+# Mutations whose patched rows the directory reads, and how its run ends;
+# it never snoops (snoopee rows) and derives install states itself
+# (completion rows), so every other mutation leaves the run unchanged.
+DIRECTORY_TRIPS = {
+    "initiator:Store:Shared:silent_upgrade": "cycle 240: line 0x1010: unique copy on core 0",
+    "retry:disabled": "cycle 729: line 0x1050: CleanUnique completion without a local copy",
+}
+
+
+@pytest.mark.parametrize("mutation", verify.SHIPPED_MUTATIONS)
+def test_directory_under_each_shipped_mutation(monkeypatch, mutation):
+    clean = _run_false_sharing_3_cores()
+    monkeypatch.setattr(protocol, "TABLES", protocol.TABLES.mutated({mutation}))
+    if mutation in DIRECTORY_TRIPS:
+        with pytest.raises(CoherenceViolation) as exc:
+            _run_false_sharing_3_cores()
+        assert str(exc.value).startswith(DIRECTORY_TRIPS[mutation])
+    else:
+        assert _run_false_sharing_3_cores() == clean
 
 
 def test_owner_forwarding_counts_as_cache_to_cache():

@@ -4,6 +4,7 @@ from culsim.ccu import (
     Ccu,
     CrOrderFifo,
     Decoder,
+    Phase,
     ProtocolFault,
     admits,
     decode_and_snoop,
@@ -109,6 +110,16 @@ def test_collision_full_table_stalls():
     assert decoder.grant() == (2, RS, 0x20, False)
 
 
+def test_a_lone_request_is_granted_and_rotates_the_tie_break():
+    decoder = Decoder(n_cores=3, capacity=8)
+    decoder.submit(1, RS, 0x40, now=0)
+    assert decoder.grant() == (1, RS, 0x40, False)
+    # core 1 was granted last, so a same-cycle tie goes to core 2 first
+    decoder.submit(0, RS, 0x80, now=1)
+    decoder.submit(2, RS, 0xC0, now=1)
+    assert decoder.grant()[0] == 2
+
+
 def test_decoder_refuses_a_second_request_from_one_core():
     decoder = Decoder(n_cores=2, capacity=8)
     decoder.submit(0, RS, 0x40, now=0)
@@ -183,6 +194,17 @@ def test_decoder_serializes_same_line():
     assert ccu.decoder.stalls >= 1
     ccu.finish(first.id)
     assert ccu.decoder_step(2) is not None
+
+
+def test_a_transaction_phase_never_moves_backwards():
+    ccu = make_ccu()
+    ccu.submit(0, RS, 0x40, now=0)
+    txn = ccu.decoder_step(0)
+    assert txn.phase is Phase.SNOOPING
+    with pytest.raises(ProtocolFault, match="SNOOPING -> DECODED"):
+        txn.advance(Phase.DECODED)
+    txn.advance(Phase.SNOOPING)  # staying put is allowed
+    assert txn.phase is Phase.SNOOPING
 
 
 def test_serialize_mode_admits_one_transaction_at_a_time():
