@@ -3,17 +3,13 @@
 from .protocol import (
     CoherentKind,
     CoreOp,
-    LineFlags,
     LineState,
     OpKind,
-    Port,
     SnoopRequest,
     SnoopResponse,
     completion_state,
-    flags_of_state,
     initiator_action,
     snoopee_transition,
-    state_of_flags,
 )
 from .sim import SimConfig, SimStats, Simulation, TraceOp, build, parse_config
 
@@ -22,10 +18,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CoherentKind",
     "CoreOp",
-    "LineFlags",
     "LineState",
     "OpKind",
-    "Port",
     "SimConfig",
     "SimStats",
     "Simulation",
@@ -34,10 +28,8 @@ __all__ = [
     "TraceOp",
     "build",
     "completion_state",
-    "flags_of_state",
     "initiator_action",
     "parse_config",
     "snoopee_transition",
-    "state_of_flags",
     "__version__",
 ]

@@ -29,16 +29,11 @@ from .sim import Kernel, SimConfig
 
 @dataclass
 class DirectoryEntry:
-    """Directory state for one line: Uncached, SharedBy(set), or OwnedBy."""
+    """Directory state for one line: owned by `owner`, else shared by
+    `sharers`, else uncached (no owner and no sharers)."""
 
     owner: Optional[int] = None
     sharers: Set[int] = field(default_factory=set)
-
-    @property
-    def state(self) -> str:
-        if self.owner is not None:
-            return "OwnedBy"
-        return "SharedBy" if self.sharers else "Uncached"
 
 
 @dataclass
@@ -138,7 +133,7 @@ class DirectorySimulation(Kernel):
         ms.kind = cache.tables.retry[ms.kind, False, cache.lookup(txn.addr) is None] or ms.kind
         upgrade = ms.kind is CoherentKind.CLEAN_UNIQUE and txn.core in entry.sharers
         if txn.op is OpKind.STORE:
-            if entry.state == "OwnedBy" and entry.owner != txn.core:
+            if entry.owner not in (None, txn.core):
                 txn.plan.extend([("delay", hop), ("probe", entry.owner), ("delay", hop)])
             else:
                 for sharer in sorted(entry.sharers - {txn.core}):
@@ -149,13 +144,14 @@ class DirectorySimulation(Kernel):
                     txn.plan.append(("delay", hop))  # upgrade grant
             txn.install_state = LineState.MODIFIED
         else:
-            if entry.state == "OwnedBy" and entry.owner != txn.core:
+            if entry.owner not in (None, txn.core):
                 txn.plan.extend([("delay", hop), ("probe", entry.owner), ("delay", hop)])
                 txn.install_state = LineState.SHARED
             else:
                 txn.plan.extend([("memread",), ("delay", hop)])
                 txn.install_state = (
-                    LineState.EXCLUSIVE if entry.state == "Uncached" else LineState.SHARED
+                    LineState.EXCLUSIVE if entry.owner is None and not entry.sharers
+                    else LineState.SHARED
                 )
         txn.plan.append(("install",))
 

@@ -1,12 +1,11 @@
 """L1 cache model: set-associative write-back data cache plus an optional
 coherent instruction cache.
 
-The data cache SRAM has a single read/write port shared by six
-requesters under a fixed priority (arbitrate). The snoop controller sits
-second so that coherency updates are served before core requests; it
-also feeds the snoop-read and snoop-invalidation side signals into the
-in-flight miss so completions that raced with a snoop are retried rather
-than installed with stale uniqueness.
+The data cache SRAM has a single read/write port; the snoop model's
+cache controllers serve one requester on it a cycle (sim.Simulation).
+The snoop controller feeds the snoop-read and snoop-invalidation side
+signals into the in-flight miss so completions that raced with a snoop
+are retried rather than installed with stale uniqueness.
 
 The instruction cache has its own port and only ever holds lines in
 Shared or Invalid.
@@ -14,7 +13,6 @@ Shared or Invalid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import protocol
@@ -45,25 +43,6 @@ class LostCopy(RuntimeError):
     def __init__(self, address: int):
         super().__init__("CleanUnique completion without a local copy")
         self.address = address
-
-
-class RequesterId(Enum):
-    """SRAM-port requesters in priority order (lower value wins); the
-    snoop model's cache controllers serve the port in this order."""
-
-    MISS_HANDLER = 0
-    SNOOP_CTRL = 1
-    PTW = 2
-    LOAD_UNIT = 3
-    ACCELERATOR = 4
-    STORE_UNIT = 5
-
-
-def arbitrate(requests) -> RequesterId:
-    """Pick the winning requester under the static priority order."""
-    if not requests:
-        raise ValueError("arbitrate requires at least one requester")
-    return min(requests, key=lambda r: r.value)
 
 
 def word_at(data: bytes, offset: int) -> int:
@@ -183,8 +162,6 @@ class CacheModel:
 
     def lookup(self, address: int, icache: bool = False) -> Optional[Tuple[int, CacheLine]]:
         """Find the valid way holding `address`, or None on miss."""
-        if address < 0 or address >= (1 << PHYS_ADDR_BITS):
-            raise ConfigError(f"address {address:#x} outside the physical address range")
         hit = (self.iindex if icache else self.index).get(address - address % self.line_size)
         if hit is not None and hit[1].state is not LineState.INVALID:
             return hit
@@ -194,7 +171,10 @@ class CacheModel:
 
     def core_access(self, op: CoreOp) -> Union[Served, NeedsMiss]:
         """Serve a load/store against the data cache or hand it to the miss
-        handler. IFetch ops go through ifetch() instead."""
+        handler. IFetch ops go through ifetch() instead. Ops are where
+        addresses enter the caches, so the physical range is checked here."""
+        if not 0 <= op.address < 1 << PHYS_ADDR_BITS:
+            raise ConfigError(f"address {op.address:#x} outside the physical address range")
         if op.kind is OpKind.IFETCH:
             return self.ifetch(op.address)
         if self.miss is not None:

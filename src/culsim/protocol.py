@@ -7,7 +7,9 @@ every row that runs is certified by the checker's exhaustive runs
 (verify.oracle_tables). `MUTATIONS` are deliberate row patches on it,
 applied by `Tables.mutated`.
 
-Line status is encoded with three flags stored alongside tag and data:
+A line's state is stored as a `LineState` beside its tag and data. In
+hardware it is three status flags; `is_valid`, `is_unique` and
+`is_dirty` read them off (shared = valid and not unique):
 
     state      ACE alias     valid shared dirty
     Modified   UniqueDirty     1     0      1
@@ -16,15 +18,15 @@ Line status is encoded with three flags stored alongside tag and data:
     Shared     SharedClean     1     1      0
     Invalid    Invalid         0     -      -
 
-Invalid's shared/dirty bits are don't-care in hardware; they are
-normalized to zero here so states hash deterministically.
+Invalid's shared/dirty bits are don't-care in hardware; the properties
+read them as zero.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 
 class LineState(Enum):
@@ -37,10 +39,6 @@ class LineState(Enum):
     # members are singletons compared by identity, so the C-level
     # identity hash serves the hot table lookups (Enum's hashes the name)
     __hash__ = object.__hash__
-
-    @property
-    def ace_alias(self) -> str:
-        return _ACE_ALIAS[self]
 
     @property
     def is_valid(self) -> bool:
@@ -58,49 +56,6 @@ class LineState(Enum):
 # States carrying dirty responsibility / excluding every other copy.
 DIRTY_STATES = frozenset({LineState.MODIFIED, LineState.OWNED})
 UNIQUE_STATES = frozenset({LineState.MODIFIED, LineState.EXCLUSIVE})
-
-
-_ACE_ALIAS = {
-    LineState.MODIFIED: "UniqueDirty",
-    LineState.OWNED: "SharedDirty",
-    LineState.EXCLUSIVE: "UniqueClean",
-    LineState.SHARED: "SharedClean",
-    LineState.INVALID: "Invalid",
-}
-
-
-class LineFlags(NamedTuple):
-    valid: int
-    shared: int
-    dirty: int
-
-
-_FLAGS_OF_STATE = {
-    LineState.MODIFIED: LineFlags(1, 0, 1),
-    LineState.OWNED: LineFlags(1, 1, 1),
-    LineState.EXCLUSIVE: LineFlags(1, 0, 0),
-    LineState.SHARED: LineFlags(1, 1, 0),
-    LineState.INVALID: LineFlags(0, 0, 0),
-}
-
-_STATE_OF_FLAGS = {
-    (0, 1): LineState.MODIFIED,
-    (1, 1): LineState.OWNED,
-    (0, 0): LineState.EXCLUSIVE,
-    (1, 0): LineState.SHARED,
-}
-
-
-def flags_of_state(state: LineState) -> LineFlags:
-    """Status-flag triple for a line state (Invalid normalized to 0,0,0)."""
-    return _FLAGS_OF_STATE[state]
-
-
-def state_of_flags(flags: LineFlags) -> LineState:
-    """Inverse of flags_of_state; valid=0 is Invalid whatever the other bits."""
-    if not flags.valid:
-        return LineState.INVALID
-    return _STATE_OF_FLAGS[(flags.shared, flags.dirty)]
 
 
 class CoherentKind(Enum):
@@ -148,38 +103,18 @@ class OpKind(Enum):
     __hash__ = object.__hash__
 
 
-class Port(Enum):
-    LOAD_UNIT = "LoadUnit"
-    STORE_UNIT = "StoreUnit"
-    PTW = "Ptw"
-    ACCELERATOR = "Accelerator"
-    IFETCH = "IFetch"
-
-
-_DEFAULT_PORT = {
-    OpKind.LOAD: Port.LOAD_UNIT,
-    OpKind.STORE: Port.STORE_UNIT,
-    OpKind.IFETCH: Port.IFETCH,
-}
-
-
 @dataclass(frozen=True)
 class CoreOp:
     """One memory operation issued by a core.
 
     Stores carry the word value to write; loads and ifetches do not.
-    The port selects which cache controller the request arrives on
-    (PTW and accelerator traffic is plain read/write on its own port).
     """
 
     kind: OpKind
     address: int
     value: Optional[int] = None
-    port: Optional[Port] = None
 
     def __post_init__(self):
-        if self.port is None:
-            object.__setattr__(self, "port", _DEFAULT_PORT[self.kind])
         if self.kind is OpKind.STORE:
             if self.value is None:
                 raise ValueError("Store requires a value")

@@ -9,13 +9,15 @@ accounting, the run loop and watchdog, monitors and the final image.
 `step()` advances exactly one cycle. `run()` also skips the cycles in
 which no phase can act: after a step that made no progress it jumps
 `cycle` to the earliest due time of any queue (or the watchdog
-deadline) and adds the skipped span to the stall counters in bulk, so
-every count and the trip cycle of a deadlock match a cycle-by-cycle run.
+deadline). A core's stall cycles are counted per op, from its issue to
+its retire (or to a watchdog trip), so every count and the trip cycle
+of a deadlock match a cycle-by-cycle run.
 
-Component evaluation order within a cycle: cache controllers (in
-arbiter priority, snoops due at the head of the CCU's AC queues), CCU
-stages (decoder, snoop unit, memory unit), memory, stream issue — so
-coherency updates always land before the core requests of the same cycle.
+Component evaluation order within a cycle: cache controllers (each
+serving one requester on its SRAM port, snoops due at the head of the
+CCU's AC queues before the core's op), CCU stages (decoder, snoop unit,
+memory unit), memory, stream issue — so coherency updates always land
+before the core requests of the same cycle.
 """
 from __future__ import annotations
 
@@ -221,6 +223,7 @@ class _Port:
     current: Optional[CoreOp] = None
     waiting_miss: bool = False
     miss_start: int = 0
+    issued_at: int = 0
     ready_at: int = 0
     nc_fill: Optional[Tuple[int, bytes]] = None
     observations: List[int] = field(default_factory=list)
@@ -295,13 +298,11 @@ class Kernel:
         self.stats.mem_writes = self.mem.writes
 
     def _issue(self, now: int) -> None:
-        """Hand each free port its next op; a port that ends the cycle
-        holding an op counts a stall cycle."""
+        """Hand each free port its next op."""
         for port, stats in zip(self.ports, self.stats.cores):
-            if port.current is None:
-                if not port.stream or now < port.ready_at:
-                    continue
+            if port.current is None and port.stream and now >= port.ready_at:
                 op = port.current = port.stream.popleft()
+                port.issued_at = now
                 stats.ops += 1
                 if op.kind is OpKind.LOAD:
                     stats.loads += 1
@@ -310,7 +311,6 @@ class Kernel:
                 else:
                     stats.ifetches += 1
                 self._progress = True
-            stats.stall_cycles += 1
 
     def _access(self, core: int, op: CoreOp, now: int):
         """Run op against the core's cache. A hit retires the op and
@@ -321,6 +321,7 @@ class Kernel:
         result = self.caches[core].core_access(op)
         if isinstance(result, Served):
             stats.hits += 1
+            stats.stall_cycles += now - port.issued_at
             if result.value is not None:
                 port.observations.append(result.value)
             port.current = None
@@ -350,6 +351,7 @@ class Kernel:
             port.observations.append(word_at(hit[1].data, op.address % self.config.line_size))
         self.stats.miss_latency_total += now - port.miss_start
         self.stats.miss_count += 1
+        self.stats.cores[core].stall_cycles += now - port.issued_at
         port.current = None
         port.waiting_miss = False
         port.ready_at = now
@@ -443,17 +445,13 @@ class Kernel:
 
     def _skip_idle(self, limit: int) -> None:
         """Jump to the next cycle in which something can act, at most to
-        `limit`, counting the skipped cycles' stalls as steps would."""
+        `limit`, counting the skipped cycles' collision stalls as steps would."""
         now = self.cycle
         t = self._next_event(now, limit)
         if t <= now or t == limit and not self._work_remaining():
             return  # something acts now, or the run has drained
-        span = t - now
-        for core, port in enumerate(self.ports):
-            if port.current is not None:
-                self.stats.cores[core].stall_cycles += span
         if self.decoder.hold is not None:  # it cannot enter before t
-            self.decoder.stalls += span
+            self.decoder.stalls += t - now
             self.stats.ccu_collision_stalls = self.decoder.stalls
         self.cycle = self.stats.cycles = t
 
@@ -483,6 +481,9 @@ class Kernel:
             if not self._progress:
                 self._skip_idle(self._last_progress + watchdog + 1)
             if self.cycle - self._last_progress > watchdog:
+                for port, stats in zip(self.ports, self.stats.cores):
+                    if port.current is not None:  # close the open stall intervals
+                        stats.stall_cycles += self.cycle - port.issued_at
                 raise DeadlockError(
                     f"no forward progress for {watchdog} cycles\n" + self._dump_state()
                 )
@@ -554,10 +555,10 @@ class Simulation(Kernel):
             and not (acs and acs[0][0] <= now)
         ):
             return
-        # the SRAM port serves one requester, in RequesterId order; a core
-        # has at most one op pending, so its PTW/load/accelerator/store
-        # requesters never compete with each other. A pending ifetch
-        # leaves the port idle and runs below.
+        # the SRAM port serves one requester a cycle, in priority order:
+        # an R completion, then a non-coherent fill, then a due snoop,
+        # then the core's load or store (a core has at most one op
+        # pending). A pending ifetch leaves the port idle and runs below.
         txn = self.ccu.take_r(core, now)
         op = port.current
         if txn is not None and self._install_feasible(self.caches[core], txn):

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from culsim.cache import (
@@ -7,10 +5,8 @@ from culsim.cache import (
     ConfigError,
     Install,
     NeedsMiss,
-    RequesterId,
     Retry,
     Served,
-    arbitrate,
     set_word,
     word_at,
 )
@@ -21,7 +17,6 @@ from culsim.protocol import (
     OpKind,
     SnoopRequest,
     UNIQUE_KINDS,
-    flags_of_state,
 )
 
 M, O, E, S, I = (
@@ -31,15 +26,6 @@ M, O, E, S, I = (
     LineState.SHARED,
     LineState.INVALID,
 )
-
-PRIORITY = [
-    RequesterId.MISS_HANDLER,
-    RequesterId.SNOOP_CTRL,
-    RequesterId.PTW,
-    RequesterId.LOAD_UNIT,
-    RequesterId.ACCELERATOR,
-    RequesterId.STORE_UNIT,
-]
 
 
 def make_cache(**kw):
@@ -56,26 +42,6 @@ def fill(cache, address, state, byte=0xAB, icache=False):
     return data
 
 
-# -- arbitration ---------------------------------------------------------------
-
-def test_arbitrate_all_pairs_respect_priority():
-    for a, b in itertools.combinations(PRIORITY, 2):
-        assert arbitrate({a, b}) is a
-        assert arbitrate({b, a}) is a
-
-
-def test_arbitrate_examples():
-    assert arbitrate({RequesterId.MISS_HANDLER, RequesterId.STORE_UNIT}) is RequesterId.MISS_HANDLER
-    assert arbitrate({RequesterId.SNOOP_CTRL, RequesterId.PTW, RequesterId.LOAD_UNIT}) is RequesterId.SNOOP_CTRL
-    assert arbitrate({RequesterId.STORE_UNIT}) is RequesterId.STORE_UNIT
-    assert arbitrate(set(PRIORITY)) is RequesterId.MISS_HANDLER
-
-
-def test_arbitrate_rejects_empty():
-    with pytest.raises(ValueError):
-        arbitrate(set())
-
-
 # -- lookup ----------------------------------------------------------------------
 
 def test_lookup_empty_cache_misses():
@@ -90,12 +56,17 @@ def test_lookup_after_install_hits():
     assert cache.lookup(0x40 + cache.line_size) is None  # different line
 
 
-def test_lookup_out_of_range_is_config_error():
-    with pytest.raises(ConfigError):
-        make_cache().lookup(1 << 32)
-
-
 # -- core access -------------------------------------------------------------------
+
+def test_core_access_out_of_range_is_config_error():
+    for address in (1 << 32, -16):
+        for op in (CoreOp(OpKind.LOAD, address), CoreOp(OpKind.STORE, address, value=1),
+                   CoreOp(OpKind.IFETCH, address)):
+            cache = make_cache()
+            with pytest.raises(ConfigError, match="outside the physical address range"):
+                cache.core_access(op)
+            assert cache.miss is None
+
 
 def test_store_hit_on_exclusive_turns_modified():
     cache = make_cache()
@@ -104,7 +75,7 @@ def test_store_hit_on_exclusive_turns_modified():
     assert result == Served()
     line = cache.lookup(0x40)[1]
     assert line.state is M
-    assert flags_of_state(line.state) == (1, 0, 1)
+    assert line.state.is_dirty and line.state.is_unique
     assert word_at(line.data, 4) == 0xDEAD
 
 

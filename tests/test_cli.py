@@ -208,6 +208,17 @@ def test_out_of_range_run_inputs_exit_5(tmp_path, capsys, flags, message):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("address", ["100000000", "-10"])
+def test_trace_address_outside_physical_range_exits_5(tmp_path, capsys, address):
+    trace = tmp_path / "t.txt"
+    trace.write_text(f"0 R 0x40\n1 W {address} 0x1\n")
+    report = tmp_path / "r.json"
+    code = run_cli("run", "--model", "both", "--trace", str(trace), "--report", str(report))
+    assert code == EXIT_BAD_INPUT
+    assert "outside the physical address range" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--model", "nonsense")

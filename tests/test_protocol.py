@@ -1,15 +1,14 @@
 import pytest
 
+from culsim import protocol
 from culsim.protocol import (
     CoherentKind,
     CoreOp,
     Hit,
     Issue,
-    LineFlags,
     LineState,
     MUTATIONS,
     OpKind,
-    Port,
     READ_KINDS,
     SNOOPING_KINDS,
     SnoopRequest,
@@ -17,12 +16,10 @@ from culsim.protocol import (
     TABLES,
     UNIQUE_KINDS,
     completion_state,
-    flags_of_state,
     initiator_action,
     must_retry,
     reissue_kind,
     snoopee_transition,
-    state_of_flags,
     take_ownership,
 )
 
@@ -51,28 +48,36 @@ TABLE_ROWS = [
 ]
 
 
+def status_flags(state):
+    """The (valid, shared, dirty) status flags the state properties read."""
+    return (int(state.is_valid), int(state.is_valid and not state.is_unique),
+            int(state.is_dirty))
+
+
 @pytest.mark.parametrize("state,flags,alias", TABLE_ROWS)
 def test_status_flag_rows(state, flags, alias):
-    assert flags_of_state(state) == LineFlags(*flags)
-    assert state.ace_alias == alias
+    # the module docstring's table documents the encoding: its row must
+    # agree with the properties the models run
+    row = next(line.split() for line in protocol.__doc__.splitlines()
+               if line.split()[:1] == [state.name.capitalize()])
+    assert row[1] == alias
+    assert tuple(int(bit) if bit != "-" else 0 for bit in row[2:]) == flags
+    assert status_flags(state) == flags
 
 
 def test_flag_round_trip_all_states():
-    for state in LineState:
-        assert state_of_flags(flags_of_state(state)) is state
+    # distinct states have distinct flags, so the flags name the state
+    assert len({status_flags(state) for state in LineState}) == len(LineState)
 
 
 def test_invalid_ignores_dont_care_bits():
-    for shared in (0, 1):
-        for dirty in (0, 1):
-            assert state_of_flags(LineFlags(0, shared, dirty)) is I
+    assert status_flags(I) == (0, 0, 0)
+    assert not I.is_unique and not I.is_dirty
 
 
 def test_state_of_flags_total_over_valid_encodings():
-    assert state_of_flags(LineFlags(1, 1, 1)) is O
-    assert state_of_flags(LineFlags(1, 0, 1)) is M
-    assert state_of_flags(LineFlags(1, 0, 0)) is E
-    assert state_of_flags(LineFlags(1, 1, 0)) is S
+    valid = {status_flags(state) for state in LineState if state.is_valid}
+    assert valid == {(1, shared, dirty) for shared in (0, 1) for dirty in (0, 1)}
 
 
 # -- initiator table ---------------------------------------------------------
@@ -288,19 +293,13 @@ def test_mutated_with_no_ids_equals_the_clean_tables():
 # -- message types ------------------------------------------------------------
 
 def test_core_op_validation():
-    op = CoreOp(OpKind.STORE, 0x40, value=7)
-    assert op.port is Port.STORE_UNIT
-    assert CoreOp(OpKind.LOAD, 0x40).port is Port.LOAD_UNIT
-    assert CoreOp(OpKind.IFETCH, 0x40).port is Port.IFETCH
+    assert CoreOp(OpKind.STORE, 0x40, value=7).value == 7
+    assert CoreOp(OpKind.LOAD, 0x40).value is None
+    assert CoreOp(OpKind.IFETCH, 0x40).value is None
     with pytest.raises(ValueError):
         CoreOp(OpKind.STORE, 0x40)
     with pytest.raises(ValueError):
         CoreOp(OpKind.LOAD, 0x40, value=1)
-
-
-def test_core_op_custom_port():
-    op = CoreOp(OpKind.LOAD, 0x40, port=Port.PTW)
-    assert op.port is Port.PTW
 
 
 def test_snoop_request_rejects_non_snooping_kinds():

@@ -1,6 +1,8 @@
 """`run()` skips cycles in which nothing can act; a cycle-by-cycle loop
 over `step()` must reach the same stats, observations, final image and
-cycle on every model."""
+cycle on every model. The loop also counts stall cycles the per-step
+way, one per port that ends a step holding an op, as an oracle for the
+per-op stall intervals the models count."""
 from hypothesis import HealthCheck, given, settings
 
 from culsim.baseline import DirectorySimulation
@@ -17,12 +19,19 @@ MODELS = {
 
 
 def every_cycle(sim, streams):
-    """The reference: one step() per simulated cycle until the work drains."""
+    """The reference: one step() per simulated cycle until the work drains.
+    Each port that ends a step holding an op counts a stall cycle, and
+    the counts must equal the models' per-core stall_cycles."""
     for port, ops in zip(sim.ports, streams):
         port.stream.extend(ops)
+    stalls = [0] * len(sim.ports)
     while sim._work_remaining():
         sim.step()
+        for core, port in enumerate(sim.ports):
+            if port.current is not None:
+                stalls[core] += 1
         assert sim.cycle < 100_000, "reference run does not drain"
+    assert [c.stall_cycles for c in sim.stats.cores] == stalls
     return sim.stats
 
 
