@@ -305,6 +305,57 @@ def test_lost_copy_ends_the_run_as_a_violation(monkeypatch, tmp_path, seed):
     assert json.loads(report.read_text())["violations"] == [str(exc.value)]
 
 
+# -- SRAM port arbitration ------------------------------------------------------------
+
+def test_a_due_snoop_takes_the_port_before_the_core_store():
+    sim = build(SimConfig())
+    sim.ports[0].stream.append(CoreOp(OpKind.LOAD, 0x100))
+    while not sim.ccu.ac_outbox[1]:
+        sim.step()
+    due = sim.ccu.ac_outbox[1][0][0]
+    while sim.cycle < due - 1:
+        sim.step()
+    # core 1's store issues at the end of this cycle: it requests the port
+    # in the same cycle the snoop of core 0's miss arrives
+    store = CoreOp(OpKind.STORE, 0x200, value=7)
+    sim.ports[1].stream.append(store)
+    sim.step()
+    assert sim.cycle == due and sim.ports[1].current is store
+    sim.step()
+    assert not sim.ccu.ac_outbox[1] and len(sim.ccu.cr_inbox) == 1  # snoop served
+    assert sim.ports[1].current is store and not sim.ports[1].waiting_miss
+    assert sim.stats.cores[1].misses == 0
+    sim.step()
+    assert sim.ports[1].waiting_miss and sim.stats.cores[1].misses == 1  # store ran
+
+
+def test_a_due_r_completion_takes_the_port_before_a_snoop():
+    cfg = SimConfig(n_cores=4)
+    sim = build(cfg)
+    streams = gen_workload(WorkloadSpec(kind="false_sharing", ops_per_core=50), 4,
+                           cfg.line_size)
+    for port, ops in zip(sim.ports, streams):
+        port.stream.extend(ops)
+
+    def both_due():
+        for core in range(cfg.n_cores):
+            txn = sim.ccu.take_r(core, sim.cycle)
+            acs = sim.ccu.ac_outbox[core]
+            if txn is not None and acs and acs[0][0] <= sim.cycle:
+                return core, txn, acs[0]
+        return None
+
+    while both_due() is None:
+        assert sim.cycle < 1000, "no cycle with an R and a snoop due on one core"
+        sim.step()
+    core, txn, snoop = both_due()
+    sim.step()
+    assert txn.id not in sim.ccu.txns  # the completion retired its transaction
+    assert sim.ccu.ac_outbox[core][0] is snoop  # the snoop still waits
+    sim.step()
+    assert not sim.ccu.ac_outbox[core] or sim.ccu.ac_outbox[core][0] is not snoop
+
+
 # -- failure handling -----------------------------------------------------------------
 
 def test_watchdog_detects_wedged_pipeline():
