@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .ccu import admits, decode_and_snoop
@@ -144,21 +145,26 @@ class ExploreResult:
 
 
 # --------------------------------------------------------------------------
-# Packed abstract state. A state is one flat tuple. Lines are numbered by
-# their position in the machine's sorted address list, and line states,
-# transaction kinds and core ops are small int codes (positions below).
+# Packed abstract state. A state is one immutable bytes value, one byte per
+# field; a step copies it into a bytearray, patches it and freezes it. Lines
+# are numbered by their position in the machine's sorted address list, and
+# line states, transaction kinds and core ops are small int codes (positions
+# below). A data value is its index in `machine.vals`, (None,) + the sorted
+# stored and initial values and 0, so code 0 is "no value"; messages and
+# observations decode through `vals` to the real value.
 #
-#   per core c, at c * _CORE_SLOTS:
-#     pc, register tuple, and the miss record: kind code (0: no miss),
-#     flag bits, line, bitmask of the snoop targets still to probe (bit j
-#     is entry j of the fan-out), buffered CD value and the core it came
-#     from (both None until a responder transfers)
+#   per core c, at machine.core_at[c]:
+#     pc, then the miss record: kind code (0: no miss), flag bits, line,
+#     bitmask of the snoop targets still to probe (bit j is entry j of the
+#     fan-out), buffered CD value and 1 + the core it came from (both 0
+#     until a responder transfers); then a register slot per read op, op
+#     pc filling slot machine.n_read[c][pc] (unfilled slots hold 0)
 #   per line l, at machine.line_at[l]:
 #     memory value, ghost value (last write in coherence order), then per
 #     core: dcache state and value, icache state and value (absent lines
-#     hold _I and None)
-#   then: bitmask of the lines in flight, and the write-back FIFO, oldest
-#     first, as (line, value) pairs
+#     hold _I and 0)
+#   then: bitmask of the lines in flight (machine.coll_at), and to the end
+#     the write-back FIFO, oldest first, as (line, value) byte pairs
 # --------------------------------------------------------------------------
 
 _STATES = (LineState.INVALID, LineState.MODIFIED, LineState.OWNED,
@@ -174,9 +180,9 @@ _OPS = (OpKind.LOAD, OpKind.STORE, OpKind.IFETCH)
 _LOAD, _STORE, _IFETCH = range(3)
 _OP_OF_VERB = {"R": _LOAD, "W": _STORE, "IF": _IFETCH}
 
-# per-core slots
-_PC, _REGS, _MK, _MF, _ML, _MM, _MD, _MFROM = range(8)
-_CORE_SLOTS = 8
+# per-core slots; the register slots follow
+_PC, _MK, _MF, _ML, _MM, _MD, _MFROM = range(7)
+_CORE_SLOTS = 7
 # miss flag bits
 _ACCEPTED, _READ_SEEN, _INVALIDATED, _ANY_SHARED, _ANY_DIRTY = 1, 2, 4, 8, 16
 # per-line slots; each core's four cache slots follow at 2 + 4 * core
@@ -210,21 +216,28 @@ class _Machine:
         self.init_cov: Set[Tuple[int, int]] = set()  # (state code, op code)
         self.snoop_cov: Set[Tuple[int, int]] = set()  # (state code, kind code)
         line_no = {a: i for i, a in enumerate(self.addrs)}
+        stored = {op[2] for prog in self.programs for op in prog if op[0] == "W"}
+        self.vals = (None,) + tuple(sorted({0} | set(self.init_mem.values()) | stored))
         self.ops = [
-            tuple((_OP_OF_VERB[op[0]], line_no[op[1]], op[2] if op[0] == "W" else None)
-                  for op in prog)
+            tuple((_OP_OF_VERB[op[0]], line_no[op[1]],
+                   self.vals.index(op[2]) if op[0] == "W" else None) for op in prog)
             for prog in self.programs
         ]
+        self.n_read = tuple(tuple(accumulate((op[0] != _STORE for op in ops), initial=0))
+                            for ops in self.ops)
         self._build_tables()
 
         n, width = config.n_cores, 2 + 4 * config.n_cores
-        self.line_at = tuple(n * _CORE_SLOTS + l * width for l in range(len(self.addrs)))
+        *self.core_at, self.tail_at = accumulate(
+            (_CORE_SLOTS + row[-1] for row in self.n_read), initial=0)
+        self.line_at = tuple(self.tail_at + l * width for l in range(len(self.addrs)))
         self.line_spans = tuple((at, at + width) for at in self.line_at)
         self.dpos = tuple(tuple(at + 2 + 4 * c for at in self.line_at) for c in range(n))
         self.ipos = tuple(tuple(p + 2 for p in row) for row in self.dpos)
-        self.coll_at = n * _CORE_SLOTS + len(self.addrs) * width
+        self.coll_at = self.tail_at + len(self.addrs) * width
         self.wb_at = self.coll_at + 1
         self._line_checks: Dict[tuple, Tuple[tuple, tuple, tuple]] = {}
+        self._tail_checks: Dict[bytes, Tuple[str, ...]] = {}
 
     def _build_tables(self) -> None:
         """Int-coded copies of `protocol.TABLES` with the configured
@@ -284,13 +297,12 @@ class _Machine:
             for core in range(self.cfg.n_cores)
         )
 
-    def initial(self) -> tuple:
-        n = self.cfg.n_cores
-        state = [0, (), 0, 0, 0, 0, None, None] * n
+    def initial(self) -> bytes:
+        state = bytearray(self.tail_at)  # every core idle at pc 0, no registers
         for addr in self.addrs:
-            value = self.init_mem.get(addr, 0)
-            state += [value, value] + [_I, None, _I, None] * n
-        return tuple(state + [0, ()])
+            value = self.vals.index(self.init_mem.get(addr, 0))
+            state += bytes((value, value) + (_I, 0, _I, 0) * self.cfg.n_cores)
+        return bytes(state + b"\0")  # no line in flight, empty write-back FIFO
 
     def coverage(self) -> Tuple[Set[tuple], Set[tuple]]:
         """Initiator (LineState, OpKind) and snoopee (LineState,
@@ -302,16 +314,21 @@ class _Machine:
 
     # -- invariant checks ---------------------------------------------------------
 
-    def state_violations(self, state: tuple) -> List[str]:
+    def state_violations(self, state: bytes) -> Tuple[str, ...]:
         """SWMR messages of every line by address, then stale-copy
-        messages, then lost-write messages. Lines are checked one at a
-        time, memoized on the line and its slots of the state."""
+        messages, then lost-write messages, memoized on the state's tail
+        (line slots, collision mask and write-back FIFO), all they read. A
+        new tail is checked per line, memoized on the line and its slots."""
+        tail = state[self.tail_at:]
+        messages = self._tail_checks.get(tail)
+        if messages is not None:
+            return messages
         # the collision mask is exactly the lines with an accepted miss:
         # accept sets a line's bit, completion and retry clear it, and a
         # line in the mask admits no second accept
         in_flight = state[self.coll_at]
         in_wb = 0
-        for line, _value in state[self.wb_at]:
+        for line in state[self.wb_at::2]:
             in_wb |= 1 << line
         memo = self._line_checks
         parts = []
@@ -323,11 +340,13 @@ class _Machine:
                 found = memo[key] = self._line_violations(*key)
             if found[0] or found[1] or found[2]:
                 parts.append(found)
-        return [msg for i in (0, 1, 2) for found in parts for msg in found[i]]
+        messages = self._tail_checks[tail] = tuple(
+            msg for i in (0, 1, 2) for found in parts for msg in found[i])
+        return messages
 
-    def _line_violations(self, line: int, slots: tuple, in_flight: int,
+    def _line_violations(self, line: int, slots: bytes, in_flight: int,
                          in_wb: int) -> Tuple[tuple, tuple, tuple]:
-        addr = self.addrs[line]
+        addr, vals = self.addrs[line], self.vals
         mem, ghost = slots[_MEM], slots[_GHOST]
         copies = []
         dirty = False
@@ -340,26 +359,25 @@ class _Machine:
                 copies.append(CopyView(core, _STATES[istate], ival, True))
         swmr = tuple(check_swmr({addr: (copies, mem)}))
         stale = tuple(
-            f"line {addr:#x}: core {c.core} holds stale value {c.data} "
-            f"(authoritative {ghost})"
+            f"line {addr:#x}: core {c.core} holds stale value {vals[c.data]} "
+            f"(authoritative {vals[ghost]})"
             for c in copies if c.data != ghost
         )
         # memory must be authoritative once a line is quiescent and clean
         lost = ()
         if not (in_flight or in_wb or dirty) and mem != ghost:
-            lost = (f"line {addr:#x}: memory {mem} lost the last write "
-                    f"(authoritative {ghost})",)
+            lost = (f"line {addr:#x}: memory {vals[mem]} lost the last write "
+                    f"(authoritative {vals[ghost]})",)
         return swmr, stale, lost
 
     # -- atomic steps ----------------------------------------------------------------
 
-    def successors(self, state: tuple) -> List[Tuple[tuple, tuple, Optional[str]]]:
+    def successors(self, state: bytes) -> List[Tuple[tuple, bytes, Optional[str]]]:
         """(label, next state, stale-data note or None) per enabled step:
         cores in order, a core's snoop targets in fan-out order, the
         write-back drain last."""
         out = []
-        for core in range(self.cfg.n_cores):
-            at = core * _CORE_SLOTS
+        for core, at in enumerate(self.core_at):
             kind = state[at + _MK]
             if not kind:
                 if state[at + _PC] < len(self.ops[core]):
@@ -376,16 +394,17 @@ class _Machine:
                 step = self._complete(state, core)
                 if step is not None:
                     out.append(step)
-        if state[self.wb_at]:
+        if len(state) > self.wb_at:
             out.append(self._drain(state))
         return out
 
-    def _issue(self, state: tuple, core: int):
-        at = core * _CORE_SLOTS
+    def _issue(self, state: bytes, core: int):
+        at = self.core_at[core]
         pc = state[at + _PC]
         op, line, value = self.ops[core][pc]
         label = (_ISSUE, core, pc)
-        new = list(state)
+        new = bytearray(state)
+        reg = at + _CORE_SLOTS + self.n_read[core][pc]
         pos = (self.ipos if op == _IFETCH else self.dpos)[core][line]
         cstate = state[pos]
         self.init_cov.add((cstate, op))
@@ -395,20 +414,20 @@ class _Machine:
             if op == _STORE:
                 new[pos + 1] = new[self.line_at[line] + _GHOST] = value
             else:
-                new[at + _REGS] += (state[pos + 1],)
+                new[reg] = state[pos + 1]
         elif op == _IFETCH and not self.cfg.coherent_ifetch:
             # non-coherent fill straight from memory; staleness permitted
             value = state[self.line_at[line] + _MEM]
             new[pos], new[pos + 1] = _S, value
-            new[at + _REGS] += (value,)
+            new[reg] = value
         else:
             new[at + _MK], new[at + _ML] = code, line
-            return label, tuple(new), None
+            return label, bytes(new), None
         new[at + _PC] = pc + 1
-        return label, tuple(new), None
+        return label, bytes(new), None
 
-    def _accept(self, state: tuple, core: int):
-        at = core * _CORE_SLOTS
+    def _accept(self, state: bytes, core: int):
+        at = self.core_at[core]
         kind, flags, line = state[at + _MK], state[at + _MF], state[at + _ML]
         # a pending miss whose copy was snooped away is re-encoded before
         # it enters the coherent pipeline (CleanUnique becomes ReadUnique)
@@ -416,21 +435,20 @@ class _Machine:
             again = self.retry[kind][(flags >> 1) & 3]
             if again and again != kind:
                 kind, flags = again, flags & ~_INVALIDATED
-        new = list(state)
+        new = bytearray(state)
         new[at + _MK] = kind
         new[at + _MF] = flags | _ACCEPTED
         new[at + _MM] = (1 << len(self.fanout[core][kind])) - 1
         new[self.coll_at] |= 1 << line
-        return (_ACCEPT, core, kind, line), tuple(new), None
+        return (_ACCEPT, core, kind, line), bytes(new), None
 
-    def _snoop(self, state: tuple, core: int, j: int):
-        at = core * _CORE_SLOTS
+    def _snoop(self, state: bytes, core: int, j: int):
+        at = self.core_at[core]
         kind, line = state[at + _MK], state[at + _ML]
         target, probe_d, probe_i = self.fanout[core][kind][j]
-        data_transfer = pass_dirty = is_shared = 0
-        data_val = None
+        data_transfer = pass_dirty = is_shared = data_val = 0
         invalidated_valid = False
-        new = list(state)
+        new = bytearray(state)
 
         if probe_d:
             pos = self.dpos[target][line]
@@ -442,7 +460,7 @@ class _Machine:
                     data_val = state[pos + 1]
                 if nxt == _I:
                     invalidated_valid = True
-                    new[pos], new[pos + 1] = _I, None
+                    new[pos] = new[pos + 1] = _I
                 else:
                     new[pos] = nxt
                 data_transfer |= dt
@@ -454,22 +472,22 @@ class _Machine:
             self.snoop_cov.add((istate, kind))
             nxt, dt, _pd, sh = self.snoopee[istate][kind]
             if istate:
-                if dt and data_val is None:
+                if dt and not data_val:
                     data_val = state[pos + 1]
                 if nxt == _I:
-                    new[pos], new[pos + 1] = _I, None
+                    new[pos] = new[pos + 1] = _I
                 data_transfer |= dt
                 is_shared |= sh
 
         # side signals into the target's own pending miss (maybe this one)
-        tat = target * _CORE_SLOTS
+        tat = self.core_at[target]
         if new[tat + _MK] and new[tat + _ML] == line:
             new[tat + _MF] |= self.read_seen[kind][new[tat + _MK]]
             if invalidated_valid:
                 new[tat + _MF] |= _INVALIDATED
 
-        if data_transfer and new[at + _MFROM] is None and new[at + _MD] is None:
-            new[at + _MD], new[at + _MFROM] = data_val, target
+        if data_transfer and not new[at + _MFROM] and not new[at + _MD]:
+            new[at + _MD], new[at + _MFROM] = data_val, target + 1
         if pass_dirty and not data_transfer:
             # data-less handoff: the initiator's own copy takes Owned now
             pos = self.dpos[core][line]
@@ -479,15 +497,15 @@ class _Machine:
             new[at + _MF] |= _ANY_SHARED
         if pass_dirty:
             new[at + _MF] |= _ANY_DIRTY
-        return (_SNOOP, core, kind, line, target), tuple(new), None
+        return (_SNOOP, core, kind, line, target), bytes(new), None
 
-    def _complete(self, state: tuple, core: int):
-        at = core * _CORE_SLOTS
+    def _complete(self, state: bytes, core: int):
+        at = self.core_at[core]
         kind, flags, line = state[at + _MK], state[at + _MF], state[at + _ML]
         addr = self.addrs[line]
         dpos = self.dpos[core][line]
-        wb = state[self.wb_at]
-        new = list(state)
+        wb = state[self.wb_at:]
+        new = bytearray(state)
 
         again = self.retry[kind][(flags >> 1) & 3]  # read_seen + 2 * lost_copy
         if again:
@@ -496,17 +514,16 @@ class _Machine:
             # write-back FIFO; a data-less handoff (CleanUnique probing a
             # dirty holder) lands on the initiator's own copy as Owned
             if flags & _ANY_DIRTY:
-                if state[at + _MD] is not None:
-                    if fifo_full(wb, self.cfg.wb_depth):
+                if state[at + _MD]:
+                    if fifo_full(wb[::2], self.cfg.wb_depth):
                         return None
-                    new[self.wb_at] = wb + ((line, state[at + _MD]),)
+                    new.extend((line, state[at + _MD]))
                 else:
                     new[dpos] = self.take_owned[state[dpos]]
             kind = new[at + _MK] = again
-            new[at + _MF] = new[at + _MM] = 0
-            new[at + _MD] = new[at + _MFROM] = None
+            new[at + _MF] = new[at + _MM] = new[at + _MD] = new[at + _MFROM] = 0
             new[self.coll_at] &= ~(1 << line)
-            return (_RETRY, core, kind, line), tuple(new), None
+            return (_RETRY, core, kind, line), bytes(new), None
 
         # pick the data the install will use
         note = None
@@ -515,33 +532,35 @@ class _Machine:
             if state[dpos]:
                 base = state[dpos + 1]
             else:
-                base = 0
+                base = self.vals.index(0)
                 note = f"line {addr:#x}: CleanUnique completed without a local copy"
-        elif state[at + _MFROM] is not None:
+        elif state[at + _MFROM]:
             base = state[at + _MD]
         else:
-            if read_waits(line, wb):
+            if read_waits(line, zip(wb[::2], wb[1::2])):
                 return None  # memory read must wait for the same-line write-back
             base = state[self.line_at[line] + _MEM]
         if note is None and base != ghost:
-            note = f"line {addr:#x}: completion used stale value {base} (authoritative {ghost})"
+            note = (f"line {addr:#x}: completion used stale value {self.vals[base]} "
+                    f"(authoritative {self.vals[ghost]})")
 
-        op, _line, value = self.ops[core][state[at + _PC]]
+        pc = state[at + _PC]
+        op, _line, value = self.ops[core][pc]
         store_follows = int(op == _STORE)
         final = self.completion[
             kind, bool(flags & _ANY_SHARED), bool(flags & _ANY_DIRTY), store_follows
         ]
 
+        reg = at + _CORE_SLOTS + self.n_read[core][pc]
         if kind == _RO:
             pos = self.ipos[core][line]
             new[pos], new[pos + 1] = final, base
-            new[at + _REGS] += (base,)
+            new[reg] = base
         else:
             if store_follows:
                 new[self.line_at[line] + _GHOST] = value
             else:
-                value = base
-                new[at + _REGS] += (base,)
+                value = new[reg] = base
             cap = self.cfg.dcache_capacity
             if kind != _CU and not state[dpos] and cap is not None:
                 resident = [l for l, pos in enumerate(self.dpos[core]) if state[pos]]
@@ -549,42 +568,42 @@ class _Machine:
                     victim = resident[0]  # the lowest-address resident line
                     pos = self.dpos[core][victim]
                     if _IS_DIRTY[state[pos]]:
-                        if fifo_full(wb, self.cfg.wb_depth):
+                        if fifo_full(wb[::2], self.cfg.wb_depth):
                             return None  # write-back FIFO full: install stalls
-                        new[self.wb_at] = wb + ((victim, state[pos + 1]),)
-                    new[pos], new[pos + 1] = _I, None
+                        new.extend((victim, state[pos + 1]))
+                    new[pos] = new[pos + 1] = _I
             if store_follows and final not in (_M, _E):
                 note = note or f"line {addr:#x}: store completion installed {_STATES[final].value}"
             new[dpos] = _M if store_follows else final
             new[dpos + 1] = value
 
-        new[at + _PC] += 1
-        new[at + _MK] = new[at + _MF] = new[at + _ML] = new[at + _MM] = 0
-        new[at + _MD] = new[at + _MFROM] = None
+        new[at + _PC] = pc + 1
+        new[at + _MK:at + _CORE_SLOTS] = bytes(_CORE_SLOTS - _MK)  # no miss
         new[self.coll_at] &= ~(1 << line)
-        return (_COMPLETE, core, kind, line), tuple(new), note
+        return (_COMPLETE, core, kind, line), bytes(new), note
 
-    def _drain(self, state: tuple):
-        wb = state[self.wb_at]
-        line, value = wb[0]
-        new = list(state)
-        new[self.wb_at] = wb[1:]
+    def _drain(self, state: bytes):
+        line, value = state[self.wb_at], state[self.wb_at + 1]
+        new = bytearray(state)
+        del new[self.wb_at:self.wb_at + 2]
         new[self.line_at[line] + _MEM] = value
-        return (_DRAIN, line), tuple(new), None
+        return (_DRAIN, line), bytes(new), None
 
     # -- terminal observations and labels -------------------------------------------
 
-    def all_done(self, state: tuple) -> bool:
-        return not state[self.wb_at] and all(
-            not state[c * _CORE_SLOTS + _MK] and state[c * _CORE_SLOTS + _PC] >= len(ops)
-            for c, ops in enumerate(self.ops)
+    def all_done(self, state: bytes) -> bool:
+        return len(state) == self.wb_at and all(
+            not state[at + _MK] and state[at + _PC] >= len(ops)
+            for at, ops in zip(self.core_at, self.ops)
         )
 
-    def observation(self, state: tuple) -> tuple:
+    def observation(self, state: bytes) -> tuple:
         """(per-core register tuples, sorted (addr, last written value))."""
+        regs = (state[at + _CORE_SLOTS:at + _CORE_SLOTS + n[state[at + _PC]]]
+                for at, n in zip(self.core_at, self.n_read))
         return (
-            tuple(state[c * _CORE_SLOTS + _REGS] for c in range(self.cfg.n_cores)),
-            tuple((a, state[at + _GHOST]) for a, at in zip(self.addrs, self.line_at)),
+            tuple(tuple(self.vals[v] for v in filled) for filled in regs),
+            tuple((a, self.vals[state[at + _GHOST]]) for a, at in zip(self.addrs, self.line_at)),
         )
 
     def label_text(self, label: tuple) -> str:
@@ -674,31 +693,27 @@ def explore(
     )
 
 
-def _attach_traces(machine: _Machine, root: tuple, violations: List[Violation]) -> None:
+def _attach_traces(machine: _Machine, root: bytes, violations: List[Violation]) -> None:
     """Breadth-first replay assigning each violation its shortest,
     deterministically-first counterexample trace."""
-    wanted = {(v.kind, v.detail): v for v in violations}
+    missing = {(v.kind, v.detail): v for v in violations}  # those still without a trace
     for problem in machine.state_violations(root):
-        key = ("invariant", problem)
-        if key in wanted and wanted[key].trace is None:
-            wanted[key].trace = []
+        if ("invariant", problem) in missing:
+            missing.pop(("invariant", problem)).trace = []
     queue = deque([(root, ())])
     seen = {root}
-    while queue and any(v.trace is None for v in violations):
+    while queue and missing:
         current, path = queue.popleft()
         for label, succ, note in machine.successors(current):
             new_path = path + (label,)
-            if note:
-                key = ("stale-data", note)
-                if key in wanted and wanted[key].trace is None:
-                    wanted[key].trace = _number(machine, new_path)
+            if note and ("stale-data", note) in missing:
+                missing.pop(("stale-data", note)).trace = _number(machine, new_path)
             if succ in seen:
                 continue
             seen.add(succ)
             for problem in machine.state_violations(succ):
-                key = ("invariant", problem)
-                if key in wanted and wanted[key].trace is None:
-                    wanted[key].trace = _number(machine, new_path)
+                if ("invariant", problem) in missing:
+                    missing.pop(("invariant", problem)).trace = _number(machine, new_path)
             if not machine.all_done(succ):
                 queue.append((succ, new_path))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from culsim.verify import (
     parse_litmus,
     run_litmus,
 )
+from test_explore_golden import RACING_SHAPES
 
 M, O, E, S = (
     LineState.MODIFIED,
@@ -268,6 +271,55 @@ def test_counterexample_traces_are_numbered_steps():
     assert trace[0].startswith("1. ")
 
 
+# -- value codes: states store an index into the machine's value table -------------
+
+def test_outcomes_keep_negative_and_large_values():
+    prog = [[("W", X, -5), ("R", Y)], [("W", X, 10**9), ("R", X)]]
+    result = explore(prog, ExploreConfig(n_cores=2), init_mem={Y: 7})
+    assert result.violations == [] and result.exhausted
+    assert result.outcomes == {
+        (((7,), (10**9,)), ((X, 10**9), (Y, 7))),  # core 0's store came first
+        (((7,), (10**9,)), ((X, -5), (Y, 7))),     # core 1 read before core 0 stored
+        (((7,), (-5,)), ((X, -5), (Y, 7))),        # core 0 stored between
+    }
+
+
+def test_data_messages_name_the_stored_value():
+    result = explore(
+        [[("W", X, 300)], [("R", X)]],
+        ExploreConfig(n_cores=2, mutations=frozenset({"snoopee:M:ReadShared:drop_dirty"})),
+    )
+    assert any("300" in v.detail and ("stale" in v.detail or "lost the last write" in v.detail)
+               for v in result.violations)
+
+
+def test_machine_states_are_bytes():
+    machine = _Machine([[("W", X, 1), ("R", Y)], [("R", X), ("W", Y, 2)]],
+                       ExploreConfig(n_cores=2, dcache_capacity=1))
+    frontier, seen = [machine.initial()], set()
+    while frontier:
+        state = frontier.pop()
+        assert type(state) is bytes
+        if state not in seen:
+            seen.add(state)
+            frontier.extend(succ for _label, succ, _note in machine.successors(state))
+    assert len(seen) > 100
+
+
+def test_explore_memory_stays_small():
+    # the racing program's seen set of 1-byte-per-field states peaks near
+    # 1.8 MB (a tuple per state took 6.7 MB); 3 MB leaves room for allocator
+    # and interpreter differences and still fails on a return to tuple states
+    tracemalloc.start()
+    try:
+        result = explore(RACING_SHAPES[0], ExploreConfig(n_cores=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exhausted
+    assert peak < 3 * 2**20
+
+
 # -- mutations ------------------------------------------------------------------------
 
 @pytest.mark.parametrize("mutation", SHIPPED_MUTATIONS)
@@ -382,6 +434,14 @@ def test_parse_litmus_file():
     for test in tests:
         result = run_litmus(test, ExploreConfig(n_cores=2))
         assert result["forbidden_seen"] == 0
+
+
+def test_parse_litmus_hex_value_is_reported_when_forbidden():
+    (test,) = parse_litmus("test big\ncore 0: W x=0x1234\ncore 1: R x -> r0\n"
+                           "forbid 1:r0=0x1234\n")
+    result = run_litmus(test, ExploreConfig(n_cores=2))
+    assert result["forbidden_seen"] == 1
+    assert {w["regs"] for w in result["witnesses"]} == {((), (0x1234,))}
 
 
 def test_parse_litmus_reports_line_numbers():
