@@ -11,7 +11,7 @@ from .protocol import (
     initiator_action,
     snoopee_transition,
 )
-from .sim import SimConfig, SimStats, Simulation, TraceOp, build, parse_config
+from .sim import SimConfig, SimStats, Simulation, build, parse_config
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "Simulation",
     "SnoopRequest",
     "SnoopResponse",
-    "TraceOp",
     "build",
     "completion_state",
     "initiator_action",

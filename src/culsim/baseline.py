@@ -14,12 +14,16 @@ here); the cores, memory port, op accounting and run loop come from
 `sim.Kernel`, shared with the snoop simulator, so SimStats fields mean
 the same thing in both reports. Every memory write, the downgrade of a
 forwarded read included, queues in the write-back FIFO of the memory port.
+
+Each transaction is one generator, `DirectorySimulation._journey`: the
+hop to the home node, the directory lookup, then the forward to the
+owner or the sharers' invalidations and a memory read, then the hop back
+and the install.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set
 
 from .ccu import Decoder, ProtocolFault
 from .memsys import MemoryPort
@@ -41,12 +45,10 @@ class _DirTxn:
     core: int
     op: OpKind
     addr: int
-    plan: Deque[tuple] = field(default_factory=deque)
+    journey: Iterator[Optional[int]] = field(init=False, repr=False)
     wait_until: int = 0
     mem_wait: bool = False
     data: Optional[bytes] = None
-    from_owner: bool = False
-    install_state: Optional[LineState] = None
 
 
 class DirectorySimulation(Kernel):
@@ -91,69 +93,58 @@ class DirectorySimulation(Kernel):
             return
         core, _, addr, _ = granted
         txn = _DirTxn(core=core, op=self.ports[core].current.kind, addr=addr)
-        txn.plan.append(("delay", self.config.latencies.snoop_hop))  # requester -> home
-        txn.plan.append(("delay", self.config.latencies.ccu_stage))  # directory lookup
-        txn.plan.append(("decide",))
-        txn.wait_until = now
+        txn.journey = self._journey(txn)
+        txn.wait_until = now + 1  # the journey starts the cycle after the accept
         self.txns.append(txn)
         self._progress = True
 
     def _advance(self, txn: _DirTxn, now: int) -> None:
-        while txn.plan and not txn.mem_wait and txn.wait_until <= now:
-            action = txn.plan.popleft()
-            kind = action[0]
-            self._progress = True
-            if kind == "delay":
-                txn.wait_until = now + action[1]
-            elif kind == "decide":
-                self._plan(txn)
-            elif kind == "memread":
-                txn.mem_wait = True
-                self.mem_port.read_queue.append((now, txn.addr, txn))
-            elif kind == "inv":
-                self._apply_invalidate(txn, action[1])
-            elif kind == "probe":
-                if not self._apply_probe(txn, action[1]):
-                    txn.plan.appendleft(action)  # write-back FIFO full: retry
-                    return
-            elif kind == "install":
-                if not self._apply_install(txn, now):
-                    txn.plan.appendleft(action)  # write-back FIFO full: retry
-                    return
-                self.txns.remove(txn)
-                return
+        """Run the transaction's journey up to its next wait."""
+        self._progress = True
+        wait = next(txn.journey, False)
+        if wait is False:
+            self.txns.remove(txn)
+        elif wait is None:
+            txn.mem_wait = True
+            self.mem_port.read_queue.append((now, txn.addr, txn))
+        else:
+            txn.wait_until = now + wait
 
-    def _plan(self, txn: _DirTxn) -> None:
-        """Directory lookup: build the rest of the transaction's journey."""
+    def _journey(self, txn: _DirTxn) -> Iterator[Optional[int]]:
+        """One transaction, hop by hop. Yields a delay in cycles, or None
+        to wait for the memory read of the line (its data lands in
+        `txn.data`); a step the write-back FIFO refuses yields 1 and is
+        retried the next cycle."""
+        hop = self.config.latencies.snoop_hop
+        yield hop  # requester -> home
+        yield self.config.latencies.ccu_stage  # directory lookup
         entry = self._entry(txn.addr)
         cache = self.caches[txn.core]
-        hop = self.config.latencies.snoop_hop
         ms = cache.miss
         # an upgrade whose copy was invalidated in the meantime needs data
         ms.kind = cache.tables.retry[ms.kind, False, cache.lookup(txn.addr) is None] or ms.kind
         upgrade = ms.kind is CoherentKind.CLEAN_UNIQUE and txn.core in entry.sharers
+        owner = entry.owner
         if txn.op is OpKind.STORE:
-            if entry.owner not in (None, txn.core):
-                txn.plan.extend([("delay", hop), ("probe", entry.owner), ("delay", hop)])
-            else:
-                for sharer in sorted(entry.sharers - {txn.core}):
-                    txn.plan.extend([("delay", hop), ("inv", sharer), ("delay", hop)])
-                if not upgrade:
-                    txn.plan.extend([("memread",), ("delay", hop)])
-                else:
-                    txn.plan.append(("delay", hop))  # upgrade grant
-            txn.install_state = LineState.MODIFIED
+            state = LineState.MODIFIED
+        elif owner is None and not entry.sharers:
+            state = LineState.EXCLUSIVE
         else:
-            if entry.owner not in (None, txn.core):
-                txn.plan.extend([("delay", hop), ("probe", entry.owner), ("delay", hop)])
-                txn.install_state = LineState.SHARED
-            else:
-                txn.plan.extend([("memread",), ("delay", hop)])
-                txn.install_state = (
-                    LineState.EXCLUSIVE if entry.owner is None and not entry.sharers
-                    else LineState.SHARED
-                )
-        txn.plan.append(("install",))
+            state = LineState.SHARED
+        if owner not in (None, txn.core):
+            yield hop  # home -> owner
+            while not self._apply_probe(txn, owner):
+                yield 1
+        elif txn.op is OpKind.STORE:
+            for sharer in sorted(entry.sharers - {txn.core}):
+                yield hop  # home -> sharer
+                self._apply_invalidate(txn, sharer)
+                yield hop  # its acknowledgement -> home
+        if txn.data is None and not upgrade:
+            yield None  # memory read
+        yield hop  # -> requester
+        while not self._apply_install(txn, state):
+            yield 1
 
     def _apply_invalidate(self, txn: _DirTxn, target: int) -> None:
         hit = self.caches[target].lookup(txn.addr)
@@ -164,27 +155,18 @@ class DirectorySimulation(Kernel):
         self._entry(txn.addr).sharers.discard(target)
 
     def _apply_probe(self, txn: _DirTxn, owner: int) -> bool:
-        """Forward the request to the recorded owner. A read downgrades the
-        owner to Shared (its dirty data queues for memory; False while the
-        write-back FIFO is full); a write transfers the line and invalidates.
-        A stale entry (the owner evicted meanwhile) falls back to memory."""
+        """Forward the request to the recorded owner, which supplies the
+        line cache to cache: a read downgrades the owner to Shared (its
+        dirty data queues for memory; False while the write-back FIFO is
+        full), a write invalidates it. A stale entry (the owner evicted
+        the line meanwhile) leaves `txn.data` empty, for memory to fill."""
         hit = self.caches[owner].lookup(txn.addr)
-        entry = self._entry(txn.addr)
-        hop = self.config.latencies.snoop_hop
         if hit is None:
-            txn.plan.clear()
-            txn.plan.extend([("memread",), ("delay", hop), ("install",)])
-            if txn.op is not OpKind.STORE:
-                txn.install_state = LineState.SHARED
             return True
         line = hit[1]
-        if self.touched is not None:
-            self.touched.add(txn.addr)
-        txn.data = line.data
-        txn.from_owner = True
+        entry = self._entry(txn.addr)
         if txn.op is OpKind.STORE:
             line.state = LineState.INVALID
-            entry.owner = None
             entry.sharers.clear()
         else:
             if line.state is LineState.MODIFIED:
@@ -193,34 +175,36 @@ class DirectorySimulation(Kernel):
                     return False
                 self.stats.cores[owner].writebacks += 1
             line.state = LineState.SHARED
-            entry.owner = None
             entry.sharers.add(owner)
+        entry.owner = None
+        if self.touched is not None:
+            self.touched.add(txn.addr)
+        txn.data = line.data
+        self.stats.cores[txn.core].snoop_served_misses += 1
+        self.stats.cache_to_cache_transfers += 1
         return True
 
-    def _apply_install(self, txn: _DirTxn, now: int) -> bool:
+    def _apply_install(self, txn: _DirTxn, state: LineState) -> bool:
         core = txn.core
         cache = self.caches[core]
         entry = self._entry(txn.addr)
         if not self._victim_fits(cache):
             return False
-        result = cache.miss_complete(txn.install_state, txn.data)
+        result = cache.miss_complete(state, txn.data)
         if result.writeback is not None:
             if not self.mem_port.push_wb(*result.writeback):
                 raise ProtocolFault("write-back refused after feasibility check")
             self.stats.cores[core].writebacks += 1
         if result.evicted is not None:
             self._drop_from_directory(result.evicted, core)
-        if txn.op is OpKind.STORE or txn.install_state is LineState.EXCLUSIVE:
+        if state is not LineState.SHARED:  # a Modified or Exclusive copy owns the line
             entry.owner = core
             entry.sharers.clear()
         else:
             entry.owner = None
             entry.sharers.add(core)
-        if txn.from_owner:
-            self.stats.cores[core].snoop_served_misses += 1
-            self.stats.cache_to_cache_transfers += 1
         self.decoder.release(txn.addr)
-        self._retire_miss(core, now)
+        self._retire_miss(core, self.cycle)
         return True
 
     def _drop_from_directory(self, addr: int, core: int) -> None:
@@ -254,7 +238,7 @@ class DirectorySimulation(Kernel):
         return super()._next_event(now, t)
 
     def _dump_lines(self) -> List[str]:
-        txns = [(t.core, t.op.value, hex(t.addr), t.plan[0][0] if t.plan else None)
+        txns = [(t.core, t.op.value, hex(t.addr), "memory" if t.mem_wait else t.wait_until)
                 for t in self.txns]
         d = self.decoder
         return [f"  directory: pending={d.pending} hold={d.hold} txns={txns} "

@@ -22,6 +22,7 @@ from .cache import ConfigError, WORD_BYTES
 from .memsys import MemoryFault
 from .protocol import CoreOp, OpKind
 from .sim import (
+    WATCHDOG_CYCLES,
     CoherenceViolation,
     DeadlockError,
     SimConfig,
@@ -366,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--serialize", action="store_true",
                        help="debug: one coherent transaction at a time")
     run_p.add_argument("--mem-image", help="memory preload file: <addr_hex> <byte_hex...>")
-    run_p.add_argument("--watchdog", type=int, default=10000)
+    run_p.add_argument("--watchdog", type=int, default=WATCHDOG_CYCLES)
     run_p.add_argument("--report", help="write the JSON report here instead of stdout")
     run_p.set_defaults(func=run_experiment)
 
@@ -375,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--mutate", action="append",
                        help=f"inject a table mutation; one of {', '.join(verify.SHIPPED_MUTATIONS)}")
     ver_p.add_argument("--litmus", help="extra litmus definition file")
-    ver_p.add_argument("--budget", type=int, default=2_000_000)
+    ver_p.add_argument("--budget", type=int, default=verify.ExploreConfig.state_budget)
     ver_p.add_argument("--report", help="write the JSON report here instead of stdout")
     ver_p.set_defaults(func=run_verify)
     return parser

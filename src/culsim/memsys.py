@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
+from .cache import PHYS_ADDR_BITS
+
 
 class MemoryFault(ValueError):
     """Misaligned or otherwise illegal memory access."""
@@ -26,13 +28,13 @@ class MemoryModel:
         self.inflight: Deque[Tuple[int, object, int, bytes]] = deque()
         self.reads = 0
         self.writes = 0
-        self.reads_by_line: Dict[int, int] = {}
 
     def _check_aligned(self, address: int) -> None:
         if address % self.line_size != 0:
             raise MemoryFault(f"address {address:#x} not aligned to {self.line_size}-byte lines")
-        if address < 0 or address >= 1 << 32:
-            raise MemoryFault(f"address {address:#x} outside the 32-bit physical range")
+        if address < 0 or address >= 1 << PHYS_ADDR_BITS:
+            raise MemoryFault(f"address {address:#x} outside the "
+                              f"{PHYS_ADDR_BITS}-bit physical range")
 
     def peek(self, address: int) -> bytes:
         """Current line value without timing side effects (zero fill)."""
@@ -50,7 +52,6 @@ class MemoryModel:
         due = now + self.read_latency
         self.inflight.append((due, tag, address, data))
         self.reads += 1
-        self.reads_by_line[address] = self.reads_by_line.get(address, 0) + 1
         return due
 
     def write(self, address: int, data: bytes) -> None:

@@ -40,6 +40,10 @@ from .protocol import CoreOp, LineState, OpKind
 from . import verify
 
 
+# cycles without progress after which `Kernel.run` reports a deadlock
+WATCHDOG_CYCLES = 10000
+
+
 class DeadlockError(RuntimeError):
     """Watchdog fired: pending work but no forward progress."""
 
@@ -194,25 +198,6 @@ class SimStats:
             "avg_miss_latency": _format_fraction(self.avg_miss_latency),
             "cores": [c.to_dict() for c in self.cores],
         }
-
-
-@dataclass(frozen=True)
-class TraceOp:
-    """One trace record: per-core program order is the record order, and a
-    core issues its next op only after the previous one's response."""
-
-    core: int
-    op: CoreOp
-
-
-def to_streams(ops, n_cores: int) -> List[List[CoreOp]]:
-    """Split a flat TraceOp sequence into the per-core streams run() takes."""
-    streams: List[List[CoreOp]] = [[] for _ in range(n_cores)]
-    for trace_op in ops:
-        if not 0 <= trace_op.core < n_cores:
-            raise ConfigError(f"trace op for core {trace_op.core} of {n_cores}")
-        streams[trace_op.core].append(trace_op.op)
-    return streams
 
 
 @dataclass
@@ -464,7 +449,7 @@ class Kernel:
             or any(p.stream or p.current is not None for p in self.ports)
         )
 
-    def run(self, streams: List[List[CoreOp]], watchdog: int = 10000) -> SimStats:
+    def run(self, streams: List[List[CoreOp]], watchdog: int = WATCHDOG_CYCLES) -> SimStats:
         """Feed per-core op streams and advance until everything drains,
         skipping cycles in which nothing can act."""
         if watchdog < 1:

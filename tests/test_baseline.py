@@ -176,14 +176,42 @@ def test_dirty_eviction_updates_directory_and_memory():
     assert entry.owner == 0 or 0 in entry.sharers
 
 
-def step_until_probe_is_due(sim):
-    """Step until a forwarded request will probe its owner next cycle."""
-    for _ in range(100):
-        txn = next((t for t in sim.txns if t.plan and t.plan[0][0] == "probe"), None)
-        if txn is not None and txn.wait_until <= sim.cycle:
-            return txn
-        sim.step()
-    raise AssertionError("no probe became due")
+def test_stale_owner_falls_back_to_memory():
+    cfg = SimConfig(cache_size=16, ways=1)
+    cfg.latencies.snoop_hop = 1
+    cfg.latencies.mem_read = 1
+    sim = DirectorySimulation(cfg, monitor=True)
+    probes = []
+    apply_probe = sim._apply_probe
+
+    def recording_probe(txn, owner):
+        probes.append((sim.cycle, owner, sim.caches[owner].lookup(txn.addr) is not None))
+        return apply_probe(txn, owner)
+
+    sim._apply_probe = recording_probe
+    stats = sim.run([loads(0x100) + loads(0x110), loads(0x110) + loads(0x100)])
+    # core 0 forwards 0x110 from core 1; core 1's probe of 0x100 finds that
+    # core 0 evicted it for 0x110, so memory serves the fill
+    assert probes == [(14, 1, True), (15, 0, False)]
+    assert (stats.cycles, stats.mem_reads, stats.cache_to_cache_transfers) == (19, 3, 1)
+    assert stats.to_dict()["avg_miss_latency"] == "7.25"
+
+
+def test_memory_served_miss_after_a_refused_probe_is_not_cache_to_cache():
+    cfg = SimConfig(n_cores=3, cache_size=16, ways=1)
+    cfg.fifo_depths.writeback = 1
+    cfg.latencies.snoop_hop = 2
+    cfg.latencies.mem_read = 1
+    stats = DirectorySimulation(cfg, monitor=True).run([
+        stores(0x120, [1]) + loads(0x100),
+        stores(0x100, [2]) + loads(0x120) + loads(0x110),
+        stores(0x100, [3]) + stores(0x110, [3]),
+    ])
+    # a probe refused by the full write-back FIFO finds its owner evicted
+    # on the retry, so memory serves that miss, not the owner
+    assert (stats.cycles, stats.mem_reads) == (43, 4)
+    assert stats.cache_to_cache_transfers == 3
+    assert stats.cores[1].snoop_served_misses == 1
 
 
 def test_downgrade_write_back_goes_through_the_memory_port():
@@ -209,15 +237,23 @@ def test_downgrade_write_back_goes_through_the_memory_port():
 def test_downgrade_waits_for_room_in_a_full_write_back_fifo():
     sim = DirectorySimulation(SimConfig(), monitor=True)
     sim.run([stores(0x100, [7]), []])
-    sim.ports[1].stream.extend(loads(0x100))
-    txn = step_until_probe_is_due(sim)
-    for i in range(sim.config.fifo_depths.writeback):
-        assert sim.mem_port.push_wb(0x1000 + 16 * i, bytes(16))
-    sim.step()
-    assert txn.plan[0][0] == "probe"  # retried next cycle
-    assert sim.caches[0].lookup(0x100)[1].state is LineState.MODIFIED
-    assert all(addr != 0x100 for addr, _ in sim.mem_port.wb)
-    sim.run([[], []])
+    attempts = []
+    apply_probe = sim._apply_probe
+
+    def probe_into_a_full_fifo(txn, owner):
+        if not attempts:  # fill the FIFO just before the first attempt
+            for i in range(sim.config.fifo_depths.writeback):
+                assert sim.mem_port.push_wb(0x1000 + 16 * i, bytes(16))
+        went_through = apply_probe(txn, owner)
+        attempts.append((sim.cycle, went_through, sim.caches[owner].lookup(0x100)[1].state,
+                         [addr for addr, _ in sim.mem_port.wb]))
+        return went_through
+
+    sim._apply_probe = probe_into_a_full_fifo
+    sim.run([[], loads(0x100)])
+    (refused_at, went_through, state, queued), (retried_at, retried, _, _) = attempts
+    assert not went_through and state is LineState.MODIFIED and 0x100 not in queued
+    assert retried and retried_at == refused_at + 1
     assert sim.caches[0].lookup(0x100)[1].state is LineState.SHARED
     assert sim.ports[1].observations == [7]
     assert sim.mem.peek(0x100) == sim.caches[0].lookup(0x100)[1].data
@@ -234,6 +270,7 @@ def test_watchdog_dumps_the_directory_state():
     assert str(exc.value).splitlines()[1] == "cycle 7"
     assert "core 0: current=" in str(exc.value)
     assert "core 1: current=None" in str(exc.value)
+    assert "txns=[(0, 'Load', '0x100', 'memory')]" in str(exc.value)  # the read is pending
 
 
 def test_run_requires_one_stream_per_core():

@@ -74,7 +74,6 @@ def test_read_counters_track_lines():
     mem.read(0x40, 1, None)
     mem.read(0x80, 2, None)
     assert mem.reads == 3
-    assert mem.reads_by_line == {0x40: 2, 0x80: 1}
 
 
 def test_image_preload():

@@ -26,6 +26,30 @@ fifo_depths.collision_capacity = 1
 latencies.mem_read = 1
 """
 
+# instruction fetches race with stores and loads to the same lines on
+# three cores: the icache fill, its invalidation or permitted staleness
+# and the directory's fold of ifetches into loads all run
+IFETCH_TRACE = """\
+0 IF 1000
+1 IF 1000
+2 IF 1000
+0 W 1000 11
+1 IF 1000
+2 R 1000
+1 IF 1010
+2 IF 1010
+2 W 1010 22
+0 IF 1010
+1 R 1010
+0 IF 1000
+1 W 1020 33
+2 IF 1020
+0 IF 1020
+1 IF 1000
+2 IF 1010
+0 R 1020
+"""
+
 
 def cases():
     out = {}
@@ -38,6 +62,9 @@ def cases():
     out["uniform_random/16/check/cores4"] = checked + ["--cores", "4"]
     out["uniform_random/16/check/serialize"] = checked + ["--serialize"]
     out["uniform_random/16/check/tiny"] = checked + ["--config", "TINY"]
+    traced = ["--trace", "IFETCH_TRACE", "--cores", "3", "--check"]
+    out["trace/ifetch/check"] = traced
+    out["trace/ifetch/check/coherent"] = traced + ["--coherent-ifetch"]
     return out
 
 
@@ -48,9 +75,12 @@ def run_case(args) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "tiny.cfg"
         config.write_text(TINY_CONFIG)
+        trace = Path(tmp) / "ifetch.trace"
+        trace.write_text(IFETCH_TRACE)
         report = Path(tmp) / "report.json"
         argv = ["run", "--model", "both", "--ops", "200", "--report", str(report)]
-        argv += [str(config) if a == "TINY" else a for a in args]
+        files = {"TINY": str(config), "IFETCH_TRACE": str(trace)}
+        argv += [files.get(a, a) for a in args]
         code = main(argv)
         body = json.loads(report.read_text())
     del body["config"]
