@@ -19,7 +19,7 @@ class MemoryFault(ValueError):
 
 
 class MemoryModel:
-    def __init__(self, line_size: int, read_latency: int = 20):
+    def __init__(self, line_size: int, read_latency: int):
         self.line_size = line_size
         self.read_latency = read_latency
         self.contents: Dict[int, bytes] = {}

@@ -5,9 +5,11 @@ Three layers:
 * check_swmr / check_value validate a global snapshot view (from the
   cycle simulator or from the abstract machine below).
 * explore() enumerates every interleaving of an untimed abstraction of
-  the protocol over tiny programs, deduplicated by canonical state, and
-  checks the single-writer and data-value invariants in every reachable
-  state. It is the oracle certifying `protocol.TABLES`, the one table
+  the protocol over tiny programs by one breadth-first search,
+  deduplicated by canonical state, and checks the single-writer and
+  data-value invariants in every reachable state. Each counterexample
+  trace is the shortest one, read back from the search's parent links.
+  It is the oracle certifying `protocol.TABLES`, the one table
   set the cycle simulator, the directory baseline and the explorer
   index, plus the Decoder's admission rule `ccu.admits`. A mutation
   (`SHIPPED_MUTATIONS`, the ids of `protocol.MUTATIONS`) is run as
@@ -23,7 +25,7 @@ stale copy is immediately overwritten.
 """
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -236,6 +238,9 @@ class _Machine:
         self.ipos = tuple(tuple(p + 2 for p in row) for row in self.dpos)
         self.coll_at = self.tail_at + len(self.addrs) * width
         self.wb_at = self.coll_at + 1
+        # (core, offset of its slots, op count) in successor order
+        self.dispatch = tuple((c, at, len(ops)) for c, (at, ops)
+                              in enumerate(zip(self.core_at, self.ops)))
         self._line_checks: Dict[tuple, Tuple[tuple, tuple, tuple]] = {}
         self._tail_checks: Dict[bytes, Tuple[str, ...]] = {}
 
@@ -377,19 +382,21 @@ class _Machine:
         cores in order, a core's snoop targets in fan-out order, the
         write-back drain last."""
         out = []
-        for core, at in enumerate(self.core_at):
+        for core, at, n_ops in self.dispatch:
             kind = state[at + _MK]
             if not kind:
-                if state[at + _PC] < len(self.ops[core]):
+                if state[at + _PC] < n_ops:
                     out.append(self._issue(state, core))
             elif not state[at + _MF] & _ACCEPTED:
                 if self.admit[state[self.coll_at]][state[at + _ML]]:
                     out.append(self._accept(state, core))
             elif state[at + _MM]:
-                mask = state[at + _MM]
-                for j in range(len(self.fanout[core][kind])):
-                    if mask >> j & 1:
+                mask, j = state[at + _MM], 0
+                while mask:
+                    if mask & 1:
                         out.append(self._snoop(state, core, j))
+                    mask >>= 1
+                    j += 1
             else:
                 step = self._complete(state, core)
                 if step is not None:
@@ -627,13 +634,16 @@ def explore(
     init_mem: Optional[Dict[int, int]] = None,
     workers: int = 1,
 ) -> ExploreResult:
-    """Enumerate all interleavings of the abstract machine.
+    """Enumerate all interleavings of the abstract machine by one
+    breadth-first search over its deduplicated states.
 
-    The root successors are split into `workers` partitions, searched one
-    after another in this process over one shared deduplication set; no
-    worker processes are started, and the results do not depend on
-    `workers`. Counterexample traces are reconstructed afterwards by a
-    deterministic breadth-first pass.
+    States are expanded in discovery order, each one's successors in
+    `successors()` order, and every state keeps the index of the state
+    that discovered it. A counterexample trace is the parent chain of the
+    violation's first sighting, so it is the shortest one and, among
+    those, the first found. A budget cut keeps the first states in
+    breadth-first order. `workers` is validated and otherwise ignored:
+    the search runs in this process.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -641,50 +651,44 @@ def explore(
     successors, state_violations = machine.successors, machine.state_violations
     root = machine.initial()
     seen = {root}
-    descriptors: Set[Tuple[str, str]] = set()
+    order = [root]  # every state in breadth-first order
+    parent = array("I", [0])  # index in `order` of each state's discoverer
+    # first sighting per descriptor: (state index, label of the step out of
+    # it or None); a deadlock has no trace
+    first: Dict[Tuple[str, str], Optional[tuple]] = {}
     outcomes: Set[tuple] = set()
     exhausted = True
 
     for problem in state_violations(root):
-        descriptors.add(("invariant", problem))
-    root_succ = successors(root)
-    if not root_succ:
-        outcomes.add(machine.observation(root))
-        if not machine.all_done(root):
-            descriptors.add(("deadlock", "no step possible from the initial state"))
-
-    for part in (root_succ[i::workers] for i in range(workers)):
-        stack, succs = [], part
-        while True:
-            for _label, succ, note in succs:
-                if note:
-                    descriptors.add(("stale-data", note))
-                n_seen = len(seen)
-                seen.add(succ)  # one hash per probe: a new state grows the set
-                if len(seen) > n_seen:
-                    stack.append(succ)
-                    for problem in state_violations(succ):
-                        descriptors.add(("invariant", problem))
-            if not stack:
-                break
-            if len(seen) > config.state_budget:
-                exhausted = False
-                break
-            current = stack.pop()
-            succs = successors(current)
-            if not succs:
-                outcomes.add(machine.observation(current))
-                if not machine.all_done(current):
-                    descriptors.add(("deadlock", "pending work but no enabled step"))
-        if not exhausted:
+        first.setdefault(("invariant", problem), (0, None))
+    add, append_state, append_parent = seen.add, order.append, parent.append
+    for i, current in enumerate(order):  # `order` grows while it is walked
+        succs = successors(current)
+        if not succs:
+            outcomes.add(machine.observation(current))
+            if not machine.all_done(current):
+                first.setdefault(("deadlock", "pending work but no enabled step" if i
+                                  else "no step possible from the initial state"), None)
+        for label, succ, note in succs:
+            if note:
+                first.setdefault(("stale-data", note), (i, label))
+            n_seen = len(seen)
+            add(succ)  # one hash per probe: a new state grows the set
+            if len(seen) > n_seen:
+                for problem in state_violations(succ):
+                    first.setdefault(("invariant", problem), (len(order), None))
+                append_state(succ)
+                append_parent(i)
+        if len(order) > config.state_budget and i + 1 < len(order):
+            exhausted = False
             break
 
-    violations = [Violation(kind, detail) for kind, detail in sorted(descriptors)]
+    violations = [Violation(kind, detail) for kind, detail in sorted(first)]
     if violations and exhausted:
-        _attach_traces(machine, root, violations)
+        _attach_traces(machine, order, parent, first, violations)
     initiator_pairs, snoopee_pairs = machine.coverage()
     return ExploreResult(
-        reachable_states=len(seen),
+        reachable_states=len(order),
         violations=violations,
         outcomes=outcomes,
         exhausted=exhausted,
@@ -693,33 +697,25 @@ def explore(
     )
 
 
-def _attach_traces(machine: _Machine, root: bytes, violations: List[Violation]) -> None:
-    """Breadth-first replay assigning each violation its shortest,
-    deterministically-first counterexample trace."""
-    missing = {(v.kind, v.detail): v for v in violations}  # those still without a trace
-    for problem in machine.state_violations(root):
-        if ("invariant", problem) in missing:
-            missing.pop(("invariant", problem)).trace = []
-    queue = deque([(root, ())])
-    seen = {root}
-    while queue and missing:
-        current, path = queue.popleft()
-        for label, succ, note in machine.successors(current):
-            new_path = path + (label,)
-            if note and ("stale-data", note) in missing:
-                missing.pop(("stale-data", note)).trace = _number(machine, new_path)
-            if succ in seen:
-                continue
-            seen.add(succ)
-            for problem in machine.state_violations(succ):
-                if ("invariant", problem) in missing:
-                    missing.pop(("invariant", problem)).trace = _number(machine, new_path)
-            if not machine.all_done(succ):
-                queue.append((succ, new_path))
-
-
-def _number(machine: _Machine, path: Tuple[tuple, ...]) -> List[str]:
-    return [f"{i}. {machine.label_text(label)}" for i, label in enumerate(path, start=1)]
+def _attach_traces(machine: _Machine, order: List[bytes], parent: array,
+                   first: Dict[Tuple[str, str], Optional[tuple]],
+                   violations: List[Violation]) -> None:
+    """Give each violation but a deadlock the parent chain of its first
+    sighting as its trace. A step's label is the first of the parent's
+    successors that yields the child: the step that discovered it."""
+    for violation in violations:
+        sighting = first[violation.kind, violation.detail]
+        if sighting is None:
+            continue
+        index, last = sighting
+        labels = [] if last is None else [last]
+        while index:
+            up, child = parent[index], order[index]
+            labels.append(next(label for label, succ, _note in machine.successors(order[up])
+                               if succ == child))
+            index = up
+        violation.trace = [f"{i}. {machine.label_text(label)}"
+                           for i, label in enumerate(reversed(labels), start=1)]
 
 
 # --------------------------------------------------------------------------

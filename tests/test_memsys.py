@@ -32,7 +32,7 @@ def test_take_completions_returns_due_reads_in_issue_order():
 
 
 def test_write_then_read_same_line_observes_the_write():
-    mem = MemoryModel(16)
+    mem = MemoryModel(16, read_latency=20)
     payload = bytes(range(16))
     mem.write(0x40, payload)
     mem.read(0x40, now=0, tag=None)
@@ -41,21 +41,21 @@ def test_write_then_read_same_line_observes_the_write():
 
 
 def test_two_writes_last_one_wins():
-    mem = MemoryModel(16)
+    mem = MemoryModel(16, read_latency=20)
     mem.write(0x40, bytes([1]) * 16)
     mem.write(0x40, bytes([2]) * 16)
     assert mem.peek(0x40) == bytes([2]) * 16
 
 
 def test_independent_lines_do_not_interfere():
-    mem = MemoryModel(16)
+    mem = MemoryModel(16, read_latency=20)
     mem.write(0x40, bytes([1]) * 16)
     mem.write(0x80, bytes([2]) * 16)
     assert mem.peek(0x40) != mem.peek(0x80)
 
 
 def test_misaligned_access_faults():
-    mem = MemoryModel(16)
+    mem = MemoryModel(16, read_latency=20)
     with pytest.raises(MemoryFault):
         mem.read(0x41, 0, None)
     with pytest.raises(MemoryFault):
@@ -63,13 +63,13 @@ def test_misaligned_access_faults():
 
 
 def test_wrong_sized_write_faults():
-    mem = MemoryModel(16)
+    mem = MemoryModel(16, read_latency=20)
     with pytest.raises(MemoryFault):
         mem.write(0x40, bytes(8))
 
 
 def test_read_counters_track_lines():
-    mem = MemoryModel(16)
+    mem = MemoryModel(16, read_latency=20)
     mem.read(0x40, 0, None)
     mem.read(0x40, 1, None)
     mem.read(0x80, 2, None)
@@ -77,14 +77,14 @@ def test_read_counters_track_lines():
 
 
 def test_image_preload():
-    mem = MemoryModel(4)
+    mem = MemoryModel(4, read_latency=20)
     mem.load_image("# comment\n40 01 02 03 04\n44 aa bb cc dd\n")
     assert mem.peek(0x40) == bytes([1, 2, 3, 4])
     assert mem.peek(0x44) == bytes([0xAA, 0xBB, 0xCC, 0xDD])
 
 
 def test_image_preload_errors_carry_line_numbers():
-    mem = MemoryModel(4)
+    mem = MemoryModel(4, read_latency=20)
     with pytest.raises(MemoryFault, match="line 2"):
         mem.load_image("40 01 02 03 04\n44 zz\n")
     with pytest.raises(MemoryFault, match="line 1"):

@@ -8,6 +8,7 @@ from culsim.protocol import TABLES, Hit, Issue, LineState, SnoopResponse
 from culsim.verify import (
     _KINDS,
     _OPS,
+    _ORACLE_BATTERY,
     _STATES,
     _Machine,
     COHERENCE_LITMUS,
@@ -24,7 +25,7 @@ from culsim.verify import (
     parse_litmus,
     run_litmus,
 )
-from test_explore_golden import RACING_SHAPES
+from test_explore_golden import RACING_SHAPES, TWIN_SHAPES
 
 M, O, E, S = (
     LineState.MODIFIED,
@@ -307,9 +308,10 @@ def test_machine_states_are_bytes():
 
 
 def test_explore_memory_stays_small():
-    # the racing program's seen set of 1-byte-per-field states peaks near
-    # 1.8 MB (a tuple per state took 6.7 MB); 3 MB leaves room for allocator
-    # and interpreter differences and still fails on a return to tuple states
+    # the racing program's seen set of 1-byte-per-field states, its
+    # breadth-first order and parent indices peak near 1.9 MB (a tuple per
+    # state took 6.7 MB); 3 MB leaves room for allocator and interpreter
+    # differences and still fails on a return to tuple states
     tracemalloc.start()
     try:
         result = explore(RACING_SHAPES[0], ExploreConfig(n_cores=3))
@@ -328,6 +330,92 @@ def test_every_shipped_mutation_is_caught(mutation):
     assert not report.ok
     assert report.violations
     assert any(v.trace for v in report.violations)
+
+
+def _mutation_cases(mutation):
+    """(programs, config) of the oracle battery and the twin-line shapes
+    under one mutation."""
+    ids = frozenset({mutation})
+    cases = [(programs, ExploreConfig(n_cores=n, coherent_ifetch=ifetch,
+                                      dcache_capacity=capacity, mutations=ids))
+             for n, ifetch, capacity, programs in _ORACLE_BATTERY]
+    return cases + [(shape, ExploreConfig(mutations=ids)) for shape in TWIN_SHAPES]
+
+
+def _first_depths(machine):
+    """Shortest distance from the initial state to the first sighting of
+    each violation: a state that shows an invariant break, or a step that
+    carries a stale-data note. A level-by-level search of its own."""
+    root = machine.initial()
+    depth = {("invariant", p): 0 for p in machine.state_violations(root)}
+    level, seen, d = [root], {root}, 0
+    while level:
+        d, next_level = d + 1, []
+        for state in level:
+            for _label, succ, note in machine.successors(state):
+                if note:
+                    depth.setdefault(("stale-data", note), d)
+                if succ not in seen:
+                    seen.add(succ)
+                    next_level.append(succ)
+                    for problem in machine.state_violations(succ):
+                        depth.setdefault(("invariant", problem), d)
+        level = next_level
+    return depth
+
+
+def _replay(machine, trace):
+    """Follow a numbered trace by label text; the last state and the last
+    step's stale-data note."""
+    state, note = machine.initial(), None
+    for i, step in enumerate(trace, start=1):
+        number, _, text = step.partition(". ")
+        assert number == str(i)
+        state, note = next((succ, note) for label, succ, note in machine.successors(state)
+                           if machine.label_text(label) == text)
+    return state, note
+
+
+@pytest.mark.parametrize("mutation", SHIPPED_MUTATIONS)
+def test_traces_replay_to_their_violation_at_the_shortest_depth(mutation):
+    traced = 0
+    for programs, cfg in _mutation_cases(mutation):
+        result = explore(programs, cfg)
+        machine = _Machine(programs, cfg)
+        depths = _first_depths(machine)
+        for v in result.violations:
+            if v.kind == "deadlock":
+                assert v.trace is None
+                continue
+            state, note = _replay(machine, v.trace)
+            if v.kind == "invariant":
+                assert v.detail in machine.state_violations(state)
+            else:
+                assert v.kind == "stale-data" and note == v.detail
+            assert len(v.trace) == depths[v.kind, v.detail]
+            traced += 1
+    assert traced
+
+
+@pytest.mark.parametrize("mutation", SHIPPED_MUTATIONS)
+def test_explore_searches_the_state_space_once(mutation, monkeypatch):
+    # the traces come from the search's parent links: besides one call per
+    # reachable state, only a trace step may look up successors again
+    calls = 0
+    successors = _Machine.successors
+
+    def counted(self, state):
+        nonlocal calls
+        calls += 1
+        return successors(self, state)
+
+    monkeypatch.setattr(_Machine, "successors", counted)
+    allowed = 0
+    for programs, cfg in _mutation_cases(mutation):
+        result = explore(programs, cfg)
+        assert result.exhausted
+        allowed += result.reachable_states + sum(len(v.trace or ()) for v in result.violations)
+    assert calls <= allowed
 
 
 def test_unknown_mutation_rejected():
