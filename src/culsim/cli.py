@@ -327,7 +327,11 @@ def run_verify(args) -> int:
 
     for v in oracle.violations:
         if v.trace:
-            print(f"counterexample ({v.kind}): {v.detail}", file=sys.stderr)
+            where = v.program
+            print(f"counterexample ({v.kind}) in battery program {where['index']} "
+                  f"({where['cores']} cores, coherent ifetch "
+                  f"{'on' if where['coherent_ifetch'] else 'off'}, dcache capacity "
+                  f"{where['dcache_capacity'] or 'unbounded'}): {v.detail}", file=sys.stderr)
             for step in v.trace:
                 print(f"  {step}", file=sys.stderr)
 

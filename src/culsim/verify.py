@@ -7,9 +7,13 @@ Three layers:
 * explore() enumerates every interleaving of an untimed abstraction of
   the protocol over tiny programs by one breadth-first search,
   deduplicated by canonical state, and checks the single-writer and
-  data-value invariants in every reachable state. Each counterexample
-  trace is the shortest one, read back from the search's parent links.
-  It is the oracle certifying `protocol.TABLES`, the one table
+  data-value invariants in every reachable state. A snoop that finds no
+  copy and cannot find one later is a state's only step (a partial-order
+  reduction, `_Machine._silent_snoop`): the search keeps every outcome,
+  deadlock, violation and coverage pair but visits fewer states. Each
+  counterexample trace is the shortest one in that reduced graph, read
+  back from the search's parent links, and a state budget counts its
+  states. It is the oracle certifying `protocol.TABLES`, the one table
   set the cycle simulator, the directory baseline and the explorer
   index, plus the Decoder's admission rule `ccu.admits`. A mutation
   (`SHIPPED_MUTATIONS`, the ids of `protocol.MUTATIONS`) is run as
@@ -127,9 +131,15 @@ class Violation:
     kind: str
     detail: str
     trace: Optional[List[str]] = None
+    # an oracle violation's battery program: its index in _ORACLE_BATTERY,
+    # core count, coherent ifetch and dcache capacity
+    program: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "detail": self.detail, "trace": self.trace}
+        out = {"kind": self.kind, "detail": self.detail, "trace": self.trace}
+        if self.program is not None:
+            out["program"] = self.program
+        return out
 
 
 @dataclass
@@ -241,6 +251,7 @@ class _Machine:
         # (core, offset of its slots, op count) in successor order
         self.dispatch = tuple((c, at, len(ops)) for c, (at, ops)
                               in enumerate(zip(self.core_at, self.ops)))
+        self.silent = self._silent_table()
         self._line_checks: Dict[tuple, Tuple[tuple, tuple, tuple]] = {}
         self._tail_checks: Dict[bytes, Tuple[str, ...]] = {}
 
@@ -300,6 +311,36 @@ class _Machine:
                 for kind in _KINDS[1:]
             )
             for core in range(self.cfg.n_cores)
+        )
+
+    def _silent_table(self) -> tuple:
+        """silent[core][kind][line] -> per entry j of the fan-out: (bit j,
+        the slots the snoop probes (one twice if it probes one structure),
+        the target's slot offset, per target pc whether an op from there
+        on could make the snoop find otherwise, the step's label)."""
+
+        def flags(kind, op):  # the op looked up from Invalid
+            hit, code = self.initiator[_I][op]
+            return hit or self.read_seen[kind][code]
+
+        def later(kind, target, line):
+            marks = [l == line and flags(kind, op) for op, l, _value in self.ops[target]]
+            return tuple(any(marks[pc:]) for pc in range(len(marks) + 1))
+
+        def entry(core, kind, line, j, target, probe_d, probe_i):
+            probed = [pos[target][line] for pos, on in (
+                (self.dpos, probe_d), (self.ipos, probe_i and self.cfg.coherent_ifetch)) if on]
+            return (1 << j, probed[0], probed[-1], self.core_at[target],
+                    later(kind, target, line), (_SNOOP, core, kind, line, target))
+
+        return tuple(
+            (None,) + tuple(
+                tuple(tuple(entry(core, kind, line, j, *probe)
+                            for j, probe in enumerate(fanout[kind]))
+                      for line in range(len(self.addrs)))
+                for kind in range(1, len(_KINDS))
+            )
+            for core, fanout in enumerate(self.fanout)
         )
 
     def initial(self) -> bytes:
@@ -380,7 +421,11 @@ class _Machine:
     def successors(self, state: bytes) -> List[Tuple[tuple, bytes, Optional[str]]]:
         """(label, next state, stale-data note or None) per enabled step:
         cores in order, a core's snoop targets in fan-out order, the
-        write-back drain last."""
+        write-back drain last. A silent snoop (`_silent_snoop`), if there
+        is one, is the only step."""
+        step = self._silent_snoop(state)
+        if step is not None:
+            return [step]
         out = []
         for core, at, n_ops in self.dispatch:
             kind = state[at + _MK]
@@ -404,6 +449,37 @@ class _Machine:
         if len(state) > self.wb_at:
             out.append(self._drain(state))
         return out
+
+    def _silent_snoop(self, state: bytes):
+        """The first silent snoop in successor order, as the state's only
+        step, or None. A pending snoop is silent when its target holds the
+        line Invalid in every structure the snoop probes, has no miss on
+        the line that the snoop flags, and has no op left that, looked up
+        from Invalid on the line, hits or misses with a kind it flags.
+
+        It only clears its bit of the initiator's mask and records the
+        (Invalid, kind) coverage pair. While the line is in flight the
+        collision rule admits no other miss on it, so no other step can
+        give the target a copy, flag the target's miss or read that bit:
+        the snoop commutes with every step that could run before it. It
+        leaves the state tail, all the invariant checks read, unchanged.
+        Only an accept sets mask bits, so no cycle is made of silent
+        snoops alone. Taking it alone keeps every outcome, deadlock and
+        violation (Godefroid's persistent sets, LNCS 1032, 1996)."""
+        for core, at, _n_ops in self.dispatch:
+            mask = state[at + _MM]
+            if mask:
+                kind, line = state[at + _MK], state[at + _ML]
+                flagged = self.read_seen[kind]
+                for bit, p1, p2, tat, later, label in self.silent[core][kind][line]:
+                    if (mask & bit and not (state[p1] or state[p2] or later[state[tat + _PC]])
+                            and not (flagged[state[tat + _MK]] and state[tat + _ML] == line)):
+                        # what `_snoop` does when it finds no copy
+                        self.snoop_cov.add((_I, kind))
+                        new = bytearray(state)
+                        new[at + _MM] = mask ^ bit
+                        return label, bytes(new), None
+        return None
 
     def _issue(self, state: bytes, core: int):
         at = self.core_at[core]
@@ -639,10 +715,13 @@ def explore(
 
     States are expanded in discovery order, each one's successors in
     `successors()` order, and every state keeps the index of the state
-    that discovered it. A counterexample trace is the parent chain of the
-    violation's first sighting, so it is the shortest one and, among
-    those, the first found. A budget cut keeps the first states in
-    breadth-first order. `workers` is validated and otherwise ignored:
+    that discovered it. Where a silent snoop is a state's only successor,
+    the other interleavings of that snoop are not visited. A
+    counterexample trace is the parent chain of the violation's first
+    sighting, so it is the shortest one in this reduced graph and, among
+    those, the first found. `config.state_budget` counts the states of
+    the reduced graph, and a cut keeps the first states in breadth-first
+    order. `workers` is validated and otherwise ignored:
     the search runs in this process.
     """
     if workers < 1:
@@ -992,7 +1071,7 @@ def oracle_tables(mutations: FrozenSet[str] = frozenset(),
     snoop_cov: Set[tuple] = set()
     violations: List[Violation] = []
     total_states = 0
-    for n_cores, ifetch, capacity, programs in _ORACLE_BATTERY:
+    for index, (n_cores, ifetch, capacity, programs) in enumerate(_ORACLE_BATTERY):
         cfg = ExploreConfig(
             n_cores=n_cores,
             coherent_ifetch=ifetch,
@@ -1003,10 +1082,14 @@ def oracle_tables(mutations: FrozenSet[str] = frozenset(),
         result = explore(programs, cfg)
         init_cov |= result.initiator_pairs
         snoop_cov |= result.snoopee_pairs
-        violations.extend(result.violations)
         total_states += result.reachable_states
         if not result.exhausted:
-            violations.append(Violation("budget", "exploration was not exhaustive"))
+            result.violations.append(Violation("budget", "exploration was not exhaustive"))
+        where = {"index": index, "cores": n_cores, "coherent_ifetch": ifetch,
+                 "dcache_capacity": capacity}
+        for violation in result.violations:
+            violation.program = where
+        violations.extend(result.violations)
 
     initiator = {}
     for pair in sorted(EXPECTED_INITIATOR_PAIRS, key=lambda p: (p[0].value, p[1].value)):

@@ -257,7 +257,16 @@ def test_verify_with_mutation_exits_1(tmp_path, capsys):
     assert code == EXIT_VIOLATION
     data = json.loads(report.read_text())
     assert data["oracle"]["ok"] is False
-    assert "counterexample" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "counterexample" in err
+    # each traced counterexample names the battery program it came from
+    for v in data["oracle"]["violations"]:
+        where = v["program"]
+        assert sorted(where) == ["coherent_ifetch", "cores", "dcache_capacity", "index"]
+        if v["trace"]:
+            assert (f"counterexample ({v['kind']}) in battery program {where['index']} "
+                    f"({where['cores']} cores, ") in err
+    assert all("program" not in v for e in data["litmus"] for v in e["violations"])
 
 
 def test_verify_four_cores_same_verdict(tmp_path):

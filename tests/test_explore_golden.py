@@ -1,14 +1,21 @@
 """Golden explorer results: state counts, coverage and digests of the
 outcomes and violations (with traces) for a fixed set of cases.
 
-Any change to the explorer's internals must keep every case identical.
-After an intended change to the explored model, rewrite the data file
-with `PYTHONPATH=src python tests/test_explore_golden.py --regen`.
+Every case runs twice. The full search (`full_search()`: no silent snoop
+is taken as a state's only step) must match the pinned `states`,
+`exhausted`, coverage pairs and `digest`, so any change to the explorer's
+internals keeps the explored machine itself identical. The default,
+reduced search must match the `reduced_states` and `reduced_digest`
+columns, and on every exhausted case it must reach the full search's
+outcomes, violation kinds and details, coverage pairs and `exhausted`
+flag. After an intended change to the explored model, rewrite the data
+file with `PYTHONPATH=src python tests/test_explore_golden.py --regen`.
 """
 import hashlib
 import json
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -17,6 +24,8 @@ from culsim.verify import (
     COHERENCE_LITMUS,
     SHIPPED_MUTATIONS,
     ExploreConfig,
+    OracleReport,
+    _Machine,
     explore,
     oracle_tables,
 )
@@ -58,8 +67,25 @@ def _pairs(pairs):
     return sorted([s.value, k.value] for s, k in pairs)
 
 
-def _explore_summary(programs, cfg, init_mem=None):
-    result = explore(programs, cfg, init_mem=init_mem)
+@contextmanager
+def full_search():
+    """Explore the unreduced graph: every enabled step of every state."""
+    silent = _Machine._silent_snoop
+    _Machine._silent_snoop = lambda self, state: None
+    try:
+        yield
+    finally:
+        _Machine._silent_snoop = silent
+
+
+def _summary(result) -> dict:
+    if isinstance(result, OracleReport):
+        return {
+            "states": result.reachable_states,
+            "ok": result.ok,
+            "digest": _digest({"tables": result.table_lines(),
+                               "violations": _violations(result.violations)}),
+        }
     return {
         "states": result.reachable_states,
         "exhausted": result.exhausted,
@@ -70,14 +96,25 @@ def _explore_summary(programs, cfg, init_mem=None):
     }
 
 
-def _oracle_summary(mutations):
-    report = oracle_tables(mutations=frozenset(mutations))
-    return {
-        "states": report.reachable_states,
-        "ok": report.ok,
-        "digest": _digest({"tables": report.table_lines(),
-                           "violations": _violations(report.violations)}),
-    }
+def verdict(result):
+    """What the reduction must keep: everything but state counts and the
+    steps inside traces. The oracle's table lines are its coverage."""
+    found = sorted((v.kind, v.detail) for v in result.violations)
+    if isinstance(result, OracleReport):
+        return result.ok, result.table_lines(), found
+    return (result.exhausted, sorted(result.outcomes), found,
+            _pairs(result.initiator_pairs), _pairs(result.snoopee_pairs))
+
+
+def run_case(run):
+    """(full search result, reduced search result, golden row) of a case."""
+    with full_search():
+        full = run()
+    reduced = run()
+    row = _summary(full)
+    summary = _summary(reduced)
+    row["reduced_states"], row["reduced_digest"] = summary["states"], summary["digest"]
+    return full, reduced, row
 
 
 def _random_case(seed):
@@ -106,29 +143,30 @@ def _random_case(seed):
 
 
 def cases():
-    out = {"oracle/clean": lambda: _oracle_summary(())}
+    out = {"oracle/clean": lambda: oracle_tables()}
     for m in SHIPPED_MUTATIONS:
-        out[f"oracle/{m}"] = lambda m=m: _oracle_summary((m,))
+        out[f"oracle/{m}"] = lambda m=m: oracle_tables(mutations=frozenset({m}))
     for test in COHERENCE_LITMUS:
         for n in (2, 3, 4):
             for ifetch in (False, True):
                 programs = [test.programs.get(c, ()) for c in range(n)]
                 cfg = ExploreConfig(n_cores=n, coherent_ifetch=ifetch)
                 out[f"litmus/{test.name}/{n}/{int(ifetch)}"] = (
-                    lambda p=programs, c=cfg, t=test: _explore_summary(p, c, t.init or None)
+                    lambda p=programs, c=cfg, t=test: explore(p, c, init_mem=t.init or None)
                 )
     for i, shape in enumerate(RACING_SHAPES):
-        out[f"racing/{i}"] = lambda s=shape: _explore_summary(s, ExploreConfig(n_cores=3))
+        out[f"racing/{i}"] = lambda s=shape: explore(s, ExploreConfig(n_cores=3))
     for i, shape in enumerate(TWIN_SHAPES):
         for m in ("clean",) + SHIPPED_MUTATIONS:
             cfg = ExploreConfig(mutations=frozenset(() if m == "clean" else (m,)))
-            out[f"twin/{i}/{m}"] = lambda s=shape, c=cfg: _explore_summary(s, c)
+            out[f"twin/{i}/{m}"] = lambda s=shape, c=cfg: explore(s, c)
     # a budget cut keeps the first states in breadth-first order and their
-    # coverage; at 5,000 of 13,844 states it reaches no final state
-    out["racing/0/budget"] = lambda: _explore_summary(
+    # coverage; at 5,000 of 13,844 states it reaches no final state. The
+    # two searches cut different graphs, so only its columns are pinned
+    out["racing/0/budget"] = lambda: explore(
         RACING_SHAPES[0], ExploreConfig(n_cores=3, state_budget=5000))
     for seed in range(N_RANDOM):
-        out[f"random/{seed}"] = lambda seed=seed: _explore_summary(*_random_case(seed))
+        out[f"random/{seed}"] = lambda seed=seed: explore(*_random_case(seed))
     return out
 
 
@@ -146,11 +184,14 @@ def test_golden_covers_every_case(golden):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_explorer_matches_golden(case, golden):
-    assert CASES[case]() == golden[case]
+    full, reduced, row = run_case(CASES[case])
+    assert row == golden[case]
+    if getattr(full, "exhausted", True):  # an oracle run is cut by no budget here
+        assert verdict(reduced) == verdict(full)
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--regen"]:
     DATA.parent.mkdir(exist_ok=True)
-    rows = (f"{json.dumps(k)}: {json.dumps(run(), sort_keys=True)}"
+    rows = (f"{json.dumps(k)}: {json.dumps(run_case(run)[2], sort_keys=True)}"
             for k, run in sorted(CASES.items()))
     DATA.write_text("{\n" + ",\n".join(rows) + "\n}\n")

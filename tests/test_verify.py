@@ -1,14 +1,16 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from culsim.protocol import TABLES, Hit, Issue, LineState, SnoopResponse
 from culsim.verify import (
     _KINDS,
+    _MM,
     _OPS,
     _ORACLE_BATTERY,
+    _SNOOP,
     _STATES,
     _Machine,
     COHERENCE_LITMUS,
@@ -25,7 +27,7 @@ from culsim.verify import (
     parse_litmus,
     run_litmus,
 )
-from test_explore_golden import RACING_SHAPES, TWIN_SHAPES
+from test_explore_golden import RACING_SHAPES, TWIN_SHAPES, full_search, verdict
 
 M, O, E, S = (
     LineState.MODIFIED,
@@ -294,9 +296,7 @@ def test_data_messages_name_the_stored_value():
                for v in result.violations)
 
 
-def test_machine_states_are_bytes():
-    machine = _Machine([[("W", X, 1), ("R", Y)], [("R", X), ("W", Y, 2)]],
-                       ExploreConfig(n_cores=2, dcache_capacity=1))
+def _reachable(machine):
     frontier, seen = [machine.initial()], set()
     while frontier:
         state = frontier.pop()
@@ -304,14 +304,21 @@ def test_machine_states_are_bytes():
         if state not in seen:
             seen.add(state)
             frontier.extend(succ for _label, succ, _note in machine.successors(state))
-    assert len(seen) > 100
+    return seen
+
+
+def test_machine_states_are_bytes():
+    machine = _Machine([[("W", X, 1), ("R", Y)], [("R", X), ("W", Y, 2)]],
+                       ExploreConfig(n_cores=2, dcache_capacity=1))
+    assert len(_reachable(machine)) > 100
 
 
 def test_explore_memory_stays_small():
     # the racing program's seen set of 1-byte-per-field states, its
-    # breadth-first order and parent indices peak near 1.9 MB (a tuple per
-    # state took 6.7 MB); 3 MB leaves room for allocator and interpreter
-    # differences and still fails on a return to tuple states
+    # breadth-first order and parent indices peak near 1.65 MB for its
+    # 10,661 reduced states (1.93 MB for the 13,844 of the full search; a
+    # tuple per state took 6.7 MB); 3 MB leaves room for allocator and
+    # interpreter differences and still fails on a return to tuple states
     tracemalloc.start()
     try:
         result = explore(RACING_SHAPES[0], ExploreConfig(n_cores=3))
@@ -320,6 +327,64 @@ def test_explore_memory_stays_small():
         tracemalloc.stop()
     assert result.exhausted
     assert peak < 3 * 2**20
+
+
+# -- silent-snoop reduction -----------------------------------------------------------
+
+@st.composite
+def _reduction_cases(draw):
+    """A program of 2-4 cores over one or two lines and a config to run it."""
+    n_cores = draw(st.integers(2, 4))
+    lines = (X, Y)[:draw(st.integers(1, 2))]
+    value = iter(range(1, 100))
+    op = st.tuples(st.sampled_from(("R", "W", "IF")), st.sampled_from(lines))
+    programs = [[("W", addr, next(value)) if verb == "W" else (verb, addr)
+                 for verb, addr in draw(st.lists(op, max_size=3 if n_cores < 4 else 2))]
+                for _ in range(n_cores)]
+    cfg = ExploreConfig(
+        n_cores=n_cores,
+        coherent_ifetch=draw(st.booleans()),
+        dcache_capacity=draw(st.sampled_from((1, None))),
+        wb_depth=draw(st.integers(1, 2)),
+        collision_capacity=draw(st.integers(1, 8)),
+        mutations=frozenset(draw(st.lists(st.sampled_from(SHIPPED_MUTATIONS), max_size=1))),
+        state_budget=20_000,  # bounds the time of a rare large full search
+    )
+    init_mem = draw(st.sampled_from((None, {X: 9})))
+    return programs, cfg, init_mem
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_reduction_cases())
+def test_silent_snoop_reduction_keeps_every_verdict(case):
+    with full_search():
+        full = explore(*case)
+    assume(full.exhausted)
+    reduced = explore(*case)
+    assert verdict(reduced) == verdict(full)
+    assert reduced.reachable_states <= full.reachable_states
+
+
+def test_silent_snoop_changes_only_the_initiators_mask_byte():
+    found = 0
+    for programs, cfg in _mutation_cases("snoopee:M:ReadShared:drop_dirty"):
+        machine = _Machine(programs, cfg)
+        with full_search():
+            states = _reachable(machine)
+        for state in states:
+            step = _Machine._silent_snoop(machine, state)
+            if step is None:
+                continue
+            (what, core, kind, line, target), succ, note = step
+            assert what == _SNOOP and note is None
+            mask_at = machine.core_at[core] + _MM
+            assert [i for i, (a, b) in enumerate(zip(state, succ)) if a != b] == [mask_at]
+            assert len(succ) == len(state) and succ[mask_at] < state[mask_at]
+            j = next(j for j, entry in enumerate(machine.fanout[core][kind])
+                     if entry[0] == target and state[mask_at] >> j & 1)
+            assert step == machine._snoop(state, core, j)
+            found += 1
+    assert found > 1000
 
 
 # -- mutations ------------------------------------------------------------------------
@@ -394,6 +459,30 @@ def test_traces_replay_to_their_violation_at_the_shortest_depth(mutation):
                 assert v.kind == "stale-data" and note == v.detail
             assert len(v.trace) == depths[v.kind, v.detail]
             traced += 1
+    assert traced
+
+
+@pytest.mark.parametrize("mutation", SHIPPED_MUTATIONS)
+def test_oracle_traces_replay_on_the_battery_program_they_name(mutation):
+    report = oracle_tables(mutations=frozenset({mutation}))
+    traced = 0
+    for v in report.violations:
+        where = v.program
+        n_cores, ifetch, capacity, programs = _ORACLE_BATTERY[where["index"]]
+        assert (where["cores"], where["coherent_ifetch"], where["dcache_capacity"]) == (
+            n_cores, ifetch, capacity)
+        if v.trace is None:
+            continue
+        machine = _Machine(programs, ExploreConfig(
+            n_cores=n_cores, coherent_ifetch=ifetch, dcache_capacity=capacity,
+            mutations=frozenset({mutation})))
+        state, note = _replay(machine, v.trace)
+        if v.kind == "invariant":
+            assert v.detail in machine.state_violations(state)
+        else:
+            assert v.kind == "stale-data" and note == v.detail
+        assert v.to_dict()["program"] == where
+        traced += 1
     assert traced
 
 
