@@ -9,11 +9,11 @@ model's `ccu.Decoder` (same mux, same per-line serialization, same
 stall count), so measured differences come from protocol structure
 rather than tuned constants.
 
-Instruction fetches are folded into the load path (no separate icache
-here); the cores, memory port, op accounting and run loop come from
-`sim.Kernel`, shared with the snoop simulator, so SimStats fields mean
-the same thing in both reports. Every memory write, the downgrade of a
-forwarded read included, queues in the write-back FIFO of the memory port.
+The cores, memory port, op accounting, non-coherent ifetch fill and run
+loop come from `sim.Kernel`, shared with the snoop simulator, so SimStats
+fields mean the same thing in both reports; there is no coherent icache.
+Every memory write, the downgrade of a forwarded read included, queues
+in the write-back FIFO of the memory port.
 
 Each transaction is one generator, `DirectorySimulation._journey`: the
 hop to the home node, the directory lookup, then the forward to the
@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set
 
+from .cache import ConfigError
 from .ccu import Decoder, ProtocolFault
 from .memsys import MemoryPort
-from .protocol import CoherentKind, CoreOp, LineState, OpKind
+from .protocol import CoherentKind, LineState, OpKind
 from .sim import Kernel, SimConfig
 
 
@@ -53,7 +54,7 @@ class _DirTxn:
 
 class DirectorySimulation(Kernel):
     def __init__(self, config: SimConfig, monitor: bool = False):
-        super().__init__(config, monitor, coherent_ifetch=False)
+        super().__init__(config, monitor)
         self.mem_port = MemoryPort(config.fifo_depths.writeback)
         self.mem_port.touched = self.touched
         self.directory: Dict[int, DirectoryEntry] = {}
@@ -71,20 +72,23 @@ class DirectorySimulation(Kernel):
     def _phases(self, now: int) -> None:
         # only what is due acts: a transaction not waiting on memory whose
         # delay has run out, the Decoder while a request waits (its stall
-        # count moves only in grant), a port holding an op not yet missed
+        # count moves only in grant), a port with a fill or an op to run
         for txn in [t for t in self.txns if not t.mem_wait and t.wait_until <= now]:
             self._advance(txn, now)
         if self.decoder.pending or self.decoder.hold is not None:
             self._accept(now)
         for core, port in enumerate(self.ports):
-            if port.current is not None and not port.waiting_miss:
+            if port.nc_fill is not None:
+                self._apply_nc_fill(core, now)
+            elif port.current is not None and not port.waiting_miss:
                 self._core_op(core, now)
         if self.mem_port.step(now, self.mem):
             self._progress = True
-        for txn, _addr, data in self.mem.take_completions(now):
-            txn.data = data
-            txn.mem_wait = False
-            self._progress = True
+        self._memory_responses(now)
+
+    def _memory_data(self, txn: _DirTxn, data: bytes) -> None:
+        txn.data = data
+        txn.mem_wait = False
 
     def _accept(self, now: int) -> None:
         granted = self.decoder.grant()
@@ -218,8 +222,9 @@ class DirectorySimulation(Kernel):
 
     def _core_op(self, core: int, now: int) -> None:
         op = self.ports[core].current
-        if op.kind is OpKind.IFETCH:
-            op = CoreOp(OpKind.LOAD, op.address)  # no separate icache here
+        if op.kind is OpKind.IFETCH and self.config.coherent_ifetch:
+            raise ConfigError(f"core {core}: ifetch of {op.address:#x} with coherent "
+                              "ifetch on: the directory has no coherent icache")
         self._progress = True
         result = self._access(core, op, now)
         if result is not None:

@@ -60,7 +60,7 @@ def set_word(data: bytes, offset: int, value: int) -> bytes:
 _NO_RESPONSE = SnoopResponse()
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
     tag: int = 0
     state: LineState = LineState.INVALID
@@ -106,8 +106,9 @@ class Retry:
 
 
 class CacheModel:
-    """One core's cache subsystem (data cache + optional coherent icache).
-    It indexes the `protocol.TABLES` in place when it was built.
+    """One core's cache subsystem (data cache + optional coherent icache),
+    of the geometry `sim.SimConfig.validate` accepts. It indexes the
+    `protocol.TABLES` in place when it was built.
 
     `touched`, when a set, collects the address of every line whose state
     or data this cache changes, for the invariant monitors; the kernel
@@ -123,8 +124,6 @@ class CacheModel:
         ways: int = 4,
         coherent_ifetch: bool = False,
     ):
-        if cache_size % (ways * line_size) != 0:
-            raise ConfigError("cache_size must be divisible by ways * line_size")
         self.core_id = core_id
         self.line_size = line_size
         self.ways = ways

@@ -1,11 +1,10 @@
 """Cache coherency unit.
 
-Routes non-coherent requests straight at the memory port, serializes
-coherent ones through the `Decoder` (round-robin mux and per-line mutual
-exclusion, pipelined across distinct lines; the directory shares it),
-fans out snoops, aggregates CR responses in per-core FIFO order, buffers
-first-responder CD data, and drains write-backs to memory through the
-bounded FIFO of its memory port.
+Serializes the cores' snooping requests through the `Decoder` (round-robin
+mux and per-line mutual exclusion, pipelined across distinct lines; the
+directory shares it), fans out snoops, aggregates CR responses in
+per-core FIFO order, buffers first-responder CD data, and drains
+write-backs to memory through the bounded FIFO of its memory port.
 """
 from __future__ import annotations
 
@@ -226,16 +225,12 @@ class Ccu:
 
     def submit(self, core: int, kind: CoherentKind, address: int, now: int,
                from_icache: bool = False) -> None:
-        """Accept one request from a core's miss handler (the ACE demux):
-        a snooping one waits for the decoder, a non-coherent ifetch fill
-        goes straight to the memory port. Write-backs bypass this path
-        (mem_port.push_wb)."""
-        if kind in SNOOPING_KINDS:
-            self.decoder.submit(core, kind, address, now, from_icache)
-        elif kind is CoherentKind.READ_NO_SNOOP:
-            self.mem_port.read_queue.append((now + self.ccu_stage, address, ("nc", core)))
-        else:
+        """Accept one snooping request from a core's miss handler; it waits
+        for the decoder. A non-coherent ifetch fill (`sim.Kernel._access`)
+        and write-backs (mem_port.push_wb) bypass this path."""
+        if kind not in SNOOPING_KINDS:
             raise ProtocolFault(f"core {core}: unexpected {kind.value} request")
+        self.decoder.submit(core, kind, address, now, from_icache)
 
     # -- pipeline stages -------------------------------------------------------
 
@@ -309,7 +304,7 @@ class Ccu:
         for txn in ready:
             if txn.kind in DATA_KINDS and txn.data is None:
                 txn.advance(Phase.MEM_ACCESS)
-                self.mem_port.read_queue.append((now, txn.address, ("txn", txn.id)))
+                self.mem_port.read_queue.append((now, txn.address, txn.id))
                 continue
             if txn.data_source is not None:
                 self.c2c_transfers += 1

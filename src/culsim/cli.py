@@ -202,15 +202,12 @@ def _image_hex(image: Dict[int, bytes]) -> Dict[str, str]:
 def _run_one(model: str, cfg: SimConfig, streams, args):
     if model == "snoop":
         sim = build(cfg, serialize=args.serialize, monitor=args.check)
-        if args.mem_image:
-            sim.mem.load_image(Path(args.mem_image).read_text())
-        stats = sim.run([list(s) for s in streams], watchdog=args.watchdog)
-        return stats, sim.coherent_image()
-    dsim = baseline.DirectorySimulation(cfg, monitor=args.check)
+    else:
+        sim = baseline.DirectorySimulation(cfg, monitor=args.check)
     if args.mem_image:
-        dsim.mem.load_image(Path(args.mem_image).read_text())
-    stats = dsim.run([list(s) for s in streams], watchdog=args.watchdog)
-    return stats, dsim.coherent_image()
+        sim.mem.load_image(Path(args.mem_image).read_text())
+    stats = sim.run([list(s) for s in streams], watchdog=args.watchdog)
+    return stats, sim.coherent_image()
 
 
 def run_experiment(args) -> int:

@@ -22,7 +22,7 @@ before the core requests of the same cycle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -36,7 +36,7 @@ from .cache import (
 )
 from .ccu import Ccu, Decoder, ProtocolFault
 from .memsys import MemoryModel, MemoryPort
-from .protocol import CoreOp, LineState, OpKind
+from .protocol import CoherentKind, CoreOp, LineState, OpKind
 from . import verify
 
 
@@ -84,9 +84,9 @@ class SimConfig:
             raise ConfigError(f"line_size: {self.line_size} is not a power of two >= 4")
         if self.ways < 1:
             raise ConfigError(f"ways: {self.ways} must be >= 1")
-        if self.cache_size % (self.ways * self.line_size) != 0:
+        if self.cache_size < 1 or self.cache_size % (self.ways * self.line_size) != 0:
             raise ConfigError(
-                f"cache_size: {self.cache_size} not divisible by ways*line_size"
+                f"cache_size: {self.cache_size} not a positive multiple of ways*line_size"
             )
         for name in ("l1_hit", "snoop_hop", "ccu_stage", "mem_read"):
             if getattr(self.latencies, name) < 1:
@@ -98,16 +98,7 @@ class SimConfig:
             raise ConfigError("seed: must fit in 64 bits")
 
     def to_dict(self) -> dict:
-        return {
-            "n_cores": self.n_cores,
-            "line_size": self.line_size,
-            "cache_size": self.cache_size,
-            "ways": self.ways,
-            "coherent_ifetch": self.coherent_ifetch,
-            "latencies": vars(self.latencies).copy(),
-            "fifo_depths": vars(self.fifo_depths).copy(),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 _BOOL_VALUES = {"1": True, "0": False, "true": True, "false": False}
@@ -210,28 +201,29 @@ class _Port:
     miss_start: int = 0
     issued_at: int = 0
     ready_at: int = 0
-    nc_fill: Optional[Tuple[int, bytes]] = None
+    nc_fill: Optional[bytes] = None
     observations: List[int] = field(default_factory=list)
 
 
 class Kernel:
     """The part of a timed model that the snoop cluster and the directory
     baseline share: cores and their L1s, memory, op issue and accounting,
-    per-cycle bookkeeping, the run loop with its watchdog, and the
-    invariant monitors. A model supplies its coherence fabric as
-    `_phases` (everything of a cycle before stream issue), its pending
-    work (memory port included) as `_busy`, the due times of its queues
-    as `_next_event`, dirty data outside the caches as
-    `_in_flight_copies` and its own state as `_dump_lines`; it sets
-    `mem_port` to the MemoryPort in front of `mem` and `decoder` to its
-    request Decoder. With monitors on, its components share the kernel's
-    `touched` set, and the model marks there every line whose view it
-    changes without a component's help."""
+    the non-coherent ifetch fill, per-cycle bookkeeping, the run loop with
+    its watchdog, and the invariant monitors. A model supplies its
+    coherence fabric as `_phases` (everything of a cycle before stream
+    issue, `_apply_nc_fill` and `_memory_responses` included), the data
+    of its memory reads as `_memory_data`, its pending work (memory port
+    included) as `_busy`, the due times of its queues as `_next_event`,
+    dirty data outside the caches as `_in_flight_copies` and its own
+    state as `_dump_lines`; it sets `mem_port` to the MemoryPort in front
+    of `mem` and `decoder` to its request Decoder. With monitors on, its
+    components share the kernel's `touched` set, and the model marks
+    there every line whose view it changes without a component's help."""
 
     mem_port: MemoryPort
     decoder: Decoder
 
-    def __init__(self, config: SimConfig, monitor: bool, coherent_ifetch: bool):
+    def __init__(self, config: SimConfig, monitor: bool):
         config.validate()
         self.config = config
         self.caches = [
@@ -240,7 +232,7 @@ class Kernel:
                 line_size=config.line_size,
                 cache_size=config.cache_size,
                 ways=config.ways,
-                coherent_ifetch=coherent_ifetch,
+                coherent_ifetch=config.coherent_ifetch,
             )
             for i in range(config.n_cores)
         ]
@@ -298,9 +290,9 @@ class Kernel:
                 self._progress = True
 
     def _access(self, core: int, op: CoreOp, now: int):
-        """Run op against the core's cache. A hit retires the op and
-        returns None; a miss parks the port and returns the cache's
-        miss result."""
+        """Run op against the core's cache. A hit retires the op and returns
+        None; a miss parks the port and returns the cache's miss result,
+        but a non-coherent ifetch queues its memory read and returns None."""
         port = self.ports[core]
         stats = self.stats.cores[core]
         result = self.caches[core].core_access(op)
@@ -315,6 +307,11 @@ class Kernel:
         stats.misses += 1
         port.waiting_miss = True
         port.miss_start = now
+        if result.kind is CoherentKind.READ_NO_SNOOP:
+            self.mem_port.read_queue.append(
+                (now + self.config.latencies.ccu_stage, self.caches[core].miss.address, port)
+            )
+            return None
         return result
 
     def _victim_fits(self, cache: CacheModel) -> bool:
@@ -322,7 +319,7 @@ class Kernel:
         victim = cache.needs_eviction()
         return victim is None or not victim.state.is_dirty or not self.mem_port.wb_full()
 
-    def _retire_miss(self, core: int, now: int, icache: bool = False) -> None:
+    def _retire_miss(self, core: int, now: int) -> None:
         """The core's miss has filled: a store writes its word into the
         new line, a load or ifetch observes one, and the port may issue
         again this cycle."""
@@ -332,7 +329,7 @@ class Kernel:
         if op.kind is OpKind.STORE:
             cache.write_word(op.address, op.value)
         else:
-            hit = cache.lookup(op.address, icache=icache)
+            hit = cache.lookup(op.address, icache=op.kind is OpKind.IFETCH)
             port.observations.append(word_at(hit[1].data, op.address % self.config.line_size))
         self.stats.miss_latency_total += now - port.miss_start
         self.stats.miss_count += 1
@@ -340,6 +337,23 @@ class Kernel:
         port.current = None
         port.waiting_miss = False
         port.ready_at = now
+
+    def _apply_nc_fill(self, core: int, now: int) -> None:
+        """Install the memory data of the core's non-coherent ifetch miss."""
+        port = self.ports[core]
+        self.caches[core].miss_complete(LineState.SHARED, port.nc_fill)
+        port.nc_fill = None
+        self._retire_miss(core, now)
+        self._progress = True
+
+    def _memory_responses(self, now: int) -> None:
+        """Hand a due read's data to its core's port (a non-coherent fill) or the model."""
+        for tag, _addr, data in self.mem.take_completions(now):
+            if isinstance(tag, _Port):
+                tag.nc_fill = data
+            else:
+                self._memory_data(tag, data)
+            self._progress = True
 
     # -- monitors / inspection ------------------------------------------------
 
@@ -424,7 +438,7 @@ class Kernel:
             if port.current is None:
                 if port.stream and port.ready_at < t:
                     t = port.ready_at
-            elif not port.waiting_miss:
+            elif not port.waiting_miss or port.nc_fill is not None:
                 return now
         return t if t > now else now
 
@@ -499,7 +513,7 @@ class Simulation(Kernel):
     """The snoop cluster: the cores' cache controllers and the coherency unit."""
 
     def __init__(self, config: SimConfig, serialize: bool = False, monitor: bool = False):
-        super().__init__(config, monitor, coherent_ifetch=config.coherent_ifetch)
+        super().__init__(config, monitor)
         lat = config.latencies
         self.ccu = Ccu(
             n_cores=config.n_cores,
@@ -525,7 +539,7 @@ class Simulation(Kernel):
         self.ccu.completion_step(now)
         if self.ccu.memory_unit_step(now, self.mem):
             self._progress = True
-        self._memory_phase(now)
+        self._memory_responses(now)
         self.stats.ccu_collision_stalls = self.ccu.decoder.stalls
         self.stats.cache_to_cache_transfers = self.ccu.c2c_transfers
 
@@ -549,7 +563,7 @@ class Simulation(Kernel):
         if txn is not None and self._install_feasible(self.caches[core], txn):
             self._apply_completion(core, txn, now)
         elif port.nc_fill is not None:
-            self._apply_nc_fill(core, port.nc_fill, now)
+            self._apply_nc_fill(core, now)
         elif acs and acs[0][0] <= now:
             self._process_snoop(core, now)
         elif op is None or port.waiting_miss:
@@ -632,21 +646,10 @@ class Simulation(Kernel):
             stats.writebacks += 1
         if txn.data_source is not None:
             stats.snoop_served_misses += 1
-        self._retire_miss(core, now, icache=op.kind is OpKind.IFETCH)
+        self._retire_miss(core, now)
 
-    def _apply_nc_fill(self, core: int, fill: Tuple[int, bytes], now: int) -> None:
-        self.caches[core].miss_complete(LineState.SHARED, fill[1])
-        self.ports[core].nc_fill = None
-        self._retire_miss(core, now, icache=True)
-
-    def _memory_phase(self, now: int) -> None:
-        for tag, addr, data in self.mem.take_completions(now):
-            kind, ident = tag
-            if kind == "txn":
-                self.ccu.memory_data(ident, data)
-            else:
-                self.ports[ident].nc_fill = (addr, data)
-            self._progress = True
+    def _memory_data(self, tag, data: bytes) -> None:
+        self.ccu.memory_data(tag, data)
 
     def _busy(self) -> bool:
         return self.ccu.busy()
@@ -658,9 +661,7 @@ class Simulation(Kernel):
         if ccu.can_grant():
             return now
         t = limit
-        for core, port in enumerate(self.ports):
-            if port.nc_fill is not None:
-                return now
+        for core in range(self.config.n_cores):
             for box in (ccu.r_outbox[core], ccu.ac_outbox[core]):
                 if box and box[0][0] < t:
                     t = box[0][0]

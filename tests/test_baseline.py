@@ -156,12 +156,24 @@ def test_sharing_workloads_have_higher_directory_miss_latency():
     assert d_stats.avg_miss_latency > s_stats.avg_miss_latency
 
 
-def test_ifetch_ops_fold_into_the_load_path():
+def test_ifetch_fills_the_non_coherent_icache_from_memory():
     sim = DirectorySimulation(SimConfig(), monitor=True)
     stats = sim.run([[CoreOp(OpKind.IFETCH, 0x100)], []])
     assert stats.cores[0].ifetches == 1
     assert stats.cores[0].misses == 1
-    assert sim.caches[0].lookup(0x100)[1].state is LineState.EXCLUSIVE
+    assert sim.caches[0].lookup(0x100, icache=True)[1].state is LineState.SHARED
+    assert sim.caches[0].lookup(0x100) is None
+    assert 0x100 not in sim.directory
+    assert stats.mem_reads == 1
+
+
+def test_coherent_ifetch_is_refused_only_when_an_ifetch_runs():
+    cfg = SimConfig(coherent_ifetch=True)
+    DirectorySimulation(cfg, monitor=True).run([loads(0x100), stores(0x100, [1])])
+    sim = DirectorySimulation(cfg, monitor=True)
+    with pytest.raises(ConfigError, match="core 1: ifetch of 0x104"):
+        sim.run([[], [CoreOp(OpKind.IFETCH, 0x104)]])
+    assert sim.caches[1].miss is None
 
 
 def test_dirty_eviction_updates_directory_and_memory():

@@ -258,7 +258,7 @@ def test_transactions_ready_in_one_cycle_move_on_in_id_order():
     ccu.collect_cr(0, SnoopResponse(), None)  # core 0 answers the second one first
     ccu.collect_cr(1, SnoopResponse(), None)
     ccu.completion_step(5)
-    assert [tag for _, _, tag in ccu.mem_port.read_queue] == [("txn", 0), ("txn", 1)]
+    assert [tag for _, _, tag in ccu.mem_port.read_queue] == [0, 1]
     ccu.memory_data(1, bytes([1]) * 16)  # and the data arrive in reverse too
     ccu.memory_data(0, bytes([2]) * 16)
     ccu.completion_step(30)
@@ -295,7 +295,7 @@ def test_memory_reads_wait_for_same_line_writeback():
     ccu = make_ccu()
     mem = MemoryModel(16, 1)
     ccu.mem_port.push_wb(0x40, bytes([9]) * 16)
-    ccu.submit(0, CoherentKind.READ_NO_SNOOP, 0x40, now=0)
+    ccu.mem_port.read_queue.append((1, 0x40, 0))
     ccu.memory_unit_step(5, mem)
     assert mem.reads == 0 and mem.writes == 1  # drain first
     ccu.memory_unit_step(6, mem)
@@ -312,16 +312,11 @@ def test_submit_sends_snooping_kinds_to_the_decoder():
         assert not ccu.mem_port.read_queue
 
 
-def test_submit_sends_a_non_coherent_read_to_the_memory_port():
-    ccu = make_ccu()
-    ccu.submit(1, CoherentKind.READ_NO_SNOOP, 0x40, now=3)
-    assert not ccu.decoder.pending
-    assert list(ccu.mem_port.read_queue) == [(3 + ccu.ccu_stage, 0x40, ("nc", 1))]
-
-
-@pytest.mark.parametrize("kind", [CoherentKind.WRITE_BACK, CoherentKind.WRITE_NO_SNOOP])
+@pytest.mark.parametrize("kind", [CoherentKind.WRITE_BACK, CoherentKind.WRITE_NO_SNOOP,
+                                  CoherentKind.READ_NO_SNOOP])
 def test_submit_refuses_kinds_no_cache_sends(kind):
-    # write-backs go through mem_port.push_wb, never through submit
+    # write-backs go through mem_port.push_wb and a non-coherent ifetch
+    # fill straight to the memory port (sim.Kernel), never through submit
     ccu = make_ccu()
     with pytest.raises(ProtocolFault, match=kind.value):
         ccu.submit(0, kind, 0x40, now=0)

@@ -186,6 +186,29 @@ def test_bad_config_exits_5(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cache_size", [0, -64, -128])
+def test_config_with_no_cache_set_exits_5(tmp_path, capsys, cache_size):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"cache_size = {cache_size}\nways = 4\nline_size = 16\n")
+    report = tmp_path / "r.json"
+    code = run_cli("run", "--model", "both", "--config", str(cfg), "--report", str(report))
+    assert code == EXIT_BAD_INPUT
+    assert "cache_size" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("model", ["directory", "both"])
+def test_coherent_ifetch_in_the_directory_exits_5(tmp_path, capsys, model):
+    trace = tmp_path / "t.txt"
+    trace.write_text("0 R 0x40\n1 IF 0x84\n")
+    report = tmp_path / "r.json"
+    code = run_cli("run", "--model", model, "--coherent-ifetch", "--trace", str(trace),
+                   "--report", str(report))
+    assert code == EXIT_BAD_INPUT
+    assert "core 1: ifetch of 0x84" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_bad_trace_exits_5(tmp_path, capsys):
     trace = tmp_path / "t.txt"
     trace.write_text("0 W 0x40\n")

@@ -17,9 +17,10 @@ RANDOM4 = (
     ["--workload", "uniform_random", "--working-set", "64", "--ops", "300"],
 )
 # core 1 fetches the lines core 0 has just dirtied: a coherent icache
-# snoops them out of core 0, a non-coherent one reads memory
+# snoops them out of core 0, a non-coherent one reads memory. The snoop
+# model alone: the directory has no coherent icache
 IFETCH_TRACE = "0 W 0x1000 0x1\n0 W 0x1010 0x2\n1 IF 0x1000\n1 IF 0x1010\n"
-IFETCH = ("", ["--trace", "TRACE"])
+IFETCH = ("", ["--trace", "TRACE", "--model", "snoop"])
 
 KNOBS = {
     "n_cores": (RANDOM4, 3),

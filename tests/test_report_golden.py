@@ -28,7 +28,8 @@ latencies.mem_read = 1
 
 # instruction fetches race with stores and loads to the same lines on
 # three cores: the icache fill, its invalidation or permitted staleness
-# and the directory's fold of ifetches into loads all run
+# all run. Both models fill a non-coherent icache from memory; with
+# coherent ifetch on, the directory refuses the first ifetch (exit 5)
 IFETCH_TRACE = """\
 0 IF 1000
 1 IF 1000
@@ -65,6 +66,8 @@ def cases():
     traced = ["--trace", "IFETCH_TRACE", "--cores", "3", "--check"]
     out["trace/ifetch/check"] = traced
     out["trace/ifetch/check/coherent"] = traced + ["--coherent-ifetch"]
+    # argparse keeps the last --model: the snoop half of the row above
+    out["trace/ifetch/check/coherent/snoop"] = traced + ["--coherent-ifetch", "--model", "snoop"]
     return out
 
 
@@ -72,6 +75,8 @@ CASES = cases()
 
 
 def run_case(args) -> dict:
+    """Exit code and report digest of one case; `report` is None when the
+    run exits before it writes one."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "tiny.cfg"
         config.write_text(TINY_CONFIG)
@@ -82,6 +87,8 @@ def run_case(args) -> dict:
         files = {"TINY": str(config), "IFETCH_TRACE": str(trace)}
         argv += [files.get(a, a) for a in args]
         code = main(argv)
+        if not report.exists():
+            return {"exit": code, "report": None}
         body = json.loads(report.read_text())
     del body["config"]
     text = json.dumps(body, sort_keys=True)

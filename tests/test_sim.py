@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from culsim.baseline import DirectorySimulation
 from culsim.cache import ConfigError
 from culsim.cli import WorkloadSpec, gen_workload, main
 from culsim.protocol import CoreOp, LineState, OpKind
@@ -61,6 +62,13 @@ def test_parse_config_round_trip():
     assert cfg.latencies.mem_read == 7
     assert cfg.fifo_depths.writeback == 2
     assert cfg.seed == 0xDEAD
+
+
+@pytest.mark.parametrize("cache_size", [0, -64, -128])
+def test_parse_config_rejects_a_cache_without_a_set(cache_size):
+    # 0 and negative multiples of ways*line_size pass the divisibility check
+    with pytest.raises(ConfigError, match="cache_size"):
+        parse_config(f"cache_size = {cache_size}\nways = 4\nline_size = 16\n")
 
 
 def test_parse_config_rejects_unknown_keys():
@@ -234,6 +242,16 @@ def test_noncoherent_ifetch_misses_go_straight_to_memory():
     assert stats.cores[0].ifetches == 1
     line = sim.caches[0].lookup(0x500, icache=True)
     assert line[1].state is LineState.SHARED
+
+
+@pytest.mark.parametrize("model", [build, DirectorySimulation], ids=["snoop", "directory"])
+def test_non_coherent_ifetch_miss_queues_its_read_at_the_memory_port(model):
+    cfg = SimConfig(latencies=Latencies(ccu_stage=3))
+    sim = model(cfg)
+    op = sim.ports[1].current = CoreOp(OpKind.IFETCH, 0x504)
+    assert sim._access(1, op, now=5) is None  # nothing for the model to submit
+    assert list(sim.mem_port.read_queue) == [(5 + 3, 0x500, sim.ports[1])]
+    assert sim.ports[1].waiting_miss and not sim.decoder.busy()
 
 
 # Shipped mutations that run on the workload below without a monitor trip,

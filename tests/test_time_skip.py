@@ -3,6 +3,8 @@ over `step()` must reach the same stats, observations, final image and
 cycle on every model. The loop also counts stall cycles the per-step
 way, one per port that ends a step holding an op, as an oracle for the
 per-op stall intervals the models count."""
+from dataclasses import replace
+
 from hypothesis import HealthCheck, given, settings
 
 from culsim.baseline import DirectorySimulation
@@ -14,7 +16,9 @@ from test_cache_index import runs
 MODELS = {
     "snoop": lambda cfg: build(cfg, monitor=True),
     "serialized": lambda cfg: build(cfg, serialize=True, monitor=True),
-    "directory": lambda cfg: DirectorySimulation(cfg, monitor=True),
+    # the directory has no coherent icache
+    "directory": lambda cfg: DirectorySimulation(
+        replace(cfg, coherent_ifetch=False), monitor=True),
 }
 
 
