@@ -28,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Set
 from .cache import ConfigError
 from .ccu import Decoder, ProtocolFault
 from .memsys import MemoryPort
-from .protocol import CoherentKind, LineState, OpKind
+from .protocol import CoherentKind, CoreOp, LineState, OpKind
 from .sim import Kernel, SimConfig
 
 
@@ -220,11 +220,19 @@ class DirectorySimulation(Kernel):
             entry.owner = None
         entry.sharers.discard(core)
 
+    def check_streams(self, streams: List[List[CoreOp]]) -> None:
+        """Also refuse an IF op while coherent ifetch is on: the directory
+        has no coherent icache."""
+        super().check_streams(streams)
+        if self.config.coherent_ifetch:
+            for core, ops in enumerate(streams):
+                op = next((op for op in ops if op.kind is OpKind.IFETCH), None)
+                if op is not None:
+                    raise ConfigError(f"core {core}: ifetch of {op.address:#x} with coherent "
+                                      "ifetch on: the directory has no coherent icache")
+
     def _core_op(self, core: int, now: int) -> None:
         op = self.ports[core].current
-        if op.kind is OpKind.IFETCH and self.config.coherent_ifetch:
-            raise ConfigError(f"core {core}: ifetch of {op.address:#x} with coherent "
-                              "ifetch on: the directory has no coherent icache")
         self._progress = True
         result = self._access(core, op, now)
         if result is not None:

@@ -199,13 +199,19 @@ def _image_hex(image: Dict[int, bytes]) -> Dict[str, str]:
     return {f"{addr:#x}": data.hex() for addr, data in sorted(image.items())}
 
 
-def _run_one(model: str, cfg: SimConfig, streams, args):
+def _build(model: str, cfg: SimConfig, streams, args):
+    """The model, once it has checked the streams, with its memory image."""
     if model == "snoop":
         sim = build(cfg, serialize=args.serialize, monitor=args.check)
     else:
         sim = baseline.DirectorySimulation(cfg, monitor=args.check)
+    sim.check_streams(streams)
     if args.mem_image:
         sim.mem.load_image(Path(args.mem_image).read_text())
+    return sim
+
+
+def _run(sim, streams, args):
     stats = sim.run([list(s) for s in streams], watchdog=args.watchdog)
     return stats, sim.coherent_image()
 
@@ -224,16 +230,19 @@ def run_experiment(args) -> int:
         )
         streams = gen_workload(spec, cfg.n_cores, cfg.line_size)
 
+    # both models take the streams before either runs
+    sims = [_build(model, cfg, streams, args) for model in
+            (("snoop", "directory") if args.model == "both" else (args.model,))]
     report: Dict[str, object] = {"config": cfg.to_dict(), "model": args.model}
     exit_code = EXIT_OK
     try:
         if args.model in ("snoop", "directory"):
-            stats, image = _run_one(args.model, cfg, streams, args)
+            stats, image = _run(sims[0], streams, args)
             report["stats"] = stats.to_dict()
             report["final_memory"] = _image_hex(image)
         else:
-            snoop_stats, snoop_image = _run_one("snoop", cfg, streams, args)
-            dir_stats, dir_image = _run_one("directory", cfg, streams, args)
+            snoop_stats, snoop_image = _run(sims[0], streams, args)
+            dir_stats, dir_image = _run(sims[1], streams, args)
             report["stats"] = {
                 "snoop": snoop_stats.to_dict(),
                 "directory": dir_stats.to_dict(),

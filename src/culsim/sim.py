@@ -463,15 +463,19 @@ class Kernel:
             or any(p.stream or p.current is not None for p in self.ports)
         )
 
+    def check_streams(self, streams: List[List[CoreOp]]) -> None:
+        """Refuse, before cycle 0, per-core op streams this model cannot run."""
+        if len(streams) != self.config.n_cores:
+            raise ConfigError(
+                f"streams: got {len(streams)} streams for {self.config.n_cores} cores"
+            )
+
     def run(self, streams: List[List[CoreOp]], watchdog: int = WATCHDOG_CYCLES) -> SimStats:
         """Feed per-core op streams and advance until everything drains,
         skipping cycles in which nothing can act."""
         if watchdog < 1:
             raise ConfigError(f"watchdog: {watchdog} must be >= 1")
-        if len(streams) != self.config.n_cores:
-            raise ConfigError(
-                f"streams: got {len(streams)} streams for {self.config.n_cores} cores"
-            )
+        self.check_streams(streams)
         for port, ops in zip(self.ports, streams):
             port.stream.extend(ops)
         self._last_progress = self.cycle

@@ -7,15 +7,18 @@ Three layers:
 * explore() enumerates every interleaving of an untimed abstraction of
   the protocol over tiny programs by one breadth-first search,
   deduplicated by canonical state, and checks the single-writer and
-  data-value invariants in every reachable state. A snoop that finds no
-  copy and cannot find one later is a state's only step (a partial-order
-  reduction, `_Machine._silent_snoop`): the search keeps every outcome,
-  deadlock, violation and coverage pair but visits fewer states. Each
-  counterexample trace is the shortest one in that reduced graph, read
-  back from the search's parent links, and a state budget counts its
-  states. It is the oracle certifying `protocol.TABLES`, the one table
-  set the cycle simulator, the directory baseline and the explorer
-  index, plus the Decoder's admission rule `ccu.admits`. A mutation
+  data-value invariants in every reachable state. Two partial-order
+  rules (`_Machine.reduced`) keep every outcome, deadlock, violation and
+  coverage pair but visit fewer states: a snoop that finds no copy and
+  cannot find one later runs inside the accept or eviction that makes it
+  so (`_Machine._settle`), and a load that misses from Invalid as a
+  ReadShared, which no snoop flags, is a state's only step
+  (`_Machine.successors`). Each counterexample trace is the shortest one
+  in that reduced graph, read back from the search's parent links, so
+  it lists no such silent snoop, and a state budget counts its states.
+  It is the oracle certifying `protocol.TABLES`, the one table set the
+  cycle simulator, the directory baseline and the explorer index, plus
+  the Decoder's admission rule `ccu.admits`. A mutation
   (`SHIPPED_MUTATIONS`, the ids of `protocol.MUTATIONS`) is run as
   `TABLES.mutated(ids)`, here or in a timed model.
 * run_litmus / oracle_tables package the explorer into the coherence
@@ -186,7 +189,7 @@ _IS_DIRTY = tuple(s in DIRTY_STATES for s in _STATES)
 
 _KINDS = (None, CoherentKind.READ_SHARED, CoherentKind.READ_UNIQUE,
           CoherentKind.CLEAN_UNIQUE, CoherentKind.READ_ONCE)
-_CU, _RO = 3, 4
+_RS, _CU, _RO = 1, 3, 4
 
 _OPS = (OpKind.LOAD, OpKind.STORE, OpKind.IFETCH)
 _LOAD, _STORE, _IFETCH = range(3)
@@ -209,6 +212,13 @@ _ISSUE, _ACCEPT, _SNOOP, _RETRY, _COMPLETE, _DRAIN = range(6)
 
 class _Machine:
     """Untimed abstraction of one bounded protocol instance."""
+
+    # Apply both partial-order rules: fold each silent snoop into the step
+    # that makes it silent (`_settle`) and take a lone load miss as a
+    # state's only step (`lone_load`). Read when a machine is built; a
+    # machine built without it has every enabled step of every state (the
+    # full search).
+    reduced = True
 
     def __init__(self, programs: Sequence[Sequence[tuple]], config: ExploreConfig,
                  init_mem: Optional[Dict[int, int]] = None):
@@ -248,10 +258,17 @@ class _Machine:
         self.ipos = tuple(tuple(p + 2 for p in row) for row in self.dpos)
         self.coll_at = self.tail_at + len(self.addrs) * width
         self.wb_at = self.coll_at + 1
-        # (core, offset of its slots, op count) in successor order
-        self.dispatch = tuple((c, at, len(ops)) for c, (at, ops)
-                              in enumerate(zip(self.core_at, self.ops)))
         self.silent = self._silent_table()
+        # lone_load[core][pc] -> the dcache slot of a load whose miss from
+        # Invalid is a ReadShared, which no snoop flags, else 0 (and 0 past
+        # the last op); all 0 in a machine that is not `reduced`
+        rs_miss = self.reduced and self.initiator[_I][_LOAD] == (False, _RS)
+        lone_load = tuple(
+            tuple(self.dpos[c][line] if rs_miss and op == _LOAD else 0
+                  for op, line, _value in ops) + (0,)
+            for c, ops in enumerate(self.ops))
+        # (core, offset of its slots, op count, lone_load row) in successor order
+        self.dispatch = tuple(zip(range(n), self.core_at, map(len, self.ops), lone_load))
         self._line_checks: Dict[tuple, Tuple[tuple, tuple, tuple]] = {}
         self._tail_checks: Dict[bytes, Tuple[str, ...]] = {}
 
@@ -317,7 +334,8 @@ class _Machine:
         """silent[core][kind][line] -> per entry j of the fan-out: (bit j,
         the slots the snoop probes (one twice if it probes one structure),
         the target's slot offset, per target pc whether an op from there
-        on could make the snoop find otherwise, the step's label)."""
+        on could make the snoop find otherwise). Every entry is empty in a
+        machine that is not `reduced`."""
 
         def flags(kind, op):  # the op looked up from Invalid
             hit, code = self.initiator[_I][op]
@@ -331,12 +349,12 @@ class _Machine:
             probed = [pos[target][line] for pos, on in (
                 (self.dpos, probe_d), (self.ipos, probe_i and self.cfg.coherent_ifetch)) if on]
             return (1 << j, probed[0], probed[-1], self.core_at[target],
-                    later(kind, target, line), (_SNOOP, core, kind, line, target))
+                    later(kind, target, line))
 
         return tuple(
             (None,) + tuple(
                 tuple(tuple(entry(core, kind, line, j, *probe)
-                            for j, probe in enumerate(fanout[kind]))
+                            for j, probe in enumerate(fanout[kind] if self.reduced else ()))
                       for line in range(len(self.addrs)))
                 for kind in range(1, len(_KINDS))
             )
@@ -421,13 +439,28 @@ class _Machine:
     def successors(self, state: bytes) -> List[Tuple[tuple, bytes, Optional[str]]]:
         """(label, next state, stale-data note or None) per enabled step:
         cores in order, a core's snoop targets in fan-out order, the
-        write-back drain last. A silent snoop (`_silent_snoop`), if there
-        is one, is the only step."""
-        step = self._silent_snoop(state)
-        if step is not None:
-            return [step]
+        write-back drain last. The issue of the first lone load miss in
+        that order, if there is one, is the only step.
+
+        A lone load is an idle core's next op when it is a Load, the
+        core's dcache holds its line Invalid, and the table row (Invalid,
+        Load) misses as ReadShared. The issue only writes the core's miss
+        kind and line, and only a snoop of that line on that core reads
+        them. No snoop flags a ReadShared miss (`read_seen` flags unique
+        kinds only), and a snoop marks a miss invalidated only when it
+        takes a valid dcache copy, which no snoop gives: the issue
+        commutes with every other step and leaves the state tail, all the
+        invariant checks read, unchanged. It stays enabled until taken,
+        and no issue lies on a cycle since a core's pc never decreases.
+        Taking it alone keeps every outcome, deadlock and violation (the
+        ample-set conditions of Peled, CAV 1993)."""
+        for core, at, _n_ops, lone_load in self.dispatch:
+            if not state[at + _MK]:
+                pos = lone_load[state[at + _PC]]
+                if pos and not state[pos]:
+                    return [self._issue(state, core)]
         out = []
-        for core, at, n_ops in self.dispatch:
+        for core, at, n_ops, _lone_load in self.dispatch:
             kind = state[at + _MK]
             if not kind:
                 if state[at + _PC] < n_ops:
@@ -450,36 +483,34 @@ class _Machine:
             out.append(self._drain(state))
         return out
 
-    def _silent_snoop(self, state: bytes):
-        """The first silent snoop in successor order, as the state's only
-        step, or None. A pending snoop is silent when its target holds the
-        line Invalid in every structure the snoop probes, has no miss on
-        the line that the snoop flags, and has no op left that, looked up
-        from Invalid on the line, hits or misses with a kind it flags.
+    def _settle(self, new: bytearray, core: int) -> None:
+        """Run, in place, every silent snoop pending in `core`'s mask. A
+        pending snoop is silent when its target holds the line Invalid in
+        every structure the snoop probes, has no miss on the line that the
+        snoop flags, and has no op left that, looked up from Invalid on the
+        line, hits or misses with a kind it flags.
 
-        It only clears its bit of the initiator's mask and records the
-        (Invalid, kind) coverage pair. While the line is in flight the
-        collision rule admits no other miss on it, so no other step can
-        give the target a copy, flag the target's miss or read that bit:
-        the snoop commutes with every step that could run before it. It
-        leaves the state tail, all the invariant checks read, unchanged.
-        Only an accept sets mask bits, so no cycle is made of silent
-        snoops alone. Taking it alone keeps every outcome, deadlock and
-        violation (Godefroid's persistent sets, LNCS 1032, 1996)."""
-        for core, at, _n_ops in self.dispatch:
-            mask = state[at + _MM]
-            if mask:
-                kind, line = state[at + _MK], state[at + _ML]
-                flagged = self.read_seen[kind]
-                for bit, p1, p2, tat, later, label in self.silent[core][kind][line]:
-                    if (mask & bit and not (state[p1] or state[p2] or later[state[tat + _PC]])
-                            and not (flagged[state[tat + _MK]] and state[tat + _ML] == line)):
-                        # what `_snoop` does when it finds no copy
-                        self.snoop_cov.add((_I, kind))
-                        new = bytearray(state)
-                        new[at + _MM] = mask ^ bit
-                        return label, bytes(new), None
-        return None
+        Such a snoop does what `_snoop` does when it finds no copy: it
+        clears its bit of the initiator's mask and records the (Invalid,
+        kind) coverage pair. While the line is in flight the collision
+        rule admits no other miss on it, so no other step can give the
+        target a copy, flag the target's miss or read that bit: the snoop
+        stays silent and commutes with every step. It leaves the state
+        tail, all the invariant checks read, unchanged. So it is folded
+        into the step that made it silent, and the state in between is
+        never stored (Godefroid's persistent sets, LNCS 1032, 1996). Only
+        an accept sets mask bits, and only a capacity eviction can take
+        the copy a pending snoop would find, so those two steps call
+        this."""
+        at = self.core_at[core]
+        mask, kind, line = new[at + _MM], new[at + _MK], new[at + _ML]
+        flagged = self.read_seen[kind]
+        for bit, p1, p2, tat, later in self.silent[core][kind][line]:
+            if (mask & bit and not (new[p1] or new[p2] or later[new[tat + _PC]])
+                    and not (flagged[new[tat + _MK]] and new[tat + _ML] == line)):
+                mask ^= bit
+                self.snoop_cov.add((_I, kind))
+        new[at + _MM] = mask
 
     def _issue(self, state: bytes, core: int):
         at = self.core_at[core]
@@ -523,6 +554,7 @@ class _Machine:
         new[at + _MF] = flags | _ACCEPTED
         new[at + _MM] = (1 << len(self.fanout[core][kind])) - 1
         new[self.coll_at] |= 1 << line
+        self._settle(new, core)
         return (_ACCEPT, core, kind, line), bytes(new), None
 
     def _snoop(self, state: bytes, core: int, j: int):
@@ -635,6 +667,7 @@ class _Machine:
         ]
 
         reg = at + _CORE_SLOTS + self.n_read[core][pc]
+        evicted = None
         if kind == _RO:
             pos = self.ipos[core][line]
             new[pos], new[pos + 1] = final, base
@@ -655,6 +688,7 @@ class _Machine:
                             return None  # write-back FIFO full: install stalls
                         new.extend((victim, state[pos + 1]))
                     new[pos] = new[pos + 1] = _I
+                    evicted = victim
             if store_follows and final not in (_M, _E):
                 note = note or f"line {addr:#x}: store completion installed {_STATES[final].value}"
             new[dpos] = _M if store_follows else final
@@ -663,6 +697,11 @@ class _Machine:
         new[at + _PC] = pc + 1
         new[at + _MK:at + _CORE_SLOTS] = bytes(_CORE_SLOTS - _MK)  # no miss
         new[self.coll_at] &= ~(1 << line)
+        if evicted is not None:
+            # the evicted copy may have been all a pending snoop could find
+            for other, oat, _n_ops, _lone in self.dispatch:
+                if new[oat + _MM] and new[oat + _ML] == evicted:
+                    self._settle(new, other)
         return (_COMPLETE, core, kind, line), bytes(new), note
 
     def _drain(self, state: bytes):
@@ -715,13 +754,14 @@ def explore(
 
     States are expanded in discovery order, each one's successors in
     `successors()` order, and every state keeps the index of the state
-    that discovered it. Where a silent snoop is a state's only successor,
-    the other interleavings of that snoop are not visited. A
-    counterexample trace is the parent chain of the violation's first
-    sighting, so it is the shortest one in this reduced graph and, among
-    those, the first found. `config.state_budget` counts the states of
-    the reduced graph, and a cut keeps the first states in breadth-first
-    order. `workers` is validated and otherwise ignored:
+    that discovered it. A silent snoop runs inside the step that makes
+    it silent, and a lone load miss is a state's only successor, so the
+    other interleavings of those steps are not visited. A counterexample
+    trace is the parent chain of the violation's first sighting, so it is
+    the shortest one in this reduced graph and, among those, the first
+    found; it names no silent snoop. `config.state_budget` counts the
+    states of the reduced graph, and a cut keeps the first states in
+    breadth-first order. `workers` is validated and otherwise ignored:
     the search runs in this process.
     """
     if workers < 1:

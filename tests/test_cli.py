@@ -14,6 +14,7 @@ from culsim.cli import (
     parse_trace,
 )
 from culsim.protocol import OpKind
+from culsim.sim import Simulation
 
 
 # -- trace parsing -----------------------------------------------------------------
@@ -198,7 +199,10 @@ def test_config_with_no_cache_set_exits_5(tmp_path, capsys, cache_size):
 
 
 @pytest.mark.parametrize("model", ["directory", "both"])
-def test_coherent_ifetch_in_the_directory_exits_5(tmp_path, capsys, model):
+def test_coherent_ifetch_in_the_directory_exits_5(tmp_path, capsys, monkeypatch, model):
+    # refused before either model runs: the snoop model is never entered
+    entered = []
+    monkeypatch.setattr(Simulation, "run", lambda self, *args, **kw: entered.append(self))
     trace = tmp_path / "t.txt"
     trace.write_text("0 R 0x40\n1 IF 0x84\n")
     report = tmp_path / "r.json"
@@ -207,6 +211,7 @@ def test_coherent_ifetch_in_the_directory_exits_5(tmp_path, capsys, model):
     assert code == EXIT_BAD_INPUT
     assert "core 1: ifetch of 0x84" in capsys.readouterr().err
     assert not report.exists()
+    assert entered == []
 
 
 def test_bad_trace_exits_5(tmp_path, capsys):

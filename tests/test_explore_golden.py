@@ -1,15 +1,18 @@
 """Golden explorer results: state counts, coverage and digests of the
 outcomes and violations (with traces) for a fixed set of cases.
 
-Every case runs twice. The full search (`full_search()`: no silent snoop
-is taken as a state's only step) must match the pinned `states`,
-`exhausted`, coverage pairs and `digest`, so any change to the explorer's
-internals keeps the explored machine itself identical. The default,
-reduced search must match the `reduced_states` and `reduced_digest`
-columns, and on every exhausted case it must reach the full search's
-outcomes, violation kinds and details, coverage pairs and `exhausted`
-flag. After an intended change to the explored model, rewrite the data
-file with `PYTHONPATH=src python tests/test_explore_golden.py --regen`.
+Every case runs twice. The full search (`full_search()`: neither
+partial-order rule of `_Machine.reduced` applies) must match the pinned
+`states`, `exhausted`, coverage pairs and `digest`, so any change to the
+explorer's internals keeps the explored machine itself identical. The
+default, reduced search must match the `reduced_states` and
+`reduced_digest` columns, and on every exhausted case it must reach the
+full search's outcomes, violation kinds and details, coverage pairs and
+`exhausted` flag. After a change to the reduction, rewrite the
+`reduced_*` columns with `PYTHONPATH=src python
+tests/test_explore_golden.py --regen`; it stops, naming the cases, if
+any full-search column would change. After an intended change to the
+explored model, pass `--regen-full` instead.
 """
 import hashlib
 import json
@@ -69,13 +72,13 @@ def _pairs(pairs):
 
 @contextmanager
 def full_search():
-    """Explore the unreduced graph: every enabled step of every state."""
-    silent = _Machine._silent_snoop
-    _Machine._silent_snoop = lambda self, state: None
+    """Explore the unreduced graph, every enabled step of every state, in
+    the machines built inside the block."""
+    _Machine.reduced = False
     try:
         yield
     finally:
-        _Machine._silent_snoop = silent
+        _Machine.reduced = True
 
 
 def _summary(result) -> dict:
@@ -190,8 +193,24 @@ def test_explorer_matches_golden(case, golden):
         assert verdict(reduced) == verdict(full)
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--regen"]:
+def _full_columns(row: dict) -> dict:
+    return {k: v for k, v in row.items() if not k.startswith("reduced_")}
+
+
+def regen(full: bool) -> None:
+    """Rewrite the data file. Unless `full`, stop without writing if a
+    full-search column of any case would change or a case is new."""
+    old = json.loads(DATA.read_text()) if DATA.exists() else {}
+    rows = {case: run_case(run)[2] for case, run in sorted(CASES.items())}
+    changed = [case for case, row in rows.items()
+               if _full_columns(row) != _full_columns(old.get(case, {}))]
+    if changed and not full:
+        sys.exit("full-search columns would change; pass --regen-full if the explored "
+                 "model changed on purpose:\n  " + "\n  ".join(changed))
     DATA.parent.mkdir(exist_ok=True)
-    rows = (f"{json.dumps(k)}: {json.dumps(run_case(run)[2], sort_keys=True)}"
-            for k, run in sorted(CASES.items()))
-    DATA.write_text("{\n" + ",\n".join(rows) + "\n}\n")
+    DATA.write_text("{\n" + ",\n".join(f"{json.dumps(case)}: {json.dumps(row, sort_keys=True)}"
+                                        for case, row in rows.items()) + "\n}\n")
+
+
+if __name__ == "__main__" and sys.argv[1:] in (["--regen"], ["--regen-full"]):
+    regen(full=sys.argv[1] == "--regen-full")

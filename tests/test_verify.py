@@ -6,11 +6,18 @@ from hypothesis import strategies as st
 
 from culsim.protocol import TABLES, Hit, Issue, LineState, SnoopResponse
 from culsim.verify import (
+    _ACCEPT,
+    _COMPLETE,
+    _I,
+    _ISSUE,
     _KINDS,
+    _MK,
+    _ML,
     _MM,
     _OPS,
     _ORACLE_BATTERY,
-    _SNOOP,
+    _PC,
+    _RS,
     _STATES,
     _Machine,
     COHERENCE_LITMUS,
@@ -27,7 +34,7 @@ from culsim.verify import (
     parse_litmus,
     run_litmus,
 )
-from test_explore_golden import RACING_SHAPES, TWIN_SHAPES, full_search, verdict
+from test_explore_golden import CASES, RACING_SHAPES, TWIN_SHAPES, full_search, verdict
 
 M, O, E, S = (
     LineState.MODIFIED,
@@ -315,10 +322,11 @@ def test_machine_states_are_bytes():
 
 def test_explore_memory_stays_small():
     # the racing program's seen set of 1-byte-per-field states, its
-    # breadth-first order and parent indices peak near 1.65 MB for its
-    # 10,661 reduced states (1.93 MB for the 13,844 of the full search; a
-    # tuple per state took 6.7 MB); 3 MB leaves room for allocator and
-    # interpreter differences and still fails on a return to tuple states
+    # breadth-first order and parent indices peak near 1.19 MB for its
+    # 6,110 reduced states (1.93 MB for the 13,844 of the full search; a
+    # tuple per state took 6.7 MB for 10,661 states); 2 MB leaves room for
+    # allocator and interpreter differences and still fails on a return to
+    # tuple states
     tracemalloc.start()
     try:
         result = explore(RACING_SHAPES[0], ExploreConfig(n_cores=3))
@@ -326,10 +334,10 @@ def test_explore_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert result.exhausted
-    assert peak < 3 * 2**20
+    assert peak < 2 * 2**20
 
 
-# -- silent-snoop reduction -----------------------------------------------------------
+# -- partial-order reduction ------------------------------------------------------------
 
 @st.composite
 def _reduction_cases(draw):
@@ -356,7 +364,7 @@ def _reduction_cases(draw):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_reduction_cases())
-def test_silent_snoop_reduction_keeps_every_verdict(case):
+def test_both_reductions_keep_every_verdict(case):
     with full_search():
         full = explore(*case)
     assume(full.exhausted)
@@ -365,26 +373,112 @@ def test_silent_snoop_reduction_keeps_every_verdict(case):
     assert reduced.reachable_states <= full.reachable_states
 
 
-def test_silent_snoop_changes_only_the_initiators_mask_byte():
-    found = 0
+@pytest.fixture(scope="module")
+def drop_dirty():
+    """(reduced machine, full machine, states the reduced machine reaches)
+    per program of the battery and the twin-line shapes, under a mutation
+    that makes both rules fire often."""
+    out = []
     for programs, cfg in _mutation_cases("snoopee:M:ReadShared:drop_dirty"):
-        machine = _Machine(programs, cfg)
         with full_search():
-            states = _reachable(machine)
+            full = _Machine(programs, cfg)
+        machine = _Machine(programs, cfg)
+        out.append((machine, full, _reachable(machine)))
+    return out
+
+
+def _changed(state, succ):
+    return [i for i, (a, b) in enumerate(zip(state, succ)) if a != b]
+
+
+def test_a_fold_is_the_snoops_that_find_no_copy(drop_dirty):
+    # an accept or a completion clears exactly the silent bits of the
+    # unfolded step, each one a snoop that changes only its bit of the
+    # initiator's mask, and running those snoops gives the folded state
+    folded = 0
+    for machine, full, states in drop_dirty:
         for state in states:
-            step = _Machine._silent_snoop(machine, state)
-            if step is None:
+            for label, succ, note in full.successors(state):
+                if label[0] not in (_ACCEPT, _COMPLETE):
+                    continue
+                step = (machine._accept if label[0] == _ACCEPT else machine._complete)(
+                    state, label[1])
+                assert step[0] == label and step[2] == note and len(step[1]) == len(succ)
+                for core, at, _n_ops, _lone in full.dispatch:
+                    pending, left = succ[at + _MM], step[1][at + _MM]
+                    assert pending & ~left == _silent_bits(full, succ, core) == pending ^ left
+                    for j in range(8):
+                        if (pending & ~left) >> j & 1:
+                            snooped = full._snoop(succ, core, j)[1]
+                            assert _changed(succ, snooped) == [at + _MM]
+                            succ = snooped
+                            folded += 1
+                assert succ == step[1]
+    assert folded > 1000
+
+
+def test_a_lone_load_miss_writes_only_its_miss_kind_and_line(drop_dirty):
+    alone = 0
+    for machine, full, states in drop_dirty:
+        for state in states:
+            steps, every = machine.successors(state), full.successors(state)
+            if len(steps) != 1 or steps[0][0][0] != _ISSUE or len(every) == 1:
                 continue
-            (what, core, kind, line, target), succ, note = step
-            assert what == _SNOOP and note is None
-            mask_at = machine.core_at[core] + _MM
-            assert [i for i, (a, b) in enumerate(zip(state, succ)) if a != b] == [mask_at]
-            assert len(succ) == len(state) and succ[mask_at] < state[mask_at]
-            j = next(j for j, entry in enumerate(machine.fanout[core][kind])
-                     if entry[0] == target and state[mask_at] >> j & 1)
-            assert step == machine._snoop(state, core, j)
-            found += 1
-    assert found > 1000
+            label, succ, note = steps[0]
+            _issue, core, pc = label
+            at = machine.core_at[core]
+            verb, addr = machine.programs[core][pc][:2]
+            line = machine.addrs.index(addr)
+            assert verb == "R" and not state[machine.dpos[core][line]]
+            assert set(_changed(state, succ)) <= {at + _MK, at + _ML}
+            assert (succ[at + _MK], succ[at + _ML], note) == (_RS, line, None)
+            assert (label, succ, note) in every
+            alone += 1
+    assert alone > 200
+
+
+def _silent_bits(machine, state, core) -> int:
+    """The bits of `core`'s pending snoops that are silent: the target has
+    no copy in the structures the snoop probes, no miss on the line that
+    the snoop flags, and no op left that, looked up from Invalid, hits or
+    misses with a kind the snoop flags."""
+    at = machine.core_at[core]
+    kind, line, mask = state[at + _MK], state[at + _ML], state[at + _MM]
+    flags, silent = machine.read_seen[kind], 0
+    for j, (target, probe_d, probe_i) in enumerate(machine.fanout[core][kind] if mask else ()):
+        tat = machine.core_at[target]
+        copy = (probe_d and state[machine.dpos[target][line]]
+                or probe_i and machine.cfg.coherent_ifetch and state[machine.ipos[target][line]])
+        miss = state[tat + _ML] == line and flags[state[tat + _MK]]
+        later = any(l == line and (machine.initiator[_I][op][0]
+                                   or flags[machine.initiator[_I][op][1]])
+                    for op, l, _value in machine.ops[target][state[tat + _PC]:])
+        if mask >> j & 1 and not (copy or miss or later):
+            silent |= 1 << j
+    return silent
+
+
+def test_no_stored_state_has_a_pending_silent_snoop(monkeypatch):
+    # an exhaustive search expands every state it stores, so a check in
+    # `successors` sees them all; the full search stores such states, so
+    # the check can fail
+    successors = _Machine.successors
+    counts = {"states": 0, "pending": 0}
+
+    def checked(self, state):
+        counts["states"] += 1
+        counts["pending"] += any(_silent_bits(self, state, core)
+                                 for core in range(self.cfg.n_cores))
+        return successors(self, state)
+
+    monkeypatch.setattr(_Machine, "successors", checked)
+    with full_search():
+        explore(RACING_SHAPES[0], ExploreConfig(n_cores=3))
+    assert counts["pending"] > 1000
+    counts.update(states=0, pending=0)
+    for run in CASES.values():
+        run()
+    assert counts["pending"] == 0 and counts["states"] > 100_000
 
 
 # -- mutations ------------------------------------------------------------------------
