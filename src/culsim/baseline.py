@@ -72,9 +72,11 @@ class DirectorySimulation(Kernel):
     def _phases(self, now: int) -> None:
         # only what is due acts: a transaction not waiting on memory whose
         # delay has run out, the Decoder while a request waits (its stall
-        # count moves only in grant), a port with a fill or an op to run
-        for txn in [t for t in self.txns if not t.mem_wait and t.wait_until <= now]:
-            self._advance(txn, now)
+        # count moves only in grant), a port with a fill or an op to run,
+        # the memory port while it holds an operation, a due read's data
+        if self.txns:
+            for txn in [t for t in self.txns if not t.mem_wait and t.wait_until <= now]:
+                self._advance(txn, now)
         if self.decoder.pending or self.decoder.hold is not None:
             self._accept(now)
         for core, port in enumerate(self.ports):
@@ -82,9 +84,12 @@ class DirectorySimulation(Kernel):
                 self._apply_nc_fill(core, now)
             elif port.current is not None and not port.waiting_miss:
                 self._core_op(core, now)
-        if self.mem_port.step(now, self.mem):
+        mem_port = self.mem_port
+        if (mem_port.read_queue or mem_port.wb) and mem_port.step(now, self.mem):
             self._progress = True
-        self._memory_responses(now)
+        inflight = self.mem.inflight
+        if inflight and inflight[0][0] <= now:
+            self._memory_responses(now)
 
     def _memory_data(self, txn: _DirTxn, data: bytes) -> None:
         txn.data = data

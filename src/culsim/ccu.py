@@ -160,11 +160,11 @@ class CrOrderFifo:
         return self.queues[core].popleft()
 
 
-def decode_and_snoop(
-    initiator: int, kind: CoherentKind, address: int, n_cores: int,
-    coherent_ifetch: bool, from_icache: bool = False,
-) -> List[Tuple[int, SnoopRequest, bool, bool]]:
-    """Snoop fan-out for one decoded transaction.
+def snoop_targets(
+    initiator: int, n_cores: int, coherent_ifetch: bool, from_icache: bool = False,
+) -> Tuple[Tuple[int, bool, bool], ...]:
+    """Snoop fan-out of a request, as (core, probe_d, probe_i) in probe
+    order; it depends on neither the request's kind nor its line.
 
     Every cache except the initiating one is probed: other cores'
     data caches always, instruction caches only when they are coherent,
@@ -172,7 +172,6 @@ def decode_and_snoop(
     data-side request, its dcache for a coherent ifetch) so one core's
     split caches can never disagree about uniqueness.
     """
-    req = SnoopRequest(kind=kind, address=address)
     fanout = []
     for core in range(n_cores):
         if core == initiator:
@@ -182,8 +181,8 @@ def decode_and_snoop(
             probe_d = True
             probe_i = coherent_ifetch
         if probe_d or probe_i:
-            fanout.append((core, req, probe_d, probe_i))
-    return fanout
+            fanout.append((core, probe_d, probe_i))
+    return tuple(fanout)
 
 
 class Ccu:
@@ -201,13 +200,17 @@ class Ccu:
         collision_capacity: int = 8,
         serialize: bool = False,
     ):
-        self.n_cores = n_cores
-        self.coherent_ifetch = coherent_ifetch
         self.ccu_stage = ccu_stage
         self.snoop_hop = snoop_hop
         self.serialize = serialize
 
         self.decoder = Decoder(n_cores, collision_capacity)
+        # fanout[initiator][from_icache] -> snoop_targets of its requests
+        self.fanout = tuple(
+            tuple(snoop_targets(core, n_cores, coherent_ifetch, from_icache)
+                  for from_icache in (False, True))
+            for core in range(n_cores)
+        )
         self.txns: Dict[int, CcuTransaction] = {}
         self.next_id = 0
         self.cr_fifo = CrOrderFifo(n_cores)
@@ -247,11 +250,10 @@ class Ccu:
         txn = CcuTransaction(id=self.next_id, initiator=core, kind=kind, address=address)
         self.next_id += 1
         self.txns[txn.id] = txn
-        fanout = decode_and_snoop(
-            core, kind, address, self.n_cores, self.coherent_ifetch, from_icache
-        )
+        fanout = self.fanout[core][from_icache]
+        req = SnoopRequest(kind=kind, address=address)
         due = now + self.ccu_stage + self.snoop_hop
-        for target, req, probe_d, probe_i in fanout:
+        for target, probe_d, probe_i in fanout:
             self.cr_fifo.push(target, txn.id)
             self.ac_outbox[target].append((due, txn.id, req, probe_d, probe_i))
         txn.cr_pending = len(fanout)

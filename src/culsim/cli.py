@@ -162,6 +162,8 @@ def parse_trace(text: str, n_cores: int) -> List[List[CoreOp]]:
                 value = int(val_txt, 16)
             except ValueError:
                 fail(f"bad value '{val_txt}'", c4)
+            if not 0 <= value < 1 << 8 * WORD_BYTES:
+                fail(f"value '{val_txt}' outside the {8 * WORD_BYTES}-bit word range", c4)
             if len(fields) > 4:
                 fail("trailing fields", fields[4][1])
             streams[core].append(CoreOp(OpKind.STORE, addr, value=value))

@@ -6,12 +6,16 @@ SimStats. Runs are bit-for-bit deterministic for equal (config, streams).
 `Kernel` is the part the directory baseline shares: op issue and
 accounting, the run loop and watchdog, monitors and the final image.
 
-`step()` advances exactly one cycle. `run()` also skips the cycles in
-which no phase can act: after a step that made no progress it jumps
-`cycle` to the earliest due time of any queue (or the watchdog
-deadline). A core's stall cycles are counted per op, from its issue to
-its retire (or to a watchdog trip), so every count and the trip cycle
-of a deadlock match a cycle-by-cycle run.
+`step()` advances exactly one cycle, and calls only the phases whose
+queue head is due in it: a stage with nothing due does nothing when
+called, so skipping it changes no count. `run()` loops over `step()`
+while ops are left (a counter the two retire points decrement), then
+until the fabric drains, and also skips the cycles in which no phase can
+act: after a step that made no progress it jumps `cycle` to the earliest
+due time of any queue (or the watchdog deadline). A core's stall cycles
+are counted per op, from its issue to its retire (or to a watchdog
+trip), so every count and the trip cycle of a deadlock match a
+cycle-by-cycle run.
 
 Component evaluation order within a cycle: cache controllers (each
 serving one requester on its SRAM port, snoops due at the head of the
@@ -42,6 +46,8 @@ from . import verify
 
 # cycles without progress after which `Kernel.run` reports a deadlock
 WATCHDOG_CYCLES = 10000
+
+_NEVER = float("inf")
 
 
 class DeadlockError(RuntimeError):
@@ -218,7 +224,13 @@ class Kernel:
     state as `_dump_lines`; it sets `mem_port` to the MemoryPort in front
     of `mem` and `decoder` to its request Decoder. With monitors on, its
     components share the kernel's `touched` set, and the model marks
-    there every line whose view it changes without a component's help."""
+    there every line whose view it changes without a component's help.
+
+    A step pays only for the work due in it: `_phases` calls a stage only
+    when its queue head is due, and `_issue` runs only from `_issue_at`
+    on, the first cycle in which a free port may take an op. `run` counts
+    the ops left (`_ops_left`); the retire points, the `Served` branch of
+    `_access` and `_retire_miss`, decrement it and lower `_issue_at`."""
 
     mem_port: MemoryPort
     decoder: Decoder
@@ -242,6 +254,8 @@ class Kernel:
         self.stats = SimStats(cores=[CoreStats() for _ in range(config.n_cores)])
         self._progress = True
         self._last_progress = 0
+        self._ops_left = 0
+        self._issue_at = 0
         # with monitors on, the addresses of the lines whose coherence
         # view changed since the last check: each component that changes
         # a view marks its line here
@@ -264,7 +278,8 @@ class Kernel:
             raise CoherenceViolation(
                 f"cycle {now}: line {exc.address:#x}: {exc}\n" + self._dump_state()
             ) from exc
-        self._issue(now)
+        if now >= self._issue_at:
+            self._issue(now)
         if self.touched is not None:
             self._run_monitors()
         if self._progress:
@@ -275,9 +290,21 @@ class Kernel:
         self.stats.mem_writes = self.mem.writes
 
     def _issue(self, now: int) -> None:
-        """Hand each free port its next op."""
+        """Hand each free port its next op, and set `_issue_at` to the
+        earliest `ready_at` of a port still free, or to the next cycle
+        while a free port's stream is empty (ops may be appended to it
+        between steps). A port that took an op lowers it at its retire."""
+        issue_at = _NEVER
         for port, stats in zip(self.ports, self.stats.cores):
-            if port.current is None and port.stream and now >= port.ready_at:
+            if port.current is not None:
+                continue
+            if not port.stream:
+                if now + 1 < issue_at:
+                    issue_at = now + 1
+            elif now < port.ready_at:
+                if port.ready_at < issue_at:
+                    issue_at = port.ready_at
+            else:
                 op = port.current = port.stream.popleft()
                 port.issued_at = now
                 stats.ops += 1
@@ -288,6 +315,7 @@ class Kernel:
                 else:
                     stats.ifetches += 1
                 self._progress = True
+        self._issue_at = issue_at
 
     def _access(self, core: int, op: CoreOp, now: int):
         """Run op against the core's cache. A hit retires the op and returns
@@ -302,7 +330,10 @@ class Kernel:
             if result.value is not None:
                 port.observations.append(result.value)
             port.current = None
-            port.ready_at = now + self.config.latencies.l1_hit
+            port.ready_at = ready = now + self.config.latencies.l1_hit
+            if ready < self._issue_at:
+                self._issue_at = ready
+            self._ops_left -= 1
             return None
         stats.misses += 1
         port.waiting_miss = True
@@ -337,6 +368,9 @@ class Kernel:
         port.current = None
         port.waiting_miss = False
         port.ready_at = now
+        if now < self._issue_at:
+            self._issue_at = now
+        self._ops_left -= 1
 
     def _apply_nc_fill(self, core: int, now: int) -> None:
         """Install the memory data of the core's non-coherent ifetch miss."""
@@ -478,8 +512,9 @@ class Kernel:
         self.check_streams(streams)
         for port, ops in zip(self.ports, streams):
             port.stream.extend(ops)
+        self._ops_left = sum(len(p.stream) + (p.current is not None) for p in self.ports)
         self._last_progress = self.cycle
-        while self._work_remaining():
+        while self._ops_left or self._work_remaining():
             self.step()
             if not self._progress:
                 self._skip_idle(self._last_progress + watchdog + 1)
@@ -531,33 +566,41 @@ class Simulation(Kernel):
         self.mem_port = self.ccu.mem_port
         self.decoder = self.ccu.decoder
         self.ccu.touched = self.mem_port.touched = self.touched
+        self._controllers = tuple(
+            zip(range(config.n_cores), self.ports, self.ccu.r_outbox, self.ccu.ac_outbox)
+        )
 
     # -- per-cycle phases ------------------------------------------------------
 
     def _phases(self, now: int) -> None:
-        for core in range(self.config.n_cores):
-            self._cache_controllers(core, now)
-        if self.ccu.decoder_step(now) is not None:
+        # a stage is called only while the head of its queue is due
+        ccu = self.ccu
+        for core, port, rs, acs in self._controllers:
+            if (
+                port.current is not None and not port.waiting_miss
+                or port.nc_fill is not None
+                or rs and rs[0][0] <= now
+                or acs and acs[0][0] <= now
+            ):
+                self._cache_controllers(core, port, acs, now)
+        decoder = self.decoder
+        if decoder.hold is not None or decoder.pending:
+            if ccu.decoder_step(now) is not None:
+                self._progress = True
+            self.stats.ccu_collision_stalls = decoder.stalls
+        if ccu.cr_inbox and ccu.cr_inbox[0][0] <= now:
+            ccu.snoop_unit_step(now)
+        if ccu.ready:
+            ccu.completion_step(now)
+            self.stats.cache_to_cache_transfers = ccu.c2c_transfers
+        mem_port = self.mem_port
+        if (mem_port.read_queue or mem_port.wb) and ccu.memory_unit_step(now, self.mem):
             self._progress = True
-        self.ccu.snoop_unit_step(now)
-        self.ccu.completion_step(now)
-        if self.ccu.memory_unit_step(now, self.mem):
-            self._progress = True
-        self._memory_responses(now)
-        self.stats.ccu_collision_stalls = self.ccu.decoder.stalls
-        self.stats.cache_to_cache_transfers = self.ccu.c2c_transfers
+        inflight = self.mem.inflight
+        if inflight and inflight[0][0] <= now:
+            self._memory_responses(now)
 
-    def _cache_controllers(self, core: int, now: int) -> None:
-        port = self.ports[core]
-        rs = self.ccu.r_outbox[core]
-        acs = self.ccu.ac_outbox[core]
-        if (
-            (port.current is None or port.waiting_miss)
-            and port.nc_fill is None
-            and not (rs and rs[0][0] <= now)
-            and not (acs and acs[0][0] <= now)
-        ):
-            return
+    def _cache_controllers(self, core: int, port: _Port, acs, now: int) -> None:
         # the SRAM port serves one requester a cycle, in priority order:
         # an R completion, then a non-coherent fill, then a due snoop,
         # then the core's load or store (a core has at most one op

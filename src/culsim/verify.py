@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .ccu import admits, decode_and_snoop
+from .ccu import admits, snoop_targets
 from .memsys import fifo_full, read_waits
 from .protocol import (
     CoherentKind,
@@ -127,6 +127,10 @@ class ExploreConfig:
         unknown = set(self.mutations) - set(SHIPPED_MUTATIONS)
         if unknown:
             raise ValueError(f"unknown mutation(s): {sorted(unknown)}")
+        for name in ("state_budget", "wb_depth", "collision_capacity", "dcache_capacity"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name}: {value} must be >= 1")
 
 
 @dataclass
@@ -317,14 +321,11 @@ class _Machine:
         )
 
         # fanout[core][kind] -> ((target, probe_d, probe_i), ...) in probe
-        # order; an ifetch miss (ReadOnce) comes from the icache. The fan-out
-        # does not depend on the line address.
+        # order; an ifetch miss (ReadOnce) comes from the icache
         self.fanout = tuple(
             (None,) + tuple(
-                tuple((t, pd, pi) for t, _req, pd, pi in decode_and_snoop(
-                    core, kind, 0, self.cfg.n_cores, self.cfg.coherent_ifetch,
-                    kind is CoherentKind.READ_ONCE,
-                ))
+                snoop_targets(core, self.cfg.n_cores, self.cfg.coherent_ifetch,
+                              kind is CoherentKind.READ_ONCE)
                 for kind in _KINDS[1:]
             )
             for core in range(self.cfg.n_cores)

@@ -7,8 +7,8 @@ from culsim.ccu import (
     Phase,
     ProtocolFault,
     admits,
-    decode_and_snoop,
     mux_grant,
+    snoop_targets,
 )
 from culsim.memsys import MemoryModel
 from culsim.protocol import CoherentKind, SnoopResponse
@@ -145,25 +145,22 @@ def test_cr_with_empty_fifo_is_protocol_fault():
 # -- snoop fan-out ----------------------------------------------------------------------
 
 def test_dual_core_fanout_excludes_initiator():
-    fanout = decode_and_snoop(0, RU, 0x40, n_cores=2, coherent_ifetch=False)
-    assert [(c, pd, pi) for c, _r, pd, pi in fanout] == [(1, True, False)]
+    assert snoop_targets(0, n_cores=2, coherent_ifetch=False) == ((1, True, False),)
 
 
 def test_quad_core_fanout():
-    fanout = decode_and_snoop(2, RS, 0x40, n_cores=4, coherent_ifetch=False)
-    assert [c for c, _r, _pd, _pi in fanout] == [0, 1, 3]
+    fanout = snoop_targets(2, n_cores=4, coherent_ifetch=False)
+    assert [c for c, _pd, _pi in fanout] == [0, 1, 3]
 
 
 def test_coherent_ifetch_probes_sibling_icache():
-    fanout = decode_and_snoop(0, RU, 0x40, n_cores=2, coherent_ifetch=True)
-    assert [(c, pd, pi) for c, _r, pd, pi in fanout] == [(0, False, True), (1, True, True)]
+    fanout = snoop_targets(0, n_cores=2, coherent_ifetch=True)
+    assert fanout == ((0, False, True), (1, True, True))
 
 
 def test_read_once_probes_own_dcache():
-    fanout = decode_and_snoop(
-        1, RO, 0x40, n_cores=2, coherent_ifetch=True, from_icache=True
-    )
-    assert [(c, pd, pi) for c, _r, pd, pi in fanout] == [(0, True, True), (1, True, False)]
+    fanout = snoop_targets(1, n_cores=2, coherent_ifetch=True, from_icache=True)
+    assert fanout == ((0, True, True), (1, True, False))
 
 
 # -- engine-level behavior -----------------------------------------------------------------

@@ -52,6 +52,17 @@ def test_parse_trace_rejects_value_on_load():
         parse_trace("0 R 0x40 0x1\n", n_cores=2)
 
 
+@pytest.mark.parametrize("value", ["1FFFFFFFF", "100000000", "-5"])
+def test_parse_trace_rejects_store_value_outside_32_bits(value):
+    with pytest.raises(TraceError, match=f"line 2, column 11: value '{value}' outside"):
+        parse_trace(f"0 R 0x40\n1 W 0x40  {value}\n", n_cores=2)
+
+
+def test_parse_trace_accepts_the_widest_32_bit_value():
+    (_, (op,)) = parse_trace("1 W 0x40 FFFFFFFF\n", n_cores=2)
+    assert op.value == 0xFFFFFFFF
+
+
 # -- workload generation ----------------------------------------------------------------
 
 def test_private_workload_addresses_disjoint_across_cores():
@@ -247,6 +258,16 @@ def test_trace_address_outside_physical_range_exits_5(tmp_path, capsys, address)
     assert not report.exists()
 
 
+def test_trace_store_value_outside_32_bits_exits_5(tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    trace.write_text("0 W 0x40 1FFFFFFFF\n")
+    report = tmp_path / "r.json"
+    code = run_cli("run", "--model", "both", "--trace", str(trace), "--report", str(report))
+    assert code == EXIT_BAD_INPUT
+    assert "trace line 1, column 10: value '1FFFFFFFF' outside" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--model", "nonsense")
@@ -324,6 +345,15 @@ def test_verify_rejects_core_count_outside_bounds(tmp_path, capsys, cores):
     assert code == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith("culsim: ") and err.count("\n") == 1
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_verify_budget_below_one_exits_5(tmp_path, capsys, budget):
+    report = tmp_path / "v.json"
+    code = run_cli("verify", "--budget", budget, "--report", str(report))
+    assert code == EXIT_BAD_INPUT
+    assert f"state_budget: {budget} must be >= 1" in capsys.readouterr().err
     assert not report.exists()
 
 

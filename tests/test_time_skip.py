@@ -1,8 +1,10 @@
-"""`run()` skips cycles in which nothing can act; a cycle-by-cycle loop
-over `step()` must reach the same stats, observations, final image and
-cycle on every model. The loop also counts stall cycles the per-step
-way, one per port that ends a step holding an op, as an oracle for the
-per-op stall intervals the models count."""
+"""`run()` skips cycles in which nothing can act, counts the ops left
+and issues only once a port may take an op; a cycle-by-cycle loop over
+`step()` that calls the issue stage in every step must reach the same
+stats, observations, final image and cycle on every model, also when a
+model runs again or gets ops between steps. The loop also counts stall
+cycles the per-step way, one per port that ends a step holding an op,
+as an oracle for the per-op stall intervals the models count."""
 from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
@@ -22,21 +24,37 @@ MODELS = {
 }
 
 
-def every_cycle(sim, streams):
-    """The reference: one step() per simulated cycle until the work drains.
-    Each port that ends a step holding an op counts a stall cycle, and
-    the counts must equal the models' per-core stall_cycles."""
+def one_step(sim, gated, stalls):
+    """Step once, with the issue stage called unless `gated`; each port
+    that ends the step holding an op counts a stall cycle in `stalls`."""
+    if not gated:
+        sim._issue_at = 0
+    sim.step()
+    for core, port in enumerate(sim.ports):
+        if port.current is not None:
+            stalls[core] += 1
+
+
+def every_cycle(sim, streams, gated=False, stalls=None):
+    """The reference: one step() per simulated cycle until the work drains,
+    by default with the issue stage called in every step. The per-step
+    stall counts, from the model's own when no op is in flight, must
+    equal the models' per-core stall_cycles."""
     for port, ops in zip(sim.ports, streams):
         port.stream.extend(ops)
-    stalls = [0] * len(sim.ports)
+    if stalls is None:
+        stalls = [c.stall_cycles for c in sim.stats.cores]
     while sim._work_remaining():
-        sim.step()
-        for core, port in enumerate(sim.ports):
-            if port.current is not None:
-                stalls[core] += 1
+        one_step(sim, gated, stalls)
         assert sim.cycle < 100_000, "reference run does not drain"
     assert [c.stall_cycles for c in sim.stats.cores] == stalls
     return sim.stats
+
+
+def halves(streams):
+    """Each core's first and second half of its ops (the models copy the
+    ops they are fed)."""
+    return ([s[: len(s) // 2] for s in streams], [s[len(s) // 2:] for s in streams])
 
 
 def outcome(sim, stats):
@@ -87,3 +105,45 @@ def test_memory_latency_is_skipped_not_stepped():
             reference, every_cycle(reference, [list(s) for s in streams])
         )
         assert skipping.steps < stats.cycles
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(runs())
+def test_second_run_of_a_warmed_model_matches_every_cycle_reference(run):
+    cfg, streams = run
+    first, second = halves(streams)
+    for make in MODELS.values():
+        warmed = make(cfg)
+        warmed.run(first)
+        stats = warmed.run(second)
+        reference = make(cfg)
+        every_cycle(reference, first)
+        assert outcome(warmed, stats) == outcome(
+            reference, every_cycle(reference, second)
+        )
+
+
+def staggered(sim, streams, gated):
+    """Append each core's ops one step after the previous core's, to
+    ports drained or still busy, then step until the work drains."""
+    stalls = [c.stall_cycles for c in sim.stats.cores]
+    for port, ops in zip(sim.ports, streams):
+        port.stream.extend(ops)
+        one_step(sim, gated, stalls)
+    return every_cycle(sim, [[] for _ in streams], gated, stalls)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(runs())
+def test_ops_appended_between_steps_match_every_cycle_reference(run):
+    cfg, streams = run
+    first, second = halves(streams)
+    for make in MODELS.values():
+        appended = make(cfg)
+        appended.run(first)
+        stats = staggered(appended, second, gated=True)
+        reference = make(cfg)
+        every_cycle(reference, first)
+        assert outcome(appended, stats) == outcome(
+            reference, staggered(reference, second, gated=False)
+        )

@@ -178,6 +178,20 @@ def test_explore_config_rejects_cores_outside_two_to_four(n_cores):
         ExploreConfig(n_cores=n_cores)
 
 
+@pytest.mark.parametrize("field", ["state_budget", "wb_depth", "collision_capacity",
+                                   "dcache_capacity"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_explore_config_rejects_bounds_below_one(field, value):
+    with pytest.raises(ValueError, match=f"{field}: {value} must be >= 1"):
+        ExploreConfig(**{field: value})
+
+
+def test_explore_config_accepts_bounds_of_one():
+    cfg = ExploreConfig(wb_depth=1, collision_capacity=1, dcache_capacity=1)
+    assert explore([[("R", X)], []], cfg).ok
+    assert not explore([[("R", X)], []], ExploreConfig(state_budget=1)).exhausted
+
+
 def test_explore_rejects_fewer_than_one_worker():
     with pytest.raises(ValueError, match="workers"):
         explore([[("R", X)], []], ExploreConfig(n_cores=2), workers=0)
