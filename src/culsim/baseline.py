@@ -18,12 +18,15 @@ in the write-back FIFO of the memory port.
 Each transaction is one generator, `DirectorySimulation._journey`: the
 hop to the home node, the directory lookup, then the forward to the
 owner or the sharers' invalidations and a memory read, then the hop back
-and the install.
+and the install. Between its steps a journey waits on the `wake` heap,
+ordered by due cycle and then transaction id (accept order), or on its
+memory read, whose data puts it back on `wake` for the next cycle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from heapq import heappop, heappush
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .cache import ConfigError
 from .ccu import Decoder, ProtocolFault
@@ -43,12 +46,11 @@ class DirectoryEntry:
 
 @dataclass
 class _DirTxn:
+    id: int
     core: int
     op: OpKind
     addr: int
     journey: Iterator[Optional[int]] = field(init=False, repr=False)
-    wait_until: int = 0
-    mem_wait: bool = False
     data: Optional[bytes] = None
 
 
@@ -59,7 +61,11 @@ class DirectorySimulation(Kernel):
         self.mem_port.touched = self.touched
         self.directory: Dict[int, DirectoryEntry] = {}
         self.decoder = Decoder(config.n_cores, config.fifo_depths.collision_capacity)
-        self.txns: List[_DirTxn] = []
+        self.txns: List[_DirTxn] = []  # in accept order
+        self.next_id = 0
+        # (due, txn id, txn) of each journey waiting out a delay
+        self.wake: List[Tuple[int, int, _DirTxn]] = []
+        self._timed = (self.mem_port.read_queue, self.mem.inflight, self.wake)
 
     def _entry(self, addr: int) -> DirectoryEntry:
         entry = self.directory.get(addr)
@@ -70,19 +76,21 @@ class DirectorySimulation(Kernel):
     # -- cycle ---------------------------------------------------------------
 
     def _phases(self, now: int) -> None:
-        # only what is due acts: a transaction not waiting on memory whose
-        # delay has run out, the Decoder while a request waits (its stall
-        # count moves only in grant), a port with a fill or an op to run,
-        # the memory port while it holds an operation, a due read's data
-        if self.txns:
-            for txn in [t for t in self.txns if not t.mem_wait and t.wait_until <= now]:
-                self._advance(txn, now)
+        # only what is due acts: a journey whose delay has run out (a
+        # step pushes its next wake at least a cycle on, so all those
+        # popped here are due now and run in accept order), the Decoder
+        # while a request waits (its stall count moves only in grant), a
+        # port with a fill or an op to run, the memory port while it
+        # holds an operation, a due read's data
+        wake = self.wake
+        while wake and wake[0][0] <= now:
+            self._advance(heappop(wake)[2], now)
         if self.decoder.pending or self.decoder.hold is not None:
             self._accept(now)
         for core, port in enumerate(self.ports):
             if port.nc_fill is not None:
                 self._apply_nc_fill(core, now)
-            elif port.current is not None and not port.waiting_miss:
+            elif port.current is not None and self.caches[core].miss is None:
                 self._core_op(core, now)
         mem_port = self.mem_port
         if (mem_port.read_queue or mem_port.wb) and mem_port.step(now, self.mem):
@@ -93,7 +101,7 @@ class DirectorySimulation(Kernel):
 
     def _memory_data(self, txn: _DirTxn, data: bytes) -> None:
         txn.data = data
-        txn.mem_wait = False
+        heappush(self.wake, (self.cycle + 1, txn.id, txn))
 
     def _accept(self, now: int) -> None:
         granted = self.decoder.grant()
@@ -101,10 +109,11 @@ class DirectorySimulation(Kernel):
         if granted is None:
             return
         core, _, addr, _ = granted
-        txn = _DirTxn(core=core, op=self.ports[core].current.kind, addr=addr)
+        txn = _DirTxn(id=self.next_id, core=core, op=self.ports[core].current.kind, addr=addr)
+        self.next_id += 1
         txn.journey = self._journey(txn)
-        txn.wait_until = now + 1  # the journey starts the cycle after the accept
         self.txns.append(txn)
+        heappush(self.wake, (now + 1, txn.id, txn))  # it starts the cycle after the accept
         self._progress = True
 
     def _advance(self, txn: _DirTxn, now: int) -> None:
@@ -114,10 +123,9 @@ class DirectorySimulation(Kernel):
         if wait is False:
             self.txns.remove(txn)
         elif wait is None:
-            txn.mem_wait = True
             self.mem_port.read_queue.append((now, txn.addr, txn))
         else:
-            txn.wait_until = now + wait
+            heappush(self.wake, (now + wait, txn.id, txn))
 
     def _journey(self, txn: _DirTxn) -> Iterator[Optional[int]]:
         """One transaction, hop by hop. Yields a delay in cycles, or None
@@ -243,21 +251,12 @@ class DirectorySimulation(Kernel):
         if result is not None:
             self.decoder.submit(core, result.kind, self.caches[core].miss.address, now)
 
-    def _busy(self) -> bool:
-        return bool(self.txns) or self.decoder.busy() or self.mem_port.busy()
-
-    def _next_event(self, now: int, limit: int) -> int:
-        if self.decoder.can_grant():
-            return now
-        t = limit
-        for txn in self.txns:
-            if not txn.mem_wait and txn.wait_until < t:
-                t = txn.wait_until
-        return super()._next_event(now, t)
+    def _acts_now(self) -> bool:
+        return self.decoder.can_grant()
 
     def _dump_lines(self) -> List[str]:
-        txns = [(t.core, t.op.value, hex(t.addr), "memory" if t.mem_wait else t.wait_until)
-                for t in self.txns]
+        due = {txn_id: cycle for cycle, txn_id, _ in self.wake}
+        txns = [(t.core, t.op.value, hex(t.addr), due.get(t.id, "memory")) for t in self.txns]
         d = self.decoder
         return [f"  directory: pending={d.pending} hold={d.hold} txns={txns} "
                 f"in_flight={sorted(d.in_flight)}"]

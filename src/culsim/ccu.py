@@ -344,13 +344,3 @@ class Ccu:
 
     def active_addresses(self) -> List[int]:
         return [t.address for t in self.txns.values()]
-
-    def busy(self) -> bool:
-        return bool(
-            self.txns
-            or self.decoder.busy()
-            or self.mem_port.busy()
-            or self.cr_inbox
-            or any(self.ac_outbox)
-            or any(self.r_outbox)
-        )

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import baseline, verify
-from .cache import ConfigError, WORD_BYTES
+from .cache import ConfigError, PHYS_ADDR_BITS, WORD_BYTES
 from .memsys import MemoryFault
 from .protocol import CoreOp, OpKind
 from .sim import (
@@ -154,6 +154,8 @@ def parse_trace(text: str, n_cores: int) -> List[List[CoreOp]]:
             addr = int(addr_txt, 16)
         except ValueError:
             fail(f"bad address '{addr_txt}'", c3)
+        if not 0 <= addr < 1 << PHYS_ADDR_BITS:
+            fail(f"address '{addr_txt}' outside the physical address range", c3)
         if op_txt == "W":
             if len(fields) < 4:
                 fail("store requires a value", len(line) + 1)

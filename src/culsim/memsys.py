@@ -71,9 +71,6 @@ class MemoryModel:
             done.append((tag, addr, data))
         return done
 
-    def busy(self) -> bool:
-        return bool(self.inflight)
-
     def load_image(self, text: str) -> None:
         """Preload memory from line-oriented text: `<addr_hex> <byte_hex...>`."""
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -147,6 +144,3 @@ class MemoryPort:
             mem.write(address, data)
             return True
         return False
-
-    def busy(self) -> bool:
-        return bool(self.read_queue or self.wb)

@@ -17,6 +17,11 @@ are counted per op, from its issue to its retire (or to a watchdog
 trip), so every count and the trip cycle of a deadlock match a
 cycle-by-cycle run.
 
+A model declares itself through the hooks `Kernel` lists: `_phases`,
+`_memory_data`, `_timed`, `_acts_now`, its transaction table `txns`,
+`_in_flight_copies` and `_dump_lines`. From `_timed` and `_acts_now` the
+kernel derives both the next due cycle and whether work is left.
+
 Component evaluation order within a cycle: cache controllers (each
 serving one requester on its SRAM port, snoops due at the head of the
 CCU's AC queues before the core's op), CCU stages (decoder, snoop unit,
@@ -28,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Collection, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .cache import (
     CacheModel,
@@ -203,7 +208,6 @@ class _Port:
 
     stream: Deque[CoreOp] = field(default_factory=deque)
     current: Optional[CoreOp] = None
-    waiting_miss: bool = False
     miss_start: int = 0
     issued_at: int = 0
     ready_at: int = 0
@@ -218,13 +222,16 @@ class Kernel:
     its watchdog, and the invariant monitors. A model supplies its
     coherence fabric as `_phases` (everything of a cycle before stream
     issue, `_apply_nc_fill` and `_memory_responses` included), the data
-    of its memory reads as `_memory_data`, its pending work (memory port
-    included) as `_busy`, the due times of its queues as `_next_event`,
-    dirty data outside the caches as `_in_flight_copies` and its own
-    state as `_dump_lines`; it sets `mem_port` to the MemoryPort in front
-    of `mem` and `decoder` to its request Decoder. With monitors on, its
-    components share the kernel's `touched` set, and the model marks
-    there every line whose view it changes without a component's help.
+    of its memory reads as `_memory_data`, dirty data outside the caches
+    as `_in_flight_copies` and its own state as `_dump_lines`. It sets
+    `mem_port` to the MemoryPort in front of `mem`, `decoder` to its
+    request Decoder and `txns` to its table of transactions in flight,
+    and declares its time: `_timed` holds, once and for good, every queue
+    of its fabric whose entries start with their due cycle (none is ever
+    rebound), and `_acts_now()` is true while a stage can act without a
+    due queue head. With monitors on, its components share the kernel's
+    `touched` set, and the model marks there every line whose view it
+    changes without a component's help.
 
     A step pays only for the work due in it: `_phases` calls a stage only
     when its queue head is due, and `_issue` runs only from `_issue_at`
@@ -234,6 +241,8 @@ class Kernel:
 
     mem_port: MemoryPort
     decoder: Decoder
+    txns: Collection
+    _timed: Tuple[Sequence[tuple], ...]
 
     def __init__(self, config: SimConfig, monitor: bool):
         config.validate()
@@ -336,7 +345,6 @@ class Kernel:
             self._ops_left -= 1
             return None
         stats.misses += 1
-        port.waiting_miss = True
         port.miss_start = now
         if result.kind is CoherentKind.READ_NO_SNOOP:
             self.mem_port.read_queue.append(
@@ -366,7 +374,6 @@ class Kernel:
         self.stats.miss_count += 1
         self.stats.cores[core].stall_cycles += now - port.issued_at
         port.current = None
-        port.waiting_miss = False
         port.ready_at = now
         if now < self._issue_at:
             self._issue_at = now
@@ -442,7 +449,7 @@ class Kernel:
         lines = [f"cycle {self.cycle}"]
         for core, port in enumerate(self.ports):
             lines.append(
-                f"  core {core}: current={port.current} waiting={port.waiting_miss} "
+                f"  core {core}: current={port.current} "
                 f"miss={self.caches[core].miss} stream_left={len(port.stream)}"
             )
         lines += self._dump_lines()
@@ -457,22 +464,20 @@ class Kernel:
     def _next_event(self, now: int, limit: int) -> int:
         """Earliest cycle in [now, limit] in which a phase can act, given
         the state at the start of cycle `now` (any state, not only one
-        left by an idle step); a model adds its fabric's queues and
-        passes its bound on here."""
-        if self.mem_port.wb:
+        left by an idle step): the write-back FIFO drains whenever it
+        holds an entry, else the model may act now, else the earliest
+        head of a timed queue or port is due."""
+        if self.mem_port.wb or self._acts_now():
             return now
         t = limit
-        reads = self.mem_port.read_queue
-        if reads and reads[0][0] < t:
-            t = reads[0][0]
-        inflight = self.mem.inflight
-        if inflight and inflight[0][0] < t:
-            t = inflight[0][0]
-        for port in self.ports:
+        for queue in self._timed:
+            if queue and queue[0][0] < t:
+                t = queue[0][0]
+        for port, cache in zip(self.ports, self.caches):
             if port.current is None:
                 if port.stream and port.ready_at < t:
                     t = port.ready_at
-            elif not port.waiting_miss or port.nc_fill is not None:
+            elif cache.miss is None or port.nc_fill is not None:
                 return now
         return t if t > now else now
 
@@ -492,8 +497,10 @@ class Kernel:
 
     def _work_remaining(self) -> bool:
         return (
-            self._busy()
-            or self.mem.busy()
+            any(self._timed)
+            or bool(self.mem_port.wb)
+            or self.decoder.busy()
+            or bool(self.txns)
             or any(p.stream or p.current is not None for p in self.ports)
         )
 
@@ -563,11 +570,15 @@ class Simulation(Kernel):
             collision_capacity=config.fifo_depths.collision_capacity,
             serialize=serialize,
         )
-        self.mem_port = self.ccu.mem_port
-        self.decoder = self.ccu.decoder
-        self.ccu.touched = self.mem_port.touched = self.touched
+        ccu = self.ccu
+        self.mem_port = ccu.mem_port
+        self.decoder = ccu.decoder
+        self.txns = ccu.txns
+        self._timed = (self.mem_port.read_queue, self.mem.inflight, ccu.cr_inbox,
+                       *ccu.r_outbox, *ccu.ac_outbox)
+        ccu.touched = self.mem_port.touched = self.touched
         self._controllers = tuple(
-            zip(range(config.n_cores), self.ports, self.ccu.r_outbox, self.ccu.ac_outbox)
+            zip(range(config.n_cores), self.ports, self.caches, ccu.r_outbox, ccu.ac_outbox)
         )
 
     # -- per-cycle phases ------------------------------------------------------
@@ -575,14 +586,14 @@ class Simulation(Kernel):
     def _phases(self, now: int) -> None:
         # a stage is called only while the head of its queue is due
         ccu = self.ccu
-        for core, port, rs, acs in self._controllers:
+        for core, port, cache, rs, acs in self._controllers:
             if (
-                port.current is not None and not port.waiting_miss
+                port.current is not None and cache.miss is None
                 or port.nc_fill is not None
                 or rs and rs[0][0] <= now
                 or acs and acs[0][0] <= now
             ):
-                self._cache_controllers(core, port, acs, now)
+                self._cache_controllers(core, port, cache, acs, now)
         decoder = self.decoder
         if decoder.hold is not None or decoder.pending:
             if ccu.decoder_step(now) is not None:
@@ -600,20 +611,21 @@ class Simulation(Kernel):
         if inflight and inflight[0][0] <= now:
             self._memory_responses(now)
 
-    def _cache_controllers(self, core: int, port: _Port, acs, now: int) -> None:
+    def _cache_controllers(self, core: int, port: _Port, cache: CacheModel, acs,
+                           now: int) -> None:
         # the SRAM port serves one requester a cycle, in priority order:
         # an R completion, then a non-coherent fill, then a due snoop,
         # then the core's load or store (a core has at most one op
         # pending). A pending ifetch leaves the port idle and runs below.
         txn = self.ccu.take_r(core, now)
         op = port.current
-        if txn is not None and self._install_feasible(self.caches[core], txn):
+        if txn is not None and self._install_feasible(cache, txn):
             self._apply_completion(core, txn, now)
         elif port.nc_fill is not None:
             self._apply_nc_fill(core, now)
         elif acs and acs[0][0] <= now:
             self._process_snoop(core, now)
-        elif op is None or port.waiting_miss:
+        elif op is None or cache.miss is not None:
             return
         elif op.kind is not OpKind.IFETCH:
             self._execute_op(core, op, now)
@@ -622,7 +634,7 @@ class Simulation(Kernel):
         # The icache has its own port: ifetches run regardless of the
         # data-cache arbitration outcome.
         op = port.current
-        if op is not None and not port.waiting_miss and op.kind is OpKind.IFETCH:
+        if op is not None and cache.miss is None and op.kind is OpKind.IFETCH:
             self._execute_op(core, op, now)
 
     def _install_feasible(self, cache: CacheModel, txn) -> bool:
@@ -698,23 +710,8 @@ class Simulation(Kernel):
     def _memory_data(self, tag, data: bytes) -> None:
         self.ccu.memory_data(tag, data)
 
-    def _busy(self) -> bool:
-        return self.ccu.busy()
-
-    def _next_event(self, now: int, limit: int) -> int:
-        ccu = self.ccu
-        if ccu.ready:
-            return now
-        if ccu.can_grant():
-            return now
-        t = limit
-        for core in range(self.config.n_cores):
-            for box in (ccu.r_outbox[core], ccu.ac_outbox[core]):
-                if box and box[0][0] < t:
-                    t = box[0][0]
-        if ccu.cr_inbox and ccu.cr_inbox[0][0] < t:
-            t = ccu.cr_inbox[0][0]
-        return super()._next_event(now, t)
+    def _acts_now(self) -> bool:
+        return bool(self.ccu.ready) or self.ccu.can_grant()
 
     # -- monitors / inspection ------------------------------------------------
 

@@ -885,7 +885,9 @@ COHERENCE_LITMUS = (
 def run_litmus(test: LitmusTest, config: ExploreConfig = ExploreConfig()) -> dict:
     """Enumerate all interleavings of a litmus test and report every final
     observation plus whether any forbidden one was reached."""
-    outside = sorted(c for c in test.programs if not 0 <= c < config.n_cores)
+    named = set(test.programs)
+    named.update(atom[1] for clause in test.forbidden for atom, _ in clause if atom[0] == "reg")
+    outside = sorted(c for c in named if not 0 <= c < config.n_cores)
     if outside:
         raise ValueError(f"litmus test {test.name}: core(s) {outside} outside "
                          f"the {config.n_cores} configured cores")

@@ -155,10 +155,10 @@ def test_priority_arbitration_all_pairs():
     assert sim.cycle == due and sim.ports[1].current is store
     sim.step()
     assert not sim.ccu.ac_outbox[1] and len(sim.ccu.cr_inbox) == 1  # snoop served
-    assert sim.ports[1].current is store and not sim.ports[1].waiting_miss
+    assert sim.ports[1].current is store and sim.caches[1].miss is None
     assert sim.stats.cores[1].misses == 0
     sim.step()
-    assert sim.ports[1].waiting_miss and sim.stats.cores[1].misses == 1  # store ran
+    assert sim.caches[1].miss is not None and sim.stats.cores[1].misses == 1  # store ran
     ok("priority-arbitration")
 
 

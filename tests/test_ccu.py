@@ -317,7 +317,7 @@ def test_submit_refuses_kinds_no_cache_sends(kind):
     ccu = make_ccu()
     with pytest.raises(ProtocolFault, match=kind.value):
         ccu.submit(0, kind, 0x40, now=0)
-    assert not ccu.busy()
+    assert not ccu.decoder.busy() and not ccu.mem_port.read_queue
 
 
 def test_reencode_rewrites_before_acceptance_only():

@@ -247,14 +247,16 @@ def test_out_of_range_run_inputs_exit_5(tmp_path, capsys, flags, message):
     assert not report.exists()
 
 
-@pytest.mark.parametrize("address", ["100000000", "-10"])
+@pytest.mark.parametrize("address", ["1FFFFFFF0", "100000000", "-10"])
 def test_trace_address_outside_physical_range_exits_5(tmp_path, capsys, address):
     trace = tmp_path / "t.txt"
     trace.write_text(f"0 R 0x40\n1 W {address} 0x1\n")
     report = tmp_path / "r.json"
     code = run_cli("run", "--model", "both", "--trace", str(trace), "--report", str(report))
     assert code == EXIT_BAD_INPUT
-    assert "outside the physical address range" in capsys.readouterr().err
+    # refused while parsing, before either model runs
+    assert (f"trace line 2, column 5: address '{address}' outside the physical address range"
+            in capsys.readouterr().err)
     assert not report.exists()
 
 
@@ -336,6 +338,14 @@ def test_verify_external_litmus_file(tmp_path):
     assert code == EXIT_OK
     data = json.loads(report.read_text())
     assert any(e["name"] == "extra-corw" for e in data["litmus"])
+
+
+def test_verify_litmus_forbid_on_an_unconfigured_core_exits_5(tmp_path, capsys):
+    lit = tmp_path / "extra.litmus"
+    lit.write_text("test far\ncore 0: W x=1\ncore 1: R x\nforbid 3:r0=1\n")
+    code = run_cli("verify", "--litmus", str(lit), "--report", str(tmp_path / "v.json"))
+    assert code == EXIT_BAD_INPUT
+    assert "litmus test far: core(s) [3] outside the 2 configured cores" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cores", ["1", "5"])

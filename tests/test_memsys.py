@@ -28,7 +28,7 @@ def test_take_completions_returns_due_reads_in_issue_order():
     assert [tag for _, tag, _, _ in mem.inflight] == ["c"]  # not yet due: stays
     assert mem.take_completions(7) == []
     assert [tag for tag, _, _ in mem.take_completions(8)] == ["c"]
-    assert not mem.busy()
+    assert not mem.inflight
 
 
 def test_write_then_read_same_line_observes_the_write():
@@ -101,6 +101,6 @@ def test_port_reads_wait_only_for_same_line_writebacks():
     assert port.step(0, mem) and (mem.reads, mem.writes) == (1, 0)  # passes the 0x40 write-back
     assert port.step(1, mem) and (mem.reads, mem.writes) == (1, 1)  # 0x40 waits for it
     assert port.step(2, mem) and (mem.reads, mem.writes) == (2, 1)
-    assert not port.step(3, mem) and not port.busy()
+    assert not port.step(3, mem) and not port.read_queue and not port.wb
     assert [(tag, data[0]) for tag, _, data in mem.take_completions(9)] == [
         ("other", 0), ("same", 1)]

@@ -251,7 +251,7 @@ def test_non_coherent_ifetch_miss_queues_its_read_at_the_memory_port(model):
     op = sim.ports[1].current = CoreOp(OpKind.IFETCH, 0x504)
     assert sim._access(1, op, now=5) is None  # nothing for the model to submit
     assert list(sim.mem_port.read_queue) == [(5 + 3, 0x500, sim.ports[1])]
-    assert sim.ports[1].waiting_miss and not sim.decoder.busy()
+    assert sim.caches[1].miss is not None and not sim.decoder.busy()
 
 
 # Shipped mutations that run on the workload below without a monitor trip,
@@ -324,10 +324,10 @@ def test_a_due_snoop_takes_the_port_before_the_core_store():
     assert sim.cycle == due and sim.ports[1].current is store
     sim.step()
     assert not sim.ccu.ac_outbox[1] and len(sim.ccu.cr_inbox) == 1  # snoop served
-    assert sim.ports[1].current is store and not sim.ports[1].waiting_miss
+    assert sim.ports[1].current is store and sim.caches[1].miss is None
     assert sim.stats.cores[1].misses == 0
     sim.step()
-    assert sim.ports[1].waiting_miss and sim.stats.cores[1].misses == 1  # store ran
+    assert sim.caches[1].miss is not None and sim.stats.cores[1].misses == 1  # store ran
 
 
 def test_a_due_r_completion_takes_the_port_before_a_snoop():

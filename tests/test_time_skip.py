@@ -51,6 +51,26 @@ def every_cycle(sim, streams, gated=False, stalls=None):
     return sim.stats
 
 
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(runs())
+def test_next_event_is_now_in_every_cycle_a_step_makes_progress(run):
+    """The contract of the skip: `_next_event` reads only what a model
+    declares (`_timed`, `_acts_now`, the write-back FIFO and the ports),
+    so a queue left out of the declaration shows here as a step that acts
+    in a cycle the scan would have skipped."""
+    cfg, streams = run
+    for name, make in MODELS.items():
+        sim = make(cfg)
+        for port, ops in zip(sim.ports, streams):
+            port.stream.extend(ops)
+        while sim._work_remaining():
+            now = sim.cycle
+            t = sim._next_event(now, float("inf"))
+            one_step(sim, False, [0] * cfg.n_cores)
+            assert t == now or not sim._progress, f"{name}: acts in cycle {now}, scan says {t}"
+            assert sim.cycle < 100_000, "run does not drain"
+
+
 def halves(streams):
     """Each core's first and second half of its ops (the models copy the
     ops they are fed)."""

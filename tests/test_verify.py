@@ -202,6 +202,11 @@ def test_litmus_core_outside_config_is_rejected():
     with pytest.raises(ValueError, match=r"core\(s\) \[2\] outside the 2 configured"):
         run_litmus(three_core, ExploreConfig(n_cores=2))
     assert run_litmus(three_core, ExploreConfig(n_cores=3))["exhausted"]
+    # a forbid atom names a core too
+    (far_atom,) = parse_litmus("test u\ncore 0: W x=1\ncore 1: R x\nforbid 3:r0=1\n")
+    with pytest.raises(ValueError, match=r"litmus test u: core\(s\) \[3\] outside the 2"):
+        run_litmus(far_atom, ExploreConfig(n_cores=2))
+    assert not run_litmus(far_atom, ExploreConfig(n_cores=4))["forbidden_seen"]
 
 
 def test_violations_name_each_line_with_identical_contents():
