@@ -31,7 +31,18 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from .cache import ConfigError
 from .ccu import Decoder, ProtocolFault
 from .memsys import MemoryPort
-from .protocol import CoherentKind, CoreOp, LineState, OpKind
+from .protocol import (
+    CLEAN_UNIQUE,
+    CoreOp,
+    EXCLUSIVE,
+    IFETCH,
+    INVALID,
+    LineState,
+    MODIFIED,
+    OpKind,
+    SHARED,
+    STORE,
+)
 from .sim import Kernel, SimConfig
 
 
@@ -140,19 +151,19 @@ class DirectorySimulation(Kernel):
         ms = cache.miss
         # an upgrade whose copy was invalidated in the meantime needs data
         ms.kind = cache.tables.retry[ms.kind, False, cache.lookup(txn.addr) is None] or ms.kind
-        upgrade = ms.kind is CoherentKind.CLEAN_UNIQUE and txn.core in entry.sharers
+        upgrade = ms.kind is CLEAN_UNIQUE and txn.core in entry.sharers
         owner = entry.owner
-        if txn.op is OpKind.STORE:
-            state = LineState.MODIFIED
+        if txn.op is STORE:
+            state = MODIFIED
         elif owner is None and not entry.sharers:
-            state = LineState.EXCLUSIVE
+            state = EXCLUSIVE
         else:
-            state = LineState.SHARED
+            state = SHARED
         if owner not in (None, txn.core):
             yield hop  # home -> owner
             while not self._apply_probe(txn, owner):
                 yield 1
-        elif txn.op is OpKind.STORE:
+        elif txn.op is STORE:
             for sharer in sorted(entry.sharers - {txn.core}):
                 yield hop  # home -> sharer
                 self._apply_invalidate(txn, sharer)
@@ -168,7 +179,7 @@ class DirectorySimulation(Kernel):
         if hit is not None:
             if self.touched is not None:
                 self.touched.add(txn.addr)
-            hit[1].state = LineState.INVALID
+            hit[1].state = INVALID
         self._entry(txn.addr).sharers.discard(target)
 
     def _apply_probe(self, txn: _DirTxn, owner: int) -> bool:
@@ -182,16 +193,16 @@ class DirectorySimulation(Kernel):
             return True
         line = hit[1]
         entry = self._entry(txn.addr)
-        if txn.op is OpKind.STORE:
-            line.state = LineState.INVALID
+        if txn.op is STORE:
+            line.state = INVALID
             entry.sharers.clear()
         else:
-            if line.state is LineState.MODIFIED:
+            if line.state is MODIFIED:
                 # MESI has no dirty-shared state: the downgrade writes back
                 if not self.mem_port.push_wb(txn.addr, line.data):
                     return False
                 self.stats.cores[owner].writebacks += 1
-            line.state = LineState.SHARED
+            line.state = SHARED
             entry.sharers.add(owner)
         entry.owner = None
         if self.touched is not None:
@@ -214,7 +225,7 @@ class DirectorySimulation(Kernel):
             self.stats.cores[core].writebacks += 1
         if result.evicted is not None:
             self._drop_from_directory(result.evicted, core)
-        if state is not LineState.SHARED:  # a Modified or Exclusive copy owns the line
+        if state is not SHARED:  # a Modified or Exclusive copy owns the line
             entry.owner = core
             entry.sharers.clear()
         else:
@@ -239,7 +250,7 @@ class DirectorySimulation(Kernel):
         super().check_streams(streams)
         if self.config.coherent_ifetch:
             for core, ops in enumerate(streams):
-                op = next((op for op in ops if op.kind is OpKind.IFETCH), None)
+                op = next((op for op in ops if op.kind is IFETCH), None)
                 if op is not None:
                     raise ConfigError(f"core {core}: ifetch of {op.address:#x} with coherent "
                                       "ifetch on: the directory has no coherent icache")

@@ -17,12 +17,17 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import protocol
 from .protocol import (
+    CLEAN_UNIQUE,
     CoherentKind,
     CoreOp,
     Hit,
+    IFETCH,
+    INVALID,
     LineState,
-    OpKind,
     READ_KINDS,
+    READ_NO_SNOOP,
+    READ_ONCE,
+    STORE,
     SnoopRequest,
     SnoopResponse,
     UNIQUE_KINDS,
@@ -63,7 +68,7 @@ _NO_RESPONSE = SnoopResponse()
 @dataclass(slots=True)
 class CacheLine:
     tag: int = 0
-    state: LineState = LineState.INVALID
+    state: LineState = INVALID
     data: bytes = b""
 
 
@@ -103,6 +108,14 @@ class Install:
 @dataclass(frozen=True)
 class Retry:
     kind: CoherentKind
+
+
+# The result records are frozen, so each one whose fields are fixed is a
+# single shared instance rather than a fresh build per event.
+_STORE_SERVED = Served()
+_NEEDS_MISS = {kind: NeedsMiss(kind) for kind in CoherentKind}
+_RETRY = {kind: Retry(kind) for kind in CoherentKind}
+_INSTALL = {state: Install(state) for state in LineState}
 
 
 class CacheModel:
@@ -162,7 +175,7 @@ class CacheModel:
     def lookup(self, address: int, icache: bool = False) -> Optional[Tuple[int, CacheLine]]:
         """Find the valid way holding `address`, or None on miss."""
         hit = (self.iindex if icache else self.index).get(address - address % self.line_size)
-        if hit is not None and hit[1].state is not LineState.INVALID:
+        if hit is not None and hit[1].state is not INVALID:
             return hit
         return None
 
@@ -174,26 +187,26 @@ class CacheModel:
         addresses enter the caches, so the physical range is checked here."""
         if not 0 <= op.address < 1 << PHYS_ADDR_BITS:
             raise ConfigError(f"address {op.address:#x} outside the physical address range")
-        if op.kind is OpKind.IFETCH:
+        if op.kind is IFETCH:
             return self.ifetch(op.address)
         if self.miss is not None:
             raise RuntimeError(f"core {self.core_id}: second outstanding miss")
         hit = self.lookup(op.address)
-        state = hit[1].state if hit else LineState.INVALID
+        state = hit[1].state if hit else INVALID
         action = self.tables.initiator[state, op.kind]
         if isinstance(action, Hit):
             line = hit[1]
             if self.touched is not None and (
-                op.kind is OpKind.STORE or action.next is not state
+                op.kind is STORE or action.next is not state
             ):
                 self.touched.add(self.line_addr(op.address))
             line.state = action.next
-            if op.kind is OpKind.STORE:
+            if op.kind is STORE:
                 line.data = set_word(line.data, op.address % self.line_size, op.value)
-                return Served()
+                return _STORE_SERVED
             return Served(word_at(line.data, op.address % self.line_size))
         self.miss = MissStatus(self.line_addr(op.address), action.kind)
-        return NeedsMiss(action.kind)
+        return _NEEDS_MISS[action.kind]
 
     def ifetch(self, address: int) -> Union[Served, NeedsMiss]:
         """Instruction fetch. Coherent icaches miss with ReadOnce and get
@@ -204,9 +217,9 @@ class CacheModel:
             return Served(word_at(hit[1].data, address % self.line_size))
         if self.miss is not None:
             raise RuntimeError(f"core {self.core_id}: second outstanding miss")
-        kind = CoherentKind.READ_ONCE if self.coherent_ifetch else CoherentKind.READ_NO_SNOOP
+        kind = READ_ONCE if self.coherent_ifetch else READ_NO_SNOOP
         self.miss = MissStatus(self.line_addr(address), kind, for_icache=True)
-        return NeedsMiss(kind)
+        return _NEEDS_MISS[kind]
 
     # -- snoop side --------------------------------------------------------
 
@@ -229,19 +242,19 @@ class CacheModel:
 
         if probe_dcache:
             hit = self.lookup(req.address)
-            state = hit[1].state if hit else LineState.INVALID
+            state = hit[1].state if hit else INVALID
             nxt, resp = self.tables.snoopee[state, req.kind]
             if hit:
                 line = hit[1]
                 if resp.data_transfer:
                     data = line.data
-                if nxt is LineState.INVALID and state.is_valid:
+                if nxt is INVALID and state.is_valid:
                     invalidated = True
                 line.state = nxt
 
         if probe_icache and self.coherent_ifetch:
             ihit = self.lookup(req.address, icache=True)
-            istate = ihit[1].state if ihit else LineState.INVALID
+            istate = ihit[1].state if ihit else INVALID
             inxt, iresp = self.tables.snoopee[istate, req.kind]
             if ihit:
                 if iresp.data_transfer and data is None:
@@ -274,7 +287,7 @@ class CacheModel:
             return None
         set_idx, _ = self._index_tag(ms.address)
         for line in self.sets[set_idx]:
-            if line.state is LineState.INVALID:
+            if line.state is INVALID:
                 return None
         return self.sets[set_idx][self.rr[set_idx]]
 
@@ -288,10 +301,10 @@ class CacheModel:
         if again is not None:
             ms.kind = again
             ms.snoop_read_seen = ms.invalidated_by_snoop = False
-            return Retry(ms.kind)
+            return _RETRY[again]
 
         writeback = evicted = None
-        if ms.kind is CoherentKind.CLEAN_UNIQUE:
+        if ms.kind is CLEAN_UNIQUE:
             hit = self.lookup(ms.address)
             if hit is None:
                 raise LostCopy(ms.address)
@@ -302,6 +315,8 @@ class CacheModel:
             icache = ms.for_icache
             writeback, evicted = self._install(ms.address, resp_state, data, icache=icache)
         self.miss = None
+        if evicted is None:  # no victim, so no write-back either
+            return _INSTALL[resp_state]
         return Install(resp_state, writeback, evicted)
 
     def _install(
@@ -311,9 +326,11 @@ class CacheModel:
         ways = (self.isets if icache else self.sets)[set_idx]
         rr = self.irr if icache else self.rr
         index = self.iindex if icache else self.index
-        way = next((w for w, line in enumerate(ways) if line.state is LineState.INVALID), None)
         writeback = evicted = None
-        if way is None:
+        for way, line in enumerate(ways):
+            if line.state is INVALID:
+                break
+        else:
             way = rr[set_idx]
             evicted = self._addr_of(set_idx, ways[way].tag)
             if not icache and ways[way].state.is_dirty:

@@ -10,13 +10,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Deque, Dict, List, Optional, Tuple
 
 from .memsys import MemoryPort
 from .protocol import (
     CoherentKind,
     DATA_KINDS,
+    DECODED,
+    DONE,
+    MEM_ACCESS,
+    Phase,
+    RESPONDING,
+    SNOOPING,
     SNOOPING_KINDS,
     SnoopRequest,
     SnoopResponse,
@@ -40,21 +45,13 @@ def mux_grant(pending: Dict[int, int], last_granted: int, n_cores: int) -> int:
     raise AssertionError("unreachable")
 
 
-class Phase(IntEnum):
-    DECODED = 0
-    SNOOPING = 1
-    RESPONDING = 2
-    MEM_ACCESS = 3
-    DONE = 4
-
-
-@dataclass
+@dataclass(slots=True)
 class CcuTransaction:
     id: int
     initiator: int
     kind: CoherentKind
     address: int
-    phase: Phase = Phase.DECODED
+    phase: Phase = DECODED
     cr_pending: int = 0
     any_is_shared: int = 0
     any_pass_dirty: int = 0
@@ -257,7 +254,7 @@ class Ccu:
             self.cr_fifo.push(target, txn.id)
             self.ac_outbox[target].append((due, txn.id, req, probe_d, probe_i))
         txn.cr_pending = len(fanout)
-        txn.advance(Phase.SNOOPING)
+        txn.advance(SNOOPING)
         return txn
 
     def can_grant(self) -> bool:
@@ -284,7 +281,7 @@ class Ccu:
             txn.data = bytes(data)
             txn.data_source = from_core
         if txn.cr_pending == 0:
-            txn.advance(Phase.RESPONDING)
+            txn.advance(RESPONDING)
             self.ready.append(txn)
         return txn
 
@@ -305,7 +302,7 @@ class Ccu:
             ready.sort(key=lambda t: t.id)
         for txn in ready:
             if txn.kind in DATA_KINDS and txn.data is None:
-                txn.advance(Phase.MEM_ACCESS)
+                txn.advance(MEM_ACCESS)
                 self.mem_port.read_queue.append((now, txn.address, txn.id))
                 continue
             if txn.data_source is not None:
@@ -336,7 +333,7 @@ class Ccu:
         txn = self.txns.pop(txn_id)
         if self.touched is not None:
             self.touched.add(txn.address)
-        txn.advance(Phase.DONE)
+        txn.advance(DONE)
         box = self.r_outbox[txn.initiator]
         if box and box[0][1] == txn_id:
             box.popleft()

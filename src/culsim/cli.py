@@ -192,7 +192,10 @@ def _load_config(args) -> SimConfig:
         cfg.coherent_ifetch = True
     env_seed = os.environ.get("CULSIM_SEED")
     if env_seed is not None:
-        cfg.seed = int(env_seed, 0)
+        try:
+            cfg.seed = int(env_seed, 0)
+        except ValueError as exc:
+            raise ConfigError(f"CULSIM_SEED: {env_seed!r} is not an integer") from exc
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     cfg.validate()

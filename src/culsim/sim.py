@@ -45,7 +45,7 @@ from .cache import (
 )
 from .ccu import Ccu, Decoder, ProtocolFault
 from .memsys import MemoryModel, MemoryPort
-from .protocol import CoherentKind, CoreOp, LineState, OpKind
+from .protocol import IFETCH, LOAD, OWNED, READ_NO_SNOOP, SHARED, STORE, CoreOp
 from . import verify
 
 
@@ -317,9 +317,9 @@ class Kernel:
                 op = port.current = port.stream.popleft()
                 port.issued_at = now
                 stats.ops += 1
-                if op.kind is OpKind.LOAD:
+                if op.kind is LOAD:
                     stats.loads += 1
-                elif op.kind is OpKind.STORE:
+                elif op.kind is STORE:
                     stats.stores += 1
                 else:
                     stats.ifetches += 1
@@ -346,7 +346,7 @@ class Kernel:
             return None
         stats.misses += 1
         port.miss_start = now
-        if result.kind is CoherentKind.READ_NO_SNOOP:
+        if result.kind is READ_NO_SNOOP:
             self.mem_port.read_queue.append(
                 (now + self.config.latencies.ccu_stage, self.caches[core].miss.address, port)
             )
@@ -365,10 +365,10 @@ class Kernel:
         port = self.ports[core]
         cache = self.caches[core]
         op = port.current
-        if op.kind is OpKind.STORE:
+        if op.kind is STORE:
             cache.write_word(op.address, op.value)
         else:
-            hit = cache.lookup(op.address, icache=op.kind is OpKind.IFETCH)
+            hit = cache.lookup(op.address, icache=op.kind is IFETCH)
             port.observations.append(word_at(hit[1].data, op.address % self.config.line_size))
         self.stats.miss_latency_total += now - port.miss_start
         self.stats.miss_count += 1
@@ -382,7 +382,7 @@ class Kernel:
     def _apply_nc_fill(self, core: int, now: int) -> None:
         """Install the memory data of the core's non-coherent ifetch miss."""
         port = self.ports[core]
-        self.caches[core].miss_complete(LineState.SHARED, port.nc_fill)
+        self.caches[core].miss_complete(SHARED, port.nc_fill)
         port.nc_fill = None
         self._retire_miss(core, now)
         self._progress = True
@@ -627,14 +627,14 @@ class Simulation(Kernel):
             self._process_snoop(core, now)
         elif op is None or cache.miss is not None:
             return
-        elif op.kind is not OpKind.IFETCH:
+        elif op.kind is not IFETCH:
             self._execute_op(core, op, now)
         self._progress = True
 
         # The icache has its own port: ifetches run regardless of the
         # data-cache arbitration outcome.
         op = port.current
-        if op is not None and cache.miss is None and op.kind is OpKind.IFETCH:
+        if op is not None and cache.miss is None and op.kind is IFETCH:
             self._execute_op(core, op, now)
 
     def _install_feasible(self, cache: CacheModel, txn) -> bool:
@@ -679,7 +679,7 @@ class Simulation(Kernel):
         cache = self.caches[core]
         op = self.ports[core].current
         stats = self.stats.cores[core]
-        store_follows = int(op.kind is OpKind.STORE)
+        store_follows = int(op.kind is STORE)
         resp_state = cache.tables.completion[
             txn.kind, txn.any_is_shared, txn.any_pass_dirty, store_follows
         ]
@@ -738,12 +738,12 @@ class Simulation(Kernel):
             crs_seen[core] += 1
             if resp.pass_dirty and data is not None:
                 copies.setdefault(ccu.txns[txn_id].address, []).append(
-                    verify.CopyView(core, LineState.OWNED, data, False)
+                    verify.CopyView(core, OWNED, data, False)
                 )
         for txn in ccu.txns.values():
             if txn.any_pass_dirty and txn.data is not None:
                 copies.setdefault(txn.address, []).append(
-                    verify.CopyView(txn.initiator, LineState.OWNED, txn.data, False)
+                    verify.CopyView(txn.initiator, OWNED, txn.data, False)
                 )
         return copies
 

@@ -891,6 +891,13 @@ def run_litmus(test: LitmusTest, config: ExploreConfig = ExploreConfig()) -> dic
     if outside:
         raise ValueError(f"litmus test {test.name}: core(s) {outside} outside "
                          f"the {config.n_cores} configured cores")
+    # a register is the result of one R or IF op: an atom on any other
+    # can never match, so its clause would pass unseen
+    reads = {core: sum(op[0] in ("R", "IF") for op in ops) for core, ops in test.programs.items()}
+    unread = sorted({f"{atom[1]}:r{atom[2]}" for clause in test.forbidden for atom, _ in clause
+                     if atom[0] == "reg" and atom[2] >= reads.get(atom[1], 0)})
+    if unread:
+        raise ValueError(f"litmus test {test.name}: register(s) {unread} read by no op")
     programs = [tuple(test.programs.get(core, ())) for core in range(config.n_cores)]
     result = explore(programs, config, init_mem=test.init or None)
     forbidden_seen = False
@@ -915,7 +922,7 @@ def run_litmus(test: LitmusTest, config: ExploreConfig = ExploreConfig()) -> dic
 def _eval_atom(atom: tuple, value: int, regs: tuple, mem: tuple) -> bool:
     if atom[0] == "reg":
         _, core, idx = atom
-        return idx < len(regs[core]) and regs[core][idx] == value
+        return regs[core][idx] == value
     _, addr = atom
     return dict(mem).get(addr, 0) == value
 

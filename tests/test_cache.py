@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 
 from culsim.cache import (
@@ -283,6 +285,37 @@ def test_install_into_full_set_evicts_round_robin():
     assert result.writeback is not None
     assert result.evicted == result.writeback[0]
     assert cache.lookup(addrs[cache.ways]) is not None
+
+
+# -- result records -------------------------------------------------------------------
+
+def returned_records():
+    """One record of each kind and shape CacheModel returns."""
+    cache = make_cache()
+    addrs = set_addresses(cache, 0)
+    out = [load_miss(cache, addrs[0], state=M)]  # Install into a free way
+    out.append(cache.core_access(CoreOp(OpKind.STORE, addrs[0], value=7)))  # store hit
+    out.append(cache.core_access(CoreOp(OpKind.LOAD, addrs[0])))  # load hit
+    for a in addrs[1:cache.ways]:
+        load_miss(cache, a)
+    out.append(load_miss(cache, addrs[cache.ways]))  # Install with a dirty victim
+    out.append(cache.core_access(CoreOp(OpKind.STORE, 0x1000, value=1)))  # NeedsMiss
+    cache.handle_snoop(SnoopRequest(CoherentKind.READ_SHARED, 0x1000))
+    out.append(cache.miss_complete(M, bytes(16)))  # Retry
+    out.append(make_cache(coherent_ifetch=True).ifetch(0x40))  # NeedsMiss of an ifetch
+    return out
+
+
+def test_returned_records_are_frozen_and_equal_fresh_ones():
+    records = returned_records() + returned_records()  # shared ones come back twice
+    assert {type(r) for r in records} == {Served, NeedsMiss, Retry, Install}
+    assert any(r.evicted is not None for r in records if isinstance(r, Install))
+    for record in records:
+        values = {f.name: getattr(record, f.name) for f in fields(record)}
+        assert record == type(record)(**values)
+        for name, value in values.items():
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, name, value)
 
 
 # -- instruction cache ---------------------------------------------------------------

@@ -190,6 +190,15 @@ def test_config_file_and_env_seed(tmp_path, monkeypatch):
     assert data["config"]["seed"] == 0x77
 
 
+def test_unparsable_culsim_seed_names_the_variable_and_exits_5(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CULSIM_SEED", "abc")
+    report = tmp_path / "r.json"
+    code = run_cli("run", "--ops", "10", "--report", str(report))
+    assert code == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "culsim: CULSIM_SEED: 'abc' is not an integer\n"
+    assert not report.exists()
+
+
 def test_bad_config_exits_5(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("bogus_key = 1\n")
@@ -346,6 +355,16 @@ def test_verify_litmus_forbid_on_an_unconfigured_core_exits_5(tmp_path, capsys):
     code = run_cli("verify", "--litmus", str(lit), "--report", str(tmp_path / "v.json"))
     assert code == EXIT_BAD_INPUT
     assert "litmus test far: core(s) [3] outside the 2 configured cores" in capsys.readouterr().err
+
+
+def test_verify_litmus_forbid_on_a_register_no_op_reads_exits_5(tmp_path, capsys):
+    lit = tmp_path / "unread.litmus"
+    lit.write_text("test unread\ncore 0: W x=1\ncore 1: R x\nforbid 1:r7=5\n")
+    report = tmp_path / "v.json"
+    code = run_cli("verify", "--litmus", str(lit), "--report", str(report))
+    assert code == EXIT_BAD_INPUT
+    assert "litmus test unread: register(s) ['1:r7'] read by no op" in capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("cores", ["1", "5"])

@@ -206,7 +206,21 @@ def test_litmus_core_outside_config_is_rejected():
     (far_atom,) = parse_litmus("test u\ncore 0: W x=1\ncore 1: R x\nforbid 3:r0=1\n")
     with pytest.raises(ValueError, match=r"litmus test u: core\(s\) \[3\] outside the 2"):
         run_litmus(far_atom, ExploreConfig(n_cores=2))
-    assert not run_litmus(far_atom, ExploreConfig(n_cores=4))["forbidden_seen"]
+    # at 4 cores that core exists but runs no op, so it has no register
+    with pytest.raises(ValueError, match=r"register\(s\) \['3:r0'\] read by no op"):
+        run_litmus(far_atom, ExploreConfig(n_cores=4))
+
+
+def test_litmus_register_no_op_reads_is_rejected():
+    # core 1 has one read, so only its r0 exists; core 0 only writes
+    for atom in ("1:r7=5", "1:r1=0", "0:r0=1"):
+        (test,) = parse_litmus(f"test t\ncore 0: W x=1\ncore 1: R x\nforbid 1:r0=1 {atom}\n")
+        reg = atom.partition("=")[0]
+        with pytest.raises(ValueError, match=rf"litmus test t: register\(s\) \['{reg}'\] read by no"):
+            run_litmus(test, ExploreConfig(n_cores=2))
+    (named,) = parse_litmus("test n\ncore 0: W x=1\ncore 1: R x -> ra; R x -> rb\n"
+                            "forbid 1:ra=1 1:rb=0\n")
+    assert run_litmus(named, ExploreConfig(n_cores=2))["forbidden_seen"] == 0
 
 
 def test_violations_name_each_line_with_identical_contents():
