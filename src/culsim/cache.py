@@ -86,6 +86,9 @@ class MissStatus:
     for_icache: bool = False
     snoop_read_seen: bool = False
     invalidated_by_snoop: bool = False
+    # the data-cache way `needs_eviction` chose for the fill; the timed
+    # models call it in the step of the install, just before miss_complete
+    way: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -279,17 +282,22 @@ class CacheModel:
     def needs_eviction(self) -> Optional[CacheLine]:
         """Victim that installing the pending miss would evict (None if a
         free way exists, the line is already present, or it's an icache
-        fill, which never produces a write-back)."""
+        fill, which never produces a write-back). The way it picks, the
+        first free one or else the round-robin victim, is kept as the
+        miss's `way` for `_install`, so a completed miss scans its set once."""
         ms = self.miss
         if ms is None or ms.for_icache:
             return None
         if self.lookup(ms.address) is not None:
             return None
         set_idx, _ = self._index_tag(ms.address)
-        for line in self.sets[set_idx]:
+        ways = self.sets[set_idx]
+        for way, line in enumerate(ways):
             if line.state is INVALID:
+                ms.way = way
                 return None
-        return self.sets[set_idx][self.rr[set_idx]]
+        ms.way = way = self.rr[set_idx]
+        return ways[way]
 
     def miss_complete(self, resp_state: LineState, data: Optional[bytes]) -> Union[Install, Retry]:
         """Resolve the outstanding miss with the transaction's result, or
@@ -313,29 +321,34 @@ class CacheModel:
             hit[1].state = resp_state
         else:
             icache = ms.for_icache
-            writeback, evicted = self._install(ms.address, resp_state, data, icache=icache)
+            writeback, evicted = self._install(ms.address, resp_state, data, icache, ms.way)
         self.miss = None
         if evicted is None:  # no victim, so no write-back either
             return _INSTALL[resp_state]
         return Install(resp_state, writeback, evicted)
 
     def _install(
-        self, address: int, state: LineState, data: Optional[bytes], icache: bool
+        self, address: int, state: LineState, data: Optional[bytes], icache: bool,
+        way: Optional[int] = None,
     ) -> Tuple[Optional[Tuple[int, bytes]], Optional[int]]:
+        """Fill `address` into `way` (by default the first free way of its
+        set, else the round-robin victim), evicting the way's valid line."""
         set_idx, tag = self._index_tag(address)
         ways = (self.isets if icache else self.sets)[set_idx]
         rr = self.irr if icache else self.rr
         index = self.iindex if icache else self.index
         writeback = evicted = None
-        for way, line in enumerate(ways):
-            if line.state is INVALID:
-                break
-        else:
-            way = rr[set_idx]
-            evicted = self._addr_of(set_idx, ways[way].tag)
-            if not icache and ways[way].state.is_dirty:
-                writeback = (evicted, ways[way].data)
+        if way is None:
+            for way, line in enumerate(ways):
+                if line.state is INVALID:
+                    break
+            else:
+                way = rr[set_idx]
         victim = ways[way]
+        if victim.state is not INVALID:
+            evicted = self._addr_of(set_idx, victim.tag)
+            if not icache and victim.state.is_dirty:
+                writeback = (evicted, victim.data)
         # an Invalid way may keep the tag of a line since refilled elsewhere
         # in the set; that newer entry must survive
         old = self._addr_of(set_idx, victim.tag)

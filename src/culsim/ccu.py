@@ -338,6 +338,3 @@ class Ccu:
         if box and box[0][1] == txn_id:
             box.popleft()
         self.decoder.release(txn.address)
-
-    def active_addresses(self) -> List[int]:
-        return [t.address for t in self.txns.values()]

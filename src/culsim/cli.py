@@ -190,14 +190,19 @@ def _load_config(args) -> SimConfig:
         cfg.n_cores = args.cores
     if args.coherent_ifetch:
         cfg.coherent_ifetch = True
+    seed_source = None
     env_seed = os.environ.get("CULSIM_SEED")
     if env_seed is not None:
         try:
             cfg.seed = int(env_seed, 0)
         except ValueError as exc:
             raise ConfigError(f"CULSIM_SEED: {env_seed!r} is not an integer") from exc
+        seed_source = "CULSIM_SEED"
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
+        seed_source = "--seed"
+    if seed_source is not None:
+        cfg.check_seed(seed_source)
     cfg.validate()
     return cfg
 

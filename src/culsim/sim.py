@@ -45,7 +45,7 @@ from .cache import (
 )
 from .ccu import Ccu, Decoder, ProtocolFault
 from .memsys import MemoryModel, MemoryPort
-from .protocol import IFETCH, LOAD, OWNED, READ_NO_SNOOP, SHARED, STORE, CoreOp
+from .protocol import IFETCH, INVALID, LOAD, OWNED, READ_NO_SNOOP, SHARED, STORE, CoreOp
 from . import verify
 
 
@@ -105,8 +105,12 @@ class SimConfig:
         for name in ("writeback", "collision_capacity"):
             if getattr(self.fifo_depths, name) < 1:
                 raise ConfigError(f"fifo_depths.{name}: must be >= 1")
+        self.check_seed()
+
+    def check_seed(self, source: str = "seed") -> None:
+        """Refuse a seed outside 0..2**64-1, naming `source`, where it came from."""
         if not 0 <= self.seed < 1 << 64:
-            raise ConfigError("seed: must fit in 64 bits")
+            raise ConfigError(f"{source}: {self.seed} does not fit in 64 bits")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -271,6 +275,12 @@ class Kernel:
         self.touched: Optional[set] = set() if monitor else None
         for cache in self.caches:
             cache.touched = self.touched
+        # (core, line index, coherent icache's line index or None) per
+        # core: what `snapshot_invariants` reads a line's copies from
+        self._line_indexes = tuple(
+            (cache.core_id, cache.index, cache.iindex if cache.coherent_ifetch else None)
+            for cache in self.caches
+        )
 
     def _in_flight_copies(self) -> Dict[int, List[verify.CopyView]]:
         """Copies of lines held outside the caches, by line address."""
@@ -419,7 +429,11 @@ class Kernel:
         per core, data cache first, then those in flight. Write-backs
         still queued at the memory port are committed writes, so they
         shadow the memory array. Non-coherent instruction caches are
-        outside the coherency domain and are not part of the view."""
+        outside the coherency domain and are not part of the view.
+
+        Each line costs one dict read per cache in the view: the copies
+        are read straight from each core's line index (`_line_indexes`),
+        and the write-back FIFO is copied only while it holds entries."""
         in_flight = self._in_flight_copies()
         if lines is None:
             lines = set(in_flight)
@@ -428,21 +442,28 @@ class Kernel:
                 if cache.coherent_ifetch:
                     lines.update(addr for addr, _ in cache.valid_lines(icache=True))
             lines = sorted(lines)
-        pending_wb = dict(self.mem_port.wb)  # youngest same-line entry wins
+        wb = self.mem_port.wb
+        pending_wb = dict(wb) if wb else {}  # youngest same-line entry wins
+        peek = self.mem.peek
+        copy_view = verify.CopyView
         view: Dict[int, Tuple[list, bytes]] = {}
         for addr in lines:
             copies = []
-            for core, cache in enumerate(self.caches):
-                hit = cache.lookup(addr)
+            for core, index, iindex in self._line_indexes:
+                hit = index.get(addr)
                 if hit is not None:
-                    copies.append(verify.CopyView(core, hit[1].state, hit[1].data, False))
-                if cache.coherent_ifetch:
-                    hit = cache.lookup(addr, icache=True)
+                    line = hit[1]
+                    if line.state is not INVALID:
+                        copies.append(copy_view(core, line.state, line.data, False))
+                if iindex is not None:
+                    hit = iindex.get(addr)
                     if hit is not None:
-                        copies.append(verify.CopyView(core, hit[1].state, hit[1].data, True))
+                        line = hit[1]
+                        if line.state is not INVALID:
+                            copies.append(copy_view(core, line.state, line.data, True))
             if addr in in_flight:
                 copies += in_flight[addr]
-            view[addr] = (copies, pending_wb[addr] if addr in pending_wb else self.mem.peek(addr))
+            view[addr] = (copies, pending_wb[addr] if addr in pending_wb else peek(addr))
         return view
 
     def _dump_state(self) -> str:
@@ -716,11 +737,13 @@ class Simulation(Kernel):
     # -- monitors / inspection ------------------------------------------------
 
     def _run_monitors(self) -> None:
-        active = self.ccu.active_addresses()
-        if len(active) != len(set(active)):
-            raise CoherenceViolation(
-                f"cycle {self.cycle}: two in-flight transactions share a line"
-            )
+        txns = self.ccu.txns
+        if len(txns) > 1:
+            addresses = [t.address for t in txns.values()]
+            if len(addresses) != len(set(addresses)):
+                raise CoherenceViolation(
+                    f"cycle {self.cycle}: two in-flight transactions share a line"
+                )
         super()._run_monitors()
 
     def _in_flight_copies(self) -> Dict[int, List[verify.CopyView]]:
@@ -732,6 +755,8 @@ class Simulation(Kernel):
         # already snooped looks clean-everywhere but newer than memory.
         ccu = self.ccu
         copies: Dict[int, List[verify.CopyView]] = {}
+        if not ccu.txns:  # every CR and buffered line belongs to a transaction
+            return copies
         crs_seen = [0] * self.config.n_cores
         for _due, core, resp, data in ccu.cr_inbox:
             txn_id = ccu.cr_fifo.queues[core][crs_seen[core]]

@@ -3,7 +3,10 @@
 Three layers:
 
 * check_swmr / check_value validate a global snapshot view (from the
-  cycle simulator or from the abstract machine below).
+  cycle simulator or from the abstract machine below). Each is one
+  pass over each line's copies, comparing states by identity and data
+  by `==`, and sorts its messages by line address only when it found
+  any; they are the only copy of the single-writer and value rules.
 * explore() enumerates every interleaving of an untimed abstraction of
   the protocol over tiny programs by one breadth-first search,
   deduplicated by canonical state, and checks the single-writer and
@@ -42,14 +45,16 @@ from .memsys import fifo_full, read_waits
 from .protocol import (
     CoherentKind,
     DIRTY_STATES,
+    EXCLUSIVE,
     Hit,
     LineState,
+    MODIFIED,
     MUTATIONS,
     OpKind,
+    OWNED,
     READ_KINDS,
     TABLES,
     UNIQUE_KINDS,
-    UNIQUE_STATES,
 )
 
 
@@ -71,39 +76,57 @@ def check_swmr(view: Dict[int, Tuple[List[CopyView], object]]) -> List[str]:
 
     A Unique copy (Modified or Exclusive) must be the only valid copy of
     its line, and at most one copy may carry dirty responsibility
-    (Modified or Owned). Problems come back ordered by line address.
+    (Modified or Owned). One pass over each line's copies finds the
+    first unique copy and counts the dirty ones. Problems come back
+    ordered by line address.
     """
     problems = []
     for addr, (copies, _mem) in view.items():
         if len(copies) < 2:
             continue
-        unique = next((c for c in copies if c.state in UNIQUE_STATES), None)
+        unique = None
+        n_dirty = 0
+        for c in copies:
+            state = c.state
+            if state is MODIFIED:
+                n_dirty += 1
+                if unique is None:
+                    unique = c
+            elif state is OWNED:
+                n_dirty += 1
+            elif state is EXCLUSIVE and unique is None:
+                unique = c
         if unique is not None:
             problems.append((addr, f"line {addr:#x}: unique copy on core {unique.core} "
                                    f"coexists with {len(copies) - 1} other cop(y/ies)"))
-        n_dirty = sum(c.state in DIRTY_STATES for c in copies)
         if n_dirty >= 2:
             problems.append((addr, f"line {addr:#x}: {n_dirty} dirty-responsible copies"))
-    return _by_address(problems)
+    return _by_address(problems) if problems else problems
 
 
 def check_value(view: Dict[int, Tuple[List[CopyView], object]]) -> List[str]:
     """Data-value check over a snapshot view: all valid copies of a line
     agree, and if every copy is clean they agree with memory too.
-    Problems come back ordered by line address."""
+    One pass over each line's copies compares every copy's data with the
+    first one's by `==` (bytes and bytearray compare by content, an int
+    never equals either) and notes whether any copy is dirty. Problems
+    come back ordered by line address."""
     problems = []
     for addr, (copies, mem) in view.items():
         if not copies:
             continue
-        values = {bytes(c.data) if isinstance(c.data, (bytes, bytearray)) else c.data
-                  for c in copies}
-        if len(values) > 1:
-            problems.append((addr, f"line {addr:#x}: valid copies disagree"))
-        elif not any(c.state in DIRTY_STATES for c in copies):
-            memval = bytes(mem) if isinstance(mem, (bytes, bytearray)) else mem
-            if values != {memval}:
+        value = copies[0].data
+        dirty = False
+        for c in copies:
+            if c.data != value:
+                problems.append((addr, f"line {addr:#x}: valid copies disagree"))
+                break
+            if c.state is MODIFIED or c.state is OWNED:
+                dirty = True
+        else:
+            if not dirty and value != mem:
                 problems.append((addr, f"line {addr:#x}: clean copies differ from memory"))
-    return _by_address(problems)
+    return _by_address(problems) if problems else problems
 
 
 # Deliberate row patches on `protocol.TABLES`; every shipped one must be

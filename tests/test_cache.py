@@ -287,6 +287,26 @@ def test_install_into_full_set_evicts_round_robin():
     assert cache.lookup(addrs[cache.ways]) is not None
 
 
+def test_install_takes_the_way_needs_eviction_picked():
+    cache = make_cache()
+    addrs = set_addresses(cache, 2)
+    for a in addrs[:3]:
+        fill(cache, a, M)
+    cache.handle_snoop(SnoopRequest(CoherentKind.READ_UNIQUE, addrs[1]))  # frees way 1
+    cache.core_access(CoreOp(OpKind.LOAD, addrs[3]))
+    assert cache.needs_eviction() is None  # ways 1 and 3 are free: the first is taken
+    assert cache.miss_complete(E, bytes(16)).evicted is None
+    assert cache.lookup(addrs[3])[0] == 1
+    fill(cache, addrs[1], S)  # into way 3: the set is full
+    cache.core_access(CoreOp(OpKind.LOAD, addrs[4]))
+    victim = cache.needs_eviction()
+    way, line = cache.lookup(addrs[3])
+    assert victim is line and cache.rr[2] == way
+    result = cache.miss_complete(E, bytes(16))
+    assert result.evicted == addrs[3] and result.writeback is None
+    assert cache.lookup(addrs[4])[0] == way
+
+
 # -- result records -------------------------------------------------------------------
 
 def returned_records():

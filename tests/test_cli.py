@@ -199,6 +199,25 @@ def test_unparsable_culsim_seed_names_the_variable_and_exits_5(tmp_path, capsys,
     assert not report.exists()
 
 
+@pytest.mark.parametrize("env, flags, message", [
+    ("-1", (), "CULSIM_SEED: -1 does not fit in 64 bits"),
+    ("0x10000000000000000", (), "CULSIM_SEED: 18446744073709551616 does not fit in 64 bits"),
+    (None, ("--seed", "-1"), "--seed: -1 does not fit in 64 bits"),
+    ("7", ("--seed", "-1"), "--seed: -1 does not fit in 64 bits"),
+])
+def test_out_of_range_seed_names_its_source_and_exits_5(tmp_path, capsys, monkeypatch,
+                                                         env, flags, message):
+    if env is None:
+        monkeypatch.delenv("CULSIM_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CULSIM_SEED", env)
+    report = tmp_path / "r.json"
+    code = run_cli("run", "--ops", "10", *flags, "--report", str(report))
+    assert code == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"culsim: {message}\n"
+    assert not report.exists()
+
+
 def test_bad_config_exits_5(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("bogus_key = 1\n")

@@ -1,7 +1,9 @@
 """The per-cycle monitors check only the lines whose coherence view
 changed in the step. These tests hold that incremental check against a
 check of every resident and in-flight line: step by step on tiny drawn
-configurations, and end to end on every shipped mutation."""
+configurations, and end to end on every shipped mutation. The view
+itself is held step by step against a reference built from cache
+lookups, the copies in flight and the write-back FIFO."""
 from dataclasses import replace
 
 import pytest
@@ -12,7 +14,7 @@ from culsim.baseline import DirectorySimulation
 from culsim.cli import WorkloadSpec, gen_workload
 from culsim.sim import SimConfig, Simulation, build
 
-from test_cache_index import runs
+from test_cache_index import LINES, runs
 
 
 def problems(view):
@@ -49,6 +51,58 @@ def test_incremental_view_agrees_with_full_scan_every_step(run):
         DirectorySimulation(replace(cfg, coherent_ifetch=False), monitor=True),
     ):
         cross_checked(sim).run([list(s) for s in streams])
+
+
+def reference_view(sim):
+    """The coherence view built without `snapshot_invariants`: each
+    line's valid copies found by `lookup` in every data cache and every
+    coherent icache, then the copies in flight, against memory as
+    shadowed by the queued write-backs (the youngest per line)."""
+    in_flight = sim._in_flight_copies()
+    queued = {}
+    for addr, data in sim.mem_port.wb:
+        queued[addr] = data
+    view = {}
+    for addr in LINES:
+        copies = []
+        for core, cache in enumerate(sim.caches):
+            for icache in (False, True) if cache.coherent_ifetch else (False,):
+                hit = cache.lookup(addr, icache=icache)
+                if hit is not None:
+                    copies.append(verify.CopyView(core, hit[1].state, hit[1].data, icache))
+        copies += in_flight.get(addr, [])
+        view[addr] = (copies, queued[addr] if addr in queued else sim.mem.peek(addr))
+    return view
+
+
+def held_against_reference(sim):
+    """Before each step's monitors run, compare the full view and the
+    view of the marked lines with the reference view."""
+    run_monitors = sim._run_monitors
+
+    def monitors():
+        reference = reference_view(sim)
+        full = sim.snapshot_invariants()
+        assert list(full) == sorted(full)
+        assert full == {addr: v for addr, v in reference.items() if v[0]}, sim.cycle
+        touched = sorted(sim.touched)
+        assert sim.snapshot_invariants(touched) == {a: reference[a] for a in touched}, sim.cycle
+        run_monitors()
+
+    sim._run_monitors = monitors
+    return sim
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(runs())
+def test_view_agrees_with_a_reference_built_from_lookups_every_step(run):
+    cfg, streams = run
+    for sim in (  # the directory has no coherent icache
+        build(cfg, monitor=True),
+        build(cfg, serialize=True, monitor=True),
+        DirectorySimulation(replace(cfg, coherent_ifetch=False), monitor=True),
+    ):
+        held_against_reference(sim).run([list(s) for s in streams])
 
 
 class FullScanSimulation(Simulation):

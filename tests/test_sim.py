@@ -5,7 +5,8 @@ import pytest
 from culsim.baseline import DirectorySimulation
 from culsim.cache import ConfigError
 from culsim.cli import WorkloadSpec, gen_workload, main
-from culsim.protocol import CoreOp, LineState, OpKind
+from culsim.ccu import CcuTransaction
+from culsim.protocol import CoherentKind, CoreOp, LineState, OpKind
 from culsim.sim import (
     CoherenceViolation,
     DeadlockError,
@@ -283,6 +284,20 @@ def test_monitors_catch_each_shipped_mutation(monkeypatch, mutation):
     else:
         with pytest.raises(CoherenceViolation):
             sim.run(streams)
+
+
+@pytest.mark.parametrize("lines, trips", [((0x100, 0x100), True), ((0x100, 0x110), False)])
+def test_duplicate_line_monitor_trips_on_two_transactions_on_one_line(lines, trips):
+    sim = build(SimConfig(), monitor=True)
+    for txn_id, address in enumerate(lines):
+        sim.ccu.txns[txn_id] = CcuTransaction(txn_id, txn_id, CoherentKind.READ_SHARED, address)
+    if trips:
+        with pytest.raises(CoherenceViolation) as exc:
+            sim.step()
+        assert str(exc.value) == "cycle 0: two in-flight transactions share a line"
+    else:
+        sim.step()
+        assert sim.cycle == 1
 
 
 @pytest.mark.parametrize("seed", [1, 2])

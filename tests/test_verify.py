@@ -83,6 +83,26 @@ def test_value_clean_copy_must_match_memory():
     assert check_value(view((0, E, 5), mem=5)) == []
 
 
+def test_value_compares_bytes_and_bytearray_by_content():
+    same = [CopyView(0, S, b"\x05"), CopyView(1, S, bytearray(b"\x05"))]
+    assert check_value({X: (same, b"\x05")}) == []
+    other = [CopyView(0, S, b"\x05"), CopyView(1, S, bytearray(b"\x06"))]
+    assert check_value({X: (other, b"\x05")}) == ["line 0x100: valid copies disagree"]
+
+
+def test_value_an_int_never_equals_bytes():
+    copies = [CopyView(0, S, 5), CopyView(1, S, b"\x05")]
+    assert check_value({X: (copies, 5)}) == ["line 0x100: valid copies disagree"]
+    assert check_value(view((0, E, 5), mem=b"\x05")) == [
+        "line 0x100: clean copies differ from memory"]
+
+
+def test_value_clean_bytearray_copy_equal_to_bytes_memory_passes():
+    assert check_value(view((0, S, bytearray(b"\x05\x00")), mem=b"\x05\x00")) == []
+    assert check_value(view((0, S, bytearray(b"\x05\x00")), mem=b"\x05\x01")) == [
+        "line 0x100: clean copies differ from memory"]
+
+
 # Sort-first implementations the single-pass checks must reproduce exactly.
 
 def reference_check_swmr(view):
