@@ -15,6 +15,11 @@ fields mean the same thing in both reports; there is no coherent icache.
 Every memory write, the downgrade of a forwarded read included, queues
 in the write-back FIFO of the memory port.
 
+The directory is precise: every install, invalidation, downgrade and
+eviction reaches it in the cycle the cache changes. So it stores
+nothing of its own; its lookup reads the owner (the core holding the
+line Modified or Exclusive) and the sharers (Shared) off the L1s.
+
 Each transaction is one generator, `DirectorySimulation._journey`: the
 hop to the home node, the directory lookup, then the forward to the
 owner or the sharers' invalidations and a memory read, then the hop back
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .cache import ConfigError
 from .ccu import Decoder, ProtocolFault
@@ -47,15 +52,6 @@ from .sim import Kernel, SimConfig
 
 
 @dataclass
-class DirectoryEntry:
-    """Directory state for one line: owned by `owner`, else shared by
-    `sharers`, else uncached (no owner and no sharers)."""
-
-    owner: Optional[int] = None
-    sharers: Set[int] = field(default_factory=set)
-
-
-@dataclass
 class _DirTxn:
     id: int
     core: int
@@ -70,19 +66,12 @@ class DirectorySimulation(Kernel):
         super().__init__(config, monitor)
         self.mem_port = MemoryPort(config.fifo_depths.writeback)
         self.mem_port.touched = self.touched
-        self.directory: Dict[int, DirectoryEntry] = {}
         self.decoder = Decoder(config.n_cores, config.fifo_depths.collision_capacity)
         self.txns: List[_DirTxn] = []  # in accept order
         self.next_id = 0
         # (due, txn id, txn) of each journey waiting out a delay
         self.wake: List[Tuple[int, int, _DirTxn]] = []
         self._timed = (self.mem_port.read_queue, self.mem.inflight, self.wake)
-
-    def _entry(self, addr: int) -> DirectoryEntry:
-        entry = self.directory.get(addr)
-        if entry is None:  # setdefault would build an entry on every call
-            entry = self.directory[addr] = DirectoryEntry()
-        return entry
 
     # -- cycle ---------------------------------------------------------------
 
@@ -146,16 +135,16 @@ class DirectorySimulation(Kernel):
         hop = self.config.latencies.snoop_hop
         yield hop  # requester -> home
         yield self.config.latencies.ccu_stage  # directory lookup
-        entry = self._entry(txn.addr)
+        owner, sharers = self._holders(txn.addr)
         cache = self.caches[txn.core]
         ms = cache.miss
+        held = txn.core in sharers  # a missing core holds the line at most Shared
         # an upgrade whose copy was invalidated in the meantime needs data
-        ms.kind = cache.tables.retry[ms.kind, False, cache.lookup(txn.addr) is None] or ms.kind
-        upgrade = ms.kind is CLEAN_UNIQUE and txn.core in entry.sharers
-        owner = entry.owner
+        ms.kind = cache.tables.retry[ms.kind, False, not held] or ms.kind
+        upgrade = ms.kind is CLEAN_UNIQUE and held
         if txn.op is STORE:
             state = MODIFIED
-        elif owner is None and not entry.sharers:
+        elif owner is None and not sharers:
             state = EXCLUSIVE
         else:
             state = SHARED
@@ -164,7 +153,9 @@ class DirectorySimulation(Kernel):
             while not self._apply_probe(txn, owner):
                 yield 1
         elif txn.op is STORE:
-            for sharer in sorted(entry.sharers - {txn.core}):
+            for sharer in sharers:
+                if sharer == txn.core:
+                    continue
                 yield hop  # home -> sharer
                 self._apply_invalidate(txn, sharer)
                 yield hop  # its acknowledgement -> home
@@ -174,28 +165,39 @@ class DirectorySimulation(Kernel):
         while not self._apply_install(txn, state):
             yield 1
 
+    def _holders(self, addr: int) -> Tuple[Optional[int], List[int]]:
+        """The directory lookup, read off the L1s: the owner (the core
+        holding the line Modified or Exclusive) and the sharers (Shared),
+        in core order."""
+        owner, sharers = None, []
+        for core, cache in enumerate(self.caches):
+            hit = cache.lookup(addr)
+            if hit is not None:
+                if hit[1].state is SHARED:
+                    sharers.append(core)
+                else:  # Modified or Exclusive: MESI has no other valid state
+                    owner = core
+        return owner, sharers
+
     def _apply_invalidate(self, txn: _DirTxn, target: int) -> None:
         hit = self.caches[target].lookup(txn.addr)
         if hit is not None:
             if self.touched is not None:
                 self.touched.add(txn.addr)
             hit[1].state = INVALID
-        self._entry(txn.addr).sharers.discard(target)
 
     def _apply_probe(self, txn: _DirTxn, owner: int) -> bool:
-        """Forward the request to the recorded owner, which supplies the
-        line cache to cache: a read downgrades the owner to Shared (its
+        """Forward the request to the owner found at lookup, which supplies
+        the line cache to cache: a read downgrades the owner to Shared (its
         dirty data queues for memory; False while the write-back FIFO is
-        full), a write invalidates it. A stale entry (the owner evicted
-        the line meanwhile) leaves `txn.data` empty, for memory to fill."""
+        full), a write invalidates it. A stale owner (it evicted the line
+        since the lookup) leaves `txn.data` empty, for memory to fill."""
         hit = self.caches[owner].lookup(txn.addr)
         if hit is None:
             return True
         line = hit[1]
-        entry = self._entry(txn.addr)
         if txn.op is STORE:
             line.state = INVALID
-            entry.sharers.clear()
         else:
             if line.state is MODIFIED:
                 # MESI has no dirty-shared state: the downgrade writes back
@@ -203,8 +205,6 @@ class DirectorySimulation(Kernel):
                     return False
                 self.stats.cores[owner].writebacks += 1
             line.state = SHARED
-            entry.sharers.add(owner)
-        entry.owner = None
         if self.touched is not None:
             self.touched.add(txn.addr)
         txn.data = line.data
@@ -215,7 +215,6 @@ class DirectorySimulation(Kernel):
     def _apply_install(self, txn: _DirTxn, state: LineState) -> bool:
         core = txn.core
         cache = self.caches[core]
-        entry = self._entry(txn.addr)
         if not self._victim_fits(cache):
             return False
         result = cache.miss_complete(state, txn.data)
@@ -223,26 +222,9 @@ class DirectorySimulation(Kernel):
             if not self.mem_port.push_wb(*result.writeback):
                 raise ProtocolFault("write-back refused after feasibility check")
             self.stats.cores[core].writebacks += 1
-        if result.evicted is not None:
-            self._drop_from_directory(result.evicted, core)
-        if state is not SHARED:  # a Modified or Exclusive copy owns the line
-            entry.owner = core
-            entry.sharers.clear()
-        else:
-            entry.owner = None
-            entry.sharers.add(core)
         self.decoder.release(txn.addr)
         self._retire_miss(core, self.cycle)
         return True
-
-    def _drop_from_directory(self, addr: int, core: int) -> None:
-        """Eviction notice: the directory stops tracking this core."""
-        entry = self.directory.get(addr)
-        if entry is None:
-            return
-        if entry.owner == core:
-            entry.owner = None
-        entry.sharers.discard(core)
 
     def check_streams(self, streams: List[List[CoreOp]]) -> None:
         """Also refuse an IF op while coherent ifetch is on: the directory

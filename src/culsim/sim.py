@@ -282,8 +282,9 @@ class Kernel:
             for cache in self.caches
         )
 
-    def _in_flight_copies(self) -> Dict[int, List[verify.CopyView]]:
-        """Copies of lines held outside the caches, by line address."""
+    def _in_flight_copies(self, lines=None) -> Dict[int, List[verify.CopyView]]:
+        """Copies of lines held outside the caches, by line address; only
+        those of `lines` are needed, unless it is None."""
         return {}
 
     # -- per cycle -------------------------------------------------------------
@@ -433,8 +434,10 @@ class Kernel:
 
         Each line costs one dict read per cache in the view: the copies
         are read straight from each core's line index (`_line_indexes`),
-        and the write-back FIFO is copied only while it holds entries."""
-        in_flight = self._in_flight_copies()
+        and the write-back FIFO is copied only while it holds entries.
+        Every address here is a line address the caches or the
+        transactions hold, so memory is read without `peek`'s checks."""
+        in_flight = self._in_flight_copies(lines)
         if lines is None:
             lines = set(in_flight)
             for cache in self.caches:
@@ -444,7 +447,7 @@ class Kernel:
             lines = sorted(lines)
         wb = self.mem_port.wb
         pending_wb = dict(wb) if wb else {}  # youngest same-line entry wins
-        peek = self.mem.peek
+        contents, zero = self.mem.contents, bytes(self.mem.line_size)
         copy_view = verify.CopyView
         view: Dict[int, Tuple[list, bytes]] = {}
         for addr in lines:
@@ -463,7 +466,7 @@ class Kernel:
                             copies.append(copy_view(core, line.state, line.data, True))
             if addr in in_flight:
                 copies += in_flight[addr]
-            view[addr] = (copies, pending_wb[addr] if addr in pending_wb else peek(addr))
+            view[addr] = (copies, pending_wb[addr] if addr in pending_wb else contents.get(addr, zero))
         return view
 
     def _dump_state(self) -> str:
@@ -746,7 +749,7 @@ class Simulation(Kernel):
                 )
         super()._run_monitors()
 
-    def _in_flight_copies(self) -> Dict[int, List[verify.CopyView]]:
+    def _in_flight_copies(self, lines=None) -> Dict[int, List[verify.CopyView]]:
         # Dirty data in flight answers for its line like an Owned copy:
         # CD data queued with pass_dirty (the k-th CR from a core belongs
         # to the k-th transaction on that core's order FIFO), and a
@@ -755,7 +758,10 @@ class Simulation(Kernel):
         # already snooped looks clean-everywhere but newer than memory.
         ccu = self.ccu
         copies: Dict[int, List[verify.CopyView]] = {}
-        if not ccu.txns:  # every CR and buffered line belongs to a transaction
+        # every CR and buffered line belongs to a transaction, whose line
+        # the Decoder holds in flight until the transaction finishes
+        in_flight = ccu.decoder.in_flight
+        if not in_flight or lines is not None and in_flight.isdisjoint(lines):
             return copies
         crs_seen = [0] * self.config.n_cores
         for _due, core, resp, data in ccu.cr_inbox:

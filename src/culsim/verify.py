@@ -198,9 +198,9 @@ class ExploreResult:
 #   per core c, at machine.core_at[c]:
 #     pc, then the miss record: kind code (0: no miss), flag bits, line,
 #     bitmask of the snoop targets still to probe (bit j is entry j of the
-#     fan-out), buffered CD value and 1 + the core it came from (both 0
-#     until a responder transfers); then a register slot per read op, op
-#     pc filling slot machine.n_read[c][pc] (unfilled slots hold 0)
+#     fan-out), buffered CD value (0 until a responder transfers: a valid
+#     copy's value code is at least 1); then a register slot per read op,
+#     op pc filling slot machine.n_read[c][pc] (unfilled slots hold 0)
 #   per line l, at machine.line_at[l]:
 #     memory value, ghost value (last write in coherence order), then per
 #     core: dcache state and value, icache state and value (absent lines
@@ -223,8 +223,8 @@ _LOAD, _STORE, _IFETCH = range(3)
 _OP_OF_VERB = {"R": _LOAD, "W": _STORE, "IF": _IFETCH}
 
 # per-core slots; the register slots follow
-_PC, _MK, _MF, _ML, _MM, _MD, _MFROM = range(7)
-_CORE_SLOTS = 7
+_PC, _MK, _MF, _ML, _MM, _MD = range(6)
+_CORE_SLOTS = 6
 # miss flag bits
 _ACCEPTED, _READ_SEEN, _INVALIDATED, _ANY_SHARED, _ANY_DIRTY = 1, 2, 4, 8, 16
 # per-line slots; each core's four cache slots follow at 2 + 4 * core
@@ -625,8 +625,8 @@ class _Machine:
             if invalidated_valid:
                 new[tat + _MF] |= _INVALIDATED
 
-        if data_transfer and not new[at + _MFROM] and not new[at + _MD]:
-            new[at + _MD], new[at + _MFROM] = data_val, target + 1
+        if data_transfer and not new[at + _MD]:
+            new[at + _MD] = data_val
         if pass_dirty and not data_transfer:
             # data-less handoff: the initiator's own copy takes Owned now
             pos = self.dpos[core][line]
@@ -660,7 +660,7 @@ class _Machine:
                 else:
                     new[dpos] = self.take_owned[state[dpos]]
             kind = new[at + _MK] = again
-            new[at + _MF] = new[at + _MM] = new[at + _MD] = new[at + _MFROM] = 0
+            new[at + _MF] = new[at + _MM] = new[at + _MD] = 0
             new[self.coll_at] &= ~(1 << line)
             return (_RETRY, core, kind, line), bytes(new), None
 
@@ -673,7 +673,7 @@ class _Machine:
             else:
                 base = self.vals.index(0)
                 note = f"line {addr:#x}: CleanUnique completed without a local copy"
-        elif state[at + _MFROM]:
+        elif state[at + _MD]:
             base = state[at + _MD]
         else:
             if read_waits(line, zip(wb[::2], wb[1::2])):

@@ -162,8 +162,9 @@ def test_ifetch_fills_the_non_coherent_icache_from_memory():
     assert stats.cores[0].ifetches == 1
     assert stats.cores[0].misses == 1
     assert sim.caches[0].lookup(0x100, icache=True)[1].state is LineState.SHARED
-    assert sim.caches[0].lookup(0x100) is None
-    assert 0x100 not in sim.directory
+    # the fill stays outside the coherence domain: no L1 holds a data copy
+    # for the directory to read as owner or sharer
+    assert sim._holders(0x100) == (None, [])
     assert stats.mem_reads == 1
 
 
@@ -183,9 +184,30 @@ def test_dirty_eviction_updates_directory_and_memory():
     sim = DirectorySimulation(cfg, monitor=True)
     stats = sim.run([ops, []])
     assert stats.cores[0].writebacks >= 1
-    entry = sim.directory[0x100]
-    # after the re-load the core owns or shares the line again
-    assert entry.owner == 0 or 0 in entry.sharers
+    # the eviction reached the directory: the re-load found no holder and
+    # memory's copy, and the core owns the line again
+    assert sim.caches[0].lookup(0x100)[1].state is LineState.EXCLUSIVE
+    assert sim.caches[0].lookup(0x100 + stride) is None
+    assert sim._holders(0x100) == (0, [])
+    assert sim.mem.peek(0x100)[:4] == sim.caches[0].lookup(0x100)[1].data[:4]
+
+
+def test_directory_lookup_reads_owner_and_sharers_off_the_l1s():
+    sim = DirectorySimulation(SimConfig(), monitor=True)
+    sim.run([stores(0x100, [1]) + loads(0x120), loads(0x110) + loads(0x120)])
+    states = {(core, addr): sim.caches[core].lookup(addr)[1].state
+              for core, addr in ((0, 0x100), (1, 0x110), (0, 0x120), (1, 0x120))}
+    assert states == {(0, 0x100): LineState.MODIFIED, (1, 0x110): LineState.EXCLUSIVE,
+                      (0, 0x120): LineState.SHARED, (1, 0x120): LineState.SHARED}
+    assert sim._holders(0x100) == (0, [])  # Modified owns
+    assert sim._holders(0x110) == (1, [])  # Exclusive owns
+    assert sim._holders(0x120) == (None, [0, 1])  # Shared shares
+    assert sim._holders(0x130) == (None, [])
+    # an invalidation leaves the way's index entry in place until a fill
+    # reuses the way; the way holds nothing
+    sim.caches[1].lookup(0x120)[1].state = LineState.INVALID
+    assert sim.caches[1].index[0x120][1].state is LineState.INVALID
+    assert sim._holders(0x120) == (None, [0])
 
 
 def test_stale_owner_falls_back_to_memory():

@@ -10,9 +10,10 @@ default, reduced search must match the `reduced_states` and
 full search's outcomes, violation kinds and details, coverage pairs and
 `exhausted` flag. After a change to the reduction, rewrite the
 `reduced_*` columns with `PYTHONPATH=src python
-tests/test_explore_golden.py --regen`; it stops, naming the cases, if
-any full-search column would change. After an intended change to the
-explored model, pass `--regen-full` instead.
+tests/test_explore_golden.py --regen`; it prints every column that
+moves as old -> new, and stops, naming the cases, if any full-search
+column would change. After an intended change to the explored model,
+pass `--regen-full` instead.
 """
 import hashlib
 import json
@@ -145,31 +146,39 @@ def _random_case(seed):
     return programs, cfg, init_mem
 
 
-def cases():
-    out = {"oracle/clean": lambda: oracle_tables()}
-    for m in SHIPPED_MUTATIONS:
-        out[f"oracle/{m}"] = lambda m=m: oracle_tables(mutations=frozenset({m}))
+def explore_inputs():
+    """(programs, config, init_mem) of every case that runs `explore`."""
+    out = {}
     for test in COHERENCE_LITMUS:
         for n in (2, 3, 4):
             for ifetch in (False, True):
                 programs = [test.programs.get(c, ()) for c in range(n)]
                 cfg = ExploreConfig(n_cores=n, coherent_ifetch=ifetch)
-                out[f"litmus/{test.name}/{n}/{int(ifetch)}"] = (
-                    lambda p=programs, c=cfg, t=test: explore(p, c, init_mem=t.init or None)
-                )
+                out[f"litmus/{test.name}/{n}/{int(ifetch)}"] = (programs, cfg, test.init or None)
     for i, shape in enumerate(RACING_SHAPES):
-        out[f"racing/{i}"] = lambda s=shape: explore(s, ExploreConfig(n_cores=3))
+        out[f"racing/{i}"] = (shape, ExploreConfig(n_cores=3), None)
     for i, shape in enumerate(TWIN_SHAPES):
         for m in ("clean",) + SHIPPED_MUTATIONS:
             cfg = ExploreConfig(mutations=frozenset(() if m == "clean" else (m,)))
-            out[f"twin/{i}/{m}"] = lambda s=shape, c=cfg: explore(s, c)
+            out[f"twin/{i}/{m}"] = (shape, cfg, None)
     # a budget cut keeps the first states in breadth-first order and their
-    # coverage; at 5,000 of 13,844 states it reaches no final state. The
+    # coverage; at 5,000 of 13,124 states it reaches no final state. The
     # two searches cut different graphs, so only its columns are pinned
-    out["racing/0/budget"] = lambda: explore(
-        RACING_SHAPES[0], ExploreConfig(n_cores=3, state_budget=5000))
+    out["racing/0/budget"] = (RACING_SHAPES[0], ExploreConfig(n_cores=3, state_budget=5000), None)
     for seed in range(N_RANDOM):
-        out[f"random/{seed}"] = lambda seed=seed: explore(*_random_case(seed))
+        out[f"random/{seed}"] = _random_case(seed)
+    return out
+
+
+EXPLORE_INPUTS = explore_inputs()
+
+
+def cases():
+    out = {"oracle/clean": lambda: oracle_tables()}
+    for m in SHIPPED_MUTATIONS:
+        out[f"oracle/{m}"] = lambda m=m: oracle_tables(mutations=frozenset({m}))
+    for case, args in EXPLORE_INPUTS.items():
+        out[case] = lambda args=args: explore(*args)
     return out
 
 
@@ -193,6 +202,60 @@ def test_explorer_matches_golden(case, golden):
         assert verdict(reduced) == verdict(full)
 
 
+def sc_outcomes(programs, init_mem=None) -> set:
+    """Every outcome of running the programs' ops atomically, one at a
+    time, in every interleaving, on one flat memory: the sequentially
+    consistent outcomes, in the shape of `ExploreResult.outcomes`."""
+    addrs = sorted({op[1] for prog in programs for op in prog} | set(init_mem or ()))
+    start = (tuple(0 for _ in programs),
+             tuple((init_mem or {}).get(a, 0) for a in addrs),
+             tuple(() for _ in programs))
+    seen, todo, outcomes = {start}, [start], set()
+    while todo:
+        pcs, mem, regs = todo.pop()
+        if all(pc == len(prog) for pc, prog in zip(pcs, programs)):
+            outcomes.add((regs, tuple(zip(addrs, mem))))
+        for core, (pc, prog) in enumerate(zip(pcs, programs)):
+            if pc == len(prog):
+                continue
+            op, line = prog[pc], addrs.index(prog[pc][1])
+            new_mem, new_regs = list(mem), list(regs)
+            if op[0] == "W":
+                new_mem[line] = op[2]
+            else:  # a load or an instruction fetch reads the line
+                new_regs[core] += (mem[line],)
+            nxt = (pcs[:core] + (pc + 1,) + pcs[core + 1:], tuple(new_mem), tuple(new_regs))
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return outcomes
+
+
+# the cases on clean tables that no budget cuts and whose IF ops, if any,
+# fetch coherently: a non-coherent icache may read stale data by design
+SC_CASES = sorted(
+    case for case, (programs, cfg, _init) in EXPLORE_INPUTS.items()
+    if not cfg.mutations and cfg.state_budget == ExploreConfig.state_budget
+    and (cfg.coherent_ifetch or all(op[0] != "IF" for prog in programs for op in prog)))
+
+
+def test_sc_reference_cases_span_the_golden_kinds():
+    kinds = {case.split("/")[0] for case in SC_CASES}
+    assert kinds == {"litmus", "racing", "twin", "random"}
+
+
+@pytest.mark.parametrize("case", SC_CASES)
+def test_explorer_outcomes_are_sequentially_consistent(case):
+    """Each core has at most one op pending, so the cluster must be
+    sequentially consistent: the explorer reaches exactly the outcomes of
+    the atomic interleavings (Lamport, IEEE TC 1979). Equality, not
+    inclusion, also shows that the reductions lose no outcome."""
+    programs, cfg, init_mem = EXPLORE_INPUTS[case]
+    result = explore(programs, cfg, init_mem)
+    assert result.exhausted
+    assert result.outcomes == sc_outcomes(programs, init_mem)
+
+
 def _full_columns(row: dict) -> dict:
     return {k: v for k, v in row.items() if not k.startswith("reduced_")}
 
@@ -202,6 +265,11 @@ def regen(full: bool) -> None:
     full-search column of any case would change or a case is new."""
     old = json.loads(DATA.read_text()) if DATA.exists() else {}
     rows = {case: run_case(run)[2] for case, run in sorted(CASES.items())}
+    for case, row in rows.items():
+        before = old.get(case, {})
+        for col in sorted(set(row) | set(before)):
+            if row.get(col) != before.get(col):
+                print(f"{case}: {col}: {before.get(col)} -> {row.get(col)}")
     changed = [case for case, row in rows.items()
                if _full_columns(row) != _full_columns(old.get(case, {}))]
     if changed and not full:

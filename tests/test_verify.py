@@ -375,8 +375,8 @@ def test_machine_states_are_bytes():
 
 def test_explore_memory_stays_small():
     # the racing program's seen set of 1-byte-per-field states, its
-    # breadth-first order and parent indices peak near 1.19 MB for its
-    # 6,110 reduced states (1.93 MB for the 13,844 of the full search; a
+    # breadth-first order and parent indices peak near 1.17 MB for its
+    # 5,632 reduced states (1.81 MB for the 13,124 of the full search; a
     # tuple per state took 6.7 MB for 10,661 states); 2 MB leaves room for
     # allocator and interpreter differences and still fails on a return to
     # tuple states
