@@ -139,8 +139,8 @@ class DirectorySimulation(Kernel):
         cache = self.caches[txn.core]
         ms = cache.miss
         held = txn.core in sharers  # a missing core holds the line at most Shared
-        # an upgrade whose copy was invalidated in the meantime needs data
-        ms.kind = cache.tables.retry[ms.kind, False, not held] or ms.kind
+        if not held:  # an upgrade whose copy was invalidated in the meantime needs data
+            ms.kind = cache.tables.reissue[ms.kind]
         upgrade = ms.kind is CLEAN_UNIQUE and held
         if txn.op is STORE:
             state = MODIFIED

@@ -3,9 +3,9 @@ coherent instruction cache.
 
 The data cache SRAM has a single read/write port; the snoop model's
 cache controllers serve one requester on it a cycle (sim.Simulation).
-The snoop controller feeds the snoop-read and snoop-invalidation side
-signals into the in-flight miss so completions that raced with a snoop
-are retried rather than installed with stale uniqueness.
+The snoop controller raises a side signal in a pending miss whose local
+copy a snoop invalidates, so the snoop model can re-encode the request
+before it enters the coherency unit (`protocol.reissue_kind`).
 
 The instruction cache has its own port and only ever holds lines in
 Shared or Invalid.
@@ -24,13 +24,11 @@ from .protocol import (
     IFETCH,
     INVALID,
     LineState,
-    READ_KINDS,
     READ_NO_SNOOP,
     READ_ONCE,
     STORE,
     SnoopRequest,
     SnoopResponse,
-    UNIQUE_KINDS,
 )
 
 WORD_BYTES = 4
@@ -76,15 +74,13 @@ class CacheLine:
 class MissStatus:
     """The single outstanding miss of one core.
 
-    snoop_read_seen rises when a read-class snoop touches the line while
-    unique access is being sought; invalidated_by_snoop when a snoop
-    invalidates the local copy under the in-flight request.
+    invalidated_by_snoop rises when a snoop invalidates the local copy
+    under the pending request.
     """
 
     address: int
     kind: CoherentKind
     for_icache: bool = False
-    snoop_read_seen: bool = False
     invalidated_by_snoop: bool = False
     # the data-cache way `needs_eviction` chose for the fill; the timed
     # models call it in the step of the install, just before miss_complete
@@ -108,17 +104,20 @@ class Install:
     evicted: Optional[int] = None  # line address of any victim, clean or dirty
 
 
-@dataclass(frozen=True)
-class Retry:
-    kind: CoherentKind
-
-
 # The result records are frozen, so each one whose fields are fixed is a
 # single shared instance rather than a fresh build per event.
 _STORE_SERVED = Served()
 _NEEDS_MISS = {kind: NeedsMiss(kind) for kind in CoherentKind}
-_RETRY = {kind: Retry(kind) for kind in CoherentKind}
 _INSTALL = {state: Install(state) for state in LineState}
+
+
+def _fill_way(ways: List[CacheLine], rr_way: int) -> int:
+    """The way a fill of a set takes: its first free way, else the
+    round-robin victim `rr_way`."""
+    for way, line in enumerate(ways):
+        if line.state is INVALID:
+            return way
+    return rr_way
 
 
 class CacheModel:
@@ -234,8 +233,8 @@ class CacheModel:
 
         Both structures may be probed (the snoop controller merges them
         into a single CR): pass_dirty can only come from the data cache,
-        is_shared/data from either. Raises the side signals into the
-        pending miss when the addresses match.
+        is_shared/data from either. Raises the invalidation side signal
+        into the pending miss when the addresses match.
         """
         resp = _NO_RESPONSE
         data: Optional[bytes] = None
@@ -270,11 +269,8 @@ class CacheModel:
             )
 
         ms = self.miss
-        if ms is not None and ms.address == req.address:
-            if req.kind in READ_KINDS and ms.kind in UNIQUE_KINDS:
-                ms.snoop_read_seen = True
-            if invalidated:
-                ms.invalidated_by_snoop = True
+        if invalidated and ms is not None and ms.address == req.address:
+            ms.invalidated_by_snoop = True
         return resp, data
 
     # -- miss completion ----------------------------------------------------
@@ -292,25 +288,15 @@ class CacheModel:
             return None
         set_idx, _ = self._index_tag(ms.address)
         ways = self.sets[set_idx]
-        for way, line in enumerate(ways):
-            if line.state is INVALID:
-                ms.way = way
-                return None
-        ms.way = way = self.rr[set_idx]
-        return ways[way]
+        ms.way = way = _fill_way(ways, self.rr[set_idx])
+        victim = ways[way]
+        return None if victim.state is INVALID else victim
 
-    def miss_complete(self, resp_state: LineState, data: Optional[bytes]) -> Union[Install, Retry]:
-        """Resolve the outstanding miss with the transaction's result, or
-        retry it as the kind its retry row gives."""
+    def miss_complete(self, resp_state: LineState, data: Optional[bytes]) -> Install:
+        """Resolve the outstanding miss with the transaction's result."""
         ms = self.miss
         if ms is None:
             raise RuntimeError(f"core {self.core_id}: miss_complete with no outstanding miss")
-        again = self.tables.retry[ms.kind, ms.snoop_read_seen, ms.invalidated_by_snoop]
-        if again is not None:
-            ms.kind = again
-            ms.snoop_read_seen = ms.invalidated_by_snoop = False
-            return _RETRY[again]
-
         writeback = evicted = None
         if ms.kind is CLEAN_UNIQUE:
             hit = self.lookup(ms.address)
@@ -331,19 +317,15 @@ class CacheModel:
         self, address: int, state: LineState, data: Optional[bytes], icache: bool,
         way: Optional[int] = None,
     ) -> Tuple[Optional[Tuple[int, bytes]], Optional[int]]:
-        """Fill `address` into `way` (by default the first free way of its
-        set, else the round-robin victim), evicting the way's valid line."""
+        """Fill `address` into `way` (by default the one `_fill_way`
+        picks), evicting the way's valid line."""
         set_idx, tag = self._index_tag(address)
         ways = (self.isets if icache else self.sets)[set_idx]
         rr = self.irr if icache else self.rr
         index = self.iindex if icache else self.index
         writeback = evicted = None
         if way is None:
-            for way, line in enumerate(ways):
-                if line.state is INVALID:
-                    break
-            else:
-                way = rr[set_idx]
+            way = _fill_way(ways, rr[set_idx])
         victim = ways[way]
         if victim.state is not INVALID:
             evicted = self._addr_of(set_idx, victim.tag)

@@ -329,7 +329,7 @@ class Ccu:
 
     def finish(self, txn_id: int) -> None:
         """Retire a transaction: the initiator consumed the R burst and
-        applied (or retried) the miss; its line leaves the Decoder."""
+        applied the miss; its line leaves the Decoder."""
         txn = self.txns.pop(txn_id)
         if self.touched is not None:
             self.touched.add(txn.address)

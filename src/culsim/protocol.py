@@ -99,13 +99,8 @@ SNOOPING_KINDS = frozenset(
     }
 )
 
-# Transactions whose completion claims unique access; their in-flight state
-# must be re-checked against concurrent snoop reads / invalidations.
+# Transactions whose completion claims unique access.
 UNIQUE_KINDS = frozenset({CoherentKind.READ_UNIQUE, CoherentKind.CLEAN_UNIQUE})
-
-# Snoops that read without invalidating: one reaching a miss of a
-# UNIQUE_KINDS transaction means another cache now holds a copy.
-READ_KINDS = frozenset({CoherentKind.READ_SHARED, CoherentKind.READ_ONCE})
 
 # Transactions whose completion carries a data line back to the initiator.
 DATA_KINDS = frozenset(
@@ -280,16 +275,16 @@ def completion_state(
     raise ValueError(f"{kind.value} has no coherent completion")
 
 
-def must_retry(kind: CoherentKind, snoop_read_seen: bool, lost_copy: bool) -> bool:
-    """A unique-access miss that saw a snoop read or lost its copy to a
-    snoop invalidation must not install with stale uniqueness: it retries."""
-    return kind in UNIQUE_KINDS and bool(snoop_read_seen or lost_copy)
+def reissue_kind(kind: CoherentKind) -> CoherentKind:
+    """Kind a miss whose copy a snoop took is issued as: a CleanUnique
+    needs the data now, so it becomes ReadUnique.
 
-
-def reissue_kind(kind: CoherentKind, lost_copy: bool) -> CoherentKind:
-    """Kind a miss is (re)issued as: a CleanUnique whose copy was
-    invalidated needs the data now, so it becomes ReadUnique."""
-    if kind is CoherentKind.CLEAN_UNIQUE and lost_copy:
+    This is the only racing-miss rule. The Decoder admits one transaction
+    per line (`ccu.admits`), so a foreign snoop reaches a miss only while
+    it waits before the Decoder, where it can still be re-encoded; once
+    it has entered, its own snoop fan-out makes its line unique again, and
+    it always completes."""
+    if kind is CoherentKind.CLEAN_UNIQUE:
         return CoherentKind.READ_UNIQUE
     return kind
 
@@ -309,14 +304,14 @@ class Tables:
         initiator[state, op]                        -> Hit | Issue
         snoopee[state, snooping kind]               -> (next state, SnoopResponse)
         completion[kind, shared, pass_dirty, store] -> install state
-        retry[kind, read_seen, lost_copy]           -> kind to reissue as, None to install
+        reissue[kind]                               -> kind a miss whose copy a snoop took is issued as
         take_owned[state]                           -> state after a data-less dirty handoff
     """
 
     initiator: Mapping
     snoopee: Mapping
     completion: Mapping
-    retry: Mapping
+    reissue: Mapping
     take_owned: Mapping
 
     def __post_init__(self):
@@ -344,8 +339,7 @@ TABLES = Tables(
     snoopee={(s, k): snoopee_transition(s, k) for s in LineState for k in _SNOOPING},
     completion={(k, sh, pd, st): completion_state(k, sh, pd, st)
                 for k in _SNOOPING for sh in _BITS for pd in _BITS for st in _BITS},
-    retry={(k, seen, lost): reissue_kind(k, lost) if must_retry(k, seen, lost) else None
-           for k in CoherentKind for seen in _BITS for lost in _BITS},
+    reissue={k: reissue_kind(k) for k in CoherentKind},
     take_owned={s: take_ownership(s) for s in LineState},
 )
 
@@ -375,5 +369,5 @@ MUTATIONS = {
         ("completion", (CoherentKind.READ_SHARED, 1, pd, st),
          completion_state(CoherentKind.READ_SHARED, 0, pd, st))
         for pd in _BITS for st in _BITS),
-    "retry:disabled": tuple(("retry", key, None) for key in TABLES.retry),
+    "reissue:disabled": tuple(("reissue", k, k) for k in TABLES.reissue),
 }

@@ -39,7 +39,6 @@ from .cache import (
     CacheModel,
     ConfigError,
     LostCopy,
-    Retry,
     Served,
     word_at,
 )
@@ -162,6 +161,8 @@ class CoreStats:
     misses: int = 0
     snoop_served_misses: int = 0
     writebacks: int = 0
+    # always 0 since a miss that has entered the Decoder always completes;
+    # kept so that reports keep their fields
     retries: int = 0
     stall_cycles: int = 0
 
@@ -643,7 +644,7 @@ class Simulation(Kernel):
         # pending). A pending ifetch leaves the port idle and runs below.
         txn = self.ccu.take_r(core, now)
         op = port.current
-        if txn is not None and self._install_feasible(cache, txn):
+        if txn is not None and self._victim_fits(cache):
             self._apply_completion(core, txn, now)
         elif port.nc_fill is not None:
             self._apply_nc_fill(core, now)
@@ -660,18 +661,6 @@ class Simulation(Kernel):
         op = port.current
         if op is not None and cache.miss is None and op.kind is IFETCH:
             self._execute_op(core, op, now)
-
-    def _install_feasible(self, cache: CacheModel, txn) -> bool:
-        ms = cache.miss
-        if ms is None:
-            return True
-        if cache.tables.retry[ms.kind, ms.snoop_read_seen, ms.invalidated_by_snoop]:
-            # a retry discards the attempt, but dirty data it collected
-            # must first fit into the write-back FIFO
-            if txn.any_pass_dirty and txn.data is not None:
-                return not self.mem_port.wb_full()
-            return True
-        return self._victim_fits(cache)
 
     def _execute_op(self, core: int, op: CoreOp, now: int) -> None:
         result = self._access(core, op, now)
@@ -691,11 +680,12 @@ class Simulation(Kernel):
             initiator = self.ccu.txns[txn_id].initiator
             self.caches[initiator].take_dirty_responsibility(req.address)
         # a pending miss that just lost its copy is re-encoded while it
-        # still sits before the decoder
+        # still sits before the decoder; the collision rule lets no
+        # foreign snoop reach it after it has entered
         ms = cache.miss
         if ms is not None and ms.invalidated_by_snoop:
-            kind = cache.tables.retry[ms.kind, ms.snoop_read_seen, True]
-            if kind and kind is not ms.kind and self.ccu.decoder.reencode(core, kind):
+            kind = cache.tables.reissue[ms.kind]
+            if kind is not ms.kind and self.ccu.decoder.reencode(core, kind):
                 ms.kind = kind
                 ms.invalidated_by_snoop = False
 
@@ -709,20 +699,6 @@ class Simulation(Kernel):
         ]
         result = cache.miss_complete(resp_state, txn.data)
         self.ccu.finish(txn.id)
-        if isinstance(result, Retry):
-            stats.retries += 1
-            if txn.any_pass_dirty:
-                # dirty responsibility collected by the discarded attempt
-                # survives it: data drains to memory, a data-less handoff
-                # re-dirties the initiator's own copy
-                if txn.data is not None:
-                    if not self.mem_port.push_wb(txn.address, txn.data):
-                        raise ProtocolFault("write-back refused after feasibility check")
-                else:
-                    cache.take_dirty_responsibility(txn.address)
-            self.ccu.submit(core, result.kind, cache.miss.address, now,
-                            from_icache=cache.miss.for_icache)
-            return
         if result.writeback is not None:
             if not self.mem_port.push_wb(*result.writeback):
                 raise ProtocolFault("write-back refused after feasibility check")

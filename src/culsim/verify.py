@@ -52,9 +52,7 @@ from .protocol import (
     MUTATIONS,
     OpKind,
     OWNED,
-    READ_KINDS,
     TABLES,
-    UNIQUE_KINDS,
 )
 
 
@@ -226,15 +224,15 @@ _OP_OF_VERB = {"R": _LOAD, "W": _STORE, "IF": _IFETCH}
 _PC, _MK, _MF, _ML, _MM, _MD = range(6)
 _CORE_SLOTS = 6
 # miss flag bits
-_ACCEPTED, _READ_SEEN, _INVALIDATED, _ANY_SHARED, _ANY_DIRTY = 1, 2, 4, 8, 16
+_ACCEPTED, _INVALIDATED, _ANY_SHARED, _ANY_DIRTY = 1, 2, 4, 8
 # per-line slots; each core's four cache slots follow at 2 + 4 * core
 _MEM, _GHOST = 0, 1
 
 _POPCOUNT = (0, 1, 1, 2)  # lines in flight, at most two lines
 
-# successor labels: (_ISSUE, core, pc), (_ACCEPT | _COMPLETE | _RETRY, core,
-# kind, line), (_SNOOP, core, kind, line, target), (_DRAIN, line)
-_ISSUE, _ACCEPT, _SNOOP, _RETRY, _COMPLETE, _DRAIN = range(6)
+# successor labels: (_ISSUE, core, pc), (_ACCEPT | _COMPLETE, core, kind,
+# line), (_SNOOP, core, kind, line, target), (_DRAIN, line)
+_ISSUE, _ACCEPT, _SNOOP, _COMPLETE, _DRAIN = range(5)
 
 
 class _Machine:
@@ -323,17 +321,8 @@ class _Machine:
             (kind_code[kind], shared, dirty, store): state_code[final]
             for (kind, shared, dirty, store), final in tables.completion.items()
         }
-        # retry[kind][read_seen + 2 * lost_copy] -> kind to retry as, 0 to install
-        self.retry = tuple(
-            tuple(kind_code[tables.retry.get((kind, seen, lost))]
-                  for lost in (0, 1) for seen in (0, 1))
-            for kind in _KINDS
-        )
-        # read_seen[snoop kind][miss kind] -> flag a snoop raises in a miss
-        self.read_seen = tuple(
-            tuple(_READ_SEEN if s in READ_KINDS and m in UNIQUE_KINDS else 0 for m in _KINDS)
-            for s in _KINDS
-        )
+        # reissue[kind] -> kind a miss whose copy a snoop took enters as
+        self.reissue = (0,) + tuple(kind_code[tables.reissue[kind]] for kind in _KINDS[1:])
         # take_owned[state] -> a local copy after a data-less dirty handoff
         self.take_owned = tuple(state_code[tables.take_owned[s]] for s in _STATES)
         # admit[mask of lines in flight][line] -> the Decoder lets the miss in
@@ -358,26 +347,22 @@ class _Machine:
         """silent[core][kind][line] -> per entry j of the fan-out: (bit j,
         the slots the snoop probes (one twice if it probes one structure),
         the target's slot offset, per target pc whether an op from there
-        on could make the snoop find otherwise). Every entry is empty in a
-        machine that is not `reduced`."""
+        on, looked up from Invalid on the line, hits and so could make the
+        snoop find a copy). Every entry is empty in a machine that is not
+        `reduced`."""
 
-        def flags(kind, op):  # the op looked up from Invalid
-            hit, code = self.initiator[_I][op]
-            return hit or self.read_seen[kind][code]
-
-        def later(kind, target, line):
-            marks = [l == line and flags(kind, op) for op, l, _value in self.ops[target]]
+        def later(target, line):
+            marks = [l == line and self.initiator[_I][op][0] for op, l, _value in self.ops[target]]
             return tuple(any(marks[pc:]) for pc in range(len(marks) + 1))
 
-        def entry(core, kind, line, j, target, probe_d, probe_i):
+        def entry(line, j, target, probe_d, probe_i):
             probed = [pos[target][line] for pos, on in (
                 (self.dpos, probe_d), (self.ipos, probe_i and self.cfg.coherent_ifetch)) if on]
-            return (1 << j, probed[0], probed[-1], self.core_at[target],
-                    later(kind, target, line))
+            return (1 << j, probed[0], probed[-1], self.core_at[target], later(target, line))
 
         return tuple(
             (None,) + tuple(
-                tuple(tuple(entry(core, kind, line, j, *probe)
+                tuple(tuple(entry(line, j, *probe)
                             for j, probe in enumerate(fanout[kind] if self.reduced else ()))
                       for line in range(len(self.addrs)))
                 for kind in range(1, len(_KINDS))
@@ -412,7 +397,7 @@ class _Machine:
         if messages is not None:
             return messages
         # the collision mask is exactly the lines with an accepted miss:
-        # accept sets a line's bit, completion and retry clear it, and a
+        # accept sets a line's bit, completion clears it, and a
         # line in the mask admits no second accept
         in_flight = state[self.coll_at]
         in_wb = 0
@@ -470,11 +455,10 @@ class _Machine:
         core's dcache holds its line Invalid, and the table row (Invalid,
         Load) misses as ReadShared. The issue only writes the core's miss
         kind and line, and only a snoop of that line on that core reads
-        them. No snoop flags a ReadShared miss (`read_seen` flags unique
-        kinds only), and a snoop marks a miss invalidated only when it
-        takes a valid dcache copy, which no snoop gives: the issue
-        commutes with every other step and leaves the state tail, all the
-        invariant checks read, unchanged. It stays enabled until taken,
+        them; a snoop flags a miss (marks it invalidated) only when it
+        takes a valid dcache copy, which the core lacks and no snoop
+        gives. So the issue commutes with every other step and leaves the
+        state tail, all the invariant checks read, unchanged. It stays enabled until taken,
         and no issue lies on a cycle since a core's pc never decreases.
         Taking it alone keeps every outcome, deadlock and violation (the
         ample-set conditions of Peled, CAV 1993)."""
@@ -510,16 +494,16 @@ class _Machine:
     def _settle(self, new: bytearray, core: int) -> None:
         """Run, in place, every silent snoop pending in `core`'s mask. A
         pending snoop is silent when its target holds the line Invalid in
-        every structure the snoop probes, has no miss on the line that the
-        snoop flags, and has no op left that, looked up from Invalid on the
-        line, hits or misses with a kind it flags.
+        every structure the snoop probes and has no op left that, looked
+        up from Invalid on the line, hits.
 
         Such a snoop does what `_snoop` does when it finds no copy: it
         clears its bit of the initiator's mask and records the (Invalid,
-        kind) coverage pair. While the line is in flight the collision
-        rule admits no other miss on it, so no other step can give the
-        target a copy, flag the target's miss or read that bit: the snoop
-        stays silent and commutes with every step. It leaves the state
+        kind) coverage pair; it flags no miss, since only a snoop that
+        invalidates a valid copy does.
+        While the line is in flight the collision rule admits no other
+        miss on it, so no other step can give the target a copy or read
+        that bit: the snoop stays silent and commutes with every step. It leaves the state
         tail, all the invariant checks read, unchanged. So it is folded
         into the step that made it silent, and the state in between is
         never stored (Godefroid's persistent sets, LNCS 1032, 1996). Only
@@ -528,10 +512,8 @@ class _Machine:
         this."""
         at = self.core_at[core]
         mask, kind, line = new[at + _MM], new[at + _MK], new[at + _ML]
-        flagged = self.read_seen[kind]
         for bit, p1, p2, tat, later in self.silent[core][kind][line]:
-            if (mask & bit and not (new[p1] or new[p2] or later[new[tat + _PC]])
-                    and not (flagged[new[tat + _MK]] and new[tat + _ML] == line)):
+            if mask & bit and not (new[p1] or new[p2] or later[new[tat + _PC]]):
                 mask ^= bit
                 self.snoop_cov.add((_I, kind))
         new[at + _MM] = mask
@@ -570,8 +552,8 @@ class _Machine:
         # a pending miss whose copy was snooped away is re-encoded before
         # it enters the coherent pipeline (CleanUnique becomes ReadUnique)
         if flags & _INVALIDATED:
-            again = self.retry[kind][(flags >> 1) & 3]
-            if again and again != kind:
+            again = self.reissue[kind]
+            if again != kind:
                 kind, flags = again, flags & ~_INVALIDATED
         new = bytearray(state)
         new[at + _MK] = kind
@@ -618,12 +600,10 @@ class _Machine:
                 data_transfer |= dt
                 is_shared |= sh
 
-        # side signals into the target's own pending miss (maybe this one)
+        # side signal into the target's own pending miss
         tat = self.core_at[target]
-        if new[tat + _MK] and new[tat + _ML] == line:
-            new[tat + _MF] |= self.read_seen[kind][new[tat + _MK]]
-            if invalidated_valid:
-                new[tat + _MF] |= _INVALIDATED
+        if invalidated_valid and new[tat + _MK] and new[tat + _ML] == line:
+            new[tat + _MF] |= _INVALIDATED
 
         if data_transfer and not new[at + _MD]:
             new[at + _MD] = data_val
@@ -645,24 +625,6 @@ class _Machine:
         dpos = self.dpos[core][line]
         wb = state[self.wb_at:]
         new = bytearray(state)
-
-        again = self.retry[kind][(flags >> 1) & 3]  # read_seen + 2 * lost_copy
-        if again:
-            # dirty responsibility collected by the discarded attempt must
-            # survive it: transferred data drains to memory through the
-            # write-back FIFO; a data-less handoff (CleanUnique probing a
-            # dirty holder) lands on the initiator's own copy as Owned
-            if flags & _ANY_DIRTY:
-                if state[at + _MD]:
-                    if fifo_full(wb[::2], self.cfg.wb_depth):
-                        return None
-                    new.extend((line, state[at + _MD]))
-                else:
-                    new[dpos] = self.take_owned[state[dpos]]
-            kind = new[at + _MK] = again
-            new[at + _MF] = new[at + _MM] = new[at + _MD] = 0
-            new[self.coll_at] &= ~(1 << line)
-            return (_RETRY, core, kind, line), bytes(new), None
 
         # pick the data the install will use
         note = None
@@ -763,7 +725,7 @@ class _Machine:
         kind, addr = _KINDS[label[2]].value, self.addrs[label[3]]
         if what == _SNOOP:
             return f"core {core}: snoop core {label[4]} ({kind} {addr:#x})"
-        verb = {_ACCEPT: "accept", _RETRY: "retry as", _COMPLETE: "complete"}[what]
+        verb = "accept" if what == _ACCEPT else "complete"
         return f"core {core}: {verb} {kind} {addr:#x}"
 
 

@@ -102,7 +102,7 @@ def _run_false_sharing_3_cores():
 # (completion rows), so every other mutation leaves the run unchanged.
 DIRECTORY_TRIPS = {
     "initiator:Store:Shared:silent_upgrade": "cycle 240: line 0x1010: unique copy on core 0",
-    "retry:disabled": "cycle 729: line 0x1050: CleanUnique completion without a local copy",
+    "reissue:disabled": "cycle 729: line 0x1050: CleanUnique completion without a local copy",
 }
 
 

@@ -6,8 +6,8 @@ from culsim.cache import (
     CacheModel,
     ConfigError,
     Install,
+    LostCopy,
     NeedsMiss,
-    Retry,
     Served,
     set_word,
     word_at,
@@ -138,18 +138,18 @@ def test_snoop_invalidation_flags_pending_miss():
     assert cache.miss.invalidated_by_snoop
 
 
-def test_snoop_read_flags_pending_unique_miss():
+def test_snoop_read_does_not_flag_pending_unique_miss():
     cache = make_cache()
     cache.core_access(CoreOp(OpKind.STORE, 0x40, value=1))  # pending ReadUnique
     cache.handle_snoop(SnoopRequest(CoherentKind.READ_SHARED, 0x40))
-    assert cache.miss.snoop_read_seen
+    assert not cache.miss.invalidated_by_snoop
 
 
 def test_snoop_read_does_not_flag_plain_load_miss():
     cache = make_cache()
     cache.core_access(CoreOp(OpKind.LOAD, 0x40))
     cache.handle_snoop(SnoopRequest(CoherentKind.READ_SHARED, 0x40))
-    assert not cache.miss.snoop_read_seen
+    assert not cache.miss.invalidated_by_snoop
 
 
 def test_stored_flags_match_protocol_next_state():
@@ -177,23 +177,26 @@ def test_clean_completion_installs():
     assert cache.miss is None
 
 
-def test_clean_unique_completion_with_invalidation_retries_as_read_unique():
+def test_clean_unique_completion_without_its_copy_raises_lost_copy():
+    # the timed models re-encode such a miss before it enters; a
+    # CleanUnique that completes anyway has nothing to upgrade
     cache = make_cache()
     fill(cache, 0x40, S)
     cache.core_access(CoreOp(OpKind.STORE, 0x40, value=1))
     cache.handle_snoop(SnoopRequest(CoherentKind.READ_UNIQUE, 0x40))
-    result = cache.miss_complete(M, None)
-    assert result == Retry(CoherentKind.READ_UNIQUE)
-    assert cache.miss.kind is CoherentKind.READ_UNIQUE
-    assert not cache.miss.invalidated_by_snoop  # flags reset for the retry
+    with pytest.raises(LostCopy) as exc:
+        cache.miss_complete(M, None)
+    assert exc.value.address == 0x40
 
 
-def test_read_unique_completion_with_snoop_read_retries():
+def test_read_unique_completion_after_a_snoop_read_installs():
+    # a snoop read reaches a miss only before it enters; its own snoops
+    # then take the reader's copy, so the completion installs
     cache = make_cache()
     cache.core_access(CoreOp(OpKind.STORE, 0x40, value=1))
     cache.handle_snoop(SnoopRequest(CoherentKind.READ_SHARED, 0x40))
-    result = cache.miss_complete(M, bytes(16))
-    assert result == Retry(CoherentKind.READ_UNIQUE)
+    assert cache.miss_complete(M, bytes(16)) == Install(M)
+    assert cache.lookup(0x40)[1].state is M and cache.miss is None
 
 
 def test_clean_unique_completion_upgrades_in_place():
@@ -320,15 +323,13 @@ def returned_records():
         load_miss(cache, a)
     out.append(load_miss(cache, addrs[cache.ways]))  # Install with a dirty victim
     out.append(cache.core_access(CoreOp(OpKind.STORE, 0x1000, value=1)))  # NeedsMiss
-    cache.handle_snoop(SnoopRequest(CoherentKind.READ_SHARED, 0x1000))
-    out.append(cache.miss_complete(M, bytes(16)))  # Retry
     out.append(make_cache(coherent_ifetch=True).ifetch(0x40))  # NeedsMiss of an ifetch
     return out
 
 
 def test_returned_records_are_frozen_and_equal_fresh_ones():
     records = returned_records() + returned_records()  # shared ones come back twice
-    assert {type(r) for r in records} == {Served, NeedsMiss, Retry, Install}
+    assert {type(r) for r in records} == {Served, NeedsMiss, Install}
     assert any(r.evicted is not None for r in records if isinstance(r, Install))
     for record in records:
         values = {f.name: getattr(record, f.name) for f in fields(record)}

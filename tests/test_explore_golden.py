@@ -33,6 +33,7 @@ from culsim.verify import (
     explore,
     oracle_tables,
 )
+from sc_reference import in_sc_scope, sc_outcomes
 
 DATA = Path(__file__).with_name("data") / "explore_golden.json"
 
@@ -162,9 +163,9 @@ def explore_inputs():
             cfg = ExploreConfig(mutations=frozenset(() if m == "clean" else (m,)))
             out[f"twin/{i}/{m}"] = (shape, cfg, None)
     # a budget cut keeps the first states in breadth-first order and their
-    # coverage; at 5,000 of 13,124 states it reaches no final state. The
+    # coverage; at 2,000 of 6,180 states it reaches no final state. The
     # two searches cut different graphs, so only its columns are pinned
-    out["racing/0/budget"] = (RACING_SHAPES[0], ExploreConfig(n_cores=3, state_budget=5000), None)
+    out["racing/0/budget"] = (RACING_SHAPES[0], ExploreConfig(n_cores=3, state_budget=2000), None)
     for seed in range(N_RANDOM):
         out[f"random/{seed}"] = _random_case(seed)
     return out
@@ -202,41 +203,10 @@ def test_explorer_matches_golden(case, golden):
         assert verdict(reduced) == verdict(full)
 
 
-def sc_outcomes(programs, init_mem=None) -> set:
-    """Every outcome of running the programs' ops atomically, one at a
-    time, in every interleaving, on one flat memory: the sequentially
-    consistent outcomes, in the shape of `ExploreResult.outcomes`."""
-    addrs = sorted({op[1] for prog in programs for op in prog} | set(init_mem or ()))
-    start = (tuple(0 for _ in programs),
-             tuple((init_mem or {}).get(a, 0) for a in addrs),
-             tuple(() for _ in programs))
-    seen, todo, outcomes = {start}, [start], set()
-    while todo:
-        pcs, mem, regs = todo.pop()
-        if all(pc == len(prog) for pc, prog in zip(pcs, programs)):
-            outcomes.add((regs, tuple(zip(addrs, mem))))
-        for core, (pc, prog) in enumerate(zip(pcs, programs)):
-            if pc == len(prog):
-                continue
-            op, line = prog[pc], addrs.index(prog[pc][1])
-            new_mem, new_regs = list(mem), list(regs)
-            if op[0] == "W":
-                new_mem[line] = op[2]
-            else:  # a load or an instruction fetch reads the line
-                new_regs[core] += (mem[line],)
-            nxt = (pcs[:core] + (pc + 1,) + pcs[core + 1:], tuple(new_mem), tuple(new_regs))
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return outcomes
-
-
-# the cases on clean tables that no budget cuts and whose IF ops, if any,
-# fetch coherently: a non-coherent icache may read stale data by design
+# the cases in SC's scope that no budget cuts
 SC_CASES = sorted(
     case for case, (programs, cfg, _init) in EXPLORE_INPUTS.items()
-    if not cfg.mutations and cfg.state_budget == ExploreConfig.state_budget
-    and (cfg.coherent_ifetch or all(op[0] != "IF" for prog in programs for op in prog)))
+    if in_sc_scope(programs, cfg) and cfg.state_budget == ExploreConfig.state_budget)
 
 
 def test_sc_reference_cases_span_the_golden_kinds():
@@ -246,10 +216,9 @@ def test_sc_reference_cases_span_the_golden_kinds():
 
 @pytest.mark.parametrize("case", SC_CASES)
 def test_explorer_outcomes_are_sequentially_consistent(case):
-    """Each core has at most one op pending, so the cluster must be
-    sequentially consistent: the explorer reaches exactly the outcomes of
-    the atomic interleavings (Lamport, IEEE TC 1979). Equality, not
-    inclusion, also shows that the reductions lose no outcome."""
+    """The explorer reaches exactly the outcomes of the atomic
+    interleavings (`sc_reference`). Equality, not inclusion, also shows
+    that the reductions lose no outcome."""
     programs, cfg, init_mem = EXPLORE_INPUTS[case]
     result = explore(programs, cfg, init_mem)
     assert result.exhausted

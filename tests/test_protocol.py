@@ -9,15 +9,12 @@ from culsim.protocol import (
     LineState,
     MUTATIONS,
     OpKind,
-    READ_KINDS,
     SNOOPING_KINDS,
     SnoopRequest,
     SnoopResponse,
     TABLES,
-    UNIQUE_KINDS,
     completion_state,
     initiator_action,
-    must_retry,
     reissue_kind,
     snoopee_transition,
     take_ownership,
@@ -198,35 +195,11 @@ WB, RNS, WNS = (
     CoherentKind.WRITE_NO_SNOOP,
 )
 
-# kind -> must_retry at (snoop_read_seen, lost_copy) = (0,0), (1,0), (0,1), (1,1)
-MUST_RETRY_ROWS = [
-    (RS, (False, False, False, False)),
-    (RU, (False, True, True, True)),
-    (CU, (False, True, True, True)),
-    (RO, (False, False, False, False)),
-    (WB, (False, False, False, False)),
-    (RNS, (False, False, False, False)),
-    (WNS, (False, False, False, False)),
-]
-
-
-@pytest.mark.parametrize("kind,row", MUST_RETRY_ROWS)
-def test_must_retry_table(kind, row):
-    got = tuple(
-        must_retry(kind, seen, lost) for lost in (False, True) for seen in (False, True)
-    )
-    assert got == row
-
-
-def test_must_retry_rows_cover_every_kind():
-    assert [kind for kind, _ in MUST_RETRY_ROWS] == list(CoherentKind)
-
-
-# kind -> (reissued kind with the copy kept, with the copy lost)
+# kind -> (kind a miss whose copy a snoop took is issued as, its reissue row)
 REISSUE_ROWS = [
     (RS, (RS, RS)),
     (RU, (RU, RU)),
-    (CU, (CU, RU)),
+    (CU, (RU, RU)),
     (RO, (RO, RO)),
     (WB, (WB, WB)),
     (RNS, (RNS, RNS)),
@@ -236,17 +209,16 @@ REISSUE_ROWS = [
 
 @pytest.mark.parametrize("kind,row", REISSUE_ROWS)
 def test_reissue_kind_table(kind, row):
-    assert (reissue_kind(kind, False), reissue_kind(kind, True)) == row
+    assert (reissue_kind(kind), TABLES.reissue[kind]) == row
+
+
+def test_reissue_rows_cover_every_kind():
+    assert [kind for kind, _ in REISSUE_ROWS] == list(CoherentKind) == list(TABLES.reissue)
 
 
 def test_take_ownership_table():
     got = {state: take_ownership(state) for state in LineState}
     assert got == {M: M, O: O, E: O, S: O, I: I}
-
-
-def test_read_kinds_are_the_non_invalidating_snoops():
-    assert READ_KINDS == {RS, RO}
-    assert not READ_KINDS & UNIQUE_KINDS
 
 
 # -- the table set ------------------------------------------------------------
@@ -263,10 +235,7 @@ def test_table_rows_equal_their_functions_over_the_full_domain():
         (k, sh, pd, st): completion_state(k, sh, pd, st)
         for k in SNOOPING_KINDS for sh in bits for pd in bits for st in bits
     }
-    assert dict(TABLES.retry) == {
-        (k, seen, lost): reissue_kind(k, lost) if must_retry(k, seen, lost) else None
-        for k in CoherentKind for seen in bits for lost in bits
-    }
+    assert dict(TABLES.reissue) == {k: reissue_kind(k) for k in CoherentKind}
     assert dict(TABLES.take_owned) == {s: take_ownership(s) for s in LineState}
 
 

@@ -4,7 +4,8 @@ workloads, working sets, monitors and configurations.
 
 Any change to either model's internals must keep every case identical.
 After an intended change to simulated behaviour, rewrite the data file
-with `PYTHONPATH=src python tests/test_report_golden.py --regen`.
+with `PYTHONPATH=src python tests/test_report_golden.py --regen`; it
+prints every column that moves as old -> new, under its case's name.
 """
 import hashlib
 import json
@@ -109,8 +110,19 @@ def test_report_matches_golden(case, golden):
     assert run_case(CASES[case]) == golden[case]
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--regen"]:
+def regen() -> None:
+    """Rewrite the data file, printing each column that moves."""
+    old = json.loads(DATA.read_text()) if DATA.exists() else {}
+    rows = {case: run_case(args) for case, args in sorted(CASES.items())}
+    for case, row in rows.items():
+        before = old.get(case, {})
+        for col in sorted(set(row) | set(before)):
+            if row.get(col) != before.get(col):
+                print(f"{case}: {col}: {before.get(col)} -> {row.get(col)}")
     DATA.parent.mkdir(exist_ok=True)
-    rows = (f"{json.dumps(k)}: {json.dumps(run_case(args), sort_keys=True)}"
-            for k, args in sorted(CASES.items()))
-    DATA.write_text("{\n" + ",\n".join(rows) + "\n}\n")
+    DATA.write_text("{\n" + ",\n".join(f"{json.dumps(case)}: {json.dumps(row, sort_keys=True)}"
+                                        for case, row in rows.items()) + "\n}\n")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--regen"]:
+    regen()

@@ -258,10 +258,10 @@ def test_non_coherent_ifetch_miss_queues_its_read_at_the_memory_port(model):
 # Shipped mutations that run on the workload below without a monitor trip,
 # and why. Any other outcome than a trip or completion fails the test.
 MASKED_MUTATIONS = {
-    "retry:disabled": (
-        "the retry row gone, a pending CleanUnique that loses its copy is "
-        "neither re-encoded before the Decoder nor retried; on this run none "
-        "loses it. Seeds 1 and 2 of the same workload do, and end in a "
+    "reissue:disabled": (
+        "with the reissue rows patched to keep each kind, a pending CleanUnique "
+        "that loses its copy is not re-encoded before the Decoder; on this run "
+        "none loses it. Seeds 1 and 2 of the same workload do, and end in a "
         "CoherenceViolation 'CleanUnique completion without a local copy' "
         "(test_lost_copy_ends_the_run_as_a_violation). Masked for the snoop "
         "model only: the directory model ends in the same violation on this "
@@ -302,9 +302,9 @@ def test_duplicate_line_monitor_trips_on_two_transactions_on_one_line(lines, tri
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_lost_copy_ends_the_run_as_a_violation(monkeypatch, tmp_path, seed):
-    # without the retry row a CleanUnique whose copy a racing snoop took
-    # completes with nothing to upgrade
-    monkeypatch.setattr(protocol, "TABLES", protocol.TABLES.mutated({"retry:disabled"}))
+    # without the reissue row a CleanUnique whose copy a racing snoop took
+    # enters unchanged and completes with nothing to upgrade
+    monkeypatch.setattr(protocol, "TABLES", protocol.TABLES.mutated({"reissue:disabled"}))
     cfg = SimConfig(n_cores=3)
     spec = WorkloadSpec(kind="false_sharing", ops_per_core=500, seed=seed)
     sim = build(cfg, monitor=True)

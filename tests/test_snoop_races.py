@@ -1,12 +1,17 @@
 """Which snoop races the snoop model can reach, over the stress configs
-of `test_cache_index.runs`.
+of `test_cache_index.runs`; the answer is why a miss that has entered
+the Decoder needs no completion-time retry.
 
 The Decoder admits one transaction per line, so once a core's miss has
 entered, the only snoop that reaches it for that line is its own
 sibling probe: every race with another core's transaction happens while
 the miss still waits before the Decoder. There a CleanUnique that lost
-its copy is always re-encoded. This is the evidence behind the open
-question whether the completion-time retry is needed for coherence.
+its copy is always re-encoded as a ReadUnique (`protocol.reissue_kind`).
+A snoop read that reached a unique miss before it entered left a copy
+that the miss's own snoops then take, so the miss completes with its
+line unique. The models therefore have no retry: the explorer's SC
+oracle (`sc_reference`) and the timed perform-order witness
+(`test_sc_witness`) hold without one.
 """
 from hypothesis import HealthCheck, given, settings
 

@@ -34,6 +34,7 @@ from culsim.verify import (
     parse_litmus,
     run_litmus,
 )
+from sc_reference import in_sc_scope, sc_outcomes
 from test_explore_golden import CASES, RACING_SHAPES, TWIN_SHAPES, full_search, verdict
 
 M, O, E, S = (
@@ -264,22 +265,24 @@ def test_explorer_determinism_across_runs_and_workers():
     assert len(set(results)) == 1
 
 
-def test_racing_stores_clean_with_retry_rule():
+def test_racing_upgrades_clean_with_reissue_rule():
     prog = [[("R", X), ("W", X, 1)], [("R", X), ("W", X, 2)]]
     result = explore(prog, ExploreConfig(n_cores=2))
     assert result.violations == []
 
 
-def test_retry_rule_negative_control():
+def test_reissue_rule_negative_control():
+    # with the rule disabled, an upgrade whose copy a racing store's snoop
+    # took enters as CleanUnique and completes without a local copy
     prog = [[("R", X), ("W", X, 1)], [("R", X), ("W", X, 2)]]
     result = explore(
-        prog, ExploreConfig(n_cores=2, mutations=frozenset({"retry:disabled"}))
+        prog, ExploreConfig(n_cores=2, mutations=frozenset({"reissue:disabled"}))
     )
-    assert result.violations
-    assert any(v.trace for v in result.violations)
+    assert any(v.trace and "CleanUnique completed without a local copy" in v.detail
+               for v in result.violations)
 
 
-def test_machine_retry_tables_are_derived_from_protocol():
+def test_machine_tables_are_derived_from_protocol():
     # every int table of the explorer decodes back to the rows of
     # protocol.TABLES, clean and under each shipped mutation
     prog = [[("W", X, 1)], [("W", X, 2)]]
@@ -300,14 +303,11 @@ def test_machine_retry_tables_are_derived_from_protocol():
             (_KINDS[k], shared, dirty, store): _STATES[final]
             for (k, shared, dirty, store), final in machine.completion.items()
         } == dict(tables.completion)
-        assert machine.retry[0] == (0, 0, 0, 0)  # no miss
+        assert machine.reissue[0] == 0  # no miss
         for k, kind in enumerate(_KINDS[1:], start=1):
-            for lost in (0, 1):
-                for seen in (0, 1):
-                    again = machine.retry[k][seen + 2 * lost]
-                    assert (_KINDS[again] if again else None) == tables.retry[kind, seen, lost]
+            assert _KINDS[machine.reissue[k]] is tables.reissue[kind]
     with pytest.raises(ValueError, match="unknown mutation"):
-        TABLES.mutated({"retry:sometimes"})
+        TABLES.mutated({"reissue:sometimes"})
 
 
 def test_budget_exhaustion_is_flagged():
@@ -368,21 +368,22 @@ def _reachable(machine):
 
 
 def test_machine_states_are_bytes():
-    machine = _Machine([[("W", X, 1), ("R", Y)], [("R", X), ("W", Y, 2)]],
+    machine = _Machine([[("W", X, 1), ("R", Y)], [("R", X), ("W", Y, 2), ("R", X)]],
                        ExploreConfig(n_cores=2, dcache_capacity=1))
     assert len(_reachable(machine)) > 100
 
 
 def test_explore_memory_stays_small():
     # the racing program's seen set of 1-byte-per-field states, its
-    # breadth-first order and parent indices peak near 1.17 MB for its
-    # 5,632 reduced states (1.81 MB for the 13,124 of the full search; a
-    # tuple per state took 6.7 MB for 10,661 states); 2 MB leaves room for
-    # allocator and interpreter differences and still fails on a return to
-    # tuple states
+    # breadth-first order and parent indices peak near 1.13 MB for the
+    # 6,180 states of its full search (0.45 MB for its 2,734 reduced
+    # states; a tuple per state took 6.7 MB for 10,661 states); 2 MB leaves
+    # room for allocator and interpreter differences and still fails on a
+    # return to tuple states
     tracemalloc.start()
     try:
-        result = explore(RACING_SHAPES[0], ExploreConfig(n_cores=3))
+        with full_search():
+            result = explore(RACING_SHAPES[0], ExploreConfig(n_cores=3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -424,15 +425,21 @@ def test_both_reductions_keep_every_verdict(case):
     reduced = explore(*case)
     assert verdict(reduced) == verdict(full)
     assert reduced.reachable_states <= full.reachable_states
+    programs, cfg, init_mem = case
+    if in_sc_scope(programs, cfg):
+        assert reduced.outcomes == sc_outcomes(programs, init_mem)
 
 
 @pytest.fixture(scope="module")
 def drop_dirty():
     """(reduced machine, full machine, states the reduced machine reaches)
-    per program of the battery and the twin-line shapes, under a mutation
-    that makes both rules fire often."""
+    per program of the battery, the twin-line shapes and the racing
+    shapes, under a mutation that makes both rules fire often."""
+    mutation = "snoopee:M:ReadShared:drop_dirty"
+    racing = [(shape, ExploreConfig(n_cores=3, mutations=frozenset({mutation})))
+              for shape in RACING_SHAPES]
     out = []
-    for programs, cfg in _mutation_cases("snoopee:M:ReadShared:drop_dirty"):
+    for programs, cfg in _mutation_cases(mutation) + racing:
         with full_search():
             full = _Machine(programs, cfg)
         machine = _Machine(programs, cfg)
@@ -490,23 +497,29 @@ def test_a_lone_load_miss_writes_only_its_miss_kind_and_line(drop_dirty):
     assert alone > 200
 
 
+# the 4-core program of the README's explorer section
+FOUR_CORE_RACING = (
+    (("R", X), ("W", X, 2), ("R", Y)),
+    (("R", Y), ("W", X, 5), ("R", X)),
+    (("W", Y, 7), ("R", X), ("R", Y)),
+    (("W", X, 9), ("R", Y), ("R", X)),
+)
+
+
 def _silent_bits(machine, state, core) -> int:
     """The bits of `core`'s pending snoops that are silent: the target has
-    no copy in the structures the snoop probes, no miss on the line that
-    the snoop flags, and no op left that, looked up from Invalid, hits or
-    misses with a kind the snoop flags."""
+    no copy in the structures the snoop probes and no op left that, looked
+    up from Invalid on the line, hits."""
     at = machine.core_at[core]
     kind, line, mask = state[at + _MK], state[at + _ML], state[at + _MM]
-    flags, silent = machine.read_seen[kind], 0
+    silent = 0
     for j, (target, probe_d, probe_i) in enumerate(machine.fanout[core][kind] if mask else ()):
         tat = machine.core_at[target]
         copy = (probe_d and state[machine.dpos[target][line]]
                 or probe_i and machine.cfg.coherent_ifetch and state[machine.ipos[target][line]])
-        miss = state[tat + _ML] == line and flags[state[tat + _MK]]
-        later = any(l == line and (machine.initiator[_I][op][0]
-                                   or flags[machine.initiator[_I][op][1]])
+        later = any(l == line and machine.initiator[_I][op][0]
                     for op, l, _value in machine.ops[target][state[tat + _PC]:])
-        if mask >> j & 1 and not (copy or miss or later):
+        if mask >> j & 1 and not (copy or later):
             silent |= 1 << j
     return silent
 
@@ -531,6 +544,7 @@ def test_no_stored_state_has_a_pending_silent_snoop(monkeypatch):
     counts.update(states=0, pending=0)
     for run in CASES.values():
         run()
+    explore(FOUR_CORE_RACING, ExploreConfig(n_cores=4))
     assert counts["pending"] == 0 and counts["states"] > 100_000
 
 
