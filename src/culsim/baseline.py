@@ -44,7 +44,6 @@ from .protocol import (
     INVALID,
     LineState,
     MODIFIED,
-    OpKind,
     SHARED,
     STORE,
 )
@@ -55,7 +54,6 @@ from .sim import Kernel, SimConfig
 class _DirTxn:
     id: int
     core: int
-    op: OpKind
     addr: int
     journey: Iterator[Optional[int]] = field(init=False, repr=False)
     data: Optional[bytes] = None
@@ -108,8 +106,8 @@ class DirectorySimulation(Kernel):
         self.stats.ccu_collision_stalls = self.decoder.stalls
         if granted is None:
             return
-        core, _, addr, _ = granted
-        txn = _DirTxn(id=self.next_id, core=core, op=self.ports[core].current.kind, addr=addr)
+        core, addr = granted
+        txn = _DirTxn(id=self.next_id, core=core, addr=addr)
         self.next_id += 1
         txn.journey = self._journey(txn)
         self.txns.append(txn)
@@ -136,13 +134,9 @@ class DirectorySimulation(Kernel):
         yield hop  # requester -> home
         yield self.config.latencies.ccu_stage  # directory lookup
         owner, sharers = self._holders(txn.addr)
-        cache = self.caches[txn.core]
-        ms = cache.miss
-        held = txn.core in sharers  # a missing core holds the line at most Shared
-        if not held:  # an upgrade whose copy was invalidated in the meantime needs data
-            ms.kind = cache.tables.reissue[ms.kind]
-        upgrade = ms.kind is CLEAN_UNIQUE and held
-        if txn.op is STORE:
+        upgrade = self.caches[txn.core].entry_kind() is CLEAN_UNIQUE
+        store = self.ports[txn.core].current.kind is STORE
+        if store:
             state = MODIFIED
         elif owner is None and not sharers:
             state = EXCLUSIVE
@@ -152,7 +146,7 @@ class DirectorySimulation(Kernel):
             yield hop  # home -> owner
             while not self._apply_probe(txn, owner):
                 yield 1
-        elif txn.op is STORE:
+        elif store:
             for sharer in sharers:
                 if sharer == txn.core:
                     continue
@@ -196,7 +190,7 @@ class DirectorySimulation(Kernel):
         if hit is None:
             return True
         line = hit[1]
-        if txn.op is STORE:
+        if self.ports[txn.core].current.kind is STORE:
             line.state = INVALID
         else:
             if line.state is MODIFIED:
@@ -238,18 +232,17 @@ class DirectorySimulation(Kernel):
                                       "ifetch on: the directory has no coherent icache")
 
     def _core_op(self, core: int, now: int) -> None:
-        op = self.ports[core].current
         self._progress = True
-        result = self._access(core, op, now)
-        if result is not None:
-            self.decoder.submit(core, result.kind, self.caches[core].miss.address, now)
+        if self._access(core, self.ports[core].current, now) is not None:
+            self.decoder.submit(core, self.caches[core].miss.address, now)
 
     def _acts_now(self) -> bool:
         return self.decoder.can_grant()
 
     def _dump_lines(self) -> List[str]:
         due = {txn_id: cycle for cycle, txn_id, _ in self.wake}
-        txns = [(t.core, t.op.value, hex(t.addr), due.get(t.id, "memory")) for t in self.txns]
+        txns = [(t.core, self.ports[t.core].current.kind.value, hex(t.addr),
+                 due.get(t.id, "memory")) for t in self.txns]
         d = self.decoder
         return [f"  directory: pending={d.pending} hold={d.hold} txns={txns} "
                 f"in_flight={sorted(d.in_flight)}"]

@@ -3,9 +3,9 @@ coherent instruction cache.
 
 The data cache SRAM has a single read/write port; the snoop model's
 cache controllers serve one requester on it a cycle (sim.Simulation).
-The snoop controller raises a side signal in a pending miss whose local
-copy a snoop invalidates, so the snoop model can re-encode the request
-before it enters the coherency unit (`protocol.reissue_kind`).
+A pending miss is the only copy of its request: the coherency unit reads
+the kind and the cache side off it, and `entry_kind` applies the reissue
+row (`protocol.reissue_kind`) as the request enters.
 
 The instruction cache has its own port and only ever holds lines in
 Shared or Invalid.
@@ -72,16 +72,12 @@ class CacheLine:
 
 @dataclass
 class MissStatus:
-    """The single outstanding miss of one core.
-
-    invalidated_by_snoop rises when a snoop invalidates the local copy
-    under the pending request.
-    """
+    """The single outstanding miss of one core, and the only copy of its
+    request."""
 
     address: int
     kind: CoherentKind
     for_icache: bool = False
-    invalidated_by_snoop: bool = False
     # the data-cache way `needs_eviction` chose for the fill; the timed
     # models call it in the step of the install, just before miss_complete
     way: Optional[int] = None
@@ -233,12 +229,10 @@ class CacheModel:
 
         Both structures may be probed (the snoop controller merges them
         into a single CR): pass_dirty can only come from the data cache,
-        is_shared/data from either. Raises the invalidation side signal
-        into the pending miss when the addresses match.
+        is_shared/data from either.
         """
         resp = _NO_RESPONSE
         data: Optional[bytes] = None
-        invalidated = False
         if self.touched is not None:
             self.touched.add(req.address)
 
@@ -250,8 +244,6 @@ class CacheModel:
                 line = hit[1]
                 if resp.data_transfer:
                     data = line.data
-                if nxt is INVALID and state.is_valid:
-                    invalidated = True
                 line.state = nxt
 
         if probe_icache and self.coherent_ifetch:
@@ -267,11 +259,18 @@ class CacheModel:
                 pass_dirty=resp.pass_dirty,
                 is_shared=resp.is_shared | iresp.is_shared,
             )
-
-        ms = self.miss
-        if invalidated and ms is not None and ms.address == req.address:
-            ms.invalidated_by_snoop = True
         return resp, data
+
+    def entry_kind(self) -> CoherentKind:
+        """The kind the pending miss enters the coherency unit as, kept in
+        the miss: the reissue row's when the data cache no longer holds
+        the line (a CleanUnique whose copy a snoop took asks for the
+        data), else the kind it missed with. Only a snoop can take the
+        copy before then, since the core installs nothing else meanwhile."""
+        ms = self.miss
+        if self.lookup(ms.address) is None:
+            ms.kind = self.tables.reissue[ms.kind]
+        return ms.kind
 
     # -- miss completion ----------------------------------------------------
 

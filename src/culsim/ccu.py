@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from .cache import CacheModel
 from .memsys import MemoryPort
 from .protocol import (
     CoherentKind,
@@ -74,40 +75,28 @@ def admits(line_in_flight: bool, n_in_flight: int, capacity: int) -> bool:
 class Decoder:
     """Coherent request intake: at most one waiting request per core,
     granted by `mux_grant`; a granted request is held until `admits`
-    lets it in, and every cycle it waits counts a stall."""
+    lets it in, and every cycle it waits counts a stall. It queues only
+    each request's arrival and line: the rest of the request is the
+    core's pending miss, which the model reads when the request enters."""
 
     def __init__(self, n_cores: int, capacity: int):
         self.n_cores = n_cores
         self.capacity = capacity
-        self.pending: Dict[int, tuple] = {}  # core -> (arrival, kind, line, from_icache)
-        self.hold: Optional[tuple] = None  # (core, kind, line, from_icache)
+        self.pending: Dict[int, Tuple[int, int]] = {}  # core -> (arrival, line)
+        self.hold: Optional[Tuple[int, int]] = None  # (core, line)
         self.last_granted = n_cores - 1
         self.in_flight: set = set()
         self.stalls = 0
 
-    def submit(self, core: int, kind: CoherentKind, line: int, now: int,
-               from_icache: bool = False) -> None:
+    def submit(self, core: int, line: int, now: int) -> None:
         if core in self.pending:
             raise ProtocolFault(f"core {core}: coherent request while one is pending")
-        self.pending[core] = (now, kind, line, from_icache)
+        self.pending[core] = (now, line)
 
-    def reencode(self, core: int, kind: CoherentKind) -> bool:
-        """Change the kind of a core's request that has not entered yet
-        (a pending CleanUnique that lost its copy becomes ReadUnique).
-        False once the request has entered."""
-        if core in self.pending:
-            arrival, _, line, from_icache = self.pending[core]
-            self.pending[core] = (arrival, kind, line, from_icache)
-            return True
-        if self.hold is not None and self.hold[0] == core:
-            self.hold = (core, kind) + self.hold[2:]
-            return True
-        return False
-
-    def grant(self) -> Optional[tuple]:
-        """The (core, kind, line, from_icache) request that enters now, or
-        None when none waits or the held one stalls; every waiting request
-        was submitted by now, so all of them compete."""
+    def grant(self) -> Optional[Tuple[int, int]]:
+        """The (core, line) request that enters now, or None when none
+        waits or the held one stalls; every waiting request was submitted
+        by now, so all of them compete."""
         if self.hold is None:
             if not self.pending:
                 return None
@@ -117,8 +106,8 @@ class Decoder:
                 arrivals = {c: r[0] for c, r in self.pending.items()}
                 core = mux_grant(arrivals, self.last_granted, self.n_cores)
             self.last_granted = core
-            self.hold = (core,) + self.pending.pop(core)[1:]
-        line = self.hold[2]
+            self.hold = (core, self.pending.pop(core)[1])
+        line = self.hold[1]
         if not admits(line in self.in_flight, len(self.in_flight), self.capacity):
             self.stalls += 1
             return None
@@ -131,7 +120,7 @@ class Decoder:
         waits for the mux, or the held one may enter."""
         if self.hold is None:
             return bool(self.pending)
-        return admits(self.hold[2] in self.in_flight, len(self.in_flight), self.capacity)
+        return admits(self.hold[1] in self.in_flight, len(self.in_flight), self.capacity)
 
     def release(self, line: int) -> None:
         self.in_flight.discard(line)
@@ -183,23 +172,26 @@ def snoop_targets(
 
 
 class Ccu:
+    """The coherency unit of the cores whose caches (`cache.CacheModel`,
+    one per core, of one configuration) it is built on: a request it
+    admits is read off its core's pending miss."""
+
     # when a set, collects the line of every transaction whose data in
     # flight changes or leaves with it, for the invariant monitors
     touched: Optional[set] = None
 
     def __init__(
         self,
-        n_cores: int,
-        coherent_ifetch: bool,
+        caches: Sequence[CacheModel],
         ccu_stage: int = 1,
         snoop_hop: int = 1,
         wb_depth: int = 4,
         collision_capacity: int = 8,
-        serialize: bool = False,
     ):
+        self.caches = caches
         self.ccu_stage = ccu_stage
         self.snoop_hop = snoop_hop
-        self.serialize = serialize
+        n_cores, coherent_ifetch = len(caches), caches[0].coherent_ifetch
 
         self.decoder = Decoder(n_cores, collision_capacity)
         # fanout[initiator][from_icache] -> snoop_targets of its requests
@@ -223,31 +215,30 @@ class Ccu:
 
     # -- request intake ------------------------------------------------------
 
-    def submit(self, core: int, kind: CoherentKind, address: int, now: int,
-               from_icache: bool = False) -> None:
-        """Accept one snooping request from a core's miss handler; it waits
+    def submit(self, core: int, now: int) -> None:
+        """Accept the snooping request of a core's pending miss; it waits
         for the decoder. A non-coherent ifetch fill (`sim.Kernel._access`)
         and write-backs (mem_port.push_wb) bypass this path."""
-        if kind not in SNOOPING_KINDS:
-            raise ProtocolFault(f"core {core}: unexpected {kind.value} request")
-        self.decoder.submit(core, kind, address, now, from_icache)
+        ms = self.caches[core].miss
+        if ms.kind not in SNOOPING_KINDS:
+            raise ProtocolFault(f"core {core}: unexpected {ms.kind.value} request")
+        self.decoder.submit(core, ms.address, now)
 
     # -- pipeline stages -------------------------------------------------------
 
     def decoder_step(self, now: int) -> Optional[CcuTransaction]:
         """Let at most one coherent request through the Decoder and fan
-        out its snoops."""
-        decoder = self.decoder
-        if decoder.hold is None and not self.can_grant():
-            return None
-        granted = decoder.grant()
+        out its snoops; the request enters as its miss's `entry_kind`."""
+        granted = self.decoder.grant()
         if granted is None:
             return None
-        core, kind, address, from_icache = granted
+        core, address = granted
+        cache = self.caches[core]
+        kind = cache.entry_kind()
         txn = CcuTransaction(id=self.next_id, initiator=core, kind=kind, address=address)
         self.next_id += 1
         self.txns[txn.id] = txn
-        fanout = self.fanout[core][from_icache]
+        fanout = self.fanout[core][cache.miss.for_icache]
         req = SnoopRequest(kind=kind, address=address)
         due = now + self.ccu_stage + self.snoop_hop
         for target, probe_d, probe_i in fanout:
@@ -256,14 +247,6 @@ class Ccu:
         txn.cr_pending = len(fanout)
         txn.advance(SNOOPING)
         return txn
-
-    def can_grant(self) -> bool:
-        """True when decoder_step would do more than count a stall; in
-        serialized mode no new request is muxed while a transaction is in
-        flight."""
-        if self.decoder.hold is None and self.serialize and self.txns:
-            return False
-        return self.decoder.can_grant()
 
     def collect_cr(self, from_core: int, resp: SnoopResponse,
                    data: Optional[bytes]) -> CcuTransaction:

@@ -214,7 +214,7 @@ def _image_hex(image: Dict[int, bytes]) -> Dict[str, str]:
 def _build(model: str, cfg: SimConfig, streams, args):
     """The model, once it has checked the streams, with its memory image."""
     if model == "snoop":
-        sim = build(cfg, serialize=args.serialize, monitor=args.check)
+        sim = build(cfg, monitor=args.check)
     else:
         sim = baseline.DirectorySimulation(cfg, monitor=args.check)
     sim.check_streams(streams)
@@ -386,8 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--cores", type=int, default=None)
     run_p.add_argument("--coherent-ifetch", action="store_true")
     run_p.add_argument("--check", action="store_true", help="per-cycle invariant monitors")
-    run_p.add_argument("--serialize", action="store_true",
-                       help="debug: one coherent transaction at a time")
     run_p.add_argument("--mem-image", help="memory preload file: <addr_hex> <byte_hex...>")
     run_p.add_argument("--watchdog", type=int, default=WATCHDOG_CYCLES)
     run_p.add_argument("--report", help="write the JSON report here instead of stdout")

@@ -276,14 +276,15 @@ def completion_state(
 
 
 def reissue_kind(kind: CoherentKind) -> CoherentKind:
-    """Kind a miss whose copy a snoop took is issued as: a CleanUnique
-    needs the data now, so it becomes ReadUnique.
+    """Kind a miss whose data cache no longer holds its line enters the
+    coherency unit as: a CleanUnique whose copy a snoop took needs the
+    data now, so it becomes ReadUnique; a miss from Invalid keeps its kind.
 
-    This is the only racing-miss rule. The Decoder admits one transaction
-    per line (`ccu.admits`), so a foreign snoop reaches a miss only while
-    it waits before the Decoder, where it can still be re-encoded; once
-    it has entered, its own snoop fan-out makes its line unique again, and
-    it always completes."""
+    This is the only racing-miss rule, applied once, as the request
+    enters. The Decoder admits one transaction per line (`ccu.admits`),
+    so a foreign snoop reaches a miss only while it waits before the
+    Decoder; once it has entered, its own snoop fan-out makes its line
+    unique again, and it always completes."""
     if kind is CoherentKind.CLEAN_UNIQUE:
         return CoherentKind.READ_UNIQUE
     return kind
@@ -304,7 +305,7 @@ class Tables:
         initiator[state, op]                        -> Hit | Issue
         snoopee[state, snooping kind]               -> (next state, SnoopResponse)
         completion[kind, shared, pass_dirty, store] -> install state
-        reissue[kind]                               -> kind a miss whose copy a snoop took is issued as
+        reissue[kind]                               -> kind a miss whose data cache lost its line enters as
         take_owned[state]                           -> state after a data-less dirty handoff
     """
 

@@ -12,10 +12,11 @@ called, so skipping it changes no count. `run()` loops over `step()`
 while ops are left (a counter the two retire points decrement), then
 until the fabric drains, and also skips the cycles in which no phase can
 act: after a step that made no progress it jumps `cycle` to the earliest
-due time of any queue (or the watchdog deadline). A core's stall cycles
+due time of any queue. Only a state with work left and nothing due is a
+deadlock: it jumps to the watchdog's deadline and trips it, while a
+wait on a due head, however long, never does. A core's stall cycles
 are counted per op, from its issue to its retire (or to a watchdog
-trip), so every count and the trip cycle of a deadlock match a
-cycle-by-cycle run.
+trip), so every count matches a cycle-by-cycle run.
 
 A model declares itself through the hooks `Kernel` lists: `_phases`,
 `_memory_data`, `_timed`, `_acts_now`, its transaction table `txns`,
@@ -48,7 +49,8 @@ from .protocol import IFETCH, INVALID, LOAD, OWNED, READ_NO_SNOOP, SHARED, STORE
 from . import verify
 
 
-# cycles without progress after which `Kernel.run` reports a deadlock
+# cycles without progress, with nothing due, after which `Kernel.run`
+# reports a deadlock
 WATCHDOG_CYCLES = 10000
 
 _NEVER = float("inf")
@@ -486,15 +488,15 @@ class Kernel:
 
     # -- time advance ------------------------------------------------------------
 
-    def _next_event(self, now: int, limit: int) -> int:
-        """Earliest cycle in [now, limit] in which a phase can act, given
+    def _next_event(self, now: int) -> float:
+        """Earliest cycle from `now` on in which a phase can act, given
         the state at the start of cycle `now` (any state, not only one
         left by an idle step): the write-back FIFO drains whenever it
         holds an entry, else the model may act now, else the earliest
-        head of a timed queue or port is due."""
+        head of a timed queue or port is due; infinite when nothing is."""
         if self.mem_port.wb or self._acts_now():
             return now
-        t = limit
+        t = _NEVER
         for queue in self._timed:
             if queue and queue[0][0] < t:
                 t = queue[0][0]
@@ -507,12 +509,22 @@ class Kernel:
         return t if t > now else now
 
     def _skip_idle(self, limit: int) -> None:
-        """Jump to the next cycle in which something can act, at most to
-        `limit`, counting the skipped cycles' collision stalls as steps would."""
+        """Jump to the next cycle in which something can act, counting the
+        skipped cycles' collision stalls as steps would. Waiting for a
+        due queue head is no deadlock: a head due at the watchdog's
+        deadline `limit` or later restarts the count from its cycle. With
+        nothing due the jump goes to `limit`, where the watchdog trips,
+        unless the run has drained."""
         now = self.cycle
-        t = self._next_event(now, limit)
-        if t <= now or t == limit and not self._work_remaining():
-            return  # something acts now, or the run has drained
+        t = self._next_event(now)
+        if t <= now:
+            return  # something acts now
+        if t == _NEVER:
+            if not self._work_remaining():
+                return  # the run has drained
+            t = limit
+        elif t >= limit:
+            self._last_progress = t
         if self.decoder.hold is not None:  # it cannot enter before t
             self.decoder.stalls += t - now
             self.stats.ccu_collision_stalls = self.decoder.stalls
@@ -575,25 +587,23 @@ class Kernel:
         return image
 
 
-def build(config: SimConfig, serialize: bool = False, monitor: bool = False) -> "Simulation":
+def build(config: SimConfig, monitor: bool = False) -> "Simulation":
     """Instantiate a simulation: caches empty, cycle 0."""
-    return Simulation(config, serialize=serialize, monitor=monitor)
+    return Simulation(config, monitor=monitor)
 
 
 class Simulation(Kernel):
     """The snoop cluster: the cores' cache controllers and the coherency unit."""
 
-    def __init__(self, config: SimConfig, serialize: bool = False, monitor: bool = False):
+    def __init__(self, config: SimConfig, monitor: bool = False):
         super().__init__(config, monitor)
         lat = config.latencies
         self.ccu = Ccu(
-            n_cores=config.n_cores,
-            coherent_ifetch=config.coherent_ifetch,
+            self.caches,
             ccu_stage=lat.ccu_stage,
             snoop_hop=lat.snoop_hop,
             wb_depth=config.fifo_depths.writeback,
             collision_capacity=config.fifo_depths.collision_capacity,
-            serialize=serialize,
         )
         ccu = self.ccu
         self.mem_port = ccu.mem_port
@@ -663,15 +673,13 @@ class Simulation(Kernel):
             self._execute_op(core, op, now)
 
     def _execute_op(self, core: int, op: CoreOp, now: int) -> None:
-        result = self._access(core, op, now)
-        if result is not None:
-            ms = self.caches[core].miss
-            self.ccu.submit(core, result.kind, ms.address, now, from_icache=ms.for_icache)
+        if self._access(core, op, now) is not None:
+            self.ccu.submit(core, now)
 
     def _process_snoop(self, core: int, now: int) -> None:
         _due, txn_id, req, probe_d, probe_i = self.ccu.ac_outbox[core].popleft()
-        cache = self.caches[core]
-        resp, data = cache.handle_snoop(req, probe_dcache=probe_d, probe_icache=probe_i)
+        resp, data = self.caches[core].handle_snoop(req, probe_dcache=probe_d,
+                                                    probe_icache=probe_i)
         self.ccu.cr_inbox.append((now + self.config.latencies.snoop_hop, core, resp, data))
         if resp.pass_dirty and data is None:
             # data-less dirty handoff (CleanUnique stripping a dirty
@@ -679,15 +687,6 @@ class Simulation(Kernel):
             # so no cycle ever shows the line clean-everywhere but stale
             initiator = self.ccu.txns[txn_id].initiator
             self.caches[initiator].take_dirty_responsibility(req.address)
-        # a pending miss that just lost its copy is re-encoded while it
-        # still sits before the decoder; the collision rule lets no
-        # foreign snoop reach it after it has entered
-        ms = cache.miss
-        if ms is not None and ms.invalidated_by_snoop:
-            kind = cache.tables.reissue[ms.kind]
-            if kind is not ms.kind and self.ccu.decoder.reencode(core, kind):
-                ms.kind = kind
-                ms.invalidated_by_snoop = False
 
     def _apply_completion(self, core: int, txn, now: int) -> None:
         cache = self.caches[core]
@@ -711,7 +710,7 @@ class Simulation(Kernel):
         self.ccu.memory_data(tag, data)
 
     def _acts_now(self) -> bool:
-        return bool(self.ccu.ready) or self.ccu.can_grant()
+        return bool(self.ccu.ready) or self.decoder.can_grant()
 
     # -- monitors / inspection ------------------------------------------------
 

@@ -15,8 +15,7 @@ Three layers:
   coverage pair but visit fewer states: a snoop that finds no copy and
   cannot find one later runs inside the accept or eviction that makes it
   so (`_Machine._settle`), and a load that misses from Invalid as a
-  ReadShared, which no snoop flags, is a state's only step
-  (`_Machine.successors`). Each counterexample trace is the shortest one
+  ReadShared is a state's only step (`_Machine.successors`). Each counterexample trace is the shortest one
   in that reduced graph, read back from the search's parent links, so
   it lists no such silent snoop, and a state budget counts its states.
   It is the oracle certifying `protocol.TABLES`, the one table set the
@@ -224,7 +223,7 @@ _OP_OF_VERB = {"R": _LOAD, "W": _STORE, "IF": _IFETCH}
 _PC, _MK, _MF, _ML, _MM, _MD = range(6)
 _CORE_SLOTS = 6
 # miss flag bits
-_ACCEPTED, _INVALIDATED, _ANY_SHARED, _ANY_DIRTY = 1, 2, 4, 8
+_ACCEPTED, _ANY_SHARED, _ANY_DIRTY = 1, 2, 4
 # per-line slots; each core's four cache slots follow at 2 + 4 * core
 _MEM, _GHOST = 0, 1
 
@@ -285,8 +284,8 @@ class _Machine:
         self.wb_at = self.coll_at + 1
         self.silent = self._silent_table()
         # lone_load[core][pc] -> the dcache slot of a load whose miss from
-        # Invalid is a ReadShared, which no snoop flags, else 0 (and 0 past
-        # the last op); all 0 in a machine that is not `reduced`
+        # Invalid is a ReadShared, else 0 (and 0 past the last op); all 0
+        # in a machine that is not `reduced`
         rs_miss = self.reduced and self.initiator[_I][_LOAD] == (False, _RS)
         lone_load = tuple(
             tuple(self.dpos[c][line] if rs_miss and op == _LOAD else 0
@@ -453,13 +452,13 @@ class _Machine:
 
         A lone load is an idle core's next op when it is a Load, the
         core's dcache holds its line Invalid, and the table row (Invalid,
-        Load) misses as ReadShared. The issue only writes the core's miss
-        kind and line, and only a snoop of that line on that core reads
-        them; a snoop flags a miss (marks it invalidated) only when it
-        takes a valid dcache copy, which the core lacks and no snoop
-        gives. So the issue commutes with every other step and leaves the
-        state tail, all the invariant checks read, unchanged. It stays enabled until taken,
-        and no issue lies on a cycle since a core's pc never decreases.
+        Load) misses as ReadShared. The issue reads the core's pc and
+        dcache slot, which only the core's own steps change (no snoop
+        gives a copy), and writes only the core's miss kind and line,
+        which only the core's own later steps read. So the issue commutes
+        with every other step and leaves the state tail, all the invariant
+        checks read, unchanged. It stays enabled until taken, and no issue
+        lies on a cycle since a core's pc never decreases.
         Taking it alone keeps every outcome, deadlock and violation (the
         ample-set conditions of Peled, CAV 1993)."""
         for core, at, _n_ops, lone_load in self.dispatch:
@@ -499,12 +498,11 @@ class _Machine:
 
         Such a snoop does what `_snoop` does when it finds no copy: it
         clears its bit of the initiator's mask and records the (Invalid,
-        kind) coverage pair; it flags no miss, since only a snoop that
-        invalidates a valid copy does.
+        kind) coverage pair, and changes no cache slot.
         While the line is in flight the collision rule admits no other
         miss on it, so no other step can give the target a copy or read
-        that bit: the snoop stays silent and commutes with every step. It leaves the state
-        tail, all the invariant checks read, unchanged. So it is folded
+        that bit: the snoop stays silent and commutes with every step. It
+        leaves the state tail, all the invariant checks read, unchanged. So it is folded
         into the step that made it silent, and the state in between is
         never stored (Godefroid's persistent sets, LNCS 1032, 1996). Only
         an accept sets mask bits, and only a capacity eviction can take
@@ -548,16 +546,15 @@ class _Machine:
 
     def _accept(self, state: bytes, core: int):
         at = self.core_at[core]
-        kind, flags, line = state[at + _MK], state[at + _MF], state[at + _ML]
-        # a pending miss whose copy was snooped away is re-encoded before
-        # it enters the coherent pipeline (CleanUnique becomes ReadUnique)
-        if flags & _INVALIDATED:
-            again = self.reissue[kind]
-            if again != kind:
-                kind, flags = again, flags & ~_INVALIDATED
+        kind, line = state[at + _MK], state[at + _ML]
+        # a miss whose dcache no longer holds its line enters as the
+        # reissue row says (a CleanUnique whose copy a snoop took asks
+        # for the data), as `cache.CacheModel.entry_kind` does
+        if not state[self.dpos[core][line]]:
+            kind = self.reissue[kind]
         new = bytearray(state)
         new[at + _MK] = kind
-        new[at + _MF] = flags | _ACCEPTED
+        new[at + _MF] = _ACCEPTED
         new[at + _MM] = (1 << len(self.fanout[core][kind])) - 1
         new[self.coll_at] |= 1 << line
         self._settle(new, core)
@@ -568,7 +565,6 @@ class _Machine:
         kind, line = state[at + _MK], state[at + _ML]
         target, probe_d, probe_i = self.fanout[core][kind][j]
         data_transfer = pass_dirty = is_shared = data_val = 0
-        invalidated_valid = False
         new = bytearray(state)
 
         if probe_d:
@@ -580,7 +576,6 @@ class _Machine:
                 if dt:
                     data_val = state[pos + 1]
                 if nxt == _I:
-                    invalidated_valid = True
                     new[pos] = new[pos + 1] = _I
                 else:
                     new[pos] = nxt
@@ -599,11 +594,6 @@ class _Machine:
                     new[pos] = new[pos + 1] = _I
                 data_transfer |= dt
                 is_shared |= sh
-
-        # side signal into the target's own pending miss
-        tat = self.core_at[target]
-        if invalidated_valid and new[tat + _MK] and new[tat + _ML] == line:
-            new[tat + _MF] |= _INVALIDATED
 
         if data_transfer and not new[at + _MD]:
             new[at + _MD] = data_val
@@ -880,7 +870,7 @@ def run_litmus(test: LitmusTest, config: ExploreConfig = ExploreConfig()) -> dic
     # can never match, so its clause would pass unseen
     reads = {core: sum(op[0] in ("R", "IF") for op in ops) for core, ops in test.programs.items()}
     unread = sorted({f"{atom[1]}:r{atom[2]}" for clause in test.forbidden for atom, _ in clause
-                     if atom[0] == "reg" and atom[2] >= reads.get(atom[1], 0)})
+                     if atom[0] == "reg" and not 0 <= atom[2] < reads.get(atom[1], 0)})
     if unread:
         raise ValueError(f"litmus test {test.name}: register(s) {unread} read by no op")
     programs = [tuple(test.programs.get(core, ())) for core in range(config.n_cores)]

@@ -13,7 +13,7 @@ from culsim import baseline, verify
 from culsim.ccu import mux_grant
 from culsim.cli import WorkloadSpec, gen_workload, main
 from culsim.protocol import CoreOp, LineState, OpKind
-from culsim.sim import SimConfig, build
+from culsim.sim import FifoDepths, SimConfig, build
 
 
 def ok(name):
@@ -101,14 +101,15 @@ def test_collision_serialization_and_pipelining():
     streams = [[CoreOp(OpKind.STORE, 0x400, value=c)] for c in range(4)]
     sim.run(streams)
 
-    # distinct lines issued back to back: pipelined beats forced serialization
-    def total_cycles(serialize):
-        s = build(SimConfig(), serialize=serialize)
+    # distinct lines issued back to back: pipelined beats a collision
+    # capacity of 1, which admits one transaction at a time
+    def total_cycles(capacity):
+        s = build(SimConfig(fifo_depths=FifoDepths(collision_capacity=capacity)))
         return s.run(
             [[CoreOp(OpKind.LOAD, 0x100)], [CoreOp(OpKind.LOAD, 0x200)]]
         ).cycles
 
-    assert total_cycles(False) < total_cycles(True)
+    assert total_cycles(8) < total_cycles(1)
     ok("collision-serialization-pipelining")
 
 

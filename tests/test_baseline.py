@@ -296,15 +296,32 @@ def test_downgrade_waits_for_room_in_a_full_write_back_fifo():
 # -- kernel shared with the snoop model ------------------------------------------------
 
 def test_watchdog_dumps_the_directory_state():
-    cfg = SimConfig()
-    cfg.latencies.mem_read = 20
+    sim = DirectorySimulation(SimConfig())
+    # poison the decoder so it can never admit the request
+    sim.decoder.in_flight.add(0x100)
     with pytest.raises(DeadlockError, match="no forward progress for 1 cycles") as exc:
-        DirectorySimulation(cfg).run([loads(0x100), []], watchdog=1)
-    # last progress at cycle 5 (the memory read issued); trip at 5 + 1 + 1
-    assert str(exc.value).splitlines()[1] == "cycle 7"
+        sim.run([loads(0x100), []], watchdog=1)
+    # last progress at cycle 1 (the miss's submit); trip at 1 + 1 + 1
+    assert str(exc.value).splitlines()[1] == "cycle 3"
     assert "core 0: current=" in str(exc.value)
     assert "core 1: current=None" in str(exc.value)
-    assert "txns=[(0, 'Load', '0x100', 'memory')]" in str(exc.value)  # the read is pending
+    assert "hold=(0, 256) txns=[]" in str(exc.value)
+
+
+def test_the_directory_dump_shows_a_journey_waiting_for_memory():
+    sim = DirectorySimulation(SimConfig())
+    dumps = []
+    memory_data = sim._memory_data
+
+    def dumped(txn, data):  # the read's data arrives: the journey still waits for it
+        dumps.append(sim._dump_state())
+        memory_data(txn, data)
+
+    sim._memory_data = dumped
+    sim.run([loads(0x100), []])
+    (dump,) = dumps
+    assert "core 0: current=" in dump and "core 1: current=None" in dump
+    assert "txns=[(0, 'Load', '0x100', 'memory')]" in dump
 
 
 def test_run_requires_one_stream_per_core():

@@ -129,27 +129,24 @@ def test_snoop_read_unique_invalidates_and_hands_dirty_off():
     assert cache.lookup(0x40) is None
 
 
-def test_snoop_invalidation_flags_pending_miss():
+def test_clean_unique_that_lost_its_copy_enters_as_read_unique():
     cache = make_cache()
     fill(cache, 0x40, S)
     cache.core_access(CoreOp(OpKind.STORE, 0x40, value=1))  # pending CleanUnique
     cache.handle_snoop(SnoopRequest(CoherentKind.READ_UNIQUE, 0x40))
     assert cache.lookup(0x40) is None
-    assert cache.miss.invalidated_by_snoop
+    assert cache.miss.kind is CoherentKind.CLEAN_UNIQUE  # a snoop leaves the request alone
+    assert cache.entry_kind() is CoherentKind.READ_UNIQUE
+    assert cache.miss.kind is CoherentKind.READ_UNIQUE
 
 
-def test_snoop_read_does_not_flag_pending_unique_miss():
+@pytest.mark.parametrize("op, kind", [(OpKind.LOAD, CoherentKind.READ_SHARED),
+                                      (OpKind.STORE, CoherentKind.READ_UNIQUE)])
+def test_miss_from_invalid_enters_unchanged(op, kind):
     cache = make_cache()
-    cache.core_access(CoreOp(OpKind.STORE, 0x40, value=1))  # pending ReadUnique
+    cache.core_access(CoreOp(op, 0x40, value=1 if op is OpKind.STORE else None))
     cache.handle_snoop(SnoopRequest(CoherentKind.READ_SHARED, 0x40))
-    assert not cache.miss.invalidated_by_snoop
-
-
-def test_snoop_read_does_not_flag_plain_load_miss():
-    cache = make_cache()
-    cache.core_access(CoreOp(OpKind.LOAD, 0x40))
-    cache.handle_snoop(SnoopRequest(CoherentKind.READ_SHARED, 0x40))
-    assert not cache.miss.invalidated_by_snoop
+    assert cache.entry_kind() is kind and cache.miss.kind is kind
 
 
 def test_stored_flags_match_protocol_next_state():
@@ -178,8 +175,8 @@ def test_clean_completion_installs():
 
 
 def test_clean_unique_completion_without_its_copy_raises_lost_copy():
-    # the timed models re-encode such a miss before it enters; a
-    # CleanUnique that completes anyway has nothing to upgrade
+    # such a miss enters as a ReadUnique (`entry_kind`); a CleanUnique
+    # that completes anyway has nothing to upgrade
     cache = make_cache()
     fill(cache, 0x40, S)
     cache.core_access(CoreOp(OpKind.STORE, 0x40, value=1))

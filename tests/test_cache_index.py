@@ -74,6 +74,12 @@ def runs(draw):
     return cfg, streams
 
 
+def one_at_a_time(cfg):
+    """`cfg` with a collision capacity of 1: the Decoder admits one
+    coherent transaction at a time."""
+    return replace(cfg, fifo_depths=replace(cfg.fifo_depths, collision_capacity=1))
+
+
 def checked_every_step(sim):
     step = sim.step
 

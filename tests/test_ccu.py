@@ -1,5 +1,7 @@
 import pytest
 
+from culsim import protocol
+from culsim.cache import CacheModel, MissStatus, NeedsMiss
 from culsim.ccu import (
     Ccu,
     CrOrderFifo,
@@ -11,7 +13,8 @@ from culsim.ccu import (
     snoop_targets,
 )
 from culsim.memsys import MemoryModel
-from culsim.protocol import CoherentKind, SnoopResponse
+from culsim.protocol import CoherentKind, CoreOp, LineState, OpKind, SnoopRequest, SnoopResponse
+from culsim.sim import CoherenceViolation, SimConfig, build
 
 RS, RU, CU, RO = (
     CoherentKind.READ_SHARED,
@@ -75,27 +78,27 @@ def test_admits_only_a_free_line_while_the_table_has_room():
 
 def test_collision_empty_proceeds_and_inserts():
     decoder = Decoder(n_cores=2, capacity=8)
-    decoder.submit(0, RS, 0x40, now=0)
-    assert decoder.grant() == (0, RS, 0x40, False)
+    decoder.submit(0, 0x40, now=0)
+    assert decoder.grant() == (0, 0x40)
     assert 0x40 in decoder.in_flight
     assert not decoder.busy()
 
 
 def test_collision_same_line_stalls():
     decoder = Decoder(n_cores=2, capacity=8)
-    decoder.submit(0, RS, 0x40, now=0)
+    decoder.submit(0, 0x40, now=0)
     decoder.grant()
-    decoder.submit(1, RU, 0x40, now=1)
+    decoder.submit(1, 0x40, now=1)
     assert decoder.grant() is None
-    assert decoder.hold == (1, RU, 0x40, False) and decoder.stalls == 1
+    assert decoder.hold == (1, 0x40) and decoder.stalls == 1
     decoder.release(0x40)
-    assert decoder.grant() == (1, RU, 0x40, False)
+    assert decoder.grant() == (1, 0x40)
 
 
 def test_collision_distinct_lines_proceed():
     decoder = Decoder(n_cores=2, capacity=8)
-    decoder.submit(0, RS, 0x40, now=0)
-    decoder.submit(1, RS, 0x50, now=0)
+    decoder.submit(0, 0x40, now=0)
+    decoder.submit(1, 0x50, now=0)
     assert decoder.grant() is not None
     assert decoder.grant() is not None
 
@@ -103,28 +106,28 @@ def test_collision_distinct_lines_proceed():
 def test_collision_full_table_stalls():
     decoder = Decoder(n_cores=3, capacity=2)
     for core, line in enumerate((0x00, 0x10, 0x20)):
-        decoder.submit(core, RS, line, now=0)
+        decoder.submit(core, line, now=0)
     assert decoder.grant() and decoder.grant()
     assert decoder.grant() is None
     decoder.release(0x00)
-    assert decoder.grant() == (2, RS, 0x20, False)
+    assert decoder.grant() == (2, 0x20)
 
 
 def test_a_lone_request_is_granted_and_rotates_the_tie_break():
     decoder = Decoder(n_cores=3, capacity=8)
-    decoder.submit(1, RS, 0x40, now=0)
-    assert decoder.grant() == (1, RS, 0x40, False)
+    decoder.submit(1, 0x40, now=0)
+    assert decoder.grant() == (1, 0x40)
     # core 1 was granted last, so a same-cycle tie goes to core 2 first
-    decoder.submit(0, RS, 0x80, now=1)
-    decoder.submit(2, RS, 0xC0, now=1)
+    decoder.submit(0, 0x80, now=1)
+    decoder.submit(2, 0xC0, now=1)
     assert decoder.grant()[0] == 2
 
 
 def test_decoder_refuses_a_second_request_from_one_core():
     decoder = Decoder(n_cores=2, capacity=8)
-    decoder.submit(0, RS, 0x40, now=0)
+    decoder.submit(0, 0x40, now=0)
     with pytest.raises(ProtocolFault, match="pending"):
-        decoder.submit(0, RS, 0x80, now=1)
+        decoder.submit(0, 0x80, now=1)
 
 
 # -- CR order fifo --------------------------------------------------------------------
@@ -165,16 +168,30 @@ def test_read_once_probes_own_dcache():
 
 # -- engine-level behavior -----------------------------------------------------------------
 
-def make_ccu(**kw):
-    kw.setdefault("n_cores", 2)
-    kw.setdefault("coherent_ifetch", False)
-    return Ccu(**kw)
+def make_ccu(n_cores=2, coherent_ifetch=False, **kw):
+    return Ccu([CacheModel(core, coherent_ifetch=coherent_ifetch) for core in range(n_cores)],
+               **kw)
+
+
+def request(ccu, core, kind, line, now):
+    """Park a miss of `kind` on `line` in the core's cache, as its miss
+    handler does, and submit its request."""
+    ccu.caches[core].miss = MissStatus(line, kind, for_icache=kind is RO)
+    ccu.submit(core, now)
+
+
+def upgrade(ccu, core, line, now):
+    """The core holds `line` Shared, and a store to it submits a CleanUnique."""
+    cache = ccu.caches[core]
+    cache._install(line, LineState.SHARED, bytes(16), icache=False)
+    assert cache.core_access(CoreOp(OpKind.STORE, line, value=1)) == NeedsMiss(CU)
+    ccu.submit(core, now)
 
 
 def test_decoder_pipelines_distinct_lines():
     ccu = make_ccu()
-    ccu.submit(0, RS, 0x40, now=0)
-    ccu.submit(1, RS, 0x80, now=0)
+    request(ccu, 0, RS, 0x40, now=0)
+    request(ccu, 1, RS, 0x80, now=0)
     t0 = ccu.decoder_step(0)
     t1 = ccu.decoder_step(1)
     assert t0 is not None and t1 is not None
@@ -183,8 +200,8 @@ def test_decoder_pipelines_distinct_lines():
 
 def test_decoder_serializes_same_line():
     ccu = make_ccu(n_cores=3)
-    ccu.submit(0, RS, 0x40, now=0)
-    ccu.submit(1, RU, 0x40, now=0)
+    request(ccu, 0, RS, 0x40, now=0)
+    request(ccu, 1, RU, 0x40, now=0)
     first = ccu.decoder_step(0)
     assert first is not None
     assert ccu.decoder_step(1) is None  # collision holds the second
@@ -195,7 +212,7 @@ def test_decoder_serializes_same_line():
 
 def test_a_transaction_phase_never_moves_backwards():
     ccu = make_ccu()
-    ccu.submit(0, RS, 0x40, now=0)
+    request(ccu, 0, RS, 0x40, now=0)
     txn = ccu.decoder_step(0)
     assert txn.phase is Phase.SNOOPING
     with pytest.raises(ProtocolFault, match="SNOOPING -> DECODED"):
@@ -204,10 +221,10 @@ def test_a_transaction_phase_never_moves_backwards():
     assert txn.phase is Phase.SNOOPING
 
 
-def test_serialize_mode_admits_one_transaction_at_a_time():
-    ccu = make_ccu(serialize=True)
-    ccu.submit(0, RS, 0x40, now=0)
-    ccu.submit(1, RS, 0x80, now=0)
+def test_capacity_one_admits_one_transaction_at_a_time():
+    ccu = make_ccu(collision_capacity=1)
+    request(ccu, 0, RS, 0x40, now=0)
+    request(ccu, 1, RS, 0x80, now=0)
     first = ccu.decoder_step(0)
     assert first is not None
     assert ccu.decoder_step(1) is None
@@ -217,7 +234,7 @@ def test_serialize_mode_admits_one_transaction_at_a_time():
 
 def test_collect_cr_first_responder_supplies_data():
     ccu = make_ccu(n_cores=3)
-    ccu.submit(0, RS, 0x40, now=0)
+    request(ccu, 0, RS, 0x40, now=0)
     txn = ccu.decoder_step(0)
     line_a, line_b = bytes([1]) * 16, bytes([2]) * 16
     ccu.collect_cr(1, SnoopResponse(data_transfer=1, is_shared=1), line_a)
@@ -229,7 +246,7 @@ def test_collect_cr_first_responder_supplies_data():
 
 def test_collect_cr_aggregates_with_or_semantics():
     ccu = make_ccu(n_cores=3)
-    ccu.submit(0, RU, 0x40, now=0)
+    request(ccu, 0, RU, 0x40, now=0)
     txn = ccu.decoder_step(0)
     ccu.collect_cr(1, SnoopResponse(), None)
     ccu.collect_cr(2, SnoopResponse(data_transfer=1, pass_dirty=1), bytes(16))
@@ -239,7 +256,7 @@ def test_collect_cr_aggregates_with_or_semantics():
 
 def test_collect_cr_all_deny_leaves_no_source():
     ccu = make_ccu(n_cores=3)
-    ccu.submit(0, RS, 0x40, now=0)
+    request(ccu, 0, RS, 0x40, now=0)
     txn = ccu.decoder_step(0)
     ccu.collect_cr(1, SnoopResponse(), None)
     ccu.collect_cr(2, SnoopResponse(), None)
@@ -248,8 +265,8 @@ def test_collect_cr_all_deny_leaves_no_source():
 
 def test_transactions_ready_in_one_cycle_move_on_in_id_order():
     ccu = make_ccu()
-    ccu.submit(0, RS, 0x40, now=0)
-    ccu.submit(1, RS, 0x80, now=0)
+    request(ccu, 0, RS, 0x40, now=0)
+    request(ccu, 1, RS, 0x80, now=0)
     first, second = ccu.decoder_step(0), ccu.decoder_step(1)
     assert (first.id, second.id) == (0, 1)
     ccu.collect_cr(0, SnoopResponse(), None)  # core 0 answers the second one first
@@ -304,8 +321,8 @@ def test_memory_reads_wait_for_same_line_writeback():
 def test_submit_sends_snooping_kinds_to_the_decoder():
     for kind in (RS, RU, CU, RO):
         ccu = make_ccu()
-        ccu.submit(1, kind, 0x40, now=3)
-        assert ccu.decoder.pending == {1: (3, kind, 0x40, False)}
+        request(ccu, 1, kind, 0x40, now=3)
+        assert ccu.decoder.pending == {1: (3, 0x40)}
         assert not ccu.mem_port.read_queue
 
 
@@ -316,25 +333,51 @@ def test_submit_refuses_kinds_no_cache_sends(kind):
     # fill straight to the memory port (sim.Kernel), never through submit
     ccu = make_ccu()
     with pytest.raises(ProtocolFault, match=kind.value):
-        ccu.submit(0, kind, 0x40, now=0)
+        request(ccu, 0, kind, 0x40, now=0)
     assert not ccu.decoder.busy() and not ccu.mem_port.read_queue
 
 
-def test_reencode_rewrites_before_acceptance_only():
+# -- the entry rule: a request is read off its miss as it enters ------------------------
+
+def test_a_queued_clean_unique_that_lost_its_copy_enters_as_read_unique():
     ccu = make_ccu()
-    ccu.submit(0, CU, 0x40, now=0)
-    assert ccu.decoder.reencode(0, RU)
-    assert ccu.decoder.pending[0][1] is RU
-    txn = ccu.decoder_step(0)
-    assert txn.kind is RU
-    assert not ccu.decoder.reencode(0, CU)  # already accepted
+    upgrade(ccu, 0, 0x40, now=0)
+    ccu.caches[0].handle_snoop(SnoopRequest(RU, 0x40))  # another core's snoop takes the copy
+    txn = ccu.decoder_step(1)
+    assert txn.kind is RU and ccu.caches[0].miss.kind is RU
+    # its snoops go out as ReadUnique too
+    assert [entry[2].kind for entry in ccu.ac_outbox[1]] == [RU]
 
 
-def test_reencode_rewrites_a_held_request():
+def test_a_held_clean_unique_that_lost_its_copy_enters_as_read_unique():
     ccu = make_ccu()
-    ccu.submit(0, RS, 0x40, now=0)
-    ccu.decoder_step(0)
-    ccu.submit(1, CU, 0x40, now=0)
-    assert ccu.decoder_step(1) is None  # held behind core 0's transaction
-    assert ccu.decoder.reencode(1, RU)
-    assert ccu.decoder.hold == (1, RU, 0x40, False)
+    request(ccu, 0, RU, 0x40, now=0)
+    first = ccu.decoder_step(0)
+    upgrade(ccu, 1, 0x40, now=0)
+    assert ccu.decoder_step(1) is None and ccu.decoder.hold == (1, 0x40)
+    _due, _id, req, probe_d, probe_i = ccu.ac_outbox[1].popleft()
+    ccu.caches[1].handle_snoop(req, probe_d, probe_i)  # core 0's ReadUnique takes the copy
+    ccu.finish(first.id)
+    assert ccu.decoder_step(2).kind is RU
+
+
+def test_a_clean_unique_that_keeps_its_copy_enters_unchanged():
+    ccu = make_ccu()
+    upgrade(ccu, 0, 0x40, now=0)
+    ccu.caches[0].handle_snoop(SnoopRequest(RS, 0x40))  # a read leaves the copy Shared
+    assert ccu.decoder_step(1).kind is CU
+
+
+def test_without_the_reissue_row_a_clean_unique_that_lost_its_copy_stays_one(monkeypatch):
+    monkeypatch.setattr(protocol, "TABLES", protocol.TABLES.mutated({"reissue:disabled"}))
+    ccu = make_ccu()
+    upgrade(ccu, 0, 0x40, now=0)
+    ccu.caches[0].handle_snoop(SnoopRequest(RU, 0x40))
+    assert ccu.decoder_step(1).kind is CU
+    # in a run, both cores read one line and then upgrade it: the later
+    # CleanUnique loses its copy to the earlier one, enters unchanged and
+    # completes with nothing to upgrade
+    load, store = CoreOp(OpKind.LOAD, 0x40), CoreOp(OpKind.STORE, 0x40, value=1)
+    streams = [[load, load, store], [load, store]]
+    with pytest.raises(CoherenceViolation, match="CleanUnique completion without a local copy"):
+        build(SimConfig()).run(streams)

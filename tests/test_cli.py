@@ -304,6 +304,27 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def test_serialize_is_no_option_and_exits_2(capsys):
+    # one transaction at a time is a config: fifo_depths.collision_capacity = 1
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--serialize")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --serialize" in capsys.readouterr().err
+
+
+def test_a_memory_read_longer_than_the_watchdog_is_no_deadlock(tmp_path):
+    # each miss waits 20,000 cycles on memory with nothing else due: the
+    # wait is scheduled, so the default 10,000-cycle watchdog must not trip
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text("latencies.mem_read = 20000\n")
+    report = tmp_path / "r.json"
+    code = run_cli("run", "--model", "both", "--ops", "5", "--config", str(cfg),
+                   "--report", str(report))
+    assert code == EXIT_OK
+    stats = json.loads(report.read_text())["stats"]
+    assert (stats["snoop"]["cycles"], stats["directory"]["cycles"]) == (100_035, 100_041)
+
+
 def test_mem_image_preload(tmp_path):
     img = tmp_path / "mem.txt"
     img.write_text("1000 " + " ".join(["5a"] * 16) + "\n")

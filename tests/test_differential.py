@@ -1,5 +1,6 @@
-"""Differential stress test: the snoop model, the snoop model with one
-coherent transaction at a time, and the directory baseline, all with
+"""Differential stress test: the snoop model, the snoop model with a
+collision capacity of 1 (one coherent transaction at a time), and the
+directory baseline, all with
 their per-cycle monitors on, must end with the same coherent memory
 image. Every store writes a value fixed by its address, so the final
 image does not depend on the interleaving."""
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from culsim.baseline import DirectorySimulation
 from culsim.protocol import CoreOp, OpKind
 from culsim.sim import build
-from test_cache_index import runs
+from test_cache_index import one_at_a_time, runs
 
 
 def address_valued(op):
@@ -26,7 +27,7 @@ def test_models_agree_on_the_final_image(run):
     streams = [[address_valued(op) for op in s] for s in streams]
     images = []
     # the directory has no coherent icache; ifetches write no memory
-    for sim in (build(cfg, monitor=True), build(cfg, serialize=True, monitor=True),
+    for sim in (build(cfg, monitor=True), build(one_at_a_time(cfg), monitor=True),
                 DirectorySimulation(replace(cfg, coherent_ifetch=False), monitor=True)):
         sim.run([list(s) for s in streams])
         images.append(sim.coherent_image())

@@ -14,7 +14,7 @@ from culsim.baseline import DirectorySimulation
 from culsim.cli import WorkloadSpec, gen_workload
 from culsim.sim import SimConfig, Simulation, build
 
-from test_cache_index import LINES, runs
+from test_cache_index import LINES, one_at_a_time, runs
 
 
 def problems(view):
@@ -47,7 +47,7 @@ def test_incremental_view_agrees_with_full_scan_every_step(run):
     cfg, streams = run
     for sim in (  # the directory has no coherent icache
         build(cfg, monitor=True),
-        build(cfg, serialize=True, monitor=True),
+        build(one_at_a_time(cfg), monitor=True),
         DirectorySimulation(replace(cfg, coherent_ifetch=False), monitor=True),
     ):
         cross_checked(sim).run([list(s) for s in streams])
@@ -99,7 +99,7 @@ def test_view_agrees_with_a_reference_built_from_lookups_every_step(run):
     cfg, streams = run
     for sim in (  # the directory has no coherent icache
         build(cfg, monitor=True),
-        build(cfg, serialize=True, monitor=True),
+        build(one_at_a_time(cfg), monitor=True),
         DirectorySimulation(replace(cfg, coherent_ifetch=False), monitor=True),
     ):
         held_against_reference(sim).run([list(s) for s in streams])

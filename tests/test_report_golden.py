@@ -27,6 +27,9 @@ fifo_depths.collision_capacity = 1
 latencies.mem_read = 1
 """
 
+# one coherent transaction at a time, in both models
+CAPACITY1_CONFIG = "fifo_depths.collision_capacity = 1\n"
+
 # instruction fetches race with stores and loads to the same lines on
 # three cores: the icache fill, its invalidation or permitted staleness
 # all run. Both models fill a non-coherent icache from memory; with
@@ -62,7 +65,7 @@ def cases():
     checked = ["--workload", "uniform_random", "--working-set", "16", "--check"]
     out["uniform_random/16/check/ifetch3"] = checked + ["--cores", "3", "--coherent-ifetch"]
     out["uniform_random/16/check/cores4"] = checked + ["--cores", "4"]
-    out["uniform_random/16/check/serialize"] = checked + ["--serialize"]
+    out["uniform_random/16/check/capacity1"] = checked + ["--config", "CAPACITY1"]
     out["uniform_random/16/check/tiny"] = checked + ["--config", "TINY"]
     traced = ["--trace", "IFETCH_TRACE", "--cores", "3", "--check"]
     out["trace/ifetch/check"] = traced
@@ -81,11 +84,13 @@ def run_case(args) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "tiny.cfg"
         config.write_text(TINY_CONFIG)
+        capacity1 = Path(tmp) / "capacity1.cfg"
+        capacity1.write_text(CAPACITY1_CONFIG)
         trace = Path(tmp) / "ifetch.trace"
         trace.write_text(IFETCH_TRACE)
         report = Path(tmp) / "report.json"
         argv = ["run", "--model", "both", "--ops", "200", "--report", str(report)]
-        files = {"TINY": str(config), "IFETCH_TRACE": str(trace)}
+        files = {"TINY": str(config), "CAPACITY1": str(capacity1), "IFETCH_TRACE": str(trace)}
         argv += [files.get(a, a) for a in args]
         code = main(argv)
         if not report.exists():

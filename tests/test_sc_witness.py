@@ -25,7 +25,7 @@ from culsim.cli import WorkloadSpec, gen_workload
 from culsim.protocol import IFETCH, STORE, CoreOp
 from culsim.sim import CoherenceViolation, SimConfig, build
 
-from test_cache_index import runs
+from test_cache_index import one_at_a_time, runs
 
 
 def renumbered(streams):
@@ -82,9 +82,9 @@ def witness_failure(sim, log):
 
 
 def models(cfg):
-    """The snoop model, the same one transaction at a time, and the
-    directory, which has no coherent icache."""
-    return (build(cfg), build(cfg, serialize=True),
+    """The snoop model, the same one transaction at a time (collision
+    capacity 1), and the directory, which has no coherent icache."""
+    return (build(cfg), build(one_at_a_time(cfg)),
             DirectorySimulation(replace(cfg, coherent_ifetch=False)))
 
 

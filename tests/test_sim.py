@@ -10,6 +10,7 @@ from culsim.protocol import CoherentKind, CoreOp, LineState, OpKind
 from culsim.sim import (
     CoherenceViolation,
     DeadlockError,
+    FifoDepths,
     Latencies,
     SimConfig,
     build,
@@ -215,11 +216,11 @@ def test_snapshot_after_exclusive_fill():
 # -- pipelining and serialization ----------------------------------------------------
 
 def test_distinct_lines_pipeline_faster_than_serialized():
-    def cycles(serialize):
-        sim = build(SimConfig(), serialize=serialize)
+    def cycles(capacity):
+        sim = build(SimConfig(fifo_depths=FifoDepths(collision_capacity=capacity)))
         return sim.run([loads(0x100), loads(0x200)]).cycles
 
-    assert cycles(False) < cycles(True)
+    assert cycles(8) < cycles(1)
 
 
 def test_same_line_transactions_never_overlap():
@@ -260,8 +261,8 @@ def test_non_coherent_ifetch_miss_queues_its_read_at_the_memory_port(model):
 MASKED_MUTATIONS = {
     "reissue:disabled": (
         "with the reissue rows patched to keep each kind, a pending CleanUnique "
-        "that loses its copy is not re-encoded before the Decoder; on this run "
-        "none loses it. Seeds 1 and 2 of the same workload do, and end in a "
+        "that loses its copy enters the Decoder unchanged; on this run none "
+        "loses it. Seeds 1 and 2 of the same workload do, and end in a "
         "CoherenceViolation 'CleanUnique completion without a local copy' "
         "(test_lost_copy_ends_the_run_as_a_violation). Masked for the snoop "
         "model only: the directory model ends in the same violation on this "

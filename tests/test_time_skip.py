@@ -13,11 +13,11 @@ from culsim.baseline import DirectorySimulation
 from culsim.protocol import CoreOp, OpKind
 from culsim.sim import SimConfig, build
 
-from test_cache_index import runs
+from test_cache_index import one_at_a_time, runs
 
 MODELS = {
     "snoop": lambda cfg: build(cfg, monitor=True),
-    "serialized": lambda cfg: build(cfg, serialize=True, monitor=True),
+    "capacity 1": lambda cfg: build(one_at_a_time(cfg), monitor=True),
     # the directory has no coherent icache
     "directory": lambda cfg: DirectorySimulation(
         replace(cfg, coherent_ifetch=False), monitor=True),
@@ -65,7 +65,7 @@ def test_next_event_is_now_in_every_cycle_a_step_makes_progress(run):
             port.stream.extend(ops)
         while sim._work_remaining():
             now = sim.cycle
-            t = sim._next_event(now, float("inf"))
+            t = sim._next_event(now)
             one_step(sim, False, [0] * cfg.n_cores)
             assert t == now or not sim._progress, f"{name}: acts in cycle {now}, scan says {t}"
             assert sim.cycle < 100_000, "run does not drain"

@@ -234,7 +234,7 @@ def test_litmus_core_outside_config_is_rejected():
 
 def test_litmus_register_no_op_reads_is_rejected():
     # core 1 has one read, so only its r0 exists; core 0 only writes
-    for atom in ("1:r7=5", "1:r1=0", "0:r0=1"):
+    for atom in ("1:r7=5", "1:r1=0", "0:r0=1", "1:r-1=5"):
         (test,) = parse_litmus(f"test t\ncore 0: W x=1\ncore 1: R x\nforbid 1:r0=1 {atom}\n")
         reg = atom.partition("=")[0]
         with pytest.raises(ValueError, match=rf"litmus test t: register\(s\) \['{reg}'\] read by no"):
