@@ -65,7 +65,7 @@ class DirectorySimulation(Kernel):
         self.mem_port = MemoryPort(config.fifo_depths.writeback)
         self.mem_port.touched = self.touched
         self.decoder = Decoder(config.n_cores, config.fifo_depths.collision_capacity)
-        self.txns: List[_DirTxn] = []  # in accept order
+        self.txns: List[_DirTxn] = []  # in accept order, for `_dump_lines`
         self.next_id = 0
         # (due, txn id, txn) of each journey waiting out a delay
         self.wake: List[Tuple[int, int, _DirTxn]] = []
@@ -97,9 +97,9 @@ class DirectorySimulation(Kernel):
         if inflight and inflight[0][0] <= now:
             self._memory_responses(now)
 
-    def _memory_data(self, txn: _DirTxn, data: bytes) -> None:
+    def _memory_data(self, txn: _DirTxn, data: bytes, now: int) -> None:
         txn.data = data
-        heappush(self.wake, (self.cycle + 1, txn.id, txn))
+        heappush(self.wake, (now + 1, txn.id, txn))
 
     def _accept(self, now: int) -> None:
         granted = self.decoder.grant()
@@ -235,9 +235,6 @@ class DirectorySimulation(Kernel):
         self._progress = True
         if self._access(core, self.ports[core].current, now) is not None:
             self.decoder.submit(core, self.caches[core].miss.address, now)
-
-    def _acts_now(self) -> bool:
-        return self.decoder.can_grant()
 
     def _dump_lines(self) -> List[str]:
         due = {txn_id: cycle for cycle, txn_id, _ in self.wake}

@@ -2,9 +2,11 @@
 
 Serializes the cores' snooping requests through the `Decoder` (round-robin
 mux and per-line mutual exclusion, pipelined across distinct lines; the
-directory shares it), fans out snoops, aggregates CR responses in
-per-core FIFO order, buffers first-responder CD data, and drains
-write-backs to memory through the bounded FIFO of its memory port.
+directory shares it), fans out snoops, aggregates the CR responses of
+each transaction, buffers first-responder CD data, and drains
+write-backs to memory through the bounded FIFO of its memory port. Every
+entry of its queues (AC snoops, CR responses, memory reads, R bursts)
+carries the transaction it belongs to.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .protocol import (
 
 
 class ProtocolFault(RuntimeError):
-    """Internal protocol violation (e.g. a CR with no matching AC)."""
+    """Internal protocol violation (e.g. a core's second pending request)."""
 
 
 def mux_grant(pending: Dict[int, int], last_granted: int, n_cores: int) -> int:
@@ -125,26 +127,6 @@ class Decoder:
     def release(self, line: int) -> None:
         self.in_flight.discard(line)
 
-    def busy(self) -> bool:
-        return bool(self.pending) or self.hold is not None
-
-
-class CrOrderFifo:
-    """Per-snooped-core FIFOs of transaction ids in AC-issue order: the
-    snoop channels carry no transaction id, so the k-th CR on a stream
-    belongs to the k-th AC issued on it."""
-
-    def __init__(self, n_cores: int):
-        self.queues: List[Deque[int]] = [deque() for _ in range(n_cores)]
-
-    def push(self, core: int, txn_id: int) -> None:
-        self.queues[core].append(txn_id)
-
-    def pop(self, core: int) -> int:
-        if not self.queues[core]:
-            raise ProtocolFault(f"CR from core {core} with empty order FIFO")
-        return self.queues[core].popleft()
-
 
 def snoop_targets(
     initiator: int, n_cores: int, coherent_ifetch: bool, from_icache: bool = False,
@@ -202,14 +184,14 @@ class Ccu:
         )
         self.txns: Dict[int, CcuTransaction] = {}
         self.next_id = 0
-        self.cr_fifo = CrOrderFifo(n_cores)
-        # (due, txn_id, request, probe_d, probe_i) awaiting delivery per core
+        # (due, txn, request, probe_d, probe_i) awaiting delivery per core
         self.ac_outbox: List[Deque[tuple]] = [deque() for _ in range(n_cores)]
-        self.cr_inbox: Deque[tuple] = deque()  # (due, from_core, resp, data)
-        # transactions that completion_step moves on next: all CRs in, or
-        # their memory data arrived
+        self.cr_inbox: Deque[tuple] = deque()  # (due, from_core, txn, resp, data)
+        # transactions whose last CR came in this cycle, for completion_step
         self.ready: List[CcuTransaction] = []
-        self.r_outbox: List[Deque[Tuple[int, int]]] = [deque() for _ in range(n_cores)]
+        # (due, txn) of the R burst on its way to the initiator
+        self.r_outbox: List[Deque[Tuple[int, CcuTransaction]]] = [
+            deque() for _ in range(n_cores)]
         self.mem_port = MemoryPort(wb_depth)
         self.c2c_transfers = 0
 
@@ -242,19 +224,15 @@ class Ccu:
         req = SnoopRequest(kind=kind, address=address)
         due = now + self.ccu_stage + self.snoop_hop
         for target, probe_d, probe_i in fanout:
-            self.cr_fifo.push(target, txn.id)
-            self.ac_outbox[target].append((due, txn.id, req, probe_d, probe_i))
+            self.ac_outbox[target].append((due, txn, req, probe_d, probe_i))
         txn.cr_pending = len(fanout)
         txn.advance(SNOOPING)
         return txn
 
-    def collect_cr(self, from_core: int, resp: SnoopResponse,
-                   data: Optional[bytes]) -> CcuTransaction:
-        """Attribute one CR (+CD) to the transaction at the head of that
-        core's snoop stream and fold it into the aggregate. The first
-        responder that transfers data supplies the line."""
-        txn_id = self.cr_fifo.pop(from_core)
-        txn = self.txns[txn_id]
+    def collect_cr(self, from_core: int, txn: CcuTransaction, resp: SnoopResponse,
+                   data: Optional[bytes]) -> None:
+        """Fold one CR (+CD) of a core into its transaction's aggregate.
+        The first responder that transfers data supplies the line."""
         if self.touched is not None:
             self.touched.add(txn.address)
         txn.cr_pending -= 1
@@ -266,17 +244,17 @@ class Ccu:
         if txn.cr_pending == 0:
             txn.advance(RESPONDING)
             self.ready.append(txn)
-        return txn
 
     def snoop_unit_step(self, now: int) -> None:
         while self.cr_inbox and self.cr_inbox[0][0] <= now:
-            _, from_core, resp, data = self.cr_inbox.popleft()
-            self.collect_cr(from_core, resp, data)
+            _, from_core, txn, resp, data = self.cr_inbox.popleft()
+            self.collect_cr(from_core, txn, resp, data)
 
     def completion_step(self, now: int) -> None:
-        """Move ready transactions toward the R channel, in id order:
-        snoop data is forwarded directly (no memory read); transactions
-        with no responder data fetch the line from memory first."""
+        """Move the transactions whose CRs are all in toward the R
+        channel, in id order: snoop data is forwarded directly (no memory
+        read); transactions with no responder data fetch the line from
+        memory first (`memory_data`)."""
         ready = self.ready
         if not ready:
             return
@@ -286,38 +264,39 @@ class Ccu:
         for txn in ready:
             if txn.kind in DATA_KINDS and txn.data is None:
                 txn.advance(MEM_ACCESS)
-                self.mem_port.read_queue.append((now, txn.address, txn.id))
+                self.mem_port.read_queue.append((now, txn.address, txn))
                 continue
             if txn.data_source is not None:
                 self.c2c_transfers += 1
-            self.r_outbox[txn.initiator].append((now + self.ccu_stage, txn.id))
+            self.r_outbox[txn.initiator].append((now + self.ccu_stage, txn))
 
     def memory_unit_step(self, now: int, mem) -> bool:
         """Issue at most one operation on the serialized memory port."""
         return self.mem_port.step(now, mem)
 
-    def memory_data(self, txn_id: int, data: bytes) -> None:
-        txn = self.txns[txn_id]
+    def memory_data(self, txn: CcuTransaction, data: bytes, now: int) -> None:
+        """The memory read of a transaction returned its line in cycle
+        `now`: the completion stage sends it on in the next cycle."""
         if self.touched is not None:
             self.touched.add(txn.address)
         txn.data = bytes(data)
-        self.ready.append(txn)
+        self.r_outbox[txn.initiator].append((now + 1 + self.ccu_stage, txn))
 
     def take_r(self, core: int, now: int) -> Optional[CcuTransaction]:
         """Transaction whose R burst is at the initiator this cycle, if any."""
         box = self.r_outbox[core]
         if box and box[0][0] <= now:
-            return self.txns[box[0][1]]
+            return box[0][1]
         return None
 
-    def finish(self, txn_id: int) -> None:
+    def finish(self, txn: CcuTransaction) -> None:
         """Retire a transaction: the initiator consumed the R burst and
         applied the miss; its line leaves the Decoder."""
-        txn = self.txns.pop(txn_id)
+        del self.txns[txn.id]
         if self.touched is not None:
             self.touched.add(txn.address)
         txn.advance(DONE)
         box = self.r_outbox[txn.initiator]
-        if box and box[0][1] == txn_id:
+        if box and box[0][1] is txn:
             box.popleft()
         self.decoder.release(txn.address)

@@ -3,7 +3,8 @@ verification runs with machine-readable JSON reports.
 
 Exit codes (also in --help): 0 success, 1 coherence violation or
 forbidden litmus outcome, 2 usage error, 3 explorer budget exceeded,
-4 deadlock, 5 malformed input (config/trace/litmus/image).
+4 deadlock, 5 malformed input (config/trace/litmus/image) or a file that
+cannot be read or written.
 """
 from __future__ import annotations
 
@@ -368,7 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=(
             "exit codes: 0 success; 1 coherence violation or forbidden litmus "
             "outcome; 2 usage error; 3 explorer budget exceeded; 4 deadlock; "
-            "5 malformed input. CULSIM_SEED overrides the config seed."
+            "5 malformed input or a file that cannot be read or written. "
+            "CULSIM_SEED overrides the config seed."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -409,6 +411,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (ConfigError, TraceError, MemoryFault, ValueError) as exc:
         print(f"culsim: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except OSError as exc:
+        if exc.filename is None:  # not an input file to read or the report to write
+            raise
+        print(f"culsim: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except DeadlockError as exc:
         print(f"culsim: deadlock: {exc}", file=sys.stderr)

@@ -9,19 +9,21 @@ accounting, the run loop and watchdog, monitors and the final image.
 `step()` advances exactly one cycle, and calls only the phases whose
 queue head is due in it: a stage with nothing due does nothing when
 called, so skipping it changes no count. `run()` loops over `step()`
-while ops are left (a counter the two retire points decrement), then
-until the fabric drains, and also skips the cycles in which no phase can
-act: after a step that made no progress it jumps `cycle` to the earliest
-due time of any queue. Only a state with work left and nothing due is a
-deadlock: it jumps to the watchdog's deadline and trips it, while a
-wait on a due head, however long, never does. A core's stall cycles
-are counted per op, from its issue to its retire (or to a watchdog
-trip), so every count matches a cycle-by-cycle run.
+while ops are left (a counter the two retire points decrement) or
+write-backs wait, and also skips the cycles in which no phase can act:
+after a step that made no progress it jumps `cycle` to the earliest due
+time of any queue. Every transaction, queue entry and memory read
+belongs to an op not yet retired, so once no op is left only the
+write-back FIFO can hold work. Only a state with ops left and nothing
+due is a deadlock: it jumps to the watchdog's deadline and trips it,
+while a wait on a due head, however long, never does. A core's stall
+cycles are counted per op, from its issue to its retire (or to a
+watchdog trip), so every count matches a cycle-by-cycle run.
 
 A model declares itself through the hooks `Kernel` lists: `_phases`,
-`_memory_data`, `_timed`, `_acts_now`, its transaction table `txns`,
-`_in_flight_copies` and `_dump_lines`. From `_timed` and `_acts_now` the
-kernel derives both the next due cycle and whether work is left.
+`_memory_data`, `_timed`, `_in_flight_copies`, `_dump_lines`, `mem_port`
+and `decoder`. From `_timed` and the Decoder the kernel derives the next
+due cycle.
 
 Component evaluation order within a cycle: cache controllers (each
 serving one requester on its SRAM port, snoops due at the head of the
@@ -34,7 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from typing import Collection, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .cache import (
     CacheModel,
@@ -231,14 +233,13 @@ class Kernel:
     issue, `_apply_nc_fill` and `_memory_responses` included), the data
     of its memory reads as `_memory_data`, dirty data outside the caches
     as `_in_flight_copies` and its own state as `_dump_lines`. It sets
-    `mem_port` to the MemoryPort in front of `mem`, `decoder` to its
-    request Decoder and `txns` to its table of transactions in flight,
-    and declares its time: `_timed` holds, once and for good, every queue
-    of its fabric whose entries start with their due cycle (none is ever
-    rebound), and `_acts_now()` is true while a stage can act without a
-    due queue head. With monitors on, its components share the kernel's
-    `touched` set, and the model marks there every line whose view it
-    changes without a component's help.
+    `mem_port` to the MemoryPort in front of `mem` and `decoder` to its
+    request Decoder, and declares its time: `_timed` holds, once and for
+    good, every queue of its fabric whose entries start with their due
+    cycle (none is ever rebound); besides those, only the Decoder and the
+    write-back FIFO may act with no due head. With monitors on, its
+    components share the kernel's `touched` set, and the model marks
+    there every line whose view it changes without a component's help.
 
     A step pays only for the work due in it: `_phases` calls a stage only
     when its queue head is due, and `_issue` runs only from `_issue_at`
@@ -248,7 +249,6 @@ class Kernel:
 
     mem_port: MemoryPort
     decoder: Decoder
-    txns: Collection
     _timed: Tuple[Sequence[tuple], ...]
 
     def __init__(self, config: SimConfig, monitor: bool):
@@ -407,7 +407,7 @@ class Kernel:
             if isinstance(tag, _Port):
                 tag.nc_fill = data
             else:
-                self._memory_data(tag, data)
+                self._memory_data(tag, data, now)
             self._progress = True
 
     # -- monitors / inspection ------------------------------------------------
@@ -492,9 +492,9 @@ class Kernel:
         """Earliest cycle from `now` on in which a phase can act, given
         the state at the start of cycle `now` (any state, not only one
         left by an idle step): the write-back FIFO drains whenever it
-        holds an entry, else the model may act now, else the earliest
+        holds an entry, else the Decoder may grant now, else the earliest
         head of a timed queue or port is due; infinite when nothing is."""
-        if self.mem_port.wb or self._acts_now():
+        if self.mem_port.wb or self.decoder.can_grant():
             return now
         t = _NEVER
         for queue in self._timed:
@@ -520,7 +520,7 @@ class Kernel:
         if t <= now:
             return  # something acts now
         if t == _NEVER:
-            if not self._work_remaining():
+            if not self._ops_left:
                 return  # the run has drained
             t = limit
         elif t >= limit:
@@ -531,15 +531,6 @@ class Kernel:
         self.cycle = self.stats.cycles = t
 
     # -- driving ---------------------------------------------------------------
-
-    def _work_remaining(self) -> bool:
-        return (
-            any(self._timed)
-            or bool(self.mem_port.wb)
-            or self.decoder.busy()
-            or bool(self.txns)
-            or any(p.stream or p.current is not None for p in self.ports)
-        )
 
     def check_streams(self, streams: List[List[CoreOp]]) -> None:
         """Refuse, before cycle 0, per-core op streams this model cannot run."""
@@ -558,7 +549,7 @@ class Kernel:
             port.stream.extend(ops)
         self._ops_left = sum(len(p.stream) + (p.current is not None) for p in self.ports)
         self._last_progress = self.cycle
-        while self._ops_left or self._work_remaining():
+        while self._ops_left or self.mem_port.wb:
             self.step()
             if not self._progress:
                 self._skip_idle(self._last_progress + watchdog + 1)
@@ -608,7 +599,6 @@ class Simulation(Kernel):
         ccu = self.ccu
         self.mem_port = ccu.mem_port
         self.decoder = ccu.decoder
-        self.txns = ccu.txns
         self._timed = (self.mem_port.read_queue, self.mem.inflight, ccu.cr_inbox,
                        *ccu.r_outbox, *ccu.ac_outbox)
         ccu.touched = self.mem_port.touched = self.touched
@@ -677,16 +667,15 @@ class Simulation(Kernel):
             self.ccu.submit(core, now)
 
     def _process_snoop(self, core: int, now: int) -> None:
-        _due, txn_id, req, probe_d, probe_i = self.ccu.ac_outbox[core].popleft()
+        _due, txn, req, probe_d, probe_i = self.ccu.ac_outbox[core].popleft()
         resp, data = self.caches[core].handle_snoop(req, probe_dcache=probe_d,
                                                     probe_icache=probe_i)
-        self.ccu.cr_inbox.append((now + self.config.latencies.snoop_hop, core, resp, data))
+        self.ccu.cr_inbox.append((now + self.config.latencies.snoop_hop, core, txn, resp, data))
         if resp.pass_dirty and data is None:
             # data-less dirty handoff (CleanUnique stripping a dirty
             # holder): responsibility lands on the initiator's copy now,
             # so no cycle ever shows the line clean-everywhere but stale
-            initiator = self.ccu.txns[txn_id].initiator
-            self.caches[initiator].take_dirty_responsibility(req.address)
+            self.caches[txn.initiator].take_dirty_responsibility(req.address)
 
     def _apply_completion(self, core: int, txn, now: int) -> None:
         cache = self.caches[core]
@@ -697,7 +686,7 @@ class Simulation(Kernel):
             txn.kind, txn.any_is_shared, txn.any_pass_dirty, store_follows
         ]
         result = cache.miss_complete(resp_state, txn.data)
-        self.ccu.finish(txn.id)
+        self.ccu.finish(txn)
         if result.writeback is not None:
             if not self.mem_port.push_wb(*result.writeback):
                 raise ProtocolFault("write-back refused after feasibility check")
@@ -706,11 +695,8 @@ class Simulation(Kernel):
             stats.snoop_served_misses += 1
         self._retire_miss(core, now)
 
-    def _memory_data(self, tag, data: bytes) -> None:
-        self.ccu.memory_data(tag, data)
-
-    def _acts_now(self) -> bool:
-        return bool(self.ccu.ready) or self.decoder.can_grant()
+    def _memory_data(self, txn, data: bytes, now: int) -> None:
+        self.ccu.memory_data(txn, data, now)
 
     # -- monitors / inspection ------------------------------------------------
 
@@ -726,10 +712,8 @@ class Simulation(Kernel):
 
     def _in_flight_copies(self, lines=None) -> Dict[int, List[verify.CopyView]]:
         # Dirty data in flight answers for its line like an Owned copy:
-        # CD data queued with pass_dirty (the k-th CR from a core belongs
-        # to the k-th transaction on that core's order FIFO), and a
-        # transaction's buffered data once a snoopee handed dirty
-        # responsibility over. Without them a line whose dirty holder was
+        # CD data queued with pass_dirty, and a transaction's buffered
+        # data once a snoopee handed dirty responsibility over. Without them a line whose dirty holder was
         # already snooped looks clean-everywhere but newer than memory.
         ccu = self.ccu
         copies: Dict[int, List[verify.CopyView]] = {}
@@ -738,12 +722,9 @@ class Simulation(Kernel):
         in_flight = ccu.decoder.in_flight
         if not in_flight or lines is not None and in_flight.isdisjoint(lines):
             return copies
-        crs_seen = [0] * self.config.n_cores
-        for _due, core, resp, data in ccu.cr_inbox:
-            txn_id = ccu.cr_fifo.queues[core][crs_seen[core]]
-            crs_seen[core] += 1
+        for _due, core, txn, resp, data in ccu.cr_inbox:
             if resp.pass_dirty and data is not None:
-                copies.setdefault(ccu.txns[txn_id].address, []).append(
+                copies.setdefault(txn.address, []).append(
                     verify.CopyView(core, OWNED, data, False)
                 )
         for txn in ccu.txns.values():

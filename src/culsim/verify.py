@@ -873,6 +873,14 @@ def run_litmus(test: LitmusTest, config: ExploreConfig = ExploreConfig()) -> dic
                      if atom[0] == "reg" and not 0 <= atom[2] < reads.get(atom[1], 0)})
     if unread:
         raise ValueError(f"litmus test {test.name}: register(s) {unread} read by no op")
+    # a memory atom on a line no op or init names reads the zero fill:
+    # it says nothing about the program
+    used = set(test.init).union(op[1] for ops in test.programs.values() for op in ops)
+    unused = sorted({atom[1] for clause in test.forbidden for atom, _ in clause
+                     if atom[0] == "mem" and atom[1] not in used})
+    if unused:
+        raise ValueError(f"litmus test {test.name}: address(es) "
+                         f"{[hex(a) for a in unused]} named by no op or init")
     programs = [tuple(test.programs.get(core, ())) for core in range(config.n_cores)]
     result = explore(programs, config, init_mem=test.init or None)
     forbidden_seen = False

@@ -313,9 +313,9 @@ def test_the_directory_dump_shows_a_journey_waiting_for_memory():
     dumps = []
     memory_data = sim._memory_data
 
-    def dumped(txn, data):  # the read's data arrives: the journey still waits for it
+    def dumped(txn, data, now):  # the read's data arrives: the journey still waits for it
         dumps.append(sim._dump_state())
-        memory_data(txn, data)
+        memory_data(txn, data, now)
 
     sim._memory_data = dumped
     sim.run([loads(0x100), []])

@@ -4,7 +4,6 @@ from culsim import protocol
 from culsim.cache import CacheModel, MissStatus, NeedsMiss
 from culsim.ccu import (
     Ccu,
-    CrOrderFifo,
     Decoder,
     Phase,
     ProtocolFault,
@@ -81,7 +80,7 @@ def test_collision_empty_proceeds_and_inserts():
     decoder.submit(0, 0x40, now=0)
     assert decoder.grant() == (0, 0x40)
     assert 0x40 in decoder.in_flight
-    assert not decoder.busy()
+    assert not decoder.pending and decoder.hold is None
 
 
 def test_collision_same_line_stalls():
@@ -128,21 +127,6 @@ def test_decoder_refuses_a_second_request_from_one_core():
     decoder.submit(0, 0x40, now=0)
     with pytest.raises(ProtocolFault, match="pending"):
         decoder.submit(0, 0x80, now=1)
-
-
-# -- CR order fifo --------------------------------------------------------------------
-
-def test_cr_fifo_matches_in_order():
-    fifo = CrOrderFifo(2)
-    fifo.push(1, 7)
-    fifo.push(1, 8)
-    assert fifo.pop(1) == 7
-    assert fifo.pop(1) == 8
-
-
-def test_cr_with_empty_fifo_is_protocol_fault():
-    with pytest.raises(ProtocolFault):
-        CrOrderFifo(2).pop(0)
 
 
 # -- snoop fan-out ----------------------------------------------------------------------
@@ -206,7 +190,7 @@ def test_decoder_serializes_same_line():
     assert first is not None
     assert ccu.decoder_step(1) is None  # collision holds the second
     assert ccu.decoder.stalls >= 1
-    ccu.finish(first.id)
+    ccu.finish(first)
     assert ccu.decoder_step(2) is not None
 
 
@@ -228,7 +212,7 @@ def test_capacity_one_admits_one_transaction_at_a_time():
     first = ccu.decoder_step(0)
     assert first is not None
     assert ccu.decoder_step(1) is None
-    ccu.finish(first.id)
+    ccu.finish(first)
     assert ccu.decoder_step(2) is not None
 
 
@@ -237,8 +221,8 @@ def test_collect_cr_first_responder_supplies_data():
     request(ccu, 0, RS, 0x40, now=0)
     txn = ccu.decoder_step(0)
     line_a, line_b = bytes([1]) * 16, bytes([2]) * 16
-    ccu.collect_cr(1, SnoopResponse(data_transfer=1, is_shared=1), line_a)
-    ccu.collect_cr(2, SnoopResponse(data_transfer=1, is_shared=1), line_b)
+    ccu.collect_cr(1, txn, SnoopResponse(data_transfer=1, is_shared=1), line_a)
+    ccu.collect_cr(2, txn, SnoopResponse(data_transfer=1, is_shared=1), line_b)
     assert txn.data == line_a
     assert txn.data_source == 1
     assert txn.any_is_shared == 1 and txn.any_pass_dirty == 0
@@ -248,8 +232,8 @@ def test_collect_cr_aggregates_with_or_semantics():
     ccu = make_ccu(n_cores=3)
     request(ccu, 0, RU, 0x40, now=0)
     txn = ccu.decoder_step(0)
-    ccu.collect_cr(1, SnoopResponse(), None)
-    ccu.collect_cr(2, SnoopResponse(data_transfer=1, pass_dirty=1), bytes(16))
+    ccu.collect_cr(1, txn, SnoopResponse(), None)
+    ccu.collect_cr(2, txn, SnoopResponse(data_transfer=1, pass_dirty=1), bytes(16))
     assert txn.any_pass_dirty == 1
     assert txn.cr_pending == 0
 
@@ -258,8 +242,8 @@ def test_collect_cr_all_deny_leaves_no_source():
     ccu = make_ccu(n_cores=3)
     request(ccu, 0, RS, 0x40, now=0)
     txn = ccu.decoder_step(0)
-    ccu.collect_cr(1, SnoopResponse(), None)
-    ccu.collect_cr(2, SnoopResponse(), None)
+    ccu.collect_cr(1, txn, SnoopResponse(), None)
+    ccu.collect_cr(2, txn, SnoopResponse(), None)
     assert txn.data_source is None and txn.data is None
 
 
@@ -269,22 +253,16 @@ def test_transactions_ready_in_one_cycle_move_on_in_id_order():
     request(ccu, 1, RS, 0x80, now=0)
     first, second = ccu.decoder_step(0), ccu.decoder_step(1)
     assert (first.id, second.id) == (0, 1)
-    ccu.collect_cr(0, SnoopResponse(), None)  # core 0 answers the second one first
-    ccu.collect_cr(1, SnoopResponse(), None)
+    ccu.collect_cr(0, second, SnoopResponse(), None)  # core 0 answers the second one first
+    ccu.collect_cr(1, first, SnoopResponse(), None)
     ccu.completion_step(5)
-    assert [tag for _, _, tag in ccu.mem_port.read_queue] == [0, 1]
-    ccu.memory_data(1, bytes([1]) * 16)  # and the data arrive in reverse too
-    ccu.memory_data(0, bytes([2]) * 16)
-    ccu.completion_step(30)
-    assert [list(box) for box in ccu.r_outbox] == [[(31, 0)], [(31, 1)]]
+    assert [tag for _, _, tag in ccu.mem_port.read_queue] == [first, second]
+    ccu.memory_data(second, bytes([1]) * 16, 29)  # and the data arrive in reverse too
+    ccu.memory_data(first, bytes([2]) * 16, 29)
+    # the completion stage sends each fill on in the cycle after its data
+    assert [list(box) for box in ccu.r_outbox] == [[(31, first)], [(31, second)]]
     assert ccu.take_r(0, 31) is first and ccu.take_r(1, 31) is second
     assert first.data == bytes([2]) * 16
-
-
-def test_unmatched_cr_is_protocol_fault():
-    ccu = make_ccu()
-    with pytest.raises(ProtocolFault):
-        ccu.collect_cr(1, SnoopResponse(), None)
 
 
 def test_writeback_fifo_drains_in_order():
@@ -334,7 +312,7 @@ def test_submit_refuses_kinds_no_cache_sends(kind):
     ccu = make_ccu()
     with pytest.raises(ProtocolFault, match=kind.value):
         request(ccu, 0, kind, 0x40, now=0)
-    assert not ccu.decoder.busy() and not ccu.mem_port.read_queue
+    assert not ccu.decoder.pending and not ccu.mem_port.read_queue
 
 
 # -- the entry rule: a request is read off its miss as it enters ------------------------
@@ -355,9 +333,9 @@ def test_a_held_clean_unique_that_lost_its_copy_enters_as_read_unique():
     first = ccu.decoder_step(0)
     upgrade(ccu, 1, 0x40, now=0)
     assert ccu.decoder_step(1) is None and ccu.decoder.hold == (1, 0x40)
-    _due, _id, req, probe_d, probe_i = ccu.ac_outbox[1].popleft()
+    _due, _txn, req, probe_d, probe_i = ccu.ac_outbox[1].popleft()
     ccu.caches[1].handle_snoop(req, probe_d, probe_i)  # core 0's ReadUnique takes the copy
-    ccu.finish(first.id)
+    ccu.finish(first)
     assert ccu.decoder_step(2).kind is RU
 
 

@@ -338,6 +338,24 @@ def test_mem_image_preload(tmp_path):
     assert data["final_memory"]["0x1000"] == "5a" * 16
 
 
+@pytest.mark.parametrize("flag, missing", [
+    ("--trace", "missing.txt"),
+    ("--config", "missing.cfg"),
+    ("--mem-image", "missing.img"),
+    ("--litmus", "missing.litmus"),
+    ("--report", "no/dir/r.json"),
+])
+def test_a_file_that_cannot_be_opened_exits_5_naming_it(tmp_path, capsys, flag, missing):
+    path = str(tmp_path / missing)
+    if flag == "--litmus":
+        argv = ("verify", flag, path, "--report", str(tmp_path / "v.json"))
+    else:
+        argv = ("run", "--ops", "5", flag, path)
+    assert run_cli(*argv) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err == f"culsim: {path}: No such file or directory\n"
+
+
 # -- verify runs ------------------------------------------------------------------------------
 
 def test_verify_default_passes(tmp_path):
@@ -404,6 +422,17 @@ def test_verify_litmus_forbid_on_a_register_no_op_reads_exits_5(tmp_path, capsys
     code = run_cli("verify", "--litmus", str(lit), "--report", str(report))
     assert code == EXIT_BAD_INPUT
     assert "litmus test unread: register(s) ['1:r7'] read by no op" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_verify_litmus_forbid_on_an_address_nothing_uses_exits_5(tmp_path, capsys):
+    lit = tmp_path / "unused.litmus"
+    lit.write_text("test unused\ncore 0: W x=1\ncore 1: R x\nforbid y=0\n")
+    report = tmp_path / "v.json"
+    code = run_cli("verify", "--litmus", str(lit), "--report", str(report))
+    assert code == EXIT_BAD_INPUT
+    assert ("litmus test unused: address(es) ['0x110'] named by no op or init"
+            in capsys.readouterr().err)
     assert not report.exists()
 
 

@@ -253,7 +253,7 @@ def test_non_coherent_ifetch_miss_queues_its_read_at_the_memory_port(model):
     op = sim.ports[1].current = CoreOp(OpKind.IFETCH, 0x504)
     assert sim._access(1, op, now=5) is None  # nothing for the model to submit
     assert list(sim.mem_port.read_queue) == [(5 + 3, 0x500, sim.ports[1])]
-    assert sim.caches[1].miss is not None and not sim.decoder.busy()
+    assert sim.caches[1].miss is not None and not sim.decoder.pending
 
 
 # Shipped mutations that run on the workload below without a monitor trip,

@@ -27,11 +27,11 @@ def watched(sim):
     process_snoop = sim._process_snoop
 
     def checked_snoop(core, now):
-        _due, txn_id, req, _probe_d, _probe_i = ccu.ac_outbox[core][0]
+        _due, snooper, req, _probe_d, _probe_i = ccu.ac_outbox[core][0]
         for txn in ccu.txns.values():
             if txn.initiator == core and txn.address == req.address:
-                assert txn.id == txn_id, (
-                    f"cycle {now}: txn {txn_id} snoops core {core} on {req.address:#x} "
+                assert txn is snooper, (
+                    f"cycle {now}: txn {snooper.id} snoops core {core} on {req.address:#x} "
                     f"while the core's own txn {txn.id} is in flight"
                 )
         process_snoop(core, now)

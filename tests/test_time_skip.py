@@ -1,8 +1,9 @@
-"""`run()` skips cycles in which nothing can act, counts the ops left
-and issues only once a port may take an op; a cycle-by-cycle loop over
-`step()` that calls the issue stage in every step must reach the same
-stats, observations, final image and cycle on every model, also when a
-model runs again or gets ops between steps. The loop also counts stall
+"""`run()` skips cycles in which nothing can act, counts the ops left,
+stops once none is left and no write-back waits, and issues only once a
+port may take an op; a cycle-by-cycle loop over `step()` that calls the
+issue stage in every step must reach the same stats, observations,
+final image and cycle on every model, also when a model runs again or
+gets ops between steps. The loop also counts stall
 cycles the per-step way, one per port that ends a step holding an op,
 as an oracle for the per-op stall intervals the models count."""
 from dataclasses import replace
@@ -35,6 +36,12 @@ def one_step(sim, gated, stalls):
             stalls[core] += 1
 
 
+def work_left(sim):
+    """A port holds an op or has ops to issue, or a write-back waits:
+    every other queue entry belongs to an op not yet retired."""
+    return bool(sim.mem_port.wb) or any(p.stream or p.current is not None for p in sim.ports)
+
+
 def every_cycle(sim, streams, gated=False, stalls=None):
     """The reference: one step() per simulated cycle until the work drains,
     by default with the issue stage called in every step. The per-step
@@ -44,7 +51,7 @@ def every_cycle(sim, streams, gated=False, stalls=None):
         port.stream.extend(ops)
     if stalls is None:
         stalls = [c.stall_cycles for c in sim.stats.cores]
-    while sim._work_remaining():
+    while work_left(sim):
         one_step(sim, gated, stalls)
         assert sim.cycle < 100_000, "reference run does not drain"
     assert [c.stall_cycles for c in sim.stats.cores] == stalls
@@ -55,7 +62,7 @@ def every_cycle(sim, streams, gated=False, stalls=None):
 @given(runs())
 def test_next_event_is_now_in_every_cycle_a_step_makes_progress(run):
     """The contract of the skip: `_next_event` reads only what a model
-    declares (`_timed`, `_acts_now`, the write-back FIFO and the ports),
+    declares (`_timed`, the Decoder, the write-back FIFO and the ports),
     so a queue left out of the declaration shows here as a step that acts
     in a cycle the scan would have skipped."""
     cfg, streams = run
@@ -63,7 +70,7 @@ def test_next_event_is_now_in_every_cycle_a_step_makes_progress(run):
         sim = make(cfg)
         for port, ops in zip(sim.ports, streams):
             port.stream.extend(ops)
-        while sim._work_remaining():
+        while work_left(sim):
             now = sim.cycle
             t = sim._next_event(now)
             one_step(sim, False, [0] * cfg.n_cores)
@@ -167,3 +174,24 @@ def test_ops_appended_between_steps_match_every_cycle_reference(run):
         assert outcome(appended, stats) == outcome(
             reference, staggered(reference, second, gated=False)
         )
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(runs())
+def test_a_run_ends_with_nothing_in_flight(run):
+    """`run` stops once no op is left and the write-back FIFO is empty:
+    every other queue entry, transaction and request belongs to an op
+    not yet retired, so nothing of the fabric may outlive the ops."""
+    cfg, streams = run
+    for name, make in MODELS.items():
+        sim = make(cfg)
+        sim.run([list(s) for s in streams])
+        decoder = sim.decoder
+        assert not any(sim._timed) and not sim.mem_port.wb, name
+        assert not decoder.pending and decoder.hold is None and not decoder.in_flight, name
+        if isinstance(sim, DirectorySimulation):
+            assert not sim.wake and not sim.txns, name
+        else:
+            assert not sim.ccu.txns and not sim.ccu.ready, name
+        assert all(p.current is None and not p.stream for p in sim.ports), name
+        assert all(cache.miss is None for cache in sim.caches), name

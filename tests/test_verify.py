@@ -244,6 +244,20 @@ def test_litmus_register_no_op_reads_is_rejected():
     assert run_litmus(named, ExploreConfig(n_cores=2))["forbidden_seen"] == 0
 
 
+def test_litmus_memory_atom_on_an_address_nothing_uses_is_rejected():
+    # y is named by no op and no init: it would read the zero fill, so
+    # `forbid y=0` would always fire and `forbid y=1` never
+    for value in (0, 1):
+        (test,) = parse_litmus(f"test t\ncore 0: W x=1\ncore 1: R x\nforbid y={value}\n")
+        with pytest.raises(ValueError,
+                           match=r"litmus test t: address\(es\) \['0x110'\] named by no op or init"):
+            run_litmus(test, ExploreConfig(n_cores=2))
+    # an init, or any op on it, names it
+    for text in ("init y=0\ncore 0: W x=1\ncore 1: R x\n", "core 0: W x=1\ncore 1: R x; R y\n"):
+        (test,) = parse_litmus(f"test n\n{text}forbid y=1\n")
+        assert run_litmus(test, ExploreConfig(n_cores=2))["forbidden_seen"] == 0
+
+
 def test_violations_name_each_line_with_identical_contents():
     # both lines reach the same copies, memory and ghost values; each one's
     # SWMR break must be reported under its own address
