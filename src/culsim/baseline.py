@@ -37,8 +37,8 @@ from .cache import ConfigError
 from .ccu import Decoder, ProtocolFault
 from .memsys import MemoryPort
 from .protocol import (
-    CLEAN_UNIQUE,
     CoreOp,
+    DATA_KINDS,
     EXCLUSIVE,
     IFETCH,
     INVALID,
@@ -134,7 +134,7 @@ class DirectorySimulation(Kernel):
         yield hop  # requester -> home
         yield self.config.latencies.ccu_stage  # directory lookup
         owner, sharers = self._holders(txn.addr)
-        upgrade = self.caches[txn.core].entry_kind() is CLEAN_UNIQUE
+        carries_data = self.caches[txn.core].entry_kind() in DATA_KINDS
         store = self.ports[txn.core].current.kind is STORE
         if store:
             state = MODIFIED
@@ -153,7 +153,7 @@ class DirectorySimulation(Kernel):
                 yield hop  # home -> sharer
                 self._apply_invalidate(txn, sharer)
                 yield hop  # its acknowledgement -> home
-        if txn.data is None and not upgrade:
+        if txn.data is None and carries_data:
             yield None  # memory read
         yield hop  # -> requester
         while not self._apply_install(txn, state):

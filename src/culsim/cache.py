@@ -17,9 +17,9 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import protocol
 from .protocol import (
-    CLEAN_UNIQUE,
     CoherentKind,
     CoreOp,
+    DATA_KINDS,
     Hit,
     IFETCH,
     INVALID,
@@ -57,10 +57,6 @@ def set_word(data: bytes, offset: int, value: int) -> bytes:
     off = offset & ~(WORD_BYTES - 1)
     word = (value & 0xFFFFFFFF).to_bytes(WORD_BYTES, "little")
     return data[:off] + word + data[off + WORD_BYTES :]
-
-
-# the CR of a snoop that finds no copy, shared by every such snoop
-_NO_RESPONSE = SnoopResponse()
 
 
 @dataclass(slots=True)
@@ -224,42 +220,22 @@ class CacheModel:
     def handle_snoop(
         self, req: SnoopRequest, probe_dcache: bool = True, probe_icache: bool = False
     ) -> Tuple[SnoopResponse, Optional[bytes]]:
-        """Apply one AC probe to this core's cache subsystem; data leaves
-        on the CD channel as the line's bytes.
-
-        Both structures may be probed (the snoop controller merges them
-        into a single CR): pass_dirty can only come from the data cache,
-        is_shared/data from either.
-        """
-        resp = _NO_RESPONSE
-        data: Optional[bytes] = None
+        """Apply one AC probe to this core's cache subsystem: its probe row
+        (`protocol.Tables.probe`) gives both structures' next states and
+        the core's one CR. Data leaves on the CD channel as the bytes of
+        the line the row names."""
+        address = req.address
         if self.touched is not None:
-            self.touched.add(req.address)
-
-        if probe_dcache:
-            hit = self.lookup(req.address)
-            state = hit[1].state if hit else INVALID
-            nxt, resp = self.tables.snoopee[state, req.kind]
-            if hit:
-                line = hit[1]
-                if resp.data_transfer:
-                    data = line.data
-                line.state = nxt
-
-        if probe_icache and self.coherent_ifetch:
-            ihit = self.lookup(req.address, icache=True)
-            istate = ihit[1].state if ihit else INVALID
-            inxt, iresp = self.tables.snoopee[istate, req.kind]
-            if ihit:
-                if iresp.data_transfer and data is None:
-                    data = ihit[1].data
-                ihit[1].state = inxt
-            resp = SnoopResponse(
-                data_transfer=resp.data_transfer | iresp.data_transfer,
-                pass_dirty=resp.pass_dirty,
-                is_shared=resp.is_shared | iresp.is_shared,
-            )
-        return resp, data
+            self.touched.add(address)
+        hit = self.lookup(address) if probe_dcache else None
+        ihit = self.lookup(address, icache=True) if probe_icache and self.coherent_ifetch else None
+        dnext, inext, resp, source = self.tables.probe[
+            hit[1].state if hit else INVALID, ihit[1].state if ihit else INVALID, req.kind]
+        if hit:
+            hit[1].state = dnext
+        if ihit:
+            ihit[1].state = inext
+        return resp, None if source is None else (hit if source == "d" else ihit)[1].data
 
     def entry_kind(self) -> CoherentKind:
         """The kind the pending miss enters the coherency unit as, kept in
@@ -297,7 +273,7 @@ class CacheModel:
         if ms is None:
             raise RuntimeError(f"core {self.core_id}: miss_complete with no outstanding miss")
         writeback = evicted = None
-        if ms.kind is CLEAN_UNIQUE:
+        if ms.kind not in DATA_KINDS:  # an upgrade of the copy it holds
             hit = self.lookup(ms.address)
             if hit is None:
                 raise LostCopy(ms.address)

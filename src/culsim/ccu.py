@@ -187,8 +187,6 @@ class Ccu:
         # (due, txn, request, probe_d, probe_i) awaiting delivery per core
         self.ac_outbox: List[Deque[tuple]] = [deque() for _ in range(n_cores)]
         self.cr_inbox: Deque[tuple] = deque()  # (due, from_core, txn, resp, data)
-        # transactions whose last CR came in this cycle, for completion_step
-        self.ready: List[CcuTransaction] = []
         # (due, txn) of the R burst on its way to the initiator
         self.r_outbox: List[Deque[Tuple[int, CcuTransaction]]] = [
             deque() for _ in range(n_cores)]
@@ -243,24 +241,26 @@ class Ccu:
             txn.data_source = from_core
         if txn.cr_pending == 0:
             txn.advance(RESPONDING)
-            self.ready.append(txn)
 
     def snoop_unit_step(self, now: int) -> None:
+        """Fold the CRs due by `now`; the transactions whose last CR came
+        in go on to `completion_step` in this cycle, in id order."""
+        ready = []
         while self.cr_inbox and self.cr_inbox[0][0] <= now:
             _, from_core, txn, resp, data = self.cr_inbox.popleft()
             self.collect_cr(from_core, txn, resp, data)
+            if not txn.cr_pending:
+                ready.append(txn)
+        if ready:
+            if len(ready) > 1:
+                ready.sort(key=lambda t: t.id)
+            self.completion_step(now, ready)
 
-    def completion_step(self, now: int) -> None:
+    def completion_step(self, now: int, ready: List[CcuTransaction]) -> None:
         """Move the transactions whose CRs are all in toward the R
-        channel, in id order: snoop data is forwarded directly (no memory
-        read); transactions with no responder data fetch the line from
-        memory first (`memory_data`)."""
-        ready = self.ready
-        if not ready:
-            return
-        self.ready = []
-        if len(ready) > 1:
-            ready.sort(key=lambda t: t.id)
+        channel: snoop data is forwarded directly (no memory read);
+        transactions with no responder data fetch the line from memory
+        first (`memory_data`)."""
         for txn in ready:
             if txn.kind in DATA_KINDS and txn.data is None:
                 txn.advance(MEM_ACCESS)

@@ -9,6 +9,7 @@ cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -29,6 +30,7 @@ from .sim import (
     SimConfig,
     _format_fraction,
     build,
+    check_watchdog,
     parse_config,
 )
 
@@ -81,37 +83,52 @@ def _value_of(addr: int) -> int:
 
 
 def gen_workload(spec: WorkloadSpec, n_cores: int, line_size: int) -> List[List[CoreOp]]:
-    """Deterministic per-core op streams for a synthetic sharing pattern."""
-    shared = [_BASE_ADDR + i * line_size for i in range(spec.working_set)]
+    """Deterministic per-core op streams for a synthetic sharing pattern.
+
+    The shared set is `working_set` lines from _BASE_ADDR; each core's
+    private set is the next `working_set` lines, core by core. A line is
+    drawn by its index in its set. A spec whose kind draws from a set
+    that reaches past the physical address range is refused before any
+    draw."""
+    ws = spec.working_set
+    private_base = _BASE_ADDR + ws * line_size
+    # the highest line the kind can draw from: the last core's private
+    # set, unless it draws only from the shared set
+    if spec.kind == "private" or (
+        spec.kind in ("read_mostly", "uniform_random") and spec.sharing_fraction < 1
+    ):
+        top = private_base + (n_cores * ws - 1) * line_size
+    else:
+        top = private_base - line_size
+    if top + line_size > 1 << PHYS_ADDR_BITS:
+        raise ConfigError(
+            f"working_set: {ws} lines of {line_size} bytes reach {top:#x} for "
+            f"{spec.kind} on {n_cores} cores, outside the physical address range")
     streams: List[List[CoreOp]] = []
-    private_base = _BASE_ADDR + spec.working_set * line_size
     for core in range(n_cores):
         rng = random.Random((spec.seed * 0x9E3779B97F4A7C15 + core + 1) & (2**64 - 1))
-        mine = [
-            private_base + (core * spec.working_set + i) * line_size
-            for i in range(spec.working_set)
-        ]
+        mine = private_base + core * ws * line_size
         ops: List[CoreOp] = []
         for i in range(spec.ops_per_core):
             if spec.kind == "private":
-                addr = rng.choice(mine)
+                addr = mine + rng.randrange(ws) * line_size
                 write = rng.random() < 0.5
             elif spec.kind == "producer_consumer":
-                addr = shared[i % len(shared)]
+                addr = _BASE_ADDR + i % ws * line_size
                 write = core == 0
             elif spec.kind == "migratory":
-                addr = shared[(i // 2) % len(shared)]
+                addr = _BASE_ADDR + (i // 2) % ws * line_size
                 write = i % 2 == 1
             elif spec.kind == "false_sharing":
-                addr = shared[i % len(shared)] + (core * WORD_BYTES) % line_size
+                addr = _BASE_ADDR + i % ws * line_size + (core * WORD_BYTES) % line_size
                 write = rng.random() < 0.5
             elif spec.kind == "read_mostly":
-                pool = shared if rng.random() < spec.sharing_fraction else mine
-                addr = rng.choice(pool)
+                base = _BASE_ADDR if rng.random() < spec.sharing_fraction else mine
+                addr = base + rng.randrange(ws) * line_size
                 write = rng.random() < 0.05
             else:  # uniform_random
-                pool = shared if rng.random() < spec.sharing_fraction else mine
-                addr = rng.choice(pool)
+                base = _BASE_ADDR if rng.random() < spec.sharing_fraction else mine
+                addr = base + rng.randrange(ws) * line_size
                 write = rng.random() < 0.5
             if write:
                 ops.append(CoreOp(OpKind.STORE, addr, value=_value_of(addr)))
@@ -182,9 +199,25 @@ def parse_trace(text: str, n_cores: int) -> List[List[CoreOp]]:
 # experiment runner
 # --------------------------------------------------------------------------
 
+def _read_text(path: str) -> str:
+    """The text of an input file; one that is not UTF-8 is malformed
+    input, named by its path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+
+
+def _report_to(path: Optional[str]):
+    """Where a run's JSON report goes: the --report file, opened here,
+    before anything runs, so that one that cannot be written fails
+    first; else stdout."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
 def _load_config(args) -> SimConfig:
     if args.config:
-        cfg = parse_config(Path(args.config).read_text())
+        cfg = parse_config(_read_text(args.config))
     else:
         cfg = SimConfig()
     if args.cores is not None:
@@ -220,7 +253,7 @@ def _build(model: str, cfg: SimConfig, streams, args):
         sim = baseline.DirectorySimulation(cfg, monitor=args.check)
     sim.check_streams(streams)
     if args.mem_image:
-        sim.mem.load_image(Path(args.mem_image).read_text())
+        sim.mem.load_image(_read_text(args.mem_image))
     return sim
 
 
@@ -232,7 +265,7 @@ def _run(sim, streams, args):
 def run_experiment(args) -> int:
     cfg = _load_config(args)
     if args.trace:
-        streams = parse_trace(Path(args.trace).read_text(), cfg.n_cores)
+        streams = parse_trace(_read_text(args.trace), cfg.n_cores)
     else:
         spec = WorkloadSpec(
             kind=args.workload,
@@ -243,51 +276,48 @@ def run_experiment(args) -> int:
         )
         streams = gen_workload(spec, cfg.n_cores, cfg.line_size)
 
-    # both models take the streams before either runs
+    # both models take the streams, and the watchdog is checked, before either runs
+    check_watchdog(args.watchdog)
     sims = [_build(model, cfg, streams, args) for model in
             (("snoop", "directory") if args.model == "both" else (args.model,))]
-    report: Dict[str, object] = {"config": cfg.to_dict(), "model": args.model}
-    exit_code = EXIT_OK
-    try:
-        if args.model in ("snoop", "directory"):
-            stats, image = _run(sims[0], streams, args)
-            report["stats"] = stats.to_dict()
-            report["final_memory"] = _image_hex(image)
-        else:
-            snoop_stats, snoop_image = _run(sims[0], streams, args)
-            dir_stats, dir_image = _run(sims[1], streams, args)
-            report["stats"] = {
-                "snoop": snoop_stats.to_dict(),
-                "directory": dir_stats.to_dict(),
-            }
-            ratio = (
-                _format_fraction(Fraction(dir_stats.cycles, snoop_stats.cycles))
-                if snoop_stats.cycles else None  # no ops: nothing to compare
-            )
-            report["comparison"] = {
-                "snoop_cycles": snoop_stats.cycles,
-                "directory_cycles": dir_stats.cycles,
-                "directory_over_snoop_cycles": ratio,
-                "final_images_equal": snoop_image == dir_image,
-            }
-            report["final_memory"] = _image_hex(snoop_image)
-    except CoherenceViolation as exc:
-        report["violations"] = [str(exc)]
-        exit_code = EXIT_VIOLATION
-    except DeadlockError as exc:
-        report["violations"] = [f"deadlock: {exc}"]
-        exit_code = EXIT_DEADLOCK
-
-    _emit(report, args.report)
+    with _report_to(args.report) as out:
+        report: Dict[str, object] = {"config": cfg.to_dict(), "model": args.model}
+        exit_code = EXIT_OK
+        try:
+            if args.model in ("snoop", "directory"):
+                stats, image = _run(sims[0], streams, args)
+                report["stats"] = stats.to_dict()
+                report["final_memory"] = _image_hex(image)
+            else:
+                snoop_stats, snoop_image = _run(sims[0], streams, args)
+                dir_stats, dir_image = _run(sims[1], streams, args)
+                report["stats"] = {
+                    "snoop": snoop_stats.to_dict(),
+                    "directory": dir_stats.to_dict(),
+                }
+                ratio = (
+                    _format_fraction(Fraction(dir_stats.cycles, snoop_stats.cycles))
+                    if snoop_stats.cycles else None  # no ops: nothing to compare
+                )
+                report["comparison"] = {
+                    "snoop_cycles": snoop_stats.cycles,
+                    "directory_cycles": dir_stats.cycles,
+                    "directory_over_snoop_cycles": ratio,
+                    "final_images_equal": snoop_image == dir_image,
+                }
+                report["final_memory"] = _image_hex(snoop_image)
+        except CoherenceViolation as exc:
+            report["violations"] = [str(exc)]
+            exit_code = EXIT_VIOLATION
+        except DeadlockError as exc:
+            report["violations"] = [f"deadlock: {exc}"]
+            exit_code = EXIT_DEADLOCK
+        _emit(report, out)
     return exit_code
 
 
-def _emit(report: dict, path: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _emit(report: dict, out) -> None:
+    out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -296,9 +326,6 @@ def _emit(report: dict, path: Optional[str]) -> None:
 
 def run_verify(args) -> int:
     mutations = frozenset(args.mutate or ())
-    report: Dict[str, object] = {}
-    exit_code = EXIT_OK
-
     configs = [
         verify.ExploreConfig(
             n_cores=args.cores,
@@ -310,51 +337,55 @@ def run_verify(args) -> int:
     ]
     litmus_tests = list(verify.COHERENCE_LITMUS)
     if args.litmus:
-        litmus_tests += verify.parse_litmus(Path(args.litmus).read_text())
+        litmus_tests += verify.parse_litmus(_read_text(args.litmus))
 
-    oracle = verify.oracle_tables(mutations=mutations, state_budget=args.budget)
-    report["oracle"] = {
-        "ok": oracle.ok,
-        "reachable_states": oracle.reachable_states,
-        "tables": oracle.table_lines(),
-        "violations": [v.to_dict() for v in oracle.violations],
-    }
-    if any(v.kind == "budget" for v in oracle.violations):
-        exit_code = EXIT_BUDGET
-    elif not oracle.ok:
-        exit_code = EXIT_VIOLATION
+    for test in litmus_tests:
+        verify.check_litmus(test, args.cores)
+    with _report_to(args.report) as out:
+        report: Dict[str, object] = {}
+        exit_code = EXIT_OK
+        oracle = verify.oracle_tables(mutations=mutations, state_budget=args.budget)
+        report["oracle"] = {
+            "ok": oracle.ok,
+            "reachable_states": oracle.reachable_states,
+            "tables": oracle.table_lines(),
+            "violations": [v.to_dict() for v in oracle.violations],
+        }
+        if any(v.kind == "budget" for v in oracle.violations):
+            exit_code = EXIT_BUDGET
+        elif not oracle.ok:
+            exit_code = EXIT_VIOLATION
 
-    litmus_report = []
-    for cfg in configs:
-        for test in litmus_tests:
-            res = verify.run_litmus(test, cfg)
-            litmus_report.append(
-                {
-                    "name": test.name,
-                    "coherent_ifetch": cfg.coherent_ifetch,
-                    "forbidden_seen": res["forbidden_seen"],
-                    "reachable_states": res["reachable_states"],
-                    "violations": [v.to_dict() for v in res["violations"]],
-                    "exhausted": res["exhausted"],
-                }
-            )
-            if not res["exhausted"]:
-                exit_code = exit_code or EXIT_BUDGET
-            if res["forbidden_seen"] or res["violations"]:
-                exit_code = EXIT_VIOLATION
-    report["litmus"] = litmus_report
+        litmus_report = []
+        for cfg in configs:
+            for test in litmus_tests:
+                res = verify.run_litmus(test, cfg)
+                litmus_report.append(
+                    {
+                        "name": test.name,
+                        "coherent_ifetch": cfg.coherent_ifetch,
+                        "forbidden_seen": res["forbidden_seen"],
+                        "reachable_states": res["reachable_states"],
+                        "violations": [v.to_dict() for v in res["violations"]],
+                        "exhausted": res["exhausted"],
+                    }
+                )
+                if not res["exhausted"]:
+                    exit_code = exit_code or EXIT_BUDGET
+                if res["forbidden_seen"] or res["violations"]:
+                    exit_code = EXIT_VIOLATION
+        report["litmus"] = litmus_report
 
-    for v in oracle.violations:
-        if v.trace:
-            where = v.program
-            print(f"counterexample ({v.kind}) in battery program {where['index']} "
-                  f"({where['cores']} cores, coherent ifetch "
-                  f"{'on' if where['coherent_ifetch'] else 'off'}, dcache capacity "
-                  f"{where['dcache_capacity'] or 'unbounded'}): {v.detail}", file=sys.stderr)
-            for step in v.trace:
-                print(f"  {step}", file=sys.stderr)
-
-    _emit(report, args.report)
+        for v in oracle.violations:
+            if v.trace:
+                where = v.program
+                print(f"counterexample ({v.kind}) in battery program {where['index']} "
+                      f"({where['cores']} cores, coherent ifetch "
+                      f"{'on' if where['coherent_ifetch'] else 'off'}, dcache capacity "
+                      f"{where['dcache_capacity'] or 'unbounded'}): {v.detail}", file=sys.stderr)
+                for step in v.trace:
+                    print(f"  {step}", file=sys.stderr)
+        _emit(report, out)
     return exit_code
 
 

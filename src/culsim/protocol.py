@@ -102,9 +102,10 @@ SNOOPING_KINDS = frozenset(
 # Transactions whose completion claims unique access.
 UNIQUE_KINDS = frozenset({CoherentKind.READ_UNIQUE, CoherentKind.CLEAN_UNIQUE})
 
-# Transactions whose completion carries a data line back to the initiator.
+# Transactions whose completion carries a line back; a CleanUnique's upgrades its own copy.
 DATA_KINDS = frozenset(
-    {CoherentKind.READ_SHARED, CoherentKind.READ_UNIQUE, CoherentKind.READ_ONCE}
+    {CoherentKind.READ_SHARED, CoherentKind.READ_UNIQUE, CoherentKind.READ_ONCE,
+     CoherentKind.READ_NO_SNOOP}
 )
 
 
@@ -290,6 +291,23 @@ def reissue_kind(kind: CoherentKind) -> CoherentKind:
     return kind
 
 
+def probe_rows(snoopee: Mapping) -> dict:
+    """One core's answer to a snoop: each structure takes its snoopee row,
+    and the two CRs merge into one. Data comes from the dcache first,
+    PassDirty only from the dcache, IsShared from either; a structure that
+    is not probed answers as Invalid. Equal CRs share one object."""
+    responses = {(r.data_transfer, r.pass_dirty, r.is_shared): r for _, r in snoopee.values()}
+    rows = {}
+    for (dstate, kind), (dnext, d) in snoopee.items():
+        for istate in LineState:
+            inext, i = snoopee[istate, kind]
+            bits = (d.data_transfer | i.data_transfer, d.pass_dirty, d.is_shared | i.is_shared)
+            resp = responses.setdefault(bits, SnoopResponse(*bits))
+            source = "d" if d.data_transfer else "i" if i.data_transfer else None
+            rows[dstate, istate, kind] = (dnext, inext, resp, source)
+    return rows
+
+
 def take_ownership(state: LineState) -> LineState:
     """A local copy after a data-less dirty handoff: a clean copy takes
     Owned and answers for the line; dirty and Invalid ones stay as they are."""
@@ -307,6 +325,9 @@ class Tables:
         completion[kind, shared, pass_dirty, store] -> install state
         reissue[kind]                               -> kind a miss whose data cache lost its line enters as
         take_owned[state]                           -> state after a data-less dirty handoff
+        probe[dstate, istate, kind]                 -> (dnext, inext, CR, data from "d"/"i"/None)
+
+    `probe` is no field: `probe_rows` derives it from `snoopee` as a Tables is built.
     """
 
     initiator: Mapping
@@ -318,6 +339,7 @@ class Tables:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, MappingProxyType(dict(getattr(self, f.name))))
+        object.__setattr__(self, "probe", MappingProxyType(probe_rows(self.snoopee)))
 
     def mutated(self, ids: Iterable[str]) -> Tables:
         """A copy with the row patches of each `MUTATIONS` id applied."""

@@ -58,6 +58,12 @@ WATCHDOG_CYCLES = 10000
 _NEVER = float("inf")
 
 
+def check_watchdog(watchdog: int) -> None:
+    """Refuse a watchdog that would trip before any cycle could pass."""
+    if watchdog < 1:
+        raise ConfigError(f"watchdog: {watchdog} must be >= 1")
+
+
 class DeadlockError(RuntimeError):
     """Watchdog fired: pending work but no forward progress."""
 
@@ -542,8 +548,7 @@ class Kernel:
     def run(self, streams: List[List[CoreOp]], watchdog: int = WATCHDOG_CYCLES) -> SimStats:
         """Feed per-core op streams and advance until everything drains,
         skipping cycles in which nothing can act."""
-        if watchdog < 1:
-            raise ConfigError(f"watchdog: {watchdog} must be >= 1")
+        check_watchdog(watchdog)
         self.check_streams(streams)
         for port, ops in zip(self.ports, streams):
             port.stream.extend(ops)
@@ -626,8 +631,6 @@ class Simulation(Kernel):
             self.stats.ccu_collision_stalls = decoder.stalls
         if ccu.cr_inbox and ccu.cr_inbox[0][0] <= now:
             ccu.snoop_unit_step(now)
-        if ccu.ready:
-            ccu.completion_step(now)
             self.stats.cache_to_cache_transfers = ccu.c2c_transfers
         mem_port = self.mem_port
         if (mem_port.read_queue or mem_port.wb) and ccu.memory_unit_step(now, self.mem):

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -43,6 +44,7 @@ from .ccu import admits, snoop_targets
 from .memsys import fifo_full, read_waits
 from .protocol import (
     CoherentKind,
+    DATA_KINDS,
     DIRTY_STATES,
     EXCLUSIVE,
     Hit,
@@ -133,6 +135,13 @@ SHIPPED_MUTATIONS = tuple(MUTATIONS)
 
 @dataclass(frozen=True)
 class ExploreConfig:
+    """One bounded explorer instance. `dcache_capacity` bounds the lines
+    a data cache holds (None: both fit); a fill into a full one evicts its
+    lowest-address resident line, where the timed caches evict round robin
+    per set. At the explorer's bound of 2 lines only capacity 1 evicts, so
+    the victim is forced and the two agree; lifting the bound needs a
+    nondeterministic victim."""
+
     n_cores: int = 2
     coherent_ifetch: bool = False
     dcache_capacity: Optional[int] = None
@@ -213,7 +222,7 @@ _IS_DIRTY = tuple(s in DIRTY_STATES for s in _STATES)
 
 _KINDS = (None, CoherentKind.READ_SHARED, CoherentKind.READ_UNIQUE,
           CoherentKind.CLEAN_UNIQUE, CoherentKind.READ_ONCE)
-_RS, _CU, _RO = 1, 3, 4
+_RS, _RO = 1, 4
 
 _OPS = (OpKind.LOAD, OpKind.STORE, OpKind.IFETCH)
 _LOAD, _STORE, _IFETCH = range(3)
@@ -232,6 +241,41 @@ _POPCOUNT = (0, 1, 1, 2)  # lines in flight, at most two lines
 # successor labels: (_ISSUE, core, pc), (_ACCEPT | _COMPLETE, core, kind,
 # line), (_SNOOP, core, kind, line, target), (_DRAIN, line)
 _ISSUE, _ACCEPT, _SNOOP, _COMPLETE, _DRAIN = range(5)
+
+
+@lru_cache(maxsize=None)
+def _coded_tables(mutations: FrozenSet[str]) -> tuple:
+    """The int-coded rows of `TABLES.mutated(mutations)`, once per set."""
+    tables = TABLES.mutated(mutations)
+    state_code = {s: i for i, s in enumerate(_STATES)}
+    kind_code = {k: i for i, k in enumerate(_KINDS)}  # None -> 0
+    # a data source as its value slot's offset from the dcache slot; 0: none
+    value_at = {None: 0, "d": 1, "i": 3}
+    # initiator[state][op] -> (True, next state) for a hit, else (False, kind)
+    initiator = tuple(
+        tuple((True, state_code[a.next]) if isinstance(a, Hit) else (False, kind_code[a.kind])
+              for a in (tables.initiator[state, op] for op in _OPS))
+        for state in _STATES
+    )
+    # probe[dstate][istate][kind] -> (dcache next, icache next,
+    # data_transfer, pass_dirty, is_shared, value_at of the data)
+    probe = tuple(tuple((None,) + tuple(
+        (state_code[dnext], state_code[inext], r.data_transfer, r.pass_dirty, r.is_shared,
+         value_at[source])
+        for dnext, inext, r, source in (tables.probe[d, i, kind] for kind in _KINDS[1:])
+    ) for i in _STATES) for d in _STATES)
+    # completion[kind, any_shared, any_dirty, store_follows] -> install state
+    completion = {
+        (kind_code[kind], shared, dirty, store): state_code[final]
+        for (kind, shared, dirty, store), final in tables.completion.items()
+    }
+    # reissue[kind] -> kind a miss whose copy a snoop took enters as
+    reissue = (0,) + tuple(kind_code[tables.reissue[kind]] for kind in _KINDS[1:])
+    # take_owned[state] -> a local copy after a data-less dirty handoff
+    take_owned = tuple(state_code[tables.take_owned[s]] for s in _STATES)
+    # carries_data[kind] -> its completion installs a line, not an upgrade
+    carries_data = (False,) + tuple(kind in DATA_KINDS for kind in _KINDS[1:])
+    return initiator, probe, completion, reissue, take_owned, carries_data
 
 
 class _Machine:
@@ -271,7 +315,25 @@ class _Machine:
         ]
         self.n_read = tuple(tuple(accumulate((op[0] != _STORE for op in ops), initial=0))
                             for ops in self.ops)
-        self._build_tables()
+        # int-coded rows of `protocol.TABLES` under the configured mutations
+        (self.initiator, self.probe, self.completion, self.reissue, self.take_owned,
+         self.carries_data) = _coded_tables(frozenset(config.mutations))
+        # admit[mask of lines in flight][line] -> the Decoder lets the miss in
+        self.admit = tuple(
+            tuple(admits(mask >> line & 1, _POPCOUNT[mask], config.collision_capacity)
+                  for line in (0, 1))
+            for mask in range(4)
+        )
+        # fanout[core][kind] -> ((target, probe_d, probe_i), ...) in probe
+        # order; an ifetch miss (ReadOnce) comes from the icache
+        self.fanout = tuple(
+            (None,) + tuple(
+                snoop_targets(core, config.n_cores, config.coherent_ifetch,
+                              kind is CoherentKind.READ_ONCE)
+                for kind in _KINDS[1:]
+            )
+            for core in range(config.n_cores)
+        )
 
         n, width = config.n_cores, 2 + 4 * config.n_cores
         *self.core_at, self.tail_at = accumulate(
@@ -296,52 +358,6 @@ class _Machine:
         self._line_checks: Dict[tuple, Tuple[tuple, tuple, tuple]] = {}
         self._tail_checks: Dict[bytes, Tuple[str, ...]] = {}
 
-    def _build_tables(self) -> None:
-        """Int-coded copies of `protocol.TABLES` with the configured
-        mutations applied, and of the Decoder's rules in `ccu`."""
-        tables = TABLES.mutated(self.cfg.mutations)
-        state_code = {s: i for i, s in enumerate(_STATES)}
-        kind_code = {k: i for i, k in enumerate(_KINDS)}  # None -> 0
-
-        # initiator[state][op] -> (True, next state) for a hit, else (False, kind)
-        self.initiator = tuple(
-            tuple((True, state_code[a.next]) if isinstance(a, Hit) else (False, kind_code[a.kind])
-                  for a in (tables.initiator[state, op] for op in _OPS))
-            for state in _STATES
-        )
-        # snoopee[state][kind] -> (next state, data_transfer, pass_dirty, is_shared)
-        self.snoopee = tuple(
-            (None,) + tuple((state_code[nxt], r.data_transfer, r.pass_dirty, r.is_shared)
-                            for nxt, r in (tables.snoopee[state, kind] for kind in _KINDS[1:]))
-            for state in _STATES
-        )
-        # completion[kind, any_shared, any_dirty, store_follows] -> install state
-        self.completion = {
-            (kind_code[kind], shared, dirty, store): state_code[final]
-            for (kind, shared, dirty, store), final in tables.completion.items()
-        }
-        # reissue[kind] -> kind a miss whose copy a snoop took enters as
-        self.reissue = (0,) + tuple(kind_code[tables.reissue[kind]] for kind in _KINDS[1:])
-        # take_owned[state] -> a local copy after a data-less dirty handoff
-        self.take_owned = tuple(state_code[tables.take_owned[s]] for s in _STATES)
-        # admit[mask of lines in flight][line] -> the Decoder lets the miss in
-        self.admit = tuple(
-            tuple(admits(mask >> line & 1, _POPCOUNT[mask], self.cfg.collision_capacity)
-                  for line in (0, 1))
-            for mask in range(4)
-        )
-
-        # fanout[core][kind] -> ((target, probe_d, probe_i), ...) in probe
-        # order; an ifetch miss (ReadOnce) comes from the icache
-        self.fanout = tuple(
-            (None,) + tuple(
-                snoop_targets(core, self.cfg.n_cores, self.cfg.coherent_ifetch,
-                              kind is CoherentKind.READ_ONCE)
-                for kind in _KINDS[1:]
-            )
-            for core in range(self.cfg.n_cores)
-        )
-
     def _silent_table(self) -> tuple:
         """silent[core][kind][line] -> per entry j of the fan-out: (bit j,
         the slots the snoop probes (one twice if it probes one structure),
@@ -356,7 +372,7 @@ class _Machine:
 
         def entry(line, j, target, probe_d, probe_i):
             probed = [pos[target][line] for pos, on in (
-                (self.dpos, probe_d), (self.ipos, probe_i and self.cfg.coherent_ifetch)) if on]
+                (self.dpos, probe_d), (self.ipos, probe_i)) if on]
             return (1 << j, probed[0], probed[-1], self.core_at[target], later(target, line))
 
         return tuple(
@@ -564,39 +580,28 @@ class _Machine:
         at = self.core_at[core]
         kind, line = state[at + _MK], state[at + _ML]
         target, probe_d, probe_i = self.fanout[core][kind][j]
-        data_transfer = pass_dirty = is_shared = data_val = 0
-        new = bytearray(state)
-
+        dpos, ipos = self.dpos[target][line], self.ipos[target][line]
+        # a structure that is not probed answers as Invalid
+        dstate = state[dpos] if probe_d else _I
+        istate = state[ipos] if probe_i else _I
         if probe_d:
-            pos = self.dpos[target][line]
-            dstate = state[pos]
             self.snoop_cov.add((dstate, kind))
-            nxt, dt, pd, sh = self.snoopee[dstate][kind]
-            if dstate:
-                if dt:
-                    data_val = state[pos + 1]
-                if nxt == _I:
-                    new[pos] = new[pos + 1] = _I
-                else:
-                    new[pos] = nxt
-                data_transfer |= dt
-                pass_dirty |= pd
-                is_shared |= sh
-        if probe_i and self.cfg.coherent_ifetch:
-            pos = self.ipos[target][line]
-            istate = state[pos]
+        if probe_i:
             self.snoop_cov.add((istate, kind))
-            nxt, dt, _pd, sh = self.snoopee[istate][kind]
-            if istate:
-                if dt and not data_val:
-                    data_val = state[pos + 1]
-                if nxt == _I:
-                    new[pos] = new[pos + 1] = _I
-                data_transfer |= dt
-                is_shared |= sh
+        dnext, inext, data_transfer, pass_dirty, is_shared, value_at = \
+            self.probe[dstate][istate][kind]
+        new = bytearray(state)
+        if dstate:
+            new[dpos] = dnext
+            if dnext == _I:
+                new[dpos + 1] = 0
+        if istate:
+            new[ipos] = inext
+            if inext == _I:
+                new[ipos + 1] = 0
 
         if data_transfer and not new[at + _MD]:
-            new[at + _MD] = data_val
+            new[at + _MD] = state[dpos + value_at]
         if pass_dirty and not data_transfer:
             # data-less handoff: the initiator's own copy takes Owned now
             pos = self.dpos[core][line]
@@ -619,7 +624,8 @@ class _Machine:
         # pick the data the install will use
         note = None
         ghost = state[self.line_at[line] + _GHOST]
-        if kind == _CU:
+        carries_data = self.carries_data[kind]
+        if not carries_data:  # an upgrade of the copy it holds
             if state[dpos]:
                 base = state[dpos + 1]
             else:
@@ -654,7 +660,7 @@ class _Machine:
             else:
                 value = new[reg] = base
             cap = self.cfg.dcache_capacity
-            if kind != _CU and not state[dpos] and cap is not None:
+            if carries_data and not state[dpos] and cap is not None:
                 resident = [l for l, pos in enumerate(self.dpos[core]) if state[pos]]
                 if len(resident) >= cap:
                     victim = resident[0]  # the lowest-address resident line
@@ -857,15 +863,15 @@ COHERENCE_LITMUS = (
 )
 
 
-def run_litmus(test: LitmusTest, config: ExploreConfig = ExploreConfig()) -> dict:
-    """Enumerate all interleavings of a litmus test and report every final
-    observation plus whether any forbidden one was reached."""
+def check_litmus(test: LitmusTest, n_cores: int) -> None:
+    """Refuse a litmus test that names a core outside `n_cores`, or whose
+    forbidden outcome names a register or an address nothing gives a value."""
     named = set(test.programs)
     named.update(atom[1] for clause in test.forbidden for atom, _ in clause if atom[0] == "reg")
-    outside = sorted(c for c in named if not 0 <= c < config.n_cores)
+    outside = sorted(c for c in named if not 0 <= c < n_cores)
     if outside:
         raise ValueError(f"litmus test {test.name}: core(s) {outside} outside "
-                         f"the {config.n_cores} configured cores")
+                         f"the {n_cores} configured cores")
     # a register is the result of one R or IF op: an atom on any other
     # can never match, so its clause would pass unseen
     reads = {core: sum(op[0] in ("R", "IF") for op in ops) for core, ops in test.programs.items()}
@@ -881,6 +887,12 @@ def run_litmus(test: LitmusTest, config: ExploreConfig = ExploreConfig()) -> dic
     if unused:
         raise ValueError(f"litmus test {test.name}: address(es) "
                          f"{[hex(a) for a in unused]} named by no op or init")
+
+
+def run_litmus(test: LitmusTest, config: ExploreConfig = ExploreConfig()) -> dict:
+    """Enumerate all interleavings of a litmus test and report every final
+    observation plus whether any forbidden one was reached."""
+    check_litmus(test, config.n_cores)
     programs = [tuple(test.programs.get(core, ())) for core in range(config.n_cores)]
     result = explore(programs, config, init_mem=test.init or None)
     forbidden_seen = False

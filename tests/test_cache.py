@@ -12,7 +12,9 @@ from culsim.cache import (
     set_word,
     word_at,
 )
+from culsim import protocol
 from culsim.protocol import (
+    MUTATIONS,
     CoherentKind,
     CoreOp,
     LineState,
@@ -377,6 +379,26 @@ def test_snoop_probes_merge_dcache_and_icache():
     )
     assert resp.is_shared == 1 and resp.data_transfer == 1
     assert data is not None
+
+
+@pytest.mark.parametrize("mutation", [m for m in MUTATIONS if m.startswith("snoopee:")])
+def test_snoop_answers_with_the_probe_row_of_its_tables(monkeypatch, mutation):
+    # a cache built under a mutated table set merges its two structures'
+    # answers by that set's probe row, mutated snoopee row included
+    clean = protocol.TABLES
+    tables = clean.mutated({mutation})
+    monkeypatch.setattr(protocol, "TABLES", tables)
+    (_table, (state, kind), _row), *_ = MUTATIONS[mutation]
+    assert tables.probe[state, S, kind] != clean.probe[state, S, kind]
+    cache = make_cache(coherent_ifetch=True)
+    sent = {"d": fill(cache, 0x40, state, byte=0x11),
+            "i": fill(cache, 0x40, S, byte=0x22, icache=True), None: None}
+    resp, data = cache.handle_snoop(SnoopRequest(kind, 0x40), probe_dcache=True,
+                                    probe_icache=True)
+    dnext, inext, expected, source = tables.probe[state, S, kind]
+    assert (resp, data) == (expected, sent[source])
+    hit, ihit = cache.lookup(0x40), cache.lookup(0x40, icache=True)
+    assert (hit[1].state if hit else I, ihit[1].state if ihit else I) == (dnext, inext)
 
 
 # -- helpers ---------------------------------------------------------------------------

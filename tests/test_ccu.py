@@ -253,10 +253,14 @@ def test_transactions_ready_in_one_cycle_move_on_in_id_order():
     request(ccu, 1, RS, 0x80, now=0)
     first, second = ccu.decoder_step(0), ccu.decoder_step(1)
     assert (first.id, second.id) == (0, 1)
-    ccu.collect_cr(0, second, SnoopResponse(), None)  # core 0 answers the second one first
-    ccu.collect_cr(1, first, SnoopResponse(), None)
-    ccu.completion_step(5)
-    assert [tag for _, _, tag in ccu.mem_port.read_queue] == [first, second]
+    # each has one CR to come, and core 0 answers the second one first
+    ccu.cr_inbox.append((4, 0, second, SnoopResponse(), None))
+    ccu.cr_inbox.append((5, 1, first, SnoopResponse(), None))
+    ccu.snoop_unit_step(3)  # neither CR is due yet
+    assert ccu.cr_inbox and not ccu.mem_port.read_queue
+    ccu.snoop_unit_step(5)  # both last CRs fold in this cycle
+    assert not ccu.cr_inbox and first.phase is second.phase is Phase.MEM_ACCESS
+    assert [(due, tag) for due, _, tag in ccu.mem_port.read_queue] == [(5, first), (5, second)]
     ccu.memory_data(second, bytes([1]) * 16, 29)  # and the data arrive in reverse too
     ccu.memory_data(first, bytes([2]) * 16, 29)
     # the completion stage sends each fill on in the cycle after its data

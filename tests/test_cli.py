@@ -1,7 +1,10 @@
 import json
+import time
 
 import pytest
 
+from culsim import verify
+from culsim.cache import ConfigError
 from culsim.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
@@ -14,7 +17,7 @@ from culsim.cli import (
     parse_trace,
 )
 from culsim.protocol import OpKind
-from culsim.sim import Simulation
+from culsim.sim import Kernel, Simulation
 
 
 # -- trace parsing -----------------------------------------------------------------
@@ -107,6 +110,55 @@ def test_ops_per_core_respected():
 def test_unknown_workload_kind_rejected():
     with pytest.raises(ValueError):
         WorkloadSpec("bogus")
+
+
+# 300,000 lines of 4,096 bytes: the shared set fits in 32 bits, the four
+# private sets above it do not
+_WIDE = ("--cores", "4", "--working-set", "300000", "--ops", "10")
+
+
+@pytest.mark.parametrize("flags, refused", [
+    (("--workload", "private"), True),
+    (("--workload", "read_mostly"), True),
+    (("--workload", "uniform_random"), True),
+    (("--workload", "uniform_random", "--sharing", "0"), True),
+    (("--workload", "uniform_random", "--sharing", "1"), False),  # shared set only
+    (("--workload", "producer_consumer"), False),
+    (("--workload", "migratory"), False),
+    (("--workload", "false_sharing"), False),
+    (("--workload", "producer_consumer", "--working-set", "1048576"), True),
+])
+def test_a_workload_that_can_draw_past_32_bits_is_refused_before_any_draw(
+        tmp_path, capsys, flags, refused):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("line_size = 4096\ncache_size = 65536\n")
+    report = tmp_path / "r.json"
+    code = run_cli("run", "--config", str(cfg), *_WIDE, *flags, "--report", str(report))
+    if refused:
+        assert code == EXIT_BAD_INPUT
+        assert "outside the physical address range" in capsys.readouterr().err
+        assert not report.exists()
+    else:
+        assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("kind", ["private", "read_mostly", "uniform_random"])
+def test_the_address_bound_depends_on_the_spec_not_the_draw(kind):
+    # a spec whose private sets pass 32 bits is refused at any seed, even
+    # with no op to draw
+    for seed in range(3):
+        for ops in (0, 1):
+            with pytest.raises(ConfigError, match=f"reach 0x16e360000 for {kind}"):
+                gen_workload(WorkloadSpec(kind, ops, 300_000, seed=seed), 4, 4096)
+
+
+def test_a_large_working_set_builds_no_address_lists(tmp_path):
+    report = tmp_path / "r.json"
+    start = time.perf_counter()
+    code = run_cli("run", "--model", "both", "--workload", "uniform_random",
+                   "--working-set", str(1 << 22), "--ops", "10", "--report", str(report))
+    assert code == EXIT_OK
+    assert time.perf_counter() - start < 0.5
 
 
 # -- experiment runs ----------------------------------------------------------------------
@@ -354,6 +406,30 @@ def test_a_file_that_cannot_be_opened_exits_5_naming_it(tmp_path, capsys, flag, 
     assert run_cli(*argv) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err == f"culsim: {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv", [("run", "--model", "both", "--ops", "3000"), ("verify",)])
+def test_a_report_that_cannot_be_opened_fails_before_anything_runs(tmp_path, capsys,
+                                                                   monkeypatch, argv):
+    def ran(*args, **kwargs):
+        raise AssertionError("a model or the explorer ran before the report was opened")
+
+    monkeypatch.setattr(Kernel, "run", ran)
+    monkeypatch.setattr(verify, "oracle_tables", ran)
+    path = str(tmp_path / "no" / "dir" / "r.json")
+    assert run_cli(*argv, "--report", path) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"culsim: {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--config", "--mem-image", "--litmus"])
+def test_an_input_file_that_is_not_utf8_exits_5_naming_it(tmp_path, capsys, flag):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"\xff\xfe0 R 0x40\n")
+    report = tmp_path / "r.json"
+    command = "verify" if flag == "--litmus" else "run"
+    assert run_cli(command, flag, str(path), "--report", str(report)) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"culsim: {path}: not UTF-8 text\n"
+    assert not report.exists()
 
 
 # -- verify runs ------------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from culsim import protocol
@@ -13,6 +15,7 @@ from culsim.protocol import (
     SnoopRequest,
     SnoopResponse,
     TABLES,
+    Tables,
     completion_state,
     initiator_action,
     reissue_kind,
@@ -239,9 +242,54 @@ def test_table_rows_equal_their_functions_over_the_full_domain():
     assert dict(TABLES.take_owned) == {s: take_ownership(s) for s in LineState}
 
 
+def written_out_merge(snoopee):
+    """The probe merge spelled out: both structures take their snoopee
+    row; data from the dcache first, PassDirty only from the dcache,
+    IsShared from either."""
+    rows = {}
+    for d in LineState:
+        for i in LineState:
+            for k in SNOOPING_KINDS:
+                dnext, dresp = snoopee[d, k]
+                inext, iresp = snoopee[i, k]
+                if dresp.data_transfer:
+                    source = "d"
+                elif iresp.data_transfer:
+                    source = "i"
+                else:
+                    source = None
+                merged = SnoopResponse(
+                    data_transfer=max(dresp.data_transfer, iresp.data_transfer),
+                    pass_dirty=dresp.pass_dirty,
+                    is_shared=max(dresp.is_shared, iresp.is_shared),
+                )
+                rows[d, i, k] = (dnext, inext, merged, source)
+    return rows
+
+
+def test_probe_rows_merge_the_snoopee_rows_over_the_full_domain():
+    clean = {(s, k): snoopee_transition(s, k) for s in LineState for k in SNOOPING_KINDS}
+    assert len(TABLES.probe) == 5 * 5 * 4
+    assert dict(TABLES.probe) == written_out_merge(clean)
+    # a few rows by hand: an unprobed icache answers as Invalid
+    assert TABLES.probe[M, I, RS] == (O, I, SnoopResponse(1, 0, 1), "d")
+    assert TABLES.probe[I, S, RO] == (I, S, SnoopResponse(1, 0, 1), "i")
+    assert TABLES.probe[O, S, RU] == (I, I, SnoopResponse(1, 1, 0), "d")
+    assert TABLES.probe[S, S, CU] == (I, I, SnoopResponse(), None)
+
+
+@pytest.mark.parametrize("mutation", [m for m in MUTATIONS if m.startswith("snoopee:")])
+def test_a_snoopee_mutation_reaches_the_probe_rows(mutation):
+    mutated = TABLES.mutated({mutation})
+    assert dict(mutated.probe) == written_out_merge(mutated.snoopee)
+    assert mutated.probe != TABLES.probe
+
+
 def test_tables_are_read_only():
     with pytest.raises(TypeError):
         TABLES.snoopee[M, RU] = (M, SnoopResponse(1, 0, 1))
+    with pytest.raises(TypeError):
+        TABLES.probe[M, I, RS] = (M, I, SnoopResponse(), None)
 
 
 @pytest.mark.parametrize("mutation", list(MUTATIONS))
@@ -257,6 +305,8 @@ def test_each_mutation_patches_a_copy(mutation):
 
 def test_mutated_with_no_ids_equals_the_clean_tables():
     assert TABLES.mutated(()) == TABLES
+    # probe is derived from snoopee, not a field that == or mutated reads
+    assert "probe" not in {f.name for f in fields(Tables)}
 
 
 # -- message types ------------------------------------------------------------

