@@ -332,15 +332,6 @@ class CacheModel:
             self.touched.add(self.line_addr(address))
         hit[1].data = set_word(hit[1].data, address % self.line_size, value)
 
-    def take_dirty_responsibility(self, address: int) -> None:
-        """Apply the take_owned row to the local copy: pass_dirty arrived
-        without data, so this cache now answers for the line."""
-        hit = self.lookup(address)
-        if hit is not None:
-            if self.touched is not None:
-                self.touched.add(address)
-            hit[1].state = self.tables.take_owned[hit[1].state]
-
     # -- inspection ----------------------------------------------------------
 
     def valid_lines(self, icache: bool = False):

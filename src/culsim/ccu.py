@@ -19,12 +19,6 @@ from .memsys import MemoryPort
 from .protocol import (
     CoherentKind,
     DATA_KINDS,
-    DECODED,
-    DONE,
-    MEM_ACCESS,
-    Phase,
-    RESPONDING,
-    SNOOPING,
     SNOOPING_KINDS,
     SnoopRequest,
     SnoopResponse,
@@ -54,18 +48,11 @@ class CcuTransaction:
     initiator: int
     kind: CoherentKind
     address: int
-    phase: Phase = DECODED
     cr_pending: int = 0
     any_is_shared: int = 0
     any_pass_dirty: int = 0
     data: Optional[bytes] = None
     data_source: Optional[int] = None  # first responding core, None = memory/no data
-
-    def advance(self, phase: Phase) -> None:
-        if phase < self.phase:
-            raise ProtocolFault(
-                f"txn {self.id}: phase moved backwards {self.phase.name} -> {phase.name}")
-        self.phase = phase
 
 
 def admits(line_in_flight: bool, n_in_flight: int, capacity: int) -> bool:
@@ -224,23 +211,23 @@ class Ccu:
         for target, probe_d, probe_i in fanout:
             self.ac_outbox[target].append((due, txn, req, probe_d, probe_i))
         txn.cr_pending = len(fanout)
-        txn.advance(SNOOPING)
         return txn
 
     def collect_cr(self, from_core: int, txn: CcuTransaction, resp: SnoopResponse,
                    data: Optional[bytes]) -> None:
         """Fold one CR (+CD) of a core into its transaction's aggregate.
-        The first responder that transfers data supplies the line."""
+        The first responder that transfers data supplies the line: while
+        CRs are pending no memory data can be buffered (the memory read
+        is issued only after the last CR folds), so no data yet means no
+        responder has transferred yet."""
         if self.touched is not None:
             self.touched.add(txn.address)
         txn.cr_pending -= 1
         txn.any_is_shared |= resp.is_shared
         txn.any_pass_dirty |= resp.pass_dirty
-        if resp.data_transfer and txn.data_source is None and txn.data is None:
+        if resp.data_transfer and txn.data is None:
             txn.data = bytes(data)
             txn.data_source = from_core
-        if txn.cr_pending == 0:
-            txn.advance(RESPONDING)
 
     def snoop_unit_step(self, now: int) -> None:
         """Fold the CRs due by `now`; the transactions whose last CR came
@@ -263,7 +250,6 @@ class Ccu:
         first (`memory_data`)."""
         for txn in ready:
             if txn.kind in DATA_KINDS and txn.data is None:
-                txn.advance(MEM_ACCESS)
                 self.mem_port.read_queue.append((now, txn.address, txn))
                 continue
             if txn.data_source is not None:
@@ -295,7 +281,6 @@ class Ccu:
         del self.txns[txn.id]
         if self.touched is not None:
             self.touched.add(txn.address)
-        txn.advance(DONE)
         box = self.r_outbox[txn.initiator]
         if box and box[0][1] is txn:
             box.popleft()

@@ -21,14 +21,20 @@ hardware it is three status flags; `is_valid`, `is_unique` and
 Invalid's shared/dirty bits are don't-care in hardware; the properties
 read them as zero.
 
+A data-less dirty handoff (a CleanUnique whose snoop strips a dirty
+holder: PassDirty without data) needs no row. The transaction in flight
+holds the responsibility until its completion installs Modified, and the
+initiator's copy stays as it was meanwhile; the timed snoop model shows
+that transaction as an Owned copy (`sim.Simulation._in_flight_copies`).
+
 The enum members the timed models compare against are also bound once
-here as module-level names (`INVALID`, `READ_ONCE`, `STORE`, `SNOOPING`,
+here as module-level names (`INVALID`, `READ_ONCE`, `STORE`, `OWNED`,
 ...), and their hot paths read those names, not the enum class.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from enum import Enum, IntEnum
+from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
@@ -120,23 +126,6 @@ class OpKind(Enum):
 LOAD = OpKind.LOAD
 STORE = OpKind.STORE
 IFETCH = OpKind.IFETCH
-
-
-class Phase(IntEnum):
-    """Lifecycle of one coherency-unit transaction; it only moves forward."""
-
-    DECODED = 0
-    SNOOPING = 1
-    RESPONDING = 2
-    MEM_ACCESS = 3
-    DONE = 4
-
-
-DECODED = Phase.DECODED
-SNOOPING = Phase.SNOOPING
-RESPONDING = Phase.RESPONDING
-MEM_ACCESS = Phase.MEM_ACCESS
-DONE = Phase.DONE
 
 
 @dataclass(frozen=True)
@@ -308,14 +297,6 @@ def probe_rows(snoopee: Mapping) -> dict:
     return rows
 
 
-def take_ownership(state: LineState) -> LineState:
-    """A local copy after a data-less dirty handoff: a clean copy takes
-    Owned and answers for the line; dirty and Invalid ones stay as they are."""
-    if state.is_valid and not state.is_dirty:
-        return LineState.OWNED
-    return state
-
-
 @dataclass(frozen=True)
 class Tables:
     """The rules above as read-only rows:
@@ -324,7 +305,6 @@ class Tables:
         snoopee[state, snooping kind]               -> (next state, SnoopResponse)
         completion[kind, shared, pass_dirty, store] -> install state
         reissue[kind]                               -> kind a miss whose data cache lost its line enters as
-        take_owned[state]                           -> state after a data-less dirty handoff
         probe[dstate, istate, kind]                 -> (dnext, inext, CR, data from "d"/"i"/None)
 
     `probe` is no field: `probe_rows` derives it from `snoopee` as a Tables is built.
@@ -334,7 +314,6 @@ class Tables:
     snoopee: Mapping
     completion: Mapping
     reissue: Mapping
-    take_owned: Mapping
 
     def __post_init__(self):
         for f in fields(self):
@@ -363,7 +342,6 @@ TABLES = Tables(
     completion={(k, sh, pd, st): completion_state(k, sh, pd, st)
                 for k in _SNOOPING for sh in _BITS for pd in _BITS for st in _BITS},
     reissue={k: reissue_kind(k) for k in CoherentKind},
-    take_owned={s: take_ownership(s) for s in LineState},
 )
 
 

@@ -674,11 +674,6 @@ class Simulation(Kernel):
         resp, data = self.caches[core].handle_snoop(req, probe_dcache=probe_d,
                                                     probe_icache=probe_i)
         self.ccu.cr_inbox.append((now + self.config.latencies.snoop_hop, core, txn, resp, data))
-        if resp.pass_dirty and data is None:
-            # data-less dirty handoff (CleanUnique stripping a dirty
-            # holder): responsibility lands on the initiator's copy now,
-            # so no cycle ever shows the line clean-everywhere but stale
-            self.caches[txn.initiator].take_dirty_responsibility(req.address)
 
     def _apply_completion(self, core: int, txn, now: int) -> None:
         cache = self.caches[core]
@@ -714,9 +709,13 @@ class Simulation(Kernel):
         super()._run_monitors()
 
     def _in_flight_copies(self, lines=None) -> Dict[int, List[verify.CopyView]]:
-        # Dirty data in flight answers for its line like an Owned copy:
-        # CD data queued with pass_dirty, and a transaction's buffered
-        # data once a snoopee handed dirty responsibility over. Without them a line whose dirty holder was
+        # Dirty responsibility in flight answers for its line like an
+        # Owned copy: a CR with pass_dirty still queued, and a transaction
+        # once a snoopee handed the responsibility over. This is the one
+        # handoff rule: a data-less handoff (a CleanUnique stripping a
+        # dirty holder) leaves the initiator's copy as it was, and the
+        # transaction answers with that copy's data until its completion
+        # installs Modified. Without these a line whose dirty holder was
         # already snooped looks clean-everywhere but newer than memory.
         ccu = self.ccu
         copies: Dict[int, List[verify.CopyView]] = {}
@@ -725,21 +724,23 @@ class Simulation(Kernel):
         in_flight = ccu.decoder.in_flight
         if not in_flight or lines is not None and in_flight.isdisjoint(lines):
             return copies
-        for _due, core, txn, resp, data in ccu.cr_inbox:
-            if resp.pass_dirty and data is not None:
-                copies.setdefault(txn.address, []).append(
-                    verify.CopyView(core, OWNED, data, False)
-                )
-        for txn in ccu.txns.values():
-            if txn.any_pass_dirty and txn.data is not None:
-                copies.setdefault(txn.address, []).append(
-                    verify.CopyView(txn.initiator, OWNED, txn.data, False)
-                )
+        handed = [(txn, data) for _due, _core, txn, resp, data in ccu.cr_inbox if resp.pass_dirty]
+        handed += [(txn, txn.data) for txn in ccu.txns.values() if txn.any_pass_dirty]
+        for txn, data in handed:
+            if data is None:  # no data came: the initiator's copy, if it holds one
+                hit = self.caches[txn.initiator].lookup(txn.address)
+                if hit is None:
+                    continue
+                data = hit[1].data
+            copies.setdefault(txn.address, []).append(
+                verify.CopyView(txn.initiator, OWNED, data, False))
         return copies
 
     def _dump_lines(self) -> List[str]:
         ccu = self.ccu
-        txns = [(t.id, t.kind.value, hex(t.address), t.phase.name) for t in ccu.txns.values()]
+        # per transaction: CRs still to come, and whether data is buffered
+        txns = [(t.id, t.kind.value, hex(t.address), t.cr_pending, t.data is not None)
+                for t in ccu.txns.values()]
         d = ccu.decoder
         return [
             f"  ccu: pending={d.pending} hold={d.hold} txns={txns} "

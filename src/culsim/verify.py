@@ -271,11 +271,9 @@ def _coded_tables(mutations: FrozenSet[str]) -> tuple:
     }
     # reissue[kind] -> kind a miss whose copy a snoop took enters as
     reissue = (0,) + tuple(kind_code[tables.reissue[kind]] for kind in _KINDS[1:])
-    # take_owned[state] -> a local copy after a data-less dirty handoff
-    take_owned = tuple(state_code[tables.take_owned[s]] for s in _STATES)
     # carries_data[kind] -> its completion installs a line, not an upgrade
     carries_data = (False,) + tuple(kind in DATA_KINDS for kind in _KINDS[1:])
-    return initiator, probe, completion, reissue, take_owned, carries_data
+    return initiator, probe, completion, reissue, carries_data
 
 
 class _Machine:
@@ -316,7 +314,7 @@ class _Machine:
         self.n_read = tuple(tuple(accumulate((op[0] != _STORE for op in ops), initial=0))
                             for ops in self.ops)
         # int-coded rows of `protocol.TABLES` under the configured mutations
-        (self.initiator, self.probe, self.completion, self.reissue, self.take_owned,
+        (self.initiator, self.probe, self.completion, self.reissue,
          self.carries_data) = _coded_tables(frozenset(config.mutations))
         # admit[mask of lines in flight][line] -> the Decoder lets the miss in
         self.admit = tuple(
@@ -577,6 +575,14 @@ class _Machine:
         return (_ACCEPT, core, kind, line), bytes(new), None
 
     def _snoop(self, state: bytes, core: int, j: int):
+        """Probe fan-out entry `j` of the core's miss and fold its CR.
+
+        A data-less PassDirty (a CleanUnique stripping a dirty holder)
+        needs no handoff rule: it only sets the miss's dirty flag, and
+        the initiator's copy stays as it was until the completion
+        installs Modified. No check misses the responsibility meanwhile:
+        `_line_violations` never compares clean copies with memory, and
+        skips the lost-write check while the line is in flight."""
         at = self.core_at[core]
         kind, line = state[at + _MK], state[at + _ML]
         target, probe_d, probe_i = self.fanout[core][kind][j]
@@ -602,10 +608,6 @@ class _Machine:
 
         if data_transfer and not new[at + _MD]:
             new[at + _MD] = state[dpos + value_at]
-        if pass_dirty and not data_transfer:
-            # data-less handoff: the initiator's own copy takes Owned now
-            pos = self.dpos[core][line]
-            new[pos] = self.take_owned[new[pos]]
         new[at + _MM] &= ~(1 << j)
         if is_shared:
             new[at + _MF] |= _ANY_SHARED

@@ -13,6 +13,8 @@ from culsim.cache import (
     word_at,
 )
 from culsim import protocol
+from culsim.sim import SimConfig, build
+from culsim.verify import check_swmr, check_value
 from culsim.protocol import (
     MUTATIONS,
     CoherentKind,
@@ -209,12 +211,36 @@ def test_clean_unique_completion_upgrades_in_place():
     assert line.data == data  # store value applied separately
 
 
-def test_take_dirty_responsibility_promotes_clean_copy():
-    cache = make_cache()
-    fill(cache, 0x40, S)
-    cache.take_dirty_responsibility(0x40)
-    assert cache.lookup(0x40)[1].state is O
-    cache.take_dirty_responsibility(0x80)  # no copy: no-op
+def test_a_data_less_handoff_stays_with_its_transaction_until_the_completion():
+    # core 1 holds the line Owned and core 0 Shared; core 0's store
+    # upgrades with a CleanUnique, whose snoop strips core 1 with
+    # PassDirty and no data. The transaction answers for the line until
+    # its completion, and core 0's copy stays Shared meanwhile.
+    sim = build(SimConfig(), monitor=True)
+    sim.run([[], [CoreOp(OpKind.STORE, 0x40, value=1)]])
+    sim.run([[CoreOp(OpKind.LOAD, 0x40)], []])
+    mine, theirs = sim.caches
+    assert (mine.lookup(0x40)[1].state, theirs.lookup(0x40)[1].state) == (S, O)
+    between = []
+    run_monitors = sim._run_monitors
+
+    def monitors():
+        if mine.miss is not None and theirs.lookup(0x40) is None:
+            line = mine.lookup(0x40)[1]
+            copies = sim._in_flight_copies().get(0x40, ())
+            view = sim.snapshot_invariants()
+            between.append((line.state, [(c.state, c.data) for c in copies], line.data,
+                            check_swmr(view) + check_value(view)))
+        run_monitors()
+
+    sim._run_monitors = monitors
+    sim.run([[CoreOp(OpKind.STORE, 0x40, value=2)], []])
+    assert between
+    for state, copies, data, problems in between:
+        assert state is S
+        assert copies == [(O, data)]
+        assert problems == []
+    assert mine.lookup(0x40)[1].state is M and theirs.lookup(0x40) is None
 
 
 # -- eviction -------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from culsim.cache import CacheModel, MissStatus, NeedsMiss
 from culsim.ccu import (
     Ccu,
     Decoder,
-    Phase,
     ProtocolFault,
     admits,
     mux_grant,
@@ -194,17 +193,6 @@ def test_decoder_serializes_same_line():
     assert ccu.decoder_step(2) is not None
 
 
-def test_a_transaction_phase_never_moves_backwards():
-    ccu = make_ccu()
-    request(ccu, 0, RS, 0x40, now=0)
-    txn = ccu.decoder_step(0)
-    assert txn.phase is Phase.SNOOPING
-    with pytest.raises(ProtocolFault, match="SNOOPING -> DECODED"):
-        txn.advance(Phase.DECODED)
-    txn.advance(Phase.SNOOPING)  # staying put is allowed
-    assert txn.phase is Phase.SNOOPING
-
-
 def test_capacity_one_admits_one_transaction_at_a_time():
     ccu = make_ccu(collision_capacity=1)
     request(ccu, 0, RS, 0x40, now=0)
@@ -259,7 +247,7 @@ def test_transactions_ready_in_one_cycle_move_on_in_id_order():
     ccu.snoop_unit_step(3)  # neither CR is due yet
     assert ccu.cr_inbox and not ccu.mem_port.read_queue
     ccu.snoop_unit_step(5)  # both last CRs fold in this cycle
-    assert not ccu.cr_inbox and first.phase is second.phase is Phase.MEM_ACCESS
+    assert not ccu.cr_inbox
     assert [(due, tag) for due, _, tag in ccu.mem_port.read_queue] == [(5, first), (5, second)]
     ccu.memory_data(second, bytes([1]) * 16, 29)  # and the data arrive in reverse too
     ccu.memory_data(first, bytes([2]) * 16, 29)

@@ -20,7 +20,6 @@ from culsim.protocol import (
     initiator_action,
     reissue_kind,
     snoopee_transition,
-    take_ownership,
 )
 
 M, O, E, S, I = (
@@ -219,11 +218,6 @@ def test_reissue_rows_cover_every_kind():
     assert [kind for kind, _ in REISSUE_ROWS] == list(CoherentKind) == list(TABLES.reissue)
 
 
-def test_take_ownership_table():
-    got = {state: take_ownership(state) for state in LineState}
-    assert got == {M: M, O: O, E: O, S: O, I: I}
-
-
 # -- the table set ------------------------------------------------------------
 
 def test_table_rows_equal_their_functions_over_the_full_domain():
@@ -239,7 +233,6 @@ def test_table_rows_equal_their_functions_over_the_full_domain():
         for k in SNOOPING_KINDS for sh in bits for pd in bits for st in bits
     }
     assert dict(TABLES.reissue) == {k: reissue_kind(k) for k in CoherentKind}
-    assert dict(TABLES.take_owned) == {s: take_ownership(s) for s in LineState}
 
 
 def written_out_merge(snoopee):
@@ -305,8 +298,9 @@ def test_each_mutation_patches_a_copy(mutation):
 
 def test_mutated_with_no_ids_equals_the_clean_tables():
     assert TABLES.mutated(()) == TABLES
-    # probe is derived from snoopee, not a field that == or mutated reads
-    assert "probe" not in {f.name for f in fields(Tables)}
+    # probe is derived from snoopee, not a field that == or mutated reads;
+    # a data-less dirty handoff has no row (its transaction holds it)
+    assert [f.name for f in fields(Tables)] == ["initiator", "snoopee", "completion", "reissue"]
 
 
 # -- message types ------------------------------------------------------------

@@ -388,6 +388,22 @@ def test_watchdog_detects_wedged_pipeline():
     assert sim.stats.cores[0].stall_cycles == 52
 
 
+def test_the_snoop_dump_shows_a_transaction_waiting_for_memory():
+    # each transaction shows its CRs still to come and whether data is buffered
+    sim = build(SimConfig())
+    dumps = []
+    memory_data = sim._memory_data
+
+    def dumped(txn, data, now):  # the read's data arrives: the transaction holds none yet
+        dumps.append(sim._dump_state())
+        memory_data(txn, data, now)
+
+    sim._memory_data = dumped
+    sim.run([loads(0x100), []])
+    (dump,) = dumps
+    assert "txns=[(0, 'ReadShared', '0x100', 0, False)]" in dump
+
+
 def test_run_requires_one_stream_per_core():
     sim = build(SimConfig())
     with pytest.raises(ConfigError, match="streams"):

@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -7,10 +8,13 @@ from hypothesis import strategies as st
 from culsim.protocol import DATA_KINDS, TABLES, Hit, Issue, LineState, SnoopResponse
 from culsim.verify import (
     _ACCEPT,
+    _ANY_DIRTY,
     _COMPLETE,
     _I,
     _ISSUE,
     _KINDS,
+    _MD,
+    _MF,
     _MK,
     _ML,
     _MM,
@@ -18,6 +22,7 @@ from culsim.verify import (
     _ORACLE_BATTERY,
     _PC,
     _RS,
+    _SNOOP,
     _STATES,
     _Machine,
     COHERENCE_LITMUS,
@@ -258,6 +263,30 @@ def test_litmus_memory_atom_on_an_address_nothing_uses_is_rejected():
         assert run_litmus(test, ExploreConfig(n_cores=2))["forbidden_seen"] == 0
 
 
+# SB, MP, LB, WRC and IRIW, kept out of COHERENCE_LITMUS: they state that
+# the cluster is sequentially consistent, they do not detect a fault
+SC_LITMUS = parse_litmus((Path(__file__).parent / "data" / "sc_litmus.txt").read_text())
+
+
+def test_the_sc_litmus_file_holds_the_five_shapes():
+    assert [t.name for t in SC_LITMUS] == ["SB", "MP", "LB", "WRC", "IRIW"]
+    assert not {t.name for t in SC_LITMUS} & {t.name for t in COHERENCE_LITMUS}
+
+
+@pytest.mark.parametrize("test", SC_LITMUS, ids=lambda t: t.name)
+def test_no_sc_litmus_shape_reaches_its_forbidden_outcome(test):
+    n_cores = max(test.programs) + 1  # the cores the shape names
+    programs = [test.programs.get(core, ()) for core in range(n_cores)]
+    for coherent_ifetch in (False, True):
+        for capacity in (1, 8):
+            cfg = ExploreConfig(n_cores=n_cores, coherent_ifetch=coherent_ifetch,
+                                collision_capacity=capacity)
+            result = run_litmus(test, cfg)
+            assert result["exhausted"] and not result["violations"]
+            assert result["forbidden_seen"] == 0
+            assert set(result["observed_outcomes"]) == sc_outcomes(programs, test.init or None)
+
+
 def test_violations_name_each_line_with_identical_contents():
     # both lines reach the same copies, memory and ghost values; each one's
     # SWMR break must be reported under its own address
@@ -316,7 +345,6 @@ def test_machine_tables_are_derived_from_protocol():
                     row = (_STATES[dnext], _STATES[inext], SnoopResponse(data, dirty, shared),
                            source)
                     assert row == tables.probe[state, istate, kind]
-            assert _STATES[machine.take_owned[s]] is tables.take_owned[state]
         assert {
             (_KINDS[k], shared, dirty, store): _STATES[final]
             for (k, shared, dirty, store), final in machine.completion.items()
@@ -804,3 +832,19 @@ def test_parse_litmus_hex_value_is_reported_when_forbidden():
 def test_parse_litmus_reports_line_numbers():
     with pytest.raises(ValueError, match="line 2"):
         parse_litmus("test t\ncore 0: Q x=1\n")
+
+
+def test_a_data_less_pass_dirty_snoop_leaves_the_initiator_copy_as_it_was():
+    # core 1 writes the line (Modified), core 0 reads it (Shared, core 1
+    # Owned) and then writes it: the CleanUnique's snoop strips core 1
+    # with PassDirty and no data, which only sets the miss's dirty flag
+    machine = _Machine([[("R", X), ("W", X, 2)], [("W", X, 1)]], ExploreConfig(n_cores=2))
+    at, pos = machine.core_at[0], machine.dpos[0][0]
+    handoffs = 0
+    for state in _reachable(machine):
+        for label, succ, _note in machine.successors(state):
+            if (label[0] == _SNOOP and label[1] == 0 and not succ[at + _MD]
+                    and succ[at + _MF] & ~state[at + _MF] & _ANY_DIRTY):
+                assert succ[pos:pos + 2] == state[pos:pos + 2] and _STATES[state[pos]] is S
+                handoffs += 1
+    assert handoffs
