@@ -50,7 +50,7 @@ from .protocol import (
 from .sim import Kernel, SimConfig
 
 
-@dataclass
+@dataclass(slots=True)
 class _DirTxn:
     id: int
     core: int
@@ -70,6 +70,7 @@ class DirectorySimulation(Kernel):
         # (due, txn id, txn) of each journey waiting out a delay
         self.wake: List[Tuple[int, int, _DirTxn]] = []
         self._timed = (self.mem_port.read_queue, self.mem.inflight, self.wake)
+        self._ports = tuple(zip(range(config.n_cores), self.ports, self.caches))
 
     # -- cycle ---------------------------------------------------------------
 
@@ -85,10 +86,10 @@ class DirectorySimulation(Kernel):
             self._advance(heappop(wake)[2], now)
         if self.decoder.pending or self.decoder.hold is not None:
             self._accept(now)
-        for core, port in enumerate(self.ports):
+        for core, port, cache in self._ports:
             if port.nc_fill is not None:
                 self._apply_nc_fill(core, now)
-            elif port.current is not None and self.caches[core].miss is None:
+            elif port.current is not None and cache.miss is None:
                 self._core_op(core, now)
         mem_port = self.mem_port
         if (mem_port.read_queue or mem_port.wb) and mem_port.step(now, self.mem):
@@ -107,7 +108,7 @@ class DirectorySimulation(Kernel):
         if granted is None:
             return
         core, addr = granted
-        txn = _DirTxn(id=self.next_id, core=core, addr=addr)
+        txn = _DirTxn(self.next_id, core, addr)
         self.next_id += 1
         txn.journey = self._journey(txn)
         self.txns.append(txn)

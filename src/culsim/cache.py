@@ -13,7 +13,7 @@ Shared or Invalid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from . import protocol
 from .protocol import (
@@ -30,6 +30,9 @@ from .protocol import (
     SnoopRequest,
     SnoopResponse,
 )
+
+if TYPE_CHECKING:
+    from .ccu import CcuTransaction
 
 WORD_BYTES = 4
 PHYS_ADDR_BITS = 32
@@ -66,7 +69,13 @@ class CacheLine:
     data: bytes = b""
 
 
-@dataclass
+# what a probe of a structure it skips, or of a line it lacks, reads:
+# an Invalid line, which `handle_snoop` never writes
+_NO_LINE = CacheLine()
+_NO_WAY = (None, _NO_LINE)
+
+
+@dataclass(slots=True)
 class MissStatus:
     """The single outstanding miss of one core, and the only copy of its
     request."""
@@ -185,21 +194,23 @@ class CacheModel:
             return self.ifetch(op.address)
         if self.miss is not None:
             raise RuntimeError(f"core {self.core_id}: second outstanding miss")
-        hit = self.lookup(op.address)
-        state = hit[1].state if hit else INVALID
+        offset = op.address % self.line_size
+        address = op.address - offset
+        hit = self.index.get(address)  # an Invalid way reads as the miss it is
+        state = hit[1].state if hit is not None else INVALID
         action = self.tables.initiator[state, op.kind]
         if isinstance(action, Hit):
             line = hit[1]
             if self.touched is not None and (
                 op.kind is STORE or action.next is not state
             ):
-                self.touched.add(self.line_addr(op.address))
+                self.touched.add(address)
             line.state = action.next
             if op.kind is STORE:
-                line.data = set_word(line.data, op.address % self.line_size, op.value)
+                line.data = set_word(line.data, offset, op.value)
                 return _STORE_SERVED
-            return Served(word_at(line.data, op.address % self.line_size))
-        self.miss = MissStatus(self.line_addr(op.address), action.kind)
+            return Served(word_at(line.data, offset))
+        self.miss = MissStatus(address, action.kind)
         return _NEEDS_MISS[action.kind]
 
     def ifetch(self, address: int) -> Union[Served, NeedsMiss]:
@@ -218,24 +229,31 @@ class CacheModel:
     # -- snoop side --------------------------------------------------------
 
     def handle_snoop(
-        self, req: SnoopRequest, probe_dcache: bool = True, probe_icache: bool = False
+        self, req: Union[SnoopRequest, CcuTransaction], probe_dcache: bool = True,
+        probe_icache: bool = False,
     ) -> Tuple[SnoopResponse, Optional[bytes]]:
         """Apply one AC probe to this core's cache subsystem: its probe row
         (`protocol.Tables.probe`) gives both structures' next states and
         the core's one CR. Data leaves on the CD channel as the bytes of
-        the line the row names."""
+        the line the row names.
+
+        The probe is read off `req`, any record with a snooping `kind` and
+        a line `address`: on the timed path the `ccu.CcuTransaction`
+        itself, which the CCU checked as it entered; a `SnoopRequest`
+        for a caller with no transaction."""
         address = req.address
         if self.touched is not None:
             self.touched.add(address)
-        hit = self.lookup(address) if probe_dcache else None
-        ihit = self.lookup(address, icache=True) if probe_icache and self.coherent_ifetch else None
-        dnext, inext, resp, source = self.tables.probe[
-            hit[1].state if hit else INVALID, ihit[1].state if ihit else INVALID, req.kind]
-        if hit:
-            hit[1].state = dnext
-        if ihit:
-            ihit[1].state = inext
-        return resp, None if source is None else (hit if source == "d" else ihit)[1].data
+        # an Invalid way reads as no copy, and its row changes nothing
+        dline = self.index.get(address, _NO_WAY)[1] if probe_dcache else _NO_LINE
+        iline = (self.iindex.get(address, _NO_WAY)[1] if probe_icache and self.coherent_ifetch
+                 else _NO_LINE)
+        dnext, inext, resp, source = self.tables.probe[dline.state, iline.state, req.kind]
+        if dline.state is not INVALID:
+            dline.state = dnext
+        if iline.state is not INVALID:
+            iline.state = inext
+        return resp, None if source is None else (dline if source == "d" else iline).data
 
     def entry_kind(self) -> CoherentKind:
         """The kind the pending miss enters the coherency unit as, kept in
@@ -292,8 +310,8 @@ class CacheModel:
         self, address: int, state: LineState, data: Optional[bytes], icache: bool,
         way: Optional[int] = None,
     ) -> Tuple[Optional[Tuple[int, bytes]], Optional[int]]:
-        """Fill `address` into `way` (by default the one `_fill_way`
-        picks), evicting the way's valid line."""
+        """Fill the line address `address` into `way` (by default the one
+        `_fill_way` picks), evicting the way's valid line."""
         set_idx, tag = self._index_tag(address)
         ways = (self.isets if icache else self.sets)[set_idx]
         rr = self.irr if icache else self.rr
@@ -302,19 +320,19 @@ class CacheModel:
         if way is None:
             way = _fill_way(ways, rr[set_idx])
         victim = ways[way]
+        old = self._addr_of(set_idx, victim.tag)
         if victim.state is not INVALID:
-            evicted = self._addr_of(set_idx, victim.tag)
+            evicted = old
             if not icache and victim.state.is_dirty:
                 writeback = (evicted, victim.data)
         # an Invalid way may keep the tag of a line since refilled elsewhere
         # in the set; that newer entry must survive
-        old = self._addr_of(set_idx, victim.tag)
-        if old in index and index[old][0] == way:
+        entry = index.get(old)
+        if entry is not None and entry[0] == way:
             del index[old]
-        new = self._addr_of(set_idx, tag)
-        index[new] = (way, victim)
+        index[address] = (way, victim)
         if self.touched is not None:
-            self.touched.add(new)
+            self.touched.add(address)
             if evicted is not None:
                 self.touched.add(evicted)
         victim.tag = tag

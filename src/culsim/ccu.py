@@ -20,7 +20,6 @@ from .protocol import (
     CoherentKind,
     DATA_KINDS,
     SNOOPING_KINDS,
-    SnoopRequest,
     SnoopResponse,
 )
 
@@ -29,17 +28,20 @@ class ProtocolFault(RuntimeError):
     """Internal protocol violation (e.g. a core's second pending request)."""
 
 
-def mux_grant(pending: Dict[int, int], last_granted: int, n_cores: int) -> int:
-    """Pick the next coherent request: earliest arrival cycle wins,
-    same-cycle ties rotate round-robin starting after last_granted."""
+def mux_grant(pending: Dict[int, Tuple[int, int]], last_granted: int, n_cores: int) -> int:
+    """Pick the next coherent request from a Decoder's `core -> (arrival,
+    line)` table: the earliest arrival cycle wins, same-cycle ties rotate
+    round-robin starting after last_granted. One walk over the cores in
+    that order keeps the first earliest arrival."""
     if not pending:
         raise ValueError("mux_grant with nothing pending")
-    best = min(pending.values())
-    for i in range(1, n_cores + 1):
-        core = (last_granted + i) % n_cores
-        if pending.get(core) == best:
-            return core
-    raise AssertionError("unreachable")
+    best = best_at = None
+    for i in range(last_granted + 1, last_granted + 1 + n_cores):
+        core = i % n_cores
+        request = pending.get(core)
+        if request is not None and (best_at is None or request[0] < best_at):
+            best, best_at = core, request[0]
+    return best
 
 
 @dataclass(slots=True)
@@ -65,8 +67,9 @@ class Decoder:
     """Coherent request intake: at most one waiting request per core,
     granted by `mux_grant`; a granted request is held until `admits`
     lets it in, and every cycle it waits counts a stall. It queues only
-    each request's arrival and line: the rest of the request is the
-    core's pending miss, which the model reads when the request enters."""
+    each request's arrival and line, in `pending`, which is also the
+    table `mux_grant` reads: the rest of the request is the core's
+    pending miss, which the model reads when the request enters."""
 
     def __init__(self, n_cores: int, capacity: int):
         self.n_cores = n_cores
@@ -92,8 +95,7 @@ class Decoder:
             if len(self.pending) == 1:
                 core = next(iter(self.pending))
             else:
-                arrivals = {c: r[0] for c, r in self.pending.items()}
-                core = mux_grant(arrivals, self.last_granted, self.n_cores)
+                core = mux_grant(self.pending, self.last_granted, self.n_cores)
             self.last_granted = core
             self.hold = (core, self.pending.pop(core)[1])
         line = self.hold[1]
@@ -171,7 +173,8 @@ class Ccu:
         )
         self.txns: Dict[int, CcuTransaction] = {}
         self.next_id = 0
-        # (due, txn, request, probe_d, probe_i) awaiting delivery per core
+        # (due, txn, probe_d, probe_i) awaiting delivery per core; the
+        # transaction is the probe, whose kind and line `handle_snoop` reads
         self.ac_outbox: List[Deque[tuple]] = [deque() for _ in range(n_cores)]
         self.cr_inbox: Deque[tuple] = deque()  # (due, from_core, txn, resp, data)
         # (due, txn) of the R burst on its way to the initiator
@@ -195,21 +198,24 @@ class Ccu:
 
     def decoder_step(self, now: int) -> Optional[CcuTransaction]:
         """Let at most one coherent request through the Decoder and fan
-        out its snoops; the request enters as its miss's `entry_kind`."""
+        out its snoops; the request enters as its miss's `entry_kind`,
+        which must be a snooping kind. Each AC entry carries the new
+        transaction as its probe."""
         granted = self.decoder.grant()
         if granted is None:
             return None
         core, address = granted
         cache = self.caches[core]
         kind = cache.entry_kind()
-        txn = CcuTransaction(id=self.next_id, initiator=core, kind=kind, address=address)
+        if kind not in SNOOPING_KINDS:  # a reissue row may name any kind
+            raise ProtocolFault(f"core {core}: unexpected {kind.value} request")
+        txn = CcuTransaction(self.next_id, core, kind, address)
         self.next_id += 1
         self.txns[txn.id] = txn
         fanout = self.fanout[core][cache.miss.for_icache]
-        req = SnoopRequest(kind=kind, address=address)
         due = now + self.ccu_stage + self.snoop_hop
         for target, probe_d, probe_i in fanout:
-            self.ac_outbox[target].append((due, txn, req, probe_d, probe_i))
+            self.ac_outbox[target].append((due, txn, probe_d, probe_i))
         txn.cr_pending = len(fanout)
         return txn
 

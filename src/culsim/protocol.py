@@ -149,7 +149,10 @@ class CoreOp:
 
 @dataclass(frozen=True)
 class SnoopRequest:
-    """Probe delivered on the snoop request (AC) channel."""
+    """A probe on the snoop request (AC) channel, for a caller with no
+    transaction: on the timed path the CCU's transaction is the probe
+    (`cache.CacheModel.handle_snoop` reads any record with `kind` and
+    `address`), and `ccu.Ccu.decoder_step` checks its kind."""
 
     kind: CoherentKind
     address: int

@@ -645,35 +645,32 @@ class Simulation(Kernel):
         # an R completion, then a non-coherent fill, then a due snoop,
         # then the core's load or store (a core has at most one op
         # pending). A pending ifetch leaves the port idle and runs below.
-        txn = self.ccu.take_r(core, now)
+        # A snoop's CR leaves for the snoop unit one hop later, carrying
+        # the transaction that is its probe.
+        ccu = self.ccu
+        txn = ccu.take_r(core, now)
         op = port.current
         if txn is not None and self._victim_fits(cache):
             self._apply_completion(core, txn, now)
         elif port.nc_fill is not None:
             self._apply_nc_fill(core, now)
         elif acs and acs[0][0] <= now:
-            self._process_snoop(core, now)
+            _due, snoop, probe_d, probe_i = acs.popleft()
+            resp, data = cache.handle_snoop(snoop, probe_d, probe_i)
+            ccu.cr_inbox.append((now + ccu.snoop_hop, core, snoop, resp, data))
         elif op is None or cache.miss is not None:
             return
         elif op.kind is not IFETCH:
-            self._execute_op(core, op, now)
+            if self._access(core, op, now) is not None:
+                ccu.submit(core, now)
         self._progress = True
 
         # The icache has its own port: ifetches run regardless of the
         # data-cache arbitration outcome.
         op = port.current
         if op is not None and cache.miss is None and op.kind is IFETCH:
-            self._execute_op(core, op, now)
-
-    def _execute_op(self, core: int, op: CoreOp, now: int) -> None:
-        if self._access(core, op, now) is not None:
-            self.ccu.submit(core, now)
-
-    def _process_snoop(self, core: int, now: int) -> None:
-        _due, txn, req, probe_d, probe_i = self.ccu.ac_outbox[core].popleft()
-        resp, data = self.caches[core].handle_snoop(req, probe_dcache=probe_d,
-                                                    probe_icache=probe_i)
-        self.ccu.cr_inbox.append((now + self.config.latencies.snoop_hop, core, txn, resp, data))
+            if self._access(core, op, now) is not None:
+                ccu.submit(core, now)
 
     def _apply_completion(self, core: int, txn, now: int) -> None:
         cache = self.caches[core]

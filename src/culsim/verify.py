@@ -368,10 +368,13 @@ class _Machine:
             marks = [l == line and self.initiator[_I][op][0] for op, l, _value in self.ops[target]]
             return tuple(any(marks[pc:]) for pc in range(len(marks) + 1))
 
+        laters = [[later(target, line) for line in range(len(self.addrs))]
+                  for target in range(self.cfg.n_cores)]
+
         def entry(line, j, target, probe_d, probe_i):
             probed = [pos[target][line] for pos, on in (
                 (self.dpos, probe_d), (self.ipos, probe_i)) if on]
-            return (1 << j, probed[0], probed[-1], self.core_at[target], later(target, line))
+            return (1 << j, probed[0], probed[-1], self.core_at[target], laters[target][line])
 
         return tuple(
             (None,) + tuple(

@@ -165,14 +165,14 @@ def test_priority_arbitration_all_pairs():
 
 def test_round_robin_fairness_1000_grants():
     for n_cores in (2, 3, 4):
-        arrivals = {c: 0 for c in range(n_cores)}
+        pending = {c: (0, 0x40 * c) for c in range(n_cores)}  # core -> (arrival, line)
         counts = [0] * n_cores
         last = n_cores - 1
         for t in range(1000):
-            winner = mux_grant(arrivals, last, n_cores)
+            winner = mux_grant(pending, last, n_cores)
             counts[winner] += 1
             last = winner
-            arrivals[winner] = t + 1
+            pending[winner] = (t + 1, 0x40 * winner)
         assert max(counts) - min(counts) <= 1, counts
     ok("round-robin-fairness")
 

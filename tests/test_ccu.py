@@ -1,9 +1,15 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from culsim import protocol
-from culsim.cache import CacheModel, MissStatus, NeedsMiss
+from culsim.baseline import _DirTxn
+from culsim.cache import CacheLine, CacheModel, MissStatus, NeedsMiss
 from culsim.ccu import (
     Ccu,
+    CcuTransaction,
     Decoder,
     ProtocolFault,
     admits,
@@ -24,17 +30,19 @@ RS, RU, CU, RO = (
 
 # -- mux ------------------------------------------------------------------------
 
+# mux_grant reads a Decoder's pending table: core -> (arrival, line)
+
 def test_mux_same_cycle_tie_rotates_after_last_granted():
-    assert mux_grant({0: 5, 1: 5}, last_granted=0, n_cores=2) == 1
-    assert mux_grant({0: 5, 1: 5}, last_granted=1, n_cores=2) == 0
+    assert mux_grant({0: (5, 0x40), 1: (5, 0x80)}, last_granted=0, n_cores=2) == 1
+    assert mux_grant({0: (5, 0x40), 1: (5, 0x80)}, last_granted=1, n_cores=2) == 0
 
 
 def test_mux_single_pending():
-    assert mux_grant({1: 9}, last_granted=0, n_cores=2) == 1
+    assert mux_grant({1: (9, 0x40)}, last_granted=0, n_cores=2) == 1
 
 
 def test_mux_earliest_arrival_wins():
-    assert mux_grant({0: 5, 1: 3}, last_granted=1, n_cores=2) == 1
+    assert mux_grant({0: (5, 0x40), 1: (3, 0x80)}, last_granted=1, n_cores=2) == 1
 
 
 def test_mux_rejects_empty():
@@ -44,14 +52,14 @@ def test_mux_rejects_empty():
 
 def test_round_robin_fairness_under_continuous_pending():
     n = 4
-    arrivals = {c: 0 for c in range(n)}
+    pending = {c: (0, 0x40 * c) for c in range(n)}
     counts = [0] * n
     last = n - 1
     for t in range(1000):
-        winner = mux_grant(arrivals, last, n)
+        winner = mux_grant(pending, last, n)
         counts[winner] += 1
         last = winner
-        arrivals[winner] = t + 1  # re-request immediately
+        pending[winner] = (t + 1, 0x40 * winner)  # re-request immediately
     assert max(counts) - min(counts) <= 1
 
 
@@ -60,10 +68,44 @@ def test_round_robin_fairness_equal_arrivals():
     counts = [0] * n
     last = n - 1
     for _ in range(1000):
-        winner = mux_grant({c: 7 for c in range(n)}, last, n)
+        winner = mux_grant({c: (7, 0x40 * c) for c in range(n)}, last, n)
         counts[winner] += 1
         last = winner
     assert max(counts) - min(counts) <= 1
+
+
+@st.composite
+def pending_tables(draw):
+    """A Decoder's drawn pending table (core -> (arrival, line)) over 2-4
+    cores, with arrivals close enough to tie, the order the requests were
+    submitted in, and any last grant."""
+    n_cores = draw(st.integers(2, 4))
+    cores = draw(st.lists(st.integers(0, n_cores - 1), min_size=1, unique=True))
+    pending = {core: (draw(st.integers(0, 2)), 0x40 * (core + 1)) for core in cores}
+    return n_cores, pending, draw(st.integers(0, n_cores - 1))
+
+
+def reference_grant(pending, last_granted, n_cores):
+    """Brute force: among the earliest arrivals, the core first after
+    last_granted in round-robin order."""
+    earliest = min(arrival for arrival, _line in pending.values())
+    tied = [core for core, (arrival, _line) in pending.items() if arrival == earliest]
+    return min(tied, key=lambda core: (core - last_granted - 1) % n_cores)
+
+
+@given(pending_tables())
+def test_mux_grant_and_decoder_grant_pick_the_reference_winner(table):
+    n_cores, pending, last_granted = table
+    winner = reference_grant(pending, last_granted, n_cores)
+    assert mux_grant(pending, last_granted, n_cores) == winner
+    # the Decoder grants the same request, one alone included
+    decoder = Decoder(n_cores, capacity=n_cores)
+    decoder.last_granted = last_granted
+    for core, (arrival, line) in pending.items():
+        decoder.submit(core, line, arrival)
+    assert decoder.grant() == (winner, pending[winner][1])
+    assert decoder.last_granted == winner
+    assert sorted(decoder.pending) == sorted(set(pending) - {winner})
 
 
 # -- decoder and collision rule --------------------------------------------------------
@@ -316,7 +358,7 @@ def test_a_queued_clean_unique_that_lost_its_copy_enters_as_read_unique():
     txn = ccu.decoder_step(1)
     assert txn.kind is RU and ccu.caches[0].miss.kind is RU
     # its snoops go out as ReadUnique too
-    assert [entry[2].kind for entry in ccu.ac_outbox[1]] == [RU]
+    assert [entry[1].kind for entry in ccu.ac_outbox[1]] == [RU]
 
 
 def test_a_held_clean_unique_that_lost_its_copy_enters_as_read_unique():
@@ -325,10 +367,33 @@ def test_a_held_clean_unique_that_lost_its_copy_enters_as_read_unique():
     first = ccu.decoder_step(0)
     upgrade(ccu, 1, 0x40, now=0)
     assert ccu.decoder_step(1) is None and ccu.decoder.hold == (1, 0x40)
-    _due, _txn, req, probe_d, probe_i = ccu.ac_outbox[1].popleft()
-    ccu.caches[1].handle_snoop(req, probe_d, probe_i)  # core 0's ReadUnique takes the copy
+    _due, txn, probe_d, probe_i = ccu.ac_outbox[1].popleft()
+    ccu.caches[1].handle_snoop(txn, probe_d, probe_i)  # core 0's ReadUnique takes the copy
     ccu.finish(first)
     assert ccu.decoder_step(2).kind is RU
+
+
+def test_a_request_entering_as_a_non_snooping_kind_is_refused_before_its_snoops():
+    ccu = make_ccu()
+    upgrade(ccu, 0, 0x40, now=0)
+    ccu.caches[0].handle_snoop(SnoopRequest(RU, 0x40))  # the CleanUnique loses its copy
+    cache = ccu.caches[0]
+    cache.tables = replace(cache.tables, reissue={**cache.tables.reissue,
+                                                  CU: CoherentKind.WRITE_BACK})
+    with pytest.raises(ProtocolFault, match="core 0: unexpected WriteBack request"):
+        ccu.decoder_step(1)
+    assert not any(ccu.ac_outbox) and not ccu.txns
+
+
+def test_per_event_records_are_slotted():
+    records = (
+        CcuTransaction(0, 0, RS, 0x40),
+        MissStatus(0x40, RS),
+        _DirTxn(0, 0, 0x40),
+        CacheLine(),
+    )
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 def test_a_clean_unique_that_keeps_its_copy_enters_unchanged():

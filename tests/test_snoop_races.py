@@ -14,35 +14,65 @@ models therefore have no retry: the explorer's SC oracle
 (`sc_reference`) and the timed perform-order witness (`test_sc_witness`)
 hold without one.
 """
+import pytest
 from hypothesis import HealthCheck, given, settings
 
-from culsim.sim import build
-from test_cache_index import one_at_a_time, runs
+from culsim.ccu import CcuTransaction
+from culsim.protocol import CoherentKind, CoreOp, OpKind
+from culsim.sim import SimConfig, build
+from test_cache_index import LINES, one_at_a_time, runs
 
 
 def watched(sim):
-    """Check every snoop as it is taken: none may reach a core on a line
-    whose own transaction is in flight, unless it is that transaction's."""
-    ccu = sim.ccu
-    process_snoop = sim._process_snoop
+    """Check every snoop as a cache takes it: none may reach a core on a
+    line whose own transaction is in flight, unless it is that
+    transaction's. The probe a cache is handed on the timed path is the
+    snooping transaction itself. Returns the list of the snoops checked."""
+    checked = []
+    for core, cache in enumerate(sim.caches):
+        cache.handle_snoop = _checking(sim, core, cache.handle_snoop, checked)
+    return checked
 
-    def checked_snoop(core, now):
-        _due, snooper, req, _probe_d, _probe_i = ccu.ac_outbox[core][0]
-        for txn in ccu.txns.values():
-            if txn.initiator == core and txn.address == req.address:
+
+def _checking(sim, core, handle_snoop, checked):
+    def checked_snoop(snooper, probe_dcache=True, probe_icache=False):
+        checked.append(snooper)
+        for txn in sim.ccu.txns.values():
+            if txn.initiator == core and txn.address == snooper.address:
                 assert txn is snooper, (
-                    f"cycle {now}: txn {snooper.id} snoops core {core} on {req.address:#x} "
-                    f"while the core's own txn {txn.id} is in flight"
+                    f"cycle {sim.cycle}: txn {snooper.id} snoops core {core} on "
+                    f"{snooper.address:#x} while the core's own txn {txn.id} is in flight"
                 )
-        process_snoop(core, now)
+        return handle_snoop(snooper, probe_dcache, probe_icache)
 
-    sim._process_snoop = checked_snoop
-    return sim
+    return checked_snoop
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(runs())
 def test_no_foreign_snoop_reaches_an_entered_miss(run):
     cfg, streams = run
+    # core 0 first misses on a load, so every run snoops at least once
+    streams = [[CoreOp(OpKind.LOAD, LINES[0]), *streams[0]], *streams[1:]]
     for config in (cfg, one_at_a_time(cfg)):
-        watched(build(config)).run([list(s) for s in streams])
+        sim = build(config)
+        checked = watched(sim)
+        sim.run([list(s) for s in streams])
+        assert checked, "the watcher saw no snoop"
+
+
+def test_the_watcher_trips_on_a_planted_foreign_snoop():
+    sim = build(SimConfig())
+    checked = watched(sim)
+    sim.ports[0].stream.append(CoreOp(OpKind.STORE, LINES[0], value=1))
+    sim._ops_left = 1
+    while not sim.ccu.txns:  # core 0's ReadUnique enters the Decoder
+        sim.step()
+    own = next(iter(sim.ccu.txns.values()))
+    assert own.initiator == 0 and not sim.ccu.ac_outbox[0]
+    # another core's transaction on the same line reaches core 0 now
+    foreign = CcuTransaction(own.id + 1, 1, CoherentKind.READ_UNIQUE, own.address)
+    sim.ccu.ac_outbox[0].append((sim.cycle, foreign, True, False))
+    with pytest.raises(AssertionError, match="while the core's own txn"):
+        sim.step()
+    assert checked == [foreign]
