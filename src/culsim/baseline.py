@@ -9,7 +9,8 @@ model's `ccu.Decoder` (same mux, same per-line serialization, same
 stall count), so measured differences come from protocol structure
 rather than tuned constants.
 
-The cores, memory port, op accounting, non-coherent ifetch fill and run
+The cores, memory port, op accounting, the fill of every miss
+(`Kernel._retire_miss`, the non-coherent ifetch fill included) and run
 loop come from `sim.Kernel`, shared with the snoop simulator, so SimStats
 fields mean the same thing in both reports; there is no coherent icache.
 Every memory write, the downgrade of a forwarded read included, queues
@@ -34,7 +35,7 @@ from heapq import heappop, heappush
 from typing import Iterator, List, Optional, Tuple
 
 from .cache import ConfigError
-from .ccu import Decoder, ProtocolFault
+from .ccu import Decoder
 from .memsys import MemoryPort
 from .protocol import (
     CoreOp,
@@ -42,7 +43,6 @@ from .protocol import (
     EXCLUSIVE,
     IFETCH,
     INVALID,
-    LineState,
     MODIFIED,
     SHARED,
     STORE,
@@ -129,8 +129,10 @@ class DirectorySimulation(Kernel):
     def _journey(self, txn: _DirTxn) -> Iterator[Optional[int]]:
         """One transaction, hop by hop. Yields a delay in cycles, or None
         to wait for the memory read of the line (its data lands in
-        `txn.data`); a step the write-back FIFO refuses yields 1 and is
-        retried the next cycle."""
+        `txn.data`); a step the write-back FIFO refuses (a downgrade, or
+        the install over a dirty victim) yields 1 and is retried the
+        next cycle. The line leaves the Decoder once the install went
+        through."""
         hop = self.config.latencies.snoop_hop
         yield hop  # requester -> home
         yield self.config.latencies.ccu_stage  # directory lookup
@@ -157,20 +159,22 @@ class DirectorySimulation(Kernel):
         if txn.data is None and carries_data:
             yield None  # memory read
         yield hop  # -> requester
-        while not self._apply_install(txn, state):
+        while not self._retire_miss(txn.core, state, txn.data, self.cycle):
             yield 1
+        self.decoder.release(txn.addr)
 
     def _holders(self, addr: int) -> Tuple[Optional[int], List[int]]:
         """The directory lookup, read off the L1s: the owner (the core
         holding the line Modified or Exclusive) and the sharers (Shared),
         in core order."""
         owner, sharers = None, []
-        for core, cache in enumerate(self.caches):
-            hit = cache.lookup(addr)
+        for core, _port, cache in self._ports:
+            hit = cache.index.get(addr)  # `addr` is a line address
             if hit is not None:
-                if hit[1].state is SHARED:
+                state = hit[1].state
+                if state is SHARED:
                     sharers.append(core)
-                else:  # Modified or Exclusive: MESI has no other valid state
+                elif state is not INVALID:  # Modified or Exclusive, MESI's other states
                     owner = core
         return owner, sharers
 
@@ -205,20 +209,6 @@ class DirectorySimulation(Kernel):
         txn.data = line.data
         self.stats.cores[txn.core].snoop_served_misses += 1
         self.stats.cache_to_cache_transfers += 1
-        return True
-
-    def _apply_install(self, txn: _DirTxn, state: LineState) -> bool:
-        core = txn.core
-        cache = self.caches[core]
-        if not self._victim_fits(cache):
-            return False
-        result = cache.miss_complete(state, txn.data)
-        if result.writeback is not None:
-            if not self.mem_port.push_wb(*result.writeback):
-                raise ProtocolFault("write-back refused after feasibility check")
-            self.stats.cores[core].writebacks += 1
-        self.decoder.release(txn.addr)
-        self._retire_miss(core, self.cycle)
         return True
 
     def check_streams(self, streams: List[List[CoreOp]]) -> None:

@@ -5,7 +5,9 @@ The data cache SRAM has a single read/write port; the snoop model's
 cache controllers serve one requester on it a cycle (sim.Simulation).
 A pending miss is the only copy of its request: the coherency unit reads
 the kind and the cache side off it, and `entry_kind` applies the reissue
-row (`protocol.reissue_kind`) as the request enters.
+row (`protocol.reissue_kind`) as the request enters. `miss_complete`
+fills it and performs its op in one call, or refuses a fill whose
+victim is dirty while the write-back FIFO is full.
 
 The instruction cache has its own port and only ever holds lines in
 Shared or Invalid.
@@ -83,9 +85,6 @@ class MissStatus:
     address: int
     kind: CoherentKind
     for_icache: bool = False
-    # the data-cache way `needs_eviction` chose for the fill; the timed
-    # models call it in the step of the install, just before miss_complete
-    way: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -98,18 +97,10 @@ class NeedsMiss:
     kind: CoherentKind
 
 
-@dataclass(frozen=True)
-class Install:
-    state: LineState
-    writeback: Optional[Tuple[int, bytes]] = None
-    evicted: Optional[int] = None  # line address of any victim, clean or dirty
-
-
 # The result records are frozen, so each one whose fields are fixed is a
 # single shared instance rather than a fresh build per event.
 _STORE_SERVED = Served()
 _NEEDS_MISS = {kind: NeedsMiss(kind) for kind in CoherentKind}
-_INSTALL = {state: Install(state) for state in LineState}
 
 
 def _fill_way(ways: List[CacheLine], rr_way: int) -> int:
@@ -268,87 +259,77 @@ class CacheModel:
 
     # -- miss completion ----------------------------------------------------
 
-    def needs_eviction(self) -> Optional[CacheLine]:
-        """Victim that installing the pending miss would evict (None if a
-        free way exists, the line is already present, or it's an icache
-        fill, which never produces a write-back). The way it picks, the
-        first free one or else the round-robin victim, is kept as the
-        miss's `way` for `_install`, so a completed miss scans its set once."""
-        ms = self.miss
-        if ms is None or ms.for_icache:
-            return None
-        if self.lookup(ms.address) is not None:
-            return None
-        set_idx, _ = self._index_tag(ms.address)
-        ways = self.sets[set_idx]
-        ms.way = way = _fill_way(ways, self.rr[set_idx])
-        victim = ways[way]
-        return None if victim.state is INVALID else victim
+    def miss_complete(
+        self, state: LineState, data: Optional[bytes], op: CoreOp, wb_room: bool,
+    ) -> Optional[Tuple[Optional[int], Optional[Tuple[int, bytes]]]]:
+        """Fill the outstanding miss with its transaction's result and
+        perform on the line `op`, the core's op that missed, as a hit
+        does: a store writes its word, a load or ifetch reads one. A data
+        fill installs `data` in `state` (`_install`); a CleanUnique
+        upgrades the copy it holds in place.
 
-    def miss_complete(self, resp_state: LineState, data: Optional[bytes]) -> Install:
-        """Resolve the outstanding miss with the transaction's result."""
+        None, with nothing changed, when the fill's victim is dirty and
+        `wb_room` is false (the write-back FIFO is full); else the word
+        read (None for a store) and the dirty victim's (line address,
+        data) for the write-back FIFO, or None."""
         ms = self.miss
         if ms is None:
             raise RuntimeError(f"core {self.core_id}: miss_complete with no outstanding miss")
-        writeback = evicted = None
-        if ms.kind not in DATA_KINDS:  # an upgrade of the copy it holds
+        if ms.kind in DATA_KINDS:
+            filled = self._install(ms.address, state, data, ms.for_icache, wb_room)
+            if filled is None:
+                return None
+            line, writeback = filled
+        else:  # an upgrade of the copy it holds
             hit = self.lookup(ms.address)
             if hit is None:
                 raise LostCopy(ms.address)
             if self.touched is not None:
                 self.touched.add(ms.address)
-            hit[1].state = resp_state
-        else:
-            icache = ms.for_icache
-            writeback, evicted = self._install(ms.address, resp_state, data, icache, ms.way)
+            line, writeback = hit[1], None
+            line.state = state
         self.miss = None
-        if evicted is None:  # no victim, so no write-back either
-            return _INSTALL[resp_state]
-        return Install(resp_state, writeback, evicted)
+        offset = op.address % self.line_size
+        if op.kind is STORE:
+            line.data = set_word(line.data, offset, op.value)
+            return None, writeback
+        return word_at(line.data, offset), writeback
 
     def _install(
         self, address: int, state: LineState, data: Optional[bytes], icache: bool,
-        way: Optional[int] = None,
-    ) -> Tuple[Optional[Tuple[int, bytes]], Optional[int]]:
-        """Fill the line address `address` into `way` (by default the one
-        `_fill_way` picks), evicting the way's valid line."""
+        wb_room: bool = True,
+    ) -> Optional[Tuple[CacheLine, Optional[Tuple[int, bytes]]]]:
+        """Fill the line address `address` into the way `_fill_way` picks,
+        evicting the way's valid line: None, with nothing changed, when
+        that line is dirty and `wb_room` is false; else the filled line
+        and the dirty victim's (line address, data), or None. An icache
+        line is never dirty."""
         set_idx, tag = self._index_tag(address)
         ways = (self.isets if icache else self.sets)[set_idx]
         rr = self.irr if icache else self.rr
+        way = _fill_way(ways, rr[set_idx])
+        line = ways[way]
+        dirty = line.state.is_dirty
+        if dirty and not wb_room:
+            return None
         index = self.iindex if icache else self.index
-        writeback = evicted = None
-        if way is None:
-            way = _fill_way(ways, rr[set_idx])
-        victim = ways[way]
-        old = self._addr_of(set_idx, victim.tag)
-        if victim.state is not INVALID:
-            evicted = old
-            if not icache and victim.state.is_dirty:
-                writeback = (evicted, victim.data)
+        old = self._addr_of(set_idx, line.tag)
+        writeback = (old, line.data) if dirty else None
         # an Invalid way may keep the tag of a line since refilled elsewhere
         # in the set; that newer entry must survive
         entry = index.get(old)
         if entry is not None and entry[0] == way:
             del index[old]
-        index[address] = (way, victim)
+        index[address] = (way, line)
         if self.touched is not None:
             self.touched.add(address)
-            if evicted is not None:
-                self.touched.add(evicted)
-        victim.tag = tag
-        victim.state = state
-        victim.data = bytes(data) if data is not None else bytes(self.line_size)
+            if line.state is not INVALID:
+                self.touched.add(old)
+        line.tag = tag
+        line.state = state
+        line.data = bytes(data) if data is not None else bytes(self.line_size)
         rr[set_idx] = (rr[set_idx] + 1) % self.ways
-        return writeback, evicted
-
-    def write_word(self, address: int, value: int) -> None:
-        """Apply the store that rode on a unique-access miss completion."""
-        hit = self.lookup(address)
-        if hit is None:
-            raise RuntimeError("store completion against a missing line")
-        if self.touched is not None:
-            self.touched.add(self.line_addr(address))
-        hit[1].data = set_word(hit[1].data, address % self.line_size, value)
+        return line, writeback
 
     # -- inspection ----------------------------------------------------------
 

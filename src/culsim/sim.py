@@ -6,6 +6,12 @@ SimStats. Runs are bit-for-bit deterministic for equal (config, streams).
 `Kernel` is the part the directory baseline shares: op issue and
 accounting, the run loop and watchdog, monitors and the final image.
 
+An op retires at one of two points: a hit in `Kernel._access`, or the
+fill of its miss in `Kernel._retire_miss`, which every model's fill
+goes through (the snoop model's R completion, the directory's install
+and the non-coherent ifetch fill). A fill whose dirty victim finds the
+write-back FIFO full is refused, changes nothing, and is tried again.
+
 `step()` advances exactly one cycle, and calls only the phases whose
 queue head is due in it: a stage with nothing due does nothing when
 called, so skipping it changes no count. `run()` loops over `step()`
@@ -38,16 +44,10 @@ from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from .cache import (
-    CacheModel,
-    ConfigError,
-    LostCopy,
-    Served,
-    word_at,
-)
+from .cache import CacheModel, ConfigError, LostCopy, Served
 from .ccu import Ccu, Decoder, ProtocolFault
 from .memsys import MemoryModel, MemoryPort
-from .protocol import IFETCH, INVALID, LOAD, OWNED, READ_NO_SNOOP, SHARED, STORE, CoreOp
+from .protocol import IFETCH, INVALID, LOAD, OWNED, READ_NO_SNOOP, SHARED, STORE, CoreOp, LineState
 from . import verify
 
 
@@ -56,6 +56,10 @@ from . import verify
 WATCHDOG_CYCLES = 10000
 
 _NEVER = float("inf")
+
+# the largest cache_size accepted: every way of both arrays of every core
+# is built before cycle 0, about 11 MB a core at 1 MiB, linear in the size
+MAX_CACHE_SIZE = 1 << 20
 
 
 def check_watchdog(watchdog: int) -> None:
@@ -108,6 +112,8 @@ class SimConfig:
             raise ConfigError(
                 f"cache_size: {self.cache_size} not a positive multiple of ways*line_size"
             )
+        if self.cache_size > MAX_CACHE_SIZE:
+            raise ConfigError(f"cache_size: {self.cache_size} over the 1 MiB bound")
         for name in ("l1_hit", "snoop_hop", "ccu_stage", "mem_read"):
             if getattr(self.latencies, name) < 1:
                 raise ConfigError(f"latencies.{name}: must be >= 1")
@@ -250,8 +256,9 @@ class Kernel:
     A step pays only for the work due in it: `_phases` calls a stage only
     when its queue head is due, and `_issue` runs only from `_issue_at`
     on, the first cycle in which a free port may take an op. `run` counts
-    the ops left (`_ops_left`); the retire points, the `Served` branch of
-    `_access` and `_retire_miss`, decrement it and lower `_issue_at`."""
+    the ops left (`_ops_left`); the two retire points, a hit in `_access`
+    and a miss's fill in `_retire_miss`, decrement it and lower
+    `_issue_at`."""
 
     mem_port: MemoryPort
     decoder: Decoder
@@ -373,38 +380,43 @@ class Kernel:
             return None
         return result
 
-    def _victim_fits(self, cache: CacheModel) -> bool:
-        """A dirty victim may evict only while the write-back FIFO has room."""
-        victim = cache.needs_eviction()
-        return victim is None or not victim.state.is_dirty or not self.mem_port.wb_full()
-
-    def _retire_miss(self, core: int, now: int) -> None:
-        """The core's miss has filled: a store writes its word into the
-        new line, a load or ifetch observes one, and the port may issue
-        again this cycle."""
+    def _retire_miss(self, core: int, state: LineState, data: Optional[bytes],
+                     now: int) -> bool:
+        """The one point where a miss performs: fill the core's line with
+        `data` in `state` and run its op there (`CacheModel.miss_complete`:
+        a store writes its word, a load or ifetch observes one), queue a
+        dirty victim for memory, and retire the op, so that the port may
+        issue again this cycle. False, with nothing changed, while the
+        victim is dirty and the write-back FIFO is full."""
         port = self.ports[core]
-        cache = self.caches[core]
-        op = port.current
-        if op.kind is STORE:
-            cache.write_word(op.address, op.value)
-        else:
-            hit = cache.lookup(op.address, icache=op.kind is IFETCH)
-            port.observations.append(word_at(hit[1].data, op.address % self.config.line_size))
+        mem_port = self.mem_port
+        filled = self.caches[core].miss_complete(state, data, port.current,
+                                                 not mem_port.wb_full())
+        if filled is None:
+            return False
+        value, writeback = filled
+        stats = self.stats.cores[core]
+        if writeback is not None:
+            if not mem_port.push_wb(*writeback):
+                raise ProtocolFault("write-back refused after feasibility check")
+            stats.writebacks += 1
+        if value is not None:
+            port.observations.append(value)
         self.stats.miss_latency_total += now - port.miss_start
         self.stats.miss_count += 1
-        self.stats.cores[core].stall_cycles += now - port.issued_at
+        stats.stall_cycles += now - port.issued_at
         port.current = None
         port.ready_at = now
         if now < self._issue_at:
             self._issue_at = now
         self._ops_left -= 1
+        return True
 
     def _apply_nc_fill(self, core: int, now: int) -> None:
-        """Install the memory data of the core's non-coherent ifetch miss."""
+        """Fill the core's non-coherent ifetch miss with its memory data."""
         port = self.ports[core]
-        self.caches[core].miss_complete(SHARED, port.nc_fill)
+        self._retire_miss(core, SHARED, port.nc_fill, now)  # an icache fill is never refused
         port.nc_fill = None
-        self._retire_miss(core, now)
         self._progress = True
 
     def _memory_responses(self, now: int) -> None:
@@ -650,8 +662,8 @@ class Simulation(Kernel):
         ccu = self.ccu
         txn = ccu.take_r(core, now)
         op = port.current
-        if txn is not None and self._victim_fits(cache):
-            self._apply_completion(core, txn, now)
+        if txn is not None and self._apply_completion(core, txn, now):
+            pass  # a refused fill leaves the port to the requesters below
         elif port.nc_fill is not None:
             self._apply_nc_fill(core, now)
         elif acs and acs[0][0] <= now:
@@ -672,23 +684,20 @@ class Simulation(Kernel):
             if self._access(core, op, now) is not None:
                 ccu.submit(core, now)
 
-    def _apply_completion(self, core: int, txn, now: int) -> None:
-        cache = self.caches[core]
-        op = self.ports[core].current
-        stats = self.stats.cores[core]
-        store_follows = int(op.kind is STORE)
-        resp_state = cache.tables.completion[
+    def _apply_completion(self, core: int, txn, now: int) -> bool:
+        """Fill the core's miss from its R burst and finish the
+        transaction; False, the burst left waiting, while the fill is
+        refused (`_retire_miss`)."""
+        store_follows = int(self.ports[core].current.kind is STORE)
+        resp_state = self.caches[core].tables.completion[
             txn.kind, txn.any_is_shared, txn.any_pass_dirty, store_follows
         ]
-        result = cache.miss_complete(resp_state, txn.data)
+        if not self._retire_miss(core, resp_state, txn.data, now):
+            return False
         self.ccu.finish(txn)
-        if result.writeback is not None:
-            if not self.mem_port.push_wb(*result.writeback):
-                raise ProtocolFault("write-back refused after feasibility check")
-            stats.writebacks += 1
         if txn.data_source is not None:
-            stats.snoop_served_misses += 1
-        self._retire_miss(core, now)
+            self.stats.cores[core].snoop_served_misses += 1
+        return True
 
     def _memory_data(self, txn, data: bytes, now: int) -> None:
         self.ccu.memory_data(txn, data, now)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from culsim.baseline import DirectorySimulation
@@ -291,6 +293,51 @@ def test_downgrade_waits_for_room_in_a_full_write_back_fifo():
     assert sim.caches[0].lookup(0x100)[1].state is LineState.SHARED
     assert sim.ports[1].observations == [7]
     assert sim.mem.peek(0x100) == sim.caches[0].lookup(0x100)[1].data
+
+
+def watched_fills(sim, core, before_attempt):
+    """Log each fill attempt of `core`'s misses as (cycle, filled, the
+    fill state before it, after it), calling `before_attempt()` first.
+    The fill state is every line of the core's data cache, its index, its
+    round-robin pointers, its miss and the write-back FIFO."""
+    attempts = []
+    cache, wb = sim.caches[core], sim.mem_port.wb
+    retire_miss = sim._retire_miss
+
+    def fill_state():
+        miss = cache.miss
+        return ([(line.tag, line.state, line.data) for ways in cache.sets for line in ways],
+                dict(cache.index), list(cache.rr), miss, miss and replace(miss), list(wb))
+
+    def attempt(c, state, data, now):
+        if c != core:
+            return retire_miss(c, state, data, now)
+        before_attempt()
+        was = fill_state()
+        filled = retire_miss(c, state, data, now)
+        attempts.append((now, filled, was, fill_state()))
+        return filled
+
+    sim._retire_miss = attempt
+    return attempts
+
+
+def fill_the_fifo(sim):
+    while not sim.mem_port.wb_full():
+        assert sim.mem_port.push_wb(0x1000 + 16 * len(sim.mem_port.wb), bytes(16))
+
+
+def test_a_fill_over_a_dirty_victim_waits_for_room_in_a_full_write_back_fifo():
+    # one 1-way set: core 0's load of 0x200 evicts its dirty 0x100
+    sim = DirectorySimulation(SimConfig(cache_size=16, ways=1), monitor=True)
+    sim.run([stores(0x100, [7]), []])
+    attempts = watched_fills(sim, 0, lambda: attempts or fill_the_fifo(sim))
+    sim.run([loads(0x200), []])
+    (refused_at, filled, before, after), (retried_at, retried, _, _) = attempts
+    assert filled is False and before == after  # nothing changed
+    assert retried and retried_at == refused_at + 1  # the drain freed a slot
+    assert sim.ports[0].observations == [0] and sim.stats.cores[0].writebacks == 1
+    assert sim.mem.peek(0x100)[:4] == (7).to_bytes(4, "little")
 
 
 # -- kernel shared with the snoop model ------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from culsim.cache import (
     CacheModel,
     ConfigError,
-    Install,
     LostCopy,
     NeedsMiss,
     Served,
@@ -171,9 +170,10 @@ def test_stored_flags_match_protocol_next_state():
 
 def test_clean_completion_installs():
     cache = make_cache()
-    cache.core_access(CoreOp(OpKind.LOAD, 0x40))
-    result = cache.miss_complete(S, bytes(16))
-    assert isinstance(result, Install)
+    load = CoreOp(OpKind.LOAD, 0x44)
+    cache.core_access(load)
+    data = bytes(range(16))
+    assert cache.miss_complete(S, data, load, True) == (word_at(data, 4), None)
     assert cache.lookup(0x40)[1].state is S
     assert cache.miss is None
 
@@ -183,10 +183,11 @@ def test_clean_unique_completion_without_its_copy_raises_lost_copy():
     # that completes anyway has nothing to upgrade
     cache = make_cache()
     fill(cache, 0x40, S)
-    cache.core_access(CoreOp(OpKind.STORE, 0x40, value=1))
+    store = CoreOp(OpKind.STORE, 0x40, value=1)
+    cache.core_access(store)
     cache.handle_snoop(SnoopRequest(CoherentKind.READ_UNIQUE, 0x40))
     with pytest.raises(LostCopy) as exc:
-        cache.miss_complete(M, None)
+        cache.miss_complete(M, None, store, True)
     assert exc.value.address == 0x40
 
 
@@ -194,21 +195,24 @@ def test_read_unique_completion_after_a_snoop_read_installs():
     # a snoop read reaches a miss only before it enters; its own snoops
     # then take the reader's copy, so the completion installs
     cache = make_cache()
-    cache.core_access(CoreOp(OpKind.STORE, 0x40, value=1))
+    store = CoreOp(OpKind.STORE, 0x40, value=1)
+    cache.core_access(store)
     cache.handle_snoop(SnoopRequest(CoherentKind.READ_SHARED, 0x40))
-    assert cache.miss_complete(M, bytes(16)) == Install(M)
-    assert cache.lookup(0x40)[1].state is M and cache.miss is None
+    assert cache.miss_complete(M, bytes(16), store, True) == (None, None)
+    line = cache.lookup(0x40)[1]
+    assert line.state is M and word_at(line.data, 0) == 1 and cache.miss is None
 
 
 def test_clean_unique_completion_upgrades_in_place():
     cache = make_cache()
     data = fill(cache, 0x40, S, byte=0x3C)
-    cache.core_access(CoreOp(OpKind.STORE, 0x40, value=1))
-    result = cache.miss_complete(M, None)
-    assert isinstance(result, Install)
+    store = CoreOp(OpKind.STORE, 0x44, value=1)
+    cache.core_access(store)
+    # an upgrade has no victim, so a full write-back FIFO cannot refuse it
+    assert cache.miss_complete(M, None, store, False) == (None, None)
     line = cache.lookup(0x40)[1]
     assert line.state is M
-    assert line.data == data  # store value applied separately
+    assert line.data == set_word(data, 4, 1)
 
 
 def test_a_data_less_handoff_stays_with_its_transaction_until_the_completion():
@@ -251,18 +255,18 @@ def set_addresses(cache, set_idx):
     return [set_idx * cache.line_size + k * stride for k in range(cache.ways + 1)]
 
 
-def load_miss(cache, address, state=E, byte=0x11):
+def load_miss(cache, address, state=E, byte=0x11, wb_room=True):
     """Miss on a load of `address` and complete it: the eviction path."""
-    assert isinstance(cache.core_access(CoreOp(OpKind.LOAD, address)), NeedsMiss)
-    return cache.miss_complete(state, bytes([byte]) * cache.line_size)
+    load = CoreOp(OpKind.LOAD, address)
+    assert isinstance(cache.core_access(load), NeedsMiss)
+    return cache.miss_complete(state, bytes([byte]) * cache.line_size, load, wb_room)
 
 
 def test_miss_into_set_with_free_way_evicts_nothing():
     cache = make_cache()
     addrs = set_addresses(cache, 0)
     fill(cache, addrs[0], S)
-    result = load_miss(cache, addrs[1])
-    assert result.evicted is None and result.writeback is None  # invalid way used
+    assert load_miss(cache, addrs[1], byte=0x11) == (0x11111111, None)  # invalid way used
     assert sorted(a for a, _ in cache.valid_lines()) == addrs[:2]
 
 
@@ -271,11 +275,10 @@ def test_clean_victim_eviction_produces_no_writeback():
     addrs = set_addresses(cache, 0)
     for a in addrs[: cache.ways]:
         fill(cache, a, S)
-    result = load_miss(cache, addrs[cache.ways])
-    assert result.writeback is None  # clean victim: nothing to write back
-    assert result.evicted == addrs[0]  # but the victim is gone
+    _, writeback = load_miss(cache, addrs[cache.ways], wb_room=False)
+    assert writeback is None  # clean victim: nothing to write back, nothing to refuse
     valid = sorted(a for a, _ in cache.valid_lines())
-    assert valid == addrs[1:]
+    assert valid == addrs[1:]  # but the victim is gone
     assert cache.lookup(addrs[0]) is None
 
 
@@ -285,9 +288,27 @@ def test_dirty_victim_eviction_emits_writeback():
     victims = []
     for a in addrs[: cache.ways]:
         victims.append(fill(cache, a, O))
-    result = load_miss(cache, addrs[cache.ways])
-    assert result.writeback == (addrs[0], victims[0])
-    assert result.evicted == addrs[0]
+    _, writeback = load_miss(cache, addrs[cache.ways])
+    assert writeback == (addrs[0], victims[0])
+    assert cache.lookup(addrs[0]) is None
+
+
+def test_a_fill_over_a_dirty_victim_without_write_back_room_is_refused():
+    cache = make_cache()
+    addrs = set_addresses(cache, 2)
+    for byte, a in enumerate(addrs[: cache.ways]):
+        fill(cache, a, M, byte=byte)
+    load = CoreOp(OpKind.LOAD, addrs[cache.ways])
+    cache.core_access(load)
+    miss, rr, index = cache.miss, list(cache.rr), dict(cache.index)
+    lines = [(line.tag, line.state, line.data) for line in cache.sets[2]]
+    data = bytes([0x77]) * 16
+    assert cache.miss_complete(E, data, load, False) is None
+    assert (cache.miss, cache.rr, cache.index) == (miss, rr, index)
+    assert [(line.tag, line.state, line.data) for line in cache.sets[2]] == lines
+    # with room the same fill goes through, evicting the round-robin victim
+    assert cache.miss_complete(E, data, load, True) == (0x77777777, (addrs[0], bytes(16)))
+    assert cache.lookup(addrs[cache.ways])[1].state is E and cache.miss is None
 
 
 def test_refill_over_stale_way_keeps_newer_copy_indexed():
@@ -308,31 +329,25 @@ def test_install_into_full_set_evicts_round_robin():
     addrs = set_addresses(cache, 2)
     for a in addrs[: cache.ways]:
         fill(cache, a, M, byte=0x55)
-    cache.core_access(CoreOp(OpKind.LOAD, addrs[cache.ways]))
-    result = cache.miss_complete(E, bytes(16))
-    assert result.writeback is not None
-    assert result.evicted == result.writeback[0]
+    _, writeback = load_miss(cache, addrs[cache.ways])
+    assert writeback == (addrs[0], bytes([0x55]) * 16)
     assert cache.lookup(addrs[cache.ways]) is not None
 
 
-def test_install_takes_the_way_needs_eviction_picked():
+def test_a_fill_takes_the_first_free_way_else_the_round_robin_victim():
     cache = make_cache()
     addrs = set_addresses(cache, 2)
     for a in addrs[:3]:
         fill(cache, a, M)
     cache.handle_snoop(SnoopRequest(CoherentKind.READ_UNIQUE, addrs[1]))  # frees way 1
-    cache.core_access(CoreOp(OpKind.LOAD, addrs[3]))
-    assert cache.needs_eviction() is None  # ways 1 and 3 are free: the first is taken
-    assert cache.miss_complete(E, bytes(16)).evicted is None
+    # ways 1 and 3 are free: the first is taken, so no victim to refuse
+    assert load_miss(cache, addrs[3], wb_room=False) == (0x11111111, None)
     assert cache.lookup(addrs[3])[0] == 1
     fill(cache, addrs[1], S)  # into way 3: the set is full
-    cache.core_access(CoreOp(OpKind.LOAD, addrs[4]))
-    victim = cache.needs_eviction()
-    way, line = cache.lookup(addrs[3])
-    assert victim is line and cache.rr[2] == way
-    result = cache.miss_complete(E, bytes(16))
-    assert result.evicted == addrs[3] and result.writeback is None
-    assert cache.lookup(addrs[4])[0] == way
+    way, _line = cache.lookup(addrs[3])
+    assert cache.rr[2] == way
+    assert load_miss(cache, addrs[4], wb_room=False) == (0x11111111, None)  # a clean victim
+    assert cache.lookup(addrs[4])[0] == way and cache.lookup(addrs[3]) is None
 
 
 # -- result records -------------------------------------------------------------------
@@ -341,12 +356,9 @@ def returned_records():
     """One record of each kind and shape CacheModel returns."""
     cache = make_cache()
     addrs = set_addresses(cache, 0)
-    out = [load_miss(cache, addrs[0], state=M)]  # Install into a free way
-    out.append(cache.core_access(CoreOp(OpKind.STORE, addrs[0], value=7)))  # store hit
+    load_miss(cache, addrs[0], state=M)
+    out = [cache.core_access(CoreOp(OpKind.STORE, addrs[0], value=7))]  # store hit
     out.append(cache.core_access(CoreOp(OpKind.LOAD, addrs[0])))  # load hit
-    for a in addrs[1:cache.ways]:
-        load_miss(cache, a)
-    out.append(load_miss(cache, addrs[cache.ways]))  # Install with a dirty victim
     out.append(cache.core_access(CoreOp(OpKind.STORE, 0x1000, value=1)))  # NeedsMiss
     out.append(make_cache(coherent_ifetch=True).ifetch(0x40))  # NeedsMiss of an ifetch
     return out
@@ -354,8 +366,7 @@ def returned_records():
 
 def test_returned_records_are_frozen_and_equal_fresh_ones():
     records = returned_records() + returned_records()  # shared ones come back twice
-    assert {type(r) for r in records} == {Served, NeedsMiss, Install}
-    assert any(r.evicted is not None for r in records if isinstance(r, Install))
+    assert {type(r) for r in records} == {Served, NeedsMiss}
     for record in records:
         values = {f.name: getattr(record, f.name) for f in fields(record)}
         assert record == type(record)(**values)
@@ -387,8 +398,9 @@ def test_ifetch_hit_serves_without_traffic():
 
 def test_coherent_icache_lines_only_shared_or_invalid():
     cache = make_cache(coherent_ifetch=True)
-    cache.ifetch(0x40)
-    cache.miss_complete(S, bytes([1]) * 16)
+    fetch = CoreOp(OpKind.IFETCH, 0x40)
+    cache.core_access(fetch)
+    assert cache.miss_complete(S, bytes([1]) * 16, fetch, True) == (0x01010101, None)
     for _addr, line in cache.valid_lines(icache=True):
         assert line.state is S
     cache.handle_snoop(

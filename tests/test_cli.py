@@ -278,7 +278,7 @@ def test_bad_config_exits_5(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cache_size", [0, -64, -128])
+@pytest.mark.parametrize("cache_size", [0, -64, -128, 1 << 30])
 def test_config_with_no_cache_set_exits_5(tmp_path, capsys, cache_size):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(f"cache_size = {cache_size}\nways = 4\nline_size = 16\n")

@@ -16,7 +16,8 @@ from culsim.sim import FifoDepths, Latencies, SimConfig
 # a field and a value `validate` must refuse
 BROKEN = [("ways", 0), ("line_size", 2), ("line_size", 6), ("latencies.l1_hit", 0),
           ("latencies.snoop_hop", 0), ("latencies.ccu_stage", 0), ("latencies.mem_read", 0),
-          ("fifo_depths.writeback", 0), ("fifo_depths.collision_capacity", 0)]
+          ("fifo_depths.writeback", 0), ("fifo_depths.collision_capacity", 0),
+          ("cache_size", 1 << 21)]
 
 
 @st.composite

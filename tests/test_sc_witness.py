@@ -3,15 +3,15 @@
 ISCA 2004).
 
 An op performs at one of two points of `sim.Kernel`: a hit in `_access`
-and a filled miss in `_retire_miss`. Logged there, in call order, as
-(cycle, core, op, word address, value), the ops form one total order
-that keeps each core's program order. Replayed on a flat word map, each
-load must read the last store to its word, and the final map must equal
-`coherent_image()`: the log then witnesses that the run was
-sequentially consistent. The stores are renumbered so that each writes
-a distinct value, so a load that reads any other store shows. A
-non-coherent icache may read stale data by design, so its fetches are
-left out.
+and a filled miss in `_retire_miss` (a fill it refuses performs nothing).
+Logged there, in call order, as (cycle, core, op, word address, value),
+the ops form one total order that keeps each core's program order.
+Replayed on a flat word map, each load must read the last store to its
+word, and the final map must equal `coherent_image()`: the log then
+witnesses that the run was sequentially consistent. The stores are
+renumbered so that each writes a distinct value, so a load that reads
+any other store shows. A non-coherent icache may read stale data by
+design, so its fetches are left out.
 """
 from dataclasses import replace
 
@@ -23,7 +23,7 @@ from culsim.baseline import DirectorySimulation
 from culsim.cache import WORD_BYTES, word_at
 from culsim.cli import WorkloadSpec, gen_workload
 from culsim.protocol import IFETCH, STORE, CoreOp
-from culsim.sim import CoherenceViolation, SimConfig, build
+from culsim.sim import CoherenceViolation, FifoDepths, SimConfig, build
 
 from test_cache_index import one_at_a_time, runs
 
@@ -50,10 +50,12 @@ def witnessed(sim):
             performed(core, op, now)
         return result
 
-    def logged_retire_miss(core, now):
+    def logged_retire_miss(core, state, data, now):
         op = sim.ports[core].current
-        retire_miss(core, now)
-        performed(core, op, now)
+        filled = retire_miss(core, state, data, now)
+        if filled:  # a refused fill performs nothing
+            performed(core, op, now)
+        return filled
 
     sim._access, sim._retire_miss = logged_access, logged_retire_miss
     return log
@@ -96,6 +98,31 @@ def test_every_run_has_a_perform_order_witness(run):
     for sim in models(cfg):
         log = witnessed(sim)
         sim.run([list(s) for s in streams])
+        assert len(log) == sum(map(len, streams))
+        assert witness_failure(sim, log) is None
+
+
+def test_runs_with_refused_fills_have_a_witness():
+    # a depth-1 write-back FIFO behind 2-way 1 KiB caches over 64 lines:
+    # some fills find a dirty victim while the FIFO is full, are refused
+    # and perform only when they are retried
+    cfg = SimConfig(n_cores=4, cache_size=1024, ways=2, fifo_depths=FifoDepths(writeback=1))
+    spec = WorkloadSpec(kind="uniform_random", ops_per_core=300, working_set=64, seed=0)
+    streams = renumbered(gen_workload(spec, cfg.n_cores, cfg.line_size))
+    for sim in (build(cfg), DirectorySimulation(cfg)):
+        log = witnessed(sim)
+        refused = []
+        logged = sim._retire_miss
+
+        def counted(core, state, data, now):
+            filled = logged(core, state, data, now)
+            if not filled:
+                refused.append(core)
+            return filled
+
+        sim._retire_miss = counted
+        sim.run([list(s) for s in streams])
+        assert refused
         assert len(log) == sum(map(len, streams))
         assert witness_failure(sim, log) is None
 

@@ -18,6 +18,8 @@ from culsim.sim import (
 )
 from culsim import protocol, verify
 
+from test_baseline import fill_the_fifo, watched_fills
+
 
 def loads(addr, n=1):
     return [CoreOp(OpKind.LOAD, addr) for _ in range(n)]
@@ -371,6 +373,45 @@ def test_a_due_r_completion_takes_the_port_before_a_snoop():
     assert sim.ccu.ac_outbox[core][0] is snoop  # the snoop still waits
     sim.step()
     assert not sim.ccu.ac_outbox[core] or sim.ccu.ac_outbox[core][0] is not snoop
+
+
+def test_a_refused_fill_changes_nothing_and_leaves_the_port_to_a_due_snoop():
+    # one 1-way set: core 0's load of 0x200 evicts its dirty 0x100. The
+    # write-back FIFO is kept full from the first fill attempt until core
+    # 1's load of 0x100, issued then, has snooped core 0; the snoop is
+    # served in a cycle whose fill was refused, and the fill goes through
+    # once the FIFO's drain frees a slot.
+    sim = build(SimConfig(cache_size=16, ways=1), monitor=True)
+    sim.run([stores(0x100, [7]), []])
+    snooped = []
+    handle_snoop = sim.caches[0].handle_snoop
+
+    def logged_snoop(*args):
+        snooped.append(sim.cycle)
+        return handle_snoop(*args)
+
+    def keep_full():
+        if not attempts:
+            sim.ports[1].stream.append(CoreOp(OpKind.LOAD, 0x100))
+        if not snooped:
+            fill_the_fifo(sim)
+
+    sim.caches[0].handle_snoop = logged_snoop
+    attempts = watched_fills(sim, 0, keep_full)
+    # stepped by hand, since `run` counts its ops up front
+    sim.ports[0].stream.append(CoreOp(OpKind.LOAD, 0x200))
+    while sim.ports[0].current is not None or not sim.ports[1].observations:
+        assert sim.cycle < 1000
+        sim.step()
+    sim.run([[], []])  # drains the write-back FIFO
+    *refused, (filled_at, filled, _, _) = attempts
+    assert refused and filled
+    for _cycle, went_through, before, after in refused:
+        assert went_through is False and before == after  # nothing changed
+    assert snooped == [refused[-1][0]]  # served in the last refused cycle
+    assert filled_at == snooped[0] + 1  # the drain of that cycle freed a slot
+    assert sim.ports[0].observations == [0] and sim.ports[1].observations == [7]
+    assert sim.mem.peek(0x100)[:4] == (7).to_bytes(4, "little")
 
 
 # -- failure handling -----------------------------------------------------------------
