@@ -179,8 +179,8 @@ class DirectorySimulation(Kernel):
         return owner, sharers
 
     def _apply_invalidate(self, txn: _DirTxn, target: int) -> None:
-        hit = self.caches[target].lookup(txn.addr)
-        if hit is not None:
+        hit = self.caches[target].index.get(txn.addr)  # `txn.addr` is a line address
+        if hit is not None and hit[1].state is not INVALID:
             if self.touched is not None:
                 self.touched.add(txn.addr)
             hit[1].state = INVALID
@@ -191,8 +191,8 @@ class DirectorySimulation(Kernel):
         dirty data queues for memory; False while the write-back FIFO is
         full), a write invalidates it. A stale owner (it evicted the line
         since the lookup) leaves `txn.data` empty, for memory to fill."""
-        hit = self.caches[owner].lookup(txn.addr)
-        if hit is None:
+        hit = self.caches[owner].index.get(txn.addr)  # `txn.addr` is a line address
+        if hit is None or hit[1].state is INVALID:
             return True
         line = hit[1]
         if self.ports[txn.core].current.kind is STORE:

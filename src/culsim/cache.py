@@ -14,8 +14,9 @@ Shared or Invalid.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import protocol
 from .protocol import (
@@ -69,6 +70,17 @@ class CacheLine:
     tag: int = 0
     state: LineState = INVALID
     data: bytes = b""
+
+
+class CopyView(NamedTuple):
+    """One valid copy of a line in a coherence view: the core holding
+    it, its state and data, and whether the icache holds it. The
+    invariant checks (`verify.check_swmr`, `check_value`) read these."""
+
+    core: int
+    state: LineState
+    data: object
+    icache: bool = False
 
 
 # what a probe of a structure it skips, or of a line it lacks, reads:
@@ -136,19 +148,18 @@ class CacheModel:
         self.ways = ways
         self.n_sets = cache_size // (ways * line_size)
         self.coherent_ifetch = coherent_ifetch
-        self.sets: List[List[CacheLine]] = [
-            [CacheLine() for _ in range(ways)] for _ in range(self.n_sets)
-        ]
-        self.isets: List[List[CacheLine]] = [
-            [CacheLine() for _ in range(ways)] for _ in range(self.n_sets)
-        ]
+        # a set's ways, or None until its first fill (`_install`) builds them
+        self.sets: List[Optional[List[CacheLine]]] = [None] * self.n_sets
+        self.isets: List[Optional[List[CacheLine]]] = [None] * self.n_sets
         # line address -> (way, line) last filled with it, per array. Only
         # _install writes these; a reader must check the line's state, since
         # invalidations leave the entry in place.
         self.index: Dict[int, Tuple[int, CacheLine]] = {}
         self.iindex: Dict[int, Tuple[int, CacheLine]] = {}
-        self.rr: List[int] = [0] * self.n_sets
-        self.irr: List[int] = [0] * self.n_sets
+        # each set's round-robin victim way, in 4 bytes a set (a list
+        # takes 8)
+        self.rr = array("I", [0]) * self.n_sets
+        self.irr = array("I", [0]) * self.n_sets
         self.miss: Optional[MissStatus] = None
         self.tables = protocol.TABLES
 
@@ -253,7 +264,8 @@ class CacheModel:
         data), else the kind it missed with. Only a snoop can take the
         copy before then, since the core installs nothing else meanwhile."""
         ms = self.miss
-        if self.lookup(ms.address) is None:
+        hit = self.index.get(ms.address)  # `ms.address` is a line address
+        if hit is None or hit[1].state is INVALID:
             ms.kind = self.tables.reissue[ms.kind]
         return ms.kind
 
@@ -303,9 +315,13 @@ class CacheModel:
         evicting the way's valid line: None, with nothing changed, when
         that line is dirty and `wb_room` is false; else the filled line
         and the dirty victim's (line address, data), or None. An icache
-        line is never dirty."""
+        line is never dirty. A set's first fill builds its ways and takes
+        way 0, with no victim."""
         set_idx, tag = self._index_tag(address)
-        ways = (self.isets if icache else self.sets)[set_idx]
+        sets = self.isets if icache else self.sets
+        ways = sets[set_idx]
+        if ways is None:
+            ways = sets[set_idx] = [CacheLine() for _ in range(self.ways)]
         rr = self.irr if icache else self.rr
         way = _fill_way(ways, rr[set_idx])
         line = ways[way]

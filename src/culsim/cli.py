@@ -19,10 +19,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from . import baseline, verify
+from . import baseline
 from .cache import ConfigError, PHYS_ADDR_BITS, WORD_BYTES
 from .memsys import MemoryFault
-from .protocol import CoreOp, OpKind
+from .protocol import LOAD, MUTATIONS, STORE, CoreOp, OpKind
 from .sim import (
     WATCHDOG_CYCLES,
     CoherenceViolation,
@@ -104,36 +104,39 @@ def gen_workload(spec: WorkloadSpec, n_cores: int, line_size: int) -> List[List[
         raise ConfigError(
             f"working_set: {ws} lines of {line_size} bytes reach {top:#x} for "
             f"{spec.kind} on {n_cores} cores, outside the physical address range")
+    kind, sharing = spec.kind, spec.sharing_fraction
     streams: List[List[CoreOp]] = []
     for core in range(n_cores):
         rng = random.Random((spec.seed * 0x9E3779B97F4A7C15 + core + 1) & (2**64 - 1))
+        draw, pick = rng.random, rng.randrange
         mine = private_base + core * ws * line_size
         ops: List[CoreOp] = []
+        append = ops.append
         for i in range(spec.ops_per_core):
-            if spec.kind == "private":
-                addr = mine + rng.randrange(ws) * line_size
-                write = rng.random() < 0.5
-            elif spec.kind == "producer_consumer":
+            if kind == "private":
+                addr = mine + pick(ws) * line_size
+                write = draw() < 0.5
+            elif kind == "producer_consumer":
                 addr = _BASE_ADDR + i % ws * line_size
                 write = core == 0
-            elif spec.kind == "migratory":
+            elif kind == "migratory":
                 addr = _BASE_ADDR + (i // 2) % ws * line_size
                 write = i % 2 == 1
-            elif spec.kind == "false_sharing":
+            elif kind == "false_sharing":
                 addr = _BASE_ADDR + i % ws * line_size + (core * WORD_BYTES) % line_size
-                write = rng.random() < 0.5
-            elif spec.kind == "read_mostly":
-                base = _BASE_ADDR if rng.random() < spec.sharing_fraction else mine
-                addr = base + rng.randrange(ws) * line_size
-                write = rng.random() < 0.05
+                write = draw() < 0.5
+            elif kind == "read_mostly":
+                base = _BASE_ADDR if draw() < sharing else mine
+                addr = base + pick(ws) * line_size
+                write = draw() < 0.05
             else:  # uniform_random
-                base = _BASE_ADDR if rng.random() < spec.sharing_fraction else mine
-                addr = base + rng.randrange(ws) * line_size
-                write = rng.random() < 0.5
+                base = _BASE_ADDR if draw() < sharing else mine
+                addr = base + pick(ws) * line_size
+                write = draw() < 0.5
             if write:
-                ops.append(CoreOp(OpKind.STORE, addr, value=_value_of(addr)))
+                append(CoreOp(STORE, addr, _value_of(addr)))
             else:
-                ops.append(CoreOp(OpKind.LOAD, addr))
+                append(CoreOp(LOAD, addr))
         streams.append(ops)
     return streams
 
@@ -325,13 +328,16 @@ def _emit(report: dict, out) -> None:
 # --------------------------------------------------------------------------
 
 def run_verify(args) -> int:
+    from . import verify  # the explorer loads only for `culsim verify`
+
     mutations = frozenset(args.mutate or ())
+    budget = verify.ExploreConfig.state_budget if args.budget is None else args.budget
     configs = [
         verify.ExploreConfig(
             n_cores=args.cores,
             coherent_ifetch=ifetch,
             mutations=mutations,
-            state_budget=args.budget,
+            state_budget=budget,
         )
         for ifetch in (False, True)
     ]
@@ -344,7 +350,7 @@ def run_verify(args) -> int:
     with _report_to(args.report) as out:
         report: Dict[str, object] = {}
         exit_code = EXIT_OK
-        oracle = verify.oracle_tables(mutations=mutations, state_budget=args.budget)
+        oracle = verify.oracle_tables(mutations=mutations, state_budget=budget)
         report["oracle"] = {
             "ok": oracle.ok,
             "reachable_states": oracle.reachable_states,
@@ -427,9 +433,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ver_p = sub.add_parser("verify", help="certify the protocol tables and litmus suite")
     ver_p.add_argument("--cores", type=int, default=2)
     ver_p.add_argument("--mutate", action="append",
-                       help=f"inject a table mutation; one of {', '.join(verify.SHIPPED_MUTATIONS)}")
+                       help=f"inject a table mutation; one of {', '.join(MUTATIONS)}")
     ver_p.add_argument("--litmus", help="extra litmus definition file")
-    ver_p.add_argument("--budget", type=int, default=verify.ExploreConfig.state_budget)
+    ver_p.add_argument("--budget", type=int)
     ver_p.add_argument("--report", help="write the JSON report here instead of stdout")
     ver_p.set_defaults(func=run_verify)
     return parser

@@ -140,7 +140,7 @@ class CoreOp:
     value: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind is OpKind.STORE:
+        if self.kind is STORE:
             if self.value is None:
                 raise ValueError("Store requires a value")
         elif self.value is not None:

@@ -26,6 +26,11 @@ while a wait on a due head, however long, never does. A core's stall
 cycles are counted per op, from its issue to its retire (or to a
 watchdog trip), so every count matches a cycle-by-cycle run.
 
+The invariant monitors' checks, `check_swmr` and `check_value`, live in
+`verify`, the explorer's module. Only a model built with monitors loads
+it, in `Kernel.__init__`, so importing this module or running without
+monitors never loads the explorer.
+
 A model declares itself through the hooks `Kernel` lists: `_phases`,
 `_memory_data`, `_timed`, `_in_flight_copies`, `_dump_lines`, `mem_port`
 and `decoder`. From `_timed` and the Decoder the kernel derives the next
@@ -44,11 +49,10 @@ from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from .cache import CacheModel, ConfigError, LostCopy, Served
+from .cache import CacheModel, ConfigError, CopyView, LostCopy, Served
 from .ccu import Ccu, Decoder, ProtocolFault
 from .memsys import MemoryModel, MemoryPort
 from .protocol import IFETCH, INVALID, LOAD, OWNED, READ_NO_SNOOP, SHARED, STORE, CoreOp, LineState
-from . import verify
 
 
 # cycles without progress, with nothing due, after which `Kernel.run`
@@ -57,8 +61,9 @@ WATCHDOG_CYCLES = 10000
 
 _NEVER = float("inf")
 
-# the largest cache_size accepted: every way of both arrays of every core
-# is built before cycle 0, about 11 MB a core at 1 MiB, linear in the size
+# the largest cache_size accepted: a set's ways are built by its first
+# fill, so memory grows with the lines a run touches; a run that fills
+# every set of both arrays takes about 11 MB a core at 1 MiB
 MAX_CACHE_SIZE = 1 << 20
 
 
@@ -291,6 +296,11 @@ class Kernel:
         self.touched: Optional[set] = set() if monitor else None
         for cache in self.caches:
             cache.touched = self.touched
+        if monitor:
+            # only a monitored model loads the explorer's module, for its
+            # checks; `_run_monitors` reads them off it at each call
+            from . import verify
+            self._verify = verify
         # (core, line index, coherent icache's line index or None) per
         # core: what `snapshot_invariants` reads a line's copies from
         self._line_indexes = tuple(
@@ -298,7 +308,7 @@ class Kernel:
             for cache in self.caches
         )
 
-    def _in_flight_copies(self, lines=None) -> Dict[int, List[verify.CopyView]]:
+    def _in_flight_copies(self, lines=None) -> Dict[int, List[CopyView]]:
         """Copies of lines held outside the caches, by line address; only
         those of `lines` are needed, unless it is None."""
         return {}
@@ -439,6 +449,7 @@ class Kernel:
             return
         view = self.snapshot_invariants(touched)
         touched.clear()
+        verify = self._verify
         problems = verify.check_swmr(view) + verify.check_value(view)
         if problems:
             raise CoherenceViolation(f"cycle {self.cycle}: " + "; ".join(problems))
@@ -469,7 +480,7 @@ class Kernel:
         wb = self.mem_port.wb
         pending_wb = dict(wb) if wb else {}  # youngest same-line entry wins
         contents, zero = self.mem.contents, bytes(self.mem.line_size)
-        copy_view = verify.CopyView
+        copy_view = CopyView
         view: Dict[int, Tuple[list, bytes]] = {}
         for addr in lines:
             copies = []
@@ -714,7 +725,7 @@ class Simulation(Kernel):
                 )
         super()._run_monitors()
 
-    def _in_flight_copies(self, lines=None) -> Dict[int, List[verify.CopyView]]:
+    def _in_flight_copies(self, lines=None) -> Dict[int, List[CopyView]]:
         # Dirty responsibility in flight answers for its line like an
         # Owned copy: a CR with pass_dirty still queued, and a transaction
         # once a snoopee handed the responsibility over. This is the one
@@ -724,7 +735,7 @@ class Simulation(Kernel):
         # installs Modified. Without these a line whose dirty holder was
         # already snooped looks clean-everywhere but newer than memory.
         ccu = self.ccu
-        copies: Dict[int, List[verify.CopyView]] = {}
+        copies: Dict[int, List[CopyView]] = {}
         # every CR and buffered line belongs to a transaction, whose line
         # the Decoder holds in flight until the transaction finishes
         in_flight = ccu.decoder.in_flight
@@ -739,7 +750,7 @@ class Simulation(Kernel):
                     continue
                 data = hit[1].data
             copies.setdefault(txn.address, []).append(
-                verify.CopyView(txn.initiator, OWNED, data, False))
+                CopyView(txn.initiator, OWNED, data, False))
         return copies
 
     def _dump_lines(self) -> List[str]:

@@ -38,8 +38,9 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from .cache import CopyView
 from .ccu import admits, snoop_targets
 from .memsys import fifo_full, read_waits
 from .protocol import (
@@ -55,13 +56,6 @@ from .protocol import (
     OWNED,
     TABLES,
 )
-
-
-class CopyView(NamedTuple):
-    core: int
-    state: LineState
-    data: object
-    icache: bool = False
 
 
 def _by_address(problems: List[Tuple[int, str]]) -> List[str]:

@@ -298,15 +298,17 @@ def test_downgrade_waits_for_room_in_a_full_write_back_fifo():
 def watched_fills(sim, core, before_attempt):
     """Log each fill attempt of `core`'s misses as (cycle, filled, the
     fill state before it, after it), calling `before_attempt()` first.
-    The fill state is every line of the core's data cache, its index, its
-    round-robin pointers, its miss and the write-back FIFO."""
+    The fill state is every line of the core's data cache (None for a set
+    not yet built), its index, its round-robin pointers, its miss and the
+    write-back FIFO."""
     attempts = []
     cache, wb = sim.caches[core], sim.mem_port.wb
     retire_miss = sim._retire_miss
 
     def fill_state():
         miss = cache.miss
-        return ([(line.tag, line.state, line.data) for ways in cache.sets for line in ways],
+        return ([ways and [(line.tag, line.state, line.data) for line in ways]
+                 for ways in cache.sets],
                 dict(cache.index), list(cache.rr), miss, miss and replace(miss), list(wb))
 
     def attempt(c, state, data, now):

@@ -304,7 +304,7 @@ def test_a_fill_over_a_dirty_victim_without_write_back_room_is_refused():
     lines = [(line.tag, line.state, line.data) for line in cache.sets[2]]
     data = bytes([0x77]) * 16
     assert cache.miss_complete(E, data, load, False) is None
-    assert (cache.miss, cache.rr, cache.index) == (miss, rr, index)
+    assert (cache.miss, list(cache.rr), cache.index) == (miss, rr, index)
     assert [(line.tag, line.state, line.data) for line in cache.sets[2]] == lines
     # with room the same fill goes through, evicting the round-robin victim
     assert cache.miss_complete(E, data, load, True) == (0x77777777, (addrs[0], bytes(16)))

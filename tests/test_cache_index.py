@@ -15,12 +15,13 @@ LINES = [0x1000 + i * LINE for i in range(10)]
 
 
 def scan(cache, icache):
-    """Every valid way, found by walking all sets: the reference."""
+    """Every valid way, found by walking all sets: the reference. A set
+    not yet built (None) holds no valid way."""
     arrays = cache.isets if icache else cache.sets
     return [
         (cache._addr_of(set_idx, line.tag), way, line)
         for set_idx, ways in enumerate(arrays)
-        for way, line in enumerate(ways)
+        for way, line in enumerate(ways or ())
         if line.state.is_valid
     ]
 

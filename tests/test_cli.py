@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -10,6 +11,7 @@ from culsim.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_VIOLATION,
+    WORKLOAD_KINDS,
     TraceError,
     WorkloadSpec,
     gen_workload,
@@ -82,6 +84,26 @@ def test_workloads_are_pure_functions_of_the_spec():
     assert gen_workload(spec, 2, 16) == gen_workload(spec, 2, 16)
     other = WorkloadSpec("uniform_random", ops_per_core=50, seed=43)
     assert gen_workload(other, 2, 16) != gen_workload(spec, 2, 16)
+
+
+# sha256 over every op's repr((kind value, address, value)) of the grid below
+STREAMS_SHA256 = "ed8d37752b34b3a8744c0c23dd1bdd7d4b95ca3491f861bd1c9825e0006c9f0e"
+
+
+def test_generated_streams_are_pinned():
+    # every kind, seed, sharing fraction and core count draws the same
+    # ops in the same order as the reference generator did
+    digest = hashlib.sha256()
+    for kind in WORKLOAD_KINDS:
+        for seed in (0, 1):
+            for sharing in (0.0, 0.5, 1.0):
+                for cores in (2, 4):
+                    spec = WorkloadSpec(kind, ops_per_core=300, working_set=40,
+                                        sharing_fraction=sharing, seed=seed)
+                    for ops in gen_workload(spec, cores, 16):
+                        for op in ops:
+                            digest.update(repr((op.kind.value, op.address, op.value)).encode())
+    assert digest.hexdigest() == STREAMS_SHA256
 
 
 def test_false_sharing_same_lines_distinct_offsets():
