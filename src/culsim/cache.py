@@ -293,8 +293,8 @@ class CacheModel:
                 return None
             line, writeback = filled
         else:  # an upgrade of the copy it holds
-            hit = self.lookup(ms.address)
-            if hit is None:
+            hit = self.index.get(ms.address)  # `ms.address` is a line address
+            if hit is None or hit[1].state is INVALID:
                 raise LostCopy(ms.address)
             if self.touched is not None:
                 self.touched.add(ms.address)

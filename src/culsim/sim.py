@@ -745,8 +745,9 @@ class Simulation(Kernel):
         handed += [(txn, txn.data) for txn in ccu.txns.values() if txn.any_pass_dirty]
         for txn, data in handed:
             if data is None:  # no data came: the initiator's copy, if it holds one
-                hit = self.caches[txn.initiator].lookup(txn.address)
-                if hit is None:
+                # `txn.address` is a line address
+                hit = self.caches[txn.initiator].index.get(txn.address)
+                if hit is None or hit[1].state is INVALID:
                     continue
                 data = hit[1].data
             copies.setdefault(txn.address, []).append(

@@ -14,10 +14,11 @@ Three layers:
   rules (`_Machine.reduced`) keep every outcome, deadlock, violation and
   coverage pair but visit fewer states: a snoop that finds no copy and
   cannot find one later runs inside the accept or eviction that makes it
-  so (`_Machine._settle`), and a load that misses from Invalid as a
-  ReadShared is a state's only step (`_Machine.successors`). Each counterexample trace is the shortest one
-  in that reduced graph, read back from the search's parent links, so
-  it lists no such silent snoop, and a state budget counts its states.
+  so (`_Machine._settle`), and an idle core's miss from Invalid is a
+  state's only step (`_Machine.successors`). Each counterexample trace
+  is the shortest one in that reduced graph, read back from the search's
+  parent links, so it lists no such silent snoop, and a state budget
+  counts its states.
   It is the oracle certifying `protocol.TABLES`, the one table set the
   cycle simulator, the directory baseline and the explorer index, plus
   the Decoder's admission rule `ccu.admits`. A mutation
@@ -216,7 +217,7 @@ _IS_DIRTY = tuple(s in DIRTY_STATES for s in _STATES)
 
 _KINDS = (None, CoherentKind.READ_SHARED, CoherentKind.READ_UNIQUE,
           CoherentKind.CLEAN_UNIQUE, CoherentKind.READ_ONCE)
-_RS, _RO = 1, 4
+_RO = 4
 
 _OPS = (OpKind.LOAD, OpKind.STORE, OpKind.IFETCH)
 _LOAD, _STORE, _IFETCH = range(3)
@@ -274,8 +275,8 @@ class _Machine:
     """Untimed abstraction of one bounded protocol instance."""
 
     # Apply both partial-order rules: fold each silent snoop into the step
-    # that makes it silent (`_settle`) and take a lone load miss as a
-    # state's only step (`lone_load`). Read when a machine is built; a
+    # that makes it silent (`_settle`) and take a lone miss as a state's
+    # only step (`lone_miss`). Read when a machine is built; a
     # machine built without it has every enabled step of every state (the
     # full search).
     reduced = True
@@ -337,16 +338,18 @@ class _Machine:
         self.coll_at = self.tail_at + len(self.addrs) * width
         self.wb_at = self.coll_at + 1
         self.silent = self._silent_table()
-        # lone_load[core][pc] -> the dcache slot of a load whose miss from
-        # Invalid is a ReadShared, else 0 (and 0 past the last op); all 0
-        # in a machine that is not `reduced`
-        rs_miss = self.reduced and self.initiator[_I][_LOAD] == (False, _RS)
-        lone_load = tuple(
-            tuple(self.dpos[c][line] if rs_miss and op == _LOAD else 0
+        # lone_miss[core][pc] -> the slot an op looks up if, from Invalid,
+        # it misses to the Decoder, else 0 (and 0 past the last op); all 0
+        # in a machine that is not `reduced`. A non-coherent ifetch fills
+        # its icache from memory instead
+        misses = tuple(self.reduced and not self.initiator[_I][op][0]
+                       and (op != _IFETCH or config.coherent_ifetch) for op in range(3))
+        lone_miss = tuple(
+            tuple((self.ipos if op == _IFETCH else self.dpos)[c][line] if misses[op] else 0
                   for op, line, _value in ops) + (0,)
             for c, ops in enumerate(self.ops))
-        # (core, offset of its slots, op count, lone_load row) in successor order
-        self.dispatch = tuple(zip(range(n), self.core_at, map(len, self.ops), lone_load))
+        # (core, offset of its slots, op count, lone_miss row) in successor order
+        self.dispatch = tuple(zip(range(n), self.core_at, map(len, self.ops), lone_miss))
         self._line_checks: Dict[tuple, Tuple[tuple, tuple, tuple]] = {}
         self._tail_checks: Dict[bytes, Tuple[str, ...]] = {}
 
@@ -458,27 +461,31 @@ class _Machine:
     def successors(self, state: bytes) -> List[Tuple[tuple, bytes, Optional[str]]]:
         """(label, next state, stale-data note or None) per enabled step:
         cores in order, a core's snoop targets in fan-out order, the
-        write-back drain last. The issue of the first lone load miss in
-        that order, if there is one, is the only step.
+        write-back drain last. The issue of the first lone miss in that
+        order, if there is one, is the only step.
 
-        A lone load is an idle core's next op when it is a Load, the
-        core's dcache holds its line Invalid, and the table row (Invalid,
-        Load) misses as ReadShared. The issue reads the core's pc and
-        dcache slot, which only the core's own steps change (no snoop
-        gives a copy), and writes only the core's miss kind and line,
-        which only the core's own later steps read. So the issue commutes
-        with every other step and leaves the state tail, all the invariant
+        A lone miss is an idle core's next op when it is a Load or a
+        Store on a line its dcache holds Invalid, or an IFetch on a line
+        its icache holds Invalid with coherent ifetch on, and the table
+        row (Invalid, op) misses, with any kind. The issue reads the
+        core's pc, its idle miss slot and that Invalid slot. No other
+        core's step changes these: a probe row writes only a valid slot,
+        only the core's own completion fills or evicts its lines, and the
+        core is idle. The issue writes only the core's miss kind and
+        line; another core reads those only once the miss has a snoop
+        mask (`_complete`'s eviction settle). So the issue commutes with
+        every other step and leaves the state tail, all the invariant
         checks read, unchanged. It stays enabled until taken, and no issue
         lies on a cycle since a core's pc never decreases.
         Taking it alone keeps every outcome, deadlock and violation (the
         ample-set conditions of Peled, CAV 1993)."""
-        for core, at, _n_ops, lone_load in self.dispatch:
+        for core, at, _n_ops, lone_miss in self.dispatch:
             if not state[at + _MK]:
-                pos = lone_load[state[at + _PC]]
+                pos = lone_miss[state[at + _PC]]
                 if pos and not state[pos]:
                     return [self._issue(state, core)]
         out = []
-        for core, at, n_ops, _lone_load in self.dispatch:
+        for core, at, n_ops, _lone_miss in self.dispatch:
             kind = state[at + _MK]
             if not kind:
                 if state[at + _PC] < n_ops:
@@ -736,7 +743,7 @@ def explore(
     States are expanded in discovery order, each one's successors in
     `successors()` order, and every state keeps the index of the state
     that discovered it. A silent snoop runs inside the step that makes
-    it silent, and a lone load miss is a state's only successor, so the
+    it silent, and a lone miss is a state's only successor, so the
     other interleavings of those steps are not visited. A counterexample
     trace is the parent chain of the violation's first sighting, so it is
     the shortest one in this reduced graph and, among those, the first
@@ -802,7 +809,9 @@ def _attach_traces(machine: _Machine, order: List[bytes], parent: array,
                    violations: List[Violation]) -> None:
     """Give each violation but a deadlock the parent chain of its first
     sighting as its trace. A step's label is the first of the parent's
-    successors that yields the child: the step that discovered it."""
+    successors that yields the child: the step that discovered it. Chains
+    share their shallow links, so each state's label is found once."""
+    found: Dict[int, tuple] = {}  # state index -> the label of the step into it
     for violation in violations:
         sighting = first[violation.kind, violation.detail]
         if sighting is None:
@@ -810,9 +819,14 @@ def _attach_traces(machine: _Machine, order: List[bytes], parent: array,
         index, last = sighting
         labels = [] if last is None else [last]
         while index:
-            up, child = parent[index], order[index]
-            labels.append(next(label for label, succ, _note in machine.successors(order[up])
-                               if succ == child))
+            up = parent[index]
+            label = found.get(index)
+            if label is None:
+                child = order[index]
+                label = found[index] = next(
+                    step for step, succ, _note in machine.successors(order[up])
+                    if succ == child)
+            labels.append(label)
             index = up
         violation.trace = [f"{i}. {machine.label_text(label)}"
                            for i, label in enumerate(reversed(labels), start=1)]

@@ -11,8 +11,9 @@ full search's outcomes, violation kinds and details, coverage pairs and
 `exhausted` flag. After a change to the reduction, rewrite the
 `reduced_*` columns with `PYTHONPATH=src python
 tests/test_explore_golden.py --regen`; it prints every column that
-moves as old -> new, and stops, naming the cases, if any full-search
-column would change. After an intended change to the explored model,
+moves as old -> new, then the reduced and full state totals over all
+cases, and stops, naming the cases, if any full-search column would
+change. After an intended change to the explored model,
 pass `--regen-full` instead.
 """
 import hashlib
@@ -239,6 +240,9 @@ def regen(full: bool) -> None:
         for col in sorted(set(row) | set(before)):
             if row.get(col) != before.get(col):
                 print(f"{case}: {col}: {before.get(col)} -> {row.get(col)}")
+    for col in ("reduced_states", "states"):
+        totals = [sum(r.get(col, 0) for r in rs.values()) for rs in (old, rows)]
+        print(f"total {col} over {len(rows)} cases: {totals[0]:,} -> {totals[1]:,}")
     changed = [case for case, row in rows.items()
                if _full_columns(row) != _full_columns(old.get(case, {}))]
     if changed and not full:

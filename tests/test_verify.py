@@ -19,9 +19,9 @@ from culsim.verify import (
     _ML,
     _MM,
     _OPS,
+    _OP_OF_VERB,
     _ORACLE_BATTERY,
     _PC,
-    _RS,
     _SNOOP,
     _STATES,
     _Machine,
@@ -524,8 +524,8 @@ def test_a_fold_is_the_snoops_that_find_no_copy(drop_dirty):
     assert folded > 1000
 
 
-def test_a_lone_load_miss_writes_only_its_miss_kind_and_line(drop_dirty):
-    alone = 0
+def test_a_lone_miss_writes_only_its_miss_kind_and_line(drop_dirty):
+    alone = {"R": 0, "W": 0, "IF": 0}
     for machine, full, states in drop_dirty:
         for state in states:
             steps, every = machine.successors(state), full.successors(state)
@@ -536,12 +536,34 @@ def test_a_lone_load_miss_writes_only_its_miss_kind_and_line(drop_dirty):
             at = machine.core_at[core]
             verb, addr = machine.programs[core][pc][:2]
             line = machine.addrs.index(addr)
-            assert verb == "R" and not state[machine.dpos[core][line]]
+            op = _OP_OF_VERB[verb]
+            pos = (machine.ipos if verb == "IF" else machine.dpos)[core][line]
+            assert not state[at + _MK] and not state[pos]
+            assert verb != "IF" or machine.cfg.coherent_ifetch
             assert set(_changed(state, succ)) <= {at + _MK, at + _ML}
-            assert (succ[at + _MK], succ[at + _ML], note) == (_RS, line, None)
+            assert machine.initiator[_I][op] == (False, succ[at + _MK])
+            assert (succ[at + _ML], note) == (line, None)
             assert (label, succ, note) in every
-            alone += 1
-    assert alone > 200
+            alone[verb] += 1
+    assert sum(alone.values()) > 200 and all(alone.values()), alone
+
+
+def test_a_non_coherent_ifetch_is_never_taken_alone():
+    # its issue reads memory and fills an icache slot in the state tail;
+    # with coherent ifetch on, the same program's fetches do go alone
+    programs = ((("IF", X), ("IF", X)), (("W", X, 1), ("R", X)))
+    for coherent in (False, True):
+        cfg = ExploreConfig(coherent_ifetch=coherent)
+        machine = _Machine(programs, cfg)
+        with full_search():
+            full = _Machine(programs, cfg)
+        alone = 0
+        for state in _reachable(machine):
+            steps = machine.successors(state)
+            if len(steps) == 1 and steps[0][0][0] == _ISSUE and len(full.successors(state)) > 1:
+                _issue, core, pc = steps[0][0]
+                alone += machine.programs[core][pc][0] == "IF"
+        assert bool(alone) == coherent, (coherent, alone)
 
 
 # the 4-core program of the README's explorer section
@@ -697,7 +719,9 @@ def test_oracle_traces_replay_on_the_battery_program_they_name(mutation):
 @pytest.mark.parametrize("mutation", SHIPPED_MUTATIONS)
 def test_explore_searches_the_state_space_once(mutation, monkeypatch):
     # the traces come from the search's parent links: besides one call per
-    # reachable state, only a trace step may look up successors again
+    # reachable state, successors are looked up again once per state on
+    # the traces' chains. A trace prefix names one such state (the last
+    # step of a stale-data trace leaves its chain)
     calls = 0
     successors = _Machine.successors
 
@@ -711,7 +735,10 @@ def test_explore_searches_the_state_space_once(mutation, monkeypatch):
     for programs, cfg in _mutation_cases(mutation):
         result = explore(programs, cfg)
         assert result.exhausted
-        allowed += result.reachable_states + sum(len(v.trace or ()) for v in result.violations)
+        links = {tuple(v.trace[:n])
+                 for v in result.violations if v.trace
+                 for n in range(1, len(v.trace) + (v.kind != "stale-data"))}
+        allowed += result.reachable_states + len(links)
     assert calls <= allowed
 
 
