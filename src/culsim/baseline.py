@@ -104,7 +104,6 @@ class DirectorySimulation(Kernel):
 
     def _accept(self, now: int) -> None:
         granted = self.decoder.grant()
-        self.stats.ccu_collision_stalls = self.decoder.stalls
         if granted is None:
             return
         core, addr = granted
@@ -202,13 +201,13 @@ class DirectorySimulation(Kernel):
                 # MESI has no dirty-shared state: the downgrade writes back
                 if not self.mem_port.push_wb(txn.addr, line.data):
                     return False
-                self.stats.cores[owner].writebacks += 1
+                self._stats.cores[owner].writebacks += 1
             line.state = SHARED
         if self.touched is not None:
             self.touched.add(txn.addr)
         txn.data = line.data
-        self.stats.cores[txn.core].snoop_served_misses += 1
-        self.stats.cache_to_cache_transfers += 1
+        self._stats.cores[txn.core].snoop_served_misses += 1
+        self._stats.cache_to_cache_transfers += 1
         return True
 
     def check_streams(self, streams: List[List[CoreOp]]) -> None:

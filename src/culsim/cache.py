@@ -23,6 +23,7 @@ from .protocol import (
     CoherentKind,
     CoreOp,
     DATA_KINDS,
+    DIRTY_STATES,
     Hit,
     IFETCH,
     INVALID,
@@ -242,15 +243,21 @@ class CacheModel:
         The probe is read off `req`, any record with a snooping `kind` and
         a line `address`: on the timed path the `ccu.CcuTransaction`
         itself, which the CCU checked as it entered; a `SnoopRequest`
-        for a caller with no transaction."""
+        for a caller with no transaction.
+
+        The monitors are told of the line only when the view may change:
+        a probed copy is valid, or the CR passes dirty (the CR in flight
+        is then a copy, `sim.Simulation._in_flight_copies`)."""
         address = req.address
-        if self.touched is not None:
-            self.touched.add(address)
         # an Invalid way reads as no copy, and its row changes nothing
         dline = self.index.get(address, _NO_WAY)[1] if probe_dcache else _NO_LINE
         iline = (self.iindex.get(address, _NO_WAY)[1] if probe_icache and self.coherent_ifetch
                  else _NO_LINE)
         dnext, inext, resp, source = self.tables.probe[dline.state, iline.state, req.kind]
+        if self.touched is not None and (
+            dline.state is not INVALID or iline.state is not INVALID or resp.pass_dirty
+        ):
+            self.touched.add(address)
         if dline.state is not INVALID:
             dline.state = dnext
         if iline.state is not INVALID:
@@ -316,8 +323,11 @@ class CacheModel:
         that line is dirty and `wb_room` is false; else the filled line
         and the dirty victim's (line address, data), or None. An icache
         line is never dirty. A set's first fill builds its ways and takes
-        way 0, with no victim."""
-        set_idx, tag = self._index_tag(address)
+        way 0, with no victim. The set, the tag and the victim's address
+        are those of `_index_tag` and `_addr_of`, computed in place."""
+        n_sets = self.n_sets
+        line_no = address // self.line_size
+        set_idx = line_no % n_sets
         sets = self.isets if icache else self.sets
         ways = sets[set_idx]
         if ways is None:
@@ -325,11 +335,11 @@ class CacheModel:
         rr = self.irr if icache else self.rr
         way = _fill_way(ways, rr[set_idx])
         line = ways[way]
-        dirty = line.state.is_dirty
+        dirty = line.state in DIRTY_STATES
         if dirty and not wb_room:
             return None
         index = self.iindex if icache else self.index
-        old = self._addr_of(set_idx, line.tag)
+        old = (line.tag * n_sets + set_idx) * self.line_size
         writeback = (old, line.data) if dirty else None
         # an Invalid way may keep the tag of a line since refilled elsewhere
         # in the set; that newer entry must survive
@@ -341,7 +351,7 @@ class CacheModel:
             self.touched.add(address)
             if line.state is not INVALID:
                 self.touched.add(old)
-        line.tag = tag
+        line.tag = line_no // n_sets
         line.state = state
         line.data = bytes(data) if data is not None else bytes(self.line_size)
         rr[set_idx] = (rr[set_idx] + 1) % self.ways

@@ -147,8 +147,10 @@ class Ccu:
     one per core, of one configuration) it is built on: a request it
     admits is read off its core's pending miss."""
 
-    # when a set, collects the line of every transaction whose data in
-    # flight changes or leaves with it, for the invariant monitors
+    # when a set, collects the line of every transaction whose copy in
+    # the monitors' view changes: a transaction shows there only while it
+    # holds dirty responsibility (`any_pass_dirty`), and a CR in flight
+    # only while it passes dirty
     touched: Optional[set] = None
 
     def __init__(
@@ -226,11 +228,11 @@ class Ccu:
         CRs are pending no memory data can be buffered (the memory read
         is issued only after the last CR folds), so no data yet means no
         responder has transferred yet."""
-        if self.touched is not None:
-            self.touched.add(txn.address)
         txn.cr_pending -= 1
         txn.any_is_shared |= resp.is_shared
         txn.any_pass_dirty |= resp.pass_dirty
+        if self.touched is not None and txn.any_pass_dirty:
+            self.touched.add(txn.address)
         if resp.data_transfer and txn.data is None:
             txn.data = bytes(data)
             txn.data_source = from_core
@@ -269,7 +271,7 @@ class Ccu:
     def memory_data(self, txn: CcuTransaction, data: bytes, now: int) -> None:
         """The memory read of a transaction returned its line in cycle
         `now`: the completion stage sends it on in the next cycle."""
-        if self.touched is not None:
+        if self.touched is not None and txn.any_pass_dirty:
             self.touched.add(txn.address)
         txn.data = bytes(data)
         self.r_outbox[txn.initiator].append((now + 1 + self.ccu_stage, txn))
@@ -285,7 +287,7 @@ class Ccu:
         """Retire a transaction: the initiator consumed the R burst and
         applied the miss; its line leaves the Decoder."""
         del self.txns[txn.id]
-        if self.touched is not None:
+        if self.touched is not None and txn.any_pass_dirty:
             self.touched.add(txn.address)
         box = self.r_outbox[txn.initiator]
         if box and box[0][1] is txn:

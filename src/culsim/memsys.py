@@ -48,7 +48,9 @@ class MemoryModel:
         preserves issue order against later writes to the same line.
         """
         self._check_aligned(address)
-        data = self.contents.get(address, bytes(self.line_size))
+        data = self.contents.get(address)
+        if data is None:  # never written: a zero line
+            data = bytes(self.line_size)
         due = now + self.read_latency
         self.inflight.append((due, tag, address, data))
         self.reads += 1
@@ -98,7 +100,10 @@ def fifo_full(queue, depth: int) -> bool:
 
 def read_waits(address, writebacks) -> bool:
     """A line read never passes a queued (address, data) write-back to it."""
-    return any(a == address for a, _ in writebacks)
+    for a, _ in writebacks:
+        if a == address:
+            return True
+    return False
 
 
 class MemoryPort:

@@ -128,11 +128,13 @@ STORE = OpKind.STORE
 IFETCH = OpKind.IFETCH
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CoreOp:
     """One memory operation issued by a core.
 
     Stores carry the word value to write; loads and ifetches do not.
+    Not frozen, so its `__init__` sets plain slots: a workload builds
+    thousands of ops. No model writes to an op, and none hashes one.
     """
 
     kind: OpKind

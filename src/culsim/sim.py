@@ -201,6 +201,13 @@ def _format_fraction(value: Optional[Fraction]) -> Optional[str]:
 
 @dataclass
 class SimStats:
+    """A run's statistics. `cycles`, `mem_reads`, `mem_writes`,
+    `ccu_collision_stalls` and the snoop model's `cache_to_cache_transfers`
+    are copies of counts their components keep (`Kernel.cycle`,
+    `MemoryModel.reads` and `writes`, `Decoder.stalls`,
+    `Ccu.c2c_transfers`): a model fills them in when its `stats` is read
+    (`Kernel.stats`), not as it runs. The rest are counted here."""
+
     cycles: int = 0
     mem_reads: int = 0
     mem_writes: int = 0
@@ -263,7 +270,9 @@ class Kernel:
     on, the first cycle in which a free port may take an op. `run` counts
     the ops left (`_ops_left`); the two retire points, a hit in `_access`
     and a miss's fill in `_retire_miss`, decrement it and lower
-    `_issue_at`."""
+    `_issue_at`. A count that a component keeps is stored only there:
+    the private record `_stats` holds the rest, and the `stats` property
+    copies the component counts in when it is read."""
 
     mem_port: MemoryPort
     decoder: Decoder
@@ -285,7 +294,7 @@ class Kernel:
         self.mem = MemoryModel(config.line_size, config.latencies.mem_read)
         self.ports = [_Port() for _ in range(config.n_cores)]
         self.cycle = 0
-        self.stats = SimStats(cores=[CoreStats() for _ in range(config.n_cores)])
+        self._stats = SimStats(cores=[CoreStats() for _ in range(config.n_cores)])
         self._progress = True
         self._last_progress = 0
         self._ops_left = 0
@@ -307,6 +316,19 @@ class Kernel:
             (cache.core_id, cache.index, cache.iindex if cache.coherent_ifetch else None)
             for cache in self.caches
         )
+
+    @property
+    def stats(self) -> SimStats:
+        """The run's statistics as of now. The counts that a component
+        keeps (the cycle, memory reads and writes, the Decoder's stalls)
+        are stored only there and copied into the record here, so a step
+        pays for none of them."""
+        stats = self._stats
+        stats.cycles = self.cycle
+        stats.mem_reads = self.mem.reads
+        stats.mem_writes = self.mem.writes
+        stats.ccu_collision_stalls = self.decoder.stalls
+        return stats
 
     def _in_flight_copies(self, lines=None) -> Dict[int, List[CopyView]]:
         """Copies of lines held outside the caches, by line address; only
@@ -331,9 +353,6 @@ class Kernel:
         if self._progress:
             self._last_progress = now
         self.cycle = now + 1
-        self.stats.cycles = self.cycle
-        self.stats.mem_reads = self.mem.reads
-        self.stats.mem_writes = self.mem.writes
 
     def _issue(self, now: int) -> None:
         """Hand each free port its next op, and set `_issue_at` to the
@@ -341,7 +360,7 @@ class Kernel:
         while a free port's stream is empty (ops may be appended to it
         between steps). A port that took an op lowers it at its retire."""
         issue_at = _NEVER
-        for port, stats in zip(self.ports, self.stats.cores):
+        for port, stats in zip(self.ports, self._stats.cores):
             if port.current is not None:
                 continue
             if not port.stream:
@@ -368,7 +387,7 @@ class Kernel:
         None; a miss parks the port and returns the cache's miss result,
         but a non-coherent ifetch queues its memory read and returns None."""
         port = self.ports[core]
-        stats = self.stats.cores[core]
+        stats = self._stats.cores[core]
         result = self.caches[core].core_access(op)
         if isinstance(result, Served):
             stats.hits += 1
@@ -405,15 +424,15 @@ class Kernel:
         if filled is None:
             return False
         value, writeback = filled
-        stats = self.stats.cores[core]
+        stats = self._stats.cores[core]
         if writeback is not None:
             if not mem_port.push_wb(*writeback):
                 raise ProtocolFault("write-back refused after feasibility check")
             stats.writebacks += 1
         if value is not None:
             port.observations.append(value)
-        self.stats.miss_latency_total += now - port.miss_start
-        self.stats.miss_count += 1
+        self._stats.miss_latency_total += now - port.miss_start
+        self._stats.miss_count += 1
         stats.stall_cycles += now - port.issued_at
         port.current = None
         port.ready_at = now
@@ -522,20 +541,37 @@ class Kernel:
         the state at the start of cycle `now` (any state, not only one
         left by an idle step): the write-back FIFO drains whenever it
         holds an entry, else the Decoder may grant now, else the earliest
-        head of a timed queue or port is due; infinite when nothing is."""
-        if self.mem_port.wb or self.decoder.can_grant():
+        head of a timed queue or port is due; infinite when nothing is.
+
+        It returns `now` at the first thing found able to act: most calls
+        after an idle step find a head already due, and the minimum is
+        needed only when none is. Only a held request needs the Decoder's
+        admission test (`can_grant`); with none held or waiting it has
+        nothing to grant."""
+        decoder = self.decoder
+        if self.mem_port.wb:
+            return now
+        if (decoder.pending or decoder.hold is not None) and decoder.can_grant():
             return now
         t = _NEVER
         for queue in self._timed:
-            if queue and queue[0][0] < t:
-                t = queue[0][0]
+            if queue:
+                due = queue[0][0]
+                if due <= now:
+                    return now
+                if due < t:
+                    t = due
         for port, cache in zip(self.ports, self.caches):
             if port.current is None:
-                if port.stream and port.ready_at < t:
-                    t = port.ready_at
+                if port.stream:
+                    ready = port.ready_at
+                    if ready <= now:
+                        return now
+                    if ready < t:
+                        t = ready
             elif cache.miss is None or port.nc_fill is not None:
                 return now
-        return t if t > now else now
+        return t
 
     def _skip_idle(self, limit: int) -> None:
         """Jump to the next cycle in which something can act, counting the
@@ -556,8 +592,7 @@ class Kernel:
             self._last_progress = t
         if self.decoder.hold is not None:  # it cannot enter before t
             self.decoder.stalls += t - now
-            self.stats.ccu_collision_stalls = self.decoder.stalls
-        self.cycle = self.stats.cycles = t
+        self.cycle = t
 
     # -- driving ---------------------------------------------------------------
 
@@ -570,7 +605,8 @@ class Kernel:
 
     def run(self, streams: List[List[CoreOp]], watchdog: int = WATCHDOG_CYCLES) -> SimStats:
         """Feed per-core op streams and advance until everything drains,
-        skipping cycles in which nothing can act."""
+        skipping cycles in which nothing can act. Returns `stats`, filled
+        in as of the run's end."""
         check_watchdog(watchdog)
         self.check_streams(streams)
         for port, ops in zip(self.ports, streams):
@@ -582,13 +618,13 @@ class Kernel:
             if not self._progress:
                 self._skip_idle(self._last_progress + watchdog + 1)
             if self.cycle - self._last_progress > watchdog:
-                for port, stats in zip(self.ports, self.stats.cores):
+                for port, stats in zip(self.ports, self._stats.cores):
                     if port.current is not None:  # close the open stall intervals
                         stats.stall_cycles += self.cycle - port.issued_at
                 raise DeadlockError(
                     f"no forward progress for {watchdog} cycles\n" + self._dump_state()
                 )
-        for core, cs in enumerate(self.stats.cores):
+        for core, cs in enumerate(self._stats.cores):
             expected = cs.loads + cs.stores + cs.ifetches
             if cs.hits + cs.misses != expected:
                 raise AssertionError(
@@ -640,21 +676,20 @@ class Simulation(Kernel):
         # a stage is called only while the head of its queue is due
         ccu = self.ccu
         for core, port, cache, rs, acs in self._controllers:
+            r_due = rs and rs[0][0] <= now
             if (
-                port.current is not None and cache.miss is None
+                r_due
+                or port.current is not None and cache.miss is None
                 or port.nc_fill is not None
-                or rs and rs[0][0] <= now
                 or acs and acs[0][0] <= now
             ):
-                self._cache_controllers(core, port, cache, acs, now)
+                self._cache_controllers(core, port, cache, acs, r_due, now)
         decoder = self.decoder
         if decoder.hold is not None or decoder.pending:
             if ccu.decoder_step(now) is not None:
                 self._progress = True
-            self.stats.ccu_collision_stalls = decoder.stalls
         if ccu.cr_inbox and ccu.cr_inbox[0][0] <= now:
             ccu.snoop_unit_step(now)
-            self.stats.cache_to_cache_transfers = ccu.c2c_transfers
         mem_port = self.mem_port
         if (mem_port.read_queue or mem_port.wb) and ccu.memory_unit_step(now, self.mem):
             self._progress = True
@@ -663,15 +698,16 @@ class Simulation(Kernel):
             self._memory_responses(now)
 
     def _cache_controllers(self, core: int, port: _Port, cache: CacheModel, acs,
-                           now: int) -> None:
+                           r_due: bool, now: int) -> None:
         # the SRAM port serves one requester a cycle, in priority order:
-        # an R completion, then a non-coherent fill, then a due snoop,
-        # then the core's load or store (a core has at most one op
-        # pending). A pending ifetch leaves the port idle and runs below.
-        # A snoop's CR leaves for the snoop unit one hop later, carrying
-        # the transaction that is its probe.
+        # an R completion (`r_due`: the head of the core's R channel is
+        # due), then a non-coherent fill, then a due snoop, then the
+        # core's load or store (a core has at most one op pending). A
+        # pending ifetch leaves the port idle and runs below. A snoop's
+        # CR leaves for the snoop unit one hop later, carrying the
+        # transaction that is its probe.
         ccu = self.ccu
-        txn = ccu.take_r(core, now)
+        txn = ccu.take_r(core, now) if r_due else None
         op = port.current
         if txn is not None and self._apply_completion(core, txn, now):
             pass  # a refused fill leaves the port to the requesters below
@@ -707,8 +743,14 @@ class Simulation(Kernel):
             return False
         self.ccu.finish(txn)
         if txn.data_source is not None:
-            self.stats.cores[core].snoop_served_misses += 1
+            self._stats.cores[core].snoop_served_misses += 1
         return True
+
+    @property
+    def stats(self) -> SimStats:
+        stats = super().stats
+        stats.cache_to_cache_transfers = self.ccu.c2c_transfers
+        return stats
 
     def _memory_data(self, txn, data: bytes, now: int) -> None:
         self.ccu.memory_data(txn, data, now)

@@ -58,13 +58,29 @@ def every_cycle(sim, streams, gated=False, stalls=None):
     return sim.stats
 
 
+def next_event_reference(sim, now):
+    """`_next_event`'s rules with no early exit: `now` when the
+    write-back FIFO, the Decoder, a port's op or a non-coherent fill can
+    act, else the minimum over every `_timed` head and the `ready_at` of
+    every free port with ops to take, from `now` on."""
+    if sim.mem_port.wb or sim.decoder.can_grant():
+        return now
+    for port, cache in zip(sim.ports, sim.caches):
+        if port.current is not None and (cache.miss is None or port.nc_fill is not None):
+            return now
+    heads = [queue[0][0] for queue in sim._timed if queue]
+    heads += [port.ready_at for port in sim.ports if port.current is None and port.stream]
+    return max(now, min(heads, default=float("inf")))
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(runs())
 def test_next_event_is_now_in_every_cycle_a_step_makes_progress(run):
     """The contract of the skip: `_next_event` reads only what a model
     declares (`_timed`, the Decoder, the write-back FIFO and the ports),
     so a queue left out of the declaration shows here as a step that acts
-    in a cycle the scan would have skipped."""
+    in a cycle the scan would have skipped. Its early exits change no
+    answer: in every cycle it equals the scan with none."""
     cfg, streams = run
     for name, make in MODELS.items():
         sim = make(cfg)
@@ -73,9 +89,43 @@ def test_next_event_is_now_in_every_cycle_a_step_makes_progress(run):
         while work_left(sim):
             now = sim.cycle
             t = sim._next_event(now)
+            assert t == next_event_reference(sim, now), f"{name}: cycle {now}"
             one_step(sim, False, [0] * cfg.n_cores)
             assert t == now or not sim._progress, f"{name}: acts in cycle {now}, scan says {t}"
             assert sim.cycle < 100_000, "run does not drain"
+
+
+def stats_read_every_step(sim):
+    """Read `sim.stats` after every step and every skip, and check that
+    each count a component keeps reads as that component's own."""
+    def checked(method):
+        def wrapped(*args):
+            method(*args)
+            stats = sim.stats
+            assert (stats.cycles, stats.mem_reads, stats.mem_writes,
+                    stats.ccu_collision_stalls) == (
+                sim.cycle, sim.mem.reads, sim.mem.writes, sim.decoder.stalls)
+            if not isinstance(sim, DirectorySimulation):
+                assert stats.cache_to_cache_transfers == sim.ccu.c2c_transfers
+        return wrapped
+
+    sim.step = checked(sim.step)
+    sim._skip_idle = checked(sim._skip_idle)
+    return sim
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(runs())
+def test_stats_read_mid_run_are_the_components_counts(run):
+    """The cycle, memory reads and writes, collision stalls and the snoop
+    model's cache-to-cache transfers are stored once, in the component
+    that counts them, and filled in when `stats` is read: reading it
+    after every step changes nothing a run reports."""
+    cfg, streams = run
+    for name, make in MODELS.items():
+        read = stats_read_every_step(make(cfg)).run([list(s) for s in streams])
+        unread = make(cfg).run([list(s) for s in streams])
+        assert read.to_dict() == unread.to_dict(), name
 
 
 def halves(streams):
