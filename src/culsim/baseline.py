@@ -223,7 +223,7 @@ class DirectorySimulation(Kernel):
 
     def _core_op(self, core: int, now: int) -> None:
         self._progress = True
-        if self._access(core, self.ports[core].current, now) is not None:
+        if self._access(core, self.ports[core].current, now):
             self.decoder.submit(core, self.caches[core].miss.address, now)
 
     def _dump_lines(self) -> List[str]:

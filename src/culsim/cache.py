@@ -3,14 +3,17 @@ coherent instruction cache.
 
 The data cache SRAM has a single read/write port; the snoop model's
 cache controllers serve one requester on it a cycle (sim.Simulation).
-A pending miss is the only copy of its request: the coherency unit reads
-the kind and the cache side off it, and `entry_kind` applies the reissue
-row (`protocol.reissue_kind`) as the request enters. `miss_complete`
-fills it and performs its op in one call, or refuses a fill whose
-victim is dirty while the write-back FIFO is full.
+Every core op takes one path, `core_access`: one lookup of its
+initiator row, on the instruction cache for an ifetch and on the data
+cache otherwise. A pending miss is the only copy of its request: the
+coherency unit reads the kind off it, a ReadOnce or ReadNoSnoop fills
+the instruction cache, and `entry_kind` applies the reissue row
+(`protocol.reissue_kind`) as the request enters. `miss_complete` fills
+it and performs its op in one call, or refuses a fill whose victim is
+dirty while the write-back FIFO is full.
 
 The instruction cache has its own port and only ever holds lines in
-Shared or Invalid.
+Shared or Invalid; a non-coherent one misses with ReadNoSnoop.
 """
 from __future__ import annotations
 
@@ -97,23 +100,6 @@ class MissStatus:
 
     address: int
     kind: CoherentKind
-    for_icache: bool = False
-
-
-@dataclass(frozen=True)
-class Served:
-    value: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class NeedsMiss:
-    kind: CoherentKind
-
-
-# The result records are frozen, so each one whose fields are fixed is a
-# single shared instance rather than a fresh build per event.
-_STORE_SERVED = Served()
-_NEEDS_MISS = {kind: NeedsMiss(kind) for kind in CoherentKind}
 
 
 def _fill_way(ways: List[CacheLine], rr_way: int) -> int:
@@ -166,9 +152,6 @@ class CacheModel:
 
     # -- address helpers ------------------------------------------------
 
-    def line_addr(self, address: int) -> int:
-        return address - (address % self.line_size)
-
     def _index_tag(self, address: int) -> Tuple[int, int]:
         line = address // self.line_size
         return line % self.n_sets, line // self.n_sets
@@ -187,47 +170,37 @@ class CacheModel:
 
     # -- core side ---------------------------------------------------------
 
-    def core_access(self, op: CoreOp) -> Union[Served, NeedsMiss]:
-        """Serve a load/store against the data cache or hand it to the miss
-        handler. IFetch ops go through ifetch() instead. Ops are where
-        addresses enter the caches, so the physical range is checked here."""
+    def core_access(self, op: CoreOp) -> Optional[int]:
+        """Look the op up in its initiator row, an ifetch on the
+        instruction cache and a load or store on the data cache. A hit
+        performs and returns the word read, or None for a store; a miss
+        sets `miss` and returns None. Ops are where addresses enter the
+        caches, so the physical range is checked here."""
         if not 0 <= op.address < 1 << PHYS_ADDR_BITS:
             raise ConfigError(f"address {op.address:#x} outside the physical address range")
-        if op.kind is IFETCH:
-            return self.ifetch(op.address)
         if self.miss is not None:
             raise RuntimeError(f"core {self.core_id}: second outstanding miss")
+        kind = op.kind
         offset = op.address % self.line_size
         address = op.address - offset
-        hit = self.index.get(address)  # an Invalid way reads as the miss it is
+        # an Invalid way reads as the miss it is
+        hit = (self.iindex if kind is IFETCH else self.index).get(address)
         state = hit[1].state if hit is not None else INVALID
-        action = self.tables.initiator[state, op.kind]
+        action = self.tables.initiator[state, kind]
         if isinstance(action, Hit):
             line = hit[1]
             if self.touched is not None and (
-                op.kind is STORE or action.next is not state
+                kind is STORE or action.next is not state
             ):
                 self.touched.add(address)
             line.state = action.next
-            if op.kind is STORE:
+            if kind is STORE:
                 line.data = set_word(line.data, offset, op.value)
-                return _STORE_SERVED
-            return Served(word_at(line.data, offset))
-        self.miss = MissStatus(address, action.kind)
-        return _NEEDS_MISS[action.kind]
-
-    def ifetch(self, address: int) -> Union[Served, NeedsMiss]:
-        """Instruction fetch. Coherent icaches miss with ReadOnce and get
-        snooped; non-coherent ones miss with ReadNoSnoop and stay out of
-        the coherency domain."""
-        hit = self.lookup(address, icache=True)
-        if hit:
-            return Served(word_at(hit[1].data, address % self.line_size))
-        if self.miss is not None:
-            raise RuntimeError(f"core {self.core_id}: second outstanding miss")
-        kind = READ_ONCE if self.coherent_ifetch else READ_NO_SNOOP
-        self.miss = MissStatus(self.line_addr(address), kind, for_icache=True)
-        return _NEEDS_MISS[kind]
+                return None
+            return word_at(line.data, offset)
+        nc = kind is IFETCH and not self.coherent_ifetch
+        self.miss = MissStatus(address, READ_NO_SNOOP if nc else action.kind)
+        return None
 
     # -- snoop side --------------------------------------------------------
 
@@ -284,8 +257,9 @@ class CacheModel:
         """Fill the outstanding miss with its transaction's result and
         perform on the line `op`, the core's op that missed, as a hit
         does: a store writes its word, a load or ifetch reads one. A data
-        fill installs `data` in `state` (`_install`); a CleanUnique
-        upgrades the copy it holds in place.
+        fill installs `data` in `state` (`_install`), into the instruction
+        cache for a ReadOnce or ReadNoSnoop; a CleanUnique upgrades the
+        copy it holds in place.
 
         None, with nothing changed, when the fill's victim is dirty and
         `wb_room` is false (the write-back FIFO is full); else the word
@@ -295,7 +269,8 @@ class CacheModel:
         if ms is None:
             raise RuntimeError(f"core {self.core_id}: miss_complete with no outstanding miss")
         if ms.kind in DATA_KINDS:
-            filled = self._install(ms.address, state, data, ms.for_icache, wb_room)
+            icache = ms.kind is READ_ONCE or ms.kind is READ_NO_SNOOP
+            filled = self._install(ms.address, state, data, icache, wb_room)
             if filled is None:
                 return None
             line, writeback = filled

@@ -19,6 +19,7 @@ from .memsys import MemoryPort
 from .protocol import (
     CoherentKind,
     DATA_KINDS,
+    READ_ONCE,
     SNOOPING_KINDS,
     SnoopResponse,
 )
@@ -167,7 +168,8 @@ class Ccu:
         n_cores, coherent_ifetch = len(caches), caches[0].coherent_ifetch
 
         self.decoder = Decoder(n_cores, collision_capacity)
-        # fanout[initiator][from_icache] -> snoop_targets of its requests
+        # fanout[initiator][from_icache] -> snoop_targets of its requests;
+        # a request comes from the icache when it is a ReadOnce
         self.fanout = tuple(
             tuple(snoop_targets(core, n_cores, coherent_ifetch, from_icache)
                   for from_icache in (False, True))
@@ -207,14 +209,13 @@ class Ccu:
         if granted is None:
             return None
         core, address = granted
-        cache = self.caches[core]
-        kind = cache.entry_kind()
+        kind = self.caches[core].entry_kind()
         if kind not in SNOOPING_KINDS:  # a reissue row may name any kind
             raise ProtocolFault(f"core {core}: unexpected {kind.value} request")
         txn = CcuTransaction(self.next_id, core, kind, address)
         self.next_id += 1
         self.txns[txn.id] = txn
-        fanout = self.fanout[core][cache.miss.for_icache]
+        fanout = self.fanout[core][kind is READ_ONCE]
         due = now + self.ccu_stage + self.snoop_hop
         for target, probe_d, probe_i in fanout:
             self.ac_outbox[target].append((due, txn, probe_d, probe_i))

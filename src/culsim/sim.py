@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from .cache import CacheModel, ConfigError, CopyView, LostCopy, Served
+from .cache import CacheModel, ConfigError, CopyView, LostCopy
 from .ccu import Ccu, Decoder, ProtocolFault
 from .memsys import MemoryModel, MemoryPort
 from .protocol import IFETCH, INVALID, LOAD, OWNED, READ_NO_SNOOP, SHARED, STORE, CoreOp, LineState
@@ -382,32 +382,35 @@ class Kernel:
                 self._progress = True
         self._issue_at = issue_at
 
-    def _access(self, core: int, op: CoreOp, now: int):
-        """Run op against the core's cache. A hit retires the op and returns
-        None; a miss parks the port and returns the cache's miss result,
-        but a non-coherent ifetch queues its memory read and returns None."""
+    def _access(self, core: int, op: CoreOp, now: int) -> bool:
+        """Run op against the core's cache (`CacheModel.core_access`),
+        which parks a miss in `cache.miss`. A hit retires the op. A miss
+        parks the port, and a non-coherent ifetch miss queues its memory
+        read. True only for a miss the model's fabric must take."""
         port = self.ports[core]
         stats = self._stats.cores[core]
-        result = self.caches[core].core_access(op)
-        if isinstance(result, Served):
+        cache = self.caches[core]
+        value = cache.core_access(op)
+        miss = cache.miss
+        if miss is None:
             stats.hits += 1
             stats.stall_cycles += now - port.issued_at
-            if result.value is not None:
-                port.observations.append(result.value)
+            if value is not None:
+                port.observations.append(value)
             port.current = None
             port.ready_at = ready = now + self.config.latencies.l1_hit
             if ready < self._issue_at:
                 self._issue_at = ready
             self._ops_left -= 1
-            return None
+            return False
         stats.misses += 1
         port.miss_start = now
-        if result.kind is READ_NO_SNOOP:
+        if miss.kind is READ_NO_SNOOP:
             self.mem_port.read_queue.append(
-                (now + self.config.latencies.ccu_stage, self.caches[core].miss.address, port)
+                (now + self.config.latencies.ccu_stage, miss.address, port)
             )
-            return None
-        return result
+            return False
+        return True
 
     def _retire_miss(self, core: int, state: LineState, data: Optional[bytes],
                      now: int) -> bool:
@@ -720,7 +723,7 @@ class Simulation(Kernel):
         elif op is None or cache.miss is not None:
             return
         elif op.kind is not IFETCH:
-            if self._access(core, op, now) is not None:
+            if self._access(core, op, now):
                 ccu.submit(core, now)
         self._progress = True
 
@@ -728,7 +731,7 @@ class Simulation(Kernel):
         # data-cache arbitration outcome.
         op = port.current
         if op is not None and cache.miss is None and op.kind is IFETCH:
-            if self._access(core, op, now) is not None:
+            if self._access(core, op, now):
                 ccu.submit(core, now)
 
     def _apply_completion(self, core: int, txn, now: int) -> bool:

@@ -231,7 +231,10 @@ _ACCEPTED, _ANY_SHARED, _ANY_DIRTY = 1, 2, 4
 # per-line slots; each core's four cache slots follow at 2 + 4 * core
 _MEM, _GHOST = 0, 1
 
-_POPCOUNT = (0, 1, 1, 2)  # lines in flight, at most two lines
+# the explorer's bound: a program names at most MAX_LINES line addresses
+# (its init included) and gives each core at most MAX_OPS_PER_CORE ops
+MAX_LINES = 2
+MAX_OPS_PER_CORE = 6
 
 # successor labels: (_ISSUE, core, pc), (_ACCEPT | _COMPLETE, core, kind,
 # line), (_SNOOP, core, kind, line, target), (_DRAIN, line)
@@ -286,14 +289,14 @@ class _Machine:
         if len(programs) != config.n_cores:
             raise ValueError("one program per core required")
         for prog in programs:
-            if len(prog) > 6:
-                raise ValueError("explorer bound: at most 6 ops per core")
+            if len(prog) > MAX_OPS_PER_CORE:
+                raise ValueError(f"explorer bound: at most {MAX_OPS_PER_CORE} ops per core")
         self.programs = [tuple(p) for p in programs]
         self.cfg = config
         addrs = {op[1] for prog in programs for op in prog}
         addrs |= set(init_mem or ())
-        if len(addrs) > 2:
-            raise ValueError("explorer bound: at most 2 line addresses")
+        if len(addrs) > MAX_LINES:
+            raise ValueError(f"explorer bound: at most {MAX_LINES} line addresses")
         self.addrs = tuple(sorted(addrs))
         self.init_mem = dict(init_mem or {})
         self.init_cov: Set[Tuple[int, int]] = set()  # (state code, op code)
@@ -313,9 +316,9 @@ class _Machine:
          self.carries_data) = _coded_tables(frozenset(config.mutations))
         # admit[mask of lines in flight][line] -> the Decoder lets the miss in
         self.admit = tuple(
-            tuple(admits(mask >> line & 1, _POPCOUNT[mask], config.collision_capacity)
-                  for line in (0, 1))
-            for mask in range(4)
+            tuple(admits(mask >> line & 1, bin(mask).count("1"), config.collision_capacity)
+                  for line in range(MAX_LINES))
+            for mask in range(1 << MAX_LINES)
         )
         # fanout[core][kind] -> ((target, probe_d, probe_i), ...) in probe
         # order; an ifetch miss (ReadOnce) comes from the icache
@@ -679,7 +682,7 @@ class _Machine:
                     evicted = victim
             if store_follows and final not in (_M, _E):
                 note = note or f"line {addr:#x}: store completion installed {_STATES[final].value}"
-            new[dpos] = _M if store_follows else final
+            new[dpos] = final
             new[dpos + 1] = value
 
         new[at + _PC] = pc + 1
@@ -877,14 +880,23 @@ COHERENCE_LITMUS = (
 
 
 def check_litmus(test: LitmusTest, n_cores: int) -> None:
-    """Refuse a litmus test that names a core outside `n_cores`, or whose
-    forbidden outcome names a register or an address nothing gives a value."""
+    """Refuse a litmus test that names a core outside `n_cores`, that
+    exceeds the explorer's bound, or whose forbidden outcome names a
+    register or an address nothing gives a value."""
     named = set(test.programs)
     named.update(atom[1] for clause in test.forbidden for atom, _ in clause if atom[0] == "reg")
     outside = sorted(c for c in named if not 0 <= c < n_cores)
     if outside:
         raise ValueError(f"litmus test {test.name}: core(s) {outside} outside "
                          f"the {n_cores} configured cores")
+    longest = max(map(len, test.programs.values()), default=0)
+    if longest > MAX_OPS_PER_CORE:
+        raise ValueError(f"litmus test {test.name}: {longest} ops on a core, over the "
+                         f"explorer bound of {MAX_OPS_PER_CORE}")
+    used = set(test.init).union(op[1] for ops in test.programs.values() for op in ops)
+    if len(used) > MAX_LINES:
+        raise ValueError(f"litmus test {test.name}: {len(used)} line addresses, over the "
+                         f"explorer bound of {MAX_LINES}")
     # a register is the result of one R or IF op: an atom on any other
     # can never match, so its clause would pass unseen
     reads = {core: sum(op[0] in ("R", "IF") for op in ops) for core, ops in test.programs.items()}
@@ -894,7 +906,6 @@ def check_litmus(test: LitmusTest, n_cores: int) -> None:
         raise ValueError(f"litmus test {test.name}: register(s) {unread} read by no op")
     # a memory atom on a line no op or init names reads the zero fill:
     # it says nothing about the program
-    used = set(test.init).union(op[1] for ops in test.programs.values() for op in ops)
     unused = sorted({atom[1] for clause in test.forbidden for atom, _ in clause
                      if atom[0] == "mem" and atom[1] not in used})
     if unused:
@@ -999,11 +1010,13 @@ def parse_litmus(text: str) -> List[LitmusTest]:
                         sym, _, val = "".join(tokens[1:]).partition("=")
                         ops.append(("W", lookup(sym), int(val, 0)))
                     elif tokens[0] in ("R", "IF"):
-                        sym = tokens[1]
-                        reads = sum(1 for o in ops if o[0] in ("R", "IF"))
-                        if len(tokens) >= 4 and tokens[2] == "->":
+                        if not (len(tokens) == 2 or len(tokens) == 4 and tokens[2] == "->"):
+                            raise ValueError(f"expected '{tokens[0]} <sym> [-> r<k>]', "
+                                             f"got '{' '.join(tokens)}'")
+                        if len(tokens) == 4:
+                            reads = sum(1 for o in ops if o[0] in ("R", "IF"))
                             current["regs"][(core, tokens[3])] = reads
-                        ops.append((tokens[0], lookup(sym)))
+                        ops.append((tokens[0], lookup(tokens[1])))
                     else:
                         raise ValueError(f"unknown op '{tokens[0]}'")
             elif head == "forbid":

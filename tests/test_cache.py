@@ -1,13 +1,9 @@
-from dataclasses import FrozenInstanceError, fields
-
 import pytest
 
 from culsim.cache import (
     CacheModel,
     ConfigError,
     LostCopy,
-    NeedsMiss,
-    Served,
     set_word,
     word_at,
 )
@@ -18,6 +14,8 @@ from culsim.protocol import (
     MUTATIONS,
     CoherentKind,
     CoreOp,
+    Hit,
+    Issue,
     LineState,
     OpKind,
     SnoopRequest,
@@ -43,7 +41,7 @@ def make_cache(**kw):
 
 def fill(cache, address, state, byte=0xAB, icache=False):
     data = bytes([byte]) * cache.line_size
-    cache._install(cache.line_addr(address), state, data, icache=icache)
+    cache._install(address - address % cache.line_size, state, data, icache=icache)
     return data
 
 
@@ -76,8 +74,8 @@ def test_core_access_out_of_range_is_config_error():
 def test_store_hit_on_exclusive_turns_modified():
     cache = make_cache()
     fill(cache, 0x40, E)
-    result = cache.core_access(CoreOp(OpKind.STORE, 0x44, value=0xDEAD))
-    assert result == Served()
+    assert cache.core_access(CoreOp(OpKind.STORE, 0x44, value=0xDEAD)) is None
+    assert cache.miss is None
     line = cache.lookup(0x40)[1]
     assert line.state is M
     assert line.state.is_dirty and line.state.is_unique
@@ -86,8 +84,8 @@ def test_store_hit_on_exclusive_turns_modified():
 
 def test_load_miss_issues_read_shared():
     cache = make_cache()
-    result = cache.core_access(CoreOp(OpKind.LOAD, 0x40))
-    assert result == NeedsMiss(CoherentKind.READ_SHARED)
+    assert cache.core_access(CoreOp(OpKind.LOAD, 0x40)) is None
+    assert cache.miss.kind is CoherentKind.READ_SHARED
     assert cache.miss.address == 0x40
     assert cache.miss.kind not in UNIQUE_KINDS
 
@@ -95,16 +93,53 @@ def test_load_miss_issues_read_shared():
 def test_store_hit_on_shared_needs_clean_unique():
     cache = make_cache()
     fill(cache, 0x40, S)
-    result = cache.core_access(CoreOp(OpKind.STORE, 0x40, value=1))
-    assert result == NeedsMiss(CoherentKind.CLEAN_UNIQUE)
+    assert cache.core_access(CoreOp(OpKind.STORE, 0x40, value=1)) is None
+    assert cache.miss.kind is CoherentKind.CLEAN_UNIQUE
     assert cache.miss.kind in UNIQUE_KINDS
 
 
 def test_load_hit_returns_word():
     cache = make_cache()
     data = fill(cache, 0x40, E, byte=0x11)
-    got = cache.core_access(CoreOp(OpKind.LOAD, 0x48))
-    assert got == Served(word_at(data, 8))
+    assert cache.core_access(CoreOp(OpKind.LOAD, 0x48)) == word_at(data, 8)
+    assert cache.miss is None
+
+
+def with_initiator_row(state, op, row):
+    """The clean table set with the one initiator row (state, op) patched."""
+    clean = protocol.TABLES
+    return protocol.Tables(initiator={**clean.initiator, (state, op): row},
+                           snoopee=clean.snoopee, completion=clean.completion,
+                           reissue=clean.reissue)
+
+
+@pytest.mark.parametrize("coherent_ifetch", [False, True], ids=["nc-ifetch", "coherent-ifetch"])
+@pytest.mark.parametrize("op", list(OpKind), ids=lambda op: op.value)
+@pytest.mark.parametrize("state", list(LineState), ids=lambda state: state.value)
+def test_every_initiator_row_reaches_the_cache(state, op, coherent_ifetch):
+    # an ifetch is looked up in the icache, a load or store in the dcache;
+    # a non-coherent icache misses with ReadNoSnoop whatever the row names
+    value = 1 if op is OpKind.STORE else None
+    rows = [Issue(kind) for kind in CoherentKind if kind in protocol.SNOOPING_KINDS]
+    if state is not I:
+        rows.append(Hit(S if state is E else E))
+    for row in rows:
+        if row == protocol.TABLES.initiator[state, op]:
+            continue
+        cache = make_cache(coherent_ifetch=coherent_ifetch)
+        cache.tables = with_initiator_row(state, op, row)
+        if state is not I:
+            data = fill(cache, 0x40, state, icache=op is OpKind.IFETCH)
+        result = cache.core_access(CoreOp(op, 0x44, value=value))
+        if isinstance(row, Hit):
+            assert cache.miss is None
+            assert result == (None if value else word_at(data, 4))
+            assert cache.lookup(0x40, icache=op is OpKind.IFETCH)[1].state is row.next
+            continue
+        assert result is None
+        nc = op is OpKind.IFETCH and not coherent_ifetch
+        assert cache.miss.address == 0x40
+        assert cache.miss.kind is (CoherentKind.READ_NO_SNOOP if nc else row.kind)
 
 
 def test_second_outstanding_miss_is_rejected():
@@ -258,7 +293,7 @@ def set_addresses(cache, set_idx):
 def load_miss(cache, address, state=E, byte=0x11, wb_room=True):
     """Miss on a load of `address` and complete it: the eviction path."""
     load = CoreOp(OpKind.LOAD, address)
-    assert isinstance(cache.core_access(load), NeedsMiss)
+    assert cache.core_access(load) is None and cache.miss is not None
     return cache.miss_complete(state, bytes([byte]) * cache.line_size, load, wb_room)
 
 
@@ -350,49 +385,24 @@ def test_a_fill_takes_the_first_free_way_else_the_round_robin_victim():
     assert cache.lookup(addrs[4])[0] == way and cache.lookup(addrs[3]) is None
 
 
-# -- result records -------------------------------------------------------------------
-
-def returned_records():
-    """One record of each kind and shape CacheModel returns."""
-    cache = make_cache()
-    addrs = set_addresses(cache, 0)
-    load_miss(cache, addrs[0], state=M)
-    out = [cache.core_access(CoreOp(OpKind.STORE, addrs[0], value=7))]  # store hit
-    out.append(cache.core_access(CoreOp(OpKind.LOAD, addrs[0])))  # load hit
-    out.append(cache.core_access(CoreOp(OpKind.STORE, 0x1000, value=1)))  # NeedsMiss
-    out.append(make_cache(coherent_ifetch=True).ifetch(0x40))  # NeedsMiss of an ifetch
-    return out
-
-
-def test_returned_records_are_frozen_and_equal_fresh_ones():
-    records = returned_records() + returned_records()  # shared ones come back twice
-    assert {type(r) for r in records} == {Served, NeedsMiss}
-    for record in records:
-        values = {f.name: getattr(record, f.name) for f in fields(record)}
-        assert record == type(record)(**values)
-        for name, value in values.items():
-            with pytest.raises(FrozenInstanceError):
-                setattr(record, name, value)
-
-
 # -- instruction cache ---------------------------------------------------------------
 
 def test_noncoherent_ifetch_misses_with_read_no_snoop():
     cache = make_cache(coherent_ifetch=False)
-    result = cache.ifetch(0x40)
-    assert result == NeedsMiss(CoherentKind.READ_NO_SNOOP)
-    assert cache.miss.for_icache
+    assert cache.core_access(CoreOp(OpKind.IFETCH, 0x44)) is None
+    assert (cache.miss.address, cache.miss.kind) == (0x40, CoherentKind.READ_NO_SNOOP)
 
 
 def test_coherent_ifetch_misses_with_read_once():
     cache = make_cache(coherent_ifetch=True)
-    assert cache.ifetch(0x40) == NeedsMiss(CoherentKind.READ_ONCE)
+    assert cache.core_access(CoreOp(OpKind.IFETCH, 0x40)) is None
+    assert cache.miss.kind is CoherentKind.READ_ONCE
 
 
 def test_ifetch_hit_serves_without_traffic():
     cache = make_cache(coherent_ifetch=True)
     data = fill(cache, 0x40, S, byte=0x77, icache=True)
-    assert cache.ifetch(0x44) == Served(word_at(data, 4))
+    assert cache.core_access(CoreOp(OpKind.IFETCH, 0x44)) == word_at(data, 4)
     assert cache.miss is None
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from culsim import protocol
 from culsim.baseline import _DirTxn
-from culsim.cache import CacheLine, CacheModel, MissStatus, NeedsMiss
+from culsim.cache import CacheLine, CacheModel, MissStatus
 from culsim.ccu import (
     Ccu,
     CcuTransaction,
@@ -201,7 +201,7 @@ def make_ccu(n_cores=2, coherent_ifetch=False, **kw):
 def request(ccu, core, kind, line, now):
     """Park a miss of `kind` on `line` in the core's cache, as its miss
     handler does, and submit its request."""
-    ccu.caches[core].miss = MissStatus(line, kind, for_icache=kind is RO)
+    ccu.caches[core].miss = MissStatus(line, kind)
     ccu.submit(core, now)
 
 
@@ -209,7 +209,8 @@ def upgrade(ccu, core, line, now):
     """The core holds `line` Shared, and a store to it submits a CleanUnique."""
     cache = ccu.caches[core]
     cache._install(line, LineState.SHARED, bytes(16), icache=False)
-    assert cache.core_access(CoreOp(OpKind.STORE, line, value=1)) == NeedsMiss(CU)
+    assert cache.core_access(CoreOp(OpKind.STORE, line, value=1)) is None
+    assert cache.miss.kind is CU
     ccu.submit(core, now)
 
 

@@ -1,15 +1,31 @@
+import re
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from culsim.protocol import DATA_KINDS, TABLES, Hit, Issue, LineState, SnoopResponse
+from culsim import protocol, verify
+from culsim.protocol import (
+    DATA_KINDS,
+    TABLES,
+    CoherentKind,
+    CoreOp,
+    Hit,
+    Issue,
+    LineState,
+    OpKind,
+    SnoopResponse,
+    Tables,
+)
+from culsim.sim import SimConfig, build
 from culsim.verify import (
     _ACCEPT,
     _ANY_DIRTY,
     _COMPLETE,
+    _E,
     _I,
     _ISSUE,
     _KINDS,
@@ -30,8 +46,13 @@ from culsim.verify import (
     EXPECTED_INITIATOR_PAIRS,
     EXPECTED_SNOOPEE_PAIRS,
     ExploreConfig,
+    LitmusTest,
+    MAX_LINES,
+    MAX_OPS_PER_CORE,
     SHIPPED_MUTATIONS,
     UNREACHABLE_SNOOPEE_PAIRS,
+    _coded_tables,
+    check_litmus,
     check_swmr,
     check_value,
     explore,
@@ -355,6 +376,38 @@ def test_machine_tables_are_derived_from_protocol():
             assert _KINDS[machine.reissue[k]] is tables.reissue[kind]
     with pytest.raises(ValueError, match="unknown mutation"):
         TABLES.mutated({"reissue:sometimes"})
+
+
+@pytest.fixture
+def patched_row(monkeypatch):
+    """Patch one row of the table set every engine reads, for the timed
+    models (`protocol.TABLES`) and the explorer (its int-coded copy)."""
+
+    def patch(table, key, row):
+        rows = {f.name: dict(getattr(TABLES, f.name)) for f in fields(Tables)}
+        rows[table][key] = row
+        tables = Tables(**rows)
+        monkeypatch.setattr(protocol, "TABLES", tables)
+        monkeypatch.setattr(verify, "TABLES", tables)
+        _coded_tables.cache_clear()
+        return tables
+
+    yield patch
+    _coded_tables.cache_clear()  # the clean rows again once the patch is undone
+
+
+def test_a_store_completion_installs_its_completion_row(patched_row):
+    # a lone store misses from Invalid with ReadUnique, and no snoopee
+    # answers shared or dirty: its completion row is (ReadUnique, 0, 0, 1)
+    patched_row("completion", (CoherentKind.READ_UNIQUE, 0, 0, 1), LineState.EXCLUSIVE)
+    sim = build(SimConfig())
+    sim.run([[CoreOp(OpKind.STORE, X, value=1)], []])
+    assert sim.caches[0].lookup(X)[1].state is E
+    machine = _Machine([[("W", X, 1)], []], ExploreConfig(n_cores=2))
+    pos = machine.dpos[0][0]
+    completions = [succ[pos] for state in _reachable(machine)
+                   for label, succ, _note in machine.successors(state) if label[0] == _COMPLETE]
+    assert completions == [_E]
 
 
 def test_budget_exhaustion_is_flagged():
@@ -846,6 +899,43 @@ def test_parse_litmus_file():
     for test in tests:
         result = run_litmus(test, ExploreConfig(n_cores=2))
         assert result["forbidden_seen"] == 0
+
+
+@pytest.mark.parametrize("ops", ["R", "IF", "R x y", "R x -> r0 junk", "IF x ->"])
+def test_parse_litmus_refuses_a_malformed_read(ops):
+    verb = ops.split()[0]
+    message = f"litmus line 3: expected '{verb} <sym> [-> r<k>]', got '{ops}'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_litmus(f"test t\ncore 0: W x=1\ncore 1: {ops}\n")
+
+
+def test_parse_litmus_reads_a_named_register():
+    (test,) = parse_litmus("test t\ncore 0: R x ; IF x -> r9\nforbid 0:r9=1\n")
+    assert test.programs[0] == (("R", 0x100), ("IF", 0x100))
+    assert test.forbidden == (((("reg", 0, 1), 1),),)
+
+
+@pytest.mark.parametrize("programs, init, message", [
+    ({0: (("W", X, 1), ("W", Y, 2)), 1: (("R", X + 0x20),)}, {},
+     "3 line addresses, over the explorer bound of 2"),
+    ({0: (("R", X),), 1: (("R", Y),)}, {X + 0x20: 1},
+     "3 line addresses, over the explorer bound of 2"),
+    ({0: (("R", X),) * (MAX_OPS_PER_CORE + 1)}, {},
+     f"{MAX_OPS_PER_CORE + 1} ops on a core, over the explorer bound of {MAX_OPS_PER_CORE}"),
+])
+def test_check_litmus_refuses_a_test_over_the_explorer_bound(programs, init, message):
+    test = LitmusTest("big", programs=programs, init=init)
+    with pytest.raises(ValueError, match=re.escape(f"litmus test big: {message}")):
+        check_litmus(test, n_cores=2)
+    # the explorer refuses the same programs by the same bound
+    with pytest.raises(ValueError, match="explorer bound"):
+        explore([programs.get(c, ()) for c in range(2)], ExploreConfig(), init_mem=init)
+
+
+def test_check_litmus_accepts_a_test_at_the_explorer_bound():
+    ops = (("W", X, 1), ("R", Y)) * (MAX_OPS_PER_CORE // 2)
+    assert len({op[1] for op in ops}) == MAX_LINES and len(ops) == MAX_OPS_PER_CORE
+    check_litmus(LitmusTest("edge", programs={0: ops}), n_cores=2)
 
 
 def test_parse_litmus_hex_value_is_reported_when_forbidden():
