@@ -9,10 +9,12 @@ model's `ccu.Decoder` (same mux, same per-line serialization, same
 stall count), so measured differences come from protocol structure
 rather than tuned constants.
 
-The cores, memory port, op accounting, the fill of every miss
+The cores, memory port, Decoder, op accounting, the fill of every miss
 (`Kernel._retire_miss`, the non-coherent ifetch fill included) and run
 loop come from `sim.Kernel`, shared with the snoop simulator, so SimStats
 fields mean the same thing in both reports; there is no coherent icache.
+The Decoder numbers each transaction, and its in-flight table holds it
+under its line until its install.
 Every memory write, the downgrade of a forwarded read included, queues
 in the write-back FIFO of the memory port.
 
@@ -35,8 +37,6 @@ from heapq import heappop, heappush
 from typing import Iterator, List, Optional, Tuple
 
 from .cache import ConfigError
-from .ccu import Decoder
-from .memsys import MemoryPort
 from .protocol import (
     CoreOp,
     DATA_KINDS,
@@ -62,11 +62,6 @@ class _DirTxn:
 class DirectorySimulation(Kernel):
     def __init__(self, config: SimConfig, monitor: bool = False):
         super().__init__(config, monitor)
-        self.mem_port = MemoryPort(config.fifo_depths.writeback)
-        self.mem_port.touched = self.touched
-        self.decoder = Decoder(config.n_cores, config.fifo_depths.collision_capacity)
-        self.txns: List[_DirTxn] = []  # in accept order, for `_dump_lines`
-        self.next_id = 0
         # (due, txn id, txn) of each journey waiting out a delay
         self.wake: List[Tuple[int, int, _DirTxn]] = []
         self._timed = (self.mem_port.read_queue, self.mem.inflight, self.wake)
@@ -103,26 +98,24 @@ class DirectorySimulation(Kernel):
         heappush(self.wake, (now + 1, txn.id, txn))
 
     def _accept(self, now: int) -> None:
-        granted = self.decoder.grant()
-        if granted is None:
+        txn = self.decoder.grant(self._open)
+        if txn is None:
             return
-        core, addr = granted
-        txn = _DirTxn(self.next_id, core, addr)
-        self.next_id += 1
-        txn.journey = self._journey(txn)
-        self.txns.append(txn)
         heappush(self.wake, (now + 1, txn.id, txn))  # it starts the cycle after the accept
         self._progress = True
+
+    def _open(self, txn_id: int, core: int, addr: int) -> _DirTxn:
+        txn = _DirTxn(txn_id, core, addr)
+        txn.journey = self._journey(txn)
+        return txn
 
     def _advance(self, txn: _DirTxn, now: int) -> None:
         """Run the transaction's journey up to its next wait."""
         self._progress = True
-        wait = next(txn.journey, False)
-        if wait is False:
-            self.txns.remove(txn)
-        elif wait is None:
+        wait = next(txn.journey, False)  # False: the journey is over
+        if wait is None:
             self.mem_port.read_queue.append((now, txn.addr, txn))
-        else:
+        elif wait is not False:
             heappush(self.wake, (now + wait, txn.id, txn))
 
     def _journey(self, txn: _DirTxn) -> Iterator[Optional[int]]:
@@ -207,7 +200,6 @@ class DirectorySimulation(Kernel):
             self.touched.add(txn.addr)
         txn.data = line.data
         self._stats.cores[txn.core].snoop_served_misses += 1
-        self._stats.cache_to_cache_transfers += 1
         return True
 
     def check_streams(self, streams: List[List[CoreOp]]) -> None:
@@ -227,9 +219,9 @@ class DirectorySimulation(Kernel):
             self.decoder.submit(core, self.caches[core].miss.address, now)
 
     def _dump_lines(self) -> List[str]:
+        # per transaction: core, op, line, and the cycle it wakes (or "memory")
         due = {txn_id: cycle for cycle, txn_id, _ in self.wake}
-        txns = [(t.core, self.ports[t.core].current.kind.value, hex(t.addr),
-                 due.get(t.id, "memory")) for t in self.txns]
         d = self.decoder
-        return [f"  directory: pending={d.pending} hold={d.hold} txns={txns} "
-                f"in_flight={sorted(d.in_flight)}"]
+        txns = [(t.core, self.ports[t.core].current.kind.value, hex(t.addr),
+                 due.get(t.id, "memory")) for t in d.in_flight.values()]
+        return [f"  directory: pending={d.pending} hold={d.hold} txns={txns}"]

@@ -4,15 +4,18 @@ Serializes the cores' snooping requests through the `Decoder` (round-robin
 mux and per-line mutual exclusion, pipelined across distinct lines; the
 directory shares it), fans out snoops, aggregates the CR responses of
 each transaction, buffers first-responder CD data, and drains
-write-backs to memory through the bounded FIFO of its memory port. Every
-entry of its queues (AC snoops, CR responses, memory reads, R bursts)
-carries the transaction it belongs to.
+write-backs to memory through the bounded FIFO of its memory port. The
+kernel (`sim.Kernel`) builds the Decoder and the memory port and hands
+them in. The Decoder numbers each transaction and its in-flight table
+holds it, under its line, until it finishes; every entry of the CCU's
+queues (AC snoops, CR responses, memory reads, R bursts) carries the
+transaction it belongs to.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .cache import CacheModel
 from .memsys import MemoryPort
@@ -70,7 +73,9 @@ class Decoder:
     lets it in, and every cycle it waits counts a stall. It queues only
     each request's arrival and line, in `pending`, which is also the
     table `mux_grant` reads: the rest of the request is the core's
-    pending miss, which the model reads when the request enters."""
+    pending miss, which the model reads when the request enters. The
+    transaction a request opens is numbered and recorded here alone:
+    `in_flight` maps each line in flight to its transaction."""
 
     def __init__(self, n_cores: int, capacity: int):
         self.n_cores = n_cores
@@ -78,7 +83,8 @@ class Decoder:
         self.pending: Dict[int, Tuple[int, int]] = {}  # core -> (arrival, line)
         self.hold: Optional[Tuple[int, int]] = None  # (core, line)
         self.last_granted = n_cores - 1
-        self.in_flight: set = set()
+        self.in_flight: Dict[int, object] = {}  # line -> its transaction, in grant order
+        self.grants = 0
         self.stalls = 0
 
     def submit(self, core: int, line: int, now: int) -> None:
@@ -86,10 +92,11 @@ class Decoder:
             raise ProtocolFault(f"core {core}: coherent request while one is pending")
         self.pending[core] = (now, line)
 
-    def grant(self) -> Optional[Tuple[int, int]]:
-        """The (core, line) request that enters now, or None when none
-        waits or the held one stalls; every waiting request was submitted
-        by now, so all of them compete."""
+    def grant(self, open_txn: Callable[[int, int, int], object]) -> Optional[object]:
+        """The transaction that enters now, built by `open_txn(grant
+        number, core, line)` and recorded in `in_flight` under its line,
+        or None when no request waits or the held one stalls; every
+        waiting request was submitted by now, so all of them compete."""
         if self.hold is None:
             if not self.pending:
                 return None
@@ -99,13 +106,14 @@ class Decoder:
                 core = mux_grant(self.pending, self.last_granted, self.n_cores)
             self.last_granted = core
             self.hold = (core, self.pending.pop(core)[1])
-        line = self.hold[1]
+        core, line = self.hold
         if not admits(line in self.in_flight, len(self.in_flight), self.capacity):
             self.stalls += 1
             return None
-        self.in_flight.add(line)
-        granted, self.hold = self.hold, None
-        return granted
+        txn = self.in_flight[line] = open_txn(self.grants, core, line)
+        self.grants += 1
+        self.hold = None
+        return txn
 
     def can_grant(self) -> bool:
         """True when `grant` would do more than count a stall: a request
@@ -115,7 +123,7 @@ class Decoder:
         return admits(self.hold[1] in self.in_flight, len(self.in_flight), self.capacity)
 
     def release(self, line: int) -> None:
-        self.in_flight.discard(line)
+        del self.in_flight[line]
 
 
 def snoop_targets(
@@ -145,8 +153,9 @@ def snoop_targets(
 
 class Ccu:
     """The coherency unit of the cores whose caches (`cache.CacheModel`,
-    one per core, of one configuration) it is built on: a request it
-    admits is read off its core's pending miss."""
+    one per core, of one configuration) it is built on, in front of the
+    kernel's Decoder and memory port: a request it admits is read off
+    its core's pending miss."""
 
     # when a set, collects the line of every transaction whose copy in
     # the monitors' view changes: a transaction shows there only while it
@@ -157,17 +166,17 @@ class Ccu:
     def __init__(
         self,
         caches: Sequence[CacheModel],
+        decoder: Decoder,
+        mem_port: MemoryPort,
         ccu_stage: int = 1,
         snoop_hop: int = 1,
-        wb_depth: int = 4,
-        collision_capacity: int = 8,
     ):
         self.caches = caches
+        self.decoder = decoder
+        self.mem_port = mem_port
         self.ccu_stage = ccu_stage
         self.snoop_hop = snoop_hop
         n_cores, coherent_ifetch = len(caches), caches[0].coherent_ifetch
-
-        self.decoder = Decoder(n_cores, collision_capacity)
         # fanout[initiator][from_icache] -> snoop_targets of its requests;
         # a request comes from the icache when it is a ReadOnce
         self.fanout = tuple(
@@ -175,8 +184,6 @@ class Ccu:
                   for from_icache in (False, True))
             for core in range(n_cores)
         )
-        self.txns: Dict[int, CcuTransaction] = {}
-        self.next_id = 0
         # (due, txn, probe_d, probe_i) awaiting delivery per core; the
         # transaction is the probe, whose kind and line `handle_snoop` reads
         self.ac_outbox: List[Deque[tuple]] = [deque() for _ in range(n_cores)]
@@ -184,8 +191,6 @@ class Ccu:
         # (due, txn) of the R burst on its way to the initiator
         self.r_outbox: List[Deque[Tuple[int, CcuTransaction]]] = [
             deque() for _ in range(n_cores)]
-        self.mem_port = MemoryPort(wb_depth)
-        self.c2c_transfers = 0
 
     # -- request intake ------------------------------------------------------
 
@@ -202,25 +207,25 @@ class Ccu:
 
     def decoder_step(self, now: int) -> Optional[CcuTransaction]:
         """Let at most one coherent request through the Decoder and fan
-        out its snoops; the request enters as its miss's `entry_kind`,
-        which must be a snooping kind. Each AC entry carries the new
-        transaction as its probe."""
-        granted = self.decoder.grant()
-        if granted is None:
+        out its snoops. Each AC entry carries the new transaction as its
+        probe."""
+        txn = self.decoder.grant(self._open)
+        if txn is None:
             return None
-        core, address = granted
-        kind = self.caches[core].entry_kind()
-        if kind not in SNOOPING_KINDS:  # a reissue row may name any kind
-            raise ProtocolFault(f"core {core}: unexpected {kind.value} request")
-        txn = CcuTransaction(self.next_id, core, kind, address)
-        self.next_id += 1
-        self.txns[txn.id] = txn
-        fanout = self.fanout[core][kind is READ_ONCE]
+        fanout = self.fanout[txn.initiator][txn.kind is READ_ONCE]
         due = now + self.ccu_stage + self.snoop_hop
         for target, probe_d, probe_i in fanout:
             self.ac_outbox[target].append((due, txn, probe_d, probe_i))
         txn.cr_pending = len(fanout)
         return txn
+
+    def _open(self, txn_id: int, core: int, address: int) -> CcuTransaction:
+        """The transaction of the request that enters: it enters as its
+        miss's `entry_kind`, which must be a snooping kind."""
+        kind = self.caches[core].entry_kind()
+        if kind not in SNOOPING_KINDS:  # a reissue row may name any kind
+            raise ProtocolFault(f"core {core}: unexpected {kind.value} request")
+        return CcuTransaction(txn_id, core, kind, address)
 
     def collect_cr(self, from_core: int, txn: CcuTransaction, resp: SnoopResponse,
                    data: Optional[bytes]) -> None:
@@ -261,8 +266,6 @@ class Ccu:
             if txn.kind in DATA_KINDS and txn.data is None:
                 self.mem_port.read_queue.append((now, txn.address, txn))
                 continue
-            if txn.data_source is not None:
-                self.c2c_transfers += 1
             self.r_outbox[txn.initiator].append((now + self.ccu_stage, txn))
 
     def memory_unit_step(self, now: int, mem) -> bool:
@@ -287,7 +290,6 @@ class Ccu:
     def finish(self, txn: CcuTransaction) -> None:
         """Retire a transaction: the initiator consumed the R burst and
         applied the miss; its line leaves the Decoder."""
-        del self.txns[txn.id]
         if self.touched is not None and txn.any_pass_dirty:
             self.touched.add(txn.address)
         box = self.r_outbox[txn.initiator]

@@ -313,6 +313,7 @@ class Tables:
         probe[dstate, istate, kind]                 -> (dnext, inext, CR, data from "d"/"i"/None)
 
     `probe` is no field: `probe_rows` derives it from `snoopee` as a Tables is built.
+    An initiator row on Invalid must issue: a Hit there is refused.
     """
 
     initiator: Mapping
@@ -321,6 +322,10 @@ class Tables:
     reissue: Mapping
 
     def __post_init__(self):
+        for (state, op), row in self.initiator.items():
+            if state is INVALID and isinstance(row, Hit):
+                raise ValueError(f"initiator row ({state.value}, {op.value}) -> "
+                                 f"Hit({row.next.value}): a hit needs a valid line")
         for f in fields(self):
             object.__setattr__(self, f.name, MappingProxyType(dict(getattr(self, f.name))))
         object.__setattr__(self, "probe", MappingProxyType(probe_rows(self.snoopee)))

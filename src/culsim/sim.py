@@ -31,9 +31,11 @@ The invariant monitors' checks, `check_swmr` and `check_value`, live in
 it, in `Kernel.__init__`, so importing this module or running without
 monitors never loads the explorer.
 
-A model declares itself through the hooks `Kernel` lists: `_phases`,
-`_memory_data`, `_timed`, `_in_flight_copies`, `_dump_lines`, `mem_port`
-and `decoder`. From `_timed` and the Decoder the kernel derives the next
+The kernel builds the memory port and the request Decoder both models
+use; the Decoder numbers each transaction and its in-flight table holds
+it under its line. A model declares itself through the hooks `Kernel`
+lists: `_phases`, `_memory_data`, `_timed`, `_in_flight_copies` and
+`_dump_lines`. From `_timed` and the Decoder the kernel derives the next
 due cycle.
 
 Component evaluation order within a cycle: cache controllers (each
@@ -174,7 +176,6 @@ def parse_config(text: str) -> SimConfig:
 
 @dataclass
 class CoreStats:
-    ops: int = 0
     loads: int = 0
     stores: int = 0
     ifetches: int = 0
@@ -187,8 +188,12 @@ class CoreStats:
     retries: int = 0
     stall_cycles: int = 0
 
+    @property
+    def ops(self) -> int:
+        return self.loads + self.stores + self.ifetches
+
     def to_dict(self) -> dict:
-        return vars(self).copy()
+        return {"ops": self.ops, **vars(self)}
 
 
 def _format_fraction(value: Optional[Fraction]) -> Optional[str]:
@@ -201,21 +206,24 @@ def _format_fraction(value: Optional[Fraction]) -> Optional[str]:
 
 @dataclass
 class SimStats:
-    """A run's statistics. `cycles`, `mem_reads`, `mem_writes`,
-    `ccu_collision_stalls` and the snoop model's `cache_to_cache_transfers`
-    are copies of counts their components keep (`Kernel.cycle`,
-    `MemoryModel.reads` and `writes`, `Decoder.stalls`,
-    `Ccu.c2c_transfers`): a model fills them in when its `stats` is read
-    (`Kernel.stats`), not as it runs. The rest are counted here."""
+    """A run's statistics. `cycles`, `mem_reads`, `mem_writes` and
+    `ccu_collision_stalls` are copies of counts their components keep
+    (`Kernel.cycle`, `MemoryModel.reads` and `writes`, `Decoder.stalls`):
+    the kernel fills them in when its `stats` is read (`Kernel.stats`),
+    not as it runs. `cache_to_cache_transfers` is the sum of the cores'
+    snoop-served misses. The rest are counted here."""
 
     cycles: int = 0
     mem_reads: int = 0
     mem_writes: int = 0
     ccu_collision_stalls: int = 0
-    cache_to_cache_transfers: int = 0
     miss_latency_total: int = 0
     miss_count: int = 0
     cores: List[CoreStats] = field(default_factory=list)
+
+    @property
+    def cache_to_cache_transfers(self) -> int:
+        return sum(c.snoop_served_misses for c in self.cores)
 
     @property
     def avg_miss_latency(self) -> Optional[Fraction]:
@@ -256,14 +264,15 @@ class Kernel:
     coherence fabric as `_phases` (everything of a cycle before stream
     issue, `_apply_nc_fill` and `_memory_responses` included), the data
     of its memory reads as `_memory_data`, dirty data outside the caches
-    as `_in_flight_copies` and its own state as `_dump_lines`. It sets
-    `mem_port` to the MemoryPort in front of `mem` and `decoder` to its
-    request Decoder, and declares its time: `_timed` holds, once and for
-    good, every queue of its fabric whose entries start with their due
-    cycle (none is ever rebound); besides those, only the Decoder and the
-    write-back FIFO may act with no due head. With monitors on, its
-    components share the kernel's `touched` set, and the model marks
-    there every line whose view it changes without a component's help.
+    as `_in_flight_copies` and its own state as `_dump_lines`. It uses
+    the kernel's `mem_port`, the MemoryPort in front of `mem`, and
+    `decoder`, the request Decoder, and declares its time: `_timed`
+    holds, once and for good, every queue of its fabric whose entries
+    start with their due cycle (none is ever rebound); besides those,
+    only the Decoder and the write-back FIFO may act with no due head.
+    With monitors on, its components share the kernel's `touched` set,
+    and the model marks there every line whose view it changes without a
+    component's help.
 
     A step pays only for the work due in it: `_phases` calls a stage only
     when its queue head is due, and `_issue` runs only from `_issue_at`
@@ -274,8 +283,6 @@ class Kernel:
     the private record `_stats` holds the rest, and the `stats` property
     copies the component counts in when it is read."""
 
-    mem_port: MemoryPort
-    decoder: Decoder
     _timed: Tuple[Sequence[tuple], ...]
 
     def __init__(self, config: SimConfig, monitor: bool):
@@ -305,6 +312,9 @@ class Kernel:
         self.touched: Optional[set] = set() if monitor else None
         for cache in self.caches:
             cache.touched = self.touched
+        self.mem_port = MemoryPort(config.fifo_depths.writeback)
+        self.mem_port.touched = self.touched
+        self.decoder = Decoder(config.n_cores, config.fifo_depths.collision_capacity)
         if monitor:
             # only a monitored model loads the explorer's module, for its
             # checks; `_run_monitors` reads them off it at each call
@@ -372,7 +382,6 @@ class Kernel:
             else:
                 op = port.current = port.stream.popleft()
                 port.issued_at = now
-                stats.ops += 1
                 if op.kind is LOAD:
                     stats.loads += 1
                 elif op.kind is STORE:
@@ -628,10 +637,9 @@ class Kernel:
                     f"no forward progress for {watchdog} cycles\n" + self._dump_state()
                 )
         for core, cs in enumerate(self._stats.cores):
-            expected = cs.loads + cs.stores + cs.ifetches
-            if cs.hits + cs.misses != expected:
+            if cs.hits + cs.misses != cs.ops:
                 raise AssertionError(
-                    f"core {core}: hits+misses != ops ({cs.hits}+{cs.misses} != {expected})"
+                    f"core {core}: hits+misses != ops ({cs.hits}+{cs.misses} != {cs.ops})"
                 )
         return self.stats
 
@@ -656,19 +664,11 @@ class Simulation(Kernel):
     def __init__(self, config: SimConfig, monitor: bool = False):
         super().__init__(config, monitor)
         lat = config.latencies
-        self.ccu = Ccu(
-            self.caches,
-            ccu_stage=lat.ccu_stage,
-            snoop_hop=lat.snoop_hop,
-            wb_depth=config.fifo_depths.writeback,
-            collision_capacity=config.fifo_depths.collision_capacity,
-        )
-        ccu = self.ccu
-        self.mem_port = ccu.mem_port
-        self.decoder = ccu.decoder
+        self.ccu = ccu = Ccu(self.caches, self.decoder, self.mem_port,
+                             lat.ccu_stage, lat.snoop_hop)
         self._timed = (self.mem_port.read_queue, self.mem.inflight, ccu.cr_inbox,
                        *ccu.r_outbox, *ccu.ac_outbox)
-        ccu.touched = self.mem_port.touched = self.touched
+        ccu.touched = self.touched
         self._controllers = tuple(
             zip(range(config.n_cores), self.ports, self.caches, ccu.r_outbox, ccu.ac_outbox)
         )
@@ -749,26 +749,10 @@ class Simulation(Kernel):
             self._stats.cores[core].snoop_served_misses += 1
         return True
 
-    @property
-    def stats(self) -> SimStats:
-        stats = super().stats
-        stats.cache_to_cache_transfers = self.ccu.c2c_transfers
-        return stats
-
     def _memory_data(self, txn, data: bytes, now: int) -> None:
         self.ccu.memory_data(txn, data, now)
 
     # -- monitors / inspection ------------------------------------------------
-
-    def _run_monitors(self) -> None:
-        txns = self.ccu.txns
-        if len(txns) > 1:
-            addresses = [t.address for t in txns.values()]
-            if len(addresses) != len(set(addresses)):
-                raise CoherenceViolation(
-                    f"cycle {self.cycle}: two in-flight transactions share a line"
-                )
-        super()._run_monitors()
 
     def _in_flight_copies(self, lines=None) -> Dict[int, List[CopyView]]:
         # Dirty responsibility in flight answers for its line like an
@@ -781,13 +765,13 @@ class Simulation(Kernel):
         # already snooped looks clean-everywhere but newer than memory.
         ccu = self.ccu
         copies: Dict[int, List[CopyView]] = {}
-        # every CR and buffered line belongs to a transaction, whose line
-        # the Decoder holds in flight until the transaction finishes
-        in_flight = ccu.decoder.in_flight
-        if not in_flight or lines is not None and in_flight.isdisjoint(lines):
+        # every CR and buffered line belongs to a transaction, which the
+        # Decoder holds in flight under its line until it finishes
+        in_flight = self.decoder.in_flight
+        if not in_flight or lines is not None and in_flight.keys().isdisjoint(lines):
             return copies
         handed = [(txn, data) for _due, _core, txn, resp, data in ccu.cr_inbox if resp.pass_dirty]
-        handed += [(txn, txn.data) for txn in ccu.txns.values() if txn.any_pass_dirty]
+        handed += [(txn, txn.data) for txn in in_flight.values() if txn.any_pass_dirty]
         for txn, data in handed:
             if data is None:  # no data came: the initiator's copy, if it holds one
                 # `txn.address` is a line address
@@ -802,10 +786,10 @@ class Simulation(Kernel):
     def _dump_lines(self) -> List[str]:
         ccu = self.ccu
         # per transaction: CRs still to come, and whether data is buffered
+        d = self.decoder
         txns = [(t.id, t.kind.value, hex(t.address), t.cr_pending, t.data is not None)
-                for t in ccu.txns.values()]
-        d = ccu.decoder
+                for t in d.in_flight.values()]
         return [
             f"  ccu: pending={d.pending} hold={d.hold} txns={txns} "
-            f"in_flight={sorted(d.in_flight)} ac_out={[len(q) for q in ccu.ac_outbox]}"
+            f"ac_out={[len(q) for q in ccu.ac_outbox]}"
         ]

@@ -919,18 +919,16 @@ def run_litmus(test: LitmusTest, config: ExploreConfig = ExploreConfig()) -> dic
     check_litmus(test, config.n_cores)
     programs = [tuple(test.programs.get(core, ())) for core in range(config.n_cores)]
     result = explore(programs, config, init_mem=test.init or None)
-    forbidden_seen = False
     witnesses = []
     for regs, mem in result.outcomes:
         for clause in test.forbidden:
             if all(_eval_atom(atom, value, regs, mem) for atom, value in clause):
-                forbidden_seen = True
                 witnesses.append({"regs": regs, "mem": mem})
                 break
     return {
         "name": test.name,
         "observed_outcomes": sorted(result.outcomes),
-        "forbidden_seen": int(forbidden_seen),
+        "forbidden_seen": int(bool(witnesses)),
         "witnesses": witnesses,
         "violations": result.violations,
         "exhausted": result.exhausted,
@@ -939,11 +937,9 @@ def run_litmus(test: LitmusTest, config: ExploreConfig = ExploreConfig()) -> dic
 
 
 def _eval_atom(atom: tuple, value: int, regs: tuple, mem: tuple) -> bool:
-    if atom[0] == "reg":
-        _, core, idx = atom
-        return regs[core][idx] == value
-    _, addr = atom
-    return dict(mem).get(addr, 0) == value
+    if atom[0] == "reg":  # ("reg", core, read index)
+        return regs[atom[1]][atom[2]] == value
+    return dict(mem).get(atom[1], 0) == value
 
 
 def parse_litmus(text: str) -> List[LitmusTest]:
@@ -967,14 +963,9 @@ def parse_litmus(text: str) -> List[LitmusTest]:
     def flush():
         nonlocal current
         if current is not None:
-            tests.append(
-                LitmusTest(
-                    name=current["name"],
-                    programs={c: tuple(p) for c, p in current["programs"].items()},
-                    init=current["init"],
-                    forbidden=tuple(current["forbidden"]),
-                )
-            )
+            tests.append(LitmusTest(
+                current["name"], {c: tuple(p) for c, p in current["programs"].items()},
+                current["init"], tuple(current["forbidden"])))
             current = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -1006,19 +997,23 @@ def parse_litmus(text: str) -> List[LitmusTest]:
                     tokens = chunk.split()
                     if not tokens:
                         continue
-                    if tokens[0] == "W":
-                        sym, _, val = "".join(tokens[1:]).partition("=")
-                        ops.append(("W", lookup(sym), int(val, 0)))
-                    elif tokens[0] in ("R", "IF"):
+                    verb = tokens[0]
+                    if verb not in ("W", "R", "IF"):
+                        raise ValueError(f"unknown op '{verb}'")
+                    try:
+                        if verb == "W":
+                            sym, val = " ".join(tokens[1:]).split("=")
+                            (sym,) = sym.split()
+                            ops.append(("W", lookup(sym), int(val, 0)))
+                            continue
                         if not (len(tokens) == 2 or len(tokens) == 4 and tokens[2] == "->"):
-                            raise ValueError(f"expected '{tokens[0]} <sym> [-> r<k>]', "
-                                             f"got '{' '.join(tokens)}'")
-                        if len(tokens) == 4:
-                            reads = sum(1 for o in ops if o[0] in ("R", "IF"))
-                            current["regs"][(core, tokens[3])] = reads
-                        ops.append((tokens[0], lookup(tokens[1])))
-                    else:
-                        raise ValueError(f"unknown op '{tokens[0]}'")
+                            raise ValueError
+                    except ValueError:
+                        shape = "<sym>=<val>" if verb == "W" else "<sym> [-> r<k>]"
+                        raise ValueError(f"expected '{verb} {shape}', got '{' '.join(tokens)}'")
+                    if len(tokens) == 4:  # the register holds this read's index
+                        current["regs"][core, tokens[3]] = sum(o[0] != "W" for o in ops)
+                    ops.append((verb, lookup(tokens[1])))
             elif head == "forbid":
                 clause = []
                 for atom_txt in rest.split():

@@ -136,7 +136,7 @@ def test_priority_arbitration_all_pairs():
         sim.step()
     core, txn, snoop = both_due()
     sim.step()
-    assert txn.id not in sim.ccu.txns  # the completion retired its transaction
+    assert txn not in sim.decoder.in_flight.values()  # the completion retired its transaction
     assert sim.ccu.ac_outbox[core][0] is snoop  # the snoop still waits
     sim.step()
     assert not sim.ccu.ac_outbox[core] or sim.ccu.ac_outbox[core][0] is not snoop

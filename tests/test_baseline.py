@@ -346,8 +346,7 @@ def test_a_fill_over_a_dirty_victim_waits_for_room_in_a_full_write_back_fifo():
 
 def test_watchdog_dumps_the_directory_state():
     sim = DirectorySimulation(SimConfig())
-    # poison the decoder so it can never admit the request
-    sim.decoder.in_flight.add(0x100)
+    sim.decoder.capacity = 0  # the Decoder can never admit the request
     with pytest.raises(DeadlockError, match="no forward progress for 1 cycles") as exc:
         sim.run([loads(0x100), []], watchdog=1)
     # last progress at cycle 1 (the miss's submit); trip at 1 + 1 + 1

@@ -16,7 +16,7 @@ from culsim.ccu import (
     mux_grant,
     snoop_targets,
 )
-from culsim.memsys import MemoryModel
+from culsim.memsys import MemoryModel, MemoryPort
 from culsim.protocol import CoherentKind, CoreOp, LineState, OpKind, SnoopRequest, SnoopResponse
 from culsim.sim import CoherenceViolation, SimConfig, build
 
@@ -85,6 +85,11 @@ def pending_tables(draw):
     return n_cores, pending, draw(st.integers(0, n_cores - 1))
 
 
+def entry(txn_id, core, line):
+    """The transaction a grant opens, here its (core, line)."""
+    return core, line
+
+
 def reference_grant(pending, last_granted, n_cores):
     """Brute force: among the earliest arrivals, the core first after
     last_granted in round-robin order."""
@@ -103,7 +108,7 @@ def test_mux_grant_and_decoder_grant_pick_the_reference_winner(table):
     decoder.last_granted = last_granted
     for core, (arrival, line) in pending.items():
         decoder.submit(core, line, arrival)
-    assert decoder.grant() == (winner, pending[winner][1])
+    assert decoder.grant(entry) == (winner, pending[winner][1])
     assert decoder.last_granted == winner
     assert sorted(decoder.pending) == sorted(set(pending) - {winner})
 
@@ -119,48 +124,58 @@ def test_admits_only_a_free_line_while_the_table_has_room():
 def test_collision_empty_proceeds_and_inserts():
     decoder = Decoder(n_cores=2, capacity=8)
     decoder.submit(0, 0x40, now=0)
-    assert decoder.grant() == (0, 0x40)
-    assert 0x40 in decoder.in_flight
+    assert decoder.grant(entry) == (0, 0x40)
+    assert decoder.in_flight == {0x40: (0, 0x40)}
     assert not decoder.pending and decoder.hold is None
 
 
 def test_collision_same_line_stalls():
     decoder = Decoder(n_cores=2, capacity=8)
     decoder.submit(0, 0x40, now=0)
-    decoder.grant()
+    decoder.grant(entry)
     decoder.submit(1, 0x40, now=1)
-    assert decoder.grant() is None
+    assert decoder.grant(entry) is None
     assert decoder.hold == (1, 0x40) and decoder.stalls == 1
     decoder.release(0x40)
-    assert decoder.grant() == (1, 0x40)
+    assert decoder.grant(entry) == (1, 0x40)
 
 
 def test_collision_distinct_lines_proceed():
+    # each grant is numbered in order, and its transaction held under its line
     decoder = Decoder(n_cores=2, capacity=8)
     decoder.submit(0, 0x40, now=0)
     decoder.submit(1, 0x50, now=0)
-    assert decoder.grant() is not None
-    assert decoder.grant() is not None
+
+    def numbered(txn_id, core, line):
+        return txn_id, core, line
+
+    assert decoder.grant(numbered) == (0, 0, 0x40)
+    assert decoder.grant(numbered) == (1, 1, 0x50)
+    assert decoder.in_flight == {0x40: (0, 0, 0x40), 0x50: (1, 1, 0x50)}
+    decoder.release(0x40)
+    decoder.submit(0, 0x40, now=1)
+    assert decoder.grant(numbered) == (2, 0, 0x40)
+    assert list(decoder.in_flight) == [0x50, 0x40]  # in grant order
 
 
 def test_collision_full_table_stalls():
     decoder = Decoder(n_cores=3, capacity=2)
     for core, line in enumerate((0x00, 0x10, 0x20)):
         decoder.submit(core, line, now=0)
-    assert decoder.grant() and decoder.grant()
-    assert decoder.grant() is None
+    assert decoder.grant(entry) and decoder.grant(entry)
+    assert decoder.grant(entry) is None
     decoder.release(0x00)
-    assert decoder.grant() == (2, 0x20)
+    assert decoder.grant(entry) == (2, 0x20)
 
 
 def test_a_lone_request_is_granted_and_rotates_the_tie_break():
     decoder = Decoder(n_cores=3, capacity=8)
     decoder.submit(1, 0x40, now=0)
-    assert decoder.grant() == (1, 0x40)
+    assert decoder.grant(entry) == (1, 0x40)
     # core 1 was granted last, so a same-cycle tie goes to core 2 first
     decoder.submit(0, 0x80, now=1)
     decoder.submit(2, 0xC0, now=1)
-    assert decoder.grant()[0] == 2
+    assert decoder.grant(entry)[0] == 2
 
 
 def test_decoder_refuses_a_second_request_from_one_core():
@@ -193,9 +208,9 @@ def test_read_once_probes_own_dcache():
 
 # -- engine-level behavior -----------------------------------------------------------------
 
-def make_ccu(n_cores=2, coherent_ifetch=False, **kw):
+def make_ccu(n_cores=2, coherent_ifetch=False, wb_depth=4, collision_capacity=8):
     return Ccu([CacheModel(core, coherent_ifetch=coherent_ifetch) for core in range(n_cores)],
-               **kw)
+               Decoder(n_cores, collision_capacity), MemoryPort(wb_depth))
 
 
 def request(ccu, core, kind, line, now):
@@ -221,7 +236,7 @@ def test_decoder_pipelines_distinct_lines():
     t0 = ccu.decoder_step(0)
     t1 = ccu.decoder_step(1)
     assert t0 is not None and t1 is not None
-    assert len(ccu.txns) == 2  # both in flight simultaneously
+    assert list(ccu.decoder.in_flight.values()) == [t0, t1]  # both in flight simultaneously
 
 
 def test_decoder_serializes_same_line():
@@ -383,7 +398,7 @@ def test_a_request_entering_as_a_non_snooping_kind_is_refused_before_its_snoops(
                                                   CU: CoherentKind.WRITE_BACK})
     with pytest.raises(ProtocolFault, match="core 0: unexpected WriteBack request"):
         ccu.decoder_step(1)
-    assert not any(ccu.ac_outbox) and not ccu.txns
+    assert not any(ccu.ac_outbox) and not ccu.decoder.in_flight
 
 
 def test_per_event_records_are_slotted():

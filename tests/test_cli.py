@@ -538,11 +538,17 @@ def test_verify_litmus_forbid_on_an_address_nothing_uses_exits_5(tmp_path, capsy
     ("test t\ncore 0: R\n", "litmus line 2: expected 'R <sym> [-> r<k>]', got 'R'"),
     ("test t\ncore 0: W x=1 ; IF\n", "litmus line 2: expected 'IF <sym> [-> r<k>]', got 'IF'"),
     ("test t\ncore 0: R x -> r0 junk\n", "litmus line 2: expected 'R <sym> [-> r<k>]'"),
+    ("test t\ncore 0: W =1\n", "litmus line 2: expected 'W <sym>=<val>', got 'W =1'"),
+    ("test t\ncore 0: W x=1 junk\n",
+     "litmus line 2: expected 'W <sym>=<val>', got 'W x=1 junk'"),
+    ("test t\ncore 0: R x ; W\n", "litmus line 2: expected 'W <sym>=<val>', got 'W'"),
+    ("test t\ncore 0: W x=\n", "litmus line 2: expected 'W <sym>=<val>', got 'W x='"),
     ("test wide\ncore 0: W x=1 ; W y=2\ncore 1: R z\n",
      "litmus test wide: 3 line addresses, over the explorer bound of 2"),
     ("test long\ncore 0: " + " ; ".join(["R x"] * 7) + "\n",
      "litmus test long: 7 ops on a core, over the explorer bound of 6"),
-], ids=["R-without-symbol", "IF-without-symbol", "stray-token", "three-lines", "seven-ops"])
+], ids=["R-without-symbol", "IF-without-symbol", "stray-token", "W-without-symbol",
+        "W-stray-token", "W-alone", "W-without-value", "three-lines", "seven-ops"])
 def test_verify_refuses_a_bad_litmus_file_before_anything_runs(tmp_path, capsys, text,
                                                                message):
     lit = tmp_path / "bad.litmus"

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import pytest
@@ -294,6 +295,15 @@ def test_each_mutation_patches_a_copy(mutation):
     # snoopees answer ReadOnce as ReadShared, mutated or not
     for state in LineState:
         assert mutated.snoopee[state, RO] == mutated.snoopee[state, RS]
+
+
+@pytest.mark.parametrize("op", list(OpKind), ids=lambda op: op.value)
+def test_tables_refuse_a_hit_on_invalid(op):
+    # a hit needs a line: neither the caches nor the explorer has one to hit on
+    rows = {**TABLES.initiator, (I, op): Hit(S)}
+    message = f"initiator row (I, {op.value}) -> Hit(S): a hit needs a valid line"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Tables(rows, TABLES.snoopee, TABLES.completion, TABLES.reissue)
 
 
 def test_mutated_with_no_ids_equals_the_clean_tables():

@@ -5,8 +5,7 @@ import pytest
 from culsim.baseline import DirectorySimulation
 from culsim.cache import ConfigError
 from culsim.cli import WorkloadSpec, gen_workload, main
-from culsim.ccu import CcuTransaction
-from culsim.protocol import CoherentKind, CoreOp, LineState, OpKind
+from culsim.protocol import CoreOp, LineState, OpKind
 from culsim.sim import (
     CoherenceViolation,
     DeadlockError,
@@ -289,20 +288,6 @@ def test_monitors_catch_each_shipped_mutation(monkeypatch, mutation):
             sim.run(streams)
 
 
-@pytest.mark.parametrize("lines, trips", [((0x100, 0x100), True), ((0x100, 0x110), False)])
-def test_duplicate_line_monitor_trips_on_two_transactions_on_one_line(lines, trips):
-    sim = build(SimConfig(), monitor=True)
-    for txn_id, address in enumerate(lines):
-        sim.ccu.txns[txn_id] = CcuTransaction(txn_id, txn_id, CoherentKind.READ_SHARED, address)
-    if trips:
-        with pytest.raises(CoherenceViolation) as exc:
-            sim.step()
-        assert str(exc.value) == "cycle 0: two in-flight transactions share a line"
-    else:
-        sim.step()
-        assert sim.cycle == 1
-
-
 @pytest.mark.parametrize("seed", [1, 2])
 def test_lost_copy_ends_the_run_as_a_violation(monkeypatch, tmp_path, seed):
     # without the reissue row a CleanUnique whose copy a racing snoop took
@@ -369,7 +354,7 @@ def test_a_due_r_completion_takes_the_port_before_a_snoop():
         sim.step()
     core, txn, snoop = both_due()
     sim.step()
-    assert txn.id not in sim.ccu.txns  # the completion retired its transaction
+    assert txn not in sim.decoder.in_flight.values()  # the completion retired its transaction
     assert sim.ccu.ac_outbox[core][0] is snoop  # the snoop still waits
     sim.step()
     assert not sim.ccu.ac_outbox[core] or sim.ccu.ac_outbox[core][0] is not snoop
@@ -418,8 +403,7 @@ def test_a_refused_fill_changes_nothing_and_leaves_the_port_to_a_due_snoop():
 
 def test_watchdog_detects_wedged_pipeline():
     sim = build(SimConfig())
-    # poison the decoder so it can never admit the request
-    sim.ccu.decoder.in_flight.add(0x100)
+    sim.decoder.capacity = 0  # the Decoder can never admit the request
     with pytest.raises(DeadlockError, match="no forward progress") as exc:
         sim.run([loads(0x100), []], watchdog=50)
     # the last progress was the miss's submit at cycle 1: the trip comes

@@ -37,12 +37,12 @@ def watched(sim):
 def _checking(sim, core, handle_snoop, checked):
     def checked_snoop(snooper, probe_dcache=True, probe_icache=False):
         checked.append(snooper)
-        for txn in sim.ccu.txns.values():
-            if txn.initiator == core and txn.address == snooper.address:
-                assert txn is snooper, (
-                    f"cycle {sim.cycle}: txn {snooper.id} snoops core {core} on "
-                    f"{snooper.address:#x} while the core's own txn {txn.id} is in flight"
-                )
+        txn = sim.decoder.in_flight.get(snooper.address)
+        if txn is not None and txn.initiator == core:
+            assert txn is snooper, (
+                f"cycle {sim.cycle}: txn {snooper.id} snoops core {core} on "
+                f"{snooper.address:#x} while the core's own txn {txn.id} is in flight"
+            )
         return handle_snoop(snooper, probe_dcache, probe_icache)
 
     return checked_snoop
@@ -66,9 +66,9 @@ def test_the_watcher_trips_on_a_planted_foreign_snoop():
     checked = watched(sim)
     sim.ports[0].stream.append(CoreOp(OpKind.STORE, LINES[0], value=1))
     sim._ops_left = 1
-    while not sim.ccu.txns:  # core 0's ReadUnique enters the Decoder
+    while not sim.decoder.in_flight:  # core 0's ReadUnique enters the Decoder
         sim.step()
-    own = next(iter(sim.ccu.txns.values()))
+    (own,) = sim.decoder.in_flight.values()
     assert own.initiator == 0 and not sim.ccu.ac_outbox[0]
     # another core's transaction on the same line reaches core 0 now
     foreign = CcuTransaction(own.id + 1, 1, CoherentKind.READ_UNIQUE, own.address)

@@ -105,8 +105,6 @@ def stats_read_every_step(sim):
             assert (stats.cycles, stats.mem_reads, stats.mem_writes,
                     stats.ccu_collision_stalls) == (
                 sim.cycle, sim.mem.reads, sim.mem.writes, sim.decoder.stalls)
-            if not isinstance(sim, DirectorySimulation):
-                assert stats.cache_to_cache_transfers == sim.ccu.c2c_transfers
         return wrapped
 
     sim.step = checked(sim.step)
@@ -117,10 +115,9 @@ def stats_read_every_step(sim):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(runs())
 def test_stats_read_mid_run_are_the_components_counts(run):
-    """The cycle, memory reads and writes, collision stalls and the snoop
-    model's cache-to-cache transfers are stored once, in the component
-    that counts them, and filled in when `stats` is read: reading it
-    after every step changes nothing a run reports."""
+    """The cycle, memory reads and writes and collision stalls are stored
+    once, in the component that counts them, and filled in when `stats`
+    is read: reading it after every step changes nothing a run reports."""
     cfg, streams = run
     for name, make in MODELS.items():
         read = stats_read_every_step(make(cfg)).run([list(s) for s in streams])
@@ -240,8 +237,6 @@ def test_a_run_ends_with_nothing_in_flight(run):
         assert not any(sim._timed) and not sim.mem_port.wb, name
         assert not decoder.pending and decoder.hold is None and not decoder.in_flight, name
         if isinstance(sim, DirectorySimulation):
-            assert not sim.wake and not sim.txns, name
-        else:
-            assert not sim.ccu.txns, name
+            assert not sim.wake, name
         assert all(p.current is None and not p.stream for p in sim.ports), name
         assert all(cache.miss is None for cache in sim.caches), name

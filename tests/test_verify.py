@@ -901,12 +901,21 @@ def test_parse_litmus_file():
         assert result["forbidden_seen"] == 0
 
 
-@pytest.mark.parametrize("ops", ["R", "IF", "R x y", "R x -> r0 junk", "IF x ->"])
+@pytest.mark.parametrize("ops", ["R", "IF", "R x y", "R x -> r0 junk", "IF x ->",
+                                 "W =1", "W x=1 junk", "W", "W x=", "W x y=1", "W x=one",
+                                 "W x==1"])
 def test_parse_litmus_refuses_a_malformed_read(ops):
     verb = ops.split()[0]
-    message = f"litmus line 3: expected '{verb} <sym> [-> r<k>]', got '{ops}'"
+    shape = "<sym>=<val>" if verb == "W" else "<sym> [-> r<k>]"
+    message = f"litmus line 3: expected '{verb} {shape}', got '{ops}'"
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_litmus(f"test t\ncore 0: W x=1\ncore 1: {ops}\n")
+
+
+@pytest.mark.parametrize("write", ["W x=2", "W x = 2", "W x =2", "W x= 0x2"])
+def test_parse_litmus_reads_a_write_with_or_without_spaces(write):
+    (test,) = parse_litmus(f"test t\ncore 0: {write}\ncore 1: R x\n")
+    assert test.programs[0] == (("W", 0x100, 2),)
 
 
 def test_parse_litmus_reads_a_named_register():
