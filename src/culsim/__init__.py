@@ -5,7 +5,6 @@ from .protocol import (
     CoreOp,
     LineState,
     OpKind,
-    SnoopRequest,
     SnoopResponse,
     completion_state,
     initiator_action,
@@ -23,7 +22,6 @@ __all__ = [
     "SimConfig",
     "SimStats",
     "Simulation",
-    "SnoopRequest",
     "SnoopResponse",
     "build",
     "completion_state",

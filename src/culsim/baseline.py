@@ -13,8 +13,9 @@ The cores, memory port, Decoder, op accounting, the fill of every miss
 (`Kernel._retire_miss`, the non-coherent ifetch fill included) and run
 loop come from `sim.Kernel`, shared with the snoop simulator, so SimStats
 fields mean the same thing in both reports; there is no coherent icache.
-The Decoder numbers each transaction, and its in-flight table holds it
-under its line until its install.
+A transaction is the snoop model's record too (`ccu.Transaction`): the
+Decoder opens it from the core's miss, with its entry kind, and holds it
+under its line until `Kernel._complete` ends it at the install.
 Every memory write, the downgrade of a forwarded read included, queues
 in the write-back FIFO of the memory port.
 
@@ -32,11 +33,11 @@ memory read, whose data puts it back on `wake` for the next cycle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Iterator, List, Optional, Tuple
 
 from .cache import ConfigError
+from .ccu import Transaction
 from .protocol import (
     CoreOp,
     DATA_KINDS,
@@ -50,20 +51,11 @@ from .protocol import (
 from .sim import Kernel, SimConfig
 
 
-@dataclass(slots=True)
-class _DirTxn:
-    id: int
-    core: int
-    addr: int
-    journey: Iterator[Optional[int]] = field(init=False, repr=False)
-    data: Optional[bytes] = None
-
-
 class DirectorySimulation(Kernel):
     def __init__(self, config: SimConfig, monitor: bool = False):
         super().__init__(config, monitor)
         # (due, txn id, txn) of each journey waiting out a delay
-        self.wake: List[Tuple[int, int, _DirTxn]] = []
+        self.wake: List[Tuple[int, int, Transaction]] = []
         self._timed = (self.mem_port.read_queue, self.mem.inflight, self.wake)
         self._ports = tuple(zip(range(config.n_cores), self.ports, self.caches))
 
@@ -93,67 +85,61 @@ class DirectorySimulation(Kernel):
         if inflight and inflight[0][0] <= now:
             self._memory_responses(now)
 
-    def _memory_data(self, txn: _DirTxn, data: bytes, now: int) -> None:
+    def _memory_data(self, txn: Transaction, data: bytes, now: int) -> None:
         txn.data = data
         heappush(self.wake, (now + 1, txn.id, txn))
 
     def _accept(self, now: int) -> None:
-        txn = self.decoder.grant(self._open)
+        txn = self.decoder.grant()
         if txn is None:
             return
+        txn.journey = self._journey(txn)
         heappush(self.wake, (now + 1, txn.id, txn))  # it starts the cycle after the accept
         self._progress = True
 
-    def _open(self, txn_id: int, core: int, addr: int) -> _DirTxn:
-        txn = _DirTxn(txn_id, core, addr)
-        txn.journey = self._journey(txn)
-        return txn
-
-    def _advance(self, txn: _DirTxn, now: int) -> None:
+    def _advance(self, txn: Transaction, now: int) -> None:
         """Run the transaction's journey up to its next wait."""
         self._progress = True
         wait = next(txn.journey, False)  # False: the journey is over
         if wait is None:
-            self.mem_port.read_queue.append((now, txn.addr, txn))
+            self.mem_port.read_queue.append((now, txn.address, txn))
         elif wait is not False:
             heappush(self.wake, (now + wait, txn.id, txn))
 
-    def _journey(self, txn: _DirTxn) -> Iterator[Optional[int]]:
+    def _journey(self, txn: Transaction) -> Iterator[Optional[int]]:
         """One transaction, hop by hop. Yields a delay in cycles, or None
         to wait for the memory read of the line (its data lands in
         `txn.data`); a step the write-back FIFO refuses (a downgrade, or
         the install over a dirty victim) yields 1 and is retried the
-        next cycle. The line leaves the Decoder once the install went
-        through."""
+        next cycle. The install ends the transaction (`Kernel._complete`)."""
         hop = self.config.latencies.snoop_hop
+        core = txn.initiator
         yield hop  # requester -> home
         yield self.config.latencies.ccu_stage  # directory lookup
-        owner, sharers = self._holders(txn.addr)
-        carries_data = self.caches[txn.core].entry_kind() in DATA_KINDS
-        store = self.ports[txn.core].current.kind is STORE
+        owner, sharers = self._holders(txn.address)
+        store = self.ports[core].current.kind is STORE
         if store:
             state = MODIFIED
         elif owner is None and not sharers:
             state = EXCLUSIVE
         else:
             state = SHARED
-        if owner not in (None, txn.core):
+        if owner not in (None, core):
             yield hop  # home -> owner
             while not self._apply_probe(txn, owner):
                 yield 1
         elif store:
             for sharer in sharers:
-                if sharer == txn.core:
+                if sharer == core:
                     continue
                 yield hop  # home -> sharer
                 self._apply_invalidate(txn, sharer)
                 yield hop  # its acknowledgement -> home
-        if txn.data is None and carries_data:
+        if txn.data is None and txn.kind in DATA_KINDS:
             yield None  # memory read
         yield hop  # -> requester
-        while not self._retire_miss(txn.core, state, txn.data, self.cycle):
+        while not self._complete(txn, state, self.cycle):
             yield 1
-        self.decoder.release(txn.addr)
 
     def _holders(self, addr: int) -> Tuple[Optional[int], List[int]]:
         """The directory lookup, read off the L1s: the owner (the core
@@ -170,36 +156,37 @@ class DirectorySimulation(Kernel):
                     owner = core
         return owner, sharers
 
-    def _apply_invalidate(self, txn: _DirTxn, target: int) -> None:
-        hit = self.caches[target].index.get(txn.addr)  # `txn.addr` is a line address
+    def _apply_invalidate(self, txn: Transaction, target: int) -> None:
+        hit = self.caches[target].index.get(txn.address)  # `txn.address` is a line address
         if hit is not None and hit[1].state is not INVALID:
             if self.touched is not None:
-                self.touched.add(txn.addr)
+                self.touched.add(txn.address)
             hit[1].state = INVALID
 
-    def _apply_probe(self, txn: _DirTxn, owner: int) -> bool:
+    def _apply_probe(self, txn: Transaction, owner: int) -> bool:
         """Forward the request to the owner found at lookup, which supplies
         the line cache to cache: a read downgrades the owner to Shared (its
         dirty data queues for memory; False while the write-back FIFO is
-        full), a write invalidates it. A stale owner (it evicted the line
-        since the lookup) leaves `txn.data` empty, for memory to fill."""
-        hit = self.caches[owner].index.get(txn.addr)  # `txn.addr` is a line address
+        full), a write invalidates it, and the owner is the data source. A
+        stale owner (it evicted the line since the lookup) leaves
+        `txn.data` empty, for memory to fill."""
+        hit = self.caches[owner].index.get(txn.address)  # `txn.address` is a line address
         if hit is None or hit[1].state is INVALID:
             return True
         line = hit[1]
-        if self.ports[txn.core].current.kind is STORE:
+        if self.ports[txn.initiator].current.kind is STORE:
             line.state = INVALID
         else:
             if line.state is MODIFIED:
                 # MESI has no dirty-shared state: the downgrade writes back
-                if not self.mem_port.push_wb(txn.addr, line.data):
+                if not self.mem_port.push_wb(txn.address, line.data):
                     return False
                 self._stats.cores[owner].writebacks += 1
             line.state = SHARED
         if self.touched is not None:
-            self.touched.add(txn.addr)
+            self.touched.add(txn.address)
         txn.data = line.data
-        self._stats.cores[txn.core].snoop_served_misses += 1
+        txn.data_source = owner
         return True
 
     def check_streams(self, streams: List[List[CoreOp]]) -> None:
@@ -216,12 +203,10 @@ class DirectorySimulation(Kernel):
     def _core_op(self, core: int, now: int) -> None:
         self._progress = True
         if self._access(core, self.ports[core].current, now):
-            self.decoder.submit(core, self.caches[core].miss.address, now)
+            self.decoder.submit(core, now)
 
     def _dump_lines(self) -> List[str]:
-        # per transaction: core, op, line, and the cycle it wakes (or "memory")
+        # per journey: its transaction's id and the cycle it wakes (or "memory")
         due = {txn_id: cycle for cycle, txn_id, _ in self.wake}
-        d = self.decoder
-        txns = [(t.core, self.ports[t.core].current.kind.value, hex(t.addr),
-                 due.get(t.id, "memory")) for t in d.in_flight.values()]
-        return [f"  directory: pending={d.pending} hold={d.hold} txns={txns}"]
+        wakes = [(t.id, due.get(t.id, "memory")) for t in self.decoder.in_flight.values()]
+        return [f"  directory: wake={wakes}"]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import protocol
 from .protocol import (
@@ -34,12 +34,8 @@ from .protocol import (
     READ_NO_SNOOP,
     READ_ONCE,
     STORE,
-    SnoopRequest,
     SnoopResponse,
 )
-
-if TYPE_CHECKING:
-    from .ccu import CcuTransaction
 
 WORD_BYTES = 4
 PHYS_ADDR_BITS = 32
@@ -205,28 +201,25 @@ class CacheModel:
     # -- snoop side --------------------------------------------------------
 
     def handle_snoop(
-        self, req: Union[SnoopRequest, CcuTransaction], probe_dcache: bool = True,
+        self, kind: CoherentKind, address: int, probe_dcache: bool = True,
         probe_icache: bool = False,
     ) -> Tuple[SnoopResponse, Optional[bytes]]:
-        """Apply one AC probe to this core's cache subsystem: its probe row
+        """Apply one AC probe, a snooping `kind` on the line address
+        `address`, to this core's cache subsystem: its probe row
         (`protocol.Tables.probe`) gives both structures' next states and
         the core's one CR. Data leaves on the CD channel as the bytes of
-        the line the row names.
-
-        The probe is read off `req`, any record with a snooping `kind` and
-        a line `address`: on the timed path the `ccu.CcuTransaction`
-        itself, which the CCU checked as it entered; a `SnoopRequest`
-        for a caller with no transaction.
+        the line the row names. On the timed path the probe is a
+        `ccu.Transaction`'s kind and line, which the Decoder checked as
+        it entered.
 
         The monitors are told of the line only when the view may change:
         a probed copy is valid, or the CR passes dirty (the CR in flight
         is then a copy, `sim.Simulation._in_flight_copies`)."""
-        address = req.address
         # an Invalid way reads as no copy, and its row changes nothing
         dline = self.index.get(address, _NO_WAY)[1] if probe_dcache else _NO_LINE
         iline = (self.iindex.get(address, _NO_WAY)[1] if probe_icache and self.coherent_ifetch
                  else _NO_LINE)
-        dnext, inext, resp, source = self.tables.probe[dline.state, iline.state, req.kind]
+        dnext, inext, resp, source = self.tables.probe[dline.state, iline.state, kind]
         if self.touched is not None and (
             dline.state is not INVALID or iline.state is not INVALID or resp.pass_dirty
         ):

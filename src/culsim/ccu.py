@@ -6,16 +6,18 @@ directory shares it), fans out snoops, aggregates the CR responses of
 each transaction, buffers first-responder CD data, and drains
 write-backs to memory through the bounded FIFO of its memory port. The
 kernel (`sim.Kernel`) builds the Decoder and the memory port and hands
-them in. The Decoder numbers each transaction and its in-flight table
-holds it, under its line, until it finishes; every entry of the CCU's
-queues (AC snoops, CR responses, memory reads, R bursts) carries the
+them in. The Decoder opens each `Transaction`, the one record of a
+request in flight in both timed models, from its core's pending miss,
+and its in-flight table holds it, under its line, until the kernel ends
+it at the fill (`sim.Kernel._complete`); every entry of the CCU's queues
+(AC snoops, CR responses, memory reads, R bursts) carries the
 transaction it belongs to.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cache import CacheModel
 from .memsys import MemoryPort
@@ -49,16 +51,21 @@ def mux_grant(pending: Dict[int, Tuple[int, int]], last_granted: int, n_cores: i
 
 
 @dataclass(slots=True)
-class CcuTransaction:
+class Transaction:
+    """One request in flight, in either timed model: the Decoder opens it
+    (`Decoder.grant`) and the kernel ends it at the fill. The CR fold is
+    the snoop model's, the journey the directory's."""
+
     id: int
     initiator: int
     kind: CoherentKind
-    address: int
+    address: int  # a line address
+    data: Optional[bytes] = None
+    data_source: Optional[int] = None  # the core that supplied the line, None = memory/no data
     cr_pending: int = 0
     any_is_shared: int = 0
     any_pass_dirty: int = 0
-    data: Optional[bytes] = None
-    data_source: Optional[int] = None  # first responding core, None = memory/no data
+    journey: Optional[Iterator[Optional[int]]] = field(default=None, repr=False)
 
 
 def admits(line_in_flight: bool, n_in_flight: int, capacity: int) -> bool:
@@ -68,35 +75,39 @@ def admits(line_in_flight: bool, n_in_flight: int, capacity: int) -> bool:
 
 
 class Decoder:
-    """Coherent request intake: at most one waiting request per core,
-    granted by `mux_grant`; a granted request is held until `admits`
-    lets it in, and every cycle it waits counts a stall. It queues only
-    each request's arrival and line, in `pending`, which is also the
-    table `mux_grant` reads: the rest of the request is the core's
-    pending miss, which the model reads when the request enters. The
-    transaction a request opens is numbered and recorded here alone:
+    """Coherent request intake of the cores whose caches it is built on:
+    at most one waiting request per core, granted by `mux_grant`; a
+    granted request is held until `admits` lets it in, and every cycle it
+    waits counts a stall. It queues only each request's arrival and line,
+    in `pending`, which is also the table `mux_grant` reads: the rest of
+    the request is the core's pending miss, read when the request enters.
+    The transaction a request opens is numbered and recorded here alone:
     `in_flight` maps each line in flight to its transaction."""
 
-    def __init__(self, n_cores: int, capacity: int):
-        self.n_cores = n_cores
+    def __init__(self, caches: Sequence[CacheModel], capacity: int):
+        self.caches = caches
+        self.n_cores = n_cores = len(caches)
         self.capacity = capacity
         self.pending: Dict[int, Tuple[int, int]] = {}  # core -> (arrival, line)
         self.hold: Optional[Tuple[int, int]] = None  # (core, line)
         self.last_granted = n_cores - 1
-        self.in_flight: Dict[int, object] = {}  # line -> its transaction, in grant order
+        self.in_flight: Dict[int, Transaction] = {}  # line -> its transaction, in grant order
         self.grants = 0
         self.stalls = 0
 
-    def submit(self, core: int, line: int, now: int) -> None:
+    def submit(self, core: int, now: int) -> None:
+        """Queue the request of the core's pending miss, on its line."""
         if core in self.pending:
             raise ProtocolFault(f"core {core}: coherent request while one is pending")
-        self.pending[core] = (now, line)
+        self.pending[core] = (now, self.caches[core].miss.address)
 
-    def grant(self, open_txn: Callable[[int, int, int], object]) -> Optional[object]:
-        """The transaction that enters now, built by `open_txn(grant
-        number, core, line)` and recorded in `in_flight` under its line,
-        or None when no request waits or the held one stalls; every
-        waiting request was submitted by now, so all of them compete."""
+    def grant(self) -> Optional[Transaction]:
+        """The transaction that enters now, numbered by its grant and
+        recorded in `in_flight` under its line, or None when no request
+        waits or the held one stalls; every waiting request was submitted
+        by now, so all of them compete. It enters as its miss's
+        `entry_kind`, which must be a snooping kind (a reissue row may
+        name any kind)."""
         if self.hold is None:
             if not self.pending:
                 return None
@@ -110,7 +121,10 @@ class Decoder:
         if not admits(line in self.in_flight, len(self.in_flight), self.capacity):
             self.stalls += 1
             return None
-        txn = self.in_flight[line] = open_txn(self.grants, core, line)
+        kind = self.caches[core].entry_kind()
+        if kind not in SNOOPING_KINDS:
+            raise ProtocolFault(f"core {core}: unexpected {kind.value} request")
+        txn = self.in_flight[line] = Transaction(self.grants, core, kind, line)
         self.grants += 1
         self.hold = None
         return txn
@@ -185,11 +199,11 @@ class Ccu:
             for core in range(n_cores)
         )
         # (due, txn, probe_d, probe_i) awaiting delivery per core; the
-        # transaction is the probe, whose kind and line `handle_snoop` reads
+        # transaction's kind and line are the probe `handle_snoop` takes
         self.ac_outbox: List[Deque[tuple]] = [deque() for _ in range(n_cores)]
         self.cr_inbox: Deque[tuple] = deque()  # (due, from_core, txn, resp, data)
         # (due, txn) of the R burst on its way to the initiator
-        self.r_outbox: List[Deque[Tuple[int, CcuTransaction]]] = [
+        self.r_outbox: List[Deque[Tuple[int, Transaction]]] = [
             deque() for _ in range(n_cores)]
 
     # -- request intake ------------------------------------------------------
@@ -201,15 +215,14 @@ class Ccu:
         ms = self.caches[core].miss
         if ms.kind not in SNOOPING_KINDS:
             raise ProtocolFault(f"core {core}: unexpected {ms.kind.value} request")
-        self.decoder.submit(core, ms.address, now)
+        self.decoder.submit(core, now)
 
     # -- pipeline stages -------------------------------------------------------
 
-    def decoder_step(self, now: int) -> Optional[CcuTransaction]:
+    def decoder_step(self, now: int) -> Optional[Transaction]:
         """Let at most one coherent request through the Decoder and fan
-        out its snoops. Each AC entry carries the new transaction as its
-        probe."""
-        txn = self.decoder.grant(self._open)
+        out its snoops. Each AC entry carries the new transaction."""
+        txn = self.decoder.grant()
         if txn is None:
             return None
         fanout = self.fanout[txn.initiator][txn.kind is READ_ONCE]
@@ -219,15 +232,7 @@ class Ccu:
         txn.cr_pending = len(fanout)
         return txn
 
-    def _open(self, txn_id: int, core: int, address: int) -> CcuTransaction:
-        """The transaction of the request that enters: it enters as its
-        miss's `entry_kind`, which must be a snooping kind."""
-        kind = self.caches[core].entry_kind()
-        if kind not in SNOOPING_KINDS:  # a reissue row may name any kind
-            raise ProtocolFault(f"core {core}: unexpected {kind.value} request")
-        return CcuTransaction(txn_id, core, kind, address)
-
-    def collect_cr(self, from_core: int, txn: CcuTransaction, resp: SnoopResponse,
+    def collect_cr(self, from_core: int, txn: Transaction, resp: SnoopResponse,
                    data: Optional[bytes]) -> None:
         """Fold one CR (+CD) of a core into its transaction's aggregate.
         The first responder that transfers data supplies the line: while
@@ -257,7 +262,7 @@ class Ccu:
                 ready.sort(key=lambda t: t.id)
             self.completion_step(now, ready)
 
-    def completion_step(self, now: int, ready: List[CcuTransaction]) -> None:
+    def completion_step(self, now: int, ready: List[Transaction]) -> None:
         """Move the transactions whose CRs are all in toward the R
         channel: snoop data is forwarded directly (no memory read);
         transactions with no responder data fetch the line from memory
@@ -272,7 +277,7 @@ class Ccu:
         """Issue at most one operation on the serialized memory port."""
         return self.mem_port.step(now, mem)
 
-    def memory_data(self, txn: CcuTransaction, data: bytes, now: int) -> None:
+    def memory_data(self, txn: Transaction, data: bytes, now: int) -> None:
         """The memory read of a transaction returned its line in cycle
         `now`: the completion stage sends it on in the next cycle."""
         if self.touched is not None and txn.any_pass_dirty:
@@ -280,19 +285,18 @@ class Ccu:
         txn.data = bytes(data)
         self.r_outbox[txn.initiator].append((now + 1 + self.ccu_stage, txn))
 
-    def take_r(self, core: int, now: int) -> Optional[CcuTransaction]:
+    def take_r(self, core: int, now: int) -> Optional[Transaction]:
         """Transaction whose R burst is at the initiator this cycle, if any."""
         box = self.r_outbox[core]
         if box and box[0][0] <= now:
             return box[0][1]
         return None
 
-    def finish(self, txn: CcuTransaction) -> None:
-        """Retire a transaction: the initiator consumed the R burst and
-        applied the miss; its line leaves the Decoder."""
+    def finish(self, txn: Transaction) -> None:
+        """The initiator consumed the R burst of a transaction the kernel
+        ended (`sim.Kernel._complete`): the burst leaves the R channel."""
         if self.touched is not None and txn.any_pass_dirty:
             self.touched.add(txn.address)
         box = self.r_outbox[txn.initiator]
         if box and box[0][1] is txn:
             box.popleft()
-        self.decoder.release(txn.address)

@@ -150,21 +150,6 @@ class CoreOp:
 
 
 @dataclass(frozen=True)
-class SnoopRequest:
-    """A probe on the snoop request (AC) channel, for a caller with no
-    transaction: on the timed path the CCU's transaction is the probe
-    (`cache.CacheModel.handle_snoop` reads any record with `kind` and
-    `address`), and `ccu.Ccu.decoder_step` checks its kind."""
-
-    kind: CoherentKind
-    address: int
-
-    def __post_init__(self):
-        if self.kind not in SNOOPING_KINDS:
-            raise ValueError(f"{self.kind.value} is not a snooping transaction")
-
-
-@dataclass(frozen=True)
 class SnoopResponse:
     """Snoop response (CR) bits. data_transfer=0 means no CD data follows."""
 

@@ -32,8 +32,10 @@ it, in `Kernel.__init__`, so importing this module or running without
 monitors never loads the explorer.
 
 The kernel builds the memory port and the request Decoder both models
-use; the Decoder numbers each transaction and its in-flight table holds
-it under its line. A model declares itself through the hooks `Kernel`
+use. The Decoder opens each `ccu.Transaction` from its core's miss and
+holds it under its line, and `Kernel._complete` ends it at the fill, in
+either model: it retires the miss, releases the line and counts a
+snoop-served miss. A model declares itself through the hooks `Kernel`
 lists: `_phases`, `_memory_data`, `_timed`, `_in_flight_copies` and
 `_dump_lines`. From `_timed` and the Decoder the kernel derives the next
 due cycle.
@@ -52,7 +54,7 @@ from fractions import Fraction
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .cache import CacheModel, ConfigError, CopyView, LostCopy
-from .ccu import Ccu, Decoder, ProtocolFault
+from .ccu import Ccu, Decoder, ProtocolFault, Transaction
 from .memsys import MemoryModel, MemoryPort
 from .protocol import IFETCH, INVALID, LOAD, OWNED, READ_NO_SNOOP, SHARED, STORE, CoreOp, LineState
 
@@ -264,9 +266,10 @@ class Kernel:
     coherence fabric as `_phases` (everything of a cycle before stream
     issue, `_apply_nc_fill` and `_memory_responses` included), the data
     of its memory reads as `_memory_data`, dirty data outside the caches
-    as `_in_flight_copies` and its own state as `_dump_lines`. It uses
+    as `_in_flight_copies` and its own queues as `_dump_lines`. It uses
     the kernel's `mem_port`, the MemoryPort in front of `mem`, and
-    `decoder`, the request Decoder, and declares its time: `_timed`
+    `decoder`, the request Decoder, which opens each transaction; it
+    ends each one with `_complete`, and declares its time: `_timed`
     holds, once and for good, every queue of its fabric whose entries
     start with their due cycle (none is ever rebound); besides those,
     only the Decoder and the write-back FIFO may act with no due head.
@@ -314,7 +317,7 @@ class Kernel:
             cache.touched = self.touched
         self.mem_port = MemoryPort(config.fifo_depths.writeback)
         self.mem_port.touched = self.touched
-        self.decoder = Decoder(config.n_cores, config.fifo_depths.collision_capacity)
+        self.decoder = Decoder(self.caches, config.fifo_depths.collision_capacity)
         if monitor:
             # only a monitored model loads the explorer's module, for its
             # checks; `_run_monitors` reads them off it at each call
@@ -453,6 +456,18 @@ class Kernel:
         self._ops_left -= 1
         return True
 
+    def _complete(self, txn: Transaction, state: LineState, now: int) -> bool:
+        """End a transaction at its fill (`_retire_miss`): its line leaves
+        the Decoder, and a line a core supplied counts a snoop-served
+        miss. False, with nothing changed, while the fill is refused."""
+        core = txn.initiator
+        if not self._retire_miss(core, state, txn.data, now):
+            return False
+        self.decoder.release(txn.address)
+        if txn.data_source is not None:
+            self._stats.cores[core].snoop_served_misses += 1
+        return True
+
     def _apply_nc_fill(self, core: int, now: int) -> None:
         """Fill the core's non-coherent ifetch miss with its memory data."""
         port = self.ports[core]
@@ -539,6 +554,11 @@ class Kernel:
                 f"  core {core}: current={port.current} "
                 f"miss={self.caches[core].miss} stream_left={len(port.stream)}"
             )
+        # per transaction: id, initiator, kind, line, and whether data is buffered
+        d = self.decoder
+        txns = [(t.id, t.initiator, t.kind.value, hex(t.address), t.data is not None)
+                for t in d.in_flight.values()]
+        lines.append(f"  decoder: pending={d.pending} hold={d.hold} txns={txns}")
         lines += self._dump_lines()
         lines.append(
             f"  mem: reads_queued={len(self.mem_port.read_queue)} "
@@ -706,9 +726,9 @@ class Simulation(Kernel):
         # an R completion (`r_due`: the head of the core's R channel is
         # due), then a non-coherent fill, then a due snoop, then the
         # core's load or store (a core has at most one op pending). A
-        # pending ifetch leaves the port idle and runs below. A snoop's
-        # CR leaves for the snoop unit one hop later, carrying the
-        # transaction that is its probe.
+        # pending ifetch leaves the port idle and runs below. A snoop
+        # probes with its transaction's kind and line, and its CR leaves
+        # for the snoop unit one hop later, carrying the transaction.
         ccu = self.ccu
         txn = ccu.take_r(core, now) if r_due else None
         op = port.current
@@ -718,7 +738,7 @@ class Simulation(Kernel):
             self._apply_nc_fill(core, now)
         elif acs and acs[0][0] <= now:
             _due, snoop, probe_d, probe_i = acs.popleft()
-            resp, data = cache.handle_snoop(snoop, probe_d, probe_i)
+            resp, data = cache.handle_snoop(snoop.kind, snoop.address, probe_d, probe_i)
             ccu.cr_inbox.append((now + ccu.snoop_hop, core, snoop, resp, data))
         elif op is None or cache.miss is not None:
             return
@@ -734,19 +754,17 @@ class Simulation(Kernel):
             if self._access(core, op, now):
                 ccu.submit(core, now)
 
-    def _apply_completion(self, core: int, txn, now: int) -> bool:
-        """Fill the core's miss from its R burst and finish the
-        transaction; False, the burst left waiting, while the fill is
-        refused (`_retire_miss`)."""
+    def _apply_completion(self, core: int, txn: Transaction, now: int) -> bool:
+        """Fill the core's miss from its R burst and end the transaction;
+        False, the burst left waiting, while the fill is refused
+        (`_complete`)."""
         store_follows = int(self.ports[core].current.kind is STORE)
         resp_state = self.caches[core].tables.completion[
             txn.kind, txn.any_is_shared, txn.any_pass_dirty, store_follows
         ]
-        if not self._retire_miss(core, resp_state, txn.data, now):
+        if not self._complete(txn, resp_state, now):
             return False
         self.ccu.finish(txn)
-        if txn.data_source is not None:
-            self._stats.cores[core].snoop_served_misses += 1
         return True
 
     def _memory_data(self, txn, data: bytes, now: int) -> None:
@@ -784,12 +802,6 @@ class Simulation(Kernel):
         return copies
 
     def _dump_lines(self) -> List[str]:
-        ccu = self.ccu
-        # per transaction: CRs still to come, and whether data is buffered
-        d = self.decoder
-        txns = [(t.id, t.kind.value, hex(t.address), t.cr_pending, t.data is not None)
-                for t in d.in_flight.values()]
-        return [
-            f"  ccu: pending={d.pending} hold={d.hold} txns={txns} "
-            f"ac_out={[len(q) for q in ccu.ac_outbox]}"
-        ]
+        # per transaction: its id and the CRs still to come
+        crs = [(t.id, t.cr_pending) for t in self.decoder.in_flight.values()]
+        return [f"  ccu: cr_pending={crs} ac_out={[len(q) for q in self.ccu.ac_outbox]}"]

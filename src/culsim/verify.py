@@ -1157,32 +1157,15 @@ def oracle_tables(mutations: FrozenSet[str] = frozenset(),
             violation.program = where
         violations.extend(result.violations)
 
-    initiator = {}
-    for pair in sorted(EXPECTED_INITIATOR_PAIRS, key=lambda p: (p[0].value, p[1].value)):
-        covered = pair in init_cov
-        initiator[pair] = "certified" if covered and not violations else (
-            "uncovered" if not covered else "violated"
-        )
-    for state in LineState:
-        for op in (OpKind.LOAD, OpKind.STORE, OpKind.IFETCH):
-            if (state, op) not in EXPECTED_INITIATOR_PAIRS:
-                status = "unexpectedly-reached" if (state, op) in init_cov else "unreachable-by-design"
-                initiator[(state, op)] = status
+    def status(pair, expected, covered):
+        if pair not in expected:
+            return "unexpectedly-reached" if pair in covered else "unreachable-by-design"
+        return "uncovered" if pair not in covered else "violated" if violations else "certified"
 
-    snoopee = {}
-    for state in LineState:
-        for kind in _SNOOP_KINDS:
-            pair = (state, kind)
-            if pair in UNREACHABLE_SNOOPEE_PAIRS:
-                snoopee[pair] = (
-                    "unexpectedly-reached" if pair in snoop_cov else "unreachable-by-design"
-                )
-            else:
-                covered = pair in snoop_cov
-                snoopee[pair] = "certified" if covered and not violations else (
-                    "uncovered" if not covered else "violated"
-                )
-
+    initiator = {(s, op): status((s, op), EXPECTED_INITIATOR_PAIRS, init_cov)
+                 for s in LineState for op in OpKind}
+    snoopee = {(s, k): status((s, k), EXPECTED_SNOOPEE_PAIRS, snoop_cov)
+               for s in LineState for k in _SNOOP_KINDS}
     ok = (
         not violations
         and EXPECTED_INITIATOR_PAIRS <= init_cov

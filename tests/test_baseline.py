@@ -4,8 +4,9 @@ import pytest
 
 from culsim.baseline import DirectorySimulation
 from culsim.cache import ConfigError
+from culsim.ccu import ProtocolFault
 from culsim.cli import WorkloadSpec, gen_workload
-from culsim.protocol import CoreOp, LineState, OpKind
+from culsim.protocol import CoherentKind, CoreOp, LineState, OpKind
 from culsim.sim import CoherenceViolation, DeadlockError, SimConfig, build
 from culsim import protocol, verify
 
@@ -221,7 +222,7 @@ def test_stale_owner_falls_back_to_memory():
     apply_probe = sim._apply_probe
 
     def recording_probe(txn, owner):
-        probes.append((sim.cycle, owner, sim.caches[owner].lookup(txn.addr) is not None))
+        probes.append((sim.cycle, owner, sim.caches[owner].lookup(txn.address) is not None))
         return apply_probe(txn, owner)
 
     sim._apply_probe = recording_probe
@@ -353,7 +354,7 @@ def test_watchdog_dumps_the_directory_state():
     assert str(exc.value).splitlines()[1] == "cycle 3"
     assert "core 0: current=" in str(exc.value)
     assert "core 1: current=None" in str(exc.value)
-    assert "hold=(0, 256) txns=[]" in str(exc.value)
+    assert "decoder: pending={} hold=(0, 256) txns=[]" in str(exc.value)
 
 
 def test_the_directory_dump_shows_a_journey_waiting_for_memory():
@@ -368,8 +369,24 @@ def test_the_directory_dump_shows_a_journey_waiting_for_memory():
     sim._memory_data = dumped
     sim.run([loads(0x100), []])
     (dump,) = dumps
-    assert "core 0: current=" in dump and "core 1: current=None" in dump
-    assert "txns=[(0, 'Load', '0x100', 'memory')]" in dump
+    assert "core 0: current=CoreOp(kind=<OpKind.LOAD" in dump and "core 1: current=None" in dump
+    # transaction 0, core 0's load miss on 0x100, holds no data: its journey waits for memory
+    assert "txns=[(0, 0, 'ReadShared', '0x100', False)]" in dump
+    assert "directory: wake=[(0, 'memory')]" in dump
+
+
+def test_a_request_entering_as_a_non_snooping_kind_is_refused_at_its_grant(monkeypatch):
+    # as in the snoop model: a CleanUnique whose copy an earlier upgrade
+    # took enters as its reissue row's kind, here a WriteBack
+    tables = protocol.TABLES
+    reissue = {**tables.reissue, CoherentKind.CLEAN_UNIQUE: CoherentKind.WRITE_BACK}
+    monkeypatch.setattr(protocol, "TABLES", replace(tables, reissue=reissue))
+    sim = DirectorySimulation(SimConfig(n_cores=3))
+    streams = [loads(0x40) + stores(0x40, [core + 1]) for core in range(3)]
+    with pytest.raises(ProtocolFault, match=r"^core 2: unexpected WriteBack request$"):
+        sim.run(streams)
+    assert 2 not in {txn.initiator for _due, _id, txn in sim.wake}
+    assert sim.decoder.hold == (2, 0x40)
 
 
 def test_run_requires_one_stream_per_core():

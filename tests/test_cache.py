@@ -18,7 +18,6 @@ from culsim.protocol import (
     Issue,
     LineState,
     OpKind,
-    SnoopRequest,
     UNIQUE_KINDS,
 )
 
@@ -153,7 +152,7 @@ def test_second_outstanding_miss_is_rejected():
 
 def test_snoop_miss_transfers_nothing():
     cache = make_cache()
-    resp, data = cache.handle_snoop(SnoopRequest(CoherentKind.READ_SHARED, 0x40))
+    resp, data = cache.handle_snoop(CoherentKind.READ_SHARED, 0x40)
     assert resp.data_transfer == 0 and data is None
     assert cache.miss is None
 
@@ -161,7 +160,7 @@ def test_snoop_miss_transfers_nothing():
 def test_snoop_read_unique_invalidates_and_hands_dirty_off():
     cache = make_cache()
     filled = fill(cache, 0x40, M)
-    resp, data = cache.handle_snoop(SnoopRequest(CoherentKind.READ_UNIQUE, 0x40))
+    resp, data = cache.handle_snoop(CoherentKind.READ_UNIQUE, 0x40)
     assert (resp.data_transfer, resp.pass_dirty) == (1, 1)
     assert data == filled
     assert cache.lookup(0x40) is None
@@ -171,7 +170,7 @@ def test_clean_unique_that_lost_its_copy_enters_as_read_unique():
     cache = make_cache()
     fill(cache, 0x40, S)
     cache.core_access(CoreOp(OpKind.STORE, 0x40, value=1))  # pending CleanUnique
-    cache.handle_snoop(SnoopRequest(CoherentKind.READ_UNIQUE, 0x40))
+    cache.handle_snoop(CoherentKind.READ_UNIQUE, 0x40)
     assert cache.lookup(0x40) is None
     assert cache.miss.kind is CoherentKind.CLEAN_UNIQUE  # a snoop leaves the request alone
     assert cache.entry_kind() is CoherentKind.READ_UNIQUE
@@ -183,7 +182,7 @@ def test_clean_unique_that_lost_its_copy_enters_as_read_unique():
 def test_miss_from_invalid_enters_unchanged(op, kind):
     cache = make_cache()
     cache.core_access(CoreOp(op, 0x40, value=1 if op is OpKind.STORE else None))
-    cache.handle_snoop(SnoopRequest(CoherentKind.READ_SHARED, 0x40))
+    cache.handle_snoop(CoherentKind.READ_SHARED, 0x40)
     assert cache.entry_kind() is kind and cache.miss.kind is kind
 
 
@@ -192,7 +191,7 @@ def test_stored_flags_match_protocol_next_state():
         for kind in (CoherentKind.READ_SHARED, CoherentKind.READ_UNIQUE):
             cache = make_cache()
             fill(cache, 0x40, state)
-            cache.handle_snoop(SnoopRequest(kind, 0x40))
+            cache.handle_snoop(kind, 0x40)
             hit = cache.lookup(0x40)
             from culsim.protocol import snoopee_transition
 
@@ -220,7 +219,7 @@ def test_clean_unique_completion_without_its_copy_raises_lost_copy():
     fill(cache, 0x40, S)
     store = CoreOp(OpKind.STORE, 0x40, value=1)
     cache.core_access(store)
-    cache.handle_snoop(SnoopRequest(CoherentKind.READ_UNIQUE, 0x40))
+    cache.handle_snoop(CoherentKind.READ_UNIQUE, 0x40)
     with pytest.raises(LostCopy) as exc:
         cache.miss_complete(M, None, store, True)
     assert exc.value.address == 0x40
@@ -232,7 +231,7 @@ def test_read_unique_completion_after_a_snoop_read_installs():
     cache = make_cache()
     store = CoreOp(OpKind.STORE, 0x40, value=1)
     cache.core_access(store)
-    cache.handle_snoop(SnoopRequest(CoherentKind.READ_SHARED, 0x40))
+    cache.handle_snoop(CoherentKind.READ_SHARED, 0x40)
     assert cache.miss_complete(M, bytes(16), store, True) == (None, None)
     line = cache.lookup(0x40)[1]
     assert line.state is M and word_at(line.data, 0) == 1 and cache.miss is None
@@ -352,7 +351,7 @@ def test_refill_over_stale_way_keeps_newer_copy_indexed():
     fill(cache, b, S)  # way 0
     fill(cache, a, S)  # way 1
     for addr in (a, b):
-        cache.handle_snoop(SnoopRequest(CoherentKind.READ_UNIQUE, addr))
+        cache.handle_snoop(CoherentKind.READ_UNIQUE, addr)
     load_miss(cache, a)  # refilled into way 0; way 1 keeps a's stale tag
     load_miss(cache, c)  # overwrites the stale way 1
     assert cache.lookup(a)[0] == 0
@@ -374,7 +373,7 @@ def test_a_fill_takes_the_first_free_way_else_the_round_robin_victim():
     addrs = set_addresses(cache, 2)
     for a in addrs[:3]:
         fill(cache, a, M)
-    cache.handle_snoop(SnoopRequest(CoherentKind.READ_UNIQUE, addrs[1]))  # frees way 1
+    cache.handle_snoop(CoherentKind.READ_UNIQUE, addrs[1])  # frees way 1
     # ways 1 and 3 are free: the first is taken, so no victim to refuse
     assert load_miss(cache, addrs[3], wb_room=False) == (0x11111111, None)
     assert cache.lookup(addrs[3])[0] == 1
@@ -414,7 +413,7 @@ def test_coherent_icache_lines_only_shared_or_invalid():
     for _addr, line in cache.valid_lines(icache=True):
         assert line.state is S
     cache.handle_snoop(
-        SnoopRequest(CoherentKind.READ_UNIQUE, 0x40), probe_dcache=False, probe_icache=True
+        CoherentKind.READ_UNIQUE, 0x40, probe_dcache=False, probe_icache=True
     )
     assert cache.lookup(0x40, icache=True) is None
 
@@ -423,7 +422,7 @@ def test_snoop_probes_merge_dcache_and_icache():
     cache = make_cache(coherent_ifetch=True)
     fill(cache, 0x40, S, icache=True)
     resp, data = cache.handle_snoop(
-        SnoopRequest(CoherentKind.READ_SHARED, 0x40), probe_dcache=True, probe_icache=True
+        CoherentKind.READ_SHARED, 0x40, probe_dcache=True, probe_icache=True
     )
     assert resp.is_shared == 1 and resp.data_transfer == 1
     assert data is not None
@@ -441,7 +440,7 @@ def test_snoop_answers_with_the_probe_row_of_its_tables(monkeypatch, mutation):
     cache = make_cache(coherent_ifetch=True)
     sent = {"d": fill(cache, 0x40, state, byte=0x11),
             "i": fill(cache, 0x40, S, byte=0x22, icache=True), None: None}
-    resp, data = cache.handle_snoop(SnoopRequest(kind, 0x40), probe_dcache=True,
+    resp, data = cache.handle_snoop(kind, 0x40, probe_dcache=True,
                                     probe_icache=True)
     dnext, inext, expected, source = tables.probe[state, S, kind]
     assert (resp, data) == (expected, sent[source])

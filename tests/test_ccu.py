@@ -5,19 +5,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from culsim import protocol
-from culsim.baseline import _DirTxn
 from culsim.cache import CacheLine, CacheModel, MissStatus
 from culsim.ccu import (
     Ccu,
-    CcuTransaction,
     Decoder,
     ProtocolFault,
+    Transaction,
     admits,
     mux_grant,
     snoop_targets,
 )
 from culsim.memsys import MemoryModel, MemoryPort
-from culsim.protocol import CoherentKind, CoreOp, LineState, OpKind, SnoopRequest, SnoopResponse
+from culsim.protocol import CoherentKind, CoreOp, LineState, OpKind, SnoopResponse
 from culsim.sim import CoherenceViolation, SimConfig, build
 
 RS, RU, CU, RO = (
@@ -85,9 +84,21 @@ def pending_tables(draw):
     return n_cores, pending, draw(st.integers(0, n_cores - 1))
 
 
-def entry(txn_id, core, line):
-    """The transaction a grant opens, here its (core, line)."""
-    return core, line
+def decoder_on(n_cores, capacity):
+    """A Decoder on the empty caches of `n_cores` cores."""
+    return Decoder([CacheModel(core) for core in range(n_cores)], capacity)
+
+
+def submit(decoder, core, line, now):
+    """Park a ReadShared miss on `line` in the core's cache, as its miss
+    handler does, and submit its request."""
+    decoder.caches[core].miss = MissStatus(line, RS)
+    decoder.submit(core, now)
+
+
+def entered(txn):
+    """The (core, line) of the transaction a grant opened, or None."""
+    return txn and (txn.initiator, txn.address)
 
 
 def reference_grant(pending, last_granted, n_cores):
@@ -104,11 +115,11 @@ def test_mux_grant_and_decoder_grant_pick_the_reference_winner(table):
     winner = reference_grant(pending, last_granted, n_cores)
     assert mux_grant(pending, last_granted, n_cores) == winner
     # the Decoder grants the same request, one alone included
-    decoder = Decoder(n_cores, capacity=n_cores)
+    decoder = decoder_on(n_cores, capacity=n_cores)
     decoder.last_granted = last_granted
     for core, (arrival, line) in pending.items():
-        decoder.submit(core, line, arrival)
-    assert decoder.grant(entry) == (winner, pending[winner][1])
+        submit(decoder, core, line, arrival)
+    assert entered(decoder.grant()) == (winner, pending[winner][1])
     assert decoder.last_granted == winner
     assert sorted(decoder.pending) == sorted(set(pending) - {winner})
 
@@ -122,67 +133,66 @@ def test_admits_only_a_free_line_while_the_table_has_room():
 
 
 def test_collision_empty_proceeds_and_inserts():
-    decoder = Decoder(n_cores=2, capacity=8)
-    decoder.submit(0, 0x40, now=0)
-    assert decoder.grant(entry) == (0, 0x40)
-    assert decoder.in_flight == {0x40: (0, 0x40)}
+    decoder = decoder_on(2, capacity=8)
+    submit(decoder, 0, 0x40, now=0)
+    txn = decoder.grant()
+    assert txn == Transaction(0, 0, RS, 0x40)  # read off the core's miss
+    assert decoder.in_flight == {0x40: txn}
     assert not decoder.pending and decoder.hold is None
 
 
 def test_collision_same_line_stalls():
-    decoder = Decoder(n_cores=2, capacity=8)
-    decoder.submit(0, 0x40, now=0)
-    decoder.grant(entry)
-    decoder.submit(1, 0x40, now=1)
-    assert decoder.grant(entry) is None
+    decoder = decoder_on(2, capacity=8)
+    submit(decoder, 0, 0x40, now=0)
+    decoder.grant()
+    submit(decoder, 1, 0x40, now=1)
+    assert decoder.grant() is None
     assert decoder.hold == (1, 0x40) and decoder.stalls == 1
     decoder.release(0x40)
-    assert decoder.grant(entry) == (1, 0x40)
+    assert entered(decoder.grant()) == (1, 0x40)
 
 
 def test_collision_distinct_lines_proceed():
     # each grant is numbered in order, and its transaction held under its line
-    decoder = Decoder(n_cores=2, capacity=8)
-    decoder.submit(0, 0x40, now=0)
-    decoder.submit(1, 0x50, now=0)
-
-    def numbered(txn_id, core, line):
-        return txn_id, core, line
-
-    assert decoder.grant(numbered) == (0, 0, 0x40)
-    assert decoder.grant(numbered) == (1, 1, 0x50)
-    assert decoder.in_flight == {0x40: (0, 0, 0x40), 0x50: (1, 1, 0x50)}
+    decoder = decoder_on(2, capacity=8)
+    submit(decoder, 0, 0x40, now=0)
+    submit(decoder, 1, 0x50, now=0)
+    first, second = decoder.grant(), decoder.grant()
+    assert [(t.id, t.initiator, t.address) for t in (first, second)] == [
+        (0, 0, 0x40), (1, 1, 0x50)]
+    assert decoder.in_flight == {0x40: first, 0x50: second}
     decoder.release(0x40)
-    decoder.submit(0, 0x40, now=1)
-    assert decoder.grant(numbered) == (2, 0, 0x40)
+    submit(decoder, 0, 0x40, now=1)
+    third = decoder.grant()
+    assert (third.id, third.initiator, third.address) == (2, 0, 0x40)
     assert list(decoder.in_flight) == [0x50, 0x40]  # in grant order
 
 
 def test_collision_full_table_stalls():
-    decoder = Decoder(n_cores=3, capacity=2)
+    decoder = decoder_on(3, capacity=2)
     for core, line in enumerate((0x00, 0x10, 0x20)):
-        decoder.submit(core, line, now=0)
-    assert decoder.grant(entry) and decoder.grant(entry)
-    assert decoder.grant(entry) is None
+        submit(decoder, core, line, now=0)
+    assert decoder.grant() and decoder.grant()
+    assert decoder.grant() is None
     decoder.release(0x00)
-    assert decoder.grant(entry) == (2, 0x20)
+    assert entered(decoder.grant()) == (2, 0x20)
 
 
 def test_a_lone_request_is_granted_and_rotates_the_tie_break():
-    decoder = Decoder(n_cores=3, capacity=8)
-    decoder.submit(1, 0x40, now=0)
-    assert decoder.grant(entry) == (1, 0x40)
+    decoder = decoder_on(3, capacity=8)
+    submit(decoder, 1, 0x40, now=0)
+    assert entered(decoder.grant()) == (1, 0x40)
     # core 1 was granted last, so a same-cycle tie goes to core 2 first
-    decoder.submit(0, 0x80, now=1)
-    decoder.submit(2, 0xC0, now=1)
-    assert decoder.grant(entry)[0] == 2
+    submit(decoder, 0, 0x80, now=1)
+    submit(decoder, 2, 0xC0, now=1)
+    assert decoder.grant().initiator == 2
 
 
 def test_decoder_refuses_a_second_request_from_one_core():
-    decoder = Decoder(n_cores=2, capacity=8)
-    decoder.submit(0, 0x40, now=0)
+    decoder = decoder_on(2, capacity=8)
+    submit(decoder, 0, 0x40, now=0)
     with pytest.raises(ProtocolFault, match="pending"):
-        decoder.submit(0, 0x80, now=1)
+        submit(decoder, 0, 0x80, now=1)
 
 
 # -- snoop fan-out ----------------------------------------------------------------------
@@ -209,8 +219,8 @@ def test_read_once_probes_own_dcache():
 # -- engine-level behavior -----------------------------------------------------------------
 
 def make_ccu(n_cores=2, coherent_ifetch=False, wb_depth=4, collision_capacity=8):
-    return Ccu([CacheModel(core, coherent_ifetch=coherent_ifetch) for core in range(n_cores)],
-               Decoder(n_cores, collision_capacity), MemoryPort(wb_depth))
+    caches = [CacheModel(core, coherent_ifetch=coherent_ifetch) for core in range(n_cores)]
+    return Ccu(caches, Decoder(caches, collision_capacity), MemoryPort(wb_depth))
 
 
 def request(ccu, core, kind, line, now):
@@ -247,7 +257,7 @@ def test_decoder_serializes_same_line():
     assert first is not None
     assert ccu.decoder_step(1) is None  # collision holds the second
     assert ccu.decoder.stalls >= 1
-    ccu.finish(first)
+    ccu.decoder.release(first.address)  # its fill ends it
     assert ccu.decoder_step(2) is not None
 
 
@@ -258,7 +268,7 @@ def test_capacity_one_admits_one_transaction_at_a_time():
     first = ccu.decoder_step(0)
     assert first is not None
     assert ccu.decoder_step(1) is None
-    ccu.finish(first)
+    ccu.decoder.release(first.address)  # its fill ends it
     assert ccu.decoder_step(2) is not None
 
 
@@ -370,7 +380,7 @@ def test_submit_refuses_kinds_no_cache_sends(kind):
 def test_a_queued_clean_unique_that_lost_its_copy_enters_as_read_unique():
     ccu = make_ccu()
     upgrade(ccu, 0, 0x40, now=0)
-    ccu.caches[0].handle_snoop(SnoopRequest(RU, 0x40))  # another core's snoop takes the copy
+    ccu.caches[0].handle_snoop(RU, 0x40)  # another core's snoop takes the copy
     txn = ccu.decoder_step(1)
     assert txn.kind is RU and ccu.caches[0].miss.kind is RU
     # its snoops go out as ReadUnique too
@@ -384,15 +394,16 @@ def test_a_held_clean_unique_that_lost_its_copy_enters_as_read_unique():
     upgrade(ccu, 1, 0x40, now=0)
     assert ccu.decoder_step(1) is None and ccu.decoder.hold == (1, 0x40)
     _due, txn, probe_d, probe_i = ccu.ac_outbox[1].popleft()
-    ccu.caches[1].handle_snoop(txn, probe_d, probe_i)  # core 0's ReadUnique takes the copy
-    ccu.finish(first)
+    # core 0's ReadUnique takes the copy
+    ccu.caches[1].handle_snoop(txn.kind, txn.address, probe_d, probe_i)
+    ccu.decoder.release(first.address)  # its fill ends it
     assert ccu.decoder_step(2).kind is RU
 
 
 def test_a_request_entering_as_a_non_snooping_kind_is_refused_before_its_snoops():
     ccu = make_ccu()
     upgrade(ccu, 0, 0x40, now=0)
-    ccu.caches[0].handle_snoop(SnoopRequest(RU, 0x40))  # the CleanUnique loses its copy
+    ccu.caches[0].handle_snoop(RU, 0x40)  # the CleanUnique loses its copy
     cache = ccu.caches[0]
     cache.tables = replace(cache.tables, reissue={**cache.tables.reissue,
                                                   CU: CoherentKind.WRITE_BACK})
@@ -403,9 +414,8 @@ def test_a_request_entering_as_a_non_snooping_kind_is_refused_before_its_snoops(
 
 def test_per_event_records_are_slotted():
     records = (
-        CcuTransaction(0, 0, RS, 0x40),
+        Transaction(0, 0, RS, 0x40),
         MissStatus(0x40, RS),
-        _DirTxn(0, 0, 0x40),
         CacheLine(),
     )
     for record in records:
@@ -415,7 +425,7 @@ def test_per_event_records_are_slotted():
 def test_a_clean_unique_that_keeps_its_copy_enters_unchanged():
     ccu = make_ccu()
     upgrade(ccu, 0, 0x40, now=0)
-    ccu.caches[0].handle_snoop(SnoopRequest(RS, 0x40))  # a read leaves the copy Shared
+    ccu.caches[0].handle_snoop(RS, 0x40)  # a read leaves the copy Shared
     assert ccu.decoder_step(1).kind is CU
 
 
@@ -423,7 +433,7 @@ def test_without_the_reissue_row_a_clean_unique_that_lost_its_copy_stays_one(mon
     monkeypatch.setattr(protocol, "TABLES", protocol.TABLES.mutated({"reissue:disabled"}))
     ccu = make_ccu()
     upgrade(ccu, 0, 0x40, now=0)
-    ccu.caches[0].handle_snoop(SnoopRequest(RU, 0x40))
+    ccu.caches[0].handle_snoop(RU, 0x40)
     assert ccu.decoder_step(1).kind is CU
     # in a run, both cores read one line and then upgrade it: the later
     # CleanUnique loses its copy to the earlier one, enters unchanged and

@@ -2,13 +2,14 @@
 After every step of both models, at collision capacity 1 and 8, every
 transaction a queue holds is the one the table holds under its line,
 every transaction in the table is in some queue, and the table holds
-each transaction under its own line."""
+under each line a `ccu.Transaction` of that line, whose kind is its
+initiator's pending miss's."""
 from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
 
 from culsim.baseline import DirectorySimulation
-from culsim.ccu import CcuTransaction
+from culsim.ccu import Transaction
 from culsim.sim import _Port, build
 
 from test_cache_index import runs
@@ -30,10 +31,6 @@ def queued(sim):
     return txns + [txn for box in ccu.r_outbox for _due, txn in box]
 
 
-def line_of(txn):
-    return txn.address if isinstance(txn, CcuTransaction) else txn.addr
-
-
 def checked_every_step(sim):
     step = sim.step
 
@@ -42,10 +39,12 @@ def checked_every_step(sim):
         in_flight = sim.decoder.in_flight
         txns = queued(sim)
         for txn in txns:
-            assert in_flight.get(line_of(txn)) is txn, f"cycle {sim.cycle}: {txn}"
+            assert in_flight.get(txn.address) is txn, f"cycle {sim.cycle}: {txn}"
         assert {id(t) for t in in_flight.values()} == {id(t) for t in txns}
         for line, txn in in_flight.items():
-            assert line_of(txn) == line
+            assert isinstance(txn, Transaction), f"cycle {sim.cycle}: {txn}"
+            miss = sim.caches[txn.initiator].miss
+            assert (txn.kind, txn.address) == (miss.kind, miss.address) and line == miss.address
 
     sim.step = step_and_check
     return sim

@@ -13,7 +13,6 @@ from culsim.protocol import (
     MUTATIONS,
     OpKind,
     SNOOPING_KINDS,
-    SnoopRequest,
     SnoopResponse,
     TABLES,
     Tables,
@@ -323,9 +322,3 @@ def test_core_op_validation():
         CoreOp(OpKind.STORE, 0x40)
     with pytest.raises(ValueError):
         CoreOp(OpKind.LOAD, 0x40, value=1)
-
-
-def test_snoop_request_rejects_non_snooping_kinds():
-    SnoopRequest(RS, 0x40)
-    with pytest.raises(ValueError):
-        SnoopRequest(CoherentKind.WRITE_BACK, 0x40)

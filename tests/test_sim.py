@@ -414,7 +414,7 @@ def test_watchdog_detects_wedged_pipeline():
 
 
 def test_the_snoop_dump_shows_a_transaction_waiting_for_memory():
-    # each transaction shows its CRs still to come and whether data is buffered
+    # each transaction shows whether data is buffered and its CRs still to come
     sim = build(SimConfig())
     dumps = []
     memory_data = sim._memory_data
@@ -426,7 +426,8 @@ def test_the_snoop_dump_shows_a_transaction_waiting_for_memory():
     sim._memory_data = dumped
     sim.run([loads(0x100), []])
     (dump,) = dumps
-    assert "txns=[(0, 'ReadShared', '0x100', 0, False)]" in dump
+    assert "txns=[(0, 0, 'ReadShared', '0x100', False)]" in dump
+    assert "ccu: cr_pending=[(0, 0)]" in dump
 
 
 def test_run_requires_one_stream_per_core():

@@ -17,8 +17,8 @@ hold without one.
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from culsim.ccu import CcuTransaction
-from culsim.protocol import CoherentKind, CoreOp, OpKind
+from culsim.ccu import Transaction
+from culsim.protocol import READ_ONCE, CoherentKind, CoreOp, OpKind
 from culsim.sim import SimConfig, build
 from test_cache_index import LINES, one_at_a_time, runs
 
@@ -26,8 +26,9 @@ from test_cache_index import LINES, one_at_a_time, runs
 def watched(sim):
     """Check every snoop as a cache takes it: none may reach a core on a
     line whose own transaction is in flight, unless it is that
-    transaction's. The probe a cache is handed on the timed path is the
-    snooping transaction itself. Returns the list of the snoops checked."""
+    transaction's own sibling probe, of its kind and with the probe flags
+    its fan-out gives its initiator (another core's probe always differs
+    in them). Returns the (kind, line) of each snoop checked."""
     checked = []
     for core, cache in enumerate(sim.caches):
         cache.handle_snoop = _checking(sim, core, cache.handle_snoop, checked)
@@ -35,15 +36,16 @@ def watched(sim):
 
 
 def _checking(sim, core, handle_snoop, checked):
-    def checked_snoop(snooper, probe_dcache=True, probe_icache=False):
-        checked.append(snooper)
-        txn = sim.decoder.in_flight.get(snooper.address)
+    def checked_snoop(kind, address, probe_dcache=True, probe_icache=False):
+        checked.append((kind, address))
+        txn = sim.decoder.in_flight.get(address)
         if txn is not None and txn.initiator == core:
-            assert txn is snooper, (
-                f"cycle {sim.cycle}: txn {snooper.id} snoops core {core} on "
-                f"{snooper.address:#x} while the core's own txn {txn.id} is in flight"
+            sibling = (core, probe_dcache, probe_icache)
+            assert kind is txn.kind and sibling in sim.ccu.fanout[core][kind is READ_ONCE], (
+                f"cycle {sim.cycle}: a {kind.value} snoop reaches core {core} on "
+                f"{address:#x} while the core's own txn {txn.id} is in flight"
             )
-        return handle_snoop(snooper, probe_dcache, probe_icache)
+        return handle_snoop(kind, address, probe_dcache, probe_icache)
 
     return checked_snoop
 
@@ -71,8 +73,8 @@ def test_the_watcher_trips_on_a_planted_foreign_snoop():
     (own,) = sim.decoder.in_flight.values()
     assert own.initiator == 0 and not sim.ccu.ac_outbox[0]
     # another core's transaction on the same line reaches core 0 now
-    foreign = CcuTransaction(own.id + 1, 1, CoherentKind.READ_UNIQUE, own.address)
+    foreign = Transaction(own.id + 1, 1, CoherentKind.READ_UNIQUE, own.address)
     sim.ccu.ac_outbox[0].append((sim.cycle, foreign, True, False))
     with pytest.raises(AssertionError, match="while the core's own txn"):
         sim.step()
-    assert checked == [foreign]
+    assert checked == [(CoherentKind.READ_UNIQUE, own.address)]
