@@ -209,12 +209,10 @@ class Ccu:
     # -- request intake ------------------------------------------------------
 
     def submit(self, core: int, now: int) -> None:
-        """Accept the snooping request of a core's pending miss; it waits
-        for the decoder. A non-coherent ifetch fill (`sim.Kernel._access`)
-        and write-backs (mem_port.push_wb) bypass this path."""
-        ms = self.caches[core].miss
-        if ms.kind not in SNOOPING_KINDS:
-            raise ProtocolFault(f"core {core}: unexpected {ms.kind.value} request")
+        """Accept the request of a core's pending miss; it waits for the
+        decoder, whose grant refuses a kind that does not snoop. A
+        non-coherent ifetch fill (`sim.Kernel._access`) and write-backs
+        (mem_port.push_wb) bypass this path."""
         self.decoder.submit(core, now)
 
     # -- pipeline stages -------------------------------------------------------

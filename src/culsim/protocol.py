@@ -298,7 +298,15 @@ class Tables:
         probe[dstate, istate, kind]                 -> (dnext, inext, CR, data from "d"/"i"/None)
 
     `probe` is no field: `probe_rows` derives it from `snoopee` as a Tables is built.
-    An initiator row on Invalid must issue: a Hit there is refused.
+    Three kinds of row are refused, each by name:
+
+    * an initiator row on Invalid that hits: a hit needs a valid line;
+    * a Store row that issues ReadOnce, and a reissue row that maps a
+      kind some Store row issues to ReadOnce: a ReadOnce fills the
+      instruction cache, and a store writes the data cache;
+    * a snoopee row on Invalid whose next state is valid or whose CR has
+      a bit set: an Invalid line has nothing to give or to change, and
+      the explorer writes only valid slots on a snoop.
     """
 
     initiator: Mapping
@@ -307,10 +315,28 @@ class Tables:
     reissue: Mapping
 
     def __post_init__(self):
+        store_kinds = set()
         for (state, op), row in self.initiator.items():
             if state is INVALID and isinstance(row, Hit):
                 raise ValueError(f"initiator row ({state.value}, {op.value}) -> "
                                  f"Hit({row.next.value}): a hit needs a valid line")
+            if op is STORE and isinstance(row, Issue):
+                if row.kind is READ_ONCE:
+                    raise ValueError(f"initiator row ({state.value}, {op.value}) -> "
+                                     f"Issue(ReadOnce): a ReadOnce fills the icache, "
+                                     f"not the data cache a store writes")
+                store_kinds.add(row.kind)
+        for kind, reissued in self.reissue.items():
+            if kind in store_kinds and reissued is READ_ONCE:
+                raise ValueError(f"reissue row {kind.value} -> ReadOnce: a Store row issues "
+                                 f"{kind.value}, and a ReadOnce fills the icache, "
+                                 f"not the data cache a store writes")
+        for (state, kind), (nxt, resp) in self.snoopee.items():
+            if state is INVALID and (nxt is not INVALID or resp.data_transfer
+                                     or resp.pass_dirty or resp.is_shared):
+                raise ValueError(f"snoopee row ({state.value}, {kind.value}) -> "
+                                 f"({nxt.value}, {resp}): a snoop changes nothing "
+                                 f"on an Invalid line")
         for f in fields(self):
             object.__setattr__(self, f.name, MappingProxyType(dict(getattr(self, f.name))))
         object.__setattr__(self, "probe", MappingProxyType(probe_rows(self.snoopee)))

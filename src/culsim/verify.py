@@ -10,7 +10,9 @@ Three layers:
 * explore() enumerates every interleaving of an untimed abstraction of
   the protocol over tiny programs by one breadth-first search,
   deduplicated by canonical state, and checks the single-writer and
-  data-value invariants in every reachable state. Two partial-order
+  data-value invariants in every reachable state: once per distinct
+  state tail (line slots, collision mask and write-back FIFO), all the
+  checks read, on the first state that has it. Two partial-order
   rules (`_Machine.reduced`) keep every outcome, deadlock, violation and
   coverage pair but visit fewer states: a snoop that finds no copy and
   cannot find one later runs inside the accept or eviction that makes it
@@ -274,6 +276,28 @@ def _coded_tables(mutations: FrozenSet[str]) -> tuple:
     return initiator, probe, completion, reissue, carries_data
 
 
+@lru_cache(maxsize=None)
+def _config_tables(n_cores: int, coherent_ifetch: bool, collision_capacity: int) -> tuple:
+    """The lookups a machine reads off its configuration alone, once per
+    configuration."""
+    # admit[mask of lines in flight][line] -> the Decoder lets the miss in
+    admit = tuple(
+        tuple(admits(mask >> line & 1, bin(mask).count("1"), collision_capacity)
+              for line in range(MAX_LINES))
+        for mask in range(1 << MAX_LINES)
+    )
+    # fanout[core][kind] -> ((target, probe_d, probe_i), ...) in probe
+    # order; an ifetch miss (ReadOnce) comes from the icache
+    fanout = tuple(
+        (None,) + tuple(
+            snoop_targets(core, n_cores, coherent_ifetch, kind is CoherentKind.READ_ONCE)
+            for kind in _KINDS[1:]
+        )
+        for core in range(n_cores)
+    )
+    return admit, fanout
+
+
 class _Machine:
     """Untimed abstraction of one bounded protocol instance."""
 
@@ -314,22 +338,8 @@ class _Machine:
         # int-coded rows of `protocol.TABLES` under the configured mutations
         (self.initiator, self.probe, self.completion, self.reissue,
          self.carries_data) = _coded_tables(frozenset(config.mutations))
-        # admit[mask of lines in flight][line] -> the Decoder lets the miss in
-        self.admit = tuple(
-            tuple(admits(mask >> line & 1, bin(mask).count("1"), config.collision_capacity)
-                  for line in range(MAX_LINES))
-            for mask in range(1 << MAX_LINES)
-        )
-        # fanout[core][kind] -> ((target, probe_d, probe_i), ...) in probe
-        # order; an ifetch miss (ReadOnce) comes from the icache
-        self.fanout = tuple(
-            (None,) + tuple(
-                snoop_targets(core, config.n_cores, config.coherent_ifetch,
-                              kind is CoherentKind.READ_ONCE)
-                for kind in _KINDS[1:]
-            )
-            for core in range(config.n_cores)
-        )
+        self.admit, self.fanout = _config_tables(
+            config.n_cores, config.coherent_ifetch, config.collision_capacity)
 
         n, width = config.n_cores, 2 + 4 * config.n_cores
         *self.core_at, self.tail_at = accumulate(
@@ -354,7 +364,6 @@ class _Machine:
         # (core, offset of its slots, op count, lone_miss row) in successor order
         self.dispatch = tuple(zip(range(n), self.core_at, map(len, self.ops), lone_miss))
         self._line_checks: Dict[tuple, Tuple[tuple, tuple, tuple]] = {}
-        self._tail_checks: Dict[bytes, Tuple[str, ...]] = {}
 
     def _silent_table(self) -> tuple:
         """silent[core][kind][line] -> per entry j of the fan-out: (bit j,
@@ -405,13 +414,11 @@ class _Machine:
 
     def state_violations(self, state: bytes) -> Tuple[str, ...]:
         """SWMR messages of every line by address, then stale-copy
-        messages, then lost-write messages, memoized on the state's tail
-        (line slots, collision mask and write-back FIFO), all they read. A
-        new tail is checked per line, memoized on the line and its slots."""
-        tail = state[self.tail_at:]
-        messages = self._tail_checks.get(tail)
-        if messages is not None:
-            return messages
+        messages, then lost-write messages. They read only the state's
+        tail (line slots, collision mask and write-back FIFO), so
+        `explore` calls this once per distinct tail, on its first state.
+        Each line is checked once per machine, memoized on the line and
+        its slots."""
         # the collision mask is exactly the lines with an accepted miss:
         # accept sets a line's bit, completion clears it, and a
         # line in the mask admits no second accept
@@ -429,9 +436,7 @@ class _Machine:
                 found = memo[key] = self._line_violations(*key)
             if found[0] or found[1] or found[2]:
                 parts.append(found)
-        messages = self._tail_checks[tail] = tuple(
-            msg for i in (0, 1, 2) for found in parts for msg in found[i])
-        return messages
+        return tuple(msg for i in (0, 1, 2) for found in parts for msg in found[i])
 
     def _line_violations(self, line: int, slots: bytes, in_flight: int,
                          in_wb: int) -> Tuple[tuple, tuple, tuple]:
@@ -472,13 +477,14 @@ class _Machine:
         its icache holds Invalid with coherent ifetch on, and the table
         row (Invalid, op) misses, with any kind. The issue reads the
         core's pc, its idle miss slot and that Invalid slot. No other
-        core's step changes these: a probe row writes only a valid slot,
-        only the core's own completion fills or evicts its lines, and the
-        core is idle. The issue writes only the core's miss kind and
-        line; another core reads those only once the miss has a snoop
-        mask (`_complete`'s eviction settle). So the issue commutes with
-        every other step and leaves the state tail, all the invariant
-        checks read, unchanged. It stays enabled until taken, and no issue
+        core's step changes these: a probe row writes only a valid slot
+        (`protocol.Tables` refuses an Invalid snoopee row that changes
+        the state), only the core's own completion fills or evicts its
+        lines, and the core is idle. The issue writes only the core's
+        miss kind and line; another core reads those only once the miss
+        has a snoop mask (`_complete`'s eviction settle). So the issue
+        commutes with every other step and leaves the state tail, all the
+        invariant checks read, unchanged. It stays enabled until taken, and no issue
         lies on a cycle since a core's pc never decreases.
         Taking it alone keeps every outcome, deadlock and violation (the
         ample-set conditions of Peled, CAV 1993)."""
@@ -519,7 +525,9 @@ class _Machine:
 
         Such a snoop does what `_snoop` does when it finds no copy: it
         clears its bit of the initiator's mask and records the (Invalid,
-        kind) coverage pair, and changes no cache slot.
+        kind) coverage pair, and changes no cache slot and no miss flag,
+        since `protocol.Tables` refuses an Invalid snoopee row whose next
+        state is valid or whose CR has a bit set.
         While the line is in flight the collision rule admits no other
         miss on it, so no other step can give the target a copy or read
         that bit: the snoop stays silent and commutes with every step. It
@@ -745,12 +753,14 @@ def explore(
 
     States are expanded in discovery order, each one's successors in
     `successors()` order, and every state keeps the index of the state
-    that discovered it. A silent snoop runs inside the step that makes
-    it silent, and a lone miss is a state's only successor, so the
-    other interleavings of those steps are not visited. A counterexample
-    trace is the parent chain of the violation's first sighting, so it is
-    the shortest one in this reduced graph and, among those, the first
-    found; it names no silent snoop. `config.state_budget` counts the
+    that discovered it. The invariant checks read only a state's tail, so
+    after the search they run once per distinct tail, on the first state
+    that has it: the first sighting of each problem they find. A silent
+    snoop runs inside the step that makes it silent, and a lone miss is a
+    state's only successor, so the other interleavings of those steps
+    are not visited. A counterexample trace is the parent chain of the
+    violation's first sighting, so it is the shortest one in this reduced
+    graph and, among those, the first found; it names no silent snoop. `config.state_budget` counts the
     states of the reduced graph, and a cut keeps the first states in
     breadth-first order. `workers` is validated and otherwise ignored:
     the search runs in this process.
@@ -758,20 +768,22 @@ def explore(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     machine = _Machine(programs, config, init_mem)
-    successors, state_violations = machine.successors, machine.state_violations
+    successors, tail_at = machine.successors, machine.tail_at
     root = machine.initial()
     seen = {root}
     order = [root]  # every state in breadth-first order
     parent = array("I", [0])  # index in `order` of each state's discoverer
+    # index in `order` of the first state with each distinct tail, in
+    # index order: the tail is all the invariant checks read
+    tails = {root[tail_at:]: 0}
     # first sighting per descriptor: (state index, label of the step out of
     # it or None); a deadlock has no trace
     first: Dict[Tuple[str, str], Optional[tuple]] = {}
     outcomes: Set[tuple] = set()
     exhausted = True
 
-    for problem in state_violations(root):
-        first.setdefault(("invariant", problem), (0, None))
     add, append_state, append_parent = seen.add, order.append, parent.append
+    first_with_tail = tails.setdefault
     for i, current in enumerate(order):  # `order` grows while it is walked
         succs = successors(current)
         if not succs:
@@ -782,17 +794,21 @@ def explore(
         for label, succ, note in succs:
             if note:
                 first.setdefault(("stale-data", note), (i, label))
-            n_seen = len(seen)
-            add(succ)  # one hash per probe: a new state grows the set
-            if len(seen) > n_seen:
-                for problem in state_violations(succ):
-                    first.setdefault(("invariant", problem), (len(order), None))
-                append_state(succ)
-                append_parent(i)
+            if succ in seen:
+                continue
+            add(succ)
+            first_with_tail(succ[tail_at:], len(order))
+            append_state(succ)
+            append_parent(i)
         if len(order) > config.state_budget and i + 1 < len(order):
             exhausted = False
             break
 
+    # tails in index order, so each problem keeps its lowest state index
+    state_violations = machine.state_violations
+    for index in tails.values():
+        for problem in state_violations(order[index]):
+            first.setdefault(("invariant", problem), (index, None))
     violations = [Violation(kind, detail) for kind, detail in sorted(first)]
     if violations and exhausted:
         _attach_traces(machine, order, parent, first, violations)

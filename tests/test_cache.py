@@ -125,6 +125,12 @@ def test_every_initiator_row_reaches_the_cache(state, op, coherent_ifetch):
     for row in rows:
         if row == protocol.TABLES.initiator[state, op]:
             continue
+        if op is OpKind.STORE and row == Issue(CoherentKind.READ_ONCE):
+            # a ReadOnce fills the icache, not the data cache a store writes
+            with pytest.raises(ValueError, match=rf"initiator row \({state.value}, Store\) "
+                                                 r"-> Issue\(ReadOnce\)"):
+                with_initiator_row(state, op, row)
+            continue
         cache = make_cache(coherent_ifetch=coherent_ifetch)
         cache.tables = with_initiator_row(state, op, row)
         if state is not I:

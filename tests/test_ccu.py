@@ -368,11 +368,14 @@ def test_submit_sends_snooping_kinds_to_the_decoder():
                                   CoherentKind.READ_NO_SNOOP])
 def test_submit_refuses_kinds_no_cache_sends(kind):
     # write-backs go through mem_port.push_wb and a non-coherent ifetch
-    # fill straight to the memory port (sim.Kernel), never through submit
+    # fill straight to the memory port (sim.Kernel), never through submit;
+    # the Decoder's grant is the one point that refuses such a request
     ccu = make_ccu()
-    with pytest.raises(ProtocolFault, match=kind.value):
-        request(ccu, 0, kind, 0x40, now=0)
-    assert not ccu.decoder.pending and not ccu.mem_port.read_queue
+    request(ccu, 0, kind, 0x40, now=0)
+    with pytest.raises(ProtocolFault, match=f"core 0: unexpected {kind.value} request"):
+        ccu.decoder_step(0)
+    assert not ccu.decoder.in_flight and not any(ccu.ac_outbox)
+    assert not ccu.mem_port.read_queue
 
 
 # -- the entry rule: a request is read off its miss as it enters ------------------------

@@ -305,6 +305,42 @@ def test_tables_refuse_a_hit_on_invalid(op):
         Tables(rows, TABLES.snoopee, TABLES.completion, TABLES.reissue)
 
 
+@pytest.mark.parametrize("state", list(LineState), ids=lambda state: state.value)
+def test_tables_refuse_a_store_row_that_issues_read_once(state):
+    # a ReadOnce fills the icache, so the store would find no line to write
+    rows = {**TABLES.initiator, (state, OpKind.STORE): Issue(RO)}
+    message = (f"initiator row ({state.value}, Store) -> Issue(ReadOnce): a ReadOnce "
+               f"fills the icache, not the data cache a store writes")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Tables(rows, TABLES.snoopee, TABLES.completion, TABLES.reissue)
+
+
+@pytest.mark.parametrize("kind", [RU, CU], ids=lambda kind: kind.value)
+def test_tables_refuse_a_reissue_row_that_turns_a_store_miss_into_read_once(kind):
+    rows = {**TABLES.reissue, kind: RO}
+    message = (f"reissue row {kind.value} -> ReadOnce: a Store row issues {kind.value}, "
+               f"and a ReadOnce fills the icache, not the data cache a store writes")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Tables(TABLES.initiator, TABLES.snoopee, TABLES.completion, rows)
+    # a kind no Store row issues may enter as ReadOnce
+    Tables(TABLES.initiator, TABLES.snoopee, TABLES.completion, {**TABLES.reissue, RS: RO})
+
+
+@pytest.mark.parametrize("row", [(S, SnoopResponse()), (I, SnoopResponse(1, 0, 0)),
+                                 (I, SnoopResponse(0, 1, 0)), (I, SnoopResponse(0, 0, 1))],
+                         ids=["valid-next", "data", "pass-dirty", "shared"])
+@pytest.mark.parametrize("kind", sorted(SNOOPING_KINDS, key=lambda k: k.value),
+                         ids=lambda kind: kind.value)
+def test_tables_refuse_an_invalid_snoopee_row_that_changes_anything(kind, row):
+    # the explorer's snoop writes only valid slots and folds a snoop that
+    # finds no copy as changing nothing, where the caches apply the row
+    rows = {**TABLES.snoopee, (I, kind): row}
+    message = (f"snoopee row (I, {kind.value}) -> ({row[0].value}, {row[1]}): "
+               f"a snoop changes nothing on an Invalid line")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Tables(TABLES.initiator, rows, TABLES.completion, TABLES.reissue)
+
+
 def test_mutated_with_no_ids_equals_the_clean_tables():
     assert TABLES.mutated(()) == TABLES
     # probe is derived from snoopee, not a field that == or mutated reads;

@@ -795,6 +795,26 @@ def test_explore_searches_the_state_space_once(mutation, monkeypatch):
     assert calls <= allowed
 
 
+@pytest.mark.parametrize("mutation", SHIPPED_MUTATIONS)
+def test_explore_checks_each_distinct_tail_once(mutation, monkeypatch):
+    # the invariant checks read only a state's tail, so the search checks
+    # one state per distinct tail among the reachable states
+    checked = []
+    state_violations = _Machine.state_violations
+
+    def counted(self, state):
+        checked.append(state[self.tail_at:])
+        return state_violations(self, state)
+
+    monkeypatch.setattr(_Machine, "state_violations", counted)
+    for programs, cfg in _mutation_cases(mutation):
+        checked.clear()
+        assert explore(programs, cfg).exhausted
+        machine = _Machine(programs, cfg)
+        tails = {state[machine.tail_at:] for state in _reachable(machine)}
+        assert len(checked) == len(tails) and set(checked) == tails
+
+
 def test_unknown_mutation_rejected():
     with pytest.raises(ValueError, match="unknown mutation"):
         ExploreConfig(mutations=frozenset({"snoopee:bogus"}))
