@@ -9,6 +9,15 @@ model's `ccu.Decoder` (same mux, same per-line serialization, same
 stall count), so measured differences come from protocol structure
 rather than tuned constants.
 
+The directory runs the protocol's rows, not rules of its own: the
+forward to the owner and each sharer's invalidation are a
+`CacheModel.handle_snoop` by the snoopee row, the owner's CR folds into
+the transaction (`ccu.Transaction.fold`), whose IsShared the lookup
+sets when the line has an owner or a sharer, and `Kernel._complete`
+installs by the completion row. One rule is MESI's own, since MESI has
+no Owned state: an owner that its row leaves Owned writes its line back
+and stays Shared (`_forward`).
+
 The cores, memory port, Decoder, op accounting, the fill of every miss
 (`Kernel._retire_miss`, the non-coherent ifetch fill included) and run
 loop come from `sim.Kernel`, shared with the snoop simulator, so SimStats
@@ -37,17 +46,8 @@ from heapq import heappop, heappush
 from typing import Iterator, List, Optional, Tuple
 
 from .cache import ConfigError
-from .ccu import Transaction
-from .protocol import (
-    CoreOp,
-    DATA_KINDS,
-    EXCLUSIVE,
-    IFETCH,
-    INVALID,
-    MODIFIED,
-    SHARED,
-    STORE,
-)
+from .ccu import ProtocolFault, Transaction
+from .protocol import CoreOp, DATA_KINDS, IFETCH, INVALID, OWNED, SHARED, STORE
 from .sim import Kernel, SimConfig
 
 
@@ -117,28 +117,23 @@ class DirectorySimulation(Kernel):
         yield hop  # requester -> home
         yield self.config.latencies.ccu_stage  # directory lookup
         owner, sharers = self._holders(txn.address)
-        store = self.ports[core].current.kind is STORE
-        if store:
-            state = MODIFIED
-        elif owner is None and not sharers:
-            state = EXCLUSIVE
-        else:
-            state = SHARED
+        txn.any_is_shared = 1 if owner is not None or sharers else 0
         if owner not in (None, core):
             yield hop  # home -> owner
-            while not self._apply_probe(txn, owner):
+            while not self._forward(txn, owner):
                 yield 1
-        elif store:
+        elif self.ports[core].current.kind is STORE:
             for sharer in sharers:
                 if sharer == core:
                     continue
                 yield hop  # home -> sharer
-                self._apply_invalidate(txn, sharer)
+                # its snoopee row; an invalidation's ack carries no data
+                self.caches[sharer].handle_snoop(txn.kind, txn.address)
                 yield hop  # its acknowledgement -> home
         if txn.data is None and txn.kind in DATA_KINDS:
             yield None  # memory read
         yield hop  # -> requester
-        while not self._complete(txn, state, self.cycle):
+        while not self._complete(txn, self.cycle):
             yield 1
 
     def _holders(self, addr: int) -> Tuple[Optional[int], List[int]]:
@@ -156,37 +151,29 @@ class DirectorySimulation(Kernel):
                     owner = core
         return owner, sharers
 
-    def _apply_invalidate(self, txn: Transaction, target: int) -> None:
-        hit = self.caches[target].index.get(txn.address)  # `txn.address` is a line address
-        if hit is not None and hit[1].state is not INVALID:
-            if self.touched is not None:
-                self.touched.add(txn.address)
-            hit[1].state = INVALID
-
-    def _apply_probe(self, txn: Transaction, owner: int) -> bool:
-        """Forward the request to the owner found at lookup, which supplies
-        the line cache to cache: a read downgrades the owner to Shared (its
-        dirty data queues for memory; False while the write-back FIFO is
-        full), a write invalidates it, and the owner is the data source. A
-        stale owner (it evicted the line since the lookup) leaves
-        `txn.data` empty, for memory to fill."""
-        hit = self.caches[owner].index.get(txn.address)  # `txn.address` is a line address
+    def _forward(self, txn: Transaction, owner: int) -> bool:
+        """Forward the request to the owner found at lookup: it answers by
+        its snoopee row (`CacheModel.handle_snoop`) and its CR folds into
+        the transaction, so it supplies the line cache to cache. A stale
+        owner (it evicted the line since the lookup) leaves `txn.data`
+        empty, for memory to fill. MESI has no Owned state: an owner that
+        its row leaves Owned writes its line back and stays Shared. False,
+        with nothing changed, while that write-back finds the FIFO full."""
+        cache = self.caches[owner]
+        hit = cache.index.get(txn.address)  # `txn.address` is a line address
         if hit is None or hit[1].state is INVALID:
             return True
         line = hit[1]
-        if self.ports[txn.initiator].current.kind is STORE:
-            line.state = INVALID
-        else:
-            if line.state is MODIFIED:
-                # MESI has no dirty-shared state: the downgrade writes back
-                if not self.mem_port.push_wb(txn.address, line.data):
-                    return False
-                self._stats.cores[owner].writebacks += 1
+        if (cache.tables.snoopee[line.state, txn.kind][0] is OWNED
+                and self.mem_port.wb_full()):
+            return False
+        resp, data = cache.handle_snoop(txn.kind, txn.address)
+        txn.fold(owner, resp, data)
+        if line.state is OWNED:
+            if not self.mem_port.push_wb(txn.address, line.data):
+                raise ProtocolFault("write-back refused after feasibility check")
+            self._stats.cores[owner].writebacks += 1
             line.state = SHARED
-        if self.touched is not None:
-            self.touched.add(txn.address)
-        txn.data = line.data
-        txn.data_source = owner
         return True
 
     def check_streams(self, streams: List[List[CoreOp]]) -> None:

@@ -53,8 +53,10 @@ def mux_grant(pending: Dict[int, Tuple[int, int]], last_granted: int, n_cores: i
 @dataclass(slots=True)
 class Transaction:
     """One request in flight, in either timed model: the Decoder opens it
-    (`Decoder.grant`) and the kernel ends it at the fill. The CR fold is
-    the snoop model's, the journey the directory's."""
+    (`Decoder.grant`) and the kernel ends it at the fill, in the state its
+    completion row gives for the aggregate `fold` built. Both models fold
+    CRs through `fold`: the snoop model every snoopee's, the directory its
+    forwarded owner's. The journey is the directory's."""
 
     id: int
     initiator: int
@@ -66,6 +68,17 @@ class Transaction:
     any_is_shared: int = 0
     any_pass_dirty: int = 0
     journey: Optional[Iterator[Optional[int]]] = field(default=None, repr=False)
+
+    def fold(self, core: int, resp: SnoopResponse, data: Optional[bytes]) -> None:
+        """Fold one core's CR (+CD) into the aggregate: IsShared and
+        PassDirty are OR-ed in, and the first responder that transfers
+        data supplies the line. No memory data is buffered before the
+        last CR folds, so no data yet means no responder has transferred."""
+        self.any_is_shared |= resp.is_shared
+        self.any_pass_dirty |= resp.pass_dirty
+        if resp.data_transfer and self.data is None:
+            self.data = bytes(data)
+            self.data_source = core
 
 
 def admits(line_in_flight: bool, n_in_flight: int, capacity: int) -> bool:
@@ -232,19 +245,13 @@ class Ccu:
 
     def collect_cr(self, from_core: int, txn: Transaction, resp: SnoopResponse,
                    data: Optional[bytes]) -> None:
-        """Fold one CR (+CD) of a core into its transaction's aggregate.
-        The first responder that transfers data supplies the line: while
-        CRs are pending no memory data can be buffered (the memory read
-        is issued only after the last CR folds), so no data yet means no
-        responder has transferred yet."""
+        """Fold one CR (+CD) of a core into its transaction
+        (`Transaction.fold`), one fewer pending; the memory read is
+        issued only after the last CR folds."""
         txn.cr_pending -= 1
-        txn.any_is_shared |= resp.is_shared
-        txn.any_pass_dirty |= resp.pass_dirty
+        txn.fold(from_core, resp, data)
         if self.touched is not None and txn.any_pass_dirty:
             self.touched.add(txn.address)
-        if resp.data_transfer and txn.data is None:
-            txn.data = bytes(data)
-            txn.data_source = from_core
 
     def snoop_unit_step(self, now: int) -> None:
         """Fold the CRs due by `now`; the transactions whose last CR came

@@ -4,7 +4,9 @@ The rules are pure functions, and `TABLES` holds them as rows built
 once over their full domains. Both timed models read `TABLES` when they
 are built and the bounded model checker int-codes the same rows, so
 every row that runs is certified by the checker's exhaustive runs
-(verify.oracle_tables). `MUTATIONS` are deliberate row patches on it,
+(verify.oracle_tables). The MESI directory baseline runs the same
+initiator, reissue, snoopee and completion rows; its one rule of its
+own is that an owner a row leaves Owned writes back and stays Shared. `MUTATIONS` are deliberate row patches on it,
 applied by `Tables.mutated`.
 
 A line's state is stored as a `LineState` beside its tag and data. In

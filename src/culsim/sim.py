@@ -34,11 +34,12 @@ monitors never loads the explorer.
 The kernel builds the memory port and the request Decoder both models
 use. The Decoder opens each `ccu.Transaction` from its core's miss and
 holds it under its line, and `Kernel._complete` ends it at the fill, in
-either model: it retires the miss, releases the line and counts a
-snoop-served miss. A model declares itself through the hooks `Kernel`
-lists: `_phases`, `_memory_data`, `_timed`, `_in_flight_copies` and
-`_dump_lines`. From `_timed` and the Decoder the kernel derives the next
-due cycle.
+either model: it looks the install state up in the completion row of
+the transaction's kind and CR aggregate (`Transaction.fold`), retires
+the miss, releases the line and counts a snoop-served miss. A model
+declares itself through the hooks `Kernel` lists: `_phases`,
+`_memory_data`, `_timed`, `_in_flight_copies` and `_dump_lines`. From
+`_timed` and the Decoder the kernel derives the next due cycle.
 
 Component evaluation order within a cycle: cache controllers (each
 serving one requester on its SRAM port, snoops due at the head of the
@@ -269,13 +270,13 @@ class Kernel:
     as `_in_flight_copies` and its own queues as `_dump_lines`. It uses
     the kernel's `mem_port`, the MemoryPort in front of `mem`, and
     `decoder`, the request Decoder, which opens each transaction; it
-    ends each one with `_complete`, and declares its time: `_timed`
-    holds, once and for good, every queue of its fabric whose entries
-    start with their due cycle (none is ever rebound); besides those,
-    only the Decoder and the write-back FIFO may act with no due head.
-    With monitors on, its components share the kernel's `touched` set,
-    and the model marks there every line whose view it changes without a
-    component's help.
+    ends each one with `_complete`, which installs by the transaction's
+    completion row, and declares its time: `_timed` holds, once and for
+    good, every queue of its fabric whose entries start with their due
+    cycle (none is ever rebound); besides those, only the Decoder and the
+    write-back FIFO may act with no due head. With monitors on, its
+    components share the kernel's `touched` set, and the model marks
+    there every line whose view it changes without a component's help.
 
     A step pays only for the work due in it: `_phases` calls a stage only
     when its queue head is due, and `_issue` runs only from `_issue_at`
@@ -456,11 +457,16 @@ class Kernel:
         self._ops_left -= 1
         return True
 
-    def _complete(self, txn: Transaction, state: LineState, now: int) -> bool:
-        """End a transaction at its fill (`_retire_miss`): its line leaves
-        the Decoder, and a line a core supplied counts a snoop-served
-        miss. False, with nothing changed, while the fill is refused."""
+    def _complete(self, txn: Transaction, now: int) -> bool:
+        """End a transaction at its fill (`_retire_miss`), in the state of
+        its completion row (`Tables.completion`: kind, CR aggregate, and
+        whether a store follows): its line leaves the Decoder, and a line
+        a core supplied counts a snoop-served miss. False, with nothing
+        changed, while the fill is refused."""
         core = txn.initiator
+        state = self.caches[core].tables.completion[
+            txn.kind, txn.any_is_shared, txn.any_pass_dirty,
+            int(self.ports[core].current.kind is STORE)]
         if not self._retire_miss(core, state, txn.data, now):
             return False
         self.decoder.release(txn.address)
@@ -732,8 +738,8 @@ class Simulation(Kernel):
         ccu = self.ccu
         txn = ccu.take_r(core, now) if r_due else None
         op = port.current
-        if txn is not None and self._apply_completion(core, txn, now):
-            pass  # a refused fill leaves the port to the requesters below
+        if txn is not None and self._complete(txn, now):
+            ccu.finish(txn)  # a refused fill leaves the port to the requesters below
         elif port.nc_fill is not None:
             self._apply_nc_fill(core, now)
         elif acs and acs[0][0] <= now:
@@ -753,19 +759,6 @@ class Simulation(Kernel):
         if op is not None and cache.miss is None and op.kind is IFETCH:
             if self._access(core, op, now):
                 ccu.submit(core, now)
-
-    def _apply_completion(self, core: int, txn: Transaction, now: int) -> bool:
-        """Fill the core's miss from its R burst and end the transaction;
-        False, the burst left waiting, while the fill is refused
-        (`_complete`)."""
-        store_follows = int(self.ports[core].current.kind is STORE)
-        resp_state = self.caches[core].tables.completion[
-            txn.kind, txn.any_is_shared, txn.any_pass_dirty, store_follows
-        ]
-        if not self._complete(txn, resp_state, now):
-            return False
-        self.ccu.finish(txn)
-        return True
 
     def _memory_data(self, txn, data: bytes, now: int) -> None:
         self.ccu.memory_data(txn, data, now)

@@ -6,7 +6,7 @@ from culsim.baseline import DirectorySimulation
 from culsim.cache import ConfigError
 from culsim.ccu import ProtocolFault
 from culsim.cli import WorkloadSpec, gen_workload
-from culsim.protocol import CoherentKind, CoreOp, LineState, OpKind
+from culsim.protocol import CoherentKind, CoreOp, LineState, OpKind, SnoopResponse
 from culsim.sim import CoherenceViolation, DeadlockError, SimConfig, build
 from culsim import protocol, verify
 
@@ -100,25 +100,63 @@ def _run_false_sharing_3_cores():
     return DirectorySimulation(cfg, monitor=True).run(streams).to_dict()
 
 
-# Mutations whose patched rows the directory reads, and how its run ends;
-# it never snoops (snoopee rows) and derives install states itself
-# (completion rows), so every other mutation leaves the run unchanged.
+# How the directory's run ends under each shipped mutation: its probes
+# run the snoopee rows, its installs the completion rows, and its cores
+# the initiator and reissue rows, so every mutation trips it.
 DIRECTORY_TRIPS = {
+    "snoopee:M:ReadUnique:keep": "cycle 95: line 0x1020: unique copy on core 1 coexists",
+    "snoopee:M:ReadShared:drop_dirty": "cycle 31: line 0x1000: clean copies differ from memory",
+    "snoopee:S:CleanUnique:keep": "cycle 250: line 0x1010: unique copy on core 0 coexists",
+    "snoopee:E:ReadShared:keep": "cycle 63: line 0x1010: unique copy on core 0 coexists",
     "initiator:Store:Shared:silent_upgrade": "cycle 240: line 0x1010: unique copy on core 0",
+    "completion:ReadShared:ignore_shared": "cycle 32: line 0x1000: unique copy on core 1 coexists",
     "reissue:disabled": "cycle 729: line 0x1050: CleanUnique completion without a local copy",
 }
 
 
+def test_every_shipped_mutation_states_its_directory_verdict():
+    assert DIRECTORY_TRIPS.keys() == set(verify.SHIPPED_MUTATIONS)
+
+
 @pytest.mark.parametrize("mutation", verify.SHIPPED_MUTATIONS)
 def test_directory_under_each_shipped_mutation(monkeypatch, mutation):
-    clean = _run_false_sharing_3_cores()
     monkeypatch.setattr(protocol, "TABLES", protocol.TABLES.mutated({mutation}))
-    if mutation in DIRECTORY_TRIPS:
-        with pytest.raises(CoherenceViolation) as exc:
-            _run_false_sharing_3_cores()
-        assert str(exc.value).startswith(DIRECTORY_TRIPS[mutation])
-    else:
-        assert _run_false_sharing_3_cores() == clean
+    with pytest.raises(CoherenceViolation) as exc:
+        _run_false_sharing_3_cores()
+    assert str(exc.value).startswith(DIRECTORY_TRIPS[mutation])
+
+
+def with_rows(table, rows):
+    """The clean table set with the rows of `table` patched."""
+    clean = protocol.TABLES
+    return replace(clean, **{table: {**getattr(clean, table), **rows}})
+
+
+def both_models(monkeypatch, tables, streams):
+    """Run the streams on the snoop and the directory model, each built
+    on `tables`."""
+    monkeypatch.setattr(protocol, "TABLES", tables)
+    sims = build(SimConfig(), monitor=True), DirectorySimulation(SimConfig(), monitor=True)
+    for sim in sims:
+        sim.run([list(ops) for ops in streams])
+    return sims
+
+
+def test_a_completion_row_reaches_both_models(monkeypatch):
+    RS, S = CoherentKind.READ_SHARED, LineState.SHARED
+    tables = with_rows("completion", {(RS, 0, 0, 0): S})
+    for sim in both_models(monkeypatch, tables, [loads(0x100), []]):
+        assert sim.caches[0].lookup(0x100)[1].state is S, type(sim).__name__
+
+
+def test_a_snoopee_row_reaches_both_models(monkeypatch):
+    # an Exclusive owner that a read leaves Invalid, handing its data over
+    answer = (LineState.INVALID, SnoopResponse(data_transfer=1))
+    tables = with_rows("snoopee", {(LineState.EXCLUSIVE, kind): answer for kind in
+                                   (CoherentKind.READ_SHARED, CoherentKind.READ_ONCE)})
+    for sim in both_models(monkeypatch, tables, [loads(0x100), loads(0x104)]):
+        assert sim.caches[0].lookup(0x100) is None, type(sim).__name__
+        assert sim.stats.cores[1].snoop_served_misses == 1
 
 
 def test_owner_forwarding_counts_as_cache_to_cache():
@@ -219,13 +257,13 @@ def test_stale_owner_falls_back_to_memory():
     cfg.latencies.mem_read = 1
     sim = DirectorySimulation(cfg, monitor=True)
     probes = []
-    apply_probe = sim._apply_probe
+    forward = sim._forward
 
     def recording_probe(txn, owner):
         probes.append((sim.cycle, owner, sim.caches[owner].lookup(txn.address) is not None))
-        return apply_probe(txn, owner)
+        return forward(txn, owner)
 
-    sim._apply_probe = recording_probe
+    sim._forward = recording_probe
     stats = sim.run([loads(0x100) + loads(0x110), loads(0x110) + loads(0x100)])
     # core 0 forwards 0x110 from core 1; core 1's probe of 0x100 finds that
     # core 0 evicted it for 0x110, so memory serves the fill
@@ -275,18 +313,18 @@ def test_downgrade_waits_for_room_in_a_full_write_back_fifo():
     sim = DirectorySimulation(SimConfig(), monitor=True)
     sim.run([stores(0x100, [7]), []])
     attempts = []
-    apply_probe = sim._apply_probe
+    forward = sim._forward
 
     def probe_into_a_full_fifo(txn, owner):
         if not attempts:  # fill the FIFO just before the first attempt
             for i in range(sim.config.fifo_depths.writeback):
                 assert sim.mem_port.push_wb(0x1000 + 16 * i, bytes(16))
-        went_through = apply_probe(txn, owner)
+        went_through = forward(txn, owner)
         attempts.append((sim.cycle, went_through, sim.caches[owner].lookup(0x100)[1].state,
                          [addr for addr, _ in sim.mem_port.wb]))
         return went_through
 
-    sim._apply_probe = probe_into_a_full_fifo
+    sim._forward = probe_into_a_full_fifo
     sim.run([[], loads(0x100)])
     (refused_at, went_through, state, queued), (retried_at, retried, _, _) = attempts
     assert not went_through and state is LineState.MODIFIED and 0x100 not in queued
@@ -294,6 +332,14 @@ def test_downgrade_waits_for_room_in_a_full_write_back_fifo():
     assert sim.caches[0].lookup(0x100)[1].state is LineState.SHARED
     assert sim.ports[1].observations == [7]
     assert sim.mem.peek(0x100) == sim.caches[0].lookup(0x100)[1].data
+
+
+def test_a_refused_downgrade_write_back_after_the_room_check_is_a_fault():
+    sim = DirectorySimulation(SimConfig(), monitor=True)
+    sim.run([stores(0x100, [7]), []])
+    sim.mem_port.push_wb = lambda address, data: False  # refuses despite the room
+    with pytest.raises(ProtocolFault, match="write-back refused after feasibility check"):
+        sim.run([[], loads(0x100)])
 
 
 def watched_fills(sim, core, before_attempt):
