@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .cache import CopyView
+from .cache import WORD_BYTES, CopyView
 from .ccu import admits, snoop_targets
 from .memsys import fifo_full, read_waits
 from .protocol import (
@@ -371,7 +371,9 @@ class _Machine:
         the target's slot offset, per target pc whether an op from there
         on, looked up from Invalid on the line, hits and so could make the
         snoop find a copy). Every entry is empty in a machine that is not
-        `reduced`."""
+        `reduced`. An entry depends on the fan-out and the line, not on
+        the kind, so kinds with one fan-out (a core's three data-side
+        kinds) share one row object per line, built once."""
 
         def later(target, line):
             marks = [l == line and self.initiator[_I][op][0] for op, l, _value in self.ops[target]]
@@ -385,14 +387,22 @@ class _Machine:
                 (self.dpos, probe_d), (self.ipos, probe_i)) if on]
             return (1 << j, probed[0], probed[-1], self.core_at[target], laters[target][line])
 
+        rows: Dict[tuple, tuple] = {}  # (fan-out, line) -> its row
+
+        def row(fanout, line):
+            key = (fanout, line)
+            found = rows.get(key)
+            if found is None:
+                found = rows[key] = tuple(entry(line, j, *probe) for j, probe in enumerate(fanout))
+            return found
+
         return tuple(
             (None,) + tuple(
-                tuple(tuple(entry(line, j, *probe)
-                            for j, probe in enumerate(fanout[kind] if self.reduced else ()))
+                tuple(row(fanout[kind] if self.reduced else (), line)
                       for line in range(len(self.addrs)))
                 for kind in range(1, len(_KINDS))
             )
-            for core, fanout in enumerate(self.fanout)
+            for fanout in self.fanout
         )
 
     def initial(self) -> bytes:
@@ -487,17 +497,24 @@ class _Machine:
         invariant checks read, unchanged. It stays enabled until taken, and no issue
         lies on a cycle since a core's pc never decreases.
         Taking it alone keeps every outcome, deadlock and violation (the
-        ample-set conditions of Peled, CAV 1993)."""
-        for core, at, _n_ops, lone_miss in self.dispatch:
-            if not state[at + _MK]:
-                pos = lone_miss[state[at + _PC]]
-                if pos and not state[pos]:
-                    return [self._issue(state, core)]
+        ample-set conditions of Peled, CAV 1993).
+
+        One walk over the cores both builds the steps and looks for a lone
+        miss, so the steps built for earlier cores before one is found are
+        dropped. Their only lasting effect is the coverage pairs they look
+        up. Each such step reads no slot the issue writes and stays
+        enabled after it, and lone misses run out since pcs only grow, so
+        an exhaustive search builds it later, from a state it reaches
+        anyway, with the same lookups: its coverage is unchanged."""
         out = []
-        for core, at, n_ops, _lone_miss in self.dispatch:
+        for core, at, n_ops, lone_miss in self.dispatch:
             kind = state[at + _MK]
             if not kind:
-                if state[at + _PC] < n_ops:
+                pc = state[at + _PC]
+                pos = lone_miss[pc]
+                if pos and not state[pos]:
+                    return [self._issue(state, core)]
+                if pc < n_ops:
                     out.append(self._issue(state, core))
             elif not state[at + _MF] & _ACCEPTED:
                 if self.admit[state[self.coll_at]][state[at + _ML]]:
@@ -635,7 +652,6 @@ class _Machine:
         kind, flags, line = state[at + _MK], state[at + _MF], state[at + _ML]
         addr = self.addrs[line]
         dpos = self.dpos[core][line]
-        wb = state[self.wb_at:]
         new = bytearray(state)
 
         # pick the data the install will use
@@ -651,8 +667,10 @@ class _Machine:
         elif state[at + _MD]:
             base = state[at + _MD]
         else:
-            if read_waits(line, zip(wb[::2], wb[1::2])):
-                return None  # memory read must wait for the same-line write-back
+            if len(state) > self.wb_at:
+                wb = state[self.wb_at:]
+                if read_waits(line, zip(wb[::2], wb[1::2])):
+                    return None  # memory read must wait for the same-line write-back
             base = state[self.line_at[line] + _MEM]
         if note is None and base != ghost:
             note = (f"line {addr:#x}: completion used stale value {self.vals[base]} "
@@ -683,7 +701,7 @@ class _Machine:
                     victim = resident[0]  # the lowest-address resident line
                     pos = self.dpos[core][victim]
                     if _IS_DIRTY[state[pos]]:
-                        if fifo_full(wb[::2], self.cfg.wb_depth):
+                        if fifo_full(state[self.wb_at::2], self.cfg.wb_depth):
                             return None  # write-back FIFO full: install stalls
                         new.extend((victim, state[pos + 1]))
                     new[pos] = new[pos + 1] = _I
@@ -966,6 +984,8 @@ def parse_litmus(text: str) -> List[LitmusTest]:
         init <sym>=<val>
         core <id>: <op> [; <op>]...      ops: W <sym>=<val> | R <sym> [-> r<k>] | IF <sym>
         forbid <core>:r<k>=<val> ... | <sym>=<val> ...
+    A test has a name, each `<sym>` and register is named, and each
+    `<val>` is a 32-bit word (0 to 2**32 - 1).
     """
     tests: List[LitmusTest] = []
     current: Optional[dict] = None
@@ -975,6 +995,24 @@ def parse_litmus(text: str) -> List[LitmusTest]:
         if sym not in symbols:
             symbols[sym] = _X + 0x10 * len(symbols)
         return symbols[sym]
+
+    def word(value: int, atom_txt: str) -> int:
+        if not 0 <= value < 1 << 8 * WORD_BYTES:
+            raise ValueError(
+                f"'{atom_txt}': value {value} outside the {8 * WORD_BYTES}-bit word range")
+        return value
+
+    def atom(atom_txt: str, shape: str) -> Tuple[str, int]:
+        """`atom_txt` as `<lhs>=<val>`: a left side that is not empty, and a word."""
+        lhs, eq, val = atom_txt.partition("=")
+        lhs = lhs.strip()
+        try:
+            if not (lhs and eq):
+                raise ValueError
+            value = int(val, 0)
+        except ValueError:
+            raise ValueError(f"expected '{shape}', got '{atom_txt}'") from None
+        return lhs, word(value, atom_txt)
 
     def flush():
         nonlocal current
@@ -991,6 +1029,8 @@ def parse_litmus(text: str) -> List[LitmusTest]:
         try:
             head, _, rest = line.partition(" ")
             if head == "test":
+                if not rest.strip():
+                    raise ValueError("expected 'test <name>', got 'test'")
                 flush()
                 symbols.clear()
                 current = {
@@ -1003,8 +1043,8 @@ def parse_litmus(text: str) -> List[LitmusTest]:
             elif current is None:
                 raise ValueError("directive before 'test'")
             elif head == "init":
-                sym, _, val = rest.partition("=")
-                current["init"][lookup(sym.strip())] = int(val, 0)
+                sym, value = atom(rest.strip(), "<sym>=<val>")
+                current["init"][lookup(sym)] = value
             elif head == "core":
                 cid_txt, _, ops_txt = rest.partition(":")
                 core = int(cid_txt)
@@ -1020,29 +1060,35 @@ def parse_litmus(text: str) -> List[LitmusTest]:
                         if verb == "W":
                             sym, val = " ".join(tokens[1:]).split("=")
                             (sym,) = sym.split()
-                            ops.append(("W", lookup(sym), int(val, 0)))
-                            continue
-                        if not (len(tokens) == 2 or len(tokens) == 4 and tokens[2] == "->"):
+                            value = int(val, 0)
+                        elif not (len(tokens) == 2 or len(tokens) == 4 and tokens[2] == "->"):
                             raise ValueError
                     except ValueError:
                         shape = "<sym>=<val>" if verb == "W" else "<sym> [-> r<k>]"
                         raise ValueError(f"expected '{verb} {shape}', got '{' '.join(tokens)}'")
+                    if verb == "W":
+                        ops.append(("W", lookup(sym), word(value, " ".join(tokens))))
+                        continue
                     if len(tokens) == 4:  # the register holds this read's index
                         current["regs"][core, tokens[3]] = sum(o[0] != "W" for o in ops)
                     ops.append((verb, lookup(tokens[1])))
             elif head == "forbid":
                 clause = []
                 for atom_txt in rest.split():
-                    lhs, _, val = atom_txt.partition("=")
+                    lhs, value = atom(atom_txt, "<core>:r<k>=<val> or <sym>=<val>")
                     if ":" in lhs:
                         core_txt, _, reg = lhs.partition(":")
-                        core = int(core_txt)
-                        idx = current["regs"].get((core, reg))
-                        if idx is None:
-                            idx = int(reg.lstrip("r"))
-                        clause.append((("reg", core, idx), int(val, 0)))
+                        try:
+                            core = int(core_txt)
+                            idx = current["regs"].get((core, reg))
+                            if idx is None:
+                                idx = int(reg.lstrip("r"))
+                        except ValueError:
+                            raise ValueError(
+                                f"expected '<core>:r<k>=<val>', got '{atom_txt}'") from None
+                        clause.append((("reg", core, idx), value))
                     else:
-                        clause.append((("mem", lookup(lhs)), int(val, 0)))
+                        clause.append((("mem", lookup(lhs)), value))
                 current["forbidden"].append(tuple(clause))
             else:
                 raise ValueError(f"unknown directive '{head}'")

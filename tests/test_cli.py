@@ -547,8 +547,28 @@ def test_verify_litmus_forbid_on_an_address_nothing_uses_exits_5(tmp_path, capsy
      "litmus test wide: 3 line addresses, over the explorer bound of 2"),
     ("test long\ncore 0: " + " ; ".join(["R x"] * 7) + "\n",
      "litmus test long: 7 ops on a core, over the explorer bound of 6"),
+    ("test t\ninit =1\n", "litmus line 2: expected '<sym>=<val>', got '=1'"),
+    ("test t\ncore 0: R x\nforbid =1\n",
+     "litmus line 3: expected '<core>:r<k>=<val> or <sym>=<val>', got '=1'"),
+    ("test\ncore 0: R x\n", "litmus line 1: expected 'test <name>', got 'test'"),
+    ("test t\ncore 0: R x\nforbid 0:r0\n",
+     "litmus line 3: expected '<core>:r<k>=<val> or <sym>=<val>', got '0:r0'"),
+    ("test t\ninit x\n", "litmus line 2: expected '<sym>=<val>', got 'x'"),
+    ("test t\ncore 0: R x\nforbid 0:=1\n",
+     "litmus line 3: expected '<core>:r<k>=<val>', got '0:=1'"),
+    ("test t\ncore 0: W x=-1\n",
+     "litmus line 2: 'W x=-1': value -1 outside the 32-bit word range"),
+    ("test t\ncore 0: W x=99999999999999\n",
+     "litmus line 2: 'W x=99999999999999': value 99999999999999 outside the 32-bit word range"),
+    ("test t\ninit x=0x100000000\n",
+     "litmus line 2: 'x=0x100000000': value 4294967296 outside the 32-bit word range"),
+    ("test t\ncore 0: R x\nforbid 0:r0=-1\n",
+     "litmus line 3: '0:r0=-1': value -1 outside the 32-bit word range"),
 ], ids=["R-without-symbol", "IF-without-symbol", "stray-token", "W-without-symbol",
-        "W-stray-token", "W-alone", "W-without-value", "three-lines", "seven-ops"])
+        "W-stray-token", "W-alone", "W-without-value", "three-lines", "seven-ops",
+        "init-without-symbol", "forbid-without-symbol", "unnamed-test",
+        "forbid-without-value", "init-without-value", "forbid-without-register",
+        "W-negative", "W-over-a-word", "init-over-a-word", "forbid-negative"])
 def test_verify_refuses_a_bad_litmus_file_before_anything_runs(tmp_path, capsys, text,
                                                                message):
     lit = tmp_path / "bad.litmus"

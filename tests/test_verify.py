@@ -25,6 +25,7 @@ from culsim.verify import (
     _ACCEPT,
     _ANY_DIRTY,
     _COMPLETE,
+    _DRAIN,
     _E,
     _I,
     _ISSUE,
@@ -601,6 +602,53 @@ def test_a_lone_miss_writes_only_its_miss_kind_and_line(drop_dirty):
     assert sum(alone.values()) > 200 and all(alone.values()), alone
 
 
+def _first_lone_miss(machine, state):
+    """The first core, in dispatch order, that is idle and whose next op
+    misses from Invalid to the Decoder, or None."""
+    for core, at, n_ops, _lone in machine.dispatch:
+        pc = state[at + _PC]
+        if state[at + _MK] or pc >= n_ops:
+            continue
+        verb, addr = machine.programs[core][pc][:2]
+        if verb == "IF" and not machine.cfg.coherent_ifetch:
+            continue
+        pos = (machine.ipos if verb == "IF" else machine.dpos)[core][machine.addrs.index(addr)]
+        if not state[pos] and not machine.initiator[_I][_OP_OF_VERB[verb]][0]:
+            return core
+    return None
+
+
+def test_a_lone_miss_behind_an_earlier_core_records_only_coverage_the_full_search_does(
+        drop_dirty):
+    # `successors` may build steps of earlier cores before it meets the
+    # lone miss and returns it alone. Those dropped steps may only record
+    # coverage pairs that the full search records in the same state or,
+    # for the snoops an accept or eviction folds, one step later
+    behind = 0
+    for machine, full, states in drop_dirty:
+        for state in states:
+            core = _first_lone_miss(machine, state)
+            every = full.successors(state)
+            if core is None or not any(label[0] != _DRAIN and label[1] < core
+                                       for label, _succ, _note in every):
+                continue
+            pc = state[machine.core_at[core] + _PC]
+            assert machine.successors(state) == [
+                step for step in every if step[0] == (_ISSUE, core, pc)]
+            behind += 1
+            # fresh machines, so each records only this state's lookups
+            reduced = _Machine(machine.programs, machine.cfg)
+            with full_search():
+                unreduced = _Machine(machine.programs, machine.cfg)
+            reduced.successors(state)
+            succs = unreduced.successors(state)
+            assert reduced.init_cov <= unreduced.init_cov
+            for _label, succ, _note in succs:
+                unreduced.successors(succ)
+            assert reduced.snoop_cov <= unreduced.snoop_cov
+    assert behind > 100, behind
+
+
 def test_a_non_coherent_ifetch_is_never_taken_alone():
     # its issue reads memory and fills an icache slot in the state tail;
     # with coherent ifetch on, the same program's fetches do go alone
@@ -936,6 +984,14 @@ def test_parse_litmus_refuses_a_malformed_read(ops):
 def test_parse_litmus_reads_a_write_with_or_without_spaces(write):
     (test,) = parse_litmus(f"test t\ncore 0: {write}\ncore 1: R x\n")
     assert test.programs[0] == (("W", 0x100, 2),)
+
+
+def test_parse_litmus_reads_the_widest_word_anywhere_a_value_goes():
+    (test,) = parse_litmus("test t\ninit x=0xFFFFFFFF\ncore 0: W x=4294967295 ; R x\n"
+                           "forbid 0:r0=0xFFFFFFFF x=0\n")
+    assert test.init == {0x100: 0xFFFFFFFF}
+    assert test.programs[0] == (("W", 0x100, 0xFFFFFFFF), ("R", 0x100))
+    assert test.forbidden == (((("reg", 0, 0), 0xFFFFFFFF), (("mem", 0x100), 0)),)
 
 
 def test_parse_litmus_reads_a_named_register():
