@@ -187,7 +187,9 @@ class Ccu:
     # when a set, collects the line of every transaction whose copy in
     # the monitors' view changes: a transaction shows there only while it
     # holds dirty responsibility (`any_pass_dirty`), and a CR in flight
-    # only while it passes dirty
+    # only while it passes dirty. The end of a transaction needs no mark
+    # here: its fill marked the line through the initiator's cache
+    # (`CacheModel.miss_complete`), which shares this set
     touched: Optional[set] = None
 
     def __init__(
@@ -299,9 +301,8 @@ class Ccu:
 
     def finish(self, txn: Transaction) -> None:
         """The initiator consumed the R burst of a transaction the kernel
-        ended (`sim.Kernel._complete`): the burst leaves the R channel."""
-        if self.touched is not None and txn.any_pass_dirty:
-            self.touched.add(txn.address)
+        ended (`sim.Kernel._complete`): the burst leaves the R channel.
+        The fill that ended it marked the line in `touched` already."""
         box = self.r_outbox[txn.initiator]
         if box and box[0][1] is txn:
             box.popleft()

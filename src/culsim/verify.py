@@ -37,10 +37,12 @@ stale copy is immediately overwritten.
 """
 from __future__ import annotations
 
+import re
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .cache import WORD_BYTES, CopyView
@@ -976,126 +978,116 @@ def _eval_atom(atom: tuple, value: int, regs: tuple, mem: tuple) -> bool:
     return dict(mem).get(atom[1], 0) == value
 
 
+# every `<name>=<val>` (an `init`, a W op, a `forbid` atom) is read by this
+# one rule: a name is one token without `=`, and spaces may surround the `=`
+_ASSIGN = re.compile(r"([^\s=]+)\s*=\s*([^\s=]+)")
+# an R or IF op, its words one space apart: `R|IF <sym> [-> <reg>]`
+_READ = re.compile(r"(?:R|IF) ([^\s=]+)(?: -> ([^\s=]+))?")
+# the id and the ops of a `core` line
+_CORE = re.compile(r"(-?\d+)\s*:(.*)")
+# a `forbid` atom's register: a name an op bound with `->`, or `r<k>`
+_REGISTER = re.compile(r"(-?\d+):(r(-?\d+)|.+)")
+
+
+def _assignment(text: str, shape: str, start: int = 0) -> Tuple[str, int]:
+    """`text[start:]` read as `<name>=<val>`, its value a 32-bit word
+    (`int(val, 0)`, 0 to 2**32 - 1); a refusal quotes all of `text`."""
+    match = _ASSIGN.fullmatch(text, start)
+    try:
+        if match is None:
+            raise ValueError
+        value = int(match[2], 0)
+    except ValueError:
+        raise ValueError(f"expected '{shape}', got '{text}'") from None
+    if not 0 <= value < 1 << 8 * WORD_BYTES:
+        raise ValueError(
+            f"'{text}': value {value} outside the {8 * WORD_BYTES}-bit word range")
+    return match[1], value
+
+
 def parse_litmus(text: str) -> List[LitmusTest]:
     """Parse litmus definition text.
 
-    Grammar (line oriented, `#` comments):
+    Grammar (line oriented, `#` comments, words apart by any whitespace):
         test <name>
         init <sym>=<val>
-        core <id>: <op> [; <op>]...      ops: W <sym>=<val> | R <sym> [-> r<k>] | IF <sym>
-        forbid <core>:r<k>=<val> ... | <sym>=<val> ...
-    A test has a name, each `<sym>` and register is named, and each
-    `<val>` is a 32-bit word (0 to 2**32 - 1).
+        core <id>: <op> [; <op>]...      ops: W <sym>=<val> | R|IF <sym> [-> <reg>]
+        forbid <atom> [<atom>]...        atoms: <core>:<reg>=<val> | <sym>=<val>
+    Every `<name>=<val>` is read by one rule: the name is one token
+    without `=`, spaces may surround the `=`, and `<val>` is a 32-bit word
+    (`int(val, 0)`, 0 to 2**32 - 1). Each `<sym>` is an address, one line
+    apart in order of first use within its test. A `<reg>` bound by
+    `-> <reg>` holds its read's index on its core; in an atom, any other
+    `r<k>` is the core's k-th R or IF op. A line off this grammar, a second
+    test of one name and a register bound twice on one core are refused
+    as `litmus line N: ...`.
     """
-    tests: List[LitmusTest] = []
-    current: Optional[dict] = None
-    symbols: Dict[str, int] = {}
-
-    def lookup(sym: str) -> int:
-        if sym not in symbols:
-            symbols[sym] = _X + 0x10 * len(symbols)
-        return symbols[sym]
-
-    def word(value: int, atom_txt: str) -> int:
-        if not 0 <= value < 1 << 8 * WORD_BYTES:
-            raise ValueError(
-                f"'{atom_txt}': value {value} outside the {8 * WORD_BYTES}-bit word range")
-        return value
-
-    def atom(atom_txt: str, shape: str) -> Tuple[str, int]:
-        """`atom_txt` as `<lhs>=<val>`: a left side that is not empty, and a word."""
-        lhs, eq, val = atom_txt.partition("=")
-        lhs = lhs.strip()
-        try:
-            if not (lhs and eq):
-                raise ValueError
-            value = int(val, 0)
-        except ValueError:
-            raise ValueError(f"expected '{shape}', got '{atom_txt}'") from None
-        return lhs, word(value, atom_txt)
-
-    def flush():
-        nonlocal current
-        if current is not None:
-            tests.append(LitmusTest(
-                current["name"], {c: tuple(p) for c, p in current["programs"].items()},
-                current["init"], tuple(current["forbidden"])))
-            current = None
-
+    records: List[tuple] = []  # (name, programs, init, forbidden) per test, in order
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        words = raw.split("#", 1)[0].split(maxsplit=1)
+        if not words:
             continue
+        head, rest = words[0], "".join(words[1:]).strip()
         try:
-            head, _, rest = line.partition(" ")
             if head == "test":
-                if not rest.strip():
+                if not rest:
                     raise ValueError("expected 'test <name>', got 'test'")
-                flush()
-                symbols.clear()
-                current = {
-                    "name": rest.strip(),
-                    "programs": {},
-                    "init": {},
-                    "forbidden": [],
-                    "regs": {},
-                }
-            elif current is None:
+                if any(record[0] == rest for record in records):
+                    raise ValueError(f"a second test named '{rest}'")
+                programs, init, forbidden = {}, {}, []
+                symbols = defaultdict(count(_X, 0x10).__next__)  # sym -> address
+                registers = {}  # (core, reg) -> index of the read that binds it
+                records.append((rest, programs, init, forbidden))
+            elif not records:
                 raise ValueError("directive before 'test'")
             elif head == "init":
-                sym, value = atom(rest.strip(), "<sym>=<val>")
-                current["init"][lookup(sym)] = value
+                sym, value = _assignment(rest, "<sym>=<val>")
+                init[symbols[sym]] = value
             elif head == "core":
-                cid_txt, _, ops_txt = rest.partition(":")
-                core = int(cid_txt)
-                ops = current["programs"].setdefault(core, [])
-                for chunk in ops_txt.split(";"):
-                    tokens = chunk.split()
-                    if not tokens:
-                        continue
-                    verb = tokens[0]
-                    if verb not in ("W", "R", "IF"):
-                        raise ValueError(f"unknown op '{verb}'")
-                    try:
-                        if verb == "W":
-                            sym, val = " ".join(tokens[1:]).split("=")
-                            (sym,) = sym.split()
-                            value = int(val, 0)
-                        elif not (len(tokens) == 2 or len(tokens) == 4 and tokens[2] == "->"):
-                            raise ValueError
-                    except ValueError:
-                        shape = "<sym>=<val>" if verb == "W" else "<sym> [-> r<k>]"
-                        raise ValueError(f"expected '{verb} {shape}', got '{' '.join(tokens)}'")
+                parts = _CORE.fullmatch(rest)
+                if parts is None:
+                    raise ValueError(f"expected 'core <id>: <op> [; <op>]...', got 'core {rest}'")
+                core = int(parts[1])
+                ops = programs.setdefault(core, [])
+                for chunk in parts[2].split(";"):
+                    op = " ".join(chunk.split())
+                    verb = op.partition(" ")[0]
                     if verb == "W":
-                        ops.append(("W", lookup(sym), word(value, " ".join(tokens))))
-                        continue
-                    if len(tokens) == 4:  # the register holds this read's index
-                        current["regs"][core, tokens[3]] = sum(o[0] != "W" for o in ops)
-                    ops.append((verb, lookup(tokens[1])))
+                        sym, value = _assignment(op, "W <sym>=<val>", start=2)
+                        ops.append(("W", symbols[sym], value))
+                    elif verb in ("R", "IF"):
+                        read = _READ.fullmatch(op)
+                        if read is None:
+                            raise ValueError(f"expected '{verb} <sym> [-> r<k>]', got '{op}'")
+                        sym, reg = read.groups()
+                        if reg is not None:  # the register holds this read's index
+                            if (core, reg) in registers:
+                                raise ValueError(f"register '{reg}' bound twice on core {core}")
+                            registers[core, reg] = sum(o[0] != "W" for o in ops)
+                        ops.append((verb, symbols[sym]))
+                    elif op:
+                        raise ValueError(f"unknown op '{verb}'")
             elif head == "forbid":
+                if not rest:
+                    raise ValueError("expected 'forbid <atom> [<atom>]...', got 'forbid'")
                 clause = []
-                for atom_txt in rest.split():
-                    lhs, value = atom(atom_txt, "<core>:r<k>=<val> or <sym>=<val>")
-                    if ":" in lhs:
-                        core_txt, _, reg = lhs.partition(":")
-                        try:
-                            core = int(core_txt)
-                            idx = current["regs"].get((core, reg))
-                            if idx is None:
-                                idx = int(reg.lstrip("r"))
-                        except ValueError:
-                            raise ValueError(
-                                f"expected '<core>:r<k>=<val>', got '{atom_txt}'") from None
-                        clause.append((("reg", core, idx), value))
-                    else:
-                        clause.append((("mem", lookup(lhs)), value))
-                current["forbidden"].append(tuple(clause))
+                for atom_txt in _ASSIGN.sub(r"\1=\2", rest).split():
+                    lhs, value = _assignment(atom_txt, "<core>:r<k>=<val> or <sym>=<val>")
+                    if ":" not in lhs:
+                        clause.append((("mem", symbols[lhs]), value))
+                        continue
+                    ref = _REGISTER.fullmatch(lhs)  # a bound name first, else `r<k>`
+                    index = ref and registers.get((int(ref[1]), ref[2]), ref[3] and int(ref[3]))
+                    if index is None:
+                        raise ValueError(f"expected '<core>:r<k>=<val>', got '{atom_txt}'")
+                    clause.append((("reg", int(ref[1]), index), value))
+                forbidden.append(tuple(clause))
             else:
                 raise ValueError(f"unknown directive '{head}'")
         except ValueError as exc:
             raise ValueError(f"litmus line {lineno}: {exc}") from exc
-    flush()
-    return tests
+    return [LitmusTest(name, {core: tuple(ops) for core, ops in programs.items()}, init,
+                       tuple(forbidden)) for name, programs, init, forbidden in records]
 
 
 # --------------------------------------------------------------------------
@@ -1146,12 +1138,7 @@ EXPECTED_INITIATOR_PAIRS = frozenset(
     | {(LineState.SHARED, OpKind.IFETCH), (LineState.INVALID, OpKind.IFETCH)}
 )
 
-_SNOOP_KINDS = (
-    CoherentKind.READ_SHARED,
-    CoherentKind.READ_UNIQUE,
-    CoherentKind.CLEAN_UNIQUE,
-    CoherentKind.READ_ONCE,
-)
+_SNOOP_KINDS = _KINDS[1:]
 
 # CleanUnique implies the initiator still holds a valid copy, so no other
 # cache can be probed in a Unique state: those two rows are defensive only.

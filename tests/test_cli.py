@@ -564,11 +564,30 @@ def test_verify_litmus_forbid_on_an_address_nothing_uses_exits_5(tmp_path, capsy
      "litmus line 2: 'x=0x100000000': value 4294967296 outside the 32-bit word range"),
     ("test t\ncore 0: R x\nforbid 0:r0=-1\n",
      "litmus line 3: '0:r0=-1': value -1 outside the 32-bit word range"),
+    ("test a\ncore 0: R x\ntest a\ncore 0: R x\n", "litmus line 3: a second test named 'a'"),
+    ("test t\ncore 0: W x=1\ncore 1: R x -> r0 ; R x -> r0\nforbid 1:r0=1\n",
+     "litmus line 3: register 'r0' bound twice on core 1"),
+    ("test t\ninit x y=1\ncore 0: R x\n", "litmus line 2: expected '<sym>=<val>', got 'x y=1'"),
+    ("test t\ncore 0: R x ; R x\nforbid 0:rr1=1\n",
+     "litmus line 3: expected '<core>:r<k>=<val>', got '0:rr1=1'"),
+    ("test t\ncore 0: R x ; R x\nforbid 0:1=1\n",
+     "litmus line 3: expected '<core>:r<k>=<val>', got '0:1=1'"),
+    # an empty clause would match every outcome: the run would exit 1
+    ("test t\ncore 0: W x=1\nforbid\n",
+     "litmus line 3: expected 'forbid <atom> [<atom>]...', got 'forbid'"),
+    ("test t\ncore 0: R x=1\n", "litmus line 2: expected 'R <sym> [-> r<k>]', got 'R x=1'"),
+    ("test t\ncore x: R y\n",
+     "litmus line 2: expected 'core <id>: <op> [; <op>]...', got 'core x: R y'"),
+    ("test t\ncore 0 R x\n",
+     "litmus line 2: expected 'core <id>: <op> [; <op>]...', got 'core 0 R x'"),
 ], ids=["R-without-symbol", "IF-without-symbol", "stray-token", "W-without-symbol",
         "W-stray-token", "W-alone", "W-without-value", "three-lines", "seven-ops",
         "init-without-symbol", "forbid-without-symbol", "unnamed-test",
         "forbid-without-value", "init-without-value", "forbid-without-register",
-        "W-negative", "W-over-a-word", "init-over-a-word", "forbid-negative"])
+        "W-negative", "W-over-a-word", "init-over-a-word", "forbid-negative",
+        "test-named-twice", "register-bound-twice", "init-two-names", "forbid-rr1",
+        "forbid-register-without-r", "bare-forbid", "R-symbol-with-equals",
+        "core-id-not-a-number", "core-without-colon"])
 def test_verify_refuses_a_bad_litmus_file_before_anything_runs(tmp_path, capsys, text,
                                                                message):
     lit = tmp_path / "bad.litmus"

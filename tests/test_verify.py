@@ -982,8 +982,15 @@ def test_parse_litmus_refuses_a_malformed_read(ops):
 
 @pytest.mark.parametrize("write", ["W x=2", "W x = 2", "W x =2", "W x= 0x2"])
 def test_parse_litmus_reads_a_write_with_or_without_spaces(write):
-    (test,) = parse_litmus(f"test t\ncore 0: {write}\ncore 1: R x\n")
+    (test,) = parse_litmus(f"test t\ninit x = 0\ncore 0: {write}\ncore 1: R x\n")
+    assert test.init == {0x100: 0}
     assert test.programs[0] == (("W", 0x100, 2),)
+
+
+def test_parse_litmus_splits_a_head_on_any_whitespace():
+    (test,) = parse_litmus("test\tt\ncore\t0:\tR x\nforbid\t0:r0 =\t1\n")
+    assert test == LitmusTest("t", programs={0: (("R", 0x100),)},
+                              forbidden=(((("reg", 0, 0), 1),),))
 
 
 def test_parse_litmus_reads_the_widest_word_anywhere_a_value_goes():
@@ -1034,6 +1041,102 @@ def test_parse_litmus_hex_value_is_reported_when_forbidden():
 def test_parse_litmus_reports_line_numbers():
     with pytest.raises(ValueError, match="line 2"):
         parse_litmus("test t\ncore 0: Q x=1\n")
+
+
+_NAMES = st.text("abrxyz_.0123456789", min_size=1, max_size=3)
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+_GAP = st.sampled_from([" ", "  ", "\t", " \t "])  # spacing that must hold whitespace
+_WORD = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def _litmus_tests(draw):
+    """A small litmus test and its text, with random spacing around each
+    `=`, `;` and `->`: 1-3 cores, up to 6 ops, one or two symbols."""
+    syms = draw(st.lists(_NAMES, min_size=1, max_size=2, unique=True))
+    addresses = {}
+
+    def address(sym):  # symbols take lines in order of first use in the text
+        return addresses.setdefault(sym, 0x100 + 0x10 * len(addresses))
+
+    def assign(name, value):
+        return f"{name}{draw(_SPACE)}={draw(_SPACE)}{draw(st.sampled_from([str, hex]))(value)}"
+
+    lines = [f"test{draw(_GAP)}t"]
+    init = {}
+    for sym in draw(st.lists(st.sampled_from(syms), max_size=2, unique=True)):
+        init[address(sym)] = value = draw(_WORD)
+        lines.append(f"init{draw(_GAP)}{assign(sym, value)}")
+    cores = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+    budget = draw(st.integers(0, 6))
+    programs, registers = {}, {}  # registers: (core, name) -> read index
+    for core in cores:
+        ops, texts = [], []
+        for _ in range(draw(st.integers(0, budget))):
+            verb, sym = draw(st.sampled_from(["W", "R", "IF"])), draw(st.sampled_from(syms))
+            if verb == "W":
+                value = draw(_WORD)
+                ops.append(("W", address(sym), value))
+                texts.append(f"W{draw(_GAP)}{assign(sym, value)}")
+                continue
+            texts.append(f"{verb}{draw(_GAP)}{sym}")
+            reg = draw(st.one_of(st.none(), _NAMES))
+            if reg is not None and (core, reg) not in registers:
+                registers[core, reg] = sum(op[0] != "W" for op in ops)
+                texts[-1] += f"{draw(_GAP)}->{draw(_GAP)}{reg}"
+            ops.append((verb, address(sym)))
+        budget -= len(ops)
+        programs[core] = tuple(ops)
+        body = f"{draw(_SPACE)};{draw(_SPACE)}".join(texts)
+        lines.append(f"core{draw(_GAP)}{core}{draw(_SPACE)}:{draw(_SPACE)}{body}")
+    forbidden = []
+    for _ in range(draw(st.integers(0, 2))):
+        atoms, texts = [], []
+        for _ in range(draw(st.integers(1, 3))):
+            value = draw(_WORD)
+            if draw(st.booleans()):
+                sym = draw(st.sampled_from(syms))
+                atoms.append((("mem", address(sym)), value))
+                texts.append(assign(sym, value))
+                continue
+            # a name bound on the core, or `r<k>`: the k-th read unless bound
+            core, k = draw(st.sampled_from(cores)), draw(st.integers(0, 3))
+            reg = draw(st.sampled_from([name for c, name in registers if c == core] + [f"r{k}"]))
+            atoms.append((("reg", core, registers.get((core, reg), k)), value))
+            texts.append(assign(f"{core}:{reg}", value))
+        forbidden.append(tuple(atoms))
+        lines.append(f"forbid{draw(_GAP)}{draw(_GAP).join(texts)}")
+    return "\n".join(lines) + "\n", LitmusTest("t", programs, init, tuple(forbidden))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_litmus_tests())
+def test_parse_litmus_reads_back_the_test_it_is_given(case):
+    text, test = case
+    assert parse_litmus(text) == [test]
+
+
+_SHIPPED_LITMUS = [(Path(__file__).parent / "data" / "sc_litmus.txt").read_text(), LITMUS_TEXT]
+
+
+@st.composite
+def _mutated_litmus(draw):
+    """A shipped litmus text after a few character edits."""
+    text = draw(st.sampled_from(_SHIPPED_LITMUS))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        new = draw(st.sampled_from(list(" \t\n=;:#->rxyRWIF019") + ["", "forbid", "test a"]))
+        text = text[:at] + new + text[at + draw(st.integers(0, 2)):]
+    return text
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_litmus())
+def test_parse_litmus_returns_or_refuses_by_line(text):
+    try:
+        parse_litmus(text)
+    except ValueError as exc:
+        assert str(exc).startswith("litmus line ")
 
 
 def test_a_data_less_pass_dirty_snoop_leaves_the_initiator_copy_as_it_was():
