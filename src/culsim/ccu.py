@@ -200,7 +200,6 @@ class Ccu:
         ccu_stage: int = 1,
         snoop_hop: int = 1,
     ):
-        self.caches = caches
         self.decoder = decoder
         self.mem_port = mem_port
         self.ccu_stage = ccu_stage

@@ -343,7 +343,12 @@ def run_verify(args) -> int:
     ]
     litmus_tests = list(verify.COHERENCE_LITMUS)
     if args.litmus:
-        litmus_tests += verify.parse_litmus(_read_text(args.litmus))
+        # a report entry is known by its test's name alone
+        built_in = {test.name for test in litmus_tests}
+        for test in verify.parse_litmus(_read_text(args.litmus)):
+            if test.name in built_in:
+                raise ValueError(f"litmus test {test.name}: a built-in test has that name")
+            litmus_tests.append(test)
 
     for test in litmus_tests:
         verify.check_litmus(test, args.cores)

@@ -85,9 +85,7 @@ class CoherentKind(Enum):
     READ_UNIQUE = "ReadUnique"
     CLEAN_UNIQUE = "CleanUnique"
     READ_ONCE = "ReadOnce"
-    WRITE_BACK = "WriteBack"
     READ_NO_SNOOP = "ReadNoSnoop"
-    WRITE_NO_SNOOP = "WriteNoSnoop"
 
     __hash__ = object.__hash__
 
@@ -96,8 +94,8 @@ CLEAN_UNIQUE = CoherentKind.CLEAN_UNIQUE
 READ_ONCE = CoherentKind.READ_ONCE
 READ_NO_SNOOP = CoherentKind.READ_NO_SNOOP
 
-# Transactions that fan out snoops to the other caches. WriteBack and the
-# NoSnoop pair go straight to the memory interface.
+# Transactions that fan out snoops to the other caches. A ReadNoSnoop (a
+# non-coherent icache fill) goes straight to the memory interface.
 SNOOPING_KINDS = frozenset(
     {
         CoherentKind.READ_SHARED,

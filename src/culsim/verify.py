@@ -365,7 +365,7 @@ class _Machine:
             for c, ops in enumerate(self.ops))
         # (core, offset of its slots, op count, lone_miss row) in successor order
         self.dispatch = tuple(zip(range(n), self.core_at, map(len, self.ops), lone_miss))
-        self._line_checks: Dict[tuple, Tuple[tuple, tuple, tuple]] = {}
+        self._line_checks = {}
 
     def _silent_table(self) -> tuple:
         """silent[core][kind][line] -> per entry j of the fan-out: (bit j,
@@ -373,39 +373,31 @@ class _Machine:
         the target's slot offset, per target pc whether an op from there
         on, looked up from Invalid on the line, hits and so could make the
         snoop find a copy). Every entry is empty in a machine that is not
-        `reduced`. An entry depends on the fan-out and the line, not on
-        the kind, so kinds with one fan-out (a core's three data-side
-        kinds) share one row object per line, built once."""
-
-        def later(target, line):
-            marks = [l == line and self.initiator[_I][op][0] for op, l, _value in self.ops[target]]
-            return tuple(any(marks[pc:]) for pc in range(len(marks) + 1))
-
-        laters = [[later(target, line) for line in range(len(self.addrs))]
-                  for target in range(self.cfg.n_cores)]
-
-        def entry(line, j, target, probe_d, probe_i):
-            probed = [pos[target][line] for pos, on in (
-                (self.dpos, probe_d), (self.ipos, probe_i)) if on]
-            return (1 << j, probed[0], probed[-1], self.core_at[target], laters[target][line])
-
-        rows: Dict[tuple, tuple] = {}  # (fan-out, line) -> its row
-
-        def row(fanout, line):
-            key = (fanout, line)
-            found = rows.get(key)
-            if found is None:
-                found = rows[key] = tuple(entry(line, j, *probe) for j, probe in enumerate(fanout))
-            return found
-
-        return tuple(
-            (None,) + tuple(
-                tuple(row(fanout[kind] if self.reduced else (), line)
-                      for line in range(len(self.addrs)))
-                for kind in range(1, len(_KINDS))
-            )
-            for fanout in self.fanout
-        )
+        `reduced`. Kinds of one fan-out (a core's three data-side kinds)
+        share one row."""
+        lines = range(len(self.addrs))
+        hits = [hit for hit, _code in self.initiator[_I]]
+        later = []  # later[target][line][pc]
+        for ops in self.ops:
+            flags = [[False] for _line in lines]
+            for op, l, _value in reversed(ops):
+                for line, f in enumerate(flags):
+                    f.append(f[-1] or (l == line and hits[op]))
+            later.append([tuple(reversed(f)) for f in flags])
+        table = []
+        for fanouts in self.fanout:
+            rows = {}  # fan-out -> its row per line
+            per_kind = [None]
+            for fanout in fanouts[1:] if self.reduced else ((),) * (len(fanouts) - 1):
+                row = rows.get(fanout)
+                if row is None:  # entry j: target t, probes dcache d, icache i
+                    row = rows[fanout] = tuple(tuple(
+                        (1 << j, (self.dpos if d else self.ipos)[t][line],
+                         (self.ipos if i else self.dpos)[t][line], self.core_at[t], later[t][line])
+                        for j, (t, d, i) in enumerate(fanout)) for line in lines)
+                per_kind.append(row)
+            table.append(tuple(per_kind))
+        return tuple(table)
 
     def initial(self) -> bytes:
         state = bytearray(self.tail_at)  # every core idle at pc 0, no registers
@@ -430,14 +422,15 @@ class _Machine:
         tail (line slots, collision mask and write-back FIFO), so
         `explore` calls this once per distinct tail, on its first state.
         Each line is checked once per machine, memoized on the line and
-        its slots."""
+        its slots (as () if it has none)."""
         # the collision mask is exactly the lines with an accepted miss:
         # accept sets a line's bit, completion clears it, and a
         # line in the mask admits no second accept
         in_flight = state[self.coll_at]
         in_wb = 0
-        for line in state[self.wb_at::2]:
-            in_wb |= 1 << line
+        if len(state) > self.wb_at:
+            for line in state[self.wb_at::2]:
+                in_wb |= 1 << line
         memo = self._line_checks
         parts = []
         for line, (lo, hi) in enumerate(self.line_spans):
@@ -446,35 +439,38 @@ class _Machine:
             found = memo.get(key)
             if found is None:
                 found = memo[key] = self._line_violations(*key)
-            if found[0] or found[1] or found[2]:
+            if found:
                 parts.append(found)
+        if not parts:
+            return ()
         return tuple(msg for i in (0, 1, 2) for found in parts for msg in found[i])
 
     def _line_violations(self, line: int, slots: bytes, in_flight: int,
-                         in_wb: int) -> Tuple[tuple, tuple, tuple]:
+                         in_wb: int) -> tuple:
         addr, vals = self.addrs[line], self.vals
         mem, ghost = slots[_MEM], slots[_GHOST]
         copies = []
+        stale = ()
         dirty = False
         for core in range(self.cfg.n_cores):
-            dstate, dval, istate, ival = slots[2 + 4 * core:6 + 4 * core]
+            at = 2 + 4 * core
+            dstate, istate = slots[at], slots[at + 2]
             if dstate:
-                copies.append(CopyView(core, _STATES[dstate], dval))
+                copies.append(CopyView(core, _STATES[dstate], slots[at + 1]))
                 dirty = dirty or _IS_DIRTY[dstate]
             if istate and self.cfg.coherent_ifetch:
-                copies.append(CopyView(core, _STATES[istate], ival, True))
+                copies.append(CopyView(core, _STATES[istate], slots[at + 3], True))
+        for c in copies:
+            if c.data != ghost:
+                stale += (f"line {addr:#x}: core {c.core} holds stale value {vals[c.data]} "
+                          f"(authoritative {vals[ghost]})",)
         swmr = tuple(check_swmr({addr: (copies, mem)}))
-        stale = tuple(
-            f"line {addr:#x}: core {c.core} holds stale value {vals[c.data]} "
-            f"(authoritative {vals[ghost]})"
-            for c in copies if c.data != ghost
-        )
         # memory must be authoritative once a line is quiescent and clean
         lost = ()
         if not (in_flight or in_wb or dirty) and mem != ghost:
             lost = (f"line {addr:#x}: memory {vals[mem]} lost the last write "
                     f"(authoritative {vals[ghost]})",)
-        return swmr, stale, lost
+        return (swmr, stale, lost) if swmr or stale or lost else ()
 
     # -- atomic steps ----------------------------------------------------------------
 
@@ -803,7 +799,7 @@ def explore(
     exhausted = True
 
     add, append_state, append_parent = seen.add, order.append, parent.append
-    first_with_tail = tails.setdefault
+    first_with_tail, budget = tails.setdefault, config.state_budget
     for i, current in enumerate(order):  # `order` grows while it is walked
         succs = successors(current)
         if not succs:
@@ -820,7 +816,7 @@ def explore(
             first_with_tail(succ[tail_at:], len(order))
             append_state(succ)
             append_parent(i)
-        if len(order) > config.state_budget and i + 1 < len(order):
+        if len(order) > budget and i + 1 < len(order):
             exhausted = False
             break
 

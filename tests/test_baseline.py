@@ -423,13 +423,13 @@ def test_the_directory_dump_shows_a_journey_waiting_for_memory():
 
 def test_a_request_entering_as_a_non_snooping_kind_is_refused_at_its_grant(monkeypatch):
     # as in the snoop model: a CleanUnique whose copy an earlier upgrade
-    # took enters as its reissue row's kind, here a WriteBack
+    # took enters as its reissue row's kind, here a ReadNoSnoop
     tables = protocol.TABLES
-    reissue = {**tables.reissue, CoherentKind.CLEAN_UNIQUE: CoherentKind.WRITE_BACK}
+    reissue = {**tables.reissue, CoherentKind.CLEAN_UNIQUE: CoherentKind.READ_NO_SNOOP}
     monkeypatch.setattr(protocol, "TABLES", replace(tables, reissue=reissue))
     sim = DirectorySimulation(SimConfig(n_cores=3))
     streams = [loads(0x40) + stores(0x40, [core + 1]) for core in range(3)]
-    with pytest.raises(ProtocolFault, match=r"^core 2: unexpected WriteBack request$"):
+    with pytest.raises(ProtocolFault, match=r"^core 2: unexpected ReadNoSnoop request$"):
         sim.run(streams)
     assert 2 not in {txn.initiator for _due, _id, txn in sim.wake}
     assert sim.decoder.hold == (2, 0x40)

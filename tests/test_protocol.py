@@ -186,16 +186,12 @@ def test_read_once_installs_shared():
 
 def test_non_coherent_kinds_have_no_completion():
     with pytest.raises(ValueError):
-        completion_state(CoherentKind.WRITE_BACK, 0, 0, 0)
+        completion_state(CoherentKind.READ_NO_SNOOP, 0, 0, 0)
 
 
 # -- racing-miss rules --------------------------------------------------------
 
-WB, RNS, WNS = (
-    CoherentKind.WRITE_BACK,
-    CoherentKind.READ_NO_SNOOP,
-    CoherentKind.WRITE_NO_SNOOP,
-)
+RNS = CoherentKind.READ_NO_SNOOP
 
 # kind -> (kind a miss whose copy a snoop took is issued as, its reissue row)
 REISSUE_ROWS = [
@@ -203,9 +199,7 @@ REISSUE_ROWS = [
     (RU, (RU, RU)),
     (CU, (RU, RU)),
     (RO, (RO, RO)),
-    (WB, (WB, WB)),
     (RNS, (RNS, RNS)),
-    (WNS, (WNS, WNS)),
 ]
 
 

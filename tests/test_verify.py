@@ -718,6 +718,63 @@ def test_no_stored_state_has_a_pending_silent_snoop(monkeypatch):
     assert counts["pending"] == 0 and counts["states"] > 100_000
 
 
+# each core mixes loads, stores and ifetches on both lines
+MIXED_OPS = (
+    (("R", X), ("W", Y, 1), ("IF", X)),
+    (("IF", Y), ("R", Y), ("W", X, 2)),
+    (("W", X, 3), ("IF", X), ("R", Y)),
+    (("R", Y), ("IF", Y), ("W", Y, 4)),
+)
+
+
+def _direct_silent(machine, core, kind, line) -> tuple:
+    """silent[core][kind][line] derived entry by entry from the fan-out,
+    the slot offsets and the targets' ops."""
+    fanout = machine.fanout[core][kind] if machine.reduced else ()
+    entries = []
+    for j, (target, probe_d, probe_i) in enumerate(fanout):
+        probed = [pos[target][line] for pos, on in ((machine.dpos, probe_d),
+                                                    (machine.ipos, probe_i)) if on]
+        ops = machine.ops[target]
+        later = tuple(any(l == line and machine.initiator[_I][op][0] for op, l, _value in ops[pc:])
+                      for pc in range(len(ops) + 1))
+        entries.append((1 << j, probed[0], probed[-1], machine.core_at[target], later))
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+@pytest.mark.parametrize("ifetch", [False, True])
+@pytest.mark.parametrize("n_cores", [2, 3, 4])
+def test_silent_table_matches_a_direct_derivation(monkeypatch, n_cores, ifetch, reduced):
+    monkeypatch.setattr(_Machine, "reduced", reduced)
+    machine = _Machine(MIXED_OPS[:n_cores], ExploreConfig(n_cores=n_cores, coherent_ifetch=ifetch))
+
+    def check():
+        for core in range(n_cores):
+            assert machine.silent[core][0] is None
+            for kind in range(1, len(_KINDS)):
+                for line in range(len(machine.addrs)):
+                    assert machine.silent[core][kind][line] == _direct_silent(
+                        machine, core, kind, line)
+                # kinds of one fan-out share one row
+                for other in range(1, kind):
+                    if machine.fanout[core][other] == machine.fanout[core][kind] or not reduced:
+                        assert machine.silent[core][other] is machine.silent[core][kind]
+
+    check()
+    # `protocol.Tables` refuses an Invalid row that hits, so patch the coded
+    # rows to give the per-pc `later` flags something to find
+    hit = (True, _E)
+    machine.initiator = (tuple(hit if op == _OP_OF_VERB["R"] else row
+                               for op, row in enumerate(machine.initiator[_I])),
+                         ) + machine.initiator[1:]
+    machine.silent = machine._silent_table()
+    if reduced:
+        assert any(any(entry[4]) for row in machine.silent[0][1:] for line in row
+                   for entry in line)
+    check()
+
+
 # -- mutations ------------------------------------------------------------------------
 
 @pytest.mark.parametrize("mutation", SHIPPED_MUTATIONS)
