@@ -213,8 +213,8 @@ class CacheModel:
         it entered.
 
         The monitors are told of the line only when the view may change:
-        a probed copy is valid, or the CR passes dirty (the CR in flight
-        is then a copy, `sim.Simulation._in_flight_copies`)."""
+        a probed copy is valid, or the CR passes dirty (its transaction
+        then answers for the line, `sim.Kernel.snapshot_invariants`)."""
         # an Invalid way reads as no copy, and its row changes nothing
         dline = self.index.get(address, _NO_WAY)[1] if probe_dcache else _NO_LINE
         iline = (self.iindex.get(address, _NO_WAY)[1] if probe_icache and self.coherent_ifetch

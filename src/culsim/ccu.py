@@ -2,16 +2,16 @@
 
 Serializes the cores' snooping requests through the `Decoder` (round-robin
 mux and per-line mutual exclusion, pipelined across distinct lines; the
-directory shares it), fans out snoops, aggregates the CR responses of
-each transaction, buffers first-responder CD data, and drains
-write-backs to memory through the bounded FIFO of its memory port. The
-kernel (`sim.Kernel`) builds the Decoder and the memory port and hands
-them in. The Decoder opens each `Transaction`, the one record of a
+directory shares it), fans out snoops, folds each CR response into its
+transaction in the cycle its snoop is served, buffers first-responder CD
+data, and drains write-backs to memory through the bounded FIFO of its
+memory port. The kernel (`sim.Kernel`) builds the Decoder and the
+memory port and hands them in. The Decoder opens each `Transaction`, the one record of a
 request in flight in both timed models, from its core's pending miss,
 and its in-flight table holds it, under its line, until the kernel ends
 it at the fill (`sim.Kernel._complete`); every entry of the CCU's queues
-(AC snoops, CR responses, memory reads, R bursts) carries the
-transaction it belongs to.
+(AC snoops, transactions whose last CR is on its way, memory reads, R
+bursts) carries the transaction it belongs to.
 """
 from __future__ import annotations
 
@@ -186,10 +186,12 @@ class Ccu:
 
     # when a set, collects the line of every transaction whose copy in
     # the monitors' view changes: a transaction shows there only while it
-    # holds dirty responsibility (`any_pass_dirty`), and a CR in flight
-    # only while it passes dirty. The end of a transaction needs no mark
-    # here: its fill marked the line through the initiator's cache
-    # (`CacheModel.miss_complete`), which shares this set
+    # holds dirty responsibility (`any_pass_dirty`). A CR folds in the
+    # cycle its snoop is served, and the snooped cache marked the line
+    # whenever the fold can change the view (`CacheModel.handle_snoop`);
+    # the end of a transaction marked it through the initiator's fill
+    # (`CacheModel.miss_complete`). The caches share this set, so only a
+    # memory read's data is marked here
     touched: Optional[set] = None
 
     def __init__(
@@ -215,7 +217,9 @@ class Ccu:
         # (due, txn, probe_d, probe_i) awaiting delivery per core; the
         # transaction's kind and line are the probe `handle_snoop` takes
         self.ac_outbox: List[Deque[tuple]] = [deque() for _ in range(n_cores)]
-        self.cr_inbox: Deque[tuple] = deque()  # (due, from_core, txn, resp, data)
+        # (due, txn) of each transaction whose last CR folded, on its way
+        # to the completion stage
+        self.cr_inbox: Deque[Tuple[int, Transaction]] = deque()
         # (due, txn) of the R burst on its way to the initiator
         self.r_outbox: List[Deque[Tuple[int, Transaction]]] = [
             deque() for _ in range(n_cores)]
@@ -245,24 +249,24 @@ class Ccu:
         return txn
 
     def collect_cr(self, from_core: int, txn: Transaction, resp: SnoopResponse,
-                   data: Optional[bytes]) -> None:
+                   data: Optional[bytes], now: int) -> None:
         """Fold one CR (+CD) of a core into its transaction
-        (`Transaction.fold`), one fewer pending; the memory read is
-        issued only after the last CR folds."""
+        (`Transaction.fold`) in the cycle `now` its snoop is served, one
+        fewer pending. Every CR takes one hop to the snoop unit, so the
+        last one's transaction goes on to `completion_step` a hop later;
+        its memory read is issued only then."""
         txn.cr_pending -= 1
         txn.fold(from_core, resp, data)
-        if self.touched is not None and txn.any_pass_dirty:
-            self.touched.add(txn.address)
+        if not txn.cr_pending:
+            self.cr_inbox.append((now + self.snoop_hop, txn))
 
     def snoop_unit_step(self, now: int) -> None:
-        """Fold the CRs due by `now`; the transactions whose last CR came
-        in go on to `completion_step` in this cycle, in id order."""
+        """The transactions whose last CR has reached the snoop unit by
+        `now` go on to `completion_step` in this cycle, in id order."""
+        inbox = self.cr_inbox
         ready = []
-        while self.cr_inbox and self.cr_inbox[0][0] <= now:
-            _, from_core, txn, resp, data = self.cr_inbox.popleft()
-            self.collect_cr(from_core, txn, resp, data)
-            if not txn.cr_pending:
-                ready.append(txn)
+        while inbox and inbox[0][0] <= now:
+            ready.append(inbox.popleft()[1])
         if ready:
             if len(ready) > 1:
                 ready.sort(key=lambda t: t.id)

@@ -353,7 +353,9 @@ def run_verify(args) -> int:
     for test in litmus_tests:
         verify.check_litmus(test, args.cores)
     with _report_to(args.report) as out:
-        report: Dict[str, object] = {}
+        # what the run certified: its core count, mutations and state budget
+        report: Dict[str, object] = {
+            "cores": args.cores, "mutations": sorted(mutations), "budget": budget}
         exit_code = EXIT_OK
         oracle = verify.oracle_tables(mutations=mutations, state_budget=budget)
         report["oracle"] = {

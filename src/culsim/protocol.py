@@ -26,8 +26,9 @@ read them as zero.
 A data-less dirty handoff (a CleanUnique whose snoop strips a dirty
 holder: PassDirty without data) needs no row. The transaction in flight
 holds the responsibility until its completion installs Modified, and the
-initiator's copy stays as it was meanwhile; the timed snoop model shows
-that transaction as an Owned copy (`sim.Simulation._in_flight_copies`).
+initiator's copy stays as it was meanwhile; the monitors of both timed
+models show that transaction as an Owned copy
+(`sim.Kernel.snapshot_invariants`).
 
 The enum members the timed models compare against are also bound once
 here as module-level names (`INVALID`, `READ_ONCE`, `STORE`, `OWNED`,

@@ -36,10 +36,12 @@ use. The Decoder opens each `ccu.Transaction` from its core's miss and
 holds it under its line, and `Kernel._complete` ends it at the fill, in
 either model: it looks the install state up in the completion row of
 the transaction's kind and CR aggregate (`Transaction.fold`), retires
-the miss, releases the line and counts a snoop-served miss. A model
-declares itself through the hooks `Kernel` lists: `_phases`,
-`_memory_data`, `_timed`, `_in_flight_copies` and `_dump_lines`. From
-`_timed` and the Decoder the kernel derives the next due cycle.
+the miss, releases the line and counts a snoop-served miss. The monitors
+read dirty responsibility in flight off the same table: a transaction
+that a snoopee handed it to answers for its line as an Owned copy. A
+model declares itself through the hooks `Kernel` lists: `_phases`,
+`_memory_data`, `_timed` and `_dump_lines`. From `_timed` and the
+Decoder the kernel derives the next due cycle.
 
 Component evaluation order within a cycle: cache controllers (each
 serving one requester on its SRAM port, snoops due at the head of the
@@ -266,17 +268,18 @@ class Kernel:
     its watchdog, and the invariant monitors. A model supplies its
     coherence fabric as `_phases` (everything of a cycle before stream
     issue, `_apply_nc_fill` and `_memory_responses` included), the data
-    of its memory reads as `_memory_data`, dirty data outside the caches
-    as `_in_flight_copies` and its own queues as `_dump_lines`. It uses
-    the kernel's `mem_port`, the MemoryPort in front of `mem`, and
-    `decoder`, the request Decoder, which opens each transaction; it
-    ends each one with `_complete`, which installs by the transaction's
-    completion row, and declares its time: `_timed` holds, once and for
-    good, every queue of its fabric whose entries start with their due
-    cycle (none is ever rebound); besides those, only the Decoder and the
-    write-back FIFO may act with no due head. With monitors on, its
-    components share the kernel's `touched` set, and the model marks
-    there every line whose view it changes without a component's help.
+    of its memory reads as `_memory_data` and its own queues as
+    `_dump_lines`. It uses the kernel's `mem_port`, the MemoryPort in
+    front of `mem`, and `decoder`, the request Decoder, which opens each
+    transaction and whose in-flight table the monitors read dirty
+    responsibility in flight off; it ends each one with `_complete`,
+    which installs by the transaction's completion row, and declares its
+    time: `_timed` holds, once and for good, every queue of its fabric
+    whose entries start with their due cycle (none is ever rebound);
+    besides those, only the Decoder and the write-back FIFO may act with
+    no due head. With monitors on, its components share the kernel's
+    `touched` set, and the model marks there every line whose view it
+    changes without a component's help.
 
     A step pays only for the work due in it: `_phases` calls a stage only
     when its queue head is due, and `_issue` runs only from `_issue_at`
@@ -343,11 +346,6 @@ class Kernel:
         stats.mem_writes = self.mem.writes
         stats.ccu_collision_stalls = self.decoder.stalls
         return stats
-
-    def _in_flight_copies(self, lines=None) -> Dict[int, List[CopyView]]:
-        """Copies of lines held outside the caches, by line address; only
-        those of `lines` are needed, unless it is None."""
-        return {}
 
     # -- per cycle -------------------------------------------------------------
 
@@ -511,19 +509,30 @@ class Kernel:
         line with a copy in a cache or in flight, in address order): per
         line, all valid copies plus the memory-side value — the input
         format of verify.check_swmr and check_value. A line's copies come
-        per core, data cache first, then those in flight. Write-backs
+        per core, data cache first, then the one in flight. Write-backs
         still queued at the memory port are committed writes, so they
         shadow the memory array. Non-coherent instruction caches are
         outside the coherency domain and are not part of the view.
 
-        Each line costs one dict read per cache in the view: the copies
-        are read straight from each core's line index (`_line_indexes`),
-        and the write-back FIFO is copied only while it holds entries.
-        Every address here is a line address the caches or the
-        transactions hold, so memory is read without `peek`'s checks."""
-        in_flight = self._in_flight_copies(lines)
-        if lines is None:
-            lines = set(in_flight)
+        Dirty responsibility in flight answers for its line like an
+        Owned copy of the initiator: a transaction holds it once a
+        snoopee handed it over (`any_pass_dirty`), until its completion
+        installs. This is the one handoff rule, in both models: a
+        data-less handoff (a CleanUnique stripping a dirty holder) leaves
+        the initiator's copy as it was, and the transaction answers with
+        that copy's data. Without it a line whose dirty holder was already
+        snooped looks clean-everywhere but newer than memory.
+
+        Each line costs one dict read per cache in the view and one in
+        the Decoder's in-flight table: the copies are read straight from
+        each core's line index (`_line_indexes`), and the write-back FIFO
+        is copied only while it holds entries. Every address here is a
+        line address the caches or the transactions hold, so memory is
+        read without `peek`'s checks."""
+        in_flight = self.decoder.in_flight
+        full = lines is None
+        if full:
+            lines = {addr for addr, txn in in_flight.items() if txn.any_pass_dirty}
             for cache in self.caches:
                 lines.update(addr for addr, _ in cache.valid_lines())
                 if cache.coherent_ifetch:
@@ -548,8 +557,17 @@ class Kernel:
                         line = hit[1]
                         if line.state is not INVALID:
                             copies.append(copy_view(core, line.state, line.data, True))
-            if addr in in_flight:
-                copies += in_flight[addr]
+            txn = in_flight.get(addr)
+            if txn is not None and txn.any_pass_dirty:
+                data = txn.data
+                if data is None:  # no data came: the initiator's copy, if it holds one
+                    hit = self.caches[txn.initiator].index.get(addr)
+                    if hit is not None and hit[1].state is not INVALID:
+                        data = hit[1].data
+                if data is not None:
+                    copies.append(copy_view(txn.initiator, OWNED, data, False))
+                elif full and not copies:  # the full view lists lines with a copy
+                    continue
             view[addr] = (copies, pending_wb[addr] if addr in pending_wb else contents.get(addr, zero))
         return view
 
@@ -733,8 +751,8 @@ class Simulation(Kernel):
         # due), then a non-coherent fill, then a due snoop, then the
         # core's load or store (a core has at most one op pending). A
         # pending ifetch leaves the port idle and runs below. A snoop
-        # probes with its transaction's kind and line, and its CR leaves
-        # for the snoop unit one hop later, carrying the transaction.
+        # probes with its transaction's kind and line, and its CR folds
+        # into the transaction as it leaves (`Ccu.collect_cr`).
         ccu = self.ccu
         txn = ccu.take_r(core, now) if r_due else None
         op = port.current
@@ -745,7 +763,7 @@ class Simulation(Kernel):
         elif acs and acs[0][0] <= now:
             _due, snoop, probe_d, probe_i = acs.popleft()
             resp, data = cache.handle_snoop(snoop.kind, snoop.address, probe_d, probe_i)
-            ccu.cr_inbox.append((now + ccu.snoop_hop, core, snoop, resp, data))
+            ccu.collect_cr(core, snoop, resp, data, now)
         elif op is None or cache.miss is not None:
             return
         elif op.kind is not IFETCH:
@@ -764,35 +782,6 @@ class Simulation(Kernel):
         self.ccu.memory_data(txn, data, now)
 
     # -- monitors / inspection ------------------------------------------------
-
-    def _in_flight_copies(self, lines=None) -> Dict[int, List[CopyView]]:
-        # Dirty responsibility in flight answers for its line like an
-        # Owned copy: a CR with pass_dirty still queued, and a transaction
-        # once a snoopee handed the responsibility over. This is the one
-        # handoff rule: a data-less handoff (a CleanUnique stripping a
-        # dirty holder) leaves the initiator's copy as it was, and the
-        # transaction answers with that copy's data until its completion
-        # installs Modified. Without these a line whose dirty holder was
-        # already snooped looks clean-everywhere but newer than memory.
-        ccu = self.ccu
-        copies: Dict[int, List[CopyView]] = {}
-        # every CR and buffered line belongs to a transaction, which the
-        # Decoder holds in flight under its line until it finishes
-        in_flight = self.decoder.in_flight
-        if not in_flight or lines is not None and in_flight.keys().isdisjoint(lines):
-            return copies
-        handed = [(txn, data) for _due, _core, txn, resp, data in ccu.cr_inbox if resp.pass_dirty]
-        handed += [(txn, txn.data) for txn in in_flight.values() if txn.any_pass_dirty]
-        for txn, data in handed:
-            if data is None:  # no data came: the initiator's copy, if it holds one
-                # `txn.address` is a line address
-                hit = self.caches[txn.initiator].index.get(txn.address)
-                if hit is None or hit[1].state is INVALID:
-                    continue
-                data = hit[1].data
-            copies.setdefault(txn.address, []).append(
-                CopyView(txn.initiator, OWNED, data, False))
-        return copies
 
     def _dump_lines(self) -> List[str]:
         # per transaction: its id and the CRs still to come

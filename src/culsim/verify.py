@@ -355,10 +355,11 @@ class _Machine:
         self.silent = self._silent_table()
         # lone_miss[core][pc] -> the slot an op looks up if, from Invalid,
         # it misses to the Decoder, else 0 (and 0 past the last op); all 0
-        # in a machine that is not `reduced`. A non-coherent ifetch fills
-        # its icache from memory instead
-        misses = tuple(self.reduced and not self.initiator[_I][op][0]
-                       and (op != _IFETCH or config.coherent_ifetch) for op in range(3))
+        # in a machine that is not `reduced`. Every op misses from Invalid
+        # (`protocol.Tables` refuses an Invalid row that hits), but a
+        # non-coherent ifetch fills its icache from memory instead
+        misses = tuple(self.reduced and (op != _IFETCH or config.coherent_ifetch)
+                       for op in range(3))
         lone_miss = tuple(
             tuple((self.ipos if op == _IFETCH else self.dpos)[c][line] if misses[op] else 0
                   for op, line, _value in ops) + (0,)
@@ -369,21 +370,10 @@ class _Machine:
 
     def _silent_table(self) -> tuple:
         """silent[core][kind][line] -> per entry j of the fan-out: (bit j,
-        the slots the snoop probes (one twice if it probes one structure),
-        the target's slot offset, per target pc whether an op from there
-        on, looked up from Invalid on the line, hits and so could make the
-        snoop find a copy). Every entry is empty in a machine that is not
-        `reduced`. Kinds of one fan-out (a core's three data-side kinds)
-        share one row."""
+        the slots the snoop probes (one twice if it probes one structure)).
+        Every entry is empty in a machine that is not `reduced`. Kinds of
+        one fan-out (a core's three data-side kinds) share one row."""
         lines = range(len(self.addrs))
-        hits = [hit for hit, _code in self.initiator[_I]]
-        later = []  # later[target][line][pc]
-        for ops in self.ops:
-            flags = [[False] for _line in lines]
-            for op, l, _value in reversed(ops):
-                for line, f in enumerate(flags):
-                    f.append(f[-1] or (l == line and hits[op]))
-            later.append([tuple(reversed(f)) for f in flags])
         table = []
         for fanouts in self.fanout:
             rows = {}  # fan-out -> its row per line
@@ -393,7 +383,7 @@ class _Machine:
                 if row is None:  # entry j: target t, probes dcache d, icache i
                     row = rows[fanout] = tuple(tuple(
                         (1 << j, (self.dpos if d else self.ipos)[t][line],
-                         (self.ipos if i else self.dpos)[t][line], self.core_at[t], later[t][line])
+                         (self.ipos if i else self.dpos)[t][line])
                         for j, (t, d, i) in enumerate(fanout)) for line in lines)
                 per_kind.append(row)
             table.append(tuple(per_kind))
@@ -482,8 +472,9 @@ class _Machine:
 
         A lone miss is an idle core's next op when it is a Load or a
         Store on a line its dcache holds Invalid, or an IFetch on a line
-        its icache holds Invalid with coherent ifetch on, and the table
-        row (Invalid, op) misses, with any kind. The issue reads the
+        its icache holds Invalid with coherent ifetch on. Such an op
+        misses, since `protocol.Tables` refuses an Invalid initiator row
+        that hits. The issue reads the
         core's pc, its idle miss slot and that Invalid slot. No other
         core's step changes these: a probe row writes only a valid slot
         (`protocol.Tables` refuses an Invalid snoopee row that changes
@@ -535,17 +526,18 @@ class _Machine:
     def _settle(self, new: bytearray, core: int) -> None:
         """Run, in place, every silent snoop pending in `core`'s mask. A
         pending snoop is silent when its target holds the line Invalid in
-        every structure the snoop probes and has no op left that, looked
-        up from Invalid on the line, hits.
+        every structure the snoop probes.
 
         Such a snoop does what `_snoop` does when it finds no copy: it
         clears its bit of the initiator's mask and records the (Invalid,
         kind) coverage pair, and changes no cache slot and no miss flag,
         since `protocol.Tables` refuses an Invalid snoopee row whose next
         state is valid or whose CR has a bit set.
-        While the line is in flight the collision rule admits no other
-        miss on it, so no other step can give the target a copy or read
-        that bit: the snoop stays silent and commutes with every step. It
+        The target's own ops cannot give it a copy either: `protocol.Tables`
+        refuses an Invalid initiator row that hits, so only a miss fills
+        the line, and while the line is in flight the collision rule
+        admits no other miss on it. So no step can give the target a copy
+        or read that bit: the snoop stays silent and commutes with every step. It
         leaves the state tail, all the invariant checks read, unchanged. So it is folded
         into the step that made it silent, and the state in between is
         never stored (Godefroid's persistent sets, LNCS 1032, 1996). Only
@@ -554,8 +546,8 @@ class _Machine:
         this."""
         at = self.core_at[core]
         mask, kind, line = new[at + _MM], new[at + _MK], new[at + _ML]
-        for bit, p1, p2, tat, later in self.silent[core][kind][line]:
-            if mask & bit and not (new[p1] or new[p2] or later[new[tat + _PC]]):
+        for bit, p1, p2 in self.silent[core][kind][line]:
+            if mask & bit and not (new[p1] or new[p2]):
                 mask ^= bit
                 self.snoop_cov.add((_I, kind))
         new[at + _MM] = mask

@@ -168,6 +168,34 @@ def test_owner_forwarding_counts_as_cache_to_cache():
     assert sim.mem.peek(0x100)[:4] == (7).to_bytes(4, "little")
 
 
+def test_a_read_unique_forwarded_to_a_modified_owner_shows_as_one_owned_copy():
+    # core 1 holds the line Modified; core 0's store forwards a ReadUnique
+    # to it, which hands the dirty line to the transaction. Until the
+    # install the transaction answers for the line as core 0's Owned copy,
+    # and the monitors find nothing wrong
+    sim = DirectorySimulation(SimConfig(), monitor=True)
+    sim.run([[], stores(0x100, [7])])
+    dirty = sim.caches[1].lookup(0x100)[1].data
+    between = []
+    run_monitors = sim._run_monitors
+
+    def monitors():
+        txn = sim.decoder.in_flight.get(0x100)
+        if txn is not None and txn.any_pass_dirty:
+            view = sim.snapshot_invariants()
+            between.append((view[0x100][0], verify.check_swmr(view) + verify.check_value(view)))
+        run_monitors()
+
+    sim._run_monitors = monitors
+    sim.run([stores(0x100, [8]), []])
+    assert between
+    for copies, problems in between:
+        assert copies == [verify.CopyView(0, LineState.OWNED, dirty, False)]
+        assert problems == []
+    assert sim.caches[0].lookup(0x100)[1].state is LineState.MODIFIED
+    assert sim.caches[1].lookup(0x100) is None
+
+
 def test_private_workload_matches_snoop_memory_traffic():
     spec = WorkloadSpec("private", ops_per_core=300, working_set=4, seed=5)
     streams = gen_workload(spec, 2, 16)

@@ -271,10 +271,9 @@ def test_a_data_less_handoff_stays_with_its_transaction_until_the_completion():
     def monitors():
         if mine.miss is not None and theirs.lookup(0x40) is None:
             line = mine.lookup(0x40)[1]
-            copies = sim._in_flight_copies().get(0x40, ())
             view = sim.snapshot_invariants()
-            between.append((line.state, [(c.state, c.data) for c in copies], line.data,
-                            check_swmr(view) + check_value(view)))
+            copies = [(c.core, c.state, c.data) for c in view[0x40][0]]
+            between.append((line.state, copies, line.data, check_swmr(view) + check_value(view)))
         run_monitors()
 
     sim._run_monitors = monitors
@@ -282,7 +281,8 @@ def test_a_data_less_handoff_stays_with_its_transaction_until_the_completion():
     assert between
     for state, copies, data, problems in between:
         assert state is S
-        assert copies == [(O, data)]
+        # core 0's Shared copy, then its transaction's Owned one
+        assert copies == [(0, S, data), (0, O, data)]
         assert problems == []
     assert mine.lookup(0x40)[1].state is M and theirs.lookup(0x40) is None
 

@@ -17,7 +17,7 @@ from culsim.ccu import (
 )
 from culsim.memsys import MemoryModel, MemoryPort
 from culsim.protocol import CoherentKind, CoreOp, LineState, OpKind, SnoopResponse
-from culsim.sim import CoherenceViolation, SimConfig, build
+from culsim.sim import CoherenceViolation, Latencies, SimConfig, build
 
 RS, RU, CU, RO = (
     CoherentKind.READ_SHARED,
@@ -277,8 +277,8 @@ def test_collect_cr_first_responder_supplies_data():
     request(ccu, 0, RS, 0x40, now=0)
     txn = ccu.decoder_step(0)
     line_a, line_b = bytes([1]) * 16, bytes([2]) * 16
-    ccu.collect_cr(1, txn, SnoopResponse(data_transfer=1, is_shared=1), line_a)
-    ccu.collect_cr(2, txn, SnoopResponse(data_transfer=1, is_shared=1), line_b)
+    ccu.collect_cr(1, txn, SnoopResponse(data_transfer=1, is_shared=1), line_a, now=3)
+    ccu.collect_cr(2, txn, SnoopResponse(data_transfer=1, is_shared=1), line_b, now=3)
     assert txn.data == line_a
     assert txn.data_source == 1
     assert txn.any_is_shared == 1 and txn.any_pass_dirty == 0
@@ -288,18 +288,21 @@ def test_collect_cr_aggregates_with_or_semantics():
     ccu = make_ccu(n_cores=3)
     request(ccu, 0, RU, 0x40, now=0)
     txn = ccu.decoder_step(0)
-    ccu.collect_cr(1, txn, SnoopResponse(), None)
-    ccu.collect_cr(2, txn, SnoopResponse(data_transfer=1, pass_dirty=1), bytes(16))
+    ccu.collect_cr(1, txn, SnoopResponse(), None, now=3)
+    assert txn.cr_pending == 1 and not ccu.cr_inbox
+    ccu.collect_cr(2, txn, SnoopResponse(data_transfer=1, pass_dirty=1), bytes(16), now=4)
     assert txn.any_pass_dirty == 1
     assert txn.cr_pending == 0
+    # the last CR sends the transaction to the snoop unit, a hop later
+    assert list(ccu.cr_inbox) == [(4 + ccu.snoop_hop, txn)]
 
 
 def test_collect_cr_all_deny_leaves_no_source():
     ccu = make_ccu(n_cores=3)
     request(ccu, 0, RS, 0x40, now=0)
     txn = ccu.decoder_step(0)
-    ccu.collect_cr(1, txn, SnoopResponse(), None)
-    ccu.collect_cr(2, txn, SnoopResponse(), None)
+    ccu.collect_cr(1, txn, SnoopResponse(), None, now=3)
+    ccu.collect_cr(2, txn, SnoopResponse(), None, now=3)
     assert txn.data_source is None and txn.data is None
 
 
@@ -309,12 +312,13 @@ def test_transactions_ready_in_one_cycle_move_on_in_id_order():
     request(ccu, 1, RS, 0x80, now=0)
     first, second = ccu.decoder_step(0), ccu.decoder_step(1)
     assert (first.id, second.id) == (0, 1)
-    # each has one CR to come, and core 0 answers the second one first
-    ccu.cr_inbox.append((4, 0, second, SnoopResponse(), None))
-    ccu.cr_inbox.append((5, 1, first, SnoopResponse(), None))
-    ccu.snoop_unit_step(3)  # neither CR is due yet
+    # each has one CR to come, and in cycle 4 core 0 answers the second
+    # one before core 1 answers the first
+    ccu.collect_cr(0, second, SnoopResponse(), None, now=4)
+    ccu.collect_cr(1, first, SnoopResponse(), None, now=4)
+    ccu.snoop_unit_step(4)  # neither has reached the snoop unit yet
     assert ccu.cr_inbox and not ccu.mem_port.read_queue
-    ccu.snoop_unit_step(5)  # both last CRs fold in this cycle
+    ccu.snoop_unit_step(5)  # both move on in this cycle
     assert not ccu.cr_inbox
     assert [(due, tag) for due, _, tag in ccu.mem_port.read_queue] == [(5, first), (5, second)]
     ccu.memory_data(second, bytes([1]) * 16, 29)  # and the data arrive in reverse too
@@ -323,6 +327,39 @@ def test_transactions_ready_in_one_cycle_move_on_in_id_order():
     assert [list(box) for box in ccu.r_outbox] == [[(31, first)], [(31, second)]]
     assert ccu.take_r(0, 31) is first and ccu.take_r(1, 31) is second
     assert first.data == bytes([2]) * 16
+
+
+@pytest.mark.parametrize("hop", [1, 3])
+def test_a_cr_folds_as_its_snoop_is_served_and_completes_a_hop_later(hop):
+    # core 1 holds the line Modified; core 0's load snoops it, and the CR
+    # is in the transaction in the cycle core 1 serves the snoop
+    sim = build(SimConfig(latencies=Latencies(snoop_hop=hop)))
+    sim.run([[], [CoreOp(OpKind.STORE, 0x40, value=7)]])
+    ccu, owner = sim.ccu, sim.caches[1]
+    served, folded, completed = [], [], []
+    handle_snoop, collect_cr = owner.handle_snoop, ccu.collect_cr
+    completion_step = ccu.completion_step
+
+    def snoop(*args):
+        served.append(sim.cycle)
+        return handle_snoop(*args)
+
+    def collect(from_core, txn, resp, data, now):
+        collect_cr(from_core, txn, resp, data, now)
+        folded.append((now, from_core, txn.data_source, txn.cr_pending, list(ccu.cr_inbox)))
+
+    def complete(now, ready):
+        completed.append((now, ready))
+        completion_step(now, ready)
+
+    owner.handle_snoop, ccu.collect_cr, ccu.completion_step = snoop, collect, complete
+    sim.run([[CoreOp(OpKind.LOAD, 0x40)], []])
+    [at] = served
+    [(now, core, source, pending, inbox)] = folded
+    [(due, txn)] = inbox
+    assert (now, core, source, pending, due) == (at, 1, 1, 0, at + hop)
+    assert completed == [(at + hop, [txn])]
+    assert txn.data == owner.lookup(0x40)[1].data
 
 
 def test_writeback_fifo_drains_in_order():

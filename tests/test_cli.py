@@ -491,6 +491,21 @@ def test_verify_four_cores_same_verdict(tmp_path):
     assert code == EXIT_OK
 
 
+def test_verify_reports_name_their_cores_mutations_and_budget(tmp_path):
+    reports = []
+    for argv in ((), ("--cores", "3"), ("--budget", "50000", "--mutate",
+                                        "snoopee:M:ReadUnique:keep")):
+        path = tmp_path / f"v{len(reports)}.json"
+        run_cli("verify", *argv, "--report", str(path))
+        reports.append(path.read_text())
+    default, three, mutated = map(json.loads, reports)
+    assert reports[0] != reports[1]
+    assert (default["cores"], default["mutations"], default["budget"]) == (
+        2, [], verify.ExploreConfig.state_budget)
+    assert three["cores"] == 3
+    assert (mutated["mutations"], mutated["budget"]) == (["snoopee:M:ReadUnique:keep"], 50000)
+
+
 def test_verify_external_litmus_file(tmp_path):
     lit = tmp_path / "extra.litmus"
     lit.write_text(

@@ -18,8 +18,9 @@ from test_cache_index import runs
 def queued(sim):
     """Every transaction an entry of the model's queues carries: memory
     reads queued and in flight (but a non-coherent fill's, tagged with
-    its `_Port`), and the snoop model's AC, CR and R entries or the
-    directory's `wake` heap."""
+    its `_Port`), and the snoop model's AC entries, the entries of the
+    transactions whose last CR is on its way to the snoop unit and R
+    entries, or the directory's `wake` heap."""
     tags = [tag for _ready, _addr, tag in sim.mem_port.read_queue]
     tags += [tag for _due, tag, _addr, _data in sim.mem.inflight]
     txns = [tag for tag in tags if not isinstance(tag, _Port)]
@@ -27,7 +28,7 @@ def queued(sim):
         return txns + [txn for _due, _id, txn in sim.wake]
     ccu = sim.ccu
     txns += [txn for box in ccu.ac_outbox for _due, txn, _pd, _pi in box]
-    txns += [txn for _due, _core, txn, _resp, _data in ccu.cr_inbox]
+    txns += [txn for _due, txn in ccu.cr_inbox]
     return txns + [txn for box in ccu.r_outbox for _due, txn in box]
 
 

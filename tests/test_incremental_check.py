@@ -3,7 +3,8 @@ changed in the step. These tests hold that incremental check against a
 check of every resident and in-flight line: step by step on tiny drawn
 configurations, and end to end on every shipped mutation. The view
 itself is held step by step against a reference built from cache
-lookups, the copies in flight and the write-back FIFO."""
+lookups, the transactions the model's queues carry and the write-back
+FIFO."""
 from dataclasses import replace
 
 import pytest
@@ -12,9 +13,11 @@ from hypothesis import HealthCheck, given, settings
 from culsim import protocol, verify
 from culsim.baseline import DirectorySimulation
 from culsim.cli import WorkloadSpec, gen_workload
+from culsim.protocol import LineState
 from culsim.sim import SimConfig, Simulation, build
 
 from test_cache_index import LINES, one_at_a_time, runs
+from test_in_flight import queued
 
 
 def problems(view):
@@ -54,14 +57,26 @@ def test_incremental_view_agrees_with_full_scan_every_step(run):
 
 
 def reference_view(sim):
-    """The coherence view built without `snapshot_invariants`: each
-    line's valid copies found by `lookup` in every data cache and every
-    coherent icache, then the copies in flight, against memory as
-    shadowed by the queued write-backs (the youngest per line)."""
-    in_flight = sim._in_flight_copies()
-    queued = {}
+    """The coherence view built without `snapshot_invariants` or the
+    Decoder's in-flight table: each line's valid copies found by `lookup`
+    in every data cache and every coherent icache, then an Owned copy of
+    the initiator for each transaction an entry of the model's queues
+    carries that holds dirty responsibility (with its data, or with the
+    initiator's copy's when none came), against memory as shadowed by the
+    queued write-backs (the youngest per line)."""
+    in_flight = {}
+    for txn in {id(txn): txn for txn in queued(sim)}.values():
+        if txn.any_pass_dirty:
+            data = txn.data
+            if data is None:
+                hit = sim.caches[txn.initiator].lookup(txn.address)
+                data = hit and hit[1].data
+            if data is not None:
+                in_flight[txn.address] = [
+                    verify.CopyView(txn.initiator, LineState.OWNED, data, False)]
+    pending_wb = {}
     for addr, data in sim.mem_port.wb:
-        queued[addr] = data
+        pending_wb[addr] = data
     view = {}
     for addr in LINES:
         copies = []
@@ -71,7 +86,7 @@ def reference_view(sim):
                 if hit is not None:
                     copies.append(verify.CopyView(core, hit[1].state, hit[1].data, icache))
         copies += in_flight.get(addr, [])
-        view[addr] = (copies, queued[addr] if addr in queued else sim.mem.peek(addr))
+        view[addr] = (copies, pending_wb[addr] if addr in pending_wb else sim.mem.peek(addr))
     return view
 
 

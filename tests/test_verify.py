@@ -728,17 +728,14 @@ MIXED_OPS = (
 
 
 def _direct_silent(machine, core, kind, line) -> tuple:
-    """silent[core][kind][line] derived entry by entry from the fan-out,
-    the slot offsets and the targets' ops."""
+    """silent[core][kind][line] derived entry by entry from the fan-out
+    and the slot offsets."""
     fanout = machine.fanout[core][kind] if machine.reduced else ()
     entries = []
     for j, (target, probe_d, probe_i) in enumerate(fanout):
         probed = [pos[target][line] for pos, on in ((machine.dpos, probe_d),
                                                     (machine.ipos, probe_i)) if on]
-        ops = machine.ops[target]
-        later = tuple(any(l == line and machine.initiator[_I][op][0] for op, l, _value in ops[pc:])
-                      for pc in range(len(ops) + 1))
-        entries.append((1 << j, probed[0], probed[-1], machine.core_at[target], later))
+        entries.append((1 << j, probed[0], probed[-1]))
     return tuple(entries)
 
 
@@ -748,31 +745,16 @@ def _direct_silent(machine, core, kind, line) -> tuple:
 def test_silent_table_matches_a_direct_derivation(monkeypatch, n_cores, ifetch, reduced):
     monkeypatch.setattr(_Machine, "reduced", reduced)
     machine = _Machine(MIXED_OPS[:n_cores], ExploreConfig(n_cores=n_cores, coherent_ifetch=ifetch))
-
-    def check():
-        for core in range(n_cores):
-            assert machine.silent[core][0] is None
-            for kind in range(1, len(_KINDS)):
-                for line in range(len(machine.addrs)):
-                    assert machine.silent[core][kind][line] == _direct_silent(
-                        machine, core, kind, line)
-                # kinds of one fan-out share one row
-                for other in range(1, kind):
-                    if machine.fanout[core][other] == machine.fanout[core][kind] or not reduced:
-                        assert machine.silent[core][other] is machine.silent[core][kind]
-
-    check()
-    # `protocol.Tables` refuses an Invalid row that hits, so patch the coded
-    # rows to give the per-pc `later` flags something to find
-    hit = (True, _E)
-    machine.initiator = (tuple(hit if op == _OP_OF_VERB["R"] else row
-                               for op, row in enumerate(machine.initiator[_I])),
-                         ) + machine.initiator[1:]
-    machine.silent = machine._silent_table()
-    if reduced:
-        assert any(any(entry[4]) for row in machine.silent[0][1:] for line in row
-                   for entry in line)
-    check()
+    for core in range(n_cores):
+        assert machine.silent[core][0] is None
+        for kind in range(1, len(_KINDS)):
+            for line in range(len(machine.addrs)):
+                assert machine.silent[core][kind][line] == _direct_silent(
+                    machine, core, kind, line)
+            # kinds of one fan-out share one row
+            for other in range(1, kind):
+                if machine.fanout[core][other] == machine.fanout[core][kind] or not reduced:
+                    assert machine.silent[core][other] is machine.silent[core][kind]
 
 
 # -- mutations ------------------------------------------------------------------------
