@@ -142,9 +142,9 @@ class DirectorySimulation(Kernel):
         in core order."""
         owner, sharers = None, []
         for core, _port, cache in self._ports:
-            hit = cache.index.get(addr)  # `addr` is a line address
-            if hit is not None:
-                state = hit[1].state
+            line = cache.index.get(addr)  # `addr` is a line address
+            if line is not None:
+                state = line.state
                 if state is SHARED:
                     sharers.append(core)
                 elif state is not INVALID:  # Modified or Exclusive, MESI's other states
@@ -160,10 +160,9 @@ class DirectorySimulation(Kernel):
         its row leaves Owned writes its line back and stays Shared. False,
         with nothing changed, while that write-back finds the FIFO full."""
         cache = self.caches[owner]
-        hit = cache.index.get(txn.address)  # `txn.address` is a line address
-        if hit is None or hit[1].state is INVALID:
+        line = cache.index.get(txn.address)  # `txn.address` is a line address
+        if line is None or line.state is INVALID:
             return True
-        line = hit[1]
         if (cache.tables.snoopee[line.state, txn.kind][0] is OWNED
                 and self.mem_port.wb_full()):
             return False

@@ -67,7 +67,7 @@ def set_word(data: bytes, offset: int, value: int) -> bytes:
 
 @dataclass(slots=True)
 class CacheLine:
-    tag: int = 0
+    addr: int = 0  # the line address the way holds, or last held
     state: LineState = INVALID
     data: bytes = b""
 
@@ -86,7 +86,6 @@ class CopyView(NamedTuple):
 # what a probe of a structure it skips, or of a line it lacks, reads:
 # an Invalid line, which `handle_snoop` never writes
 _NO_LINE = CacheLine()
-_NO_WAY = (None, _NO_LINE)
 
 
 @dataclass(slots=True)
@@ -98,13 +97,13 @@ class MissStatus:
     kind: CoherentKind
 
 
-def _fill_way(ways: List[CacheLine], rr_way: int) -> int:
-    """The way a fill of a set takes: its first free way, else the
+def _fill_way(ways: List[CacheLine], rr_way: int) -> CacheLine:
+    """The line a fill of a set takes: its first free way, else the
     round-robin victim `rr_way`."""
-    for way, line in enumerate(ways):
+    for line in ways:
         if line.state is INVALID:
-            return way
-    return rr_way
+            return line
+    return ways[rr_way]
 
 
 class CacheModel:
@@ -134,11 +133,11 @@ class CacheModel:
         # a set's ways, or None until its first fill (`_install`) builds them
         self.sets: List[Optional[List[CacheLine]]] = [None] * self.n_sets
         self.isets: List[Optional[List[CacheLine]]] = [None] * self.n_sets
-        # line address -> (way, line) last filled with it, per array. Only
+        # line address -> the line last filled with it, per array. Only
         # _install writes these; a reader must check the line's state, since
         # invalidations leave the entry in place.
-        self.index: Dict[int, Tuple[int, CacheLine]] = {}
-        self.iindex: Dict[int, Tuple[int, CacheLine]] = {}
+        self.index: Dict[int, CacheLine] = {}
+        self.iindex: Dict[int, CacheLine] = {}
         # each set's round-robin victim way, in 4 bytes a set (a list
         # takes 8)
         self.rr = array("I", [0]) * self.n_sets
@@ -146,22 +145,13 @@ class CacheModel:
         self.miss: Optional[MissStatus] = None
         self.tables = protocol.TABLES
 
-    # -- address helpers ------------------------------------------------
-
-    def _index_tag(self, address: int) -> Tuple[int, int]:
-        line = address // self.line_size
-        return line % self.n_sets, line // self.n_sets
-
-    def _addr_of(self, set_idx: int, tag: int) -> int:
-        return (tag * self.n_sets + set_idx) * self.line_size
-
     # -- lookup ----------------------------------------------------------
 
-    def lookup(self, address: int, icache: bool = False) -> Optional[Tuple[int, CacheLine]]:
-        """Find the valid way holding `address`, or None on miss."""
-        hit = (self.iindex if icache else self.index).get(address - address % self.line_size)
-        if hit is not None and hit[1].state is not INVALID:
-            return hit
+    def lookup(self, address: int, icache: bool = False) -> Optional[CacheLine]:
+        """The valid line holding `address`, or None on miss."""
+        line = (self.iindex if icache else self.index).get(address - address % self.line_size)
+        if line is not None and line.state is not INVALID:
+            return line
         return None
 
     # -- core side ---------------------------------------------------------
@@ -180,11 +170,10 @@ class CacheModel:
         offset = op.address % self.line_size
         address = op.address - offset
         # an Invalid way reads as the miss it is
-        hit = (self.iindex if kind is IFETCH else self.index).get(address)
-        state = hit[1].state if hit is not None else INVALID
+        line = (self.iindex if kind is IFETCH else self.index).get(address, _NO_LINE)
+        state = line.state
         action = self.tables.initiator[state, kind]
         if isinstance(action, Hit):
-            line = hit[1]
             if self.touched is not None and (
                 kind is STORE or action.next is not state
             ):
@@ -216,8 +205,8 @@ class CacheModel:
         a probed copy is valid, or the CR passes dirty (its transaction
         then answers for the line, `sim.Kernel.snapshot_invariants`)."""
         # an Invalid way reads as no copy, and its row changes nothing
-        dline = self.index.get(address, _NO_WAY)[1] if probe_dcache else _NO_LINE
-        iline = (self.iindex.get(address, _NO_WAY)[1] if probe_icache and self.coherent_ifetch
+        dline = self.index.get(address, _NO_LINE) if probe_dcache else _NO_LINE
+        iline = (self.iindex.get(address, _NO_LINE) if probe_icache and self.coherent_ifetch
                  else _NO_LINE)
         dnext, inext, resp, source = self.tables.probe[dline.state, iline.state, kind]
         if self.touched is not None and (
@@ -237,8 +226,8 @@ class CacheModel:
         data), else the kind it missed with. Only a snoop can take the
         copy before then, since the core installs nothing else meanwhile."""
         ms = self.miss
-        hit = self.index.get(ms.address)  # `ms.address` is a line address
-        if hit is None or hit[1].state is INVALID:
+        # `ms.address` is a line address
+        if self.index.get(ms.address, _NO_LINE).state is INVALID:
             ms.kind = self.tables.reissue[ms.kind]
         return ms.kind
 
@@ -268,12 +257,12 @@ class CacheModel:
                 return None
             line, writeback = filled
         else:  # an upgrade of the copy it holds
-            hit = self.index.get(ms.address)  # `ms.address` is a line address
-            if hit is None or hit[1].state is INVALID:
+            line = self.index.get(ms.address, _NO_LINE)  # `ms.address` is a line address
+            if line.state is INVALID:
                 raise LostCopy(ms.address)
             if self.touched is not None:
                 self.touched.add(ms.address)
-            line, writeback = hit[1], None
+            writeback = None
             line.state = state
         self.miss = None
         offset = op.address % self.line_size
@@ -291,35 +280,31 @@ class CacheModel:
         that line is dirty and `wb_room` is false; else the filled line
         and the dirty victim's (line address, data), or None. An icache
         line is never dirty. A set's first fill builds its ways and takes
-        way 0, with no victim. The set, the tag and the victim's address
-        are those of `_index_tag` and `_addr_of`, computed in place."""
-        n_sets = self.n_sets
-        line_no = address // self.line_size
-        set_idx = line_no % n_sets
+        way 0, with no victim. The victim's address is the one its line
+        holds (`CacheLine.addr`)."""
+        set_idx = address // self.line_size % self.n_sets
         sets = self.isets if icache else self.sets
         ways = sets[set_idx]
         if ways is None:
             ways = sets[set_idx] = [CacheLine() for _ in range(self.ways)]
         rr = self.irr if icache else self.rr
-        way = _fill_way(ways, rr[set_idx])
-        line = ways[way]
+        line = _fill_way(ways, rr[set_idx])
         dirty = line.state in DIRTY_STATES
         if dirty and not wb_room:
             return None
         index = self.iindex if icache else self.index
-        old = (line.tag * n_sets + set_idx) * self.line_size
+        old = line.addr
         writeback = (old, line.data) if dirty else None
-        # an Invalid way may keep the tag of a line since refilled elsewhere
-        # in the set; that newer entry must survive
-        entry = index.get(old)
-        if entry is not None and entry[0] == way:
+        # an Invalid way may keep the address of a line since refilled
+        # elsewhere in the set; that newer entry must survive
+        if index.get(old) is line:
             del index[old]
-        index[address] = (way, line)
+        index[address] = line
         if self.touched is not None:
             self.touched.add(address)
             if line.state is not INVALID:
                 self.touched.add(old)
-        line.tag = line_no // n_sets
+        line.addr = address
         line.state = state
         line.data = bytes(data) if data is not None else bytes(self.line_size)
         rr[set_idx] = (rr[set_idx] + 1) % self.ways
@@ -329,6 +314,6 @@ class CacheModel:
 
     def valid_lines(self, icache: bool = False):
         """Yield (line_address, line) for every valid entry, in fill order."""
-        for addr, (_, line) in (self.iindex if icache else self.index).items():
+        for addr, line in (self.iindex if icache else self.index).items():
             if line.state.is_valid:
                 yield addr, line

@@ -305,7 +305,6 @@ class Ccu:
     def finish(self, txn: Transaction) -> None:
         """The initiator consumed the R burst of a transaction the kernel
         ended (`sim.Kernel._complete`): the burst leaves the R channel.
-        The fill that ended it marked the line in `touched` already."""
-        box = self.r_outbox[txn.initiator]
-        if box and box[0][1] is txn:
-            box.popleft()
+        The fill that ended it marked the line in `touched` already, and
+        its burst is the head `take_r` returned."""
+        self.r_outbox[txn.initiator].popleft()

@@ -546,24 +546,20 @@ class Kernel:
         for addr in lines:
             copies = []
             for core, index, iindex in self._line_indexes:
-                hit = index.get(addr)
-                if hit is not None:
-                    line = hit[1]
-                    if line.state is not INVALID:
-                        copies.append(copy_view(core, line.state, line.data, False))
+                line = index.get(addr)
+                if line is not None and line.state is not INVALID:
+                    copies.append(copy_view(core, line.state, line.data, False))
                 if iindex is not None:
-                    hit = iindex.get(addr)
-                    if hit is not None:
-                        line = hit[1]
-                        if line.state is not INVALID:
-                            copies.append(copy_view(core, line.state, line.data, True))
+                    line = iindex.get(addr)
+                    if line is not None and line.state is not INVALID:
+                        copies.append(copy_view(core, line.state, line.data, True))
             txn = in_flight.get(addr)
             if txn is not None and txn.any_pass_dirty:
                 data = txn.data
                 if data is None:  # no data came: the initiator's copy, if it holds one
-                    hit = self.caches[txn.initiator].index.get(addr)
-                    if hit is not None and hit[1].state is not INVALID:
-                        data = hit[1].data
+                    line = self.caches[txn.initiator].index.get(addr)
+                    if line is not None and line.state is not INVALID:
+                        data = line.data
                 if data is not None:
                     copies.append(copy_view(txn.initiator, OWNED, data, False))
                 elif full and not copies:  # the full view lists lines with a copy
@@ -723,14 +719,36 @@ class Simulation(Kernel):
         # a stage is called only while the head of its queue is due
         ccu = self.ccu
         for core, port, cache, rs, acs in self._controllers:
-            r_due = rs and rs[0][0] <= now
-            if (
-                r_due
-                or port.current is not None and cache.miss is None
-                or port.nc_fill is not None
-                or acs and acs[0][0] <= now
-            ):
-                self._cache_controllers(core, port, cache, acs, r_due, now)
+            # each core's SRAM port serves one requester a cycle, in
+            # priority order: an R completion (the head of the core's R
+            # channel is due), then a non-coherent fill, then a due snoop,
+            # then the core's load or store (a core has at most one op
+            # pending). A pending ifetch leaves the port idle and runs
+            # below. A snoop probes with its transaction's kind and line,
+            # and its CR folds into the transaction as it leaves
+            # (`Ccu.collect_cr`).
+            txn = ccu.take_r(core, now) if rs and rs[0][0] <= now else None
+            op = port.current
+            if txn is not None and self._complete(txn, now):
+                ccu.finish(txn)  # a refused fill leaves the port to the requesters below
+            elif port.nc_fill is not None:
+                self._apply_nc_fill(core, now)
+            elif acs and acs[0][0] <= now:
+                _due, snoop, probe_d, probe_i = acs.popleft()
+                resp, data = cache.handle_snoop(snoop.kind, snoop.address, probe_d, probe_i)
+                ccu.collect_cr(core, snoop, resp, data, now)
+            elif op is None or cache.miss is not None:
+                continue
+            elif op.kind is not IFETCH:
+                if self._access(core, op, now):
+                    ccu.submit(core, now)
+            self._progress = True
+            # the icache has its own port: an ifetch runs whatever the
+            # data-cache port served
+            op = port.current
+            if op is not None and cache.miss is None and op.kind is IFETCH:
+                if self._access(core, op, now):
+                    ccu.submit(core, now)
         decoder = self.decoder
         if decoder.hold is not None or decoder.pending:
             if ccu.decoder_step(now) is not None:
@@ -743,40 +761,6 @@ class Simulation(Kernel):
         inflight = self.mem.inflight
         if inflight and inflight[0][0] <= now:
             self._memory_responses(now)
-
-    def _cache_controllers(self, core: int, port: _Port, cache: CacheModel, acs,
-                           r_due: bool, now: int) -> None:
-        # the SRAM port serves one requester a cycle, in priority order:
-        # an R completion (`r_due`: the head of the core's R channel is
-        # due), then a non-coherent fill, then a due snoop, then the
-        # core's load or store (a core has at most one op pending). A
-        # pending ifetch leaves the port idle and runs below. A snoop
-        # probes with its transaction's kind and line, and its CR folds
-        # into the transaction as it leaves (`Ccu.collect_cr`).
-        ccu = self.ccu
-        txn = ccu.take_r(core, now) if r_due else None
-        op = port.current
-        if txn is not None and self._complete(txn, now):
-            ccu.finish(txn)  # a refused fill leaves the port to the requesters below
-        elif port.nc_fill is not None:
-            self._apply_nc_fill(core, now)
-        elif acs and acs[0][0] <= now:
-            _due, snoop, probe_d, probe_i = acs.popleft()
-            resp, data = cache.handle_snoop(snoop.kind, snoop.address, probe_d, probe_i)
-            ccu.collect_cr(core, snoop, resp, data, now)
-        elif op is None or cache.miss is not None:
-            return
-        elif op.kind is not IFETCH:
-            if self._access(core, op, now):
-                ccu.submit(core, now)
-        self._progress = True
-
-        # The icache has its own port: ifetches run regardless of the
-        # data-cache arbitration outcome.
-        op = port.current
-        if op is not None and cache.miss is None and op.kind is IFETCH:
-            if self._access(core, op, now):
-                ccu.submit(core, now)
 
     def _memory_data(self, txn, data: bytes, now: int) -> None:
         self.ccu.memory_data(txn, data, now)

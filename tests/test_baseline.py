@@ -62,7 +62,7 @@ def test_upgrade_from_shared_skips_the_memory_read():
         SimConfig(), [loads(0x100), loads(0x100)], [stores(0x100, [3]), []]
     )
     assert reads == 0
-    assert sim.caches[0].lookup(0x100)[1].state is LineState.MODIFIED
+    assert sim.caches[0].lookup(0x100).state is LineState.MODIFIED
     assert sim.caches[1].lookup(0x100) is None
 
 
@@ -146,7 +146,7 @@ def test_a_completion_row_reaches_both_models(monkeypatch):
     RS, S = CoherentKind.READ_SHARED, LineState.SHARED
     tables = with_rows("completion", {(RS, 0, 0, 0): S})
     for sim in both_models(monkeypatch, tables, [loads(0x100), []]):
-        assert sim.caches[0].lookup(0x100)[1].state is S, type(sim).__name__
+        assert sim.caches[0].lookup(0x100).state is S, type(sim).__name__
 
 
 def test_a_snoopee_row_reaches_both_models(monkeypatch):
@@ -175,7 +175,7 @@ def test_a_read_unique_forwarded_to_a_modified_owner_shows_as_one_owned_copy():
     # and the monitors find nothing wrong
     sim = DirectorySimulation(SimConfig(), monitor=True)
     sim.run([[], stores(0x100, [7])])
-    dirty = sim.caches[1].lookup(0x100)[1].data
+    dirty = sim.caches[1].lookup(0x100).data
     between = []
     run_monitors = sim._run_monitors
 
@@ -192,7 +192,7 @@ def test_a_read_unique_forwarded_to_a_modified_owner_shows_as_one_owned_copy():
     for copies, problems in between:
         assert copies == [verify.CopyView(0, LineState.OWNED, dirty, False)]
         assert problems == []
-    assert sim.caches[0].lookup(0x100)[1].state is LineState.MODIFIED
+    assert sim.caches[0].lookup(0x100).state is LineState.MODIFIED
     assert sim.caches[1].lookup(0x100) is None
 
 
@@ -230,7 +230,7 @@ def test_ifetch_fills_the_non_coherent_icache_from_memory():
     stats = sim.run([[CoreOp(OpKind.IFETCH, 0x100)], []])
     assert stats.cores[0].ifetches == 1
     assert stats.cores[0].misses == 1
-    assert sim.caches[0].lookup(0x100, icache=True)[1].state is LineState.SHARED
+    assert sim.caches[0].lookup(0x100, icache=True).state is LineState.SHARED
     # the fill stays outside the coherence domain: no L1 holds a data copy
     # for the directory to read as owner or sharer
     assert sim._holders(0x100) == (None, [])
@@ -255,16 +255,16 @@ def test_dirty_eviction_updates_directory_and_memory():
     assert stats.cores[0].writebacks >= 1
     # the eviction reached the directory: the re-load found no holder and
     # memory's copy, and the core owns the line again
-    assert sim.caches[0].lookup(0x100)[1].state is LineState.EXCLUSIVE
+    assert sim.caches[0].lookup(0x100).state is LineState.EXCLUSIVE
     assert sim.caches[0].lookup(0x100 + stride) is None
     assert sim._holders(0x100) == (0, [])
-    assert sim.mem.peek(0x100)[:4] == sim.caches[0].lookup(0x100)[1].data[:4]
+    assert sim.mem.peek(0x100)[:4] == sim.caches[0].lookup(0x100).data[:4]
 
 
 def test_directory_lookup_reads_owner_and_sharers_off_the_l1s():
     sim = DirectorySimulation(SimConfig(), monitor=True)
     sim.run([stores(0x100, [1]) + loads(0x120), loads(0x110) + loads(0x120)])
-    states = {(core, addr): sim.caches[core].lookup(addr)[1].state
+    states = {(core, addr): sim.caches[core].lookup(addr).state
               for core, addr in ((0, 0x100), (1, 0x110), (0, 0x120), (1, 0x120))}
     assert states == {(0, 0x100): LineState.MODIFIED, (1, 0x110): LineState.EXCLUSIVE,
                       (0, 0x120): LineState.SHARED, (1, 0x120): LineState.SHARED}
@@ -274,8 +274,8 @@ def test_directory_lookup_reads_owner_and_sharers_off_the_l1s():
     assert sim._holders(0x130) == (None, [])
     # an invalidation leaves the way's index entry in place until a fill
     # reuses the way; the way holds nothing
-    sim.caches[1].lookup(0x120)[1].state = LineState.INVALID
-    assert sim.caches[1].index[0x120][1].state is LineState.INVALID
+    sim.caches[1].lookup(0x120).state = LineState.INVALID
+    assert sim.caches[1].index[0x120].state is LineState.INVALID
     assert sim._holders(0x120) == (None, [0])
 
 
@@ -320,7 +320,7 @@ def test_memory_served_miss_after_a_refused_probe_is_not_cache_to_cache():
 def test_downgrade_write_back_goes_through_the_memory_port():
     sim = DirectorySimulation(SimConfig(), monitor=True)
     sim.run([stores(0x100, [7]), []])
-    dirty = sim.caches[0].lookup(0x100)[1].data
+    dirty = sim.caches[0].lookup(0x100).data
     drained = []
     port_step = sim.mem_port.step
 
@@ -348,7 +348,7 @@ def test_downgrade_waits_for_room_in_a_full_write_back_fifo():
             for i in range(sim.config.fifo_depths.writeback):
                 assert sim.mem_port.push_wb(0x1000 + 16 * i, bytes(16))
         went_through = forward(txn, owner)
-        attempts.append((sim.cycle, went_through, sim.caches[owner].lookup(0x100)[1].state,
+        attempts.append((sim.cycle, went_through, sim.caches[owner].lookup(0x100).state,
                          [addr for addr, _ in sim.mem_port.wb]))
         return went_through
 
@@ -357,9 +357,9 @@ def test_downgrade_waits_for_room_in_a_full_write_back_fifo():
     (refused_at, went_through, state, queued), (retried_at, retried, _, _) = attempts
     assert not went_through and state is LineState.MODIFIED and 0x100 not in queued
     assert retried and retried_at == refused_at + 1
-    assert sim.caches[0].lookup(0x100)[1].state is LineState.SHARED
+    assert sim.caches[0].lookup(0x100).state is LineState.SHARED
     assert sim.ports[1].observations == [7]
-    assert sim.mem.peek(0x100) == sim.caches[0].lookup(0x100)[1].data
+    assert sim.mem.peek(0x100) == sim.caches[0].lookup(0x100).data
 
 
 def test_a_refused_downgrade_write_back_after_the_room_check_is_a_fault():
@@ -382,9 +382,10 @@ def watched_fills(sim, core, before_attempt):
 
     def fill_state():
         miss = cache.miss
-        return ([ways and [(line.tag, line.state, line.data) for line in ways]
+        return ([ways and [(line.addr, line.state, line.data) for line in ways]
                  for ways in cache.sets],
-                dict(cache.index), list(cache.rr), miss, miss and replace(miss), list(wb))
+                [(a, id(line)) for a, line in cache.index.items()], list(cache.rr), miss,
+                miss and replace(miss), list(wb))
 
     def attempt(c, state, data, now):
         if c != core:

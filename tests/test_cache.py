@@ -53,8 +53,8 @@ def test_lookup_empty_cache_misses():
 def test_lookup_after_install_hits():
     cache = make_cache()
     fill(cache, 0x40, S)
-    way, line = cache.lookup(0x40)
-    assert line.state is S
+    line = cache.lookup(0x40)
+    assert line.state is S and line.addr == 0x40
     assert cache.lookup(0x40 + cache.line_size) is None  # different line
 
 
@@ -75,7 +75,7 @@ def test_store_hit_on_exclusive_turns_modified():
     fill(cache, 0x40, E)
     assert cache.core_access(CoreOp(OpKind.STORE, 0x44, value=0xDEAD)) is None
     assert cache.miss is None
-    line = cache.lookup(0x40)[1]
+    line = cache.lookup(0x40)
     assert line.state is M
     assert line.state.is_dirty and line.state.is_unique
     assert word_at(line.data, 4) == 0xDEAD
@@ -139,7 +139,7 @@ def test_every_initiator_row_reaches_the_cache(state, op, coherent_ifetch):
         if isinstance(row, Hit):
             assert cache.miss is None
             assert result == (None if value else word_at(data, 4))
-            assert cache.lookup(0x40, icache=op is OpKind.IFETCH)[1].state is row.next
+            assert cache.lookup(0x40, icache=op is OpKind.IFETCH).state is row.next
             continue
         assert result is None
         nc = op is OpKind.IFETCH and not coherent_ifetch
@@ -202,7 +202,7 @@ def test_stored_flags_match_protocol_next_state():
             from culsim.protocol import snoopee_transition
 
             expected = snoopee_transition(state, kind)[0]
-            got = hit[1].state if hit else I
+            got = hit.state if hit else I
             assert got is expected
 
 
@@ -214,7 +214,7 @@ def test_clean_completion_installs():
     cache.core_access(load)
     data = bytes(range(16))
     assert cache.miss_complete(S, data, load, True) == (word_at(data, 4), None)
-    assert cache.lookup(0x40)[1].state is S
+    assert cache.lookup(0x40).state is S
     assert cache.miss is None
 
 
@@ -239,7 +239,7 @@ def test_read_unique_completion_after_a_snoop_read_installs():
     cache.core_access(store)
     cache.handle_snoop(CoherentKind.READ_SHARED, 0x40)
     assert cache.miss_complete(M, bytes(16), store, True) == (None, None)
-    line = cache.lookup(0x40)[1]
+    line = cache.lookup(0x40)
     assert line.state is M and word_at(line.data, 0) == 1 and cache.miss is None
 
 
@@ -250,7 +250,7 @@ def test_clean_unique_completion_upgrades_in_place():
     cache.core_access(store)
     # an upgrade has no victim, so a full write-back FIFO cannot refuse it
     assert cache.miss_complete(M, None, store, False) == (None, None)
-    line = cache.lookup(0x40)[1]
+    line = cache.lookup(0x40)
     assert line.state is M
     assert line.data == set_word(data, 4, 1)
 
@@ -264,13 +264,13 @@ def test_a_data_less_handoff_stays_with_its_transaction_until_the_completion():
     sim.run([[], [CoreOp(OpKind.STORE, 0x40, value=1)]])
     sim.run([[CoreOp(OpKind.LOAD, 0x40)], []])
     mine, theirs = sim.caches
-    assert (mine.lookup(0x40)[1].state, theirs.lookup(0x40)[1].state) == (S, O)
+    assert (mine.lookup(0x40).state, theirs.lookup(0x40).state) == (S, O)
     between = []
     run_monitors = sim._run_monitors
 
     def monitors():
         if mine.miss is not None and theirs.lookup(0x40) is None:
-            line = mine.lookup(0x40)[1]
+            line = mine.lookup(0x40)
             view = sim.snapshot_invariants()
             copies = [(c.core, c.state, c.data) for c in view[0x40][0]]
             between.append((line.state, copies, line.data, check_swmr(view) + check_value(view)))
@@ -284,7 +284,7 @@ def test_a_data_less_handoff_stays_with_its_transaction_until_the_completion():
         # core 0's Shared copy, then its transaction's Owned one
         assert copies == [(0, S, data), (0, O, data)]
         assert problems == []
-    assert mine.lookup(0x40)[1].state is M and theirs.lookup(0x40) is None
+    assert mine.lookup(0x40).state is M and theirs.lookup(0x40) is None
 
 
 # -- eviction -------------------------------------------------------------------------
@@ -340,15 +340,19 @@ def test_a_fill_over_a_dirty_victim_without_write_back_room_is_refused():
         fill(cache, a, M, byte=byte)
     load = CoreOp(OpKind.LOAD, addrs[cache.ways])
     cache.core_access(load)
-    miss, rr, index = cache.miss, list(cache.rr), dict(cache.index)
-    lines = [(line.tag, line.state, line.data) for line in cache.sets[2]]
+    def entries():  # each index entry's address and line, by identity
+        return [(a, id(line)) for a, line in cache.index.items()]
+
+    miss, rr, index = cache.miss, list(cache.rr), entries()
+    lines = [(line.addr, line.state, line.data) for line in cache.sets[2]]
     data = bytes([0x77]) * 16
     assert cache.miss_complete(E, data, load, False) is None
-    assert (cache.miss, list(cache.rr), cache.index) == (miss, rr, index)
-    assert [(line.tag, line.state, line.data) for line in cache.sets[2]] == lines
+    assert (cache.miss, list(cache.rr), entries()) == (miss, rr, index)
+    assert [(line.addr, line.state, line.data) for line in cache.sets[2]] == lines
     # with room the same fill goes through, evicting the round-robin victim
     assert cache.miss_complete(E, data, load, True) == (0x77777777, (addrs[0], bytes(16)))
-    assert cache.lookup(addrs[cache.ways])[1].state is E and cache.miss is None
+    line = cache.lookup(addrs[cache.ways])
+    assert line is cache.sets[2][0] and line.state is E and cache.miss is None
 
 
 def test_refill_over_stale_way_keeps_newer_copy_indexed():
@@ -358,9 +362,9 @@ def test_refill_over_stale_way_keeps_newer_copy_indexed():
     fill(cache, a, S)  # way 1
     for addr in (a, b):
         cache.handle_snoop(CoherentKind.READ_UNIQUE, addr)
-    load_miss(cache, a)  # refilled into way 0; way 1 keeps a's stale tag
+    load_miss(cache, a)  # refilled into way 0; way 1 keeps a's stale address
     load_miss(cache, c)  # overwrites the stale way 1
-    assert cache.lookup(a)[0] == 0
+    assert cache.lookup(a) is cache.sets[0][0]
     assert sorted(addr for addr, _ in cache.valid_lines()) == [a, c]
 
 
@@ -382,12 +386,12 @@ def test_a_fill_takes_the_first_free_way_else_the_round_robin_victim():
     cache.handle_snoop(CoherentKind.READ_UNIQUE, addrs[1])  # frees way 1
     # ways 1 and 3 are free: the first is taken, so no victim to refuse
     assert load_miss(cache, addrs[3], wb_room=False) == (0x11111111, None)
-    assert cache.lookup(addrs[3])[0] == 1
+    assert cache.lookup(addrs[3]) is cache.sets[2][1]
     fill(cache, addrs[1], S)  # into way 3: the set is full
-    way, _line = cache.lookup(addrs[3])
-    assert cache.rr[2] == way
+    way = cache.rr[2]
+    assert cache.lookup(addrs[3]) is cache.sets[2][way]
     assert load_miss(cache, addrs[4], wb_room=False) == (0x11111111, None)  # a clean victim
-    assert cache.lookup(addrs[4])[0] == way and cache.lookup(addrs[3]) is None
+    assert cache.lookup(addrs[4]) is cache.sets[2][way] and cache.lookup(addrs[3]) is None
 
 
 # -- instruction cache ---------------------------------------------------------------
@@ -451,7 +455,7 @@ def test_snoop_answers_with_the_probe_row_of_its_tables(monkeypatch, mutation):
     dnext, inext, expected, source = tables.probe[state, S, kind]
     assert (resp, data) == (expected, sent[source])
     hit, ihit = cache.lookup(0x40), cache.lookup(0x40, icache=True)
-    assert (hit[1].state if hit else I, ihit[1].state if ihit else I) == (dnext, inext)
+    assert (hit.state if hit else I, ihit.state if ihit else I) == (dnext, inext)
 
 
 # -- helpers ---------------------------------------------------------------------------

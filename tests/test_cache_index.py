@@ -1,5 +1,6 @@
 """Cross-check of CacheModel's address index against a full scan of the
-way arrays, step by step, on tiny configurations of both models with
+way arrays, step by step (each line's stored address checked against the
+set it sits in), on tiny configurations of both models with
 drawn latencies, write-back FIFO depth and collision capacity."""
 from dataclasses import replace
 
@@ -15,31 +16,29 @@ LINES = [0x1000 + i * LINE for i in range(10)]
 
 
 def scan(cache, icache):
-    """Every valid way, found by walking all sets: the reference. A set
-    not yet built (None) holds no valid way."""
+    """Every valid line and its address, found by walking all sets: the
+    reference. A set not yet built (None) holds no valid line, and each
+    valid line's address is a line address that maps to its set."""
     arrays = cache.isets if icache else cache.sets
-    return [
-        (cache._addr_of(set_idx, line.tag), way, line)
-        for set_idx, ways in enumerate(arrays)
-        for way, line in enumerate(ways or ())
-        if line.state.is_valid
-    ]
+    found = []
+    for set_idx, ways in enumerate(arrays):
+        for line in ways or ():
+            if line.state.is_valid:
+                assert line.addr % cache.line_size == 0
+                assert line.addr // cache.line_size % cache.n_sets == set_idx
+                found.append((line.addr, line))
+    return found
 
 
 def assert_index_matches_scan(cache):
     for icache in (False, True):
         expected = scan(cache, icache)
         assert sorted((a, id(line)) for a, line in cache.valid_lines(icache)) == sorted(
-            (a, id(line)) for a, _, line in expected
+            (a, id(line)) for a, line in expected
         )
-        by_addr = {a: (way, line) for a, way, line in expected}
+        by_addr = dict(expected)
         for addr in LINES:
-            hit = cache.lookup(addr + 4, icache=icache)
-            want = by_addr.get(addr)
-            if want is None:
-                assert hit is None
-            else:
-                assert hit is not None and hit[0] == want[0] and hit[1] is want[1]
+            assert cache.lookup(addr + 4, icache=icache) is by_addr.get(addr)
 
 
 ops = st.one_of(

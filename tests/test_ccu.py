@@ -359,7 +359,7 @@ def test_a_cr_folds_as_its_snoop_is_served_and_completes_a_hop_later(hop):
     [(due, txn)] = inbox
     assert (now, core, source, pending, due) == (at, 1, 1, 0, at + hop)
     assert completed == [(at + hop, [txn])]
-    assert txn.data == owner.lookup(0x40)[1].data
+    assert txn.data == owner.lookup(0x40).data
 
 
 def test_writeback_fifo_drains_in_order():

@@ -69,8 +69,8 @@ def reference_view(sim):
         if txn.any_pass_dirty:
             data = txn.data
             if data is None:
-                hit = sim.caches[txn.initiator].lookup(txn.address)
-                data = hit and hit[1].data
+                line = sim.caches[txn.initiator].lookup(txn.address)
+                data = line and line.data
             if data is not None:
                 in_flight[txn.address] = [
                     verify.CopyView(txn.initiator, LineState.OWNED, data, False)]
@@ -82,9 +82,9 @@ def reference_view(sim):
         copies = []
         for core, cache in enumerate(sim.caches):
             for icache in (False, True) if cache.coherent_ifetch else (False,):
-                hit = cache.lookup(addr, icache=icache)
-                if hit is not None:
-                    copies.append(verify.CopyView(core, hit[1].state, hit[1].data, icache))
+                line = cache.lookup(addr, icache=icache)
+                if line is not None:
+                    copies.append(verify.CopyView(core, line.state, line.data, icache))
         copies += in_flight.get(addr, [])
         view[addr] = (copies, pending_wb[addr] if addr in pending_wb else sim.mem.peek(addr))
     return view

@@ -30,6 +30,15 @@ latencies.mem_read = 1
 # one coherent transaction at a time, in both models
 CAPACITY1_CONFIG = "fifo_depths.collision_capacity = 1\n"
 
+# every latency a snoop round trip and a fill cross away from its
+# default: a CR moves on `snoop_hop` cycles after its snoop is served
+LATENCY_CONFIG = """\
+latencies.snoop_hop = 3
+latencies.ccu_stage = 2
+latencies.mem_read = 7
+latencies.l1_hit = 2
+"""
+
 # instruction fetches race with stores and loads to the same lines on
 # three cores: the icache fill, its invalidation or permitted staleness
 # all run. Both models fill a non-coherent icache from memory; with
@@ -67,6 +76,10 @@ def cases():
     out["uniform_random/16/check/cores4"] = checked + ["--cores", "4"]
     out["uniform_random/16/check/capacity1"] = checked + ["--config", "CAPACITY1"]
     out["uniform_random/16/check/tiny"] = checked + ["--config", "TINY"]
+    latencies = ["--cores", "4", "--check", "--config", "LATENCY"]
+    for kind, ws in (("uniform_random", 16), ("producer_consumer", 8), ("migratory", 8)):
+        out[f"{kind}/{ws}/check/cores4/latencies"] = [
+            "--workload", kind, "--working-set", str(ws)] + latencies
     traced = ["--trace", "IFETCH_TRACE", "--cores", "3", "--check"]
     out["trace/ifetch/check"] = traced
     out["trace/ifetch/check/coherent"] = traced + ["--coherent-ifetch"]
@@ -86,11 +99,14 @@ def run_case(args) -> dict:
         config.write_text(TINY_CONFIG)
         capacity1 = Path(tmp) / "capacity1.cfg"
         capacity1.write_text(CAPACITY1_CONFIG)
+        latency = Path(tmp) / "latency.cfg"
+        latency.write_text(LATENCY_CONFIG)
         trace = Path(tmp) / "ifetch.trace"
         trace.write_text(IFETCH_TRACE)
         report = Path(tmp) / "report.json"
         argv = ["run", "--model", "both", "--ops", "200", "--report", str(report)]
-        files = {"TINY": str(config), "CAPACITY1": str(capacity1), "IFETCH_TRACE": str(trace)}
+        files = {"TINY": str(config), "CAPACITY1": str(capacity1), "LATENCY": str(latency),
+                 "IFETCH_TRACE": str(trace)}
         argv += [files.get(a, a) for a in args]
         code = main(argv)
         if not report.exists():

@@ -107,7 +107,7 @@ def test_single_load_cold_cache():
     cs = stats.cores[0]
     assert (cs.ops, cs.misses, cs.hits) == (1, 1, 0)
     assert stats.mem_reads == 1
-    assert sim.caches[0].lookup(0x100)[1].state is LineState.EXCLUSIVE
+    assert sim.caches[0].lookup(0x100).state is LineState.EXCLUSIVE
 
 
 def test_load_hit_latency_is_l1_hit():
@@ -244,7 +244,7 @@ def test_noncoherent_ifetch_misses_go_straight_to_memory():
     assert stats.mem_reads == 1
     assert stats.cores[0].ifetches == 1
     line = sim.caches[0].lookup(0x500, icache=True)
-    assert line[1].state is LineState.SHARED
+    assert line.state is LineState.SHARED
 
 
 @pytest.mark.parametrize("model", [build, DirectorySimulation], ids=["snoop", "directory"])

@@ -67,6 +67,7 @@ def test_a_build_makes_no_way_and_a_first_fill_builds_its_set_only():
     assert all(ways is None for c in sim.caches for ways in c.sets + c.isets)
     sim.run([[CoreOp(OpKind.LOAD, 0x1230)], [], [], []])
     built = [i for i, ways in enumerate(cache.sets) if ways is not None]
-    assert built == [cache._index_tag(0x1230)[0]]
-    assert cache.index[0x1230][0] == 0  # a fresh set's first fill takes way 0
+    set_idx = 0x1230 // cache.line_size % cache.n_sets
+    assert built == [set_idx]
+    assert cache.index[0x1230] is cache.sets[set_idx][0]  # a fresh set's first fill takes way 0
     assert all(ways is None for ways in cache.isets)

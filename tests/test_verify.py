@@ -403,7 +403,7 @@ def test_a_store_completion_installs_its_completion_row(patched_row):
     patched_row("completion", (CoherentKind.READ_UNIQUE, 0, 0, 1), LineState.EXCLUSIVE)
     sim = build(SimConfig())
     sim.run([[CoreOp(OpKind.STORE, X, value=1)], []])
-    assert sim.caches[0].lookup(X)[1].state is E
+    assert sim.caches[0].lookup(X).state is E
     machine = _Machine([[("W", X, 1)], []], ExploreConfig(n_cores=2))
     pos = machine.dpos[0][0]
     completions = [succ[pos] for state in _reachable(machine)
