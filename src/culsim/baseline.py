@@ -38,7 +38,8 @@ hop to the home node, the directory lookup, then the forward to the
 owner or the sharers' invalidations and a memory read, then the hop back
 and the install. Between its steps a journey waits on the `wake` heap,
 ordered by due cycle and then transaction id (accept order), or on its
-memory read, whose data puts it back on `wake` for the next cycle.
+memory read, which puts it back on `wake` as it issues, due at the
+requester a hop after the cycle after its data.
 """
 from __future__ import annotations
 
@@ -56,7 +57,19 @@ class DirectorySimulation(Kernel):
         super().__init__(config, monitor)
         # (due, txn id, txn) of each journey waiting out a delay
         self.wake: List[Tuple[int, int, Transaction]] = []
-        self._timed = (self.mem_port.read_queue, self.mem.inflight, self.wake)
+        wake = self.wake
+        self._timed = (self.mem_port.read_queue, self.mem.inflight, wake)
+        back = 1 + config.latencies.snoop_hop
+
+        def memory_data(txn, data: bytes, due: int) -> bool:
+            # `MemoryModel.pass_on`, closed over the heap, not the model
+            if type(txn) is not Transaction:
+                return False
+            txn.data = data
+            heappush(wake, (due + back, txn.id, txn))
+            return True
+
+        self.mem.pass_on = memory_data
         self._ports = tuple(zip(range(config.n_cores), self.ports, self.caches))
 
     # -- cycle ---------------------------------------------------------------
@@ -67,7 +80,7 @@ class DirectorySimulation(Kernel):
         # popped here are due now and run in accept order), the Decoder
         # while a request waits (its stall count moves only in grant), a
         # port with a fill or an op to run, the memory port while it
-        # holds an operation, a due read's data
+        # holds an operation, a due non-coherent fill's data
         wake = self.wake
         while wake and wake[0][0] <= now:
             self._advance(heappop(wake)[2], now)
@@ -84,10 +97,6 @@ class DirectorySimulation(Kernel):
         inflight = self.mem.inflight
         if inflight and inflight[0][0] <= now:
             self._memory_responses(now)
-
-    def _memory_data(self, txn: Transaction, data: bytes, now: int) -> None:
-        txn.data = data
-        heappush(self.wake, (now + 1, txn.id, txn))
 
     def _accept(self, now: int) -> None:
         txn = self.decoder.grant()
@@ -109,9 +118,10 @@ class DirectorySimulation(Kernel):
     def _journey(self, txn: Transaction) -> Iterator[Optional[int]]:
         """One transaction, hop by hop. Yields a delay in cycles, or None
         to wait for the memory read of the line (its data lands in
-        `txn.data`); a step the write-back FIFO refuses (a downgrade, or
-        the install over a dirty victim) yields 1 and is retried the
-        next cycle. The install ends the transaction (`Kernel._complete`)."""
+        `txn.data`, and the read wakes it at the requester); a step the
+        write-back FIFO refuses (a downgrade, or the install over a dirty
+        victim) yields 1 and is retried the next cycle. The install ends
+        the transaction (`Kernel._complete`)."""
         hop = self.config.latencies.snoop_hop
         core = txn.initiator
         yield hop  # requester -> home
@@ -131,8 +141,9 @@ class DirectorySimulation(Kernel):
                 self.caches[sharer].handle_snoop(txn.kind, txn.address)
                 yield hop  # its acknowledgement -> home
         if txn.data is None and txn.kind in DATA_KINDS:
-            yield None  # memory read
-        yield hop  # -> requester
+            yield None  # memory read, and its data -> requester
+        else:
+            yield hop  # -> requester
         while not self._complete(txn, self.cycle):
             yield 1
 

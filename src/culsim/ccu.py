@@ -10,8 +10,12 @@ memory port and hands them in. The Decoder opens each `Transaction`, the one rec
 request in flight in both timed models, from its core's pending miss,
 and its in-flight table holds it, under its line, until the kernel ends
 it at the fill (`sim.Kernel._complete`); every entry of the CCU's queues
-(AC snoops, transactions whose last CR is on its way, memory reads, R
-bursts) carries the transaction it belongs to.
+(AC snoops, transactions whose last CR is on its way to a memory read,
+memory reads, R bursts) carries the transaction it belongs to.
+
+No step runs only to pass a transaction on after a fixed delay: the last
+CR (`collect_cr`) or the memory read's issue (`memory_data`) puts it on
+the R channel stamped with the cycle it arrives.
 """
 from __future__ import annotations
 
@@ -191,7 +195,7 @@ class Ccu:
     # whenever the fold can change the view (`CacheModel.handle_snoop`);
     # the end of a transaction marked it through the initiator's fill
     # (`CacheModel.miss_complete`). The caches share this set, so only a
-    # memory read's data is marked here
+    # memory read's data is marked here, when the read issues
     touched: Optional[set] = None
 
     def __init__(
@@ -217,8 +221,8 @@ class Ccu:
         # (due, txn, probe_d, probe_i) awaiting delivery per core; the
         # transaction's kind and line are the probe `handle_snoop` takes
         self.ac_outbox: List[Deque[tuple]] = [deque() for _ in range(n_cores)]
-        # (due, txn) of each transaction whose last CR folded, on its way
-        # to the completion stage
+        # (due, txn) of each transaction whose last CR folded and that
+        # must read memory, on its way to the completion stage
         self.cr_inbox: Deque[Tuple[int, Transaction]] = deque()
         # (due, txn) of the R burst on its way to the initiator
         self.r_outbox: List[Deque[Tuple[int, Transaction]]] = [
@@ -252,13 +256,19 @@ class Ccu:
                    data: Optional[bytes], now: int) -> None:
         """Fold one CR (+CD) of a core into its transaction
         (`Transaction.fold`) in the cycle `now` its snoop is served, one
-        fewer pending. Every CR takes one hop to the snoop unit, so the
-        last one's transaction goes on to `completion_step` a hop later;
-        its memory read is issued only then."""
+        fewer pending. Every CR takes one hop to the snoop unit. After the
+        last, a transaction that must read memory goes on to
+        `completion_step` a hop later; any other is on the R channel a
+        completion stage after that (each R channel holds at most one
+        entry, since a core has at most one op pending)."""
         txn.cr_pending -= 1
         txn.fold(from_core, resp, data)
         if not txn.cr_pending:
-            self.cr_inbox.append((now + self.snoop_hop, txn))
+            if txn.data is None and txn.kind in DATA_KINDS:
+                self.cr_inbox.append((now + self.snoop_hop, txn))
+            else:
+                self.r_outbox[txn.initiator].append(
+                    (now + self.snoop_hop + self.ccu_stage, txn))
 
     def snoop_unit_step(self, now: int) -> None:
         """The transactions whose last CR has reached the snoop unit by
@@ -273,27 +283,28 @@ class Ccu:
             self.completion_step(now, ready)
 
     def completion_step(self, now: int, ready: List[Transaction]) -> None:
-        """Move the transactions whose CRs are all in toward the R
-        channel: snoop data is forwarded directly (no memory read);
-        transactions with no responder data fetch the line from memory
-        first (`memory_data`)."""
+        """Queue the memory read of each transaction whose CRs are all in
+        but brought no data (`memory_data` takes it at issue)."""
+        read_queue = self.mem_port.read_queue
         for txn in ready:
-            if txn.kind in DATA_KINDS and txn.data is None:
-                self.mem_port.read_queue.append((now, txn.address, txn))
-                continue
-            self.r_outbox[txn.initiator].append((now + self.ccu_stage, txn))
+            read_queue.append((now, txn.address, txn))
 
     def memory_unit_step(self, now: int, mem) -> bool:
         """Issue at most one operation on the serialized memory port."""
         return self.mem_port.step(now, mem)
 
-    def memory_data(self, txn: Transaction, data: bytes, now: int) -> None:
-        """The memory read of a transaction returned its line in cycle
-        `now`: the completion stage sends it on in the next cycle."""
+    def memory_data(self, txn, data: bytes, due: int) -> bool:
+        """`MemoryModel.pass_on`: a transaction's read issued, its data
+        due in cycle `due`. The completion stage sends it on the cycle
+        after, so it is on the R channel a stage later. False for a
+        non-coherent ifetch fill's read, which memory keeps."""
+        if type(txn) is not Transaction:
+            return False
         if self.touched is not None and txn.any_pass_dirty:
             self.touched.add(txn.address)
-        txn.data = bytes(data)
-        self.r_outbox[txn.initiator].append((now + 1 + self.ccu_stage, txn))
+        txn.data = data
+        self.r_outbox[txn.initiator].append((due + 1 + self.ccu_stage, txn))
+        return True
 
     def take_r(self, core: int, now: int) -> Optional[Transaction]:
         """Transaction whose R burst is at the initiator this cycle, if any."""

@@ -2,14 +2,15 @@
 
 Stands in for the shared last-level cache plus main memory: a sparse
 line-addressed store with a fixed read latency. Writes take effect at
-issue (so same-line ordering is trivial); read responses are delayed by
-the configured latency. MemoryPort is the single serialized port both
-timed models put in front of it.
+issue (so same-line ordering is trivial); a read latches its data at
+issue and is due the configured latency later, so a model may take it
+at issue (`MemoryModel.pass_on`). MemoryPort is the single serialized
+port both timed models put in front of it.
 """
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .cache import PHYS_ADDR_BITS
 
@@ -19,6 +20,11 @@ class MemoryFault(ValueError):
 
 
 class MemoryModel:
+    # when set, offered each read at issue as (tag, data, due): one it
+    # takes (returns True) skips `inflight`. It must not refer back to
+    # the model, or a reference cycle keeps finished models alive
+    pass_on: Optional[Callable[[object, bytes, int], bool]] = None
+
     def __init__(self, line_size: int, read_latency: int):
         self.line_size = line_size
         self.read_latency = read_latency
@@ -42,7 +48,8 @@ class MemoryModel:
         return self.contents.get(address, bytes(self.line_size))
 
     def read(self, address: int, now: int, tag: object) -> int:
-        """Issue a line read; the response is collected via take_completions.
+        """Issue a line read; unless `pass_on` takes it, the response is
+        collected via take_completions.
 
         Returns the completion cycle. The data is latched at issue, which
         preserves issue order against later writes to the same line.
@@ -52,8 +59,10 @@ class MemoryModel:
         if data is None:  # never written: a zero line
             data = bytes(self.line_size)
         due = now + self.read_latency
-        self.inflight.append((due, tag, address, data))
         self.reads += 1
+        pass_on = self.pass_on
+        if pass_on is None or not pass_on(tag, data, due):
+            self.inflight.append((due, tag, address, data))
         return due
 
     def write(self, address: int, data: bytes) -> None:

@@ -40,7 +40,7 @@ the miss, releases the line and counts a snoop-served miss. The monitors
 read dirty responsibility in flight off the same table: a transaction
 that a snoopee handed it to answers for its line as an Owned copy. A
 model declares itself through the hooks `Kernel` lists: `_phases`,
-`_memory_data`, `_timed` and `_dump_lines`. From `_timed` and the
+`mem.pass_on`, `_timed` and `_dump_lines`. From `_timed` and the
 Decoder the kernel derives the next due cycle.
 
 Component evaluation order within a cycle: cache controllers (each
@@ -267,12 +267,12 @@ class Kernel:
     the non-coherent ifetch fill, per-cycle bookkeeping, the run loop with
     its watchdog, and the invariant monitors. A model supplies its
     coherence fabric as `_phases` (everything of a cycle before stream
-    issue, `_apply_nc_fill` and `_memory_responses` included), the data
-    of its memory reads as `_memory_data` and its own queues as
-    `_dump_lines`. It uses the kernel's `mem_port`, the MemoryPort in
-    front of `mem`, and `decoder`, the request Decoder, which opens each
-    transaction and whose in-flight table the monitors read dirty
-    responsibility in flight off; it ends each one with `_complete`,
+    issue, `_apply_nc_fill` and `_memory_responses` included), takes its
+    transactions' memory reads at issue as `mem.pass_on` and lists its
+    own queues as `_dump_lines`. It uses the kernel's `mem_port`, the
+    MemoryPort in front of `mem`, and `decoder`, the request Decoder,
+    which opens each transaction and whose in-flight table the monitors
+    read dirty responsibility in flight off; it ends each one with `_complete`,
     which installs by the transaction's completion row, and declares its
     time: `_timed` holds, once and for good, every queue of its fabric
     whose entries start with their due cycle (none is ever rebound);
@@ -480,13 +480,10 @@ class Kernel:
         self._progress = True
 
     def _memory_responses(self, now: int) -> None:
-        """Hand a due read's data to its core's port (a non-coherent fill) or the model."""
-        for tag, _addr, data in self.mem.take_completions(now):
-            if isinstance(tag, _Port):
-                tag.nc_fill = data
-            else:
-                self._memory_data(tag, data, now)
-            self._progress = True
+        """Hand each due read's data to its core's port (a non-coherent fill)."""
+        for port, _addr, data in self.mem.take_completions(now):
+            port.nc_fill = data
+        self._progress = True
 
     # -- monitors / inspection ------------------------------------------------
 
@@ -709,6 +706,7 @@ class Simulation(Kernel):
         self._timed = (self.mem_port.read_queue, self.mem.inflight, ccu.cr_inbox,
                        *ccu.r_outbox, *ccu.ac_outbox)
         ccu.touched = self.touched
+        self.mem.pass_on = ccu.memory_data
         self._controllers = tuple(
             zip(range(config.n_cores), self.ports, self.caches, ccu.r_outbox, ccu.ac_outbox)
         )
@@ -762,12 +760,12 @@ class Simulation(Kernel):
         if inflight and inflight[0][0] <= now:
             self._memory_responses(now)
 
-    def _memory_data(self, txn, data: bytes, now: int) -> None:
-        self.ccu.memory_data(txn, data, now)
-
     # -- monitors / inspection ------------------------------------------------
 
     def _dump_lines(self) -> List[str]:
-        # per transaction: its id and the CRs still to come
+        # per transaction: its id and the CRs still to come; per core,
+        # (id, arrival) of the R burst on its way
+        ccu = self.ccu
         crs = [(t.id, t.cr_pending) for t in self.decoder.in_flight.values()]
-        return [f"  ccu: cr_pending={crs} ac_out={[len(q) for q in self.ccu.ac_outbox]}"]
+        r_out = [[(t.id, due) for due, t in box] for box in ccu.r_outbox]
+        return [f"  ccu: cr_pending={crs} ac_out={[len(q) for q in ccu.ac_outbox]} r_out={r_out}"]

@@ -435,19 +435,26 @@ def test_watchdog_dumps_the_directory_state():
 def test_the_directory_dump_shows_a_journey_waiting_for_memory():
     sim = DirectorySimulation(SimConfig())
     dumps = []
-    memory_data = sim._memory_data
+    read = sim.mem.read
 
-    def dumped(txn, data, now):  # the read's data arrives: the journey still waits for it
+    def dumped(address, now, tag):  # the read issues: the journey still waits for it
         dumps.append(sim._dump_state())
-        memory_data(txn, data, now)
+        due = read(address, now, tag)
+        dumps.append((now, due, sim._dump_state()))
+        return due
 
-    sim._memory_data = dumped
+    sim.mem.read = dumped
     sim.run([loads(0x100), []])
-    (dump,) = dumps
+    dump, (now, due, issued) = dumps
     assert "core 0: current=CoreOp(kind=<OpKind.LOAD" in dump and "core 1: current=None" in dump
     # transaction 0, core 0's load miss on 0x100, holds no data: its journey waits for memory
     assert "txns=[(0, 0, 'ReadShared', '0x100', False)]" in dump
     assert "directory: wake=[(0, 'memory')]" in dump
+    # the read latched the data and put the journey back on its wake heap,
+    # at the requester a hop after the cycle after the data is due
+    assert due == now + sim.config.latencies.mem_read
+    assert "txns=[(0, 0, 'ReadShared', '0x100', True)]" in issued
+    assert f"directory: wake=[(0, {due + 1 + sim.config.latencies.snoop_hop})]" in issued
 
 
 def test_a_request_entering_as_a_non_snooping_kind_is_refused_at_its_grant(monkeypatch):

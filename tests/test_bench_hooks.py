@@ -44,11 +44,15 @@ def test_every_bench_hook_resolves():
 def evicting_streams():
     """Both cores store to and read back three lines of one set of a
     one-way cache: the later core's misses are served by snoops, and its
-    fills evict dirty lines, whose write-backs drain to memory."""
+    fills evict dirty lines, whose write-backs drain to memory. Each core
+    then fetches an instruction line; its non-coherent icache fills it
+    from memory, the one read whose response memory keeps for
+    `take_completions`."""
     lines = (0x000, 0x040, 0x080)  # one set of a 64-byte, one-way cache
     return [
         [op for i, line in enumerate(lines) for op in (
             CoreOp(OpKind.STORE, line, value=core * 8 + i + 1), CoreOp(OpKind.LOAD, line))]
+        + [CoreOp(OpKind.IFETCH, 0x100)]
         for core in range(2)
     ]
 

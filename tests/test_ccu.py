@@ -293,8 +293,10 @@ def test_collect_cr_aggregates_with_or_semantics():
     ccu.collect_cr(2, txn, SnoopResponse(data_transfer=1, pass_dirty=1), bytes(16), now=4)
     assert txn.any_pass_dirty == 1
     assert txn.cr_pending == 0
-    # the last CR sends the transaction to the snoop unit, a hop later
-    assert list(ccu.cr_inbox) == [(4 + ccu.snoop_hop, txn)]
+    # the last CR brought the data: the transaction is on the R channel
+    # a hop and a completion stage later, and skips the snoop unit
+    assert list(ccu.r_outbox[0]) == [(4 + ccu.snoop_hop + ccu.ccu_stage, txn)]
+    assert not ccu.cr_inbox
 
 
 def test_collect_cr_all_deny_leaves_no_source():
@@ -304,6 +306,9 @@ def test_collect_cr_all_deny_leaves_no_source():
     ccu.collect_cr(1, txn, SnoopResponse(), None, now=3)
     ccu.collect_cr(2, txn, SnoopResponse(), None, now=3)
     assert txn.data_source is None and txn.data is None
+    # with no data for a data kind, the last CR sends the transaction to
+    # the snoop unit, a hop later, to read memory
+    assert list(ccu.cr_inbox) == [(3 + ccu.snoop_hop, txn)] and not any(ccu.r_outbox)
 
 
 def test_transactions_ready_in_one_cycle_move_on_in_id_order():
@@ -321,9 +326,11 @@ def test_transactions_ready_in_one_cycle_move_on_in_id_order():
     ccu.snoop_unit_step(5)  # both move on in this cycle
     assert not ccu.cr_inbox
     assert [(due, tag) for due, _, tag in ccu.mem_port.read_queue] == [(5, first), (5, second)]
-    ccu.memory_data(second, bytes([1]) * 16, 29)  # and the data arrive in reverse too
-    ccu.memory_data(first, bytes([2]) * 16, 29)
-    # the completion stage sends each fill on in the cycle after its data
+    # the reads issue in reverse, both with data due in cycle 29
+    assert ccu.memory_data(second, bytes([1]) * 16, 29)
+    assert ccu.memory_data(first, bytes([2]) * 16, 29)
+    # each is on its R channel as the completion stage would send it on,
+    # in the cycle after its data is due
     assert [list(box) for box in ccu.r_outbox] == [[(31, first)], [(31, second)]]
     assert ccu.take_r(0, 31) is first and ccu.take_r(1, 31) is second
     assert first.data == bytes([2]) * 16
@@ -333,12 +340,13 @@ def test_transactions_ready_in_one_cycle_move_on_in_id_order():
 def test_a_cr_folds_as_its_snoop_is_served_and_completes_a_hop_later(hop):
     # core 1 holds the line Modified; core 0's load snoops it, and the CR
     # is in the transaction in the cycle core 1 serves the snoop
-    sim = build(SimConfig(latencies=Latencies(snoop_hop=hop)))
+    stage = 2
+    sim = build(SimConfig(latencies=Latencies(snoop_hop=hop, ccu_stage=stage)))
     sim.run([[], [CoreOp(OpKind.STORE, 0x40, value=7)]])
     ccu, owner = sim.ccu, sim.caches[1]
-    served, folded, completed = [], [], []
+    served, folded, completed, filled = [], [], [], []
     handle_snoop, collect_cr = owner.handle_snoop, ccu.collect_cr
-    completion_step = ccu.completion_step
+    completion_step, complete = ccu.completion_step, sim._complete
 
     def snoop(*args):
         served.append(sim.cycle)
@@ -346,19 +354,27 @@ def test_a_cr_folds_as_its_snoop_is_served_and_completes_a_hop_later(hop):
 
     def collect(from_core, txn, resp, data, now):
         collect_cr(from_core, txn, resp, data, now)
-        folded.append((now, from_core, txn.data_source, txn.cr_pending, list(ccu.cr_inbox)))
+        folded.append((now, from_core, txn.data_source, txn.cr_pending, list(ccu.r_outbox[0])))
 
-    def complete(now, ready):
+    def completion(now, ready):
         completed.append((now, ready))
         completion_step(now, ready)
 
-    owner.handle_snoop, ccu.collect_cr, ccu.completion_step = snoop, collect, complete
+    def fill(txn, now):
+        filled.append(now)
+        return complete(txn, now)
+
+    owner.handle_snoop, ccu.collect_cr, ccu.completion_step = snoop, collect, completion
+    sim._complete = fill
     sim.run([[CoreOp(OpKind.LOAD, 0x40)], []])
     [at] = served
-    [(now, core, source, pending, inbox)] = folded
-    [(due, txn)] = inbox
-    assert (now, core, source, pending, due) == (at, 1, 1, 0, at + hop)
-    assert completed == [(at + hop, [txn])]
+    [(now, core, source, pending, r_channel)] = folded
+    [(due, txn)] = r_channel
+    # the CR reaches the snoop unit a hop later, and the transaction, which
+    # holds the line, is at the initiator a completion stage after that:
+    # it needs no memory read, so the completion stage does not run
+    assert (now, core, source, pending, due) == (at, 1, 1, 0, at + hop + stage)
+    assert completed == [] and filled == [due]
     assert txn.data == owner.lookup(0x40).data
 
 

@@ -39,6 +39,9 @@ latencies.mem_read = 7
 latencies.l1_hit = 2
 """
 
+# a memory read's data is due the cycle after it issues
+MEMREAD1_CONFIG = "latencies.mem_read = 1\n"
+
 # instruction fetches race with stores and loads to the same lines on
 # three cores: the icache fill, its invalidation or permitted staleness
 # all run. Both models fill a non-coherent icache from memory; with
@@ -77,9 +80,14 @@ def cases():
     out["uniform_random/16/check/capacity1"] = checked + ["--config", "CAPACITY1"]
     out["uniform_random/16/check/tiny"] = checked + ["--config", "TINY"]
     latencies = ["--cores", "4", "--check", "--config", "LATENCY"]
+    mem_read1 = ["--cores", "4", "--check", "--config", "MEMREAD1"]
     for kind, ws in (("uniform_random", 16), ("producer_consumer", 8), ("migratory", 8)):
         out[f"{kind}/{ws}/check/cores4/latencies"] = [
             "--workload", kind, "--working-set", str(ws)] + latencies
+        out[f"{kind}/{ws}/check/cores4/mem_read1"] = [
+            "--workload", kind, "--working-set", str(ws)] + mem_read1
+    out["uniform_random/2000/check/cores4/mem_read1"] = [
+        "--workload", "uniform_random", "--working-set", "2000"] + mem_read1
     traced = ["--trace", "IFETCH_TRACE", "--cores", "3", "--check"]
     out["trace/ifetch/check"] = traced
     out["trace/ifetch/check/coherent"] = traced + ["--coherent-ifetch"]
@@ -101,12 +109,14 @@ def run_case(args) -> dict:
         capacity1.write_text(CAPACITY1_CONFIG)
         latency = Path(tmp) / "latency.cfg"
         latency.write_text(LATENCY_CONFIG)
+        mem_read1 = Path(tmp) / "mem_read1.cfg"
+        mem_read1.write_text(MEMREAD1_CONFIG)
         trace = Path(tmp) / "ifetch.trace"
         trace.write_text(IFETCH_TRACE)
         report = Path(tmp) / "report.json"
         argv = ["run", "--model", "both", "--ops", "200", "--report", str(report)]
         files = {"TINY": str(config), "CAPACITY1": str(capacity1), "LATENCY": str(latency),
-                 "IFETCH_TRACE": str(trace)}
+                 "MEMREAD1": str(mem_read1), "IFETCH_TRACE": str(trace)}
         argv += [files.get(a, a) for a in args]
         code = main(argv)
         if not report.exists():

@@ -414,20 +414,28 @@ def test_watchdog_detects_wedged_pipeline():
 
 
 def test_the_snoop_dump_shows_a_transaction_waiting_for_memory():
-    # each transaction shows whether data is buffered and its CRs still to come
+    # each transaction shows whether data is buffered and its CRs still to
+    # come, and each R channel the transaction on its way and its arrival
     sim = build(SimConfig())
     dumps = []
-    memory_data = sim._memory_data
+    read = sim.mem.read
 
-    def dumped(txn, data, now):  # the read's data arrives: the transaction holds none yet
+    def dumped(address, now, tag):  # the read issues: the transaction holds no data yet
         dumps.append(sim._dump_state())
-        memory_data(txn, data, now)
+        due = read(address, now, tag)
+        dumps.append((now, due, sim._dump_state()))
+        return due
 
-    sim._memory_data = dumped
+    sim.mem.read = dumped
     sim.run([loads(0x100), []])
-    (dump,) = dumps
-    assert "txns=[(0, 0, 'ReadShared', '0x100', False)]" in dump
-    assert "ccu: cr_pending=[(0, 0)]" in dump
+    before, (now, due, after) = dumps
+    assert "txns=[(0, 0, 'ReadShared', '0x100', False)]" in before
+    assert "ccu: cr_pending=[(0, 0)]" in before and "r_out=[[], []]" in before
+    # the read latched the data and sent the transaction on to core 0's R
+    # channel, in the cycle after the data is due and a completion stage on
+    assert due == now + sim.config.latencies.mem_read
+    assert "txns=[(0, 0, 'ReadShared', '0x100', True)]" in after
+    assert f"r_out=[[(0, {due + 1 + sim.config.latencies.ccu_stage})], []]" in after
 
 
 def test_run_requires_one_stream_per_core():
